@@ -116,7 +116,8 @@ def star(L: Lie2Algebra, t1: Tau, t2: Tau) -> Tau:
 
 def tau_inverse(L: Lie2Algebra, t: Tau):
     """Star-inverse -tau (I + d tau)^{-1}, present iff I + d tau is invertible."""
-    core = mat_inverse(Mat.identity(L.n0, t.mat.mode if not t.mat.is_zero() else L.mode) + L.d @ t.mat)
+    dt = L.d @ t.mat
+    core = mat_inverse(Mat.identity(L.n0, dt.mode) + dt)
     if core is None:
         return None
     return Tau(-(t.mat @ core))

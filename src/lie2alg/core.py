@@ -20,7 +20,7 @@ from .linalg import (
     kernel_basis,
     mat_distance,
     mat_inverse,
-    solve,
+    span_coords,
     tensor_distance,
     vadd,
     vmax_abs,
@@ -186,10 +186,6 @@ class Lie2Algebra:
 
     def __repr__(self):
         return f"Lie2Algebra(n0={self.n0}, n1={self.n1})"
-
-
-def as_float(L: Lie2Algebra) -> Lie2Algebra:
-    return L.to_float()
 
 
 def validate_lie2(L: Lie2Algebra) -> ResidualReport:
@@ -562,11 +558,11 @@ def make_endo(dmat: Mat) -> Lie2Algebra:
     pairs = _endo_data(dmat)
     n0 = len(pairs)
     n1 = v1 * v0
-    span = Mat.from_cols([_flatten_pair(*p) for p in pairs], v0 * v0 + v1 * v1) \
-        if n0 else Mat.zero(v0 * v0 + v1 * v1, 0)
+    span = span_coords(Mat.from_cols([_flatten_pair(*p) for p in pairs], v0 * v0 + v1 * v1)
+                       if n0 else Mat.zero(v0 * v0 + v1 * v1, 0))
 
     def coords(F0: Mat, F1: Mat) -> tuple:
-        c = solve(span, _flatten_pair(F0, F1))
+        c = span(_flatten_pair(F0, F1))
         if c is None:
             raise ValueError("value escaped the degree-0 span")
         return c

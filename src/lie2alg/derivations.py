@@ -21,7 +21,7 @@ from .linalg import (
     kernel_basis,
     mat_distance,
     rref,
-    solve,
+    span_coords,
     tensor_distance,
     vadd,
     vscale,
@@ -287,11 +287,11 @@ class DerLie2:
     algebra: Lie2Algebra
     basis0: tuple
     basisM1: tuple
-    _span: Mat
+    _coords: object  # span_coords of the flattened basis0
     _base: Lie2Algebra
 
     def der0_coords(self, D: Derivation0) -> tuple:
-        c = solve(self._span, flatten_der0(self._base, D))
+        c = self._coords(flatten_der0(self._base, D))
         if c is None:
             raise ValueError("not in the degree-0 derivation span")
         return c
@@ -313,11 +313,11 @@ def build_der_lie2(L: Lie2Algebra) -> DerLie2:
     basisM1 = derM1_basis(L)
     r = len(basis0)
     m = len(basisM1)
-    span = Mat.from_cols([flatten_der0(L, D) for D in basis0], _der0_flat_len(L)) \
-        if r else Mat.zero(_der0_flat_len(L), 0)
+    span = span_coords(Mat.from_cols([flatten_der0(L, D) for D in basis0], _der0_flat_len(L))
+                       if r else Mat.zero(_der0_flat_len(L), 0))
 
     def coords(D: Derivation0) -> tuple:
-        c = solve(span, flatten_der0(L, D))
+        c = span(flatten_der0(L, D))
         if c is None:
             raise ValueError("derivation escaped its own span")
         return c

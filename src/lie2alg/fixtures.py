@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -39,6 +40,33 @@ def heisenberg3_structure() -> AltTensor:
 def aff1_sum_structure() -> AltTensor:
     """Two commuting copies of the affine line algebra: [x_i, y_i] = y_i."""
     return AltTensor(2, 4, 4, {(0, 1): (0, 1, 0, 0), (2, 3): (0, 0, 0, 1)})
+
+
+def sl_structure(n: int) -> AltTensor:
+    """sl_n in the basis E_ij (i != j, row-major), then H_k = E_kk - E_(k+1)(k+1).
+
+    The structure constants are the coordinates of matrix commutators.  A
+    traceless diagonal matrix has H-coordinates equal to the partial sums of
+    its first n - 1 diagonal entries.
+    """
+    def unit(i, j):
+        data = [Fraction(0)] * (n * n)
+        data[i * n + j] = Fraction(1)
+        return Mat(n, n, data)
+
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    basis = [unit(i, j) for i, j in offdiag]
+    basis += [unit(k, k) - unit(k + 1, k + 1) for k in range(n - 1)]
+
+    def coords(m: Mat) -> tuple:
+        diag = itertools.accumulate(m.at(k, k) for k in range(n - 1))
+        return tuple(m.at(i, j) for i, j in offdiag) + tuple(diag)
+
+    def commutator(key):
+        x, y = basis[key[0]], basis[key[1]]
+        return coords(x @ y - y @ x)
+
+    return AltTensor.from_function(2, len(basis), len(basis), commutator)
 
 
 def trivial_rep(n: int, m: int) -> tuple:
@@ -110,7 +138,6 @@ def rand_vec(rng: random.Random, n: int, dens=(1, 2)) -> tuple:
 
 
 def rand_cochain(rng: random.Random, arity: int, dim: int, codim: int, dens=(1, 2)) -> AltTensor:
-    import itertools
     entries = {key: rand_vec(rng, codim, dens)
                for key in itertools.combinations(range(dim), arity)}
     return AltTensor(arity, dim, codim, entries)

@@ -201,13 +201,24 @@ class Mat:
         return Mat(n, m, out)
 
     def apply(self, vec: tuple) -> tuple:
+        """The product m vec.
+
+        In exact mode the sum runs over the nonzero coordinates of vec only,
+        which changes no exact sum.  Float mode sums every coordinate: a
+        native float product costs less than finding the support.
+        """
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
+        if self.mode == "float":
+            support, zero = range(self.cols), 0.0
+        else:
+            support = [t for t, x in enumerate(vec) if x]
+            # a float coordinate, even a zero one, makes an exact row sum a float
+            zero = 0.0 if any(isinstance(x, float) for x in vec) else Fraction(0)
         out = []
         for i in range(self.rows):
             r = self.row(i)
-            out.append(sum((r[t] * vec[t] for t in range(self.cols)),
-                           Fraction(0) if self.mode == "exact" else 0.0))
+            out.append(sum((r[t] * vec[t] for t in support), zero))
         return tuple(out)
 
     def transpose(self) -> "Mat":
@@ -337,6 +348,31 @@ def solve(m: Mat, b: tuple):
     for r, p in enumerate(pivots):
         x[p] = red.at(r, m.cols)
     return tuple(x)
+
+
+def span_coords(m: Mat):
+    """Factor an exact matrix with independent columns once, for many solves.
+
+    Returns coords(b): the unique x with m x = b, or None when b is off the
+    column span.  A set of independent rows of m is inverted once; every
+    candidate x is then checked by testing m x == b, so membership is
+    decided by the same equation solve() answers.  Raises ValueError when
+    the columns are dependent.
+    """
+    if m.mode != "exact":
+        raise ModeError("span_coords requires exact scalars")
+    rows = rref(m.transpose())[1]
+    if len(rows) != m.cols:
+        raise ValueError("columns are linearly dependent")
+    inv = mat_inverse(Mat.from_rows([m.row(i) for i in rows]))
+
+    def coords(b: tuple):
+        if len(b) != m.rows:
+            raise ValueError("vector length mismatch")
+        x = inv.apply(tuple(b[i] for i in rows))
+        return x if m.apply(x) == tuple(b) else None
+
+    return coords
 
 
 def rank(m: Mat) -> int:
@@ -483,17 +519,35 @@ class AltTensor:
         return vec if sign == 1 else vneg(vec)
 
     def eval(self, *vectors) -> tuple:
-        """Multilinear alternating evaluation on length-`dim` vectors."""
+        """Multilinear alternating evaluation on length-`dim` vectors.
+
+        In exact mode each argument's support is scanned once, and a
+        permutation term is formed only when every factor is a nonzero
+        coordinate.  Keys and permutations keep their fixed order, so the
+        result equals the dense sum exactly.  Float mode, and exact mode on
+        fully dense arguments, form every term: there the support saves
+        less than it costs to find.
+        """
         if len(vectors) != self.arity:
             raise ValueError("arity mismatch")
         k = self.arity
         if k == 0:
             return self.entries.get((), self._zero_vec())
+        supports = None
+        if self.mode == "exact":
+            supports = [{i for i, x in enumerate(v) if x} for v in vectors]
+            if not all(supports):
+                return self._zero_vec()
+            if all(len(s) == self.dim for s in supports):
+                supports = None
         out = list(self._zero_vec())
         perms = _signed_perms(k)
         for key, vec in self.entries.items():
+            terms = perms if supports is None else [
+                (p, sign) for p, sign in perms
+                if all(key[p[a]] in supports[a] for a in range(k))]
             minor = sum(sign * math.prod(vectors[a][key[p[a]]] for a in range(k))
-                        for p, sign in perms)
+                        for p, sign in terms)
             if minor != 0:
                 for c in range(self.codim):
                     out[c] += minor * vec[c]

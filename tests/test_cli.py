@@ -159,3 +159,14 @@ def test_report_lines_are_greppable():
             parts = line.split()
             assert parts[0] == "IDENTITY" and parts[2] == "RESIDUAL" and parts[4] == "MODE"
             assert parts[5] in ("exact", "float")
+
+
+def test_check_abelian_conjugation_and_bracket_recovery_pass():
+    # the float copy of the abelian fixture reports mode "exact" (all its
+    # tensors are zero); the star inverse must still build its identity in
+    # the mode of the product d tau
+    for suite, samples in (("conjugation", 2), ("bracket-recovery", 1)):
+        for seed in range(1, 21):
+            code, text = run(["check", "abelian", "--suite", suite,
+                              "--samples", str(samples), "--seed", str(seed)])
+            assert code == 0 and "RESULT PASS" in text, (suite, seed, text)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from lie2alg.core import (
     ce_coboundary,
     lie_ad_matrices,
+    make_string,
     validate_hom,
     validate_lie2,
 )
@@ -36,6 +37,7 @@ from lie2alg.fixtures import (
     random_fixture,
     skeletal_demo,
     sl2_structure,
+    sl_structure,
     strict_sl2,
     trivial_rep,
 )
@@ -396,3 +398,20 @@ def test_homotopy_closed_under_bracket():
         assert flags["homotopy"]
     t2 = graded_bracket(L, theta, theta)
     assert classify_derivation(L, t2)["homotopy"]
+
+
+def test_sl_structure_matches_sl2_and_is_a_lie_algebra():
+    # sl2 in (E_01, E_10, H_0) is (e, f, h): [e,f] = h, [e,h] = -2e, [f,h] = 2f
+    assert sl_structure(2) == AltTensor(2, 3, 3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0),
+                                                   (1, 2): (0, 2, 0)})
+    for n in (2, 3):
+        assert validate_lie2(make_string(sl_structure(n))).ok
+
+
+def test_string_sl3_derivation_lie2():
+    # Der^0 = sl3 + B^2(sl3; R) = 8 + 8 because H^1 = H^2 = 0, all of it inner
+    L = make_string(sl_structure(3))
+    der = build_der_lie2(L)
+    assert (der.algebra.n0, der.algebra.n1, len(inn0_basis(L))) == (16, 8, 16)
+    assert validate_lie2(der.algebra).ok
+    assert validate_hom(adbar(L, der)).ok

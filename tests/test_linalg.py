@@ -1,9 +1,10 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lie2alg.linalg import (
     AltTensor,
@@ -18,6 +19,7 @@ from lie2alg.linalg import (
     rat_str,
     rref,
     solve,
+    span_coords,
     truncated_exp,
     vec_is_zero,
 )
@@ -215,3 +217,163 @@ def test_alt_tensor_arity_zero():
     t = AltTensor(0, 3, 2, {(): (Fraction(1), Fraction(2))})
     assert t.eval() == (1, 2)
     assert AltTensor.zero(0, 3, 2).eval() == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# support-aware kernels against dense references
+# ---------------------------------------------------------------------------
+
+def _dense_eval(t, *vectors):
+    """AltTensor.eval with every permutation term formed, zero factors included."""
+    zero = Fraction(0) if t.mode == "exact" else 0.0
+    if t.arity == 0:
+        return t.entries.get((), (zero,) * t.codim)
+    out = [zero] * t.codim
+    for key, vec in t.entries.items():
+        minor = 0
+        for p in itertools.permutations(range(t.arity)):
+            inversions = sum(p[i] > p[j] for i, j in itertools.combinations(range(t.arity), 2))
+            sign = -1 if inversions % 2 else 1
+            minor += sign * math.prod(vectors[a][key[p[a]]] for a in range(t.arity))
+        if minor != 0:
+            for c in range(t.codim):
+                out[c] += minor * vec[c]
+    return tuple(out)
+
+
+def _dense_apply(m, vec):
+    zero = Fraction(0) if m.mode == "exact" else 0.0
+    return tuple(sum((m.at(i, t) * vec[t] for t in range(m.cols)), zero) for i in range(m.rows))
+
+
+def _bits(vec):
+    """Exact mode: values and types; float mode: the IEEE bit patterns (signed zeros too)."""
+    return tuple((type(x), x.hex() if isinstance(x, float) else x) for x in vec)
+
+
+def _scalars(mode):
+    if mode == "exact":
+        return small_rats
+    return st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _sparse_vec(draw, n, mode):
+    """A length-n vector whose zero pattern is drawn independently of its values."""
+    values = draw(st.lists(_scalars(mode), min_size=n, max_size=n))
+    zeros = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    zero = Fraction(0) if mode == "exact" else draw(st.sampled_from([0.0, -0.0]))
+    return tuple(zero if z else v for v, z in zip(values, zeros))
+
+
+@st.composite
+def _tensor_and_args(draw):
+    mode = draw(st.sampled_from(["exact", "float"]))
+    arity = draw(st.integers(0, 3))
+    dim = draw(st.integers(max(arity, 1), 5))
+    codim = draw(st.integers(1, 3))
+    keys = draw(st.lists(st.sampled_from(list(itertools.combinations(range(dim), arity))),
+                         unique=True))
+    entries = {key: draw(_sparse_vec(codim, mode)) for key in keys}
+    t = AltTensor(arity, dim, codim, entries, mode)
+    # arguments come from a small pool, so the same vector often fills two slots
+    pool = draw(st.lists(_sparse_vec(dim, mode), min_size=1, max_size=3))
+    args = [draw(st.sampled_from(pool)) for _ in range(arity)]
+    return t, args
+
+
+@given(_tensor_and_args())
+def test_alt_eval_matches_dense_reference(case):
+    t, args = case
+    assert _bits(t.eval(*args)) == _bits(_dense_eval(t, *args))
+
+
+@given(st.sampled_from(["exact", "float"]), st.integers(0, 4), st.integers(0, 5), st.data())
+def test_mat_apply_matches_dense_reference(mode, rows, cols, data):
+    m = Mat(rows, cols, data.draw(_sparse_vec(rows * cols, mode)))
+    vec = data.draw(_sparse_vec(cols, mode))
+    if m.data:
+        assert m.mode == mode
+    assert _bits(m.apply(vec)) == _bits(_dense_apply(m, vec))
+
+
+def test_alt_eval_repeated_basis_arguments_vanish():
+    t = AltTensor(3, 4, 2, {(0, 1, 2): (Fraction(5), Fraction(-1)), (1, 2, 3): (Fraction(2), 0)})
+    e = [tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)]
+    assert t.eval(e[1], e[1], e[2]) == (0, 0)
+    assert t.eval(e[2], e[1], e[3]) == (-2, 0)
+    assert t.eval(e[0], (0, 0, 0, 0), e[2]) == (0, 0)
+
+
+def test_mat_apply_float_zero_coordinate_keeps_float_sum():
+    # an exact matrix on a float vector sums in float even where only zeros meet it
+    m = Mat.from_rows([[1, 2], [3, 4]])
+    out = m.apply((0.0, 0.0))
+    assert out == (0.0, 0.0) and all(isinstance(x, float) for x in out)
+    assert all(isinstance(x, Fraction) for x in m.apply((0, Fraction(1, 2))))
+
+
+# ---------------------------------------------------------------------------
+# the factor-once span helper
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _full_column_rank(draw):
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(0, rows))
+    m = Mat(rows, cols, draw(st.lists(small_rats, min_size=rows * cols, max_size=rows * cols)))
+    assume(rank(m) == cols)
+    return m
+
+
+@given(_full_column_rank(), st.data())
+def test_span_coords_equals_solve(m, data):
+    coords = span_coords(m)
+    x = tuple(data.draw(st.lists(small_rats, min_size=m.cols, max_size=m.cols)))
+    b = m.apply(x)
+    assert coords(b) == x == solve(m, b)
+    other = tuple(data.draw(st.lists(small_rats, min_size=m.rows, max_size=m.rows)))
+    assert coords(other) == solve(m, other)
+
+
+def test_span_coords_off_span_is_none():
+    coords = span_coords(Mat.from_rows([[1, 0], [0, 1], [1, 1]]))
+    assert coords((2, 3, 5)) == (2, 3)
+    assert coords((2, 3, 4)) is None
+    assert span_coords(Mat.zero(2, 0))((0, 0)) == ()
+    assert span_coords(Mat.zero(2, 0))((0, 1)) is None
+
+
+def test_span_coords_rejects_dependent_columns():
+    for m in (Mat.from_rows([[1, 2], [2, 4]]), Mat.from_rows([[1, 0], [0, 0]]),
+              Mat.zero(0, 1), Mat.from_rows([[1, 1, 0], [0, 1, 1]])):
+        with pytest.raises(ValueError):
+            span_coords(m)
+    with pytest.raises(ModeError):
+        span_coords(Mat.from_rows([[1.0], [0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent oracle (test-only; skipped when sympy is absent)
+# ---------------------------------------------------------------------------
+
+def _to_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in m.data])
+
+
+@settings(deadline=None)  # the first example pays for importing sympy
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_rref_and_solve_match_sympy(rows, cols, data):
+    m = Mat(rows, cols, data.draw(st.lists(small_rats, min_size=rows * cols, max_size=rows * cols)))
+    sm = _to_sympy(m)
+    red, pivots = rref(m)
+    sred, spivots = sm.rref()
+    assert list(spivots) == pivots
+    assert _to_sympy(red) == sred
+    b = tuple(data.draw(st.lists(small_rats, min_size=rows, max_size=rows)))
+    sb = _to_sympy(Mat(rows, 1, b))
+    x = solve(m, b)
+    assert (x is None) == (sm.row_join(sb).rank() > sm.rank())
+    if x is not None:
+        assert sm * _to_sympy(Mat(cols, 1, x)) == sb
