@@ -149,11 +149,16 @@ class Lie2Algebra:
 
     def bracket01(self, x: tuple, a: tuple) -> tuple:
         """[x, a] for x in g_0, a in g_{-1}."""
-        out = vzero(self.n1, self.mode)
+        out = list(vzero(self.n1, self.mode))
         for i, xi in enumerate(x):
             if xi != 0:
-                out = vadd(out, vscale(xi, self.b01[i].apply(a)))
-        return out
+                v = self.b01[i].apply(a)
+                # an exact zero term changes no sum; a float one may flip a zero's sign
+                dense = isinstance(xi, float) or (v and isinstance(v[0], float))
+                for c, y in enumerate(v):
+                    if y or dense:
+                        out[c] += xi * y
+        return tuple(out)
 
     def bracket10(self, a: tuple, x: tuple) -> tuple:
         """[a, x] = -[x, a]."""

@@ -1,16 +1,23 @@
 """Exponential maps from derivations to automorphisms, and the checks
 that the automorphism 2-group integrates the derivation Lie 2-algebra.
 
-Series terminate (and everything stays exact) when the relevant matrices
-are nilpotent; otherwise the computation converts to float and truncates
-at a configurable order.  Finite-difference probes recover the graded
-bracket from group commutators at second order in the step.
+Every exponential is a block of one matrix exponential, computed by
+`linalg.truncated_exp` (Van Loan 1978).  For a degree-0 derivation
+D = (X0, X1, lX), A0 = e^{tX0}, and A1, A2 are the top-left and top-right
+blocks of e^{tM}, M = [[X1, LX], [0, Lam]] on g_{-1} + Lam^2 g_0, where LX
+is lX on increasing basis pairs and Lam is X0 acting as a derivation on
+Lam^2 g_0.  The star exponential of theta is the top-right block of
+e^{tN}, N = [[theta d, theta], [0, 0]].  Series terminate (and everything
+stays exact) when M or N is nilpotent, which holds exactly when X0 and X1,
+or theta d, are; otherwise the computation converts to float and scales
+and squares a series truncated at a configurable order.  Finite-difference
+probes recover the graded bracket from group commutators at second order
+in the step.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +42,7 @@ from .derivations import (
     Derivation0,
     adbar0_single,
     dbar,
+    der0_zero,
     derM1_basis,
     graded_bracket,
     inn0_basis,
@@ -42,7 +50,7 @@ from .derivations import (
     random_der0,
     random_derM1,
 )
-from .linalg import AltTensor, Mat, nilpotency_index, truncated_exp, vadd, vscale, vzero
+from .linalg import AltTensor, Mat, nilpotency_index, truncated_exp
 
 
 @dataclass(frozen=True)
@@ -51,7 +59,7 @@ class ExpConfig:
 
     mode "auto" runs exactly whenever the series terminates and falls back
     to float otherwise; "exact" refuses non-terminating input; "float"
-    always truncates at `order` in floating point.
+    always sums `order` terms in floating point, with scaling and squaring.
     """
 
     order: int = 24
@@ -85,53 +93,45 @@ def derM1_terminating(L: Lie2Algebra, T: DerM1):
     return nilpotency_index(T.theta @ L.d)
 
 
-def _exp_a2(L: Lie2Algebra, D: Derivation0, t, nmax: int) -> AltTensor:
-    """The 2-component series: sum_{n>=1} t^n/n! sum_{i+j+k=n-1}
-    binom(i+j, i) X1^k lX(X0^i x, X0^j y), on increasing basis pairs."""
+def _exp_upper(a: Mat, b: Mat, c: Mat, t, order: int, mode: str):
+    """Top-left and top-right blocks of e^{tM} for M = [[a, b], [0, c]].
+
+    The top-right block is the integral of e^{(t-s)a} b e^{sc} over
+    [0, t] (Van Loan 1978).  M is nilpotent exactly when a and c are."""
+    n, m = a.rows, c.rows
+    zero = 0.0 if mode == "float" else Fraction(0)
+    if mode == "float":
+        a, b, c = a.to_float(), b.to_float(), c.to_float()
+    rows = [a.row(i) + b.row(i) for i in range(n)] + [(zero,) * n + c.row(i) for i in range(m)]
+    E = truncated_exp(Mat(n + m, n + m, [x for r in rows for x in r]), t, order, mode)
+    return (Mat(n, n, [E.at(i, j) for i in range(n) for j in range(n)]),
+            Mat(n, m, [E.at(i, j) for i in range(n) for j in range(n, n + m)]))
+
+
+def _exp_hom(L: Lie2Algebra, D: Derivation0, t, order: int) -> Lie2Hom:
+    """e^{tD} = (e^{tX0}, A1, A2), with A1 and A2 the blocks of e^{tM},
+    M = [[X1, LX], [0, Lam]].  Lam(e_p^e_q) = X0e_p^e_q + e_p^X0e_q, written
+    in the increasing-pair basis with the sign of the swap.  The top-right
+    block is sum_{n>=1} t^n/n! sum_{i+j+k=n-1} binom(i+j, i)
+    X1^k lX(X0^i ., X0^j .) on the pairs."""
+    mode = "float" if "float" in (D.X0.mode, D.X1.mode) else "exact-if-nilpotent"
     n0, n1 = D.X0.rows, D.X1.rows
-    exact = D.X0.mode == "exact"
-    pows0 = [Mat.identity(n0, D.X0.mode)]
-    pows1 = [Mat.identity(n1, D.X1.mode)]
-    for _ in range(nmax):
-        pows0.append(pows0[-1] @ D.X0)
-        pows1.append(pows1[-1] @ D.X1)
     pairs = list(itertools.combinations(range(n0), 2))
-    # cache lX(X0^i e_p, X0^j e_q) per (i, j)
-    lx_cache = {}
-
-    def lx_ij(i, j):
-        if (i, j) not in lx_cache:
-            lx_cache[(i, j)] = {pq: D.lX.eval(pows0[i].col(pq[0]), pows0[j].col(pq[1]))
-                                for pq in pairs}
-        return lx_cache[(i, j)]
-
-    mode = "exact" if exact else "float"
-    acc = {pq: vzero(n1, mode) for pq in pairs}
-    tq = Fraction(t) if exact else float(t)
-    coeff = tq  # t^n / n!
-    for n in range(1, nmax + 1):
-        if n > 1:
-            coeff = coeff * tq / n
-        inner = {pq: vzero(n1, mode) for pq in pairs}
-        for i in range(n):
-            for j in range(n - i):
-                k = n - 1 - i - j
-                c = math.comb(i + j, i)
-                vals = lx_ij(i, j)
-                for pq in pairs:
-                    v = vals[pq]
-                    if any(x != 0 for x in v):
-                        inner[pq] = vadd(inner[pq], vscale(c, pows1[k].apply(v)))
-        for pq in pairs:
-            acc[pq] = vadd(acc[pq], vscale(coeff, inner[pq]))
-    return AltTensor(2, n0, n1, acc, mode)
-
-
-def _exp_hom(L: Lie2Algebra, D: Derivation0, t, nmax: int) -> Lie2Hom:
-    mode = "exact-if-nilpotent" if D.X0.mode == "exact" else "float"
-    A0 = truncated_exp(D.X0, t, nmax, mode)
-    A1 = truncated_exp(D.X1, t, nmax, mode)
-    return Lie2Hom(L, L, A0, A1, _exp_a2(L, D, t, nmax))
+    index = {pq: j for j, pq in enumerate(pairs)}
+    lam = [[0] * len(pairs) for _ in pairs]
+    for j, (p, q) in enumerate(pairs):
+        for r in range(n0):
+            for u, v, x in ((r, q, D.X0.at(r, p)), (p, r, D.X0.at(r, q))):
+                if x and u != v:
+                    if u < v:
+                        lam[index[(u, v)]][j] += x
+                    else:
+                        lam[index[(v, u)]][j] -= x
+    LX = Mat.from_cols([D.lX.eval_basis(p, q) for p, q in pairs], n1)
+    A1, top = _exp_upper(D.X1, LX, Mat.from_rows(lam), t, order, mode)
+    A2 = AltTensor(2, n0, n1, {pq: top.col(j) for j, pq in enumerate(pairs)},
+                   "float" if mode == "float" else "exact")
+    return Lie2Hom(L, L, truncated_exp(D.X0, t, order, mode), A1, A2)
 
 
 def _resolve_mode(cfg: ExpConfig, terminating: bool) -> str:
@@ -157,9 +157,7 @@ def exp_der0(L: Lie2Algebra, D: Derivation0, t=1, cfg: ExpConfig = DEFAULT) -> A
         rep = is_derivation0(L, D)
         if not rep.ok:
             raise ValueError(f"not a derivation: {rep!r}")
-        p0, p1 = nil
-        nmax = max(1, 2 * p0 + p1 - 2)
-        return certify_aut0(L, _exp_hom(L, D, t, nmax))
+        return certify_aut0(L, _exp_hom(L, D, t, cfg.order))
     Lf = L.to_float()
     Df = D.to_float()
     rep = is_derivation0(Lf, Df)
@@ -170,28 +168,16 @@ def exp_der0(L: Lie2Algebra, D: Derivation0, t=1, cfg: ExpConfig = DEFAULT) -> A
 
 def exp_derM1(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> Tau:
     """Exponential into the star group:
-    e^theta = theta + theta d theta / 2! + theta d theta d theta / 3! + ...
+    e^theta = theta + theta d theta / 2! + theta d theta d theta / 3! + ...,
+    the top-right block of e^{tN} for N = [[theta d, theta], [0, 0]].
     Exact when theta d is nilpotent."""
     q = derM1_terminating(L, T) if L.mode == "exact" else None
     which = _resolve_mode(cfg, q is not None)
-    if which == "exact":
-        theta = T.theta.scale(Fraction(t))
-        td = theta @ L.d
-        acc = Mat.zero(L.n1, L.n0)
-        power = theta  # (theta d)^{n-1} theta
-        for n in range(1, q + 1):
-            acc = acc + power.scale(Fraction(1, math.factorial(n)))
-            power = td @ power
-        return Tau(acc)
-    Lf = L.to_float()
-    theta = T.theta.to_float().scale(float(t))
-    td = theta @ Lf.d
-    acc = Mat.zero(L.n1, L.n0, "float")
-    power = theta
-    for n in range(1, cfg.order + 1):
-        acc = acc + power.scale(1.0 / math.factorial(n))
-        power = td @ power
-    return Tau(acc)
+    if which == "float":
+        L, T = L.to_float(), T.to_float()
+    _, top = _exp_upper(T.theta @ L.d, T.theta, Mat.zero(L.n0, L.n0, which), t, cfg.order,
+                        "float" if which == "float" else "exact-if-nilpotent")
+    return Tau(top)
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +333,10 @@ def _commuting_iv_sample(L: Lie2Algebra, rng, der_basis):
             return D, tau
     flat = [B for B in der_basis if B.X0.is_zero() and B.X1.is_zero()]
     tau = _random_invertible_tau(L, rng)
-    if flat:
-        D = der0_zero_like(flat[0])
-        for B in flat:
-            D = D + B.scale(Fraction(rng.randint(-3, 3), rng.choice((8, 16))))
-        return D, tau
-    from .derivations import der0_zero
-    return der0_zero(L), tau
-
-
-def der0_zero_like(D: Derivation0) -> Derivation0:
-    return Derivation0(Mat.zero(D.X0.rows, D.X0.cols), Mat.zero(D.X1.rows, D.X1.cols),
-                       AltTensor.zero(2, D.lX.dim, D.lX.codim))
+    D = der0_zero(L)
+    for B in flat:
+        D = D + B.scale(Fraction(rng.randint(-3, 3), rng.choice((8, 16))))
+    return D, tau
 
 
 def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,

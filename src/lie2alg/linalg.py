@@ -193,11 +193,24 @@ class Mat:
         n, k, m = self.rows, self.cols, other.cols
         a, b = self.data, other.data
         out = []
+        if self.mode == "exact":
+            # exact sums do not depend on their order: accumulate the nonzero
+            # entries of the rows of `other` picked by nonzero entries of self
+            zero = Fraction(0)
+            brows = [[(j, y) for j, y in enumerate(b[t * m:(t + 1) * m]) if y] for t in range(k)]
+            for i in range(n):
+                acc = [zero] * m
+                for t in range(k):
+                    x = a[i * k + t]
+                    if x:
+                        for j, y in brows[t]:
+                            acc[j] += x * y
+                out += acc
+            return Mat(n, m, out)
         for i in range(n):
             arow = a[i * k:(i + 1) * k]
             for j in range(m):
-                out.append(sum((arow[t] * b[t * m + j] for t in range(k)),
-                               Fraction(0) if self.mode == "exact" else 0.0))
+                out.append(sum((arow[t] * b[t * m + j] for t in range(k)), 0.0))
         return Mat(n, m, out)
 
     def apply(self, vec: tuple) -> tuple:
@@ -392,12 +405,16 @@ def nilpotency_index(m: Mat):
 
 
 def truncated_exp(m: Mat, t=1, order: int = 24, mode: str = "exact-if-nilpotent") -> Mat:
-    """Truncated exponential series sum_{n=0..N} t^n m^n / n!.
+    """The exponential e^{tm} by its Taylor series; the only series in the
+    package.
 
     In "exact-if-nilpotent" mode a nilpotent exact input makes the series
-    terminate, so the result is the true exponential, exactly.  In
-    "float" mode everything is converted to float and summed to `order`.
-    Callers own the truncation-error budget for non-terminating input.
+    terminate, so the result is the true exponential, exactly; other exact
+    input is summed to `order`.  "float" mode converts to float and scales
+    and squares (Higham 2005): with ||.|| the max row sum, it picks
+    s = max(0, ceil(log2(||tm|| / 0.5))), sums `order` terms of the series
+    at t / 2^s and squares the result s times, so the series is only ever
+    summed where it converges fast, however large ||tm|| is.
     """
     if m.rows != m.cols:
         raise ValueError("square matrix required")
@@ -406,11 +423,16 @@ def truncated_exp(m: Mat, t=1, order: int = 24, mode: str = "exact-if-nilpotent"
     if mode == "float":
         mf = m.to_float()
         tf = float(t)
+        norm = abs(tf) * max((sum(abs(x) for x in mf.row(i)) for i in range(m.rows)), default=0.0)
+        s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0 else 0
+        tf /= 2 ** s
         result = Mat.identity(m.rows, "float")
         term = result
         for n in range(1, order + 1):
             term = (term @ mf).scale(tf / n)
             result = result + term
+        for _ in range(s):
+            result = result @ result
         return result
     if mode != "exact-if-nilpotent":
         raise ValueError(f"unknown mode {mode!r}")

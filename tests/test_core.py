@@ -343,3 +343,26 @@ def test_ce_squares_to_zero():
         for arity in range(0, min(3, sc.dim)):
             f = rand_cochain(rng, arity, sc.dim, rep[0].rows)
             assert ce_coboundary(sc, rep, ce_coboundary(sc, rep, f)).is_zero()
+
+
+def _bracket01_reference(L, x, a):
+    """[x, a] as a sum of full vectors, one per nonzero coordinate of x."""
+    out = tuple(Fraction(0) if L.mode == "exact" else 0.0 for _ in range(L.n1))
+    for i, xi in enumerate(x):
+        if xi != 0:
+            out = tuple(o + xi * v for o, v in zip(out, L.b01[i].apply(a)))
+    return out
+
+
+def test_bracket01_matches_reference():
+    # exact values are equal; float values carry the same bits, signed zeros too
+    rng = random.Random(41)
+    for L in (fix_ab(), fix_str(), fix_end(), skeletal_demo(), make_endo(rand_mat(rng, 2, 1))):
+        for M in (L, L.to_float()):
+            cast = (lambda q: q) if M.mode == "exact" else float
+            for _ in range(10):
+                x = tuple(cast(Fraction(rng.choice([0, 0, -1, 2]), 3)) for _ in range(M.n0))
+                a = tuple(cast(Fraction(rng.choice([0, 1, -2]), 5)) for _ in range(M.n1))
+                got, want = M.bracket01(x, a), _bracket01_reference(M, x, a)
+                assert [(type(g), g.hex() if isinstance(g, float) else g) for g in got] == \
+                    [(type(w), w.hex() if isinstance(w, float) else w) for w in want]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,7 +16,7 @@ from lie2alg.automorphisms import (
     tau_inverse,
     tau_zero,
 )
-from lie2alg.core import validate_hom
+from lie2alg.core import Lie2Algebra, validate_hom
 from lie2alg.derivations import (
     DerM1,
     Derivation0,
@@ -29,14 +30,16 @@ from lie2alg.derivations import (
     random_der0,
     random_derM1,
 )
-from lie2alg.fixtures import fix_ab, fix_end, fix_str, rand_mat
+from lie2alg.fixtures import NAMED_EXAMPLES, fix_ab, fix_end, fix_str, rand_cochain, rand_mat, random_fixture
 from lie2alg.integration import (
     ExpConfig,
+    _exp_hom,
     bracket_recovery_residual,
     check_commuting_square,
     check_conjugation_identities,
     check_one_parameter,
     der0_terminating,
+    derM1_terminating,
     exp_der0,
     exp_derM1,
     exp_semidirect,
@@ -46,7 +49,7 @@ from lie2alg.integration import (
     recover_bracket,
     recover_bracket_m1,
 )
-from lie2alg.linalg import Mat, mat_distance
+from lie2alg.linalg import AltTensor, Mat, mat_distance, nilpotency_index, tensor_distance, truncated_exp
 from lie2alg.core import make_endo
 
 
@@ -425,3 +428,189 @@ def test_random_aut0_sampler_is_exact():
             A = random_aut0(L, rng)
             assert A.hom.A0.mode == "exact"
             assert validate_hom(A.hom).ok
+
+
+# ---------------------------------------------------------------------------
+# the block exponentials against the series they replaced
+# ---------------------------------------------------------------------------
+
+def _ref_exp_a2(D, t, nmax):
+    """The 2-component series as a triple loop: sum_{n>=1} t^n/n!
+    sum_{i+j+k=n-1} binom(i+j, i) X1^k lX(X0^i x, X0^j y), summed to nmax."""
+    n0, n1 = D.X0.rows, D.X1.rows
+    mode = D.X0.mode
+    pows0 = [Mat.identity(n0, mode)]
+    pows1 = [Mat.identity(n1, mode)]
+    for _ in range(nmax):
+        pows0.append(pows0[-1] @ D.X0)
+        pows1.append(pows1[-1] @ D.X1)
+    zero = Fraction(0) if mode == "exact" else 0.0
+    t = Fraction(t) if mode == "exact" else float(t)
+    acc = {}
+    for p, q in itertools.combinations(range(n0), 2):
+        total = [zero] * n1
+        for n in range(1, nmax + 1):
+            coeff = t ** n / math.factorial(n)
+            for i in range(n):
+                for j in range(n - i):
+                    v = D.lX.eval(pows0[i].col(p), pows0[j].col(q))
+                    v = pows1[n - 1 - i - j].apply(v)
+                    for c in range(n1):
+                        total[c] += coeff * math.comb(i + j, i) * v[c]
+        acc[(p, q)] = total
+    return AltTensor(2, n0, n1, acc, mode)
+
+
+def _ref_exp_derM1(L, T, t, nmax):
+    """theta + theta d theta / 2! + ... summed to nmax terms."""
+    exact = T.theta.mode == "exact"
+    theta = T.theta.scale(Fraction(t) if exact else float(t))
+    td = theta @ L.d
+    acc = Mat.zero(L.n1, L.n0, T.theta.mode)
+    power = theta
+    for n in range(1, nmax + 1):
+        acc = acc + power.scale(Fraction(1, math.factorial(n)) if exact else 1.0 / math.factorial(n))
+        power = td @ power
+    return acc
+
+
+def _differential_fixtures():
+    named = [mk() for mk in NAMED_EXAMPLES.values()]
+    return named + [random_fixture(random.Random(seed)) for seed in range(10)]
+
+
+def _nilpotent_derivations(L, rng):
+    """Terminating basis derivations at random scales, and sums of pairs
+    of them that still terminate."""
+    basis = [D for D in compute_der0_basis(L) if der0_terminating(D) is not None]
+    out = [D.scale(Fraction(rng.randint(1, 5), rng.randint(1, 3))) for D in basis]
+    for D1, D2 in itertools.combinations(basis, 2):
+        D = D1 + D2.scale(Fraction(rng.randint(-3, 3), 2))
+        if der0_terminating(D) is not None:
+            out.append(D)
+    return out
+
+
+def _random_nilpotent(rng, n):
+    """A strictly triangular matrix conjugated by a random permutation, so
+    its entries sit on both sides of the diagonal."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    entries = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        entries[perm[i]][perm[j]] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return Mat.from_rows(entries)
+
+
+def _relative_close(got, want, dist):
+    return dist(got, want) <= 1e-12 * max(1.0, float(want.max_abs()))
+
+
+def test_block_exp_equals_series_on_nilpotent_derivations():
+    rng = random.Random(96)
+    with_x0_and_lx = 0
+    for L in _differential_fixtures():
+        for D in _nilpotent_derivations(L, rng):
+            p0, p1 = der0_terminating(D)
+            t = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            A = exp_der0(L, D, t)
+            assert A.hom.A0 == truncated_exp(D.X0, t)
+            assert A.hom.A1 == truncated_exp(D.X1, t)
+            assert A.hom.A2 == _ref_exp_a2(D, t, max(1, 2 * p0 + p1 - 2))
+            with_x0_and_lx += not D.X0.is_zero() and not D.lX.is_zero()
+    assert with_x0_and_lx >= 4
+
+
+def test_block_exp_equals_series_on_random_nilpotent_triples():
+    # no derivation property is needed for the identity, so every entry of
+    # X0 (above and below the diagonal) and every pair of lX takes part
+    rng = random.Random(97)
+    for n0, n1 in ((2, 1), (3, 2), (4, 1), (4, 3)):
+        for _ in range(3):
+            D = Derivation0(_random_nilpotent(rng, n0), _random_nilpotent(rng, n1),
+                            rand_cochain(rng, 2, n0, n1))
+            nmax = 2 * nilpotency_index(D.X0) + nilpotency_index(D.X1)
+            t = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            assert _exp_hom(_abelian(n0, n1), D, t, 24).A2 == _ref_exp_a2(D, t, nmax)
+
+
+def test_block_exp_float_matches_series():
+    rng = random.Random(98)
+    for L in _differential_fixtures():
+        Lf = L.to_float()
+        basis = compute_der0_basis(L)
+        for _ in range(2):
+            D = small_der0(L, rng, basis).to_float()
+            t = rng.uniform(-1.0, 1.0)
+            got = _exp_hom(Lf, D, t, 24)
+            assert got.A2.mode == "float" or got.A2.is_zero()
+            assert _relative_close(got.A2, _ref_exp_a2(D, t, 24), tensor_distance)
+            assert _relative_close(got.A1, truncated_exp(D.X1, t, 24, "float"), mat_distance)
+
+
+def test_star_exp_equals_series():
+    rng = random.Random(99)
+    exact = 0
+    for L in _differential_fixtures():
+        for _ in range(3):
+            T = random_derM1(L, rng, dens=SMALL)
+            t = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            q = derM1_terminating(L, T)
+            if q is not None:
+                exact += 1
+                assert exp_derM1(L, T, t).mat == _ref_exp_derM1(L, T, t, q)
+            Lf, Tf = L.to_float(), T.to_float()
+            got = exp_derM1(Lf, Tf, float(t), ExpConfig(mode="float")).mat
+            assert _relative_close(got, _ref_exp_derM1(Lf, Tf, float(t), 24), mat_distance)
+    assert exact >= 10
+
+
+def _abelian(n0, n1):
+    return Lie2Algebra(n0, n1, Mat.zero(n0, n1), AltTensor.zero(2, n0, n0),
+                       [Mat.zero(n1, n1)] * n0, AltTensor.zero(3, n0, n1))
+
+
+def test_block_exp_small_degree_zero_space():
+    # n0 = 0 and n0 = 1 leave no basis pair: A2 is the empty tensor
+    half = Fraction(1, 2)
+    for L in (_abelian(0, 2), fix_end()):
+        D = Derivation0(Mat.identity(L.n0).scale(half), Mat.identity(L.n1).scale(half),
+                        AltTensor.zero(2, L.n0, L.n1))
+        A = exp_der0(L, D, 1)  # X1 is not nilpotent, so this runs in float
+        assert A.hom.A2.is_zero() and (A.hom.A2.dim, A.hom.A2.codim) == (L.n0, L.n1)
+        assert mat_distance(A.hom.A1, Mat.identity(L.n1, "float").scale(math.exp(0.5))) < 1e-14
+    L = fix_end()
+    D = Derivation0(Mat.zero(1, 1), Mat.zero(1, 1), AltTensor.zero(2, 1, 1))
+    assert exp_der0(L, D, 1).hom == aut_identity(L).hom
+
+
+def test_block_exp_nilpotent_wedge_action_still_runs_in_float():
+    # on Lam^2 of a plane, X0 = diag(1, -1) acts by its trace, 0: M's
+    # lower block is nilpotent although X0 is not
+    L = _abelian(2, 1)
+    lx = AltTensor(2, 2, 1, {(0, 1): (Fraction(1, 3),)})
+    D = Derivation0(Mat.from_rows([[1, 0], [0, -1]]), Mat.from_rows([[Fraction(1, 2)]]), lx)
+    assert der0_terminating(D) is None
+    A = exp_der0(L, D, 1)
+    assert A.hom.A0.mode == A.hom.A1.mode == A.hom.A2.mode == "float"
+    assert _relative_close(A.hom.A2, _ref_exp_a2(D.to_float(), 1.0, 24), tensor_distance)
+    # the integral of e^{(1-s)/2} ds over [0, 1] is 2(e^{1/2} - 1)
+    assert abs(A.hom.A2.eval_basis(0, 1)[0] - 2 * math.expm1(0.5) / 3) < 1e-14
+
+
+@pytest.mark.parametrize("t", [4, 8])
+def test_one_parameter_large_time_scales_and_squares(t):
+    # order-24 Taylor truncation at ||tD|| = 1.5 * 2t diverges without scaling
+    L = fix_end()
+    x = Mat.from_rows([[Fraction(3, 2)]])
+    D = Derivation0(x, x, AltTensor.zero(2, 1, 1))
+    big = exp_der0(L, D, 2 * t).hom
+    largest = max(float(big.A0.max_abs()), float(big.A1.max_abs()))
+    assert check_one_parameter(L, D, t, t) <= 1e-9 * max(1.0, largest)
+
+
+def test_star_exp_large_time_scales_and_squares():
+    # d = 1 in the endo fixture: e^{8 theta} = e^{8 t} - 1 for theta = (t)
+    L = fix_end()
+    got = exp_derM1(L, DerM1(Mat.from_rows([[3]])), 8).mat.at(0, 0)
+    assert abs(got - math.expm1(24.0)) <= 1e-12 * math.expm1(24.0)

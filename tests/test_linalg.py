@@ -127,6 +127,24 @@ def test_truncated_exp_float_scalar():
     assert abs(got.at(0, 0) - math.e) < 1e-12
 
 
+def test_truncated_exp_float_scales_and_squares():
+    got = truncated_exp(Mat.from_rows([[20]]), 1, mode="float").at(0, 0)
+    assert abs(got - math.exp(20)) <= 1e-13 * math.exp(20)
+    rot = truncated_exp(Mat.from_rows([[0, -1], [1, 0]]), 30, mode="float")
+    want = Mat.from_rows([[math.cos(30), -math.sin(30)], [math.sin(30), math.cos(30)]])
+    assert mat_distance(rot, want) < 1e-12
+
+
+def test_truncated_exp_float_small_norm_is_the_plain_series():
+    # at ||tm|| <= 1/2 no squaring happens: the order-24 sum, bit for bit
+    m = Mat.from_rows([[0.125, -0.25], [0.0625, 0.0]])
+    term = want = Mat.identity(2, "float")
+    for n in range(1, 25):
+        term = (term @ m).scale(1.0 / n)
+        want = want + term
+    assert truncated_exp(m, 1, 24, "float") == want
+
+
 def test_rank_nullity():
     rng = random.Random(11)
     for _ in range(30):
@@ -295,6 +313,22 @@ def test_mat_apply_matches_dense_reference(mode, rows, cols, data):
     if m.data:
         assert m.mode == mode
     assert _bits(m.apply(vec)) == _bits(_dense_apply(m, vec))
+
+
+def _dense_matmul(a, b):
+    zero = Fraction(0) if a.mode == "exact" else 0.0
+    return Mat(a.rows, b.cols, [sum((a.at(i, t) * b.at(t, j) for t in range(a.cols)), zero)
+                                for i in range(a.rows) for j in range(b.cols)])
+
+
+@given(st.sampled_from(["exact", "float"]), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4), st.data())
+def test_mat_matmul_matches_dense_reference(mode, n, k, m, data):
+    a = Mat(n, k, data.draw(_sparse_vec(n * k, mode)))
+    b = Mat(k, m, data.draw(_sparse_vec(k * m, mode)))
+    got, want = a @ b, _dense_matmul(a, b)
+    assert (got.rows, got.cols) == (n, m)
+    assert _bits(got.data) == _bits(want.data)
 
 
 def test_alt_eval_repeated_basis_arguments_vanish():
