@@ -18,6 +18,7 @@ in the step.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,7 +51,7 @@ from .derivations import (
     random_der0,
     random_derM1,
 )
-from .linalg import AltTensor, Mat, nilpotency_index, truncated_exp
+from .linalg import AltTensor, Mat, nilpotency_index, row_sum_norm, truncated_exp
 
 
 @dataclass(frozen=True)
@@ -97,15 +98,25 @@ def _exp_upper(a: Mat, b: Mat, c: Mat, t, order: int, mode: str):
     """Top-left and top-right blocks of e^{tM} for M = [[a, b], [0, c]].
 
     The top-right block is the integral of e^{(t-s)a} b e^{sc} over
-    [0, t] (Van Loan 1978).  M is nilpotent exactly when a and c are."""
+    [0, t] (Van Loan 1978).  M is nilpotent exactly when a and c are.  That
+    block is linear in b, so in float mode b is scaled by an exact power of
+    two 2^-k to a norm of at most max(||a||, ||c||, 1/2) and the block by
+    2^k afterwards: a large b then adds no squarings, which would cost the
+    top-left block e^{ta} accuracy."""
     n, m = a.rows, c.rows
-    zero = 0.0 if mode == "float" else Fraction(0)
+    zero, k = Fraction(0), 0
     if mode == "float":
-        a, b, c = a.to_float(), b.to_float(), c.to_float()
+        zero, a, b, c = 0.0, a.to_float(), b.to_float(), c.to_float()
+        nb, cap = row_sum_norm(b), max(row_sum_norm(a), row_sum_norm(c), 0.5)
+        if cap < nb < math.inf:
+            # 2^k stays a finite float: a finite nb is below 2^1024
+            k = min(1023, math.ceil(math.log2(nb) - math.log2(cap)))
+            b = b.scale(2.0 ** -k)
     rows = [a.row(i) + b.row(i) for i in range(n)] + [(zero,) * n + c.row(i) for i in range(m)]
     E = truncated_exp(Mat(n + m, n + m, [x for r in rows for x in r]), t, order, mode)
+    top = Mat(n, m, [E.at(i, j) for i in range(n) for j in range(n, n + m)])
     return (Mat(n, n, [E.at(i, j) for i in range(n) for j in range(n)]),
-            Mat(n, m, [E.at(i, j) for i in range(n) for j in range(n, n + m)]))
+            top.scale(2.0 ** k) if k else top)
 
 
 def _exp_hom(L: Lie2Algebra, D: Derivation0, t, order: int) -> Lie2Hom:

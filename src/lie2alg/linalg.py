@@ -192,25 +192,22 @@ class Mat:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         n, k, m = self.rows, self.cols, other.cols
         a, b = self.data, other.data
+        # accumulate the nonzero entries of the rows of `other` picked by the
+        # nonzero entries of self.  Exact sums do not depend on their order;
+        # for finite floats each skipped product is a signed zero, which
+        # changes no running sum started at 0.0, so float results are the
+        # dense left-to-right sums bit for bit.
+        zero = Fraction(0) if self.mode == "exact" else 0.0
+        brows = [[(j, y) for j, y in enumerate(b[t * m:(t + 1) * m]) if y] for t in range(k)]
         out = []
-        if self.mode == "exact":
-            # exact sums do not depend on their order: accumulate the nonzero
-            # entries of the rows of `other` picked by nonzero entries of self
-            zero = Fraction(0)
-            brows = [[(j, y) for j, y in enumerate(b[t * m:(t + 1) * m]) if y] for t in range(k)]
-            for i in range(n):
-                acc = [zero] * m
-                for t in range(k):
-                    x = a[i * k + t]
-                    if x:
-                        for j, y in brows[t]:
-                            acc[j] += x * y
-                out += acc
-            return Mat(n, m, out)
         for i in range(n):
-            arow = a[i * k:(i + 1) * k]
-            for j in range(m):
-                out.append(sum((arow[t] * b[t * m + j] for t in range(k)), 0.0))
+            acc = [zero] * m
+            for t in range(k):
+                x = a[i * k + t]
+                if x:
+                    for j, y in brows[t]:
+                        acc[j] += x * y
+            out += acc
         return Mat(n, m, out)
 
     def apply(self, vec: tuple) -> tuple:
@@ -404,6 +401,12 @@ def nilpotency_index(m: Mat):
     return 1 if m.rows == 0 else None
 
 
+def row_sum_norm(m: Mat) -> float:
+    """The max row sum of |entries| as a float, the norm that sets the
+    number of squarings in float `truncated_exp`."""
+    return max((float(sum(abs(x) for x in m.row(i))) for i in range(m.rows)), default=0.0)
+
+
 def truncated_exp(m: Mat, t=1, order: int = 24, mode: str = "exact-if-nilpotent") -> Mat:
     """The exponential e^{tm} by its Taylor series; the only series in the
     package.
@@ -414,7 +417,8 @@ def truncated_exp(m: Mat, t=1, order: int = 24, mode: str = "exact-if-nilpotent"
     and squares (Higham 2005): with ||.|| the max row sum, it picks
     s = max(0, ceil(log2(||tm|| / 0.5))), sums `order` terms of the series
     at t / 2^s and squares the result s times, so the series is only ever
-    summed where it converges fast, however large ||tm|| is.
+    summed where it converges fast, however large ||tm|| is.  A norm that
+    is not finite raises ValueError.
     """
     if m.rows != m.cols:
         raise ValueError("square matrix required")
@@ -423,9 +427,11 @@ def truncated_exp(m: Mat, t=1, order: int = 24, mode: str = "exact-if-nilpotent"
     if mode == "float":
         mf = m.to_float()
         tf = float(t)
-        norm = abs(tf) * max((sum(abs(x) for x in mf.row(i)) for i in range(m.rows)), default=0.0)
-        s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0 else 0
-        tf /= 2 ** s
+        ratio = 2 * abs(tf) * row_sum_norm(mf)  # ||tm|| / 0.5
+        if not math.isfinite(ratio):
+            raise ValueError(f"exponential overflows: ||t m|| / 0.5 = {ratio}")
+        s = max(0, math.ceil(math.log2(ratio))) if ratio > 0 else 0
+        tf = math.ldexp(tf, -s)
         result = Mat.identity(m.rows, "float")
         term = result
         for n in range(1, order + 1):

@@ -100,6 +100,14 @@ def test_exp_der0_exact(tmp_path):
     assert "hom" in text
 
 
+def test_exp_overflowing_time_is_an_error(tmp_path):
+    elem = tmp_path / "d.elem"
+    elem.write_text("der0\nx0 0 0 1000\nx1 0 0 1000\n")
+    code, text = run(["exp", "endo-1-1", "--element", str(elem), "--t", "1" + "0" * 308])
+    assert code == 2
+    assert "overflows" in text
+
+
 def test_exp_derM1(tmp_path):
     elem = tmp_path / "t.elem"
     elem.write_text("derM1\ntheta 0 0 1\ntheta 0 1 -1\n")

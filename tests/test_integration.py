@@ -598,6 +598,30 @@ def test_block_exp_nilpotent_wedge_action_still_runs_in_float():
     assert abs(A.hom.A2.eval_basis(0, 1)[0] - 2 * math.expm1(0.5) / 3) < 1e-14
 
 
+@pytest.mark.parametrize("scale", [1e3, 1e6, 1e12])
+def test_block_exp_large_off_diagonal_block_keeps_accuracy(scale):
+    # lX far larger than X0 and X1 must not add squarings to A1 = e^{tX1}
+    rng = random.Random(100)
+    n0, n1, t = 3, 2, 0.5
+    lx = AltTensor(2, n0, n1, {pq: tuple(rng.uniform(-scale, scale) for _ in range(n1))
+                               for pq in itertools.combinations(range(n0), 2)})
+    D = Derivation0(Mat(n0, n0, [rng.uniform(-1, 1) for _ in range(n0 * n0)]),
+                    Mat(n1, n1, [rng.uniform(-3, 3) for _ in range(n1 * n1)]), lx)
+    got = _exp_hom(_abelian(n0, n1).to_float(), D, t, 24)
+    want = truncated_exp(D.X1, t, 24, "float")
+    assert mat_distance(got.A1, want) <= 1e-14 * float(want.max_abs())
+    assert _relative_close(got.A2, _ref_exp_a2(D, t, 24), tensor_distance)
+
+
+def test_star_exp_large_theta_keeps_accuracy():
+    # d = 2^-20, theta = 2^20: theta d = 1 and e^theta = 2^20 (e - 1)
+    d = Mat.from_rows([[2.0 ** -20]])
+    L = Lie2Algebra(1, 1, d, AltTensor.zero(2, 1, 1), [Mat.zero(1, 1, "float")],
+                    AltTensor.zero(3, 1, 1))
+    got = exp_derM1(L, DerM1(Mat.from_rows([[2.0 ** 20]])), 1.0).mat.at(0, 0)
+    assert abs(got - 2.0 ** 20 * math.expm1(1.0)) <= 1e-14 * got
+
+
 @pytest.mark.parametrize("t", [4, 8])
 def test_one_parameter_large_time_scales_and_squares(t):
     # order-24 Taylor truncation at ||tD|| = 1.5 * 2t diverges without scaling

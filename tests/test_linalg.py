@@ -135,6 +135,12 @@ def test_truncated_exp_float_scales_and_squares():
     assert mat_distance(rot, want) < 1e-12
 
 
+@pytest.mark.parametrize("x", [1, 1000])
+def test_truncated_exp_float_overflowing_norm_raises(x):
+    with pytest.raises(ValueError, match="overflows"):
+        truncated_exp(Mat.from_rows([[x]]), 1e308, mode="float")
+
+
 def test_truncated_exp_float_small_norm_is_the_plain_series():
     # at ||tm|| <= 1/2 no squaring happens: the order-24 sum, bit for bit
     m = Mat.from_rows([[0.125, -0.25], [0.0625, 0.0]])
@@ -316,9 +322,17 @@ def test_mat_apply_matches_dense_reference(mode, rows, cols, data):
 
 
 def _dense_matmul(a, b):
+    # left-to-right sums over every t from 0.0 (builtin float sum() compensates
+    # its rounding from Python 3.12 on, so it is not used here)
     zero = Fraction(0) if a.mode == "exact" else 0.0
-    return Mat(a.rows, b.cols, [sum((a.at(i, t) * b.at(t, j) for t in range(a.cols)), zero)
-                                for i in range(a.rows) for j in range(b.cols)])
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = zero
+            for t in range(a.cols):
+                acc += a.at(i, t) * b.at(t, j)
+            out.append(acc)
+    return Mat(a.rows, b.cols, out)
 
 
 @given(st.sampled_from(["exact", "float"]), st.integers(0, 4), st.integers(0, 4),
