@@ -4,7 +4,9 @@ A Lie 2-algebra is a two-term complex g_{-1} --d--> g_0 with a graded
 skew bracket and an alternating trilinear map l3 measuring the failure
 of Jacobi, subject to coherence laws.  Everything here is represented
 by structure constants; validators return per-axiom residual tables so
-tests can assert exactly which law broke and where.
+tests can assert exactly which law broke and where.  `validate_lie2` reads
+the constants through `Lie2Algebra.sparse`, a view of the nonzero ones
+computed once per algebra, so each law costs what its nonzero terms cost.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import (
+    SPARSE_ZERO,
     AltTensor,
     Mat,
     basis_vec,
@@ -21,6 +25,11 @@ from .linalg import (
     mat_distance,
     mat_inverse,
     span_coords,
+    sparse_alt,
+    sparse_apply,
+    sparse_columns,
+    sparse_comb,
+    sparse_sum,
     tensor_distance,
     vadd,
     vmax_abs,
@@ -78,6 +87,7 @@ class _Acc:
         self.witness = None
 
     def add(self, vec, witness):
+        """vec: the values of a residual vector (its zeros may be left out)."""
         m = vmax_abs(vec)
         if m > self.value:
             self.value = m
@@ -91,6 +101,16 @@ class _Acc:
 # Lie 2-algebras
 # ---------------------------------------------------------------------------
 
+class SparseStructure(NamedTuple):
+    """The nonzero structure constants of a Lie 2-algebra, as sparse
+    vectors ({index: value}, see `linalg.sparse_columns`)."""
+
+    d: list     # d[a]: column a of d
+    b00: dict   # (i, j) -> [e_i, e_j], for both orders of every nonzero pair
+    b01: list   # b01[i][a]: [e_i, e_a]
+    l3: dict    # (i, j, k) -> l3(e_i, e_j, e_k), for every ordering
+
+
 class Lie2Algebra:
     """Structure constants of a semistrict Lie 2-algebra.
 
@@ -103,7 +123,7 @@ class Lie2Algebra:
         l3: alternating trilinear map on g_0 with values in g_{-1}.
     """
 
-    __slots__ = ("n0", "n1", "d", "b00", "b01", "l3", "mode")
+    __slots__ = ("n0", "n1", "d", "b00", "b01", "l3", "mode", "_sparse")
 
     def __init__(self, n0: int, n1: int, d: Mat, b00: AltTensor, b01, l3: AltTensor):
         b01 = tuple(b01)
@@ -126,9 +146,18 @@ class Lie2Algebra:
         object.__setattr__(self, "b01", b01)
         object.__setattr__(self, "l3", l3)
         object.__setattr__(self, "mode", modes.pop() if modes else "exact")
+        object.__setattr__(self, "_sparse", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Lie2Algebra is immutable")
+
+    def sparse(self) -> SparseStructure:
+        """The nonzero structure constants, computed on first use."""
+        if self._sparse is None:
+            object.__setattr__(self, "_sparse", SparseStructure(
+                sparse_columns(self.d), sparse_alt(self.b00),
+                [sparse_columns(m) for m in self.b01], sparse_alt(self.l3)))
+        return self._sparse
 
     # basis helpers -------------------------------------------------------
     def e0(self, i: int) -> tuple:
@@ -200,56 +229,65 @@ def validate_lie2(L: Lie2Algebra) -> ResidualReport:
     "b1" ([[x,y],z] + cyc = -d l3(x,y,z)),
     "b2" ([[x,y],a] + cyc = -l3(x,y,da)),
     "c"  (the signed arity-4 coherence law for l3).
-    Witnesses are the basis tuples achieving the max residual.
+    Witnesses are the basis tuples achieving the max residual, the first
+    one in each law's enumeration order.  Each law sums over the nonzero
+    structure constants only (`Lie2Algebra.sparse`), adding its terms in
+    the order of the dense evaluation on unit vectors, so values and
+    witnesses are those of that evaluation (floats bit for bit).
     """
     n0, n1 = L.n0, L.n1
+    d, b00, b01, l3 = L.sparse()
     acc = {k: _Acc() for k in ("a1", "a2", "b1", "b2", "c")}
-    e0 = [L.e0(i) for i in range(n0)]
-    e1 = [L.e1(a) for a in range(n1)]
+
+    def br00(u, k):  # [u, e_k] for u in g_0
+        return sparse_comb((u[m], b00.get((m, k), SPARSE_ZERO)) for m in sorted(u))
+
+    def br01(u, a):  # [u, e_a] for u in g_0
+        return sparse_comb((u[m], b01[m][a]) for m in sorted(u))
+
+    def l3_pair(u, s, t):  # l3(u, e_s, e_t) for u in g_0
+        return sparse_comb((u[m], l3.get((m, s, t), SPARSE_ZERO)) for m in sorted(u))
 
     for i in range(n0):
         for a in range(n1):
-            lhs = L.dv(L.bracket01(e0[i], e1[a]))
-            rhs = L.bracket00(e0[i], L.dcol(a))
-            acc["a1"].add(vsub(lhs, rhs), (i, a))
+            lhs = sparse_apply(d, b01[i][a])
+            rhs = sparse_comb((x, b00.get((i, m), SPARSE_ZERO)) for m, x in sorted(d[a].items()))
+            acc["a1"].add(sparse_sum((1, lhs), (-1, rhs)).values(), (i, a))
 
     for a in range(n1):
         for b in range(a, n1):
-            r = vadd(L.bracket01(L.dcol(a), e1[b]), L.bracket01(L.dcol(b), e1[a]))
-            acc["a2"].add(r, (a, b))
+            r = sparse_sum((1, br01(d[a], b)), (1, br01(d[b], a)))
+            acc["a2"].add(r.values(), (a, b))
 
     for i, j, k in itertools.combinations(range(n0), 3):
-        x, y, z = e0[i], e0[j], e0[k]
-        r = L.bracket00(L.bracket00(x, y), z)
-        r = vadd(r, L.bracket00(L.bracket00(y, z), x))
-        r = vadd(r, L.bracket00(L.bracket00(z, x), y))
-        r = vadd(r, L.dv(L.l3.eval_basis(i, j, k)))
-        acc["b1"].add(r, (i, j, k))
+        r = sparse_sum((1, br00(b00.get((i, j), SPARSE_ZERO), k)),
+                       (1, br00(b00.get((j, k), SPARSE_ZERO), i)),
+                       (1, br00(b00.get((k, i), SPARSE_ZERO), j)),
+                       (1, sparse_apply(d, l3.get((i, j, k), SPARSE_ZERO))))
+        acc["b1"].add(r.values(), (i, j, k))
 
     for i, j in itertools.combinations(range(n0), 2):
+        bij = b00.get((i, j), SPARSE_ZERO)
         for a in range(n1):
-            r = L.bracket01(L.b00.eval_basis(i, j), e1[a])
-            r = vsub(r, L.bracket01(e0[i], L.bracket01(e0[j], e1[a])))
-            r = vadd(r, L.bracket01(e0[j], L.bracket01(e0[i], e1[a])))
-            r = vadd(r, L.l3.eval(e0[i], e0[j], L.dcol(a)))
-            acc["b2"].add(r, (i, j, a))
+            r = sparse_sum((1, br01(bij, a)),
+                           (-1, sparse_apply(b01[i], b01[j][a])),
+                           (1, sparse_apply(b01[j], b01[i][a])),
+                           (1, sparse_comb((x, l3.get((i, j, m), SPARSE_ZERO))
+                                           for m, x in sorted(d[a].items()))))
+            acc["b2"].add(r.values(), (i, j, a))
 
-    if L.l3.is_zero():
-        # every term of the arity-4 law contains l3, so it holds identically
-        acc["c"].add(vzero(n1, L.mode), None)
-    else:
-        for quad in itertools.combinations(range(n0), 4):
-            xs = [e0[t] for t in quad]
-            r = vzero(n1, L.mode)
-            for a in range(4):
-                rest = [xs[t] for t in range(4) if t != a]
-                term = L.bracket01(xs[a], L.l3.eval(*rest))
-                r = vadd(r, term if a % 2 == 0 else vscale(-1, term))
-            for a, b in itertools.combinations(range(4), 2):
-                rest = [xs[t] for t in range(4) if t not in (a, b)]
-                term = L.l3.eval(L.bracket00(xs[a], xs[b]), *rest)
-                r = vadd(r, term if (a + b) % 2 == 0 else vscale(-1, term))
-            acc["c"].add(r, quad)
+    # every term of the arity-4 law contains l3, so it holds when l3 = 0
+    for quad in itertools.combinations(range(n0), 4) if l3 else ():
+        terms = []
+        for a in range(4):
+            rest = quad[:a] + quad[a + 1:]
+            terms.append((-1 if a % 2 else 1,
+                          sparse_apply(b01[quad[a]], l3.get(rest, SPARSE_ZERO))))
+        for a, b in itertools.combinations(range(4), 2):
+            s, t = (quad[c] for c in range(4) if c not in (a, b))
+            terms.append((-1 if (a + b) % 2 else 1,
+                          l3_pair(b00.get((quad[a], quad[b]), SPARSE_ZERO), s, t)))
+        acc["c"].add(sparse_sum(*terms).values(), quad)
 
     return ResidualReport({k: a.residual() for k, a in acc.items()})
 

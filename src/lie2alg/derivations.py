@@ -4,17 +4,21 @@ Degree-0 derivations are triples (X0, X1, lX); degree minus-1 derivations
 are maps theta: g_0 -> g_{-1} (the full Hom space).  The degree-0 space is
 computed as the kernel of one stacked homogeneous linear system, assembled
 by probing the membership residuals on unit triples, so the solver and the
-membership test can never drift apart.
+membership test can never drift apart.  The residuals sum over the nonzero
+structure constants of the algebra (`Lie2Algebra.sparse`) and the nonzero
+entries of the candidate, so a unit triple touches only a few constants.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Lie2Algebra, Lie2Hom, ResidualReport, _Acc
 from .linalg import (
+    SPARSE_ZERO,
     AltTensor,
     Mat,
     basis_vec,
@@ -22,6 +26,11 @@ from .linalg import (
     mat_distance,
     rref,
     span_coords,
+    sparse_alt,
+    sparse_apply,
+    sparse_columns,
+    sparse_comb,
+    sparse_sum,
     tensor_distance,
     vadd,
     vscale,
@@ -100,39 +109,50 @@ def der0_distance(a: Derivation0, b: Derivation0):
 # ---------------------------------------------------------------------------
 
 def _der0_condition_vectors(L: Lie2Algebra, D: Derivation0):
-    """Residual vectors of (chain, a, b, c), in a fixed enumeration order."""
-    n0, n1 = L.n0, L.n1
-    e0 = [L.e0(i) for i in range(n0)]
-    e1 = [L.e1(a) for a in range(n1)]
-    x0col = [D.X0.col(i) for i in range(n0)]
+    """Residual vectors of (chain, a, b, c), in a fixed enumeration order.
 
-    chain = [((D.X0 @ L.d) - (L.d @ D.X1)).data]
+    Every vector is sparse ({index: value}); each family lists one vector per
+    basis tuple, zero ones included, so positions in the stacked residual are
+    fixed.  Sums run over the nonzero constants of L and entries of D only.
+    """
+    n0, n1 = L.n0, L.n1
+    d, b00, b01, l3 = L.sparse()
+    x0 = sparse_columns(D.X0)
+    x1 = sparse_columns(D.X1)
+    lx = sparse_alt(D.lX)
+
+    chain = [{t: v for t, v in enumerate(((D.X0 @ L.d) - (L.d @ D.X1)).data) if v}]
 
     cond_a = []
     for i, j in itertools.combinations(range(n0), 2):
-        r = L.dv(D.lX.eval_basis(i, j))
-        r = vsub(r, D.X0.apply(L.b00.eval_basis(i, j)))
-        r = vadd(r, L.bracket00(x0col[i], e0[j]))
-        r = vadd(r, L.bracket00(e0[i], x0col[j]))
+        r = sparse_sum(
+            (1, sparse_apply(d, lx.get((i, j), SPARSE_ZERO))),
+            (-1, sparse_apply(x0, b00.get((i, j), SPARSE_ZERO))),
+            (1, sparse_comb((x, b00.get((m, j), SPARSE_ZERO)) for m, x in sorted(x0[i].items()))),
+            (1, sparse_comb((x, b00.get((i, m), SPARSE_ZERO)) for m, x in sorted(x0[j].items()))))
         cond_a.append((r, (i, j)))
 
     cond_b = []
     for i in range(n0):
         for a in range(n1):
-            r = D.lX.eval(e0[i], L.dcol(a))
-            r = vsub(r, D.X1.apply(L.bracket01(e0[i], e1[a])))
-            r = vadd(r, L.bracket01(x0col[i], e1[a]))
-            r = vadd(r, L.bracket01(e0[i], D.X1.col(a)))
+            r = sparse_sum(
+                (1, sparse_comb((x, lx.get((i, m), SPARSE_ZERO)) for m, x in sorted(d[a].items()))),
+                (-1, sparse_apply(x1, b01[i][a])),
+                (1, sparse_comb((x, b01[m][a]) for m, x in sorted(x0[i].items()))),
+                (1, sparse_apply(b01[i], x1[a])))
             cond_b.append((r, (i, a)))
 
     cond_c = []
     for i, j, k in itertools.combinations(range(n0), 3):
-        r = D.X1.apply(L.l3.eval_basis(i, j, k))
+        terms = [(1, sparse_apply(x1, l3.get((i, j, k), SPARSE_ZERO)))]
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            r = vsub(r, D.lX.eval(e0[x], L.b00.eval_basis(y, z)))
-            r = vsub(r, L.bracket01(e0[x], D.lX.eval_basis(y, z)))
-            r = vsub(r, L.l3.eval(x0col[x], e0[y], e0[z]))
-        cond_c.append((r, (i, j, k)))
+            terms += [
+                (-1, sparse_comb((v, lx.get((x, m), SPARSE_ZERO))
+                                 for m, v in sorted(b00.get((y, z), SPARSE_ZERO).items()))),
+                (-1, sparse_apply(b01[x], lx.get((y, z), SPARSE_ZERO))),
+                (-1, sparse_comb((v, l3.get((m, y, z), SPARSE_ZERO))
+                                 for m, v in sorted(x0[x].items())))]
+        cond_c.append((sparse_sum(*terms), (i, j, k)))
 
     return chain, cond_a, cond_b, cond_c
 
@@ -141,18 +161,15 @@ def is_derivation0(L: Lie2Algebra, D: Derivation0) -> ResidualReport:
     """Residuals of the degree-0 derivation conditions (chain, a, b, c)."""
     chain, ca, cb, cc = _der0_condition_vectors(L, D)
     acc = {k: _Acc() for k in ("chain", "a", "b", "c")}
-    acc["chain"].add(chain[0], None)
-    for r, w in ca:
-        acc["a"].add(r, w)
-    for r, w in cb:
-        acc["b"].add(r, w)
-    for r, w in cc:
-        acc["c"].add(r, w)
+    acc["chain"].add(chain[0].values(), None)
+    for key, group in (("a", ca), ("b", cb), ("c", cc)):
+        for r, w in group:
+            acc[key].add(r.values(), w)
     return ResidualReport({k: v.residual() for k, v in acc.items()})
 
 
 def _der0_flat_len(L: Lie2Algebra) -> int:
-    return L.n0 * L.n0 + L.n1 * L.n1 + len(list(itertools.combinations(range(L.n0), 2))) * L.n1
+    return L.n0 * L.n0 + L.n1 * L.n1 + math.comb(L.n0, 2) * L.n1
 
 
 def flatten_der0(L: Lie2Algebra, D: Derivation0) -> tuple:
@@ -174,13 +191,18 @@ def unflatten_der0(L: Lie2Algebra, vec) -> Derivation0:
     return Derivation0(X0, X1, AltTensor(2, n0, n1, entries))
 
 
-def _residual_flat(L: Lie2Algebra, D: Derivation0) -> tuple:
+def _residual_flat(L: Lie2Algebra, D: Derivation0) -> dict:
+    """The stacked residual of (chain, a, b, c) as {row: value}, nonzero
+    entries only; every family vector keeps its fixed block of rows."""
     chain, ca, cb, cc = _der0_condition_vectors(L, D)
-    out = list(chain[0])
-    for group in (ca, cb, cc):
+    out = dict(chain[0])
+    base = L.n0 * L.n1
+    for group, size in ((ca, L.n0), (cb, L.n1), (cc, L.n1)):
         for r, _ in group:
-            out.extend(r)
-    return tuple(out)
+            for c, v in r.items():
+                out[base + c] = v
+            base += size
+    return out
 
 
 def compute_der0_basis(L: Lie2Algebra) -> list:
@@ -191,14 +213,15 @@ def compute_der0_basis(L: Lie2Algebra) -> list:
     is the kernel, in kernel_basis order (deterministic).
     """
     nfree = _der0_flat_len(L)
-    cols = []
+    n0, n1 = L.n0, L.n1
+    nrows = n0 * n1 + math.comb(n0, 2) * n0 + n0 * n1 * n1 + math.comb(n0, 3) * n1
+    data = [Fraction(0)] * (nrows * nfree)
     for u in range(nfree):
         unit = [Fraction(0)] * nfree
         unit[u] = Fraction(1)
-        cols.append(_residual_flat(L, unflatten_der0(L, unit)))
-    nrows = len(cols[0]) if cols else 0
-    constraint = Mat.from_cols(cols, nrows) if cols else Mat.zero(0, 0)
-    return [unflatten_der0(L, v) for v in kernel_basis(constraint)]
+        for row, v in _residual_flat(L, unflatten_der0(L, unit)).items():
+            data[row * nfree + u] = v
+    return [unflatten_der0(L, v) for v in kernel_basis(Mat(nrows, nfree, data))]
 
 
 # ---------------------------------------------------------------------------

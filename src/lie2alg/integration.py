@@ -361,11 +361,11 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
     and conj_adjoint (transport of adjoint generators).
     Returns (name, residual, mode) triples; exact where both sides terminate.
     """
-    if aut_sampler is None:
-        aut_sampler = lambda: random_aut0(L, rng, cfg)
-    out = []
     from .derivations import compute_der0_basis
     der_basis = compute_der0_basis(L)
+    if aut_sampler is None:
+        aut_sampler = lambda: random_aut0(L, rng, cfg, der_basis)
+    out = []
     Lf = L.to_float()
     fcfg = ExpConfig(cfg.order, cfg.tol, "float", cfg.fd_step)
 

@@ -5,6 +5,8 @@ mode.  Every value carries a single scalar mode; mixing the two in one
 expression raises `ModeError`.  Row reduction, kernel bases and exact
 inverses are only available in exact mode, where results are exact by
 construction.  All values are immutable and all operations are pure.
+Sparse vectors ({index: value}) serve the law evaluators; see the
+"sparse vectors" section.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from types import MappingProxyType
 
 Rat = Fraction
 
@@ -136,6 +139,17 @@ class Mat:
         raise AttributeError("Mat is immutable")
 
     @classmethod
+    def _result(cls, rows: int, cols: int, data: list, mode: str) -> "Mat":
+        """A computed matrix whose entries already share `mode`: no
+        coercion.  Empty data is "exact", as in __init__."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "rows", rows)
+        object.__setattr__(out, "cols", cols)
+        object.__setattr__(out, "data", tuple(data))
+        object.__setattr__(out, "mode", mode if data else "exact")
+        return out
+
+    @classmethod
     def from_rows(cls, rows) -> "Mat":
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
@@ -174,17 +188,18 @@ class Mat:
         _same_mode(self, other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat(self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)])
+        return Mat._result(self.rows, self.cols,
+                           [a + b for a, b in zip(self.data, other.data)], self.mode)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
 
     def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, [-a for a in self.data])
+        return Mat._result(self.rows, self.cols, [-a for a in self.data], self.mode)
 
     def scale(self, s) -> "Mat":
         s = _check_scalar(s, self.mode) if self.data else s
-        return Mat(self.rows, self.cols, [s * a for a in self.data])
+        return Mat._result(self.rows, self.cols, [s * a for a in self.data], self.mode)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         _same_mode(self, other)
@@ -208,7 +223,7 @@ class Mat:
                     for j, y in brows[t]:
                         acc[j] += x * y
             out += acc
-        return Mat(n, m, out)
+        return Mat._result(n, m, out, self.mode)
 
     def apply(self, vec: tuple) -> tuple:
         """The product m vec.
@@ -651,6 +666,66 @@ class AltTensor:
     def __repr__(self) -> str:
         body = ", ".join(f"{k}:({', '.join(rat_str(x) for x in v)})" for k, v in self.entries.items())
         return f"AltTensor({self.arity},{self.dim}->{self.codim}; {body})"
+
+
+# ---------------------------------------------------------------------------
+# sparse vectors ({index: value}, nonzero values only)
+# ---------------------------------------------------------------------------
+#
+# The law evaluators in `core` and `derivations` work on these.  Each sum
+# adds its nonzero terms in the order the dense kernels above add them, so
+# exact results are equal and float results are the dense sums bit for bit
+# (a skipped term is a signed zero, which changes no nonzero sum).
+
+SPARSE_ZERO = MappingProxyType({})  # the zero vector, read-only
+
+
+def sparse_columns(m: Mat) -> list:
+    """The columns of m as sparse vectors."""
+    cols = [{} for _ in range(m.cols)]
+    for i in range(m.rows):
+        for j, x in enumerate(m.row(i)):
+            if x:
+                cols[j][i] = x
+    return cols
+
+
+def sparse_alt(t: AltTensor) -> dict:
+    """The values of t on every ordering of its nonzero keys, with the
+    permutation sign: {index tuple: sparse vector}."""
+    out = {}
+    for key, vec in t.entries.items():
+        pos = {c: x for c, x in enumerate(vec) if x}
+        neg = {c: -x for c, x in pos.items()}
+        for p, sign in _signed_perms(t.arity):
+            out[tuple(key[a] for a in p)] = pos if sign == 1 else neg
+    return out
+
+
+def sparse_comb(terms) -> dict:
+    """The sum of coef * vec over (coef, sparse vec) pairs, in their order."""
+    out = {}
+    for s, vec in terms:
+        for c, v in vec.items():
+            out[c] = out[c] + s * v if c in out else s * v
+    return out
+
+
+def sparse_apply(cols, u: dict) -> dict:
+    """The sum of u[t] * cols[t] over the support of u, by increasing t:
+    a matrix with sparse columns applied to a sparse vector."""
+    return sparse_comb((u[t], cols[t]) for t in sorted(u))
+
+
+def sparse_sum(*terms) -> dict:
+    """The signed sum of (sign, sparse vec) pairs, added term by term."""
+    out = {}
+    for sign, vec in terms:
+        for c, v in vec.items():
+            if sign < 0:
+                v = -v
+            out[c] = out[c] + v if c in out else v
+    return out
 
 
 def tensor_distance(a: AltTensor, b: AltTensor):

@@ -1,0 +1,57 @@
+"""Golden CLI reports: each report is compared byte for byte with a file
+under tests/golden/.
+
+Reports are documented as seed-deterministic, so any change in a residual,
+a witness, a mode or a line order shows here.  The float lines (conj0 and
+conj_adjoint in the conjugation reports) hold left-to-right float sums, as
+builtin `sum` forms them before Python 3.12; from 3.12 on it compensates
+its rounding, and those lines may differ in their last digits.
+
+To rewrite the files from the code on the import path (only when a report
+is meant to change):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from lie2alg.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+NAMED = ("abelian", "string-sl2", "endo-1-1", "skeletal-demo")
+# a degree-0 element of skeletal-demo that breaks all four derivation laws
+NON_DERIVATION = GOLDEN / "skeletal-demo-nonder.der0"
+
+
+def _cases() -> dict:
+    """Golden file stem -> (argv, exit code)."""
+    cases = {}
+    for name in NAMED:
+        cases[f"validate-{name}"] = (["validate", name], 0)
+        cases[f"der-{name}"] = (["der", name, "--basis", "--inner", "--classify"], 0)
+        for suite in ("axioms", "crossed-module", "conjugation"):
+            cases[f"check-{suite}-{name}"] = (
+                ["check", name, "--suite", suite, "--samples", "2", "--seed", "1"], 0)
+    cases["exp-skeletal-demo-nonder"] = (
+        ["exp", "skeletal-demo", "--element", str(NON_DERIVATION)], 1)
+    return cases
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("stem", sorted(CASES))
+def test_golden_report(stem):
+    argv, want_code = CASES[stem]
+    code, text = run(argv)
+    assert code == want_code, text
+    assert text == (GOLDEN / f"{stem}.txt").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    for stem, (argv, _) in sorted(CASES.items()):
+        code, text = run(argv)
+        (GOLDEN / f"{stem}.txt").write_text(text, encoding="utf-8")
+        print(f"{stem}: exit {code}")

@@ -425,3 +425,27 @@ def test_rref_and_solve_match_sympy(rows, cols, data):
     assert (x is None) == (sm.row_join(sb).rank() > sm.rank())
     if x is not None:
         assert sm * _to_sympy(Mat(cols, 1, x)) == sb
+
+
+@given(st.sampled_from(["exact", "float"]), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_mat_results_equal_coerced_construction(mode, n, k, data):
+    # results of @, +, -, unary minus and scale skip the coercion of __init__;
+    # rebuilding them through __init__ must change nothing: values, types, mode
+    a = Mat(n, k, data.draw(_sparse_vec(n * k, mode)))
+    b = Mat(n, k, data.draw(_sparse_vec(n * k, mode)))
+    c = Mat(k, n, data.draw(_sparse_vec(k * n, mode)))
+    s = data.draw(st.sampled_from([2, -1]) | _scalars(mode))
+    for got in (a @ c, a + b, a - b, -a, a.scale(s)):
+        want = Mat(got.rows, got.cols, got.data)
+        assert (got.mode, _bits(got.data)) == (want.mode, _bits(want.data))
+
+
+def test_mat_user_data_keeps_mode_checks():
+    with pytest.raises(ModeError):
+        Mat(1, 2, [Fraction(1, 2), 0.5])
+    with pytest.raises(ModeError):
+        Mat(1, 1, [1]) + Mat(1, 1, [1.0])
+    with pytest.raises(ModeError):
+        Mat(1, 1, [1]).scale(0.5)
+    assert Mat(0, 3, []).mode == "exact" and Mat.zero(2, 0, "float").mode == "exact"
+    assert (Mat.zero(2, 0, "float") @ Mat.zero(0, 2, "float")).mode == "exact"

@@ -1,0 +1,411 @@
+"""Differential tests of the sparse law evaluators.
+
+`validate_lie2` and the degree-0 derivation conditions sum over the nonzero
+structure constants only.  The references below are the earlier evaluators,
+which apply every law to unit basis vectors through dense vectors; both must
+give the same ResidualReport: the same value, of the same type, and the same
+witness, for every key.  Exact values are equal.  Float values are equal bit
+for bit where builtin `sum` adds floats left to right (before Python 3.12)
+and within 1e-12 relative otherwise.
+"""
+
+import itertools
+import random
+import sys
+from fractions import Fraction
+
+from lie2alg.core import (
+    Lie2Algebra,
+    Residual,
+    ResidualReport,
+    ce_coboundary,
+    make_endo,
+    make_skeletal,
+    validate_lie2,
+)
+from lie2alg.derivations import (
+    Derivation0,
+    _der0_flat_len,
+    _residual_flat,
+    build_der_lie2,
+    compute_der0_basis,
+    is_derivation0,
+    random_der0,
+    unflatten_der0,
+)
+from lie2alg.fixtures import (
+    NAMED_EXAMPLES,
+    adjoint_rep,
+    aff1_sum_structure,
+    rand_cochain,
+    random_fixture,
+    trivial_rep,
+)
+from lie2alg.linalg import AltTensor, Mat, kernel_basis, vadd, vmax_abs, vscale, vsub, vzero
+
+BITWISE = sys.version_info < (3, 12)
+
+
+# ---------------------------------------------------------------------------
+# references: the unit-vector evaluators
+# ---------------------------------------------------------------------------
+
+class _RefAcc:
+    def __init__(self):
+        self.value = Fraction(0)
+        self.witness = None
+
+    def add(self, vec, witness):
+        m = vmax_abs(vec)
+        if m > self.value:
+            self.value = m
+            self.witness = witness
+
+    def residual(self):
+        return Residual(self.value, self.witness)
+
+
+def ref_validate_lie2(L):
+    n0, n1 = L.n0, L.n1
+    acc = {k: _RefAcc() for k in ("a1", "a2", "b1", "b2", "c")}
+    e0 = [L.e0(i) for i in range(n0)]
+    e1 = [L.e1(a) for a in range(n1)]
+
+    for i in range(n0):
+        for a in range(n1):
+            lhs = L.dv(L.bracket01(e0[i], e1[a]))
+            rhs = L.bracket00(e0[i], L.dcol(a))
+            acc["a1"].add(vsub(lhs, rhs), (i, a))
+
+    for a in range(n1):
+        for b in range(a, n1):
+            r = vadd(L.bracket01(L.dcol(a), e1[b]), L.bracket01(L.dcol(b), e1[a]))
+            acc["a2"].add(r, (a, b))
+
+    for i, j, k in itertools.combinations(range(n0), 3):
+        x, y, z = e0[i], e0[j], e0[k]
+        r = L.bracket00(L.bracket00(x, y), z)
+        r = vadd(r, L.bracket00(L.bracket00(y, z), x))
+        r = vadd(r, L.bracket00(L.bracket00(z, x), y))
+        r = vadd(r, L.dv(L.l3.eval_basis(i, j, k)))
+        acc["b1"].add(r, (i, j, k))
+
+    for i, j in itertools.combinations(range(n0), 2):
+        for a in range(n1):
+            r = L.bracket01(L.b00.eval_basis(i, j), e1[a])
+            r = vsub(r, L.bracket01(e0[i], L.bracket01(e0[j], e1[a])))
+            r = vadd(r, L.bracket01(e0[j], L.bracket01(e0[i], e1[a])))
+            r = vadd(r, L.l3.eval(e0[i], e0[j], L.dcol(a)))
+            acc["b2"].add(r, (i, j, a))
+
+    if L.l3.is_zero():
+        acc["c"].add(vzero(n1, L.mode), None)
+    else:
+        for quad in itertools.combinations(range(n0), 4):
+            xs = [e0[t] for t in quad]
+            r = vzero(n1, L.mode)
+            for a in range(4):
+                rest = [xs[t] for t in range(4) if t != a]
+                term = L.bracket01(xs[a], L.l3.eval(*rest))
+                r = vadd(r, term if a % 2 == 0 else vscale(-1, term))
+            for a, b in itertools.combinations(range(4), 2):
+                rest = [xs[t] for t in range(4) if t not in (a, b)]
+                term = L.l3.eval(L.bracket00(xs[a], xs[b]), *rest)
+                r = vadd(r, term if (a + b) % 2 == 0 else vscale(-1, term))
+            acc["c"].add(r, quad)
+
+    return ResidualReport({k: a.residual() for k, a in acc.items()})
+
+
+def ref_der0_condition_vectors(L, D):
+    n0, n1 = L.n0, L.n1
+    e0 = [L.e0(i) for i in range(n0)]
+    e1 = [L.e1(a) for a in range(n1)]
+    x0col = [D.X0.col(i) for i in range(n0)]
+
+    chain = [((D.X0 @ L.d) - (L.d @ D.X1)).data]
+
+    cond_a = []
+    for i, j in itertools.combinations(range(n0), 2):
+        r = L.dv(D.lX.eval_basis(i, j))
+        r = vsub(r, D.X0.apply(L.b00.eval_basis(i, j)))
+        r = vadd(r, L.bracket00(x0col[i], e0[j]))
+        r = vadd(r, L.bracket00(e0[i], x0col[j]))
+        cond_a.append((r, (i, j)))
+
+    cond_b = []
+    for i in range(n0):
+        for a in range(n1):
+            r = D.lX.eval(e0[i], L.dcol(a))
+            r = vsub(r, D.X1.apply(L.bracket01(e0[i], e1[a])))
+            r = vadd(r, L.bracket01(x0col[i], e1[a]))
+            r = vadd(r, L.bracket01(e0[i], D.X1.col(a)))
+            cond_b.append((r, (i, a)))
+
+    cond_c = []
+    for i, j, k in itertools.combinations(range(n0), 3):
+        r = D.X1.apply(L.l3.eval_basis(i, j, k))
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            r = vsub(r, D.lX.eval(e0[x], L.b00.eval_basis(y, z)))
+            r = vsub(r, L.bracket01(e0[x], D.lX.eval_basis(y, z)))
+            r = vsub(r, L.l3.eval(x0col[x], e0[y], e0[z]))
+        cond_c.append((r, (i, j, k)))
+
+    return chain, cond_a, cond_b, cond_c
+
+
+def ref_is_derivation0(L, D):
+    chain, ca, cb, cc = ref_der0_condition_vectors(L, D)
+    acc = {k: _RefAcc() for k in ("chain", "a", "b", "c")}
+    acc["chain"].add(chain[0], None)
+    for key, group in (("a", ca), ("b", cb), ("c", cc)):
+        for r, w in group:
+            acc[key].add(r, w)
+    return ResidualReport({k: v.residual() for k, v in acc.items()})
+
+
+def ref_residual_flat(L, D):
+    chain, ca, cb, cc = ref_der0_condition_vectors(L, D)
+    out = list(chain[0])
+    for group in (ca, cb, cc):
+        for r, _ in group:
+            out.extend(r)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# comparison
+# ---------------------------------------------------------------------------
+
+def _same_float(x, y) -> bool:
+    if BITWISE:
+        return x.hex() == y.hex()
+    return abs(x - y) <= 1e-12 * max(1.0, abs(y))
+
+
+def assert_same_report(got: ResidualReport, want: ResidualReport):
+    assert list(got.entries) == list(want.entries)
+    for key, w in want:
+        g = got[key]
+        assert type(g.value) is type(w.value), (key, g, w)
+        assert g.witness == w.witness, (key, g, w)
+        if isinstance(w.value, float):
+            assert _same_float(g.value, w.value), (key, g, w)
+        else:
+            assert g.value == w.value, (key, g, w)
+
+
+def check_algebra(L: Lie2Algebra):
+    assert_same_report(validate_lie2(L), ref_validate_lie2(L))
+
+
+def check_candidate(L: Lie2Algebra, D: Derivation0):
+    assert_same_report(is_derivation0(L, D), ref_is_derivation0(L, D))
+
+
+def _dense(sparse: dict, n: int) -> tuple:
+    return tuple(sparse.get(t, Fraction(0)) for t in range(n))
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+def _endo_id2():
+    return make_endo(Mat.identity(2))
+
+
+def _random_fixtures():
+    return [random_fixture(random.Random(seed)) for seed in range(30)]
+
+
+def _aff1_non_cocycle():
+    sc = aff1_sum_structure()
+    return make_skeletal(sc, trivial_rep(4, 1), AltTensor(3, 4, 1, {(1, 2, 3): (1,)}))
+
+
+def _bump(rng):
+    return Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+
+
+def _with_entry(m: Mat, t: int, q) -> Mat:
+    data = list(m.data)
+    data[t] += q
+    return Mat(m.rows, m.cols, data)
+
+
+def _with_tensor_entry(t: AltTensor, key, c: int, q) -> AltTensor:
+    entries = dict(t.entries)
+    vec = list(entries.get(key, (Fraction(0),) * t.codim))
+    vec[c] += q
+    entries[key] = tuple(vec)
+    return AltTensor(t.arity, t.dim, t.codim, entries, t.mode)
+
+
+def perturbations(L: Lie2Algebra, rng) -> list:
+    """Copies of L, each with one entry of d, b00, b01 or l3 changed."""
+    n0, n1 = L.n0, L.n1
+    out = []
+    if n0 and n1:
+        out.append(Lie2Algebra(n0, n1, _with_entry(L.d, rng.randrange(n0 * n1), _bump(rng)),
+                               L.b00, L.b01, L.l3))
+        b01 = list(L.b01)
+        i = rng.randrange(n0)
+        b01[i] = _with_entry(b01[i], rng.randrange(n1 * n1), _bump(rng))
+        out.append(Lie2Algebra(n0, n1, L.d, L.b00, b01, L.l3))
+    if n0 >= 2:
+        key = tuple(sorted(rng.sample(range(n0), 2)))
+        b00 = _with_tensor_entry(L.b00, key, rng.randrange(n0), _bump(rng))
+        out.append(Lie2Algebra(n0, n1, L.d, b00, L.b01, L.l3))
+    if n0 >= 3 and n1:
+        key = tuple(sorted(rng.sample(range(n0), 3)))
+        l3 = _with_tensor_entry(L.l3, key, rng.randrange(n1), _bump(rng))
+        out.append(Lie2Algebra(n0, n1, L.d, L.b00, L.b01, l3))
+    return out
+
+
+def random_candidate(L: Lie2Algebra, rng) -> Derivation0:
+    """A sparse random triple (X0, X1, lX); almost never a derivation."""
+    flat = [_bump(rng) if rng.random() < 0.3 else Fraction(0) for _ in range(_der0_flat_len(L))]
+    return unflatten_der0(L, flat)
+
+
+def _bases():
+    algebras = [f() for f in NAMED_EXAMPLES.values()] + _random_fixtures()[:12]
+    return [(L, compute_der0_basis(L)) for L in algebras]
+
+
+# ---------------------------------------------------------------------------
+# validate_lie2
+# ---------------------------------------------------------------------------
+
+def test_validate_matches_reference_on_random_fixtures():
+    for L in _random_fixtures():
+        check_algebra(L)
+
+
+def test_validate_matches_reference_on_derived_algebras():
+    for make in list(NAMED_EXAMPLES.values()) + [_endo_id2]:
+        check_algebra(build_der_lie2(make()).algebra)
+
+
+def test_validate_matches_reference_on_perturbed_algebras():
+    rng = random.Random(5)
+    algebras = [f() for f in NAMED_EXAMPLES.values()] + _random_fixtures() + [_endo_id2()]
+    seen = set()
+    for L in algebras:
+        for _ in range(3):
+            for bad in perturbations(L, rng):
+                rep = ref_validate_lie2(bad)
+                seen.update(rep.violated())
+                check_algebra(bad)
+    # every law is broken, and so compared with a witness, somewhere
+    assert seen == {"a1", "a2", "b1", "b2", "c"}
+
+
+def test_validate_matches_reference_on_aff1_non_cocycle():
+    L = _aff1_non_cocycle()
+    want = ref_validate_lie2(L)
+    assert want.violated() == ["c"] and want["c"].witness is not None
+    check_algebra(L)
+
+
+def test_validate_matches_reference_on_arity_four_law_with_action():
+    # a nontrivial action makes both halves of the arity-4 law nonzero, so
+    # their relative sign shows; random l3 break the law, coboundaries keep it
+    sc = aff1_sum_structure()
+    rep = adjoint_rep(sc)
+    rng = random.Random(11)
+    for _ in range(4):
+        for l3 in (rand_cochain(rng, 3, 4, 4), ce_coboundary(sc, rep, rand_cochain(rng, 2, 4, 4))):
+            L = make_skeletal(sc, rep, l3)
+            check_algebra(L)
+            check_algebra(L.to_float())
+
+
+def test_validate_matches_reference_on_float_copies():
+    rng = random.Random(6)
+    algebras = [f() for f in NAMED_EXAMPLES.values()] + _random_fixtures() + [_aff1_non_cocycle()]
+    algebras += [bad for L in algebras[:8] for bad in perturbations(L, rng)]
+    for L in algebras:
+        check_algebra(L.to_float())
+
+
+def _random_float_algebra(rng, n0, n1):
+    """Random float structure constants, a fifth of them zero; no law
+    holds, and the sums have several rounded terms, so their order shows."""
+    def draw(n):
+        return [rng.uniform(-1, 1) if rng.random() < 0.8 else 0.0 for _ in range(n)]
+
+    def alt(arity, codim):
+        return AltTensor(arity, n0, codim, {key: draw(codim) for key in
+                                            itertools.combinations(range(n0), arity)}, "float")
+
+    return Lie2Algebra(n0, n1, Mat(n0, n1, draw(n0 * n1)), alt(2, n0),
+                       [Mat(n1, n1, draw(n1 * n1)) for _ in range(n0)], alt(3, n1))
+
+
+def test_laws_match_reference_on_random_float_constants():
+    rng = random.Random(12)
+    for n0, n1 in ((4, 5), (5, 4), (6, 2)):
+        L = _random_float_algebra(rng, n0, n1)
+        check_algebra(L)
+        lx = {key: [rng.uniform(-1, 1) for _ in range(n1)]
+              for key in itertools.combinations(range(n0), 2)}
+        D = Derivation0(Mat(n0, n0, [rng.uniform(-1, 1) for _ in range(n0 * n0)]),
+                        Mat(n1, n1, [rng.uniform(-1, 1) for _ in range(n1 * n1)]),
+                        AltTensor(2, n0, n1, lx, "float"))
+        check_candidate(L, D)
+
+
+# ---------------------------------------------------------------------------
+# degree-0 derivation conditions
+# ---------------------------------------------------------------------------
+
+def test_der0_conditions_match_reference_on_members_and_non_members():
+    rng = random.Random(7)
+    for L, basis in _bases():
+        for _ in range(3):
+            member = random_der0(L, rng, basis)
+            assert ref_is_derivation0(L, member).ok
+            check_candidate(L, member)
+            check_candidate(L, random_candidate(L, rng))
+        for D in basis:
+            check_candidate(L, D)
+
+
+def test_der0_conditions_match_reference_on_perturbed_algebras():
+    # the same candidate against a broken algebra exercises every term
+    rng = random.Random(8)
+    for L, basis in _bases()[:8]:
+        for bad in perturbations(L, rng):
+            check_candidate(bad, random_der0(L, rng, basis))
+            check_candidate(bad, random_candidate(L, rng))
+
+
+def test_der0_conditions_match_reference_on_float_copies():
+    rng = random.Random(9)
+    for L, basis in _bases():
+        Lf = L.to_float()
+        for D in (random_der0(L, rng, basis), random_candidate(L, rng)):
+            check_candidate(Lf, D.to_float())
+
+
+def test_residual_flat_matches_reference():
+    rng = random.Random(10)
+    for L, basis in _bases():
+        for D in (random_der0(L, rng, basis), random_candidate(L, rng)):
+            want, got = ref_residual_flat(L, D), _residual_flat(L, D)
+            assert all(0 <= row < len(want) for row in got)
+            assert _dense(got, len(want)) == want
+
+
+def test_der0_basis_is_the_kernel_of_the_reference_matrix():
+    for L, basis in _bases():
+        nfree = _der0_flat_len(L)
+        units = [[Fraction(int(t == u)) for t in range(nfree)] for u in range(nfree)]
+        cols = [ref_residual_flat(L, unflatten_der0(L, unit)) for unit in units]
+        if not cols:
+            continue
+        want = [unflatten_der0(L, v) for v in kernel_basis(Mat.from_cols(cols, len(cols[0])))]
+        assert basis == want
