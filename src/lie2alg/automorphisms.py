@@ -19,6 +19,7 @@ from .core import (
     compose_hom,
     hom_distance,
     hom_identity,
+    inverse_from_parts,
     validate_hom,
 )
 from .derivations import DerM1, Derivation0
@@ -95,10 +96,12 @@ def aut_compose(A: Aut0, B: Aut0) -> Aut0:
 
 
 def aut_inverse(A: Aut0) -> Aut0:
-    hom = A.hom
-    inv_a2 = -(hom.A2.pullback(A.a0_inv).postcompose(A.a1_inv))
-    inv = Lie2Hom(hom.target, hom.source, A.a0_inv, A.a1_inv, inv_a2)
-    return Aut0(inv, hom.A0, hom.A1)
+    return Aut0(inverse_from_parts(A.hom, A.a0_inv, A.a1_inv), A.hom.A0, A.hom.A1)
+
+
+def conjugate_hom(A: Aut0, B: Lie2Hom) -> Lie2Hom:
+    """The composite A B A^{-1}."""
+    return compose_hom(compose_hom(A.hom, B), aut_inverse(A).hom)
 
 
 def aut_distance(A: Aut0, B: Aut0):
@@ -188,7 +191,7 @@ def check_crossed_module(L: Lie2Algebra, auts, taus) -> list:
     out = []
     for s, (A, t) in enumerate(itertools.product(auts, taus)):
         lhs = partial(L, act(L, A, t)).hom
-        rhs = compose_hom(compose_hom(A.hom, partial(L, t).hom), aut_inverse(A).hom)
+        rhs = conjugate_hom(A, partial(L, t).hom)
         out.append((f"equivariance[{s}]", hom_distance(lhs, rhs)))
     for s, (t1, t2) in enumerate(itertools.product(taus, taus)):
         lhs = act(L, partial(L, t1), t2)
@@ -230,9 +233,8 @@ def vcompose(L: Lie2Algebra, c1: TwoGroupCell, c2: TwoGroupCell) -> TwoGroupCell
 
 
 def hmultiply(L: Lie2Algebra, c1: TwoGroupCell, c2: TwoGroupCell) -> TwoGroupCell:
-    """Horizontal product (g, h) (g', h') = (g g', h * (g |> h'))."""
-    return TwoGroupCell(aut_compose(c1.g, c2.g),
-                        star(L, c1.h, act(L, c1.g, c2.h)))
+    """Horizontal product: the semidirect product of the pairs (g, h)."""
+    return TwoGroupCell(*semidirect_multiply(L, (c1.g, c1.h), (c2.g, c2.h)))
 
 
 def cell_distance(L: Lie2Algebra, c1: TwoGroupCell, c2: TwoGroupCell):
@@ -275,7 +277,8 @@ def classify_automorphism(L: Lie2Algebra, elem) -> dict:
     """Flags {weak, strict}.
 
     Degree 0: strict iff dropping A2 still gives an automorphism.
-    Degree -1: strict iff tau[x,y] = [x, tau y] + [tau x, y] + [tau x, d tau y].
+    Degree -1: strict iff tau[x,y] = [x, tau y] + [tau x, y] + [tau x, d tau y],
+    that is iff the twist l^id_tau of the identity vanishes.
     """
     if isinstance(elem, Aut0):
         stripped = Lie2Hom(L, L, elem.hom.A0, elem.hom.A1,
@@ -283,16 +286,8 @@ def classify_automorphism(L: Lie2Algebra, elem) -> dict:
         ok, _ = is_aut0(L, stripped)
         return {"weak": True, "strict": elem.hom.A2.is_zero() and ok}
     if isinstance(elem, Tau):
-        weak = tau_is_invertible(L, elem)
-        tm = elem.mat
-        worst = Fraction(0)
-        for i, j in itertools.combinations(range(L.n0), 2):
-            r = tm.apply(L.b00.eval_basis(i, j))
-            r = vsub(r, L.bracket01(L.e0(i), tm.col(j)))
-            r = vadd(r, L.bracket01(L.e0(j), tm.col(i)))
-            r = vadd(r, L.bracket01(L.dv(tm.col(j)), tm.col(i)))  # -[tau x, d tau y]
-            worst = max(worst, max((abs(v) for v in r), default=worst))
-        return {"weak": weak, "strict": worst == 0}
+        return {"weak": tau_is_invertible(L, elem),
+                "strict": twist_lower(L, hom_identity(L), elem).is_zero()}
     raise TypeError("expected Aut0 or Tau")
 
 
@@ -316,13 +311,12 @@ def ad_conjugate(L: Lie2Algebra, conj, target):
         A = conj.hom
         X0 = A.A0 @ target.X0 @ conj.a0_inv
         X1 = A.A1 @ target.X1 @ conj.a1_inv
-        mid = A.A1 @ target.X1 @ conj.a1_inv
 
         def val(key):
             i, j = key
             u, v = conj.a0_inv.col(i), conj.a0_inv.col(j)
             r = A.A1.apply(target.lX.eval(u, v))
-            r = vsub(r, mid.apply(A.A2.eval(u, v)))
+            r = vsub(r, X1.apply(A.A2.eval(u, v)))
             r = vadd(r, A.A2.eval(target.X0.apply(u), v))
             r = vadd(r, A.A2.eval(u, target.X0.apply(v)))
             return r

@@ -388,16 +388,19 @@ def compose_hom(B: Lie2Hom, A: Lie2Hom) -> Lie2Hom:
 
 
 def invert_hom(A: Lie2Hom):
-    """Inverse homomorphism when A0, A1 are invertible, else None.
-
-    The 2-component of the inverse is -A1^{-1} A2 (A0^{-1} x A0^{-1}).
-    """
+    """Inverse homomorphism when A0, A1 are invertible, else None."""
     a0i = mat_inverse(A.A0)
     a1i = mat_inverse(A.A1)
     if a0i is None or a1i is None:
         return None
-    A2 = -(A.A2.pullback(a0i).postcompose(a1i))
-    return Lie2Hom(A.target, A.source, a0i, a1i, A2)
+    return inverse_from_parts(A, a0i, a1i)
+
+
+def inverse_from_parts(A: Lie2Hom, a0_inv: Mat, a1_inv: Mat) -> Lie2Hom:
+    """The inverse of A from the inverses of its components A0 and A1; its
+    2-component is -A1^{-1} A2 (A0^{-1} x A0^{-1})."""
+    return Lie2Hom(A.target, A.source, a0_inv, a1_inv,
+                   -(A.A2.pullback(a0_inv).postcompose(a1_inv)))
 
 
 def hom_distance(A: Lie2Hom, B: Lie2Hom):

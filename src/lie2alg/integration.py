@@ -13,13 +13,18 @@ or theta d, are; otherwise the computation converts to float and scales
 and squares a series truncated at a configurable order.  Finite-difference
 probes recover the graded bracket from group commutators at second order
 in the step.
+
+Scalar mode is decided once per identity, never per value: `_joint_mode`
+applies the policy of `ExpConfig.mode` to every element the identity
+exponentiates and converts the algebra and all operands together, so both
+sides of an identity, and every exponential within it, share one mode.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .automorphisms import (
@@ -29,9 +34,10 @@ from .automorphisms import (
     ad_conjugate,
     aut_compose,
     aut_identity,
-    aut_inverse,
     certify_aut0,
+    conjugate_hom,
     partial,
+    random_tau,
     star,
     tau_distance,
     tau_inverse,
@@ -42,7 +48,9 @@ from .derivations import (
     DerM1,
     Derivation0,
     adbar0_single,
+    compute_der0_basis,
     dbar,
+    der0_distance,
     der0_zero,
     derM1_basis,
     graded_bracket,
@@ -58,9 +66,11 @@ from .linalg import AltTensor, Mat, nilpotency_index, row_sum_norm, truncated_ex
 class ExpConfig:
     """Truncation and tolerance policy for the exponential maps.
 
-    mode "auto" runs exactly whenever the series terminates and falls back
-    to float otherwise; "exact" refuses non-terminating input; "float"
-    always sums `order` terms in floating point, with scaling and squaring.
+    mode "auto" runs exactly whenever every series of an identity
+    terminates and in float otherwise; "exact" refuses non-terminating
+    input; "float" always sums `order` terms in floating point, with
+    scaling and squaring.  `_scalar_mode` is this policy, and `_joint_mode`
+    applies it once per identity.
     """
 
     order: int = 24
@@ -145,7 +155,9 @@ def _exp_hom(L: Lie2Algebra, D: Derivation0, t, order: int) -> Lie2Hom:
     return Lie2Hom(L, L, truncated_exp(D.X0, t, order, mode), A1, A2)
 
 
-def _resolve_mode(cfg: ExpConfig, terminating: bool) -> str:
+def _scalar_mode(cfg: ExpConfig, terminating: bool) -> str:
+    """The mode policy: "exact" when every series terminates and cfg allows
+    it, "float" otherwise; cfg.mode "exact" raises instead of falling back."""
     if cfg.mode == "float":
         return "float"
     if terminating:
@@ -155,6 +167,31 @@ def _resolve_mode(cfg: ExpConfig, terminating: bool) -> str:
     return "float"
 
 
+def aut_to_float(A: Aut0) -> Aut0:
+    return Aut0(A.hom.to_float(), A.a0_inv.to_float(), A.a1_inv.to_float())
+
+
+def _terminates(L: Lie2Algebra, X) -> bool:
+    if isinstance(X, DerM1):
+        return derM1_terminating(L, X) is not None
+    return L.mode == "exact" and der0_terminating(X) is not None
+
+
+def _joint_mode(L: Lie2Algebra, cfg: ExpConfig, exps, *operands):
+    """The one mode decision of an identity that exponentiates `exps`.
+
+    Returns (mode, algebra, sub-config, exps + operands), the algebra and
+    every operand (Aut0, Tau, Derivation0 or DerM1) converted together.
+    The sub-config ("auto" or "float") runs each exponential in that mode.
+    """
+    mode = _scalar_mode(cfg, all(_terminates(L, X) for X in exps))
+    values = (*exps, *operands)
+    if mode == "float":
+        L = L.to_float()
+        values = tuple(aut_to_float(x) if isinstance(x, Aut0) else x.to_float() for x in values)
+    return mode, L, replace(cfg, mode="auto" if mode == "exact" else "float"), values
+
+
 def exp_der0(L: Lie2Algebra, D: Derivation0, t=1, cfg: ExpConfig = DEFAULT) -> Aut0:
     """Exponential of a degree-0 derivation: (e^{tX0}, e^{tX1}, e^{t lX}).
 
@@ -162,19 +199,12 @@ def exp_der0(L: Lie2Algebra, D: Derivation0, t=1, cfg: ExpConfig = DEFAULT) -> A
     and certified with zero residual; otherwise the series truncates at
     cfg.order in float and certifies within cfg.tol.
     """
-    nil = der0_terminating(D) if L.mode == "exact" else None
-    which = _resolve_mode(cfg, nil is not None)
-    if which == "exact":
-        rep = is_derivation0(L, D)
-        if not rep.ok:
-            raise ValueError(f"not a derivation: {rep!r}")
-        return certify_aut0(L, _exp_hom(L, D, t, cfg.order))
-    Lf = L.to_float()
-    Df = D.to_float()
-    rep = is_derivation0(Lf, Df)
-    if not rep.within(cfg.tol):
-        raise ValueError(f"not a derivation within tol: {rep!r}")
-    return certify_aut0(Lf, _exp_hom(Lf, Df, float(t), cfg.order), tol=cfg.tol)
+    mode, L, _, (D,) = _joint_mode(L, cfg, (D,))
+    tol = 0 if mode == "exact" else cfg.tol
+    rep = is_derivation0(L, D)
+    if not rep.within(tol):
+        raise ValueError(f"not a derivation within tol {tol}: {rep!r}")
+    return certify_aut0(L, _exp_hom(L, D, t, cfg.order), tol=tol)
 
 
 def exp_derM1(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> Tau:
@@ -182,12 +212,9 @@ def exp_derM1(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> Tau:
     e^theta = theta + theta d theta / 2! + theta d theta d theta / 3! + ...,
     the top-right block of e^{tN} for N = [[theta d, theta], [0, 0]].
     Exact when theta d is nilpotent."""
-    q = derM1_terminating(L, T) if L.mode == "exact" else None
-    which = _resolve_mode(cfg, q is not None)
-    if which == "float":
-        L, T = L.to_float(), T.to_float()
-    _, top = _exp_upper(T.theta @ L.d, T.theta, Mat.zero(L.n0, L.n0, which), t, cfg.order,
-                        "float" if which == "float" else "exact-if-nilpotent")
+    mode, L, _, (T,) = _joint_mode(L, cfg, (T,))
+    _, top = _exp_upper(T.theta @ L.d, T.theta, Mat.zero(L.n0, L.n0, mode), t, cfg.order,
+                        "float" if mode == "float" else "exact-if-nilpotent")
     return Tau(top)
 
 
@@ -197,32 +224,27 @@ def exp_derM1(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> Tau:
 
 def check_one_parameter(L: Lie2Algebra, D: Derivation0, t, s, cfg: ExpConfig = DEFAULT):
     """Componentwise residual of e^{(t+s)D} against e^{tD} e^{sD}."""
-    lhs = exp_der0(L, D, Fraction(t) + Fraction(s) if L.mode == "exact" else t + s, cfg)
-    a = exp_der0(L, D, t, cfg)
-    b = exp_der0(L, D, s, cfg)
+    _, L, sub, (D,) = _joint_mode(L, cfg, (D,))
+    lhs = exp_der0(L, D, Fraction(t) + Fraction(s), sub)
+    a = exp_der0(L, D, t, sub)
+    b = exp_der0(L, D, s, sub)
     return hom_distance(lhs.hom, compose_hom(a.hom, b.hom))
 
 
 def one_parameter_derM1(L: Lie2Algebra, T: DerM1, t, s, cfg: ExpConfig = DEFAULT):
     """Residual of e^{(t+s)theta} against e^{t theta} * e^{s theta}."""
-    lhs = exp_derM1(L, T, Fraction(t) + Fraction(s) if L.mode == "exact" else t + s, cfg)
-    a = exp_derM1(L, T, t, cfg)
-    b = exp_derM1(L, T, s, cfg)
-    base = L if a.mat.mode == "exact" else L.to_float()
-    return tau_distance(lhs, star(base, a, b))
+    _, L, sub, (T,) = _joint_mode(L, cfg, (T,))
+    lhs = exp_derM1(L, T, Fraction(t) + Fraction(s), sub)
+    a = exp_derM1(L, T, t, sub)
+    b = exp_derM1(L, T, s, sub)
+    return tau_distance(lhs, star(L, a, b))
 
 
 def check_commuting_square(L: Lie2Algebra, T: DerM1, cfg: ExpConfig = DEFAULT):
     """Residual of partial(e^theta) against e^{dbar(theta)}."""
-    q = derM1_terminating(L, T)
-    which = _resolve_mode(cfg, q is not None)
-    base = L if which == "exact" else L.to_float()
-    Tb = T if which == "exact" else T.to_float()
-    sub_cfg = cfg if which == "float" else ExpConfig(cfg.order, cfg.tol, "auto", cfg.fd_step)
-    tau = exp_derM1(base, Tb, 1, sub_cfg)
-    lhs = partial(base, tau).hom
-    rhs = exp_der0(base, dbar(base, Tb), 1, sub_cfg).hom
-    return hom_distance(lhs, rhs)
+    _, L, sub, (T,) = _joint_mode(L, cfg, (T,))
+    lhs = partial(L, exp_derM1(L, T, 1, sub)).hom
+    return hom_distance(lhs, exp_der0(L, dbar(L, T), 1, sub).hom)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +266,7 @@ def recover_bracket(L: Lie2Algebra, D1: Derivation0, D2: Derivation0,
     [F(h,h) - F(h,-h) - F(-h,h) + F(-h,-h)] / (4 h^2) applied to each of
     (A0, A1, A2); within O(h^2) of the graded bracket.
     """
-    Lf = L.to_float()
-    d1, d2 = D1.to_float(), D2.to_float()
+    _, Lf, _, (d1, d2) = _joint_mode(L, replace(cfg, mode="float"), (), D1, D2)
     h = cfg.fd_step
     f = {}
     for ss, tt in ((h, h), (h, -h), (-h, h), (-h, -h)):
@@ -266,7 +287,6 @@ def recover_bracket(L: Lie2Algebra, D1: Derivation0, D2: Derivation0,
 
 
 def bracket_recovery_residual(L, D1, D2, cfg: ExpConfig = DEFAULT):
-    from .derivations import der0_distance
     got = recover_bracket(L, D1, D2, cfg)
     want = graded_bracket(L, D1, D2).to_float()
     return der0_distance(got, want)
@@ -275,13 +295,12 @@ def bracket_recovery_residual(L, D1, D2, cfg: ExpConfig = DEFAULT):
 def recover_bracket_m1(L: Lie2Algebra, T1: DerM1, T2: DerM1,
                        cfg: ExpConfig = DEFAULT) -> DerM1:
     """Finite-difference commutator of e^{s theta}, e^{t theta'} under star."""
-    Lf = L.to_float()
+    _, Lf, fcfg, (T1, T2) = _joint_mode(L, replace(cfg, mode="float"), (), T1, T2)
     h = cfg.fd_step
-    fcfg = ExpConfig(cfg.order, cfg.tol, "float", cfg.fd_step)
 
     def curve(ss, tt):
-        a = exp_derM1(Lf, T1.to_float(), ss, fcfg)
-        b = exp_derM1(Lf, T2.to_float(), tt, fcfg)
+        a = exp_derM1(Lf, T1, ss, fcfg)
+        b = exp_derM1(Lf, T2, tt, fcfg)
         ai = tau_inverse(Lf, a)
         bi = tau_inverse(Lf, b)
         return star(Lf, star(Lf, star(Lf, a, b), ai), bi).mat
@@ -301,11 +320,7 @@ def exp_semidirect(L: Lie2Algebra, pair, cfg: ExpConfig = DEFAULT):
     The componentwise formula is a one-parameter curve for the semidirect
     product precisely when the two legs commute ({D, theta} = 0).
     """
-    D, T = pair
-    terminating = der0_terminating(D) is not None and derM1_terminating(L, T) is not None \
-        if L.mode == "exact" else False
-    which = _resolve_mode(cfg, terminating)
-    sub = ExpConfig(cfg.order, cfg.tol, "float" if which == "float" else "auto", cfg.fd_step)
+    _, L, sub, (D, T) = _joint_mode(L, cfg, pair)
     return (exp_der0(L, D, 1, sub), exp_derM1(L, T, 1, sub))
 
 
@@ -313,15 +328,11 @@ def exp_semidirect(L: Lie2Algebra, pair, cfg: ExpConfig = DEFAULT):
 # conjugation identities
 # ---------------------------------------------------------------------------
 
-def aut_to_float(A: Aut0) -> Aut0:
-    return Aut0(A.hom.to_float(), A.a0_inv.to_float(), A.a1_inv.to_float())
-
-
-def _exp_der0_in(L, D, cfg, exact_ok):
-    """Exponential forced into a single joint mode decided by the caller."""
-    if exact_ok:
-        return exp_der0(L, D, 1, ExpConfig(cfg.order, cfg.tol, "auto", cfg.fd_step)), "exact"
-    return exp_der0(L, D, 1, ExpConfig(cfg.order, cfg.tol, "float", cfg.fd_step)), "float"
+def _conj_der0(L: Lie2Algebra, cfg: ExpConfig, A: Aut0, D: Derivation0, E: Derivation0):
+    """(residual, mode) of A e^D A^{-1} = e^E, in one joint mode."""
+    mode, L, sub, (D, E, A) = _joint_mode(L, cfg, (D, E), A)
+    lhs = conjugate_hom(A, exp_der0(L, D, 1, sub).hom)
+    return hom_distance(lhs, exp_der0(L, E, 1, sub).hom), mode
 
 
 def _theta_from_a2(L: Lie2Algebra, A: Aut0, x: tuple) -> DerM1:
@@ -359,16 +370,13 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
     (A |> e^theta = e^{A1 theta A0^{-1}}), conj_tau_der (tau * (e^D |> tau^{-1})
     = e^{degree -1 part of Ad(tau) D}), conj_dbar (transport of differentials)
     and conj_adjoint (transport of adjoint generators).
-    Returns (name, residual, mode) triples; exact where both sides terminate.
+    Returns (name, residual, mode) triples, one mode decision per identity:
+    exact where every series of both sides terminates and cfg.mode allows.
     """
-    from .derivations import compute_der0_basis
     der_basis = compute_der0_basis(L)
     if aut_sampler is None:
         aut_sampler = lambda: random_aut0(L, rng, cfg, der_basis)
     out = []
-    Lf = L.to_float()
-    fcfg = ExpConfig(cfg.order, cfg.tol, "float", cfg.fd_step)
-
     for idx in range(samples):
         A = aut_sampler()
         D = random_der0(L, rng, der_basis, dens=(8, 16))
@@ -376,36 +384,20 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
         tau = _random_invertible_tau(L, rng)
 
         # (i) A e^D A^{-1} = e^{Ad(A) D}
-        adD = ad_conjugate(L, A, D)
-        exact_ok = der0_terminating(D) is not None and der0_terminating(adD) is not None
-        eD, mode = _exp_der0_in(L, D, cfg, exact_ok)
-        eAd, _ = _exp_der0_in(L, adD, cfg, exact_ok)
-        Au = A if mode == "exact" else aut_to_float(A)
-        lhs = compose_hom(compose_hom(Au.hom, eD.hom), aut_inverse(Au).hom)
-        out.append((f"conj0[{idx}]", hom_distance(lhs, eAd.hom), mode))
+        out.append((f"conj0[{idx}]", *_conj_der0(L, cfg, A, D, ad_conjugate(L, A, D))))
 
-        # (ii) tau * e^theta * tau^{-1} = e^{(I + tau d) theta (I + d tau)^{-1}}
-        adT = ad_conjugate(L, tau, T)
-        exact_ok = derM1_terminating(L, T) is not None
-        mode = "exact" if exact_ok else "float"
-        base = L if exact_ok else Lf
-        taub = tau if exact_ok else tau.to_float()
-        sub = cfg if exact_ok else fcfg
-        eT = exp_derM1(base, T if exact_ok else T.to_float(), 1, sub)
-        lhs_t = star(base, star(base, taub, eT), tau_inverse(base, taub))
-        rhs_t = exp_derM1(base, adT if exact_ok else adT.to_float(), 1, sub)
-        out.append((f"conj_m1[{idx}]", tau_distance(lhs_t, rhs_t), mode))
+        # (ii) tau * e^theta * tau^{-1} = e^{(I + tau d) theta (I + d tau)^{-1}};
+        # here and in (iii) the conjugated theta d is similar to theta d, so
+        # T alone decides the mode
+        mode, Lm, sub, (Tm, adT, taum) = _joint_mode(L, cfg, (T,), ad_conjugate(L, tau, T), tau)
+        lhs_t = star(Lm, star(Lm, taum, exp_derM1(Lm, Tm, 1, sub)), tau_inverse(Lm, taum))
+        out.append((f"conj_m1[{idx}]", tau_distance(lhs_t, exp_derM1(Lm, adT, 1, sub)), mode))
 
         # (iii) A |> e^theta = e^{A1 theta A0^{-1}}
         actT = ad_conjugate(L, A, T)
-        exact_ok = derM1_terminating(L, T) is not None
-        mode = "exact" if exact_ok else "float"
-        base = L if exact_ok else Lf
-        Au = A if exact_ok else aut_to_float(A)
-        sub = cfg if exact_ok else fcfg
-        lhs_t = act(base, Au, exp_derM1(base, T if exact_ok else T.to_float(), 1, sub))
-        rhs_t = exp_derM1(base, actT if exact_ok else actT.to_float(), 1, sub)
-        out.append((f"act_exp[{idx}]", tau_distance(lhs_t, rhs_t), mode))
+        mode, Lm, sub, (Tm, actTm, Am) = _joint_mode(L, cfg, (T,), actT, A)
+        lhs_t = act(Lm, Am, exp_derM1(Lm, Tm, 1, sub))
+        out.append((f"act_exp[{idx}]", tau_distance(lhs_t, exp_derM1(Lm, actTm, 1, sub)), mode))
 
         # (iv) tau * (e^D |> tau^{-1}) = e^{X1 tau^{-1} + tau X0 + tau X0 d tau^{-1}}.
         # The right side uses the componentwise semidirect exponential, which
@@ -415,38 +407,20 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
         # finite-difference probes).
         Dc, tauc = _commuting_iv_sample(L, rng, der_basis)
         _, theta_part = ad_conjugate(L, tauc, Dc)
-        exact_ok = der0_terminating(Dc) is not None \
-            and derM1_terminating(L, theta_part) is not None
-        eD, mode = _exp_der0_in(L, Dc, cfg, exact_ok)
-        base = L if mode == "exact" else Lf
-        taub = tauc if mode == "exact" else tauc.to_float()
-        sub = cfg if mode == "exact" else fcfg
-        lhs_t = star(base, taub, act(base, eD, tau_inverse(base, taub)))
-        rhs_t = exp_derM1(base, theta_part if mode == "exact" else theta_part.to_float(), 1, sub)
+        mode, Lm, sub, (Dc, theta_part, tauc) = _joint_mode(L, cfg, (Dc, theta_part), tauc)
+        eD = exp_der0(Lm, Dc, 1, sub)
+        lhs_t = star(Lm, tauc, act(Lm, eD, tau_inverse(Lm, tauc)))
+        rhs_t = exp_derM1(Lm, theta_part, 1, sub)
         out.append((f"conj_tau_der[{idx}]", tau_distance(lhs_t, rhs_t), mode))
 
         # transport of differentials: A e^{dbar T} A^{-1} = e^{dbar(A1 T A0^{-1})}
-        dT = dbar(L, T)
-        conj_theta = ad_conjugate(L, A, T)
-        dTc = dbar(L, conj_theta)
-        exact_ok = der0_terminating(dT) is not None and der0_terminating(dTc) is not None
-        eD, mode = _exp_der0_in(L, dT, cfg, exact_ok)
-        eC, _ = _exp_der0_in(L, dTc, cfg, exact_ok)
-        Au = A if mode == "exact" else aut_to_float(A)
-        lhs = compose_hom(compose_hom(Au.hom, eD.hom), aut_inverse(Au).hom)
-        out.append((f"conj_dbar[{idx}]", hom_distance(lhs, eC.hom), mode))
+        out.append((f"conj_dbar[{idx}]", *_conj_der0(L, cfg, A, dbar(L, T), dbar(L, actT))))
 
         # transport of adjoint generators:
         # A e^{adbar0(x)} A^{-1} = e^{adbar0(A0 x) + dbar(A2(x, A0^{-1} .))}
         x = tuple(Fraction(rng.randint(-2, 2), 8) for _ in range(L.n0))
-        gen = adbar0_single(L, x)
         rhs_exp = adbar0_single(L, A.hom.A0.apply(x)) + dbar(L, _theta_from_a2(L, A, x))
-        exact_ok = der0_terminating(gen) is not None and der0_terminating(rhs_exp) is not None
-        eG, mode = _exp_der0_in(L, gen, cfg, exact_ok)
-        eR, _ = _exp_der0_in(L, rhs_exp, cfg, exact_ok)
-        Au = A if mode == "exact" else aut_to_float(A)
-        lhs = compose_hom(compose_hom(Au.hom, eG.hom), aut_inverse(Au).hom)
-        out.append((f"conj_adjoint[{idx}]", hom_distance(lhs, eR.hom), mode))
+        out.append((f"conj_adjoint[{idx}]", *_conj_der0(L, cfg, A, adbar0_single(L, x), rhs_exp)))
 
     return out
 
@@ -462,12 +436,10 @@ def inn_group_generators(L: Lie2Algebra, cfg: ExpConfig = DEFAULT) -> list:
     gens = []
     for D in inn0_basis(L):
         A = exp_der0(L, D, 1, cfg)
-        base = A.algebra
-        gens.append((A, tau_zero(base)))
+        gens.append((A, tau_zero(A.algebra)))
     for T in derM1_basis(L):
-        t = exp_derM1(L, T, 1, cfg)
-        base = L if t.mat.mode == "exact" else L.to_float()
-        gens.append((aut_identity(base), t))
+        _, base, sub, (T,) = _joint_mode(L, cfg, (T,))
+        gens.append((aut_identity(base), exp_derM1(base, T, 1, sub)))
     return gens
 
 
@@ -476,26 +448,20 @@ def inn_group_generators(L: Lie2Algebra, cfg: ExpConfig = DEFAULT) -> list:
 # ---------------------------------------------------------------------------
 
 def _random_invertible_tau(L: Lie2Algebra, rng) -> Tau:
-    for _ in range(100):
-        t = Tau(Mat(L.n1, L.n0, [Fraction(rng.randint(-3, 3), rng.choice((8, 16)))
-                                 for _ in range(L.n1 * L.n0)]))
-        if tau_inverse(L, t) is not None:
-            return t
-    return tau_zero(L)
+    return random_tau(L, rng, dens=(8, 16), invertible=True)
 
 
 def random_aut0(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT, der_basis=None) -> Aut0:
     """Exact random automorphism: a product of connecting-map images and
     terminating exponentials of basis derivations."""
     if der_basis is None:
-        from .derivations import compute_der0_basis
         der_basis = compute_der0_basis(L)
     nilpotent = [D for D in der_basis if der0_terminating(D) is not None]
     out = aut_identity(L)
     for _ in range(rng.randint(1, 3)):
         if nilpotent and rng.random() < 0.5:
             D = rng.choice(nilpotent).scale(Fraction(rng.randint(-2, 2), 2))
-            out = aut_compose(out, exp_der0(L, D, 1, ExpConfig(cfg.order, cfg.tol, "auto")))
+            out = aut_compose(out, exp_der0(L, D, 1, replace(cfg, mode="auto")))
         else:
             out = aut_compose(out, partial(L, _random_invertible_tau(L, rng)))
     return out

@@ -2,10 +2,11 @@
 under tests/golden/.
 
 Reports are documented as seed-deterministic, so any change in a residual,
-a witness, a mode or a line order shows here.  The float lines (conj0 and
-conj_adjoint in the conjugation reports) hold left-to-right float sums, as
-builtin `sum` forms them before Python 3.12; from 3.12 on it compensates
-its rounding, and those lines may differ in their last digits.
+a witness, a mode or a line order shows here.  The float lines (in the
+conjugation, exp-square, one-parameter and bracket-recovery reports) hold
+left-to-right float sums, as builtin `sum` forms them before Python 3.12;
+from 3.12 on it compensates its rounding, and those lines may differ in
+their last digits.
 
 To rewrite the files from the code on the import path (only when a report
 is meant to change):
@@ -21,6 +22,8 @@ from lie2alg.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMED = ("abelian", "string-sl2", "endo-1-1", "skeletal-demo")
+SUITES = ("axioms", "crossed-module", "exp-square", "one-parameter", "bracket-recovery",
+          "conjugation")
 # a degree-0 element of skeletal-demo that breaks all four derivation laws
 NON_DERIVATION = GOLDEN / "skeletal-demo-nonder.der0"
 
@@ -31,9 +34,11 @@ def _cases() -> dict:
     for name in NAMED:
         cases[f"validate-{name}"] = (["validate", name], 0)
         cases[f"der-{name}"] = (["der", name, "--basis", "--inner", "--classify"], 0)
-        for suite in ("axioms", "crossed-module", "conjugation"):
+        for suite in SUITES:
+            # skeletal-demo's first bracket recovery misses its tolerance
+            code = 1 if (suite, name) == ("bracket-recovery", "skeletal-demo") else 0
             cases[f"check-{suite}-{name}"] = (
-                ["check", name, "--suite", suite, "--samples", "2", "--seed", "1"], 0)
+                ["check", name, "--suite", suite, "--samples", "2", "--seed", "1"], code)
     cases["exp-skeletal-demo-nonder"] = (
         ["exp", "skeletal-demo", "--element", str(NON_DERIVATION)], 1)
     return cases

@@ -350,6 +350,29 @@ def test_conjugation_identities_bigger_endo():
             assert resid < 1e-9, (name, resid)
 
 
+def test_conjugation_identities_follow_the_mode_policy():
+    # cfg.mode holds for every identity: "float" puts each line in float,
+    # "exact" refuses a draw whose series does not terminate
+    lines = check_conjugation_identities(fix_str(), random.Random(86), ExpConfig(mode="float"),
+                                         samples=1)
+    assert len(lines) == 6 and {mode for _, _, mode in lines} == {"float"}
+    assert all(resid < 1e-9 for _, resid, _ in lines)
+    with pytest.raises(ValueError, match="does not terminate"):
+        check_conjugation_identities(fix_end(), random.Random(87), ExpConfig(mode="exact"),
+                                     samples=1)
+
+
+def test_one_non_terminating_leg_puts_every_operand_in_float():
+    L = fix_end()
+    T = random_derM1(L, random.Random(89), dens=SMALL)
+    assert derM1_terminating(L, T) is None and der0_terminating(der0_zero(L)) is not None
+    A, t = exp_semidirect(L, (der0_zero(L), T))
+    assert (A.hom.A0.mode, A.a0_inv.mode, t.mat.mode) == ("float", "float", "float")
+    assert check_commuting_square(L, T) < 1e-9
+    assert check_commuting_square(fix_str(), random_derM1(fix_str(), random.Random(90)),
+                                  ExpConfig(mode="float")) < 1e-9
+
+
 def test_ad_tau_der0_matches_first_order_conjugation():
     # d/dt at 0 of tau * (e^{tD} |> tau^{-1}) is the degree -1 part of the
     # conjugated pair; this is the full content of the conjugation formula

@@ -427,6 +427,48 @@ def test_rref_and_solve_match_sympy(rows, cols, data):
         assert sm * _to_sympy(Mat(cols, 1, x)) == sb
 
 
+def _draw_mat(data, rows, cols):
+    return Mat(rows, cols, data.draw(st.lists(small_rats, min_size=rows * cols,
+                                              max_size=rows * cols)))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_kernel_basis_and_rank_match_sympy(rows, cols, data):
+    m = _draw_mat(data, rows, cols)
+    sm = _to_sympy(m)
+    assert rank(m) == sm.rank()
+    # both set one free column to 1 and the others to 0, so the bases agree
+    got = [_to_sympy(Mat(cols, 1, v)) for v in kernel_basis(m)]
+    assert got == sm.nullspace()
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_mat_inverse_matches_sympy(n, data):
+    m = _draw_mat(data, n, n)
+    sm = _to_sympy(m)
+    inv = mat_inverse(m)
+    assert (inv is None) == (sm.det() == 0)
+    if inv is not None:
+        assert _to_sympy(inv) == sm.inv()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 4), st.data())
+def test_truncated_exp_of_nilpotent_matches_sympy(n, data):
+    # strictly upper triangular, then conjugated by a permutation: nilpotent,
+    # but not triangular in the basis the kernel sees
+    upper = [data.draw(small_rats) if j > i else Fraction(0) for i in range(n) for j in range(n)]
+    perm = data.draw(st.permutations(range(n)))
+    p = Mat(n, n, [Fraction(int(perm[i] == j)) for i in range(n) for j in range(n)])
+    m = p @ Mat(n, n, upper) @ p.transpose()
+    t = data.draw(small_rats)
+    got = truncated_exp(m, t)
+    assert got.mode == "exact"
+    assert _to_sympy(got) == _to_sympy(m.scale(t)).exp()
+
+
 @given(st.sampled_from(["exact", "float"]), st.integers(0, 3), st.integers(0, 3), st.data())
 def test_mat_results_equal_coerced_construction(mode, n, k, data):
     # results of @, +, -, unary minus and scale skip the coercion of __init__;
