@@ -35,9 +35,6 @@ class Tau:
     def to_float(self) -> "Tau":
         return Tau(self.mat.to_float())
 
-    def is_zero(self) -> bool:
-        return self.mat.is_zero()
-
 
 @dataclass(frozen=True)
 class Aut0:
@@ -119,8 +116,7 @@ def star(L: Lie2Algebra, t1: Tau, t2: Tau) -> Tau:
 
 def tau_inverse(L: Lie2Algebra, t: Tau):
     """Star-inverse -tau (I + d tau)^{-1}, present iff I + d tau is invertible."""
-    dt = L.d @ t.mat
-    core = mat_inverse(Mat.identity(L.n0, dt.mode) + dt)
+    core = mat_inverse(Mat.identity(L.n0, L.mode) + L.d @ t.mat)
     if core is None:
         return None
     return Tau(-(t.mat @ core))
@@ -146,7 +142,7 @@ def twist_lower(L: Lie2Algebra, A: Lie2Hom, t: Tau) -> AltTensor:
         r = vadd(r, L.bracket01(L.dv(ty), tx))     # -[tau x, d tau y] = +[d tau y, tau x]
         return r
 
-    return AltTensor.from_function(2, L.n0, L.n1, val, tm.mode if not tm.is_zero() else L.mode)
+    return AltTensor.from_function(2, L.n0, L.n1, val, L.mode)
 
 
 def twist_hom(L: Lie2Algebra, A: Lie2Hom, t: Tau) -> Lie2Hom:
@@ -166,9 +162,8 @@ def partial(L: Lie2Algebra, t: Tau) -> Aut0:
     if ti is None:
         raise ValueError("tau is not star-invertible")
     hom = twist_hom(L, hom_identity(L), t)
-    mode = hom.A0.mode
-    a0i = Mat.identity(L.n0, mode) + L.d @ ti.mat
-    a1i = Mat.identity(L.n1, mode) + ti.mat @ L.d
+    a0i = Mat.identity(L.n0, L.mode) + L.d @ ti.mat
+    a1i = Mat.identity(L.n1, L.mode) + ti.mat @ L.d
     return Aut0(hom, a0i, a1i)
 
 
@@ -336,9 +331,8 @@ def ad_conjugate(L: Lie2Algebra, conj, target):
         ti = tau_inverse(L, conj)
         if ti is None:
             raise ValueError("tau is not star-invertible")
-        mode = conj.mat.mode if not conj.mat.is_zero() else L.mode
-        left = Mat.identity(L.n1, mode) + conj.mat @ L.d
-        right = Mat.identity(L.n0, mode) + L.d @ ti.mat  # = (I + d tau)^{-1}
+        left = Mat.identity(L.n1, L.mode) + conj.mat @ L.d
+        right = Mat.identity(L.n0, L.mode) + L.d @ ti.mat  # = (I + d tau)^{-1}
         return DerM1(left @ target.theta @ right)
     raise TypeError("unsupported conjugation pair")
 

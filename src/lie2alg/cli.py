@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .automorphisms import (
     Tau,
+    certify_aut0,
     check_crossed_module,
     classify_automorphism,
     is_aut0,
@@ -34,6 +35,7 @@ from .derivations import (
     classify_derivation,
     compute_der0_basis,
     derM1_basis,
+    graded_bracket,
     inn0_basis,
     is_derivation0,
     random_der0,
@@ -47,15 +49,13 @@ from .integration import (
     check_commuting_square,
     check_conjugation_identities,
     check_one_parameter,
-    der0_terminating,
-    derM1_terminating,
     exp_der0,
     exp_derM1,
     one_parameter_derM1,
     random_aut0,
     recover_bracket_m1,
 )
-from .linalg import mat_distance, rat, rat_str
+from .linalg import mat_distance, mat_inverse, rat, rat_str
 
 SUITES = ("axioms", "crossed-module", "exp-square", "one-parameter",
           "bracket-recovery", "conjugation")
@@ -126,9 +126,7 @@ def _suite_exp_square(L, rng, args, cfg):
     out = []
     for i in range(args.samples):
         T = random_derM1(L, rng, dens=(8, 16))
-        mode = "exact" if derM1_terminating(L, T) is not None else "float"
-        out.append(ReportLine(f"exp_square[{i}]", check_commuting_square(L, T, cfg),
-                              mode, cfg.tol))
+        out.append(ReportLine(f"exp_square[{i}]", *check_commuting_square(L, T, cfg), cfg.tol))
     return out
 
 
@@ -139,13 +137,11 @@ def _suite_one_parameter(L, rng, args, cfg):
         D = random_der0(L, rng, basis, dens=(8, 16))
         t = Fraction(rng.randint(-8, 8), 8)
         s = Fraction(rng.randint(-8, 8), 8)
-        mode = "exact" if der0_terminating(D) is not None else "float"
-        out.append(ReportLine(f"one_param_deg0[{i}]", check_one_parameter(L, D, t, s, cfg),
-                              mode, cfg.tol))
+        out.append(ReportLine(f"one_param_deg0[{i}]", *check_one_parameter(L, D, t, s, cfg),
+                              cfg.tol))
         T = random_derM1(L, rng, dens=(8, 16))
-        mode = "exact" if derM1_terminating(L, T) is not None else "float"
-        out.append(ReportLine(f"one_param_degM1[{i}]", one_parameter_derM1(L, T, t, s, cfg),
-                              mode, cfg.tol))
+        out.append(ReportLine(f"one_param_degM1[{i}]", *one_parameter_derM1(L, T, t, s, cfg),
+                              cfg.tol))
     return out
 
 
@@ -166,7 +162,6 @@ def _suite_bracket_recovery(L, rng, args, cfg):
             # halving h must cut the residual by about 4 (second order)
             out.append(ReportLine(f"bracket_convergence[{i}]", abs(r1 / r2 - 4.0),
                                   "float", 0.5))
-        from .derivations import graded_bracket
         T1 = random_derM1(L, rng)
         T2 = random_derM1(L, rng)
         got = recover_bracket_m1(L, T1, T2, cfg)
@@ -238,12 +233,10 @@ def _cmd_aut(args) -> tuple:
         ok, rep = is_aut0(L, elem)
         lines = [ReportLine(f"hom_{name}", r.value, L.mode, 0.0, r.witness)
                  for name, r in rep]
-        from .linalg import mat_inverse
         invertible = mat_inverse(elem.A0) is not None and mat_inverse(elem.A1) is not None
         lines.append(ReportLine("invertible", 0 if invertible else 1, "exact"))
         text, passed = emit_report(header, lines)
         if ok:
-            from .automorphisms import certify_aut0
             flags = classify_automorphism(L, certify_aut0(L, elem))
             text += f"classify weak={flags['weak']} strict={flags['strict']}\n"
         return text, passed

@@ -135,8 +135,7 @@ class Lie2Algebra:
             raise ValueError("b01 must hold n0 matrices of shape n1 x n1")
         if (l3.arity, l3.dim, l3.codim) != (3, n0, n1):
             raise ValueError("l3 must be an alternating 3-tensor g0 -> g-1")
-        modes = {v.mode for v in (d, b00, l3) if not v.is_zero()}
-        modes |= {m.mode for m in b01 if not m.is_zero()}
+        modes = {v.mode for v in (d, b00, l3, *b01)}
         if len(modes) > 1:
             raise ValueError("mixed scalar modes across tensors")
         object.__setattr__(self, "n0", n0)
@@ -145,7 +144,7 @@ class Lie2Algebra:
         object.__setattr__(self, "b00", b00)
         object.__setattr__(self, "b01", b01)
         object.__setattr__(self, "l3", l3)
-        object.__setattr__(self, "mode", modes.pop() if modes else "exact")
+        object.__setattr__(self, "mode", modes.pop())
         object.__setattr__(self, "_sparse", None)
 
     def __setattr__(self, *a):
@@ -200,9 +199,6 @@ class Lie2Algebra:
             if xi != 0:
                 out = out + self.b01[i].scale(xi)
         return out
-
-    def l3v(self, x: tuple, y: tuple, z: tuple) -> tuple:
-        return self.l3.eval(x, y, z)
 
     def to_float(self) -> "Lie2Algebra":
         if self.mode == "float":
@@ -316,9 +312,6 @@ class Lie2Hom:
 
     def __setattr__(self, *a):
         raise AttributeError("Lie2Hom is immutable")
-
-    def is_endo(self) -> bool:
-        return self.source == self.target
 
     def to_float(self) -> "Lie2Hom":
         return Lie2Hom(self.source.to_float(), self.target.to_float(),
@@ -438,7 +431,7 @@ class CrossedModLieAlg:
         raise AttributeError("CrossedModLieAlg is immutable")
 
     def act_mat(self, x: tuple) -> Mat:
-        out = Mat.zero(self.n1, self.n1)
+        out = Mat.zero(self.n1, self.n1, self.b1.mode)
         for i, xi in enumerate(x):
             if xi != 0:
                 out = out + self.action[i].scale(xi)
@@ -507,14 +500,14 @@ def strict_to_crossed(L: Lie2Algebra) -> CrossedModLieAlg:
     if not L.l3.is_zero():
         raise ValueError("strict_to_crossed requires l3 = 0")
     b1 = AltTensor.from_function(2, L.n1, L.n1,
-                                 lambda key: L.bracket01(L.dcol(key[0]), L.e1(key[1])))
+                                 lambda key: L.bracket01(L.dcol(key[0]), L.e1(key[1])), L.mode)
     return CrossedModLieAlg(b1, L.b00, L.d, L.b01)
 
 
 def crossed_to_strict(C: CrossedModLieAlg) -> Lie2Algebra:
     """Crossed module -> strict Lie 2-algebra with d = varphi, [x,a] = phi_x(a)."""
     return Lie2Algebra(C.n0, C.n1, C.varphi, C.b0, C.action,
-                       AltTensor.zero(3, C.n0, C.n1))
+                       AltTensor.zero(3, C.n0, C.n1, C.b0.mode))
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +524,7 @@ def killing_form(sc: AltTensor) -> Mat:
     """K(x, y) = trace(ad_x ad_y); symmetric."""
     ads = lie_ad_matrices(sc)
     n = sc.dim
-    return Mat.from_rows([[(ads[i] @ ads[j]).trace() for j in range(n)] for i in range(n)]) \
-        if n else Mat.zero(0, 0)
+    return Mat.from_rows([[(ads[i] @ ads[j]).trace() for j in range(n)] for i in range(n)])
 
 
 def make_string(sc: AltTensor) -> Lie2Algebra:
@@ -549,8 +541,8 @@ def make_string(sc: AltTensor) -> Lie2Algebra:
         u = sc.eval_basis(i, j)
         return (sum((u[s] * K.at(s, k) for s in range(n)), Fraction(0)),)
 
-    l3 = AltTensor.from_function(3, n, 1, l3_val)
-    return Lie2Algebra(n, 1, Mat.zero(n, 1), sc, [Mat.zero(1, 1)] * n, l3)
+    l3 = AltTensor.from_function(3, n, 1, l3_val, sc.mode)
+    return Lie2Algebra(n, 1, Mat.zero(n, 1, sc.mode), sc, [Mat.zero(1, 1, sc.mode)] * n, l3)
 
 
 def make_skeletal(sc: AltTensor, rep, l3: AltTensor) -> Lie2Algebra:
@@ -562,7 +554,7 @@ def make_skeletal(sc: AltTensor, rep, l3: AltTensor) -> Lie2Algebra:
     rep = tuple(rep)
     n = sc.dim
     m = rep[0].rows if rep else l3.codim
-    return Lie2Algebra(n, m, Mat.zero(n, m), sc, rep, l3)
+    return Lie2Algebra(n, m, Mat.zero(n, m, sc.mode), sc, rep, l3)
 
 
 def _flatten_pair(F0: Mat, F1: Mat) -> tuple:
@@ -583,7 +575,7 @@ def _endo_data(dmat: Mat):
         F0 = Mat(v0, v0, f0)
         F1 = Mat(v1, v1, f1)
         cols.append(((F0 @ dmat) - (dmat @ F1)).data)
-    constraint = Mat.from_cols(cols, v0 * v1) if cols else Mat.zero(v0 * v1, 0)
+    constraint = Mat.from_cols(cols, v0 * v1)
     pairs = []
     for vec in kernel_basis(constraint):
         F0 = Mat(v0, v0, vec[:v0 * v0])
@@ -604,8 +596,7 @@ def make_endo(dmat: Mat) -> Lie2Algebra:
     pairs = _endo_data(dmat)
     n0 = len(pairs)
     n1 = v1 * v0
-    span = span_coords(Mat.from_cols([_flatten_pair(*p) for p in pairs], v0 * v0 + v1 * v1)
-                       if n0 else Mat.zero(v0 * v0 + v1 * v1, 0))
+    span = span_coords(Mat.from_cols([_flatten_pair(*p) for p in pairs], v0 * v0 + v1 * v1))
 
     def coords(F0: Mat, F1: Mat) -> tuple:
         c = span(_flatten_pair(F0, F1))
@@ -618,8 +609,7 @@ def make_endo(dmat: Mat) -> Lie2Algebra:
         data[t] = Fraction(1)
         return Mat(v1, v0, data)
 
-    d = Mat.from_cols([coords(dmat @ theta_mat(t), theta_mat(t) @ dmat)
-                       for t in range(n1)], n0) if n1 else Mat.zero(n0, 0)
+    d = Mat.from_cols([coords(dmat @ theta_mat(t), theta_mat(t) @ dmat) for t in range(n1)], n0)
 
     def b00_val(key):
         (F0, F1), (G0, G1) = pairs[key[0]], pairs[key[1]]
@@ -630,7 +620,7 @@ def make_endo(dmat: Mat) -> Lie2Algebra:
     b01 = []
     for F0, F1 in pairs:
         cols = [((F1 @ theta_mat(t)) - (theta_mat(t) @ F0)).data for t in range(n1)]
-        b01.append(Mat.from_cols(cols, n1) if n1 else Mat.zero(0, 0))
+        b01.append(Mat.from_cols(cols, n1))
 
     return Lie2Algebra(n0, n1, d, b00, b01, AltTensor.zero(3, n0, n1))
 

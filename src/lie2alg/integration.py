@@ -18,6 +18,11 @@ Scalar mode is decided once per identity, never per value: `_joint_mode`
 applies the policy of `ExpConfig.mode` to every element the identity
 exponentiates and converts the algebra and all operands together, so both
 sides of an identity, and every exponential within it, share one mode.
+Every value carries its mode from construction, so an exponential inside
+an identity, run on the converted values, makes the same choice, and
+`truncated_exp` simply follows the mode of its input.  The checks return
+(residual, mode) pairs: the mode label of each report line is the mode
+that computed it.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from .derivations import (
     random_der0,
     random_derM1,
 )
-from .linalg import AltTensor, Mat, nilpotency_index, row_sum_norm, truncated_exp
+from .linalg import AltTensor, Mat, nilpotency_index, row_sum_norm, truncated_exp, vzero
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,8 @@ class ExpConfig:
     terminates and in float otherwise; "exact" refuses non-terminating
     input; "float" always sums `order` terms in floating point, with
     scaling and squaring.  `_scalar_mode` is this policy, and `_joint_mode`
-    applies it once per identity.
+    applies it once per identity by converting the values; the series then
+    run in the mode of the converted values.
     """
 
     order: int = 24
@@ -88,7 +94,7 @@ DEFAULT = ExpConfig()
 
 def der0_terminating(D: Derivation0):
     """Nilpotency indices (p0, p1) when the degree-0 series terminates."""
-    if D.X0.mode != "exact" or D.X1.mode != "exact":
+    if D.X0.mode != "exact":
         return None
     p0 = nilpotency_index(D.X0)
     p1 = nilpotency_index(D.X1)
@@ -104,8 +110,9 @@ def derM1_terminating(L: Lie2Algebra, T: DerM1):
     return nilpotency_index(T.theta @ L.d)
 
 
-def _exp_upper(a: Mat, b: Mat, c: Mat, t, order: int, mode: str):
-    """Top-left and top-right blocks of e^{tM} for M = [[a, b], [0, c]].
+def _exp_upper(a: Mat, b: Mat, c: Mat, t, order: int):
+    """Top-left and top-right blocks of e^{tM} for M = [[a, b], [0, c]], in
+    the mode of a, b and c.
 
     The top-right block is the integral of e^{(t-s)a} b e^{sc} over
     [0, t] (Van Loan 1978).  M is nilpotent exactly when a and c are.  That
@@ -113,19 +120,17 @@ def _exp_upper(a: Mat, b: Mat, c: Mat, t, order: int, mode: str):
     two 2^-k to a norm of at most max(||a||, ||c||, 1/2) and the block by
     2^k afterwards: a large b then adds no squarings, which would cost the
     top-left block e^{ta} accuracy."""
-    n, m = a.rows, c.rows
-    zero, k = Fraction(0), 0
+    n, m, mode, k = a.rows, c.rows, a.mode, 0
     if mode == "float":
-        zero, a, b, c = 0.0, a.to_float(), b.to_float(), c.to_float()
         nb, cap = row_sum_norm(b), max(row_sum_norm(a), row_sum_norm(c), 0.5)
         if cap < nb < math.inf:
             # 2^k stays a finite float: a finite nb is below 2^1024
             k = min(1023, math.ceil(math.log2(nb) - math.log2(cap)))
             b = b.scale(2.0 ** -k)
-    rows = [a.row(i) + b.row(i) for i in range(n)] + [(zero,) * n + c.row(i) for i in range(m)]
-    E = truncated_exp(Mat(n + m, n + m, [x for r in rows for x in r]), t, order, mode)
-    top = Mat(n, m, [E.at(i, j) for i in range(n) for j in range(n, n + m)])
-    return (Mat(n, n, [E.at(i, j) for i in range(n) for j in range(n)]),
+    rows = [a.row(i) + b.row(i) for i in range(n)] + [vzero(n, mode) + c.row(i) for i in range(m)]
+    E = truncated_exp(Mat._result(n + m, n + m, [x for r in rows for x in r], mode), t, order)
+    top = Mat._result(n, m, [E.at(i, j) for i in range(n) for j in range(n, n + m)], mode)
+    return (Mat._result(n, n, [E.at(i, j) for i in range(n) for j in range(n)], mode),
             top.scale(2.0 ** k) if k else top)
 
 
@@ -135,24 +140,24 @@ def _exp_hom(L: Lie2Algebra, D: Derivation0, t, order: int) -> Lie2Hom:
     in the increasing-pair basis with the sign of the swap.  The top-right
     block is sum_{n>=1} t^n/n! sum_{i+j+k=n-1} binom(i+j, i)
     X1^k lX(X0^i ., X0^j .) on the pairs."""
-    mode = "float" if "float" in (D.X0.mode, D.X1.mode) else "exact-if-nilpotent"
-    n0, n1 = D.X0.rows, D.X1.rows
+    n0, n1, mode = D.X0.rows, D.X1.rows, L.mode
     pairs = list(itertools.combinations(range(n0), 2))
     index = {pq: j for j, pq in enumerate(pairs)}
-    lam = [[0] * len(pairs) for _ in pairs]
+    npairs = len(pairs)
+    lam = list(vzero(npairs * npairs, mode))
     for j, (p, q) in enumerate(pairs):
         for r in range(n0):
             for u, v, x in ((r, q, D.X0.at(r, p)), (p, r, D.X0.at(r, q))):
                 if x and u != v:
                     if u < v:
-                        lam[index[(u, v)]][j] += x
+                        lam[index[(u, v)] * npairs + j] += x
                     else:
-                        lam[index[(v, u)]][j] -= x
-    LX = Mat.from_cols([D.lX.eval_basis(p, q) for p, q in pairs], n1)
-    A1, top = _exp_upper(D.X1, LX, Mat.from_rows(lam), t, order, mode)
-    A2 = AltTensor(2, n0, n1, {pq: top.col(j) for j, pq in enumerate(pairs)},
-                   "float" if mode == "float" else "exact")
-    return Lie2Hom(L, L, truncated_exp(D.X0, t, order, mode), A1, A2)
+                        lam[index[(v, u)] * npairs + j] -= x
+    cols = [D.lX.eval_basis(p, q) for p, q in pairs]
+    LX = Mat._result(n1, npairs, [v[i] for i in range(n1) for v in cols], mode)
+    A1, top = _exp_upper(D.X1, LX, Mat._result(npairs, npairs, lam, mode), t, order)
+    A2 = AltTensor._result(2, n0, n1, {pq: top.col(j) for j, pq in enumerate(pairs)}, mode)
+    return Lie2Hom(L, L, truncated_exp(D.X0, t, order), A1, A2)
 
 
 def _scalar_mode(cfg: ExpConfig, terminating: bool) -> str:
@@ -180,16 +185,17 @@ def _terminates(L: Lie2Algebra, X) -> bool:
 def _joint_mode(L: Lie2Algebra, cfg: ExpConfig, exps, *operands):
     """The one mode decision of an identity that exponentiates `exps`.
 
-    Returns (mode, algebra, sub-config, exps + operands), the algebra and
-    every operand (Aut0, Tau, Derivation0 or DerM1) converted together.
-    The sub-config ("auto" or "float") runs each exponential in that mode.
+    Returns (mode, algebra, exps + operands), the algebra and every operand
+    (Aut0, Tau, Derivation0 or DerM1) converted together.  An exponential
+    called on the converted values with the same cfg decides the same mode:
+    float values never terminate, and exact ones were found to.
     """
     mode = _scalar_mode(cfg, all(_terminates(L, X) for X in exps))
     values = (*exps, *operands)
     if mode == "float":
         L = L.to_float()
         values = tuple(aut_to_float(x) if isinstance(x, Aut0) else x.to_float() for x in values)
-    return mode, L, replace(cfg, mode="auto" if mode == "exact" else "float"), values
+    return mode, L, values
 
 
 def exp_der0(L: Lie2Algebra, D: Derivation0, t=1, cfg: ExpConfig = DEFAULT) -> Aut0:
@@ -199,7 +205,7 @@ def exp_der0(L: Lie2Algebra, D: Derivation0, t=1, cfg: ExpConfig = DEFAULT) -> A
     and certified with zero residual; otherwise the series truncates at
     cfg.order in float and certifies within cfg.tol.
     """
-    mode, L, _, (D,) = _joint_mode(L, cfg, (D,))
+    mode, L, (D,) = _joint_mode(L, cfg, (D,))
     tol = 0 if mode == "exact" else cfg.tol
     rep = is_derivation0(L, D)
     if not rep.within(tol):
@@ -212,10 +218,8 @@ def exp_derM1(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> Tau:
     e^theta = theta + theta d theta / 2! + theta d theta d theta / 3! + ...,
     the top-right block of e^{tN} for N = [[theta d, theta], [0, 0]].
     Exact when theta d is nilpotent."""
-    mode, L, _, (T,) = _joint_mode(L, cfg, (T,))
-    _, top = _exp_upper(T.theta @ L.d, T.theta, Mat.zero(L.n0, L.n0, mode), t, cfg.order,
-                        "float" if mode == "float" else "exact-if-nilpotent")
-    return Tau(top)
+    mode, L, (T,) = _joint_mode(L, cfg, (T,))
+    return Tau(_exp_upper(T.theta @ L.d, T.theta, Mat.zero(L.n0, L.n0, mode), t, cfg.order)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -223,28 +227,28 @@ def exp_derM1(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> Tau:
 # ---------------------------------------------------------------------------
 
 def check_one_parameter(L: Lie2Algebra, D: Derivation0, t, s, cfg: ExpConfig = DEFAULT):
-    """Componentwise residual of e^{(t+s)D} against e^{tD} e^{sD}."""
-    _, L, sub, (D,) = _joint_mode(L, cfg, (D,))
-    lhs = exp_der0(L, D, Fraction(t) + Fraction(s), sub)
-    a = exp_der0(L, D, t, sub)
-    b = exp_der0(L, D, s, sub)
-    return hom_distance(lhs.hom, compose_hom(a.hom, b.hom))
+    """(residual, mode) of e^{(t+s)D} against e^{tD} e^{sD}, componentwise."""
+    mode, L, (D,) = _joint_mode(L, cfg, (D,))
+    lhs = exp_der0(L, D, Fraction(t) + Fraction(s), cfg)
+    a = exp_der0(L, D, t, cfg)
+    b = exp_der0(L, D, s, cfg)
+    return hom_distance(lhs.hom, compose_hom(a.hom, b.hom)), mode
 
 
 def one_parameter_derM1(L: Lie2Algebra, T: DerM1, t, s, cfg: ExpConfig = DEFAULT):
-    """Residual of e^{(t+s)theta} against e^{t theta} * e^{s theta}."""
-    _, L, sub, (T,) = _joint_mode(L, cfg, (T,))
-    lhs = exp_derM1(L, T, Fraction(t) + Fraction(s), sub)
-    a = exp_derM1(L, T, t, sub)
-    b = exp_derM1(L, T, s, sub)
-    return tau_distance(lhs, star(L, a, b))
+    """(residual, mode) of e^{(t+s)theta} against e^{t theta} * e^{s theta}."""
+    mode, L, (T,) = _joint_mode(L, cfg, (T,))
+    lhs = exp_derM1(L, T, Fraction(t) + Fraction(s), cfg)
+    a = exp_derM1(L, T, t, cfg)
+    b = exp_derM1(L, T, s, cfg)
+    return tau_distance(lhs, star(L, a, b)), mode
 
 
 def check_commuting_square(L: Lie2Algebra, T: DerM1, cfg: ExpConfig = DEFAULT):
-    """Residual of partial(e^theta) against e^{dbar(theta)}."""
-    _, L, sub, (T,) = _joint_mode(L, cfg, (T,))
-    lhs = partial(L, exp_derM1(L, T, 1, sub)).hom
-    return hom_distance(lhs, exp_der0(L, dbar(L, T), 1, sub).hom)
+    """(residual, mode) of partial(e^theta) against e^{dbar(theta)}."""
+    mode, L, (T,) = _joint_mode(L, cfg, (T,))
+    lhs = partial(L, exp_derM1(L, T, 1, cfg)).hom
+    return hom_distance(lhs, exp_der0(L, dbar(L, T), 1, cfg).hom), mode
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +270,7 @@ def recover_bracket(L: Lie2Algebra, D1: Derivation0, D2: Derivation0,
     [F(h,h) - F(h,-h) - F(-h,h) + F(-h,-h)] / (4 h^2) applied to each of
     (A0, A1, A2); within O(h^2) of the graded bracket.
     """
-    _, Lf, _, (d1, d2) = _joint_mode(L, replace(cfg, mode="float"), (), D1, D2)
+    _, Lf, (d1, d2) = _joint_mode(L, replace(cfg, mode="float"), (), D1, D2)
     h = cfg.fd_step
     f = {}
     for ss, tt in ((h, h), (h, -h), (-h, h), (-h, -h)):
@@ -295,7 +299,8 @@ def bracket_recovery_residual(L, D1, D2, cfg: ExpConfig = DEFAULT):
 def recover_bracket_m1(L: Lie2Algebra, T1: DerM1, T2: DerM1,
                        cfg: ExpConfig = DEFAULT) -> DerM1:
     """Finite-difference commutator of e^{s theta}, e^{t theta'} under star."""
-    _, Lf, fcfg, (T1, T2) = _joint_mode(L, replace(cfg, mode="float"), (), T1, T2)
+    fcfg = replace(cfg, mode="float")
+    _, Lf, (T1, T2) = _joint_mode(L, fcfg, (), T1, T2)
     h = cfg.fd_step
 
     def curve(ss, tt):
@@ -320,8 +325,8 @@ def exp_semidirect(L: Lie2Algebra, pair, cfg: ExpConfig = DEFAULT):
     The componentwise formula is a one-parameter curve for the semidirect
     product precisely when the two legs commute ({D, theta} = 0).
     """
-    _, L, sub, (D, T) = _joint_mode(L, cfg, pair)
-    return (exp_der0(L, D, 1, sub), exp_derM1(L, T, 1, sub))
+    _, L, (D, T) = _joint_mode(L, cfg, pair)
+    return (exp_der0(L, D, 1, cfg), exp_derM1(L, T, 1, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +335,15 @@ def exp_semidirect(L: Lie2Algebra, pair, cfg: ExpConfig = DEFAULT):
 
 def _conj_der0(L: Lie2Algebra, cfg: ExpConfig, A: Aut0, D: Derivation0, E: Derivation0):
     """(residual, mode) of A e^D A^{-1} = e^E, in one joint mode."""
-    mode, L, sub, (D, E, A) = _joint_mode(L, cfg, (D, E), A)
-    lhs = conjugate_hom(A, exp_der0(L, D, 1, sub).hom)
-    return hom_distance(lhs, exp_der0(L, E, 1, sub).hom), mode
+    mode, L, (D, E, A) = _joint_mode(L, cfg, (D, E), A)
+    lhs = conjugate_hom(A, exp_der0(L, D, 1, cfg).hom)
+    return hom_distance(lhs, exp_der0(L, E, 1, cfg).hom), mode
 
 
 def _theta_from_a2(L: Lie2Algebra, A: Aut0, x: tuple) -> DerM1:
     """The degree -1 map y |-> A2(x, A0^{-1} y)."""
     cols = [A.hom.A2.eval(x, A.a0_inv.col(j)) for j in range(L.n0)]
-    return DerM1(Mat.from_cols(cols, L.n1) if L.n0 else Mat.zero(L.n1, 0))
+    return DerM1(Mat.from_cols(cols, L.n1))
 
 
 def _commuting_iv_sample(L: Lie2Algebra, rng, der_basis):
@@ -389,15 +394,15 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
         # (ii) tau * e^theta * tau^{-1} = e^{(I + tau d) theta (I + d tau)^{-1}};
         # here and in (iii) the conjugated theta d is similar to theta d, so
         # T alone decides the mode
-        mode, Lm, sub, (Tm, adT, taum) = _joint_mode(L, cfg, (T,), ad_conjugate(L, tau, T), tau)
-        lhs_t = star(Lm, star(Lm, taum, exp_derM1(Lm, Tm, 1, sub)), tau_inverse(Lm, taum))
-        out.append((f"conj_m1[{idx}]", tau_distance(lhs_t, exp_derM1(Lm, adT, 1, sub)), mode))
+        mode, Lm, (Tm, adT, taum) = _joint_mode(L, cfg, (T,), ad_conjugate(L, tau, T), tau)
+        lhs_t = star(Lm, star(Lm, taum, exp_derM1(Lm, Tm, 1, cfg)), tau_inverse(Lm, taum))
+        out.append((f"conj_m1[{idx}]", tau_distance(lhs_t, exp_derM1(Lm, adT, 1, cfg)), mode))
 
         # (iii) A |> e^theta = e^{A1 theta A0^{-1}}
         actT = ad_conjugate(L, A, T)
-        mode, Lm, sub, (Tm, actTm, Am) = _joint_mode(L, cfg, (T,), actT, A)
-        lhs_t = act(Lm, Am, exp_derM1(Lm, Tm, 1, sub))
-        out.append((f"act_exp[{idx}]", tau_distance(lhs_t, exp_derM1(Lm, actTm, 1, sub)), mode))
+        mode, Lm, (Tm, actTm, Am) = _joint_mode(L, cfg, (T,), actT, A)
+        lhs_t = act(Lm, Am, exp_derM1(Lm, Tm, 1, cfg))
+        out.append((f"act_exp[{idx}]", tau_distance(lhs_t, exp_derM1(Lm, actTm, 1, cfg)), mode))
 
         # (iv) tau * (e^D |> tau^{-1}) = e^{X1 tau^{-1} + tau X0 + tau X0 d tau^{-1}}.
         # The right side uses the componentwise semidirect exponential, which
@@ -407,10 +412,10 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
         # finite-difference probes).
         Dc, tauc = _commuting_iv_sample(L, rng, der_basis)
         _, theta_part = ad_conjugate(L, tauc, Dc)
-        mode, Lm, sub, (Dc, theta_part, tauc) = _joint_mode(L, cfg, (Dc, theta_part), tauc)
-        eD = exp_der0(Lm, Dc, 1, sub)
+        mode, Lm, (Dc, theta_part, tauc) = _joint_mode(L, cfg, (Dc, theta_part), tauc)
+        eD = exp_der0(Lm, Dc, 1, cfg)
         lhs_t = star(Lm, tauc, act(Lm, eD, tau_inverse(Lm, tauc)))
-        rhs_t = exp_derM1(Lm, theta_part, 1, sub)
+        rhs_t = exp_derM1(Lm, theta_part, 1, cfg)
         out.append((f"conj_tau_der[{idx}]", tau_distance(lhs_t, rhs_t), mode))
 
         # transport of differentials: A e^{dbar T} A^{-1} = e^{dbar(A1 T A0^{-1})}
@@ -438,8 +443,8 @@ def inn_group_generators(L: Lie2Algebra, cfg: ExpConfig = DEFAULT) -> list:
         A = exp_der0(L, D, 1, cfg)
         gens.append((A, tau_zero(A.algebra)))
     for T in derM1_basis(L):
-        _, base, sub, (T,) = _joint_mode(L, cfg, (T,))
-        gens.append((aut_identity(base), exp_derM1(base, T, 1, sub)))
+        _, base, (T,) = _joint_mode(L, cfg, (T,))
+        gens.append((aut_identity(base), exp_derM1(base, T, 1, cfg)))
     return gens
 
 

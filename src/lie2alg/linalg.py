@@ -1,10 +1,13 @@
 """Dense exact-rational (and float) linear algebra.
 
 Scalars are `fractions.Fraction` in exact mode or `float` in analytic
-mode.  Every value carries a single scalar mode; mixing the two in one
-expression raises `ModeError`.  Row reduction, kernel bases and exact
-inverses are only available in exact mode, where results are exact by
-construction.  All values are immutable and all operations are pure.
+mode.  Every value keeps the scalar mode it was built in, all-zero and
+empty values included: literal data is float iff an entry is, a zero or
+identity takes its mode as an argument, and a computed result has the
+mode of its operands.  Mixing the two modes in one expression raises
+`ModeError`.  Row reduction, kernel bases and exact inverses are only
+available in exact mode, where results are exact by construction.  All
+values are immutable and all operations are pure.
 Sparse vectors ({index: value}) serve the law evaluators; see the
 "sparse vectors" section.
 """
@@ -44,15 +47,19 @@ def rat_str(q) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _coerce_entries(entries):
-    """Normalize a flat list of scalars to one mode. ints are exact."""
+def _coerce_entries(entries, mode=None):
+    """Normalize a flat list of scalars from outside the program to one
+    mode: `mode` when given, else float iff an entry is.  ints fit either."""
     has_float = any(isinstance(e, float) for e in entries)
-    if has_float:
+    mode = mode or ("float" if has_float else "exact")
+    if mode == "float":
         for e in entries:
             if not isinstance(e, (float, int)):
                 raise ModeError("mixed exact and float entries")
-        return tuple(float(e) for e in entries), "float"
-    return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries), "exact"
+        return tuple(float(e) for e in entries), mode
+    if has_float:
+        raise ModeError("mixed exact and float entries")
+    return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries), mode
 
 
 def _check_scalar(s, mode):
@@ -70,9 +77,6 @@ def _check_scalar(s, mode):
 
 
 def _same_mode(a, b):
-    # empty values carry no scalars, so they are compatible with either mode
-    if getattr(a, "data", None) == () or getattr(b, "data", None) == ():
-        return
     if a.mode != b.mode:
         raise ModeError(f"mode mismatch: {a.mode} vs {b.mode}")
 
@@ -126,6 +130,7 @@ class Mat:
     __slots__ = ("rows", "cols", "data", "mode")
 
     def __init__(self, rows: int, cols: int, data):
+        """A matrix of literal data; empty data is exact."""
         data = list(data)
         if len(data) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(data)}")
@@ -133,7 +138,7 @@ class Mat:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", entries)
-        object.__setattr__(self, "mode", mode if data else "exact")
+        object.__setattr__(self, "mode", mode)
 
     def __setattr__(self, *args):
         raise AttributeError("Mat is immutable")
@@ -141,12 +146,12 @@ class Mat:
     @classmethod
     def _result(cls, rows: int, cols: int, data: list, mode: str) -> "Mat":
         """A computed matrix whose entries already share `mode`: no
-        coercion.  Empty data is "exact", as in __init__."""
+        coercion, and empty data keeps `mode` too."""
         out = object.__new__(cls)
         object.__setattr__(out, "rows", rows)
         object.__setattr__(out, "cols", cols)
         object.__setattr__(out, "data", tuple(data))
-        object.__setattr__(out, "mode", mode if data else "exact")
+        object.__setattr__(out, "mode", mode)
         return out
 
     @classmethod
@@ -159,16 +164,11 @@ class Mat:
 
     @classmethod
     def zero(cls, rows: int, cols: int, mode: str = "exact") -> "Mat":
-        z = Fraction(0) if mode == "exact" else 0.0
-        return cls(rows, cols, [z] * (rows * cols))
+        return cls._result(rows, cols, vzero(rows * cols, mode), mode)
 
     @classmethod
     def identity(cls, n: int, mode: str = "exact") -> "Mat":
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            m[i][i] = Fraction(1)
-        out = cls.from_rows(m)
-        return out.to_float() if mode == "float" else out
+        return cls._result(n, n, [x for i in range(n) for x in basis_vec(n, i, mode)], mode)
 
     @classmethod
     def from_cols(cls, cols, nrows: int) -> "Mat":
@@ -198,7 +198,7 @@ class Mat:
         return Mat._result(self.rows, self.cols, [-a for a in self.data], self.mode)
 
     def scale(self, s) -> "Mat":
-        s = _check_scalar(s, self.mode) if self.data else s
+        s = _check_scalar(s, self.mode)
         return Mat._result(self.rows, self.cols, [s * a for a in self.data], self.mode)
 
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -247,8 +247,9 @@ class Mat:
         return tuple(out)
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows,
-                   [self.at(i, j) for j in range(self.cols) for i in range(self.rows)])
+        return Mat._result(self.cols, self.rows,
+                           [self.at(i, j) for j in range(self.cols) for i in range(self.rows)],
+                           self.mode)
 
     def power(self, k: int) -> "Mat":
         if self.rows != self.cols:
@@ -271,7 +272,7 @@ class Mat:
     def to_float(self) -> "Mat":
         if self.mode == "float":
             return self
-        return Mat(self.rows, self.cols, [float(a) for a in self.data])
+        return Mat._result(self.rows, self.cols, [float(a) for a in self.data], "float")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Mat) and self.rows == other.rows
@@ -341,11 +342,11 @@ def mat_inverse(m: Mat):
     n = m.rows
     if m.mode == "exact":
         aug = Mat.from_rows([list(m.row(i)) + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-                             for i in range(n)]) if n else Mat.zero(0, 0)
+                             for i in range(n)])
         red, pivots = rref(aug)
         if pivots != list(range(n)):
             return None
-        return Mat.from_rows([red.row(i)[n:] for i in range(n)]) if n else Mat.zero(0, 0)
+        return Mat.from_rows([red.row(i)[n:] for i in range(n)])
     rows = [list(m.row(i)) + [1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
     for c in range(n):
         pr = max(range(c, n), key=lambda i: abs(rows[i][c]))
@@ -358,7 +359,7 @@ def mat_inverse(m: Mat):
             if i != c and rows[i][c] != 0.0:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return Mat.from_rows([r[n:] for r in rows]) if n else Mat.zero(0, 0)
+    return Mat._result(n, n, [x for r in rows for x in r[n:]], "float")
 
 
 def solve(m: Mat, b: tuple):
@@ -422,51 +423,39 @@ def row_sum_norm(m: Mat) -> float:
     return max((float(sum(abs(x) for x in m.row(i))) for i in range(m.rows)), default=0.0)
 
 
-def truncated_exp(m: Mat, t=1, order: int = 24, mode: str = "exact-if-nilpotent") -> Mat:
-    """The exponential e^{tm} by its Taylor series; the only series in the
-    package.
+def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
+    """The exponential e^{tm} by its Taylor series, in the mode of m; the
+    only series in the package.
 
-    In "exact-if-nilpotent" mode a nilpotent exact input makes the series
-    terminate, so the result is the true exponential, exactly; other exact
-    input is summed to `order`.  "float" mode converts to float and scales
-    and squares (Higham 2005): with ||.|| the max row sum, it picks
-    s = max(0, ceil(log2(||tm|| / 0.5))), sums `order` terms of the series
-    at t / 2^s and squares the result s times, so the series is only ever
-    summed where it converges fast, however large ||tm|| is.  A norm that
-    is not finite raises ValueError.
+    An exact nilpotent m makes the series terminate, so the result is the
+    true exponential, exactly; other exact input is summed to `order`.  A
+    float m is scaled and squared (Higham 2005): with ||.|| the max row sum,
+    s = max(0, ceil(log2(||tm|| / 0.5))), `order` terms of the series are
+    summed at t / 2^s and the result is squared s times, so the series is
+    only ever summed where it converges fast, however large ||tm|| is.  A
+    norm that is not finite raises ValueError.
     """
     if m.rows != m.cols:
         raise ValueError("square matrix required")
     if order < 1:
         raise ValueError("order must be >= 1")
-    if mode == "float":
-        mf = m.to_float()
-        tf = float(t)
-        ratio = 2 * abs(tf) * row_sum_norm(mf)  # ||tm|| / 0.5
+    s = 0
+    if m.mode == "float":
+        t = float(t)
+        ratio = 2 * abs(t) * row_sum_norm(m)  # ||tm|| / 0.5
         if not math.isfinite(ratio):
             raise ValueError(f"exponential overflows: ||t m|| / 0.5 = {ratio}")
         s = max(0, math.ceil(math.log2(ratio))) if ratio > 0 else 0
-        tf = math.ldexp(tf, -s)
-        result = Mat.identity(m.rows, "float")
-        term = result
-        for n in range(1, order + 1):
-            term = (term @ mf).scale(tf / n)
-            result = result + term
-        for _ in range(s):
-            result = result @ result
-        return result
-    if mode != "exact-if-nilpotent":
-        raise ValueError(f"unknown mode {mode!r}")
-    if m.mode != "exact":
-        raise ModeError("exact-if-nilpotent mode requires exact input")
-    k = nilpotency_index(m)
-    top = (k - 1) if k is not None else order
-    t = Fraction(t)
-    result = Mat.identity(m.rows)
-    term = result
+        t, top = math.ldexp(t, -s), order
+    else:
+        k = nilpotency_index(m)
+        t, top = Fraction(t), (k - 1 if k is not None else order)
+    result = term = Mat.identity(m.rows, m.mode)
     for n in range(1, top + 1):
         term = (term @ m).scale(t / n)
         result = result + term
+    for _ in range(s):
+        result = result @ result
     return result
 
 
@@ -503,9 +492,10 @@ class AltTensor:
 
     __slots__ = ("arity", "dim", "codim", "entries", "mode")
 
-    def __init__(self, arity: int, dim: int, codim: int, entries=None, mode: str = "exact"):
+    def __init__(self, arity: int, dim: int, codim: int, entries=None, mode: str | None = None):
+        """A tensor of literal values, all in `mode` when it is given, else
+        float iff a value is; no values and no mode make it exact."""
         clean = {}
-        emode = None
         for key, vec in (entries or {}).items():
             key = tuple(key)
             if len(key) != arity or any(not (0 <= i < dim) for i in key):
@@ -514,30 +504,34 @@ class AltTensor:
                 raise ValueError(f"index tuple not strictly increasing: {key}")
             if len(vec) != codim:
                 raise ValueError("value length mismatch")
-            vec, vmode = _coerce_entries(list(vec))
-            if emode is None:
-                emode = vmode
-            elif emode != vmode:
-                raise ModeError("mixed modes in tensor entries")
-            if not vec_is_zero(vec):
-                clean[key] = vec
-        if emode is not None:
-            mode = emode
+            clean[key], mode = _coerce_entries(list(vec), mode)
+        self._set(arity, dim, codim, clean, mode or "exact")
+
+    def _set(self, arity, dim, codim, entries: dict, mode: str):
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "codim", codim)
-        object.__setattr__(self, "entries", dict(sorted(clean.items())))
+        object.__setattr__(self, "entries",
+                           dict(sorted((k, v) for k, v in entries.items() if not vec_is_zero(v))))
         object.__setattr__(self, "mode", mode)
 
     def __setattr__(self, *args):
         raise AttributeError("AltTensor is immutable")
 
     @classmethod
-    def zero(cls, arity: int, dim: int, codim: int, mode: str = "exact") -> "AltTensor":
-        return cls(arity, dim, codim, {}, mode)
+    def _result(cls, arity: int, dim: int, codim: int, entries: dict, mode: str) -> "AltTensor":
+        """A computed tensor whose values already share `mode`: no coercion;
+        zero values are dropped and keys sorted, as in __init__."""
+        out = object.__new__(cls)
+        out._set(arity, dim, codim, entries, mode)
+        return out
 
     @classmethod
-    def from_function(cls, arity: int, dim: int, codim: int, fn, mode: str = "exact") -> "AltTensor":
+    def zero(cls, arity: int, dim: int, codim: int, mode: str = "exact") -> "AltTensor":
+        return cls._result(arity, dim, codim, {}, mode)
+
+    @classmethod
+    def from_function(cls, arity: int, dim: int, codim: int, fn, mode: str | None = None) -> "AltTensor":
         """Build from a callback on strictly increasing basis tuples."""
         entries = {}
         for key in itertools.combinations(range(dim), arity):
@@ -601,40 +595,38 @@ class AltTensor:
         keys = set(self.entries) | set(other.entries)
         entries = {k: vadd(self.entries.get(k, self._zero_vec()),
                            other.entries.get(k, other._zero_vec())) for k in keys}
-        return AltTensor(self.arity, self.dim, self.codim, entries, self.mode)
+        return AltTensor._result(self.arity, self.dim, self.codim, entries, self.mode)
 
     def __sub__(self, other: "AltTensor") -> "AltTensor":
         return self + (-other)
 
     def __neg__(self) -> "AltTensor":
-        return AltTensor(self.arity, self.dim, self.codim,
-                         {k: vneg(v) for k, v in self.entries.items()}, self.mode)
+        return AltTensor._result(self.arity, self.dim, self.codim,
+                                 {k: vneg(v) for k, v in self.entries.items()}, self.mode)
 
     def scale(self, s) -> "AltTensor":
-        if self.entries:
-            s = _check_scalar(s, self.mode)
-        return AltTensor(self.arity, self.dim, self.codim,
-                         {k: vscale(s, v) for k, v in self.entries.items()}, self.mode)
+        s = _check_scalar(s, self.mode)
+        return AltTensor._result(self.arity, self.dim, self.codim,
+                                 {k: vscale(s, v) for k, v in self.entries.items()}, self.mode)
 
     def postcompose(self, m: Mat) -> "AltTensor":
         """Apply a matrix to the values: (m . omega)."""
         if m.cols != self.codim:
             raise ValueError("shape mismatch")
-        if self.entries and m.data and self.mode != m.mode:
-            raise ModeError("mode mismatch in postcompose")
-        return AltTensor(self.arity, self.dim, m.rows,
-                         {k: m.apply(v) for k, v in self.entries.items()},
-                         self.mode if self.entries else m.mode)
+        _same_mode(self, m)
+        return AltTensor._result(self.arity, self.dim, m.rows,
+                                 {k: m.apply(v) for k, v in self.entries.items()}, self.mode)
 
     def pullback(self, b: Mat) -> "AltTensor":
         """Precompose every argument with b: omega(b ., ..., b .)."""
         if b.rows != self.dim:
             raise ValueError("shape mismatch")
+        _same_mode(self, b)
         cols = [b.col(j) for j in range(b.cols)]
         entries = {}
         for key in itertools.combinations(range(b.cols), self.arity):
             entries[key] = self.eval(*(cols[j] for j in key))
-        return AltTensor(self.arity, b.cols, self.codim, entries, self.mode)
+        return AltTensor._result(self.arity, b.cols, self.codim, entries, self.mode)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -645,15 +637,14 @@ class AltTensor:
     def to_float(self) -> "AltTensor":
         if self.mode == "float":
             return self
-        return AltTensor(self.arity, self.dim, self.codim,
-                         {k: tuple(float(x) for x in v) for k, v in self.entries.items()},
-                         "float")
+        return AltTensor._result(self.arity, self.dim, self.codim,
+                                 {k: tuple(float(x) for x in v) for k, v in self.entries.items()},
+                                 "float")
 
     def _compat(self, other: "AltTensor"):
         if (self.arity, self.dim, self.codim) != (other.arity, other.dim, other.codim):
             raise ValueError("tensor shape mismatch")
-        if self.entries and other.entries:
-            _same_mode(self, other)
+        _same_mode(self, other)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AltTensor)

@@ -170,9 +170,9 @@ def test_report_lines_are_greppable():
 
 
 def test_check_abelian_conjugation_and_bracket_recovery_pass():
-    # the float copy of the abelian fixture reports mode "exact" (all its
-    # tensors are zero); the star inverse must still build its identity in
-    # the mode of the product d tau
+    # the suites convert the all-zero abelian fixture to float for
+    # bracket recovery; every zero of the float copy is a float zero, so the
+    # star inverse and the exponentials never meet an exact operand
     for suite, samples in (("conjugation", 2), ("bracket-recovery", 1)):
         for seed in range(1, 21):
             code, text = run(["check", "abelian", "--suite", suite,

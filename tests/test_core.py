@@ -366,3 +366,18 @@ def test_bracket01_matches_reference():
                 got, want = M.bracket01(x, a), _bracket01_reference(M, x, a)
                 assert [(type(g), g.hex() if isinstance(g, float) else g) for g in got] == \
                     [(type(w), w.hex() if isinstance(w, float) else w) for w in want]
+
+
+def test_float_copies_are_float_in_every_tensor():
+    # the mode is carried from construction, so all-zero tensors convert too
+    for L in (fix_ab(), strict_sl2(), fix_str(), fix_end(), skeletal_demo()):
+        Lf = L.to_float()
+        assert Lf.mode == "float"
+        assert {v.mode for v in (Lf.d, Lf.b00, Lf.l3, *Lf.b01)} == {"float"}
+        assert hom_identity(Lf).A2.mode == "float"
+
+
+def test_algebra_rejects_zero_tensors_of_the_other_mode():
+    with pytest.raises(ValueError, match="mixed scalar modes"):
+        Lie2Algebra(1, 1, Mat.from_rows([[0.5]]), AltTensor.zero(2, 1, 1), [Mat.zero(1, 1, "float")],
+                    AltTensor.zero(3, 1, 1, "float"))

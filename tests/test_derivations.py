@@ -20,6 +20,7 @@ from lie2alg.derivations import (
     dbar,
     der0_distance,
     der0_zero,
+    derM1_basis,
     derM1_zero,
     flatten_der0,
     graded_bracket,
@@ -41,7 +42,7 @@ from lie2alg.fixtures import (
     strict_sl2,
     trivial_rep,
 )
-from lie2alg.linalg import AltTensor, Mat, rank, solve
+from lie2alg.linalg import AltTensor, Mat, rank, solve, vadd, vsub
 
 
 def sl2_ad_as_der0(L, x, xi):
@@ -381,6 +382,31 @@ def test_classify_homotopy_degree_m1():
     flags = classify_derivation(L, theta)
     assert flags == {"weak": True, "strict": True, "homotopy": True}
     assert not classify_derivation(L, DerM1(Mat.identity(3)))["strict"]
+
+
+def _strict_derM1_residual(L, T):
+    """Reference: the max over pairs of |theta[x,y] - [x, theta y] - [theta x, y]|,
+    the strictness residual classify_derivation used before it read dbar."""
+    worst = Fraction(0) if L.mode == "exact" else 0.0
+    for i, j in itertools.combinations(range(L.n0), 2):
+        r = T.theta.apply(L.b00.eval_basis(i, j))
+        r = vsub(r, L.bracket01(L.e0(i), T.theta.col(j)))
+        r = vadd(r, L.bracket01(L.e0(j), T.theta.col(i)))
+        worst = max(worst, max((abs(x) for x in r), default=worst))
+    return worst
+
+
+def test_degree_m1_strictness_matches_the_reference_residual():
+    fixtures = [fix_ab(), fix_str(), fix_end(), skeletal_demo()]
+    fixtures += [random_fixture(random.Random(seed)) for seed in range(30)]
+    rng = random.Random(24)
+    counts = {True: 0, False: 0}
+    for L in fixtures:
+        for T in derM1_basis(L) + [random_derM1(L, rng) for _ in range(5)]:
+            strict = classify_derivation(L, T)["strict"]
+            assert strict == (_strict_derM1_residual(L, T) == 0)
+            counts[strict] += 1
+    assert counts[True] and counts[False]
 
 
 def test_homotopy_closed_under_bracket():

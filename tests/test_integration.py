@@ -8,6 +8,7 @@ import pytest
 from lie2alg.automorphisms import (
     act,
     ad_conjugate,
+    aut_compose,
     aut_distance,
     aut_identity,
     semidirect_distance,
@@ -164,14 +165,14 @@ def test_exp_theta_invertible():
 
 def test_one_parameter_zero():
     L = fix_str()
-    assert check_one_parameter(L, der0_zero(L), Fraction(1, 2), Fraction(1, 3)) == 0
+    assert check_one_parameter(L, der0_zero(L), Fraction(1, 2), Fraction(1, 3)) == (0, "exact")
 
 
 def test_one_parameter_dbar_image_exact():
     rng = random.Random(74)
     L = fix_str()
     D = dbar(L, random_derM1(L, rng))
-    assert check_one_parameter(L, D, Fraction(2, 3), Fraction(-1, 2)) == 0
+    assert check_one_parameter(L, D, Fraction(2, 3), Fraction(-1, 2)) == (0, "exact")
 
 
 def test_one_parameter_adbar_e_exact():
@@ -179,7 +180,7 @@ def test_one_parameter_adbar_e_exact():
     L = fix_str()
     D = adbar0_single(L, L.e0(1))
     assert der0_terminating(D) is not None
-    assert check_one_parameter(L, D, Fraction(1, 2), Fraction(1, 2)) == 0
+    assert check_one_parameter(L, D, Fraction(1, 2), Fraction(1, 2)) == (0, "exact")
 
 
 def test_one_parameter_float_residual():
@@ -190,18 +191,20 @@ def test_one_parameter_float_residual():
         D = small_der0(L, rng, basis)
         t = Fraction(rng.randint(-4, 4), 8)
         s = Fraction(rng.randint(-4, 4), 8)
-        assert check_one_parameter(L, D, t, s) < 1e-9
+        resid, mode = check_one_parameter(L, D, t, s)
+        assert resid < 1e-9 and mode == ("exact" if der0_terminating(D) else "float")
 
 
 def test_one_parameter_degree_m1():
     rng = random.Random(76)
     L = fix_str()
     T = random_derM1(L, rng)
-    assert one_parameter_derM1(L, T, Fraction(1, 2), Fraction(1, 4)) == 0
+    assert one_parameter_derM1(L, T, Fraction(1, 2), Fraction(1, 4)) == (0, "exact")
     L = fix_end()
     for _ in range(5):
         T = random_derM1(L, rng, dens=SMALL)
-        assert one_parameter_derM1(L, T, 0.5, 0.25) < 1e-9
+        resid, mode = one_parameter_derM1(L, T, 0.5, 0.25)
+        assert resid < 1e-9 and mode == ("exact" if derM1_terminating(L, T) is not None else "float")
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +213,13 @@ def test_one_parameter_degree_m1():
 
 def test_commuting_square_zero():
     L = fix_str()
-    assert check_commuting_square(L, derM1_zero(L)) == 0
+    assert check_commuting_square(L, derM1_zero(L)) == (0, "exact")
 
 
 def test_commuting_square_abelian():
     rng = random.Random(77)
     L = fix_ab()
-    assert check_commuting_square(L, random_derM1(L, rng)) == 0
+    assert check_commuting_square(L, random_derM1(L, rng)) == (0, "exact")
 
 
 def test_commuting_square_string_exact():
@@ -224,7 +227,7 @@ def test_commuting_square_string_exact():
     L = fix_str()
     for _ in range(5):
         T = random_derM1(L, rng)
-        assert check_commuting_square(L, T) == 0
+        assert check_commuting_square(L, T) == (0, "exact")
 
 
 def test_commuting_square_endo_float():
@@ -233,7 +236,8 @@ def test_commuting_square_endo_float():
         L = make_endo(dm)
         for _ in range(5):
             T = random_derM1(L, rng, dens=SMALL)
-            assert check_commuting_square(L, T) < 1e-9
+            resid, mode = check_commuting_square(L, T)
+            assert resid < 1e-9 and mode == "float"
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +372,11 @@ def test_one_non_terminating_leg_puts_every_operand_in_float():
     assert derM1_terminating(L, T) is None and der0_terminating(der0_zero(L)) is not None
     A, t = exp_semidirect(L, (der0_zero(L), T))
     assert (A.hom.A0.mode, A.a0_inv.mode, t.mat.mode) == ("float", "float", "float")
-    assert check_commuting_square(L, T) < 1e-9
-    assert check_commuting_square(fix_str(), random_derM1(fix_str(), random.Random(90)),
-                                  ExpConfig(mode="float")) < 1e-9
+    resid, mode = check_commuting_square(L, T)
+    assert resid < 1e-9 and mode == "float"
+    resid, mode = check_commuting_square(fix_str(), random_derM1(fix_str(), random.Random(90)),
+                                         ExpConfig(mode="float"))
+    assert resid < 1e-9 and mode == "float"
 
 
 def test_ad_tau_der0_matches_first_order_conjugation():
@@ -428,6 +434,24 @@ def test_inn_generators_abelian():
     assert len(gens) == 1
     A, t = gens[0]
     assert t.mat == Mat.identity(1)
+
+
+def test_float_inn_generators_of_abelian_multiply():
+    # every generator lives over the float copy, identity and tau alike
+    gens = inn_group_generators(fix_ab(), ExpConfig(mode="float"))
+    assert gens
+    for p, q in itertools.product(gens, gens):
+        A, t = semidirect_multiply(p[0].algebra, p, q)
+        assert A.hom.A0.mode == t.mat.mode == "float"
+    assert all((A.algebra.mode, A.hom.A0.mode, t.mat.mode) == ("float",) * 3 for A, t in gens)
+
+
+def test_float_exponential_composes_with_the_identity_of_its_algebra():
+    L = fix_ab()
+    A = exp_der0(L, der0_zero(L), 1, ExpConfig(mode="float"))
+    AI = aut_compose(A, aut_identity(A.algebra))
+    assert A.algebra.mode == AI.hom.A0.mode == "float"
+    assert aut_distance(AI, A) == 0
 
 
 def test_inn_generators_string_counts():
@@ -568,7 +592,7 @@ def test_block_exp_float_matches_series():
             got = _exp_hom(Lf, D, t, 24)
             assert got.A2.mode == "float" or got.A2.is_zero()
             assert _relative_close(got.A2, _ref_exp_a2(D, t, 24), tensor_distance)
-            assert _relative_close(got.A1, truncated_exp(D.X1, t, 24, "float"), mat_distance)
+            assert _relative_close(got.A1, truncated_exp(D.X1.to_float(), t, 24), mat_distance)
 
 
 def test_star_exp_equals_series():
@@ -631,7 +655,7 @@ def test_block_exp_large_off_diagonal_block_keeps_accuracy(scale):
     D = Derivation0(Mat(n0, n0, [rng.uniform(-1, 1) for _ in range(n0 * n0)]),
                     Mat(n1, n1, [rng.uniform(-3, 3) for _ in range(n1 * n1)]), lx)
     got = _exp_hom(_abelian(n0, n1).to_float(), D, t, 24)
-    want = truncated_exp(D.X1, t, 24, "float")
+    want = truncated_exp(D.X1.to_float(), t, 24)
     assert mat_distance(got.A1, want) <= 1e-14 * float(want.max_abs())
     assert _relative_close(got.A2, _ref_exp_a2(D, t, 24), tensor_distance)
 
@@ -639,8 +663,8 @@ def test_block_exp_large_off_diagonal_block_keeps_accuracy(scale):
 def test_star_exp_large_theta_keeps_accuracy():
     # d = 2^-20, theta = 2^20: theta d = 1 and e^theta = 2^20 (e - 1)
     d = Mat.from_rows([[2.0 ** -20]])
-    L = Lie2Algebra(1, 1, d, AltTensor.zero(2, 1, 1), [Mat.zero(1, 1, "float")],
-                    AltTensor.zero(3, 1, 1))
+    L = Lie2Algebra(1, 1, d, AltTensor.zero(2, 1, 1, "float"), [Mat.zero(1, 1, "float")],
+                    AltTensor.zero(3, 1, 1, "float"))
     got = exp_derM1(L, DerM1(Mat.from_rows([[2.0 ** 20]])), 1.0).mat.at(0, 0)
     assert abs(got - 2.0 ** 20 * math.expm1(1.0)) <= 1e-14 * got
 
@@ -653,7 +677,8 @@ def test_one_parameter_large_time_scales_and_squares(t):
     D = Derivation0(x, x, AltTensor.zero(2, 1, 1))
     big = exp_der0(L, D, 2 * t).hom
     largest = max(float(big.A0.max_abs()), float(big.A1.max_abs()))
-    assert check_one_parameter(L, D, t, t) <= 1e-9 * max(1.0, largest)
+    resid, mode = check_one_parameter(L, D, t, t)
+    assert resid <= 1e-9 * max(1.0, largest) and mode == "float"
 
 
 def test_star_exp_large_time_scales_and_squares():

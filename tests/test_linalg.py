@@ -123,14 +123,14 @@ def test_truncated_exp_nilpotent_exact():
 
 
 def test_truncated_exp_float_scalar():
-    got = truncated_exp(Mat.from_rows([[1]]), 1, order=20, mode="float")
+    got = truncated_exp(Mat.from_rows([[1]]).to_float(), 1, order=20)
     assert abs(got.at(0, 0) - math.e) < 1e-12
 
 
 def test_truncated_exp_float_scales_and_squares():
-    got = truncated_exp(Mat.from_rows([[20]]), 1, mode="float").at(0, 0)
+    got = truncated_exp(Mat.from_rows([[20]]).to_float(), 1).at(0, 0)
     assert abs(got - math.exp(20)) <= 1e-13 * math.exp(20)
-    rot = truncated_exp(Mat.from_rows([[0, -1], [1, 0]]), 30, mode="float")
+    rot = truncated_exp(Mat.from_rows([[0, -1], [1, 0]]).to_float(), 30)
     want = Mat.from_rows([[math.cos(30), -math.sin(30)], [math.sin(30), math.cos(30)]])
     assert mat_distance(rot, want) < 1e-12
 
@@ -138,7 +138,7 @@ def test_truncated_exp_float_scales_and_squares():
 @pytest.mark.parametrize("x", [1, 1000])
 def test_truncated_exp_float_overflowing_norm_raises(x):
     with pytest.raises(ValueError, match="overflows"):
-        truncated_exp(Mat.from_rows([[x]]), 1e308, mode="float")
+        truncated_exp(Mat.from_rows([[x]]).to_float(), 1e308)
 
 
 def test_truncated_exp_float_small_norm_is_the_plain_series():
@@ -148,7 +148,7 @@ def test_truncated_exp_float_small_norm_is_the_plain_series():
     for n in range(1, 25):
         term = (term @ m).scale(1.0 / n)
         want = want + term
-    assert truncated_exp(m, 1, 24, "float") == want
+    assert truncated_exp(m, 1, 24) == want
 
 
 def test_rank_nullity():
@@ -290,6 +290,12 @@ def _sparse_vec(draw, n, mode):
     return tuple(zero if z else v for v, z in zip(values, zeros))
 
 
+def _mat(rows, cols, data, mode):
+    """A matrix of drawn data in `mode`; empty data is exact unless built as
+    a zero of the mode."""
+    return Mat(rows, cols, data) if data else Mat.zero(rows, cols, mode)
+
+
 @st.composite
 def _tensor_and_args(draw):
     mode = draw(st.sampled_from(["exact", "float"]))
@@ -338,10 +344,10 @@ def _dense_matmul(a, b):
 @given(st.sampled_from(["exact", "float"]), st.integers(0, 4), st.integers(0, 4),
        st.integers(0, 4), st.data())
 def test_mat_matmul_matches_dense_reference(mode, n, k, m, data):
-    a = Mat(n, k, data.draw(_sparse_vec(n * k, mode)))
-    b = Mat(k, m, data.draw(_sparse_vec(k * m, mode)))
+    a = _mat(n, k, data.draw(_sparse_vec(n * k, mode)), mode)
+    b = _mat(k, m, data.draw(_sparse_vec(k * m, mode)), mode)
     got, want = a @ b, _dense_matmul(a, b)
-    assert (got.rows, got.cols) == (n, m)
+    assert (got.rows, got.cols, got.mode) == (n, m, mode)
     assert _bits(got.data) == _bits(want.data)
 
 
@@ -472,14 +478,17 @@ def test_truncated_exp_of_nilpotent_matches_sympy(n, data):
 @given(st.sampled_from(["exact", "float"]), st.integers(0, 3), st.integers(0, 3), st.data())
 def test_mat_results_equal_coerced_construction(mode, n, k, data):
     # results of @, +, -, unary minus and scale skip the coercion of __init__;
-    # rebuilding them through __init__ must change nothing: values, types, mode
-    a = Mat(n, k, data.draw(_sparse_vec(n * k, mode)))
-    b = Mat(n, k, data.draw(_sparse_vec(n * k, mode)))
-    c = Mat(k, n, data.draw(_sparse_vec(k * n, mode)))
+    # rebuilding them through __init__ must change nothing: values, types, and
+    # the mode, except that empty literal data is exact while an empty result
+    # keeps the mode of its operands
+    a = _mat(n, k, data.draw(_sparse_vec(n * k, mode)), mode)
+    b = _mat(n, k, data.draw(_sparse_vec(n * k, mode)), mode)
+    c = _mat(k, n, data.draw(_sparse_vec(k * n, mode)), mode)
     s = data.draw(st.sampled_from([2, -1]) | _scalars(mode))
     for got in (a @ c, a + b, a - b, -a, a.scale(s)):
         want = Mat(got.rows, got.cols, got.data)
-        assert (got.mode, _bits(got.data)) == (want.mode, _bits(want.data))
+        assert got.mode == mode and _bits(got.data) == _bits(want.data)
+        assert want.mode == (mode if got.data else "exact")
 
 
 def test_mat_user_data_keeps_mode_checks():
@@ -489,5 +498,32 @@ def test_mat_user_data_keeps_mode_checks():
         Mat(1, 1, [1]) + Mat(1, 1, [1.0])
     with pytest.raises(ModeError):
         Mat(1, 1, [1]).scale(0.5)
-    assert Mat(0, 3, []).mode == "exact" and Mat.zero(2, 0, "float").mode == "exact"
-    assert (Mat.zero(2, 0, "float") @ Mat.zero(0, 2, "float")).mode == "exact"
+    assert Mat(0, 3, []).mode == "exact" and Mat.zero(2, 0, "float").mode == "float"
+    assert (Mat.zero(2, 0, "float") @ Mat.zero(0, 2, "float")).mode == "float"
+    with pytest.raises(ModeError):
+        Mat.zero(2, 0, "float") @ Mat.zero(0, 2)
+
+
+def test_empty_float_mat_product_stays_float():
+    for a, b in ((Mat.zero(2, 0, "float"), Mat.zero(0, 3, "float")),
+                 (Mat.zero(0, 2, "float"), Mat.zero(2, 3, "float")),
+                 (Mat.zero(2, 2, "float"), Mat.zero(2, 0, "float"))):
+        got = a @ b
+        assert got.mode == "float" and all(isinstance(x, float) for x in got.data)
+    assert Mat.identity(0, "float").mode == "float" and Mat.zero(0, 2).to_float().mode == "float"
+    assert Mat.zero(3, 0, "float").transpose().mode == "float"
+
+
+def test_tensor_mode_is_declared_or_read_from_the_values():
+    assert AltTensor(2, 2, 1, {(0, 1): (0,)}, "float").mode == "float"
+    assert AltTensor(2, 2, 1, {(0, 1): (0.5,)}).mode == "float"
+    assert AltTensor(2, 2, 1, {(0, 1): (1,)}).mode == "exact"
+    assert (AltTensor.zero(2, 2, 1, "float") + AltTensor.zero(2, 2, 1, "float")).mode == "float"
+    with pytest.raises(ModeError):
+        AltTensor(2, 2, 1, {(0, 1): (Fraction(1, 2),)}, "float")
+    with pytest.raises(ModeError):
+        AltTensor(2, 3, 1, {(0, 1): (1,), (0, 2): (0.5,)})
+    with pytest.raises(ModeError):
+        AltTensor.zero(2, 2, 1, "float") + AltTensor.zero(2, 2, 1)
+    with pytest.raises(ModeError):
+        AltTensor.zero(2, 2, 1).postcompose(Mat.zero(1, 1, "float"))
