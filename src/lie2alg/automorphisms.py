@@ -22,7 +22,7 @@ from .core import (
     inverse_from_parts,
     validate_hom,
 )
-from .derivations import DerM1, Derivation0
+from .derivations import DerM1, Derivation0, lie_cochain_action
 from .linalg import AltTensor, Mat, mat_distance, mat_inverse, vadd, vsub
 
 
@@ -294,8 +294,9 @@ def ad_conjugate(L: Lie2Algebra, conj, target):
     """Adjoint action of the automorphism 2-group on derivations.
 
     Four cases:
-      Aut0 on Derivation0 -> Derivation0 (component conjugation plus the
-          A2 correction terms on lX);
+      Aut0 on Derivation0 -> Derivation0: A0 X0 A0^{-1}, X1' = A1 X1 A1^{-1}
+          and (A1 lX - L_(X0, X1') A2)(A0^{-1} ., A0^{-1} .), with L the
+          action on cochains (`lie_cochain_action`);
       Aut0 on DerM1 -> DerM1: A1 theta A0^{-1};
       Tau on Derivation0 -> (Derivation0, DerM1): the degree-0 part is
           untouched and the degree -1 part is X1 tau^{-1} + tau X0
@@ -304,20 +305,9 @@ def ad_conjugate(L: Lie2Algebra, conj, target):
     """
     if isinstance(conj, Aut0) and isinstance(target, Derivation0):
         A = conj.hom
-        X0 = A.A0 @ target.X0 @ conj.a0_inv
         X1 = A.A1 @ target.X1 @ conj.a1_inv
-
-        def val(key):
-            i, j = key
-            u, v = conj.a0_inv.col(i), conj.a0_inv.col(j)
-            r = A.A1.apply(target.lX.eval(u, v))
-            r = vsub(r, X1.apply(A.A2.eval(u, v)))
-            r = vadd(r, A.A2.eval(target.X0.apply(u), v))
-            r = vadd(r, A.A2.eval(u, target.X0.apply(v)))
-            return r
-
-        lX = AltTensor.from_function(2, L.n0, L.n1, val, X0.mode)
-        return Derivation0(X0, X1, lX)
+        lX = target.lX.postcompose(A.A1) - lie_cochain_action(target.X0, X1, A.A2)
+        return Derivation0(A.A0 @ target.X0 @ conj.a0_inv, X1, lX.pullback(conj.a0_inv))
     if isinstance(conj, Aut0) and isinstance(target, DerM1):
         return DerM1(conj.hom.A1 @ target.theta @ conj.a0_inv)
     if isinstance(conj, Tau) and isinstance(target, Derivation0):

@@ -24,6 +24,7 @@ from .linalg import (
     kernel_basis,
     mat_distance,
     mat_inverse,
+    scalar_zero,
     span_coords,
     sparse_alt,
     sparse_apply,
@@ -50,10 +51,11 @@ class Residual:
 
 
 class ResidualReport:
-    """Named max-abs residuals, one entry per condition."""
+    """Named max-abs residuals, one entry per condition, in one scalar mode."""
 
-    def __init__(self, entries: dict):
+    def __init__(self, entries: dict, mode: str = "exact"):
         self.entries = dict(entries)
+        self.mode = mode
 
     def __getitem__(self, name: str) -> Residual:
         return self.entries[name]
@@ -66,7 +68,7 @@ class ResidualReport:
         return all(r.value == 0 for r in self.entries.values())
 
     def max_value(self):
-        return max((r.value for r in self.entries.values()), default=Fraction(0))
+        return max((r.value for r in self.entries.values()), default=scalar_zero(self.mode))
 
     def within(self, tol) -> bool:
         return all(abs(r.value) <= tol for r in self.entries.values())
@@ -80,10 +82,11 @@ class ResidualReport:
 
 
 class _Acc:
-    """Tracks the worst residual vector seen and its witness."""
+    """Tracks the worst residual vector seen and its witness, starting at
+    the zero of the mode of the values checked."""
 
-    def __init__(self):
-        self.value = Fraction(0)
+    def __init__(self, mode: str):
+        self.value = scalar_zero(mode)
         self.witness = None
 
     def add(self, vec, witness):
@@ -100,6 +103,16 @@ class _Acc:
 # ---------------------------------------------------------------------------
 # Lie 2-algebras
 # ---------------------------------------------------------------------------
+
+def _action_matrix(mats, x: tuple, n: int, mode: str) -> Mat:
+    """The n x n matrix sum_i x_i mats[i] of x acting through one matrix
+    per basis vector."""
+    out = Mat.zero(n, n, mode)
+    for m, xi in zip(mats, x):
+        if xi != 0:
+            out = out + m.scale(xi)
+    return out
+
 
 class SparseStructure(NamedTuple):
     """The nonzero structure constants of a Lie 2-algebra, as sparse
@@ -194,11 +207,7 @@ class Lie2Algebra:
 
     def act0_mat(self, x: tuple) -> Mat:
         """Matrix of [x, .] acting on g_{-1}."""
-        out = Mat.zero(self.n1, self.n1, self.mode)
-        for i, xi in enumerate(x):
-            if xi != 0:
-                out = out + self.b01[i].scale(xi)
-        return out
+        return _action_matrix(self.b01, x, self.n1, self.mode)
 
     def to_float(self) -> "Lie2Algebra":
         if self.mode == "float":
@@ -233,7 +242,7 @@ def validate_lie2(L: Lie2Algebra) -> ResidualReport:
     """
     n0, n1 = L.n0, L.n1
     d, b00, b01, l3 = L.sparse()
-    acc = {k: _Acc() for k in ("a1", "a2", "b1", "b2", "c")}
+    acc = {k: _Acc(L.mode) for k in ("a1", "a2", "b1", "b2", "c")}
 
     def br00(u, k):  # [u, e_k] for u in g_0
         return sparse_comb((u[m], b00.get((m, k), SPARSE_ZERO)) for m in sorted(u))
@@ -285,7 +294,7 @@ def validate_lie2(L: Lie2Algebra) -> ResidualReport:
                           l3_pair(b00.get((quad[a], quad[b]), SPARSE_ZERO), s, t)))
         acc["c"].add(sparse_sum(*terms).values(), quad)
 
-    return ResidualReport({k: a.residual() for k, a in acc.items()})
+    return ResidualReport({k: a.residual() for k, a in acc.items()}, L.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +346,7 @@ def hom_identity(L: Lie2Algebra) -> Lie2Hom:
 def validate_hom(A: Lie2Hom) -> ResidualReport:
     """Residuals of the chain condition and the three homomorphism laws."""
     src, tgt = A.source, A.target
-    acc = {k: _Acc() for k in ("chain", "i", "ii", "iii")}
+    acc = {k: _Acc(A.A0.mode) for k in ("chain", "i", "ii", "iii")}
 
     chain = (tgt.d @ A.A1) - (A.A0 @ src.d)
     acc["chain"].add(chain.data, None)
@@ -369,7 +378,7 @@ def validate_hom(A: Lie2Hom) -> ResidualReport:
         r = vsub(r, A.A1.apply(src.l3.eval_basis(i, j, k)))
         acc["iii"].add(r, (i, j, k))
 
-    return ResidualReport({k: a.residual() for k, a in acc.items()})
+    return ResidualReport({k: a.residual() for k, a in acc.items()}, A.A0.mode)
 
 
 def compose_hom(B: Lie2Hom, A: Lie2Hom) -> Lie2Hom:
@@ -431,11 +440,8 @@ class CrossedModLieAlg:
         raise AttributeError("CrossedModLieAlg is immutable")
 
     def act_mat(self, x: tuple) -> Mat:
-        out = Mat.zero(self.n1, self.n1, self.b1.mode)
-        for i, xi in enumerate(x):
-            if xi != 0:
-                out = out + self.action[i].scale(xi)
-        return out
+        """Matrix of x acting on h1."""
+        return _action_matrix(self.action, x, self.n1, self.b1.mode)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CrossedModLieAlg) and self.b1 == other.b1
@@ -448,8 +454,8 @@ class CrossedModLieAlg:
 
 def validate_crossed_module(C: CrossedModLieAlg) -> ResidualReport:
     """Jacobi for both brackets, hom/action laws, equivariance, Peiffer."""
-    acc = {k: _Acc() for k in ("jacobi1", "jacobi0", "varphi_hom", "action_hom",
-                               "action_der", "equivariance", "peiffer")}
+    acc = {k: _Acc(C.b1.mode) for k in ("jacobi1", "jacobi0", "varphi_hom", "action_hom",
+                                        "action_der", "equivariance", "peiffer")}
 
     def jacobi(b: AltTensor, key: str):
         for i, j, k in itertools.combinations(range(b.dim), 3):
@@ -492,7 +498,7 @@ def validate_crossed_module(C: CrossedModLieAlg) -> ResidualReport:
                      C.b1.eval_basis(a, b))
             acc["peiffer"].add(r, (a, b))
 
-    return ResidualReport({k: v.residual() for k, v in acc.items()})
+    return ResidualReport({k: v.residual() for k, v in acc.items()}, C.b1.mode)
 
 
 def strict_to_crossed(L: Lie2Algebra) -> CrossedModLieAlg:

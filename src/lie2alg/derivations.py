@@ -160,12 +160,12 @@ def _der0_condition_vectors(L: Lie2Algebra, D: Derivation0):
 def is_derivation0(L: Lie2Algebra, D: Derivation0) -> ResidualReport:
     """Residuals of the degree-0 derivation conditions (chain, a, b, c)."""
     chain, ca, cb, cc = _der0_condition_vectors(L, D)
-    acc = {k: _Acc() for k in ("chain", "a", "b", "c")}
+    acc = {k: _Acc(D.X0.mode) for k in ("chain", "a", "b", "c")}
     acc["chain"].add(chain[0].values(), None)
     for key, group in (("a", ca), ("b", cb), ("c", cc)):
         for r, w in group:
             acc[key].add(r.values(), w)
-    return ResidualReport({k: v.residual() for k, v in acc.items()})
+    return ResidualReport({k: v.residual() for k, v in acc.items()}, D.X0.mode)
 
 
 def _der0_flat_len(L: Lie2Algebra) -> int:

@@ -1,15 +1,19 @@
 """Structure-constant file formats.
 
 Algebra files ("lie2 v1") carry dimensions and sparse entry lines for the
-differential, the two bracket blocks and l3; omitted entries are zero.
-Element files carry one typed block (hom / der0 / derM1 / tau) in the same
-entry-line grammar.  Parsing reports line-numbered diagnostics; canonical
-serialization sorts entries lexicographically, so parse(serialize(x)) = x.
+differential, the two bracket blocks and l3; element files carry one typed
+block (hom / der0 / derM1 / tau).  Omitted entries are zero.  Both share
+one grammar, the tag tables below: an entry line is a tag, its integer
+index slots and a rational.  One reader checks each line in one order
+(integers, ranges, increasing indices, duplicates, the rational) and
+reports line-numbered diagnostics; canonical serialization sorts entries
+lexicographically, so parse(serialize(x)) = x.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .automorphisms import Tau
 from .core import Lie2Algebra, Lie2Hom
@@ -23,6 +27,39 @@ class ParseError(ValueError):
         self.filename = filename
         self.line = line
         self.message = message
+
+
+class _Tag(NamedTuple):
+    """The grammar of one entry tag."""
+
+    slots: tuple     # per index: (degree 0 or 1 of its space, bad-integer word, range word)
+    increasing: int  # how many leading indices must strictly increase
+    usage: str       # the message for a wrong argument count
+
+
+_I, _A = (0, "index", "degree-0 index"), (1, "index", "degree -1 index")
+_ALGEBRA_TAGS = {
+    "d": _Tag(((0, "row", "degree-0 index"), (1, "column", "degree -1 index")), 0,
+              'expected "d <i> <a> <rat>"'),
+    "b00": _Tag((_I, _I, _I), 2, 'expected "b00 <i> <j> <k> <rat>"'),
+    "b01": _Tag((_I, _A, _A), 0, 'expected "b01 <i> <a> <b> <rat>"'),
+    "l3": _Tag((_I, _I, _I, _A), 3, 'expected "l3 <i> <j> <k> <a> <rat>"'),
+}
+_ELEMENT_TAGS = {
+    tag: _Tag(tuple((deg, "index", "index") for deg in degs), increasing,
+              f"expected {len(degs) + 1} arguments after {tag!r}")
+    for tag, degs, increasing in (
+        ("a0", (0, 0), 0), ("a1", (1, 1), 0), ("a2", (0, 0, 1), 2),
+        ("x0", (0, 0), 0), ("x1", (1, 1), 0), ("lx", (0, 0, 1), 2),
+        ("theta", (1, 0), 0), ("tau", (1, 0), 0))
+}
+# block -> (element type, (tag, attribute) per field, in constructor order)
+_BLOCKS = {
+    "hom": (Lie2Hom, (("a0", "A0"), ("a1", "A1"), ("a2", "A2"))),
+    "der0": (Derivation0, (("x0", "X0"), ("x1", "X1"), ("lx", "lX"))),
+    "derM1": (DerM1, (("theta", "theta"),)),
+    "tau": (Tau, (("tau", "mat"),)),
+}
 
 
 def _significant_lines(text: str):
@@ -39,16 +76,70 @@ def _parse_int(tok: str, what: str, filename: str, no: int) -> int:
         raise ParseError(filename, no, f"bad {what}: {tok!r}") from None
 
 
-def _parse_rat(tok: str, filename: str, no: int) -> Fraction:
-    try:
-        return rat(tok)
-    except ValueError as exc:
-        raise ParseError(filename, no, str(exc)) from None
+def _read_entries(lines, tags: dict, dims, filename: str, unknown: str) -> dict:
+    """Check entry lines against `tags`; `dims` = (n0, n1).  Returns
+    {tag: {indices: value}}; `unknown` formats the message for a tag not
+    in the table."""
+    data = {tag: {} for tag in tags}
+    for no, line in lines:
+        tag, *args = line.split()
+        spec = tags.get(tag)
+        if spec is None:
+            raise ParseError(filename, no, unknown.format(tag))
+        if len(args) != len(spec.slots) + 1:
+            raise ParseError(filename, no, spec.usage)
+        idx = tuple(_parse_int(tok, word, filename, no)
+                    for tok, (_, word, _) in zip(args, spec.slots))
+        for v, (deg, _, word) in zip(idx, spec.slots):
+            if not 0 <= v < dims[deg]:
+                raise ParseError(filename, no, f"{word} {v} out of range [0, {dims[deg]})")
+        if any(idx[s] >= idx[s + 1] for s in range(spec.increasing - 1)):
+            rule = " < ".join("ijk"[:spec.increasing])
+            raise ParseError(filename, no, f"{tag} indices must satisfy {rule}")
+        if idx in data[tag]:
+            raise ParseError(filename, no, f"duplicate entry {line!r}")
+        try:
+            data[tag][idx] = rat(args[-1])
+        except ValueError as exc:
+            raise ParseError(filename, no, str(exc)) from None
+    return data
 
 
-def _check_range(val: int, bound: int, what: str, filename: str, no: int):
-    if not 0 <= val < bound:
-        raise ParseError(filename, no, f"{what} {val} out of range [0, {bound})")
+def _mat(entries: dict, rows: int, cols: int) -> Mat:
+    """The matrix with entry (r, c) = entries[(r, c)], zero if absent."""
+    data = [Fraction(0)] * (rows * cols)
+    for (r, c), v in entries.items():
+        data[r * cols + c] = v
+    return Mat(rows, cols, data)
+
+
+def _alt(entries: dict, arity: int, dim: int, codim: int) -> AltTensor:
+    """The alternating tensor with value coordinate c on key k = entries[(*k, c)]."""
+    vecs = {}
+    for (*key, c), v in entries.items():
+        vecs.setdefault(tuple(key), [Fraction(0)] * codim)[c] = v
+    return AltTensor(arity, dim, codim, vecs)
+
+
+def _build(entries: dict, spec: _Tag, dims):
+    """The matrix or (if its leading indices increase) alternating tensor of a tag."""
+    sizes = [dims[deg] for deg, _, _ in spec.slots]
+    if spec.increasing:
+        return _alt(entries, len(sizes) - 1, sizes[0], sizes[-1])
+    return _mat(entries, *sizes)
+
+
+def _emit_mat(out: list, tag: str, m: Mat):
+    for n, v in enumerate(m.data):
+        if v != 0:
+            out.append(f"{tag} {n // m.cols} {n % m.cols} {rat_str(v)}")
+
+
+def _emit_alt(out: list, tag: str, t: AltTensor):
+    for key, vec in sorted(t.entries.items()):
+        for c, v in enumerate(vec):
+            if v != 0:
+                out.append(f"{tag} {' '.join(map(str, key))} {c} {rat_str(v)}")
 
 
 def parse_lie2(text: str, filename: str = "<string>") -> Lie2Algebra:
@@ -57,137 +148,35 @@ def parse_lie2(text: str, filename: str = "<string>") -> Lie2Algebra:
     if not lines or lines[0][1] != "lie2 v1":
         no = lines[0][0] if lines else 1
         raise ParseError(filename, no, 'expected header "lie2 v1"')
-    dims = {}
-    idx = 1
-    for key in ("dim0", "dim1"):
+    dims = []
+    for idx, key in enumerate(("dim0", "dim1"), start=1):
         if idx >= len(lines):
             raise ParseError(filename, lines[-1][0], f"missing {key} line")
         no, line = lines[idx]
         parts = line.split()
         if len(parts) != 2 or parts[0] != key:
             raise ParseError(filename, no, f'expected "{key} <n>"')
-        dims[key] = _parse_int(parts[1], key, filename, no)
-        if dims[key] < 0:
+        dims.append(_parse_int(parts[1], key, filename, no))
+        if dims[-1] < 0:
             raise ParseError(filename, no, f"{key} must be nonnegative")
-        idx += 1
-    n0, n1 = dims["dim0"], dims["dim1"]
-
-    d_entries = {}
-    b00_entries = {}
-    b01_entries = {}
-    l3_entries = {}
-    seen = set()
-
-    for no, line in lines[idx:]:
-        parts = line.split()
-        tag, args = parts[0], parts[1:]
-        if tag == "d":
-            if len(args) != 3:
-                raise ParseError(filename, no, 'expected "d <i> <a> <rat>"')
-            i = _parse_int(args[0], "row", filename, no)
-            a = _parse_int(args[1], "column", filename, no)
-            _check_range(i, n0, "degree-0 index", filename, no)
-            _check_range(a, n1, "degree -1 index", filename, no)
-            key = ("d", i, a)
-            if key in seen:
-                raise ParseError(filename, no, f"duplicate entry {line!r}")
-            seen.add(key)
-            d_entries[(i, a)] = _parse_rat(args[2], filename, no)
-        elif tag == "b00":
-            if len(args) != 4:
-                raise ParseError(filename, no, 'expected "b00 <i> <j> <k> <rat>"')
-            i, j, k = (_parse_int(t, "index", filename, no) for t in args[:3])
-            for v in (i, j, k):
-                _check_range(v, n0, "degree-0 index", filename, no)
-            if not i < j:
-                raise ParseError(filename, no, "b00 indices must satisfy i < j")
-            key = ("b00", i, j, k)
-            if key in seen:
-                raise ParseError(filename, no, f"duplicate entry {line!r}")
-            seen.add(key)
-            vec = b00_entries.setdefault((i, j), [Fraction(0)] * n0)
-            vec[k] = _parse_rat(args[3], filename, no)
-        elif tag == "b01":
-            if len(args) != 4:
-                raise ParseError(filename, no, 'expected "b01 <i> <a> <b> <rat>"')
-            i = _parse_int(args[0], "index", filename, no)
-            a = _parse_int(args[1], "index", filename, no)
-            b = _parse_int(args[2], "index", filename, no)
-            _check_range(i, n0, "degree-0 index", filename, no)
-            _check_range(a, n1, "degree -1 index", filename, no)
-            _check_range(b, n1, "degree -1 index", filename, no)
-            key = ("b01", i, a, b)
-            if key in seen:
-                raise ParseError(filename, no, f"duplicate entry {line!r}")
-            seen.add(key)
-            b01_entries[(i, a, b)] = _parse_rat(args[3], filename, no)
-        elif tag == "l3":
-            if len(args) != 5:
-                raise ParseError(filename, no, 'expected "l3 <i> <j> <k> <a> <rat>"')
-            i, j, k = (_parse_int(t, "index", filename, no) for t in args[:3])
-            a = _parse_int(args[3], "index", filename, no)
-            for v in (i, j, k):
-                _check_range(v, n0, "degree-0 index", filename, no)
-            _check_range(a, n1, "degree -1 index", filename, no)
-            if not (i < j < k):
-                raise ParseError(filename, no, "l3 indices must satisfy i < j < k")
-            key = ("l3", i, j, k, a)
-            if key in seen:
-                raise ParseError(filename, no, f"duplicate entry {line!r}")
-            seen.add(key)
-            vec = l3_entries.setdefault((i, j, k), [Fraction(0)] * n1)
-            vec[a] = _parse_rat(args[4], filename, no)
-        else:
-            raise ParseError(filename, no, f"unknown entry tag {tag!r}")
-
-    d = Mat(n0, n1, [d_entries.get((i, a), Fraction(0))
-                     for i in range(n0) for a in range(n1)])
-    b00 = AltTensor(2, n0, n0, {k: tuple(v) for k, v in b00_entries.items()})
-    b01 = []
-    for i in range(n0):
-        # file entry (i, a, b): coefficient of f_b in [e_i, f_a] -> matrix (b, a)
-        b01.append(Mat(n1, n1, [b01_entries.get((i, col, row), Fraction(0))
-                                for row in range(n1) for col in range(n1)]))
-    l3 = AltTensor(3, n0, n1, {k: tuple(v) for k, v in l3_entries.items()})
+    n0, n1 = dims
+    data = _read_entries(lines[3:], _ALGEBRA_TAGS, dims, filename, "unknown entry tag {!r}")
+    d, b00, l3 = (_build(data[tag], _ALGEBRA_TAGS[tag], dims) for tag in ("d", "b00", "l3"))
+    # file entry (i, a, b): coefficient of f_b in [e_i, f_a] -> matrix i, entry (b, a)
+    b01 = [_mat({(b, a): v for (j, a, b), v in data["b01"].items() if j == i}, n1, n1)
+           for i in range(n0)]
     return Lie2Algebra(n0, n1, d, b00, b01, l3)
 
 
 def serialize_lie2(L: Lie2Algebra) -> str:
     """Canonical text form: sorted sparse entries, zeros omitted."""
     out = ["lie2 v1", f"dim0 {L.n0}", f"dim1 {L.n1}"]
-    for i in range(L.n0):
-        for a in range(L.n1):
-            v = L.d.at(i, a)
-            if v != 0:
-                out.append(f"d {i} {a} {rat_str(v)}")
-    for (i, j), vec in sorted(L.b00.entries.items()):
-        for k, v in enumerate(vec):
-            if v != 0:
-                out.append(f"b00 {i} {j} {k} {rat_str(v)}")
-    for i in range(L.n0):
-        m = L.b01[i]
-        for a in range(L.n1):
-            for b in range(L.n1):
-                v = m.at(b, a)  # [e_i, f_a] coefficient on f_b
-                if v != 0:
-                    out.append(f"b01 {i} {a} {b} {rat_str(v)}")
-    for (i, j, k), vec in sorted(L.l3.entries.items()):
-        for a, v in enumerate(vec):
-            if v != 0:
-                out.append(f"l3 {i} {j} {k} {a} {rat_str(v)}")
+    _emit_mat(out, "d", L.d)
+    _emit_alt(out, "b00", L.b00)
+    for i, m in enumerate(L.b01):
+        _emit_mat(out, f"b01 {i}", m.transpose())  # [e_i, f_a] on f_b is m.at(b, a)
+    _emit_alt(out, "l3", L.l3)
     return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# element files
-# ---------------------------------------------------------------------------
-
-_BLOCKS = {
-    "hom": {"a0": 3, "a1": 3, "a2": 4},
-    "der0": {"x0": 3, "x1": 3, "lx": 4},
-    "derM1": {"theta": 3},
-    "tau": {"tau": 3},
-}
 
 
 def parse_element(text: str, L: Lie2Algebra, filename: str = "<string>"):
@@ -201,84 +190,22 @@ def parse_element(text: str, L: Lie2Algebra, filename: str = "<string>"):
     no0, block = lines[0]
     if block not in _BLOCKS:
         raise ParseError(filename, no0, f"unknown block type {block!r}")
-    fields = _BLOCKS[block]
-    data = {f: {} for f in fields}
-    for no, line in lines[1:]:
-        parts = line.split()
-        tag, args = parts[0], parts[1:]
-        if tag not in fields:
-            raise ParseError(filename, no, f"unexpected tag {tag!r} in {block} block")
-        if len(args) != fields[tag]:
-            raise ParseError(filename, no, f"expected {fields[tag]} arguments after {tag!r}")
-        idx = tuple(_parse_int(t, "index", filename, no) for t in args[:-1])
-        val = _parse_rat(args[-1], filename, no)
-        if idx in data[tag]:
-            raise ParseError(filename, no, f"duplicate entry {line!r}")
-        bounds = {
-            "a0": (L.n0, L.n0), "x0": (L.n0, L.n0),
-            "a1": (L.n1, L.n1), "x1": (L.n1, L.n1),
-            "a2": (L.n0, L.n0, L.n1), "lx": (L.n0, L.n0, L.n1),
-            "theta": (L.n1, L.n0), "tau": (L.n1, L.n0),
-        }[tag]
-        for v, b in zip(idx, bounds):
-            _check_range(v, b, "index", filename, no)
-        if tag in ("a2", "lx") and not idx[0] < idx[1]:
-            raise ParseError(filename, no, f"{tag} indices must satisfy i < j")
-        data[tag][idx] = val
-
-    def mat(tag, rows, cols):
-        return Mat(rows, cols, [data[tag].get((r, c), Fraction(0))
-                                for r in range(rows) for c in range(cols)])
-
-    def alt2(tag):
-        entries = {}
-        for (i, j, a), v in data[tag].items():
-            vec = entries.setdefault((i, j), [Fraction(0)] * L.n1)
-            vec[a] = v
-        return AltTensor(2, L.n0, L.n1, {k: tuple(v) for k, v in entries.items()})
-
-    if block == "hom":
-        return Lie2Hom(L, L, mat("a0", L.n0, L.n0), mat("a1", L.n1, L.n1), alt2("a2"))
-    if block == "der0":
-        return Derivation0(mat("x0", L.n0, L.n0), mat("x1", L.n1, L.n1), alt2("lx"))
-    if block == "derM1":
-        return DerM1(mat("theta", L.n1, L.n0))
-    return Tau(mat("tau", L.n1, L.n0))
+    cls, fields = _BLOCKS[block]
+    tags = {tag: _ELEMENT_TAGS[tag] for tag, _ in fields}
+    dims = (L.n0, L.n1)
+    data = _read_entries(lines[1:], tags, dims, filename,
+                         "unexpected tag {!r} in " + block + " block")
+    parts = [_build(data[tag], spec, dims) for tag, spec in tags.items()]
+    return cls(L, L, *parts) if cls is Lie2Hom else cls(*parts)
 
 
 def serialize_element(obj, L: Lie2Algebra) -> str:
     """Canonical text form of a typed element."""
-    out = []
-
-    def emit_mat(tag, m):
-        for r in range(m.rows):
-            for c in range(m.cols):
-                v = m.at(r, c)
-                if v != 0:
-                    out.append(f"{tag} {r} {c} {rat_str(v)}")
-
-    def emit_alt2(tag, t):
-        for (i, j), vec in sorted(t.entries.items()):
-            for a, v in enumerate(vec):
-                if v != 0:
-                    out.append(f"{tag} {i} {j} {a} {rat_str(v)}")
-
-    if isinstance(obj, Lie2Hom):
-        out.append("hom")
-        emit_mat("a0", obj.A0)
-        emit_mat("a1", obj.A1)
-        emit_alt2("a2", obj.A2)
-    elif isinstance(obj, Derivation0):
-        out.append("der0")
-        emit_mat("x0", obj.X0)
-        emit_mat("x1", obj.X1)
-        emit_alt2("lx", obj.lX)
-    elif isinstance(obj, DerM1):
-        out.append("derM1")
-        emit_mat("theta", obj.theta)
-    elif isinstance(obj, Tau):
-        out.append("tau")
-        emit_mat("tau", obj.mat)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return "\n".join(out) + "\n"
+    for block, (cls, fields) in _BLOCKS.items():
+        if isinstance(obj, cls):
+            out = [block]
+            for tag, attr in fields:
+                value = getattr(obj, attr)
+                (_emit_alt if isinstance(value, AltTensor) else _emit_mat)(out, tag, value)
+            return "\n".join(out) + "\n"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -76,6 +76,11 @@ def _check_scalar(s, mode):
     raise TypeError(f"unsupported scalar {s!r}")
 
 
+def scalar_zero(mode: str):
+    """The zero scalar of a mode: Fraction(0) when exact, 0.0 when float."""
+    return Fraction(0) if mode == "exact" else 0.0
+
+
 def _same_mode(a, b):
     if a.mode != b.mode:
         raise ModeError(f"mode mismatch: {a.mode} vs {b.mode}")
@@ -86,13 +91,12 @@ def _same_mode(a, b):
 # ---------------------------------------------------------------------------
 
 def vzero(n: int, mode: str = "exact") -> tuple:
-    z = Fraction(0) if mode == "exact" else 0.0
-    return (z,) * n
+    return (scalar_zero(mode),) * n
 
 
 def basis_vec(n: int, i: int, mode: str = "exact") -> tuple:
     one = Fraction(1) if mode == "exact" else 1.0
-    z = Fraction(0) if mode == "exact" else 0.0
+    z = scalar_zero(mode)
     return tuple(one if j == i else z for j in range(n))
 
 
@@ -112,8 +116,9 @@ def vscale(s, u: tuple) -> tuple:
     return tuple(s * a for a in u)
 
 
-def vmax_abs(u: tuple):
-    return max((abs(a) for a in u), default=Fraction(0))
+def vmax_abs(u: tuple, mode: str = "exact"):
+    """The largest absolute entry; the zero of `mode` when u is empty."""
+    return max((abs(a) for a in u), default=scalar_zero(mode))
 
 
 def vec_is_zero(u: tuple) -> bool:
@@ -212,7 +217,7 @@ class Mat:
         # for finite floats each skipped product is a signed zero, which
         # changes no running sum started at 0.0, so float results are the
         # dense left-to-right sums bit for bit.
-        zero = Fraction(0) if self.mode == "exact" else 0.0
+        zero = scalar_zero(self.mode)
         brows = [[(j, y) for j, y in enumerate(b[t * m:(t + 1) * m]) if y] for t in range(k)]
         out = []
         for i in range(n):
@@ -260,14 +265,13 @@ class Mat:
         return result
 
     def trace(self):
-        return sum((self.at(i, i) for i in range(self.rows)),
-                   Fraction(0) if self.mode == "exact" else 0.0)
+        return sum((self.at(i, i) for i in range(self.rows)), scalar_zero(self.mode))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.data)
 
     def max_abs(self):
-        return max((abs(a) for a in self.data), default=Fraction(0))
+        return max((abs(a) for a in self.data), default=scalar_zero(self.mode))
 
     def to_float(self) -> "Mat":
         if self.mode == "float":
@@ -632,7 +636,8 @@ class AltTensor:
         return not self.entries
 
     def max_abs(self):
-        return max((vmax_abs(v) for v in self.entries.values()), default=Fraction(0))
+        return max((vmax_abs(v, self.mode) for v in self.entries.values()),
+                   default=scalar_zero(self.mode))
 
     def to_float(self) -> "AltTensor":
         if self.mode == "float":
@@ -725,9 +730,9 @@ def tensor_distance(a: AltTensor, b: AltTensor):
         raise ValueError("tensor shape mismatch")
     keys = set(a.entries) | set(b.entries)
     za, zb = a._zero_vec(), b._zero_vec()
-    worst = Fraction(0)
+    worst = scalar_zero(a.mode)
     for k in keys:
-        d = vmax_abs(vsub(a.entries.get(k, za), b.entries.get(k, zb)))
+        d = vmax_abs(vsub(a.entries.get(k, za), b.entries.get(k, zb)), a.mode)
         if d > worst:
             worst = d
     return worst
@@ -736,4 +741,4 @@ def tensor_distance(a: AltTensor, b: AltTensor):
 def mat_distance(a: Mat, b: Mat):
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("shape mismatch")
-    return max((abs(x - y) for x, y in zip(a.data, b.data)), default=Fraction(0))
+    return max((abs(x - y) for x, y in zip(a.data, b.data)), default=scalar_zero(a.mode))

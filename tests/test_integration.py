@@ -17,7 +17,7 @@ from lie2alg.automorphisms import (
     tau_inverse,
     tau_zero,
 )
-from lie2alg.core import Lie2Algebra, validate_hom
+from lie2alg.core import Lie2Algebra, ResidualReport, validate_hom, validate_lie2
 from lie2alg.derivations import (
     DerM1,
     Derivation0,
@@ -31,7 +31,16 @@ from lie2alg.derivations import (
     random_der0,
     random_derM1,
 )
-from lie2alg.fixtures import NAMED_EXAMPLES, fix_ab, fix_end, fix_str, rand_cochain, rand_mat, random_fixture
+from lie2alg.fixtures import (
+    NAMED_EXAMPLES,
+    fix_ab,
+    fix_end,
+    fix_str,
+    rand_cochain,
+    rand_mat,
+    random_fixture,
+    strict_sl2,
+)
 from lie2alg.integration import (
     ExpConfig,
     _exp_hom,
@@ -50,7 +59,17 @@ from lie2alg.integration import (
     recover_bracket,
     recover_bracket_m1,
 )
-from lie2alg.linalg import AltTensor, Mat, mat_distance, nilpotency_index, tensor_distance, truncated_exp
+from lie2alg.linalg import (
+    AltTensor,
+    Mat,
+    mat_distance,
+    nilpotency_index,
+    tensor_distance,
+    truncated_exp,
+    vadd,
+    vmax_abs,
+    vsub,
+)
 from lie2alg.core import make_endo
 
 
@@ -686,3 +705,48 @@ def test_star_exp_large_time_scales_and_squares():
     L = fix_end()
     got = exp_derM1(L, DerM1(Mat.from_rows([[3]])), 8).mat.at(0, 0)
     assert abs(got - math.expm1(24.0)) <= 1e-12 * math.expm1(24.0)
+
+
+def test_float_residuals_start_at_float_zero():
+    L = strict_sl2()
+    r, mode = one_parameter_derM1(L, derM1_zero(L), Fraction(1, 2), Fraction(1, 3),
+                                  ExpConfig(mode="float"))
+    assert mode == "float" and type(r) is float and r == 0
+    rep = validate_lie2(fix_ab().to_float())
+    assert [type(res.value) for _, res in rep] == [float] * 5
+    assert type(rep.max_value()) is float
+    assert type(validate_lie2(fix_ab()).max_value()) is Fraction
+    Z = Mat.zero(0, 0, "float")
+    assert type(Z.max_abs()) is float and type(mat_distance(Z, Z)) is float
+    T = AltTensor.zero(2, 2, 1, "float")
+    assert type(T.max_abs()) is float and type(tensor_distance(T, T)) is float
+    assert type(vmax_abs((), "float")) is float
+    assert type(ResidualReport({}, "float").max_value()) is float
+
+
+def _conjugated_lx_by_formula(A, D):
+    """lX of Ad(A) D entry by entry: A1 lX(u, v) - X1' A2(u, v) + A2(X0 u, v)
+    + A2(u, X0 v), with u, v columns of A0^{-1} and X1' = A1 X1 A1^{-1}."""
+    H = A.hom
+    X1 = H.A1 @ D.X1 @ A.a1_inv
+
+    def val(key):
+        u, v = (A.a0_inv.col(i) for i in key)
+        r = H.A1.apply(D.lX.eval(u, v))
+        r = vsub(r, X1.apply(H.A2.eval(u, v)))
+        r = vadd(r, H.A2.eval(D.X0.apply(u), v))
+        return vadd(r, H.A2.eval(u, D.X0.apply(v)))
+
+    return AltTensor.from_function(2, H.A2.dim, H.A2.codim, val, H.A0.mode)
+
+
+def test_ad_conjugate_lx_is_the_cochain_action_formula():
+    algebras = [make() for make in NAMED_EXAMPLES.values()]
+    algebras += [random_fixture(random.Random(seed)) for seed in range(30)]
+    for seed, L in enumerate(algebras):
+        rng = random.Random(seed)
+        basis = compute_der0_basis(L)
+        for _ in range(3):
+            A = random_aut0(L, rng, der_basis=basis)
+            D = random_der0(L, rng, basis)
+            assert ad_conjugate(L, A, D).lX == _conjugated_lx_by_formula(A, D)

@@ -51,8 +51,8 @@ BITWISE = sys.version_info < (3, 12)
 # ---------------------------------------------------------------------------
 
 class _RefAcc:
-    def __init__(self):
-        self.value = Fraction(0)
+    def __init__(self, mode):
+        self.value = Fraction(0) if mode == "exact" else 0.0
         self.witness = None
 
     def add(self, vec, witness):
@@ -67,7 +67,7 @@ class _RefAcc:
 
 def ref_validate_lie2(L):
     n0, n1 = L.n0, L.n1
-    acc = {k: _RefAcc() for k in ("a1", "a2", "b1", "b2", "c")}
+    acc = {k: _RefAcc(L.mode) for k in ("a1", "a2", "b1", "b2", "c")}
     e0 = [L.e0(i) for i in range(n0)]
     e1 = [L.e1(a) for a in range(n1)]
 
@@ -156,7 +156,7 @@ def ref_der0_condition_vectors(L, D):
 
 def ref_is_derivation0(L, D):
     chain, ca, cb, cc = ref_der0_condition_vectors(L, D)
-    acc = {k: _RefAcc() for k in ("chain", "a", "b", "c")}
+    acc = {k: _RefAcc(D.X0.mode) for k in ("chain", "a", "b", "c")}
     acc["chain"].add(chain[0], None)
     for key, group in (("a", ca), ("b", cb), ("c", cc)):
         for r, w in group:
