@@ -51,11 +51,10 @@ class Residual:
 
 
 class ResidualReport:
-    """Named max-abs residuals, one entry per condition, in one scalar mode."""
+    """Named max-abs residuals, one entry per condition."""
 
-    def __init__(self, entries: dict, mode: str = "exact"):
+    def __init__(self, entries: dict):
         self.entries = dict(entries)
-        self.mode = mode
 
     def __getitem__(self, name: str) -> Residual:
         return self.entries[name]
@@ -68,7 +67,7 @@ class ResidualReport:
         return all(r.value == 0 for r in self.entries.values())
 
     def max_value(self):
-        return max((r.value for r in self.entries.values()), default=scalar_zero(self.mode))
+        return max((r.value for r in self.entries.values()), default=Fraction(0))
 
     def within(self, tol) -> bool:
         return all(abs(r.value) <= tol for r in self.entries.values())
@@ -294,7 +293,7 @@ def validate_lie2(L: Lie2Algebra) -> ResidualReport:
                           l3_pair(b00.get((quad[a], quad[b]), SPARSE_ZERO), s, t)))
         acc["c"].add(sparse_sum(*terms).values(), quad)
 
-    return ResidualReport({k: a.residual() for k, a in acc.items()}, L.mode)
+    return ResidualReport({k: a.residual() for k, a in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +377,7 @@ def validate_hom(A: Lie2Hom) -> ResidualReport:
         r = vsub(r, A.A1.apply(src.l3.eval_basis(i, j, k)))
         acc["iii"].add(r, (i, j, k))
 
-    return ResidualReport({k: a.residual() for k, a in acc.items()}, A.A0.mode)
+    return ResidualReport({k: a.residual() for k, a in acc.items()})
 
 
 def compose_hom(B: Lie2Hom, A: Lie2Hom) -> Lie2Hom:
@@ -498,7 +497,7 @@ def validate_crossed_module(C: CrossedModLieAlg) -> ResidualReport:
                      C.b1.eval_basis(a, b))
             acc["peiffer"].add(r, (a, b))
 
-    return ResidualReport({k: v.residual() for k, v in acc.items()}, C.b1.mode)
+    return ResidualReport({k: v.residual() for k, v in acc.items()})
 
 
 def strict_to_crossed(L: Lie2Algebra) -> CrossedModLieAlg:

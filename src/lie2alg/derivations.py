@@ -165,7 +165,7 @@ def is_derivation0(L: Lie2Algebra, D: Derivation0) -> ResidualReport:
     for key, group in (("a", ca), ("b", cb), ("c", cc)):
         for r, w in group:
             acc[key].add(r.values(), w)
-    return ResidualReport({k: v.residual() for k, v in acc.items()}, D.X0.mode)
+    return ResidualReport({k: v.residual() for k, v in acc.items()})
 
 
 def _der0_flat_len(L: Lie2Algebra) -> int:

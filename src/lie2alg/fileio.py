@@ -35,6 +35,7 @@ class _Tag(NamedTuple):
     slots: tuple     # per index: (degree 0 or 1 of its space, bad-integer word, range word)
     increasing: int  # how many leading indices must strictly increase
     usage: str       # the message for a wrong argument count
+    attr: str = ""   # the element attribute the tag fills (element tags only)
 
 
 _I, _A = (0, "index", "degree-0 index"), (1, "index", "degree -1 index")
@@ -45,20 +46,18 @@ _ALGEBRA_TAGS = {
     "b01": _Tag((_I, _A, _A), 0, 'expected "b01 <i> <a> <b> <rat>"'),
     "l3": _Tag((_I, _I, _I, _A), 3, 'expected "l3 <i> <j> <k> <a> <rat>"'),
 }
-_ELEMENT_TAGS = {
-    tag: _Tag(tuple((deg, "index", "index") for deg in degs), increasing,
-              f"expected {len(degs) + 1} arguments after {tag!r}")
-    for tag, degs, increasing in (
-        ("a0", (0, 0), 0), ("a1", (1, 1), 0), ("a2", (0, 0, 1), 2),
-        ("x0", (0, 0), 0), ("x1", (1, 1), 0), ("lx", (0, 0, 1), 2),
-        ("theta", (1, 0), 0), ("tau", (1, 0), 0))
-}
-# block -> (element type, (tag, attribute) per field, in constructor order)
+
+# block -> (element type, {tag: grammar}), fields (tag, attribute, index
+# degrees, increasing) in constructor order
 _BLOCKS = {
-    "hom": (Lie2Hom, (("a0", "A0"), ("a1", "A1"), ("a2", "A2"))),
-    "der0": (Derivation0, (("x0", "X0"), ("x1", "X1"), ("lx", "lX"))),
-    "derM1": (DerM1, (("theta", "theta"),)),
-    "tau": (Tau, (("tau", "mat"),)),
+    block: (cls, {tag: _Tag(tuple((deg, "index", "index") for deg in degs), increasing,
+                            f"expected {len(degs) + 1} arguments after {tag!r}", attr)
+                  for tag, attr, degs, increasing in fields})
+    for block, cls, fields in (
+        ("hom", Lie2Hom, (("a0", "A0", (0, 0), 0), ("a1", "A1", (1, 1), 0), ("a2", "A2", (0, 0, 1), 2))),
+        ("der0", Derivation0, (("x0", "X0", (0, 0), 0), ("x1", "X1", (1, 1), 0), ("lx", "lX", (0, 0, 1), 2))),
+        ("derM1", DerM1, (("theta", "theta", (1, 0), 0),)),
+        ("tau", Tau, (("tau", "mat", (1, 0), 0),)))
 }
 
 
@@ -122,11 +121,12 @@ def _alt(entries: dict, arity: int, dim: int, codim: int) -> AltTensor:
 
 
 def _build(entries: dict, spec: _Tag, dims):
-    """The matrix or (if its leading indices increase) alternating tensor of a tag."""
+    """The value of a tag: a matrix for two indices (row, column), else an
+    alternating tensor keyed by all indices but the last (its coordinate)."""
     sizes = [dims[deg] for deg, _, _ in spec.slots]
-    if spec.increasing:
-        return _alt(entries, len(sizes) - 1, sizes[0], sizes[-1])
-    return _mat(entries, *sizes)
+    if len(sizes) == 2:
+        return _mat(entries, *sizes)
+    return _alt(entries, len(sizes) - 1, sizes[0], sizes[-1])
 
 
 def _emit_mat(out: list, tag: str, m: Mat):
@@ -190,8 +190,7 @@ def parse_element(text: str, L: Lie2Algebra, filename: str = "<string>"):
     no0, block = lines[0]
     if block not in _BLOCKS:
         raise ParseError(filename, no0, f"unknown block type {block!r}")
-    cls, fields = _BLOCKS[block]
-    tags = {tag: _ELEMENT_TAGS[tag] for tag, _ in fields}
+    cls, tags = _BLOCKS[block]
     dims = (L.n0, L.n1)
     data = _read_entries(lines[1:], tags, dims, filename,
                          "unexpected tag {!r} in " + block + " block")
@@ -201,11 +200,11 @@ def parse_element(text: str, L: Lie2Algebra, filename: str = "<string>"):
 
 def serialize_element(obj, L: Lie2Algebra) -> str:
     """Canonical text form of a typed element."""
-    for block, (cls, fields) in _BLOCKS.items():
+    for block, (cls, tags) in _BLOCKS.items():
         if isinstance(obj, cls):
             out = [block]
-            for tag, attr in fields:
-                value = getattr(obj, attr)
+            for tag, spec in tags.items():
+                value = getattr(obj, spec.attr)
                 (_emit_alt if isinstance(value, AltTensor) else _emit_mat)(out, tag, value)
             return "\n".join(out) + "\n"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

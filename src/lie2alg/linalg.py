@@ -116,9 +116,8 @@ def vscale(s, u: tuple) -> tuple:
     return tuple(s * a for a in u)
 
 
-def vmax_abs(u: tuple, mode: str = "exact"):
-    """The largest absolute entry; the zero of `mode` when u is empty."""
-    return max((abs(a) for a in u), default=scalar_zero(mode))
+def vmax_abs(u: tuple):
+    return max((abs(a) for a in u), default=Fraction(0))
 
 
 def vec_is_zero(u: tuple) -> bool:
@@ -636,7 +635,7 @@ class AltTensor:
         return not self.entries
 
     def max_abs(self):
-        return max((vmax_abs(v, self.mode) for v in self.entries.values()),
+        return max((vmax_abs(v) for v in self.entries.values()),
                    default=scalar_zero(self.mode))
 
     def to_float(self) -> "AltTensor":
@@ -732,7 +731,7 @@ def tensor_distance(a: AltTensor, b: AltTensor):
     za, zb = a._zero_vec(), b._zero_vec()
     worst = scalar_zero(a.mode)
     for k in keys:
-        d = vmax_abs(vsub(a.entries.get(k, za), b.entries.get(k, zb)), a.mode)
+        d = vmax_abs(vsub(a.entries.get(k, za), b.entries.get(k, zb)))
         if d > worst:
             worst = d
     return worst

@@ -31,15 +31,9 @@ def test_round_trip_named_examples():
 
 def test_round_trip_random_fixtures():
     rng = random.Random(100)
-    for _ in range(8):
-        L = random_fixture(rng)
-        assert parse_lie2(serialize_lie2(L)) == L
-
-
-def test_round_trip_seeded_fixtures_and_elements():
-    for seed in range(30):
-        rng = random.Random(seed)
-        L = random_fixture(rng)
+    algebras = [random_fixture(rng) for _ in range(8)]
+    algebras += [random_fixture(random.Random(seed)) for seed in range(30)]
+    for L in algebras:
         text = serialize_lie2(L)
         assert parse_lie2(text) == L and serialize_lie2(parse_lie2(text)) == text
         for elem in (random_der0(L, rng), random_derM1(L, rng), random_tau(L, rng)):
