@@ -21,10 +21,11 @@ from .linalg import (
     SPARSE_ZERO,
     AltTensor,
     Mat,
-    basis_vec,
+    _same_mode,
     kernel_basis,
     mat_distance,
     rref,
+    scalar_zero,
     span_coords,
     sparse_alt,
     sparse_apply,
@@ -205,12 +206,11 @@ def _residual_flat(L: Lie2Algebra, D: Derivation0) -> dict:
     return out
 
 
-def compute_der0_basis(L: Lie2Algebra) -> list:
-    """Basis of the degree-0 derivation space.
+def der0_constraints(L: Lie2Algebra) -> Mat:
+    """The matrix of the degree-0 derivation conditions.
 
-    The four families of conditions are linear in (X0, X1, lX); the
-    constraint matrix is built by probing each unit triple and the basis
-    is the kernel, in kernel_basis order (deterministic).
+    The four families of conditions are linear in (X0, X1, lX); column u
+    is the stacked residual of the u-th unit triple of `flatten_der0`.
     """
     nfree = _der0_flat_len(L)
     n0, n1 = L.n0, L.n1
@@ -221,7 +221,13 @@ def compute_der0_basis(L: Lie2Algebra) -> list:
         unit[u] = Fraction(1)
         for row, v in _residual_flat(L, unflatten_der0(L, unit)).items():
             data[row * nfree + u] = v
-    return [unflatten_der0(L, v) for v in kernel_basis(Mat(nrows, nfree, data))]
+    return Mat(nrows, nfree, data)
+
+
+def compute_der0_basis(L: Lie2Algebra) -> list:
+    """Basis of the degree-0 derivation space: the kernel of
+    `der0_constraints`, in kernel_basis order (deterministic)."""
+    return [unflatten_der0(L, v) for v in kernel_basis(der0_constraints(L))]
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +253,42 @@ def lie_cochain_action(X0: Mat, X1: Mat, omega: AltTensor) -> AltTensor:
     """Action of a degree-0 pair on alternating cochains with degree -1 values.
 
     (L_X omega)(x_1..x_k) = X1 omega(x_1..x_k) - sum_i omega(.., X0 x_i, ..).
+
+    On basis arguments the value at a key is X1 omega(key) minus, slot by
+    slot, the sum over m of X0[m, key_t] omega(key with slot t set to m).
+    Only keys that one of those terms reaches from a nonzero value of omega
+    are formed, and each sum runs over nonzero entries by increasing m, the
+    order of the dense evaluation on basis vectors: exact results are equal
+    and finite float results are the dense left-to-right sums bit for bit.
     """
-    n = omega.dim
-
-    def val(key):
-        r = X1.apply(omega.eval_basis(*key))
+    _same_mode(X0, omega)
+    _same_mode(X1, omega)
+    w = sparse_alt(omega)
+    x0 = sparse_columns(X0)
+    x1 = sparse_columns(X1)
+    keys = set(omega.entries)
+    for key in omega.entries:
+        for t, m in enumerate(key):
+            rest = key[:t] + key[t + 1:]
+            for i, x in enumerate(X0.row(m)):
+                if x and i not in rest:
+                    keys.add(tuple(sorted(rest + (i,))))
+    zero = scalar_zero(omega.mode)
+    entries = {}
+    for key in keys:
+        r = [zero] * omega.codim
+        for t, y in sorted(w.get(key, SPARSE_ZERO).items()):
+            for c, a in x1[t].items():
+                r[c] += a * y
         for t in range(len(key)):
-            args = [basis_vec(n, key[s], omega.mode) if s != t else X0.col(key[t])
-                    for s in range(len(key))]
-            r = vsub(r, omega.eval(*args))
-        return r
-
-    return AltTensor.from_function(omega.arity, n, omega.codim, val, omega.mode)
+            s = {}  # the slot-t sum, on the coordinates it reaches
+            for m, x in sorted(x0[key[t]].items()):
+                for c, y in w.get(key[:t] + (m,) + key[t + 1:], SPARSE_ZERO).items():
+                    s[c] = s.get(c, zero) + x * y
+            for c, v in s.items():
+                r[c] -= v
+        entries[key] = tuple(r)
+    return AltTensor._result(omega.arity, omega.dim, omega.codim, entries, omega.mode)
 
 
 def graded_bracket(L: Lie2Algebra, a, b):

@@ -69,10 +69,12 @@ def _significant_lines(text: str):
 
 
 def _parse_int(tok: str, what: str, filename: str, no: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(filename, no, f"bad {what}: {tok!r}") from None
+    """An ASCII integer, -?[0-9]+; a sign is kept so that negative values
+    reach the range checks.  Unlike int(), no '+', '_' or non-ASCII digit."""
+    digits = tok[1:] if tok.startswith("-") else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(filename, no, f"bad {what}: {tok!r}")
+    return int(tok)
 
 
 def _read_entries(lines, tags: dict, dims, filename: str, unknown: str) -> dict:

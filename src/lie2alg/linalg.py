@@ -1,4 +1,4 @@
-"""Dense exact-rational (and float) linear algebra.
+"""Exact-rational (and float) linear algebra.
 
 Scalars are `fractions.Fraction` in exact mode or `float` in analytic
 mode.  Every value keeps the scalar mode it was built in, all-zero and
@@ -6,8 +6,9 @@ empty values included: literal data is float iff an entry is, a zero or
 identity takes its mode as an argument, and a computed result has the
 mode of its operands.  Mixing the two modes in one expression raises
 `ModeError`.  Row reduction, kernel bases and exact inverses are only
-available in exact mode, where results are exact by construction.  All
-values are immutable and all operations are pure.
+available in exact mode, where results are exact by construction; they
+share one elimination over sparse rows (`_reduce`).  All values are
+immutable and all operations are pure.
 Sparse vectors ({index: value}) serve the law evaluators; see the
 "sparse vectors" section.
 """
@@ -22,7 +23,7 @@ from types import MappingProxyType
 
 Rat = Fraction
 
-_RAT_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+_RAT_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 class ModeError(TypeError):
@@ -31,7 +32,7 @@ class ModeError(TypeError):
 
 def rat(text: str) -> Fraction:
     """Parse a rational literal: optional '-', integer, optional '/positive-integer'."""
-    m = _RAT_RE.match(text.strip())
+    m = _RAT_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
     num = int(m.group(1))
@@ -289,47 +290,94 @@ class Mat:
         return "Mat[" + "; ".join(rows) + "]"
 
 
+def _exact_rows(m: Mat, what: str) -> list:
+    """The rows of an exact matrix as sparse vectors ({col: value})."""
+    if m.mode != "exact":
+        raise ModeError(f"{what} requires exact scalars")
+    return [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
+
+
+def _reduce(rows: list, ncols: int):
+    """Reduce exact sparse rows ({col: value}) to reduced row-echelon form;
+    the one exact elimination of the package.
+
+    Columns are taken in increasing order.  The pivot of a column is the
+    sparsest row with a nonzero entry there and no pivot yet (the first
+    such row among equals), scaled to a leading 1; the column is then
+    cleared from every other row, above and below.  Only nonzero entries
+    are stored or touched.  Returns the pivot rows in pivot order and the
+    strictly increasing pivot columns; every other row reduces to zero.
+    The rows passed in are consumed.
+    """
+    where = [set() for _ in range(ncols)]  # column -> rows with a nonzero entry there
+    for i, r in enumerate(rows):
+        for j in r:
+            where[j].add(i)
+    taken, pivot_rows, pivots = set(), [], []
+    for c in range(ncols):
+        candidates = [i for i in where[c] if i not in taken]
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        pv = rows[p][c]
+        prow = rows[p] if pv == 1 else {j: x / pv for j, x in rows[p].items()}
+        rows[p] = prow
+        for i in where[c] - {p}:
+            r = rows[i]
+            f = r[c]
+            for j, y in prow.items():
+                v = r.get(j)
+                if v is None:
+                    r[j] = -f * y
+                    where[j].add(i)
+                else:
+                    v -= f * y
+                    if v:
+                        r[j] = v
+                    else:
+                        del r[j]
+                        where[j].discard(i)
+        taken.add(p)
+        pivot_rows.append(prow)
+        pivots.append(c)
+    return pivot_rows, pivots
+
+
+def _dense_data(rows: list, ncols: int) -> list:
+    """The row-major entries of exact sparse rows, zeros filled in."""
+    zero = Fraction(0)
+    return [x for r in rows for x in (r.get(j, zero) for j in range(ncols))]
+
+
 def rref(m: Mat):
     """Reduced row-echelon form of an exact matrix.
 
-    Pivot rule: first nonzero column, topmost nonzero entry, scaled to a
-    leading 1, with elimination above and below.  Returns the reduced
-    matrix and the strictly increasing list of pivot columns.
+    Pivot rule: each column in turn takes the sparsest row that can pivot
+    there, scaled to a leading 1, with elimination above and below (see
+    `_reduce`).  The reduced row-echelon form of a matrix is unique, so the
+    result does not depend on which rows pivot.  Returns the reduced
+    matrix (the pivot rows in order, then zero rows) and the strictly
+    increasing list of pivot columns.
     """
-    if m.mode != "exact":
-        raise ModeError("rref requires exact scalars")
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        pr = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return Mat.from_rows(rows) if rows else Mat.zero(0, m.cols), pivots
+    pivot_rows, pivots = _reduce(_exact_rows(m, "rref"), m.cols)
+    data = _dense_data(pivot_rows, m.cols) + [Fraction(0)] * ((m.rows - len(pivots)) * m.cols)
+    return Mat._result(m.rows, m.cols, data, "exact"), pivots
 
 
 def kernel_basis(m: Mat) -> list:
-    """Basis of the exact null space, one vector per free column."""
-    red, pivots = rref(m)
+    """Basis of the exact null space, one vector per free column: the free
+    column set to 1, the other free columns 0, read off the pivot rows."""
+    pivot_rows, pivots = _reduce(_exact_rows(m, "kernel_basis"), m.cols)
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
-    for f in free:
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red.at(r, f)
+        for r, p in zip(pivot_rows, pivots):
+            if f in r:
+                v[p] = -r[f]
         basis.append(tuple(v))
     return basis
 
@@ -344,12 +392,14 @@ def mat_inverse(m: Mat):
         raise ValueError("square matrix required")
     n = m.rows
     if m.mode == "exact":
-        aug = Mat.from_rows([list(m.row(i)) + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-                             for i in range(n)])
-        red, pivots = rref(aug)
+        rows = _exact_rows(m, "mat_inverse")
+        for i, r in enumerate(rows):
+            r[n + i] = Fraction(1)
+        pivot_rows, pivots = _reduce(rows, 2 * n)
         if pivots != list(range(n)):
             return None
-        return Mat.from_rows([red.row(i)[n:] for i in range(n)])
+        return Mat._result(n, n, _dense_data([{j - n: x for j, x in r.items() if j >= n}
+                                              for r in pivot_rows], n), "exact")
     rows = [list(m.row(i)) + [1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
     for c in range(n):
         pr = max(range(c, n), key=lambda i: abs(rows[i][c]))
@@ -367,15 +417,17 @@ def mat_inverse(m: Mat):
 
 def solve(m: Mat, b: tuple):
     """One exact solution of m x = b (free variables set to 0), or None."""
-    if m.mode != "exact":
-        raise ModeError("solve requires exact scalars")
-    aug = Mat.from_rows([list(m.row(i)) + [b[i]] for i in range(m.rows)]) if m.rows else Mat.zero(0, m.cols + 1)
-    red, pivots = rref(aug)
+    rows = _exact_rows(m, "solve")
+    rhs, _ = _coerce_entries([b[i] for i in range(m.rows)], "exact")
+    for r, v in zip(rows, rhs):
+        if v:
+            r[m.cols] = v
+    pivot_rows, pivots = _reduce(rows, m.cols + 1)
     if m.cols in pivots:
         return None
     x = [Fraction(0)] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = red.at(r, m.cols)
+    for r, p in zip(pivot_rows, pivots):
+        x[p] = r.get(m.cols, Fraction(0))
     return tuple(x)
 
 
@@ -385,12 +437,14 @@ def span_coords(m: Mat):
     Returns coords(b): the unique x with m x = b, or None when b is off the
     column span.  A set of independent rows of m is inverted once; every
     candidate x is then checked by testing m x == b, so membership is
-    decided by the same equation solve() answers.  Raises ValueError when
-    the columns are dependent.
+    decided by the same equation solve() answers.  The check sums the
+    columns of m over the nonzero coordinates of x only.  Raises
+    ValueError when the columns are dependent.
     """
     if m.mode != "exact":
         raise ModeError("span_coords requires exact scalars")
-    rows = rref(m.transpose())[1]
+    cols = sparse_columns(m)
+    rows = _reduce([dict(c) for c in cols], m.rows)[1]
     if len(rows) != m.cols:
         raise ValueError("columns are linearly dependent")
     inv = mat_inverse(Mat.from_rows([m.row(i) for i in rows]))
@@ -399,13 +453,14 @@ def span_coords(m: Mat):
         if len(b) != m.rows:
             raise ValueError("vector length mismatch")
         x = inv.apply(tuple(b[i] for i in rows))
-        return x if m.apply(x) == tuple(b) else None
+        mx = sparse_apply(cols, {t: v for t, v in enumerate(x) if v})
+        return x if all(mx.get(i, 0) == v for i, v in enumerate(b)) else None
 
     return coords
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_reduce(_exact_rows(m, "rank"), m.cols)[1])
 
 
 def nilpotency_index(m: Mat):

@@ -441,3 +441,12 @@ def test_string_sl3_derivation_lie2():
     assert (der.algebra.n0, der.algebra.n1, len(inn0_basis(L))) == (16, 8, 16)
     assert validate_lie2(der.algebra).ok
     assert validate_hom(adbar(L, der)).ok
+
+
+def test_string_sl4_derivation_lie2():
+    # the scale case of the sparse solve: Der^0 = sl4 + B^2(sl4; R) = 15 + 15
+    L = make_string(sl_structure(4))
+    der = build_der_lie2(L)
+    assert (der.algebra.n0, der.algebra.n1) == (30, 15)
+    assert validate_lie2(der.algebra).ok
+    assert validate_hom(adbar(L, der)).ok

@@ -132,6 +132,11 @@ _ALGEBRA_DIAGNOSTICS = [
     ("lie2 v1\ndim0 x\n", "f.lie2:2: bad dim0: 'x'"),
     ("lie2 v1\ndim0 1\ndim1 1/2\n", "f.lie2:3: bad dim1: '1/2'"),
     ("lie2 v1\ndim0 -1\n", "f.lie2:2: dim0 must be nonnegative"),
+    # integers are ASCII -?[0-9]+: no underscore, '+' or non-ASCII digit
+    ("lie2 v1\ndim0 1_0\ndim1 +1\nd 0_1 \u0660 1\n", "f.lie2:2: bad dim0: '1_0'"),
+    ("lie2 v1\ndim0 1\ndim1 +1\n", "f.lie2:3: bad dim1: '+1'"),
+    (_ALG + "d 0 \u0660 1\n", "f.lie2:4: bad column: '\u0660'"),
+    (_ALG + "d 0 0 \u0663\n", "f.lie2:4: not a rational literal: '\u0663'"),
     (_ALG + "bogus 0 0 1\n", "f.lie2:4: unknown entry tag 'bogus'"),
     (_ALG + "a0 0 0 1\n", "f.lie2:4: unknown entry tag 'a0'"),
     (_ALG + "d 0 0\n", 'f.lie2:4: expected "d <i> <a> <rat>"'),
@@ -177,6 +182,8 @@ _ELEMENT_DIAGNOSTICS = [
     ("der0\nlx 0 1 0 1 1\n", "e.el:2: expected 4 arguments after 'lx'"),
     ("hom\na0 x 0 1\n", "e.el:2: bad index: 'x'"),
     ("der0\nlx 0 1 y 1\n", "e.el:2: bad index: 'y'"),
+    ("hom\na0 \u0663 0 1\n", "e.el:2: bad index: '\u0663'"),
+    ("der0\nlx 0 1_0 0 1\n", "e.el:2: bad index: '1_0'"),
     ("tau\ntau 0 5 1\n", "e.el:2: index 5 out of range [0, 3)"),
     ("tau\ntau 1 0 1\n", "e.el:2: index 1 out of range [0, 1)"),
     ("hom\na1 0 1 1\n", "e.el:2: index 1 out of range [0, 1)"),

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from lie2alg import fixtures
+from lie2alg.derivations import der0_constraints
 from lie2alg.linalg import (
     AltTensor,
     Mat,
@@ -416,10 +418,24 @@ def _to_sympy(m):
     return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in m.data])
 
 
+# Entries are dense, or zero-heavy (about 70% zeros): on the larger shapes
+# the sparsest candidate row is then often not the topmost one, so the
+# elimination order differs from the textbook one while the reduced form
+# must not.
+zero_heavy_rats = st.tuples(st.integers(0, 9), small_rats).map(
+    lambda p: p[1] if p[0] >= 7 else Fraction(0))
+
+
+def _draw_mat(data, rows, cols):
+    entries = data.draw(st.sampled_from([small_rats, zero_heavy_rats]))
+    return Mat(rows, cols, data.draw(st.lists(entries, min_size=rows * cols,
+                                              max_size=rows * cols)))
+
+
 @settings(deadline=None)  # the first example pays for importing sympy
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@given(st.integers(1, 8), st.integers(1, 10), st.data())
 def test_rref_and_solve_match_sympy(rows, cols, data):
-    m = Mat(rows, cols, data.draw(st.lists(small_rats, min_size=rows * cols, max_size=rows * cols)))
+    m = _draw_mat(data, rows, cols)
     sm = _to_sympy(m)
     red, pivots = rref(m)
     sred, spivots = sm.rref()
@@ -433,13 +449,8 @@ def test_rref_and_solve_match_sympy(rows, cols, data):
         assert sm * _to_sympy(Mat(cols, 1, x)) == sb
 
 
-def _draw_mat(data, rows, cols):
-    return Mat(rows, cols, data.draw(st.lists(small_rats, min_size=rows * cols,
-                                              max_size=rows * cols)))
-
-
 @settings(deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@given(st.integers(1, 8), st.integers(1, 10), st.data())
 def test_kernel_basis_and_rank_match_sympy(rows, cols, data):
     m = _draw_mat(data, rows, cols)
     sm = _to_sympy(m)
@@ -450,14 +461,47 @@ def test_kernel_basis_and_rank_match_sympy(rows, cols, data):
 
 
 @settings(deadline=None)
-@given(st.integers(1, 4), st.data())
-def test_mat_inverse_matches_sympy(n, data):
+@given(st.integers(1, 8), st.booleans(), st.data())
+def test_mat_inverse_matches_sympy(n, shift, data):
     m = _draw_mat(data, n, n)
+    if shift:  # zero-heavy matrices are mostly singular; shifted ones mostly not
+        m = m + Mat.identity(n)
     sm = _to_sympy(m)
     inv = mat_inverse(m)
     assert (inv is None) == (sm.det() == 0)
     if inv is not None:
         assert _to_sympy(inv) == sm.inv()
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10), st.data())
+def test_span_coords_matches_sympy(rows, data):
+    cols = data.draw(st.integers(0, min(rows, 8)))
+    m = _draw_mat(data, rows, cols)
+    # a one in a distinct row of every column makes full column rank likely
+    hit = data.draw(st.permutations(range(rows)))[:cols]
+    m = m + Mat(rows, cols, [Fraction(int(hit[j] == i)) for i in range(rows) for j in range(cols)])
+    assume(rank(m) == cols)
+    sm = _to_sympy(m)
+    coords = span_coords(m)
+    x = tuple(data.draw(st.lists(zero_heavy_rats, min_size=cols, max_size=cols)))
+    assert coords(m.apply(x)) == x
+    b = tuple(data.draw(st.lists(zero_heavy_rats, min_size=rows, max_size=rows)))
+    sb = _to_sympy(Mat(rows, 1, b))
+    got = coords(b)
+    assert (got is None) == (sm.row_join(sb).rank() > cols)
+    if got is not None:
+        assert sm * _to_sympy(Mat(cols, 1, got)) == sb
+
+
+def test_der0_constraint_kernels_match_sympy():
+    # the probed constraint matrices the derivation solve reduces
+    algebras = [fixtures.fix_str(), fixtures.skeletal_demo()]
+    algebras += [fixtures.random_fixture(random.Random(seed)) for seed in range(10)]
+    for L in algebras:
+        c = der0_constraints(L)
+        got = [_to_sympy(Mat(c.cols, 1, v)) for v in kernel_basis(c)]
+        assert got == _to_sympy(c).nullspace()
 
 
 @settings(deadline=None, max_examples=40)

@@ -1,7 +1,7 @@
 """Differential tests of the sparse law evaluators.
 
-`validate_lie2` and the degree-0 derivation conditions sum over the nonzero
-structure constants only.  The references below are the earlier evaluators,
+`validate_lie2`, the degree-0 derivation conditions and the cochain action
+`lie_cochain_action` sum over the nonzero structure constants only.  The references below are the earlier evaluators,
 which apply every law to unit basis vectors through dense vectors; both must
 give the same ResidualReport: the same value, of the same type, and the same
 witness, for every key.  Exact values are equal.  Float values are equal bit
@@ -30,6 +30,7 @@ from lie2alg.derivations import (
     build_der_lie2,
     compute_der0_basis,
     is_derivation0,
+    lie_cochain_action,
     random_der0,
     unflatten_der0,
 )
@@ -41,7 +42,17 @@ from lie2alg.fixtures import (
     random_fixture,
     trivial_rep,
 )
-from lie2alg.linalg import AltTensor, Mat, kernel_basis, vadd, vmax_abs, vscale, vsub, vzero
+from lie2alg.linalg import (
+    AltTensor,
+    Mat,
+    basis_vec,
+    kernel_basis,
+    vadd,
+    vmax_abs,
+    vscale,
+    vsub,
+    vzero,
+)
 
 BITWISE = sys.version_info < (3, 12)
 
@@ -409,3 +420,63 @@ def test_der0_basis_is_the_kernel_of_the_reference_matrix():
             continue
         want = [unflatten_der0(L, v) for v in kernel_basis(Mat.from_cols(cols, len(cols[0])))]
         assert basis == want
+
+
+# ---------------------------------------------------------------------------
+# the action of degree-0 pairs on cochains
+# ---------------------------------------------------------------------------
+
+def ref_lie_cochain_action(X0, X1, omega):
+    """The dense formula: every key, on basis vectors and columns of X0."""
+    n = omega.dim
+
+    def val(key):
+        r = X1.apply(omega.eval_basis(*key))
+        for t in range(len(key)):
+            args = [basis_vec(n, key[s], omega.mode) if s != t else X0.col(key[t])
+                    for s in range(len(key))]
+            r = vsub(r, omega.eval(*args))
+        return r
+
+    return AltTensor.from_function(omega.arity, n, omega.codim, val, omega.mode)
+
+
+def check_action(X0, X1, omega):
+    got, want = lie_cochain_action(X0, X1, omega), ref_lie_cochain_action(X0, X1, omega)
+    assert got.mode == want.mode == omega.mode
+    if omega.mode == "exact":
+        assert got == want
+        return
+    assert list(got.entries) == list(want.entries)
+    # float.hex tells -0.0 from 0.0, so signed zeros are compared too
+    for key, vec in want.entries.items():
+        assert all(type(g) is float and _same_float(g, w) for g, w in zip(got.entries[key], vec)), key
+
+
+def test_cochain_action_matches_reference_on_derivation_pairs():
+    rng = random.Random(13)
+    for L, basis in _bases():
+        pairs = [(D, E) for D in basis[:6] for E in basis[:6]]
+        pairs += [(random_der0(L, rng, basis), random_der0(L, rng, basis)) for _ in range(3)]
+        pairs += [(random_candidate(L, rng), random_candidate(L, rng))]
+        for D, E in pairs:
+            check_action(D.X0, D.X1, E.lX)
+            check_action(D.X0.to_float(), D.X1.to_float(), E.lX.to_float())
+
+
+def _float_draw(rng, n):
+    """Floats in (-1, 1), a third of them zero of either sign: sums round,
+    so their order shows, and signed zeros meet the skipped terms."""
+    return [rng.uniform(-1, 1) if rng.random() < 0.67 else rng.choice([0.0, -0.0])
+            for _ in range(n)]
+
+
+def test_cochain_action_is_bitwise_on_random_float_pairs():
+    rng = random.Random(14)
+    for arity, n, codim in ((0, 3, 2), (1, 4, 3), (2, 5, 4), (2, 6, 2), (3, 5, 3)):
+        for _ in range(4):
+            keys = [k for k in itertools.combinations(range(n), arity) if rng.random() < 0.5]
+            omega = AltTensor(arity, n, codim, {k: _float_draw(rng, codim) for k in keys}, "float")
+            X0 = Mat(n, n, _float_draw(rng, n * n))
+            X1 = Mat(codim, codim, _float_draw(rng, codim * codim))
+            check_action(X0, X1, omega)
