@@ -2,11 +2,11 @@
 
 Degree-0 derivations are triples (X0, X1, lX); degree minus-1 derivations
 are maps theta: g_0 -> g_{-1} (the full Hom space).  The degree-0 space is
-computed as the kernel of one stacked homogeneous linear system, assembled
-by probing the membership residuals on unit triples, so the solver and the
-membership test can never drift apart.  The residuals sum over the nonzero
-structure constants of the algebra (`Lie2Algebra.sparse`) and the nonzero
-entries of the candidate, so a unit triple touches only a few constants.
+computed as the kernel of one stacked homogeneous linear system whose rows
+are the membership residuals, assembled directly from the nonzero structure
+constants of the algebra (`Lie2Algebra.sparse`): each condition term adds
+its coefficients once.  The membership test evaluates the same residuals
+for one candidate; tests hold the two to the same reference.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .linalg import (
     SPARSE_ZERO,
     AltTensor,
     Mat,
+    ModeError,
     _same_mode,
     kernel_basis,
     mat_distance,
@@ -192,36 +193,106 @@ def unflatten_der0(L: Lie2Algebra, vec) -> Derivation0:
     return Derivation0(X0, X1, AltTensor(2, n0, n1, entries))
 
 
-def _residual_flat(L: Lie2Algebra, D: Derivation0) -> dict:
-    """The stacked residual of (chain, a, b, c) as {row: value}, nonzero
-    entries only; every family vector keeps its fixed block of rows."""
-    chain, ca, cb, cc = _der0_condition_vectors(L, D)
-    out = dict(chain[0])
-    base = L.n0 * L.n1
-    for group, size in ((ca, L.n0), (cb, L.n1), (cc, L.n1)):
-        for r, _ in group:
-            for c, v in r.items():
-                out[base + c] = v
-            base += size
-    return out
-
-
 def der0_constraints(L: Lie2Algebra) -> Mat:
     """The matrix of the degree-0 derivation conditions.
 
-    The four families of conditions are linear in (X0, X1, lX); column u
-    is the stacked residual of the u-th unit triple of `flatten_der0`.
+    The four families of conditions are linear in (X0, X1, lX): column u
+    holds the coefficients of the u-th unknown of `flatten_der0`, and the
+    rows are the stacked residual vectors of `_der0_condition_vectors`
+    (chain, then (a), (b) and (c) by basis tuple).  Each family is walked
+    once over the nonzero structure constants, and each term adds its
+    coefficient to the (row, unknown) entries it reaches.  The kernel is
+    exact, so a float algebra raises `ModeError`.
     """
-    nfree = _der0_flat_len(L)
+    if L.mode != "exact":
+        raise ModeError("der0_constraints requires exact scalars")
     n0, n1 = L.n0, L.n1
-    nrows = n0 * n1 + math.comb(n0, 2) * n0 + n0 * n1 * n1 + math.comb(n0, 3) * n1
-    data = [Fraction(0)] * (nrows * nfree)
-    for u in range(nfree):
-        unit = [Fraction(0)] * nfree
-        unit[u] = Fraction(1)
-        for row, v in _residual_flat(L, unflatten_der0(L, unit)).items():
-            data[row * nfree + u] = v
-    return Mat(nrows, nfree, data)
+    d, b00, b01, l3 = L.sparse()
+    nfree = _der0_flat_len(L)
+    pairs = {key: t for t, key in enumerate(itertools.combinations(range(n0), 2))}
+    off1, offl = n0 * n0, n0 * n0 + n1 * n1
+    acc = {}
+
+    def add(row, col, v):
+        k = row * nfree + col
+        acc[k] = acc[k] + v if k in acc else v
+
+    def lx_col(x, m):
+        """(sign, first unknown) of lX(x, m): lX on the increasing pair."""
+        if x < m:
+            return 1, offl + pairs[x, m] * n1
+        return -1, offl + pairs[m, x] * n1
+
+    # chain: (X0 d - d X1)[r, a]
+    for a in range(n1):
+        for m, v in d[a].items():
+            for r in range(n0):
+                add(r * n1 + a, r * n0 + m, v)
+    for m in range(n1):
+        for r, v in d[m].items():
+            for a in range(n1):
+                add(r * n1 + a, off1 + m * n1 + a, -v)
+    base = n0 * n1
+
+    # (a) per pair: d lX(i,j) - X0 [i,j] + [X0 e_i, e_j] + [e_i, X0 e_j]
+    for (i, j), p in pairs.items():
+        for t in range(n1):
+            for c, v in d[t].items():
+                add(base + c, offl + p * n1 + t, v)
+        for m, v in b00.get((i, j), SPARSE_ZERO).items():
+            for r in range(n0):
+                add(base + r, r * n0 + m, -v)
+        for m in range(n0):
+            for c, v in b00.get((m, j), SPARSE_ZERO).items():
+                add(base + c, m * n0 + i, v)
+            for c, v in b00.get((i, m), SPARSE_ZERO).items():
+                add(base + c, m * n0 + j, v)
+        base += n0
+
+    # (b) per (i, a): lX(e_i, d e_a) - X1 [e_i, e_a] + [X0 e_i, e_a] + [e_i, X1 e_a]
+    for i in range(n0):
+        for a in range(n1):
+            for m, v in d[a].items():
+                if m != i:
+                    sign, col = lx_col(i, m)
+                    for c in range(n1):
+                        add(base + c, col + c, sign * v)
+            for t, v in b01[i][a].items():
+                for r in range(n1):
+                    add(base + r, off1 + r * n1 + t, -v)
+            for m in range(n0):
+                for c, v in b01[m][a].items():
+                    add(base + c, m * n0 + i, v)
+            for t in range(n1):
+                for c, v in b01[i][t].items():
+                    add(base + c, off1 + t * n1 + a, v)
+            base += n1
+
+    # (c) per triple: X1 l3(i,j,k) minus, cyclically in (x, y, z),
+    # lX(e_x, [e_y, e_z]) + [e_x, lX(y, z)] + l3(X0 e_x, e_y, e_z)
+    for i, j, k in itertools.combinations(range(n0), 3):
+        for t, v in l3.get((i, j, k), SPARSE_ZERO).items():
+            for r in range(n1):
+                add(base + r, off1 + r * n1 + t, v)
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, v in b00.get((y, z), SPARSE_ZERO).items():
+                if m != x:
+                    sign, col = lx_col(x, m)
+                    for c in range(n1):
+                        add(base + c, col + c, -sign * v)
+            sign, col = lx_col(y, z)
+            for t in range(n1):
+                for c, v in b01[x][t].items():
+                    add(base + c, col + t, -sign * v)
+            for m in range(n0):
+                for c, v in l3.get((m, y, z), SPARSE_ZERO).items():
+                    add(base + c, m * n0 + x, -v)
+        base += n1
+
+    data = [Fraction(0)] * (base * nfree)
+    for k, v in acc.items():
+        data[k] = v
+    return Mat._result(base, nfree, data, "exact")
 
 
 def compute_der0_basis(L: Lie2Algebra) -> list:

@@ -189,18 +189,36 @@ class Mat:
     def col(self, j: int) -> tuple:
         return tuple(self.data[i * self.cols + j] for i in range(self.rows))
 
+    # Exact sums skip zero operands, which changes no exact value; float
+    # sums stay dense, so signed zeros come out as the dense ops make them.
     def __add__(self, other: "Mat") -> "Mat":
+        pairs = self._pairs(other)
+        if self.mode == "float":
+            data = [a + b for a, b in pairs]
+        else:
+            data = [(a + b if a else b) if b else a for a, b in pairs]
+        return Mat._result(self.rows, self.cols, data, self.mode)
+
+    def __sub__(self, other: "Mat") -> "Mat":
+        pairs = self._pairs(other)
+        if self.mode == "float":
+            data = [a - b for a, b in pairs]
+        else:
+            data = [(a - b if a else -b) if b else a for a, b in pairs]
+        return Mat._result(self.rows, self.cols, data, self.mode)
+
+    def __neg__(self) -> "Mat":
+        if self.mode == "float":
+            data = [-a for a in self.data]
+        else:
+            data = [-a if a else a for a in self.data]
+        return Mat._result(self.rows, self.cols, data, self.mode)
+
+    def _pairs(self, other: "Mat"):
         _same_mode(self, other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat._result(self.rows, self.cols,
-                           [a + b for a, b in zip(self.data, other.data)], self.mode)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
-
-    def __neg__(self) -> "Mat":
-        return Mat._result(self.rows, self.cols, [-a for a in self.data], self.mode)
+        return zip(self.data, other.data)
 
     def scale(self, s) -> "Mat":
         s = _check_scalar(s, self.mode)

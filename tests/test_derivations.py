@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from lie2alg.core import (
     ce_coboundary,
     lie_ad_matrices,
@@ -42,7 +44,7 @@ from lie2alg.fixtures import (
     strict_sl2,
     trivial_rep,
 )
-from lie2alg.linalg import AltTensor, Mat, rank, solve, vadd, vsub
+from lie2alg.linalg import AltTensor, Mat, ModeError, rank, solve, vadd, vsub
 
 
 def sl2_ad_as_der0(L, x, xi):
@@ -111,6 +113,12 @@ def test_der0_basis_soundness_and_completeness():
         for E in extras:
             assert is_derivation0(L, E).ok
             assert rank(Mat.from_rows(flat + [flatten_der0(L, E)])) == base_rank
+
+
+def test_der0_basis_of_a_float_algebra_raises():
+    # the kernel is an exact computation: a float algebra is refused, not rounded
+    with pytest.raises(ModeError):
+        compute_der0_basis(skeletal_demo().to_float())
 
 
 # ---------------------------------------------------------------------------

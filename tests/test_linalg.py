@@ -353,6 +353,26 @@ def test_mat_matmul_matches_dense_reference(mode, n, k, m, data):
     assert _bits(got.data) == _bits(want.data)
 
 
+@given(st.sampled_from(["exact", "float"]), st.integers(0, 3), st.integers(0, 4), st.data())
+def test_mat_add_sub_neg_match_dense_reference(mode, rows, cols, data):
+    # exact sums skip zero operands; float ones stay dense, signed zeros included
+    a = _mat(rows, cols, data.draw(_sparse_vec(rows * cols, mode)), mode)
+    b = _mat(rows, cols, data.draw(_sparse_vec(rows * cols, mode)), mode)
+    for got, want in ((a + b, [x + y for x, y in zip(a.data, b.data)]),
+                      (a - b, [x + (-y) for x, y in zip(a.data, b.data)]),
+                      (-a, [-x for x in a.data])):
+        assert (got.rows, got.cols, got.mode) == (rows, cols, mode)
+        assert _bits(got.data) == _bits(want)
+
+
+def test_mat_add_sub_neg_keep_float_signed_zeros():
+    a = Mat(1, 4, [0.0, 0.0, -0.0, -0.0])
+    b = Mat(1, 4, [0.0, -0.0, 0.0, -0.0])
+    assert _bits((a + b).data) == _bits((0.0, 0.0, 0.0, -0.0))
+    assert _bits((a - b).data) == _bits((0.0, 0.0, -0.0, 0.0))
+    assert _bits((-a).data) == _bits((-0.0, -0.0, 0.0, 0.0))
+
+
 def test_alt_eval_repeated_basis_arguments_vanish():
     t = AltTensor(3, 4, 2, {(0, 1, 2): (Fraction(5), Fraction(-1)), (1, 2, 3): (Fraction(2), 0)})
     e = [tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)]
@@ -495,7 +515,7 @@ def test_span_coords_matches_sympy(rows, data):
 
 
 def test_der0_constraint_kernels_match_sympy():
-    # the probed constraint matrices the derivation solve reduces
+    # the assembled constraint matrices the derivation solve reduces
     algebras = [fixtures.fix_str(), fixtures.skeletal_demo()]
     algebras += [fixtures.random_fixture(random.Random(seed)) for seed in range(10)]
     for L in algebras:

@@ -21,14 +21,15 @@ from lie2alg.core import (
     ce_coboundary,
     make_endo,
     make_skeletal,
+    make_string,
     validate_lie2,
 )
 from lie2alg.derivations import (
     Derivation0,
     _der0_flat_len,
-    _residual_flat,
     build_der_lie2,
     compute_der0_basis,
+    der0_constraints,
     is_derivation0,
     lie_cochain_action,
     random_der0,
@@ -40,6 +41,7 @@ from lie2alg.fixtures import (
     aff1_sum_structure,
     rand_cochain,
     random_fixture,
+    sl_structure,
     trivial_rep,
 )
 from lie2alg.linalg import (
@@ -184,6 +186,15 @@ def ref_residual_flat(L, D):
     return tuple(out)
 
 
+def ref_der0_constraints(L):
+    """The constraint matrix probed on unit triples: column u is the stacked
+    reference residual of the u-th unit triple of `flatten_der0`."""
+    nfree = _der0_flat_len(L)
+    units = [[Fraction(int(t == u)) for t in range(nfree)] for u in range(nfree)]
+    nrows = len(ref_residual_flat(L, unflatten_der0(L, [Fraction(0)] * nfree)))
+    return Mat.from_cols([ref_residual_flat(L, unflatten_der0(L, u)) for u in units], nrows)
+
+
 # ---------------------------------------------------------------------------
 # comparison
 # ---------------------------------------------------------------------------
@@ -212,10 +223,6 @@ def check_algebra(L: Lie2Algebra):
 
 def check_candidate(L: Lie2Algebra, D: Derivation0):
     assert_same_report(is_derivation0(L, D), ref_is_derivation0(L, D))
-
-
-def _dense(sparse: dict, n: int) -> tuple:
-    return tuple(sparse.get(t, Fraction(0)) for t in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -402,23 +409,20 @@ def test_der0_conditions_match_reference_on_float_copies():
             check_candidate(Lf, D.to_float())
 
 
-def test_residual_flat_matches_reference():
-    rng = random.Random(10)
-    for L, basis in _bases():
-        for D in (random_der0(L, rng, basis), random_candidate(L, rng)):
-            want, got = ref_residual_flat(L, D), _residual_flat(L, D)
-            assert all(0 <= row < len(want) for row in got)
-            assert _dense(got, len(want)) == want
+def test_der0_constraints_match_the_probed_reference():
+    # the directly assembled matrix equals the residuals of unit triples,
+    # entry for entry: every term of every family, with its sign and block
+    algebras = [f() for f in NAMED_EXAMPLES.values()]
+    algebras += [make_string(sl_structure(3)), _endo_id2()] + _random_fixtures()
+    for L in algebras:
+        got, want = der0_constraints(L), ref_der0_constraints(L)
+        assert (got.rows, got.cols, got.mode) == (want.rows, want.cols, "exact")
+        assert got == want
 
 
 def test_der0_basis_is_the_kernel_of_the_reference_matrix():
     for L, basis in _bases():
-        nfree = _der0_flat_len(L)
-        units = [[Fraction(int(t == u)) for t in range(nfree)] for u in range(nfree)]
-        cols = [ref_residual_flat(L, unflatten_der0(L, unit)) for unit in units]
-        if not cols:
-            continue
-        want = [unflatten_der0(L, v) for v in kernel_basis(Mat.from_cols(cols, len(cols[0])))]
+        want = [unflatten_der0(L, v) for v in kernel_basis(ref_der0_constraints(L))]
         assert basis == want
 
 
