@@ -1,12 +1,12 @@
 """Derivations of a Lie 2-algebra and the strict Lie 2-algebra they form.
 
 Degree-0 derivations are triples (X0, X1, lX); degree minus-1 derivations
-are maps theta: g_0 -> g_{-1} (the full Hom space).  The degree-0 space is
-computed as the kernel of one stacked homogeneous linear system whose rows
-are the membership residuals, assembled directly from the nonzero structure
-constants of the algebra (`Lie2Algebra.sparse`): each condition term adds
-its coefficients once.  The membership test evaluates the same residuals
-for one candidate; tests hold the two to the same reference.
+are maps theta: g_0 -> g_{-1} (the full Hom space).  The four degree-0
+conditions are written once, in `_der0_condition_vectors`, as sums over the
+nonzero structure constants of the algebra (`Lie2Algebra.sparse`).  The
+membership test evaluates them on one candidate; the degree-0 space is the
+kernel of the stacked homogeneous linear system obtained by evaluating them
+on the unknowns themselves, as linear forms.
 """
 
 from __future__ import annotations
@@ -110,20 +110,26 @@ def der0_distance(a: Derivation0, b: Derivation0):
 # membership
 # ---------------------------------------------------------------------------
 
-def _der0_condition_vectors(L: Lie2Algebra, D: Derivation0):
-    """Residual vectors of (chain, a, b, c), in a fixed enumeration order.
+def _der0_condition_vectors(L: Lie2Algebra, x0: list, x1: list, lx: dict) -> dict:
+    """Residual vectors of the conditions on (X0, X1, lX), by family.
 
-    Every vector is sparse ({index: value}); each family lists one vector per
-    basis tuple, zero ones included, so positions in the stacked residual are
-    fixed.  Sums run over the nonzero constants of L and entries of D only.
+    x0 and x1 are the columns of X0 and X1 (`sparse_columns`), lx the values
+    of lX on every ordering of its keys (`sparse_alt`).  The result maps
+    "chain", "a", "b" and "c" to (length, [(vector, witness), ...]): sparse
+    vectors ({index: value}) of that length, one per basis tuple, zero ones
+    included, so positions in the stacked residual are fixed.  The chain is
+    one vector, X0 d - d X1 row-major.  Sums run over the nonzero constants
+    of L and entries of the parts only; the entries of the parts need +,
+    unary - and products with scalars, so they may be linear forms.
     """
     n0, n1 = L.n0, L.n1
     d, b00, b01, l3 = L.sparse()
-    x0 = sparse_columns(D.X0)
-    x1 = sparse_columns(D.X1)
-    lx = sparse_alt(D.lX)
 
-    chain = [{t: v for t, v in enumerate(((D.X0 @ L.d) - (L.d @ D.X1)).data) if v}]
+    chain = {}
+    for a in range(n1):
+        col = sparse_sum((1, sparse_apply(x0, d[a])), (-1, sparse_apply(d, x1[a])))
+        for r, v in col.items():
+            chain[r * n1 + a] = v
 
     cond_a = []
     for i, j in itertools.combinations(range(n0), 2):
@@ -156,18 +162,23 @@ def _der0_condition_vectors(L: Lie2Algebra, D: Derivation0):
                                  for m, v in sorted(x0[x].items())))]
         cond_c.append((sparse_sum(*terms), (i, j, k)))
 
-    return chain, cond_a, cond_b, cond_c
+    return {"chain": (n0 * n1, [(chain, None)]), "a": (n0, cond_a),
+            "b": (n1, cond_b), "c": (n1, cond_c)}
 
 
 def is_derivation0(L: Lie2Algebra, D: Derivation0) -> ResidualReport:
     """Residuals of the degree-0 derivation conditions (chain, a, b, c)."""
-    chain, ca, cb, cc = _der0_condition_vectors(L, D)
-    acc = {k: _Acc(D.X0.mode) for k in ("chain", "a", "b", "c")}
-    acc["chain"].add(chain[0].values(), None)
-    for key, group in (("a", ca), ("b", cb), ("c", cc)):
+    _same_mode(D.X0, L)
+    _same_mode(L, D.X1)
+    families = _der0_condition_vectors(
+        L, sparse_columns(D.X0), sparse_columns(D.X1), sparse_alt(D.lX))
+    out = {}
+    for key, (_, group) in families.items():
+        acc = _Acc(D.X0.mode)
         for r, w in group:
-            acc[key].add(r.values(), w)
-    return ResidualReport({k: v.residual() for k, v in acc.items()})
+            acc.add(r.values(), w)
+        out[key] = acc.residual()
+    return ResidualReport(out)
 
 
 def _der0_flat_len(L: Lie2Algebra) -> int:
@@ -193,106 +204,56 @@ def unflatten_der0(L: Lie2Algebra, vec) -> Derivation0:
     return Derivation0(X0, X1, AltTensor(2, n0, n1, entries))
 
 
+class _Form(dict):
+    """A linear form {unknown: coefficient} in the unknowns of `flatten_der0`."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "_Form") -> "_Form":
+        out = _Form(self)
+        for u, v in other.items():
+            out[u] = out[u] + v if u in out else v
+        return out
+
+    def __neg__(self) -> "_Form":
+        return _Form({u: -v for u, v in self.items()})
+
+    def __mul__(self, s) -> "_Form":
+        return _Form({u: v * s for u, v in self.items()})
+
+    __rmul__ = __mul__
+
+
 def der0_constraints(L: Lie2Algebra) -> Mat:
     """The matrix of the degree-0 derivation conditions.
 
-    The four families of conditions are linear in (X0, X1, lX): column u
-    holds the coefficients of the u-th unknown of `flatten_der0`, and the
-    rows are the stacked residual vectors of `_der0_condition_vectors`
-    (chain, then (a), (b) and (c) by basis tuple).  Each family is walked
-    once over the nonzero structure constants, and each term adds its
-    coefficient to the (row, unknown) entries it reaches.  The kernel is
-    exact, so a float algebra raises `ModeError`.
+    The conditions are linear in (X0, X1, lX), so `_der0_condition_vectors`
+    evaluated on the unknowns themselves, as unit linear forms, gives each
+    residual coordinate as a linear form: row t of the matrix is the t-th
+    coordinate of the stacked residual vectors (chain, then (a), (b) and (c)
+    by basis tuple), column u the coefficient of the u-th unknown of
+    `flatten_der0`.  The kernel is exact, so a float algebra raises
+    `ModeError`.
     """
     if L.mode != "exact":
         raise ModeError("der0_constraints requires exact scalars")
     n0, n1 = L.n0, L.n1
-    d, b00, b01, l3 = L.sparse()
     nfree = _der0_flat_len(L)
-    pairs = {key: t for t, key in enumerate(itertools.combinations(range(n0), 2))}
-    off1, offl = n0 * n0, n0 * n0 + n1 * n1
-    acc = {}
-
-    def add(row, col, v):
-        k = row * nfree + col
-        acc[k] = acc[k] + v if k in acc else v
-
-    def lx_col(x, m):
-        """(sign, first unknown) of lX(x, m): lX on the increasing pair."""
-        if x < m:
-            return 1, offl + pairs[x, m] * n1
-        return -1, offl + pairs[m, x] * n1
-
-    # chain: (X0 d - d X1)[r, a]
-    for a in range(n1):
-        for m, v in d[a].items():
-            for r in range(n0):
-                add(r * n1 + a, r * n0 + m, v)
-    for m in range(n1):
-        for r, v in d[m].items():
-            for a in range(n1):
-                add(r * n1 + a, off1 + m * n1 + a, -v)
-    base = n0 * n1
-
-    # (a) per pair: d lX(i,j) - X0 [i,j] + [X0 e_i, e_j] + [e_i, X0 e_j]
-    for (i, j), p in pairs.items():
-        for t in range(n1):
-            for c, v in d[t].items():
-                add(base + c, offl + p * n1 + t, v)
-        for m, v in b00.get((i, j), SPARSE_ZERO).items():
-            for r in range(n0):
-                add(base + r, r * n0 + m, -v)
-        for m in range(n0):
-            for c, v in b00.get((m, j), SPARSE_ZERO).items():
-                add(base + c, m * n0 + i, v)
-            for c, v in b00.get((i, m), SPARSE_ZERO).items():
-                add(base + c, m * n0 + j, v)
-        base += n0
-
-    # (b) per (i, a): lX(e_i, d e_a) - X1 [e_i, e_a] + [X0 e_i, e_a] + [e_i, X1 e_a]
-    for i in range(n0):
-        for a in range(n1):
-            for m, v in d[a].items():
-                if m != i:
-                    sign, col = lx_col(i, m)
-                    for c in range(n1):
-                        add(base + c, col + c, sign * v)
-            for t, v in b01[i][a].items():
-                for r in range(n1):
-                    add(base + r, off1 + r * n1 + t, -v)
-            for m in range(n0):
-                for c, v in b01[m][a].items():
-                    add(base + c, m * n0 + i, v)
-            for t in range(n1):
-                for c, v in b01[i][t].items():
-                    add(base + c, off1 + t * n1 + a, v)
-            base += n1
-
-    # (c) per triple: X1 l3(i,j,k) minus, cyclically in (x, y, z),
-    # lX(e_x, [e_y, e_z]) + [e_x, lX(y, z)] + l3(X0 e_x, e_y, e_z)
-    for i, j, k in itertools.combinations(range(n0), 3):
-        for t, v in l3.get((i, j, k), SPARSE_ZERO).items():
-            for r in range(n1):
-                add(base + r, off1 + r * n1 + t, v)
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, v in b00.get((y, z), SPARSE_ZERO).items():
-                if m != x:
-                    sign, col = lx_col(x, m)
-                    for c in range(n1):
-                        add(base + c, col + c, -sign * v)
-            sign, col = lx_col(y, z)
-            for t in range(n1):
-                for c, v in b01[x][t].items():
-                    add(base + c, col + t, -sign * v)
-            for m in range(n0):
-                for c, v in l3.get((m, y, z), SPARSE_ZERO).items():
-                    add(base + c, m * n0 + x, -v)
-        base += n1
-
-    data = [Fraction(0)] * (base * nfree)
-    for k, v in acc.items():
-        data[k] = v
-    return Mat._result(base, nfree, data, "exact")
+    unit = [_Form({u: Fraction(1)}) for u in range(nfree)]
+    x0 = [{r: unit[r * n0 + m] for r in range(n0)} for m in range(n0)]
+    x1 = [{r: unit[n0 * n0 + r * n1 + a] for r in range(n1)} for a in range(n1)]
+    lx = {}
+    for p, (i, j) in enumerate(itertools.combinations(range(n0), 2)):
+        lx[i, j] = {c: unit[n0 * n0 + n1 * n1 + p * n1 + c] for c in range(n1)}
+        lx[j, i] = {c: -f for c, f in lx[i, j].items()}
+    rows = [vec.get(c, SPARSE_ZERO)
+            for size, group in _der0_condition_vectors(L, x0, x1, lx).values()
+            for vec, _ in group for c in range(size)]
+    data = [Fraction(0)] * (len(rows) * nfree)
+    for t, form in enumerate(rows):
+        for u, v in form.items():
+            data[t * nfree + u] = v
+    return Mat._result(len(rows), nfree, data, "exact")
 
 
 def compute_der0_basis(L: Lie2Algebra) -> list:
@@ -411,14 +372,11 @@ class DerLie2:
     algebra: Lie2Algebra
     basis0: tuple
     basisM1: tuple
-    _coords: object  # span_coords of the flattened basis0
+    _coords: object  # coordinates of a degree-0 derivation in basis0
     _base: Lie2Algebra
 
     def der0_coords(self, D: Derivation0) -> tuple:
-        c = self._coords(flatten_der0(self._base, D))
-        if c is None:
-            raise ValueError("not in the degree-0 derivation span")
-        return c
+        return self._coords(D)
 
     def derM1_coords(self, T: DerM1) -> tuple:
         return T.theta.data
@@ -442,7 +400,7 @@ def build_der_lie2(L: Lie2Algebra) -> DerLie2:
     def coords(D: Derivation0) -> tuple:
         c = span(flatten_der0(L, D))
         if c is None:
-            raise ValueError("derivation escaped its own span")
+            raise ValueError("not in the degree-0 derivation span")
         return c
 
     dmat = Mat.from_cols([coords(dbar(L, T)) for T in basisM1], r)
@@ -456,7 +414,7 @@ def build_der_lie2(L: Lie2Algebra) -> DerLie2:
         b01.append(Mat.from_cols(cols, m))
 
     algebra = Lie2Algebra(r, m, dmat, b00, b01, AltTensor.zero(3, r, m))
-    return DerLie2(algebra, tuple(basis0), tuple(basisM1), span, L)
+    return DerLie2(algebra, tuple(basis0), tuple(basisM1), coords, L)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,14 @@ def test_der0_basis_of_a_float_algebra_raises():
         compute_der0_basis(skeletal_demo().to_float())
 
 
+def test_is_derivation0_refuses_mixed_modes():
+    L = fix_str()
+    D = compute_der0_basis(L)[0]
+    for alg, cand in ((L, D.to_float()), (L.to_float(), D)):
+        with pytest.raises(ModeError):
+            is_derivation0(alg, cand)
+
+
 # ---------------------------------------------------------------------------
 # dbar
 # ---------------------------------------------------------------------------

@@ -37,10 +37,12 @@ from lie2alg.derivations import (
 )
 from lie2alg.fixtures import (
     NAMED_EXAMPLES,
+    abelian_structure,
     adjoint_rep,
     aff1_sum_structure,
     rand_cochain,
     random_fixture,
+    sl2_structure,
     sl_structure,
     trivial_rep,
 )
@@ -237,6 +239,13 @@ def _random_fixtures():
     return [random_fixture(random.Random(seed)) for seed in range(30)]
 
 
+def _degenerate():
+    """One empty degree: sl2 as a 3|0 Lie 2-algebra (dim Der^0 = 3) and the
+    abelian 0|2 one (dim Der^0 = 4, all of gl(2) acting on g_{-1})."""
+    return [make_skeletal(sl2_structure(), trivial_rep(3, 0), AltTensor.zero(3, 3, 0)),
+            make_skeletal(abelian_structure(0), (), AltTensor.zero(3, 0, 2))]
+
+
 def _aff1_non_cocycle():
     sc = aff1_sum_structure()
     return make_skeletal(sc, trivial_rep(4, 1), AltTensor(3, 4, 1, {(1, 2, 3): (1,)}))
@@ -289,7 +298,7 @@ def random_candidate(L: Lie2Algebra, rng) -> Derivation0:
 
 
 def _bases():
-    algebras = [f() for f in NAMED_EXAMPLES.values()] + _random_fixtures()[:12]
+    algebras = [f() for f in NAMED_EXAMPLES.values()] + _random_fixtures()[:12] + _degenerate()
     return [(L, compute_der0_basis(L)) for L in algebras]
 
 
@@ -413,7 +422,7 @@ def test_der0_constraints_match_the_probed_reference():
     # the directly assembled matrix equals the residuals of unit triples,
     # entry for entry: every term of every family, with its sign and block
     algebras = [f() for f in NAMED_EXAMPLES.values()]
-    algebras += [make_string(sl_structure(3)), _endo_id2()] + _random_fixtures()
+    algebras += [make_string(sl_structure(3)), _endo_id2()] + _random_fixtures() + _degenerate()
     for L in algebras:
         got, want = der0_constraints(L), ref_der0_constraints(L)
         assert (got.rows, got.cols, got.mode) == (want.rows, want.cols, "exact")
