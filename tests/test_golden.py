@@ -26,6 +26,16 @@ SUITES = ("axioms", "crossed-module", "exp-square", "one-parameter", "bracket-re
           "conjugation")
 # a degree-0 element of skeletal-demo that breaks all four derivation laws
 NON_DERIVATION = GOLDEN / "skeletal-demo-nonder.der0"
+# (stem, algebra, element file, exit code) of the `lie2 aut` reports:
+# string-sl2-aut.hom is `fixtures.string_aut_hom` at random.Random(2);
+# string-sl2-nonaut.hom scales sl2 by 2, which breaks the bracket law;
+# the two tau elements of endo-1-1 make 1 + d tau invertible and singular
+AUT_CASES = (
+    ("aut-string-sl2", "string-sl2", "string-sl2-aut.hom", 0),
+    ("aut-string-sl2-nonaut", "string-sl2", "string-sl2-nonaut.hom", 1),
+    ("aut-endo-1-1-tau", "endo-1-1", "endo-1-1-tau.tau", 0),
+    ("aut-endo-1-1-tau-singular", "endo-1-1", "endo-1-1-tau-singular.tau", 1),
+)
 
 
 def _cases() -> dict:
@@ -41,6 +51,8 @@ def _cases() -> dict:
                 ["check", name, "--suite", suite, "--samples", "2", "--seed", "1"], code)
     cases["exp-skeletal-demo-nonder"] = (
         ["exp", "skeletal-demo", "--element", str(NON_DERIVATION)], 1)
+    for stem, name, element, code in AUT_CASES:
+        cases[stem] = (["aut", name, "--element", str(GOLDEN / element)], code)
     return cases
 
 
