@@ -20,11 +20,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from .automorphisms import (
+    Aut0,
     Tau,
-    certify_aut0,
     check_crossed_module,
     classify_automorphism,
-    is_aut0,
     random_tau,
     tau_is_invertible,
 )
@@ -230,14 +229,13 @@ def _cmd_aut(args) -> tuple:
     elem = parse_element(Path(args.element).read_text(encoding="utf-8"), L, args.element)
     header = _header("aut", args, L)
     if isinstance(elem, Lie2Hom):
-        ok, rep = is_aut0(L, elem)
+        a0i, a1i = mat_inverse(elem.A0), mat_inverse(elem.A1)
         lines = [ReportLine(f"hom_{name}", r.value, L.mode, 0.0, r.witness)
-                 for name, r in rep]
-        invertible = mat_inverse(elem.A0) is not None and mat_inverse(elem.A1) is not None
-        lines.append(ReportLine("invertible", 0 if invertible else 1, "exact"))
+                 for name, r in validate_hom(elem)]
+        lines.append(ReportLine("invertible", 0 if a0i is not None and a1i is not None else 1, "exact"))
         text, passed = emit_report(header, lines)
-        if ok:
-            flags = classify_automorphism(L, certify_aut0(L, elem))
+        if passed:  # every residual is 0 and both components invert
+            flags = classify_automorphism(L, Aut0(elem, a0i, a1i))
             text += f"classify weak={flags['weak']} strict={flags['strict']}\n"
         return text, passed
     if isinstance(elem, Tau):

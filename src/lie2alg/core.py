@@ -21,11 +21,10 @@ from .linalg import (
     AltTensor,
     Mat,
     basis_vec,
-    kernel_basis,
+    kernel,
     mat_distance,
     mat_inverse,
     scalar_zero,
-    span_coords,
     sparse_alt,
     sparse_apply,
     sparse_columns,
@@ -562,31 +561,27 @@ def make_skeletal(sc: AltTensor, rep, l3: AltTensor) -> Lie2Algebra:
     return Lie2Algebra(n, m, Mat.zero(n, m, sc.mode), sc, rep, l3)
 
 
-def _flatten_pair(F0: Mat, F1: Mat) -> tuple:
-    return F0.data + F1.data
-
-
 def _endo_data(dmat: Mat):
-    """Basis of degree-0 endomorphism pairs commuting with dmat."""
+    """Basis of degree-0 endomorphism pairs (F0, F1) commuting with dmat, and
+    coords(F0, F1), the coordinates of a pair in it from the same elimination
+    (`linalg.kernel`); a pair off the span raises ValueError."""
     v0, v1 = dmat.rows, dmat.cols
-    cols = []
-    for u in range(v0 * v0 + v1 * v1):
-        f0 = [Fraction(0)] * (v0 * v0)
-        f1 = [Fraction(0)] * (v1 * v1)
-        if u < v0 * v0:
-            f0[u] = Fraction(1)
-        else:
-            f1[u - v0 * v0] = Fraction(1)
-        F0 = Mat(v0, v0, f0)
-        F1 = Mat(v1, v1, f1)
-        cols.append(((F0 @ dmat) - (dmat @ F1)).data)
-    constraint = Mat.from_cols(cols, v0 * v1)
-    pairs = []
-    for vec in kernel_basis(constraint):
-        F0 = Mat(v0, v0, vec[:v0 * v0])
-        F1 = Mat(v1, v1, vec[v0 * v0:])
-        pairs.append((F0, F1))
-    return pairs
+
+    def pair(vec) -> tuple:  # the unknowns are the entries of F0, then of F1
+        return Mat(v0, v0, vec[:v0 * v0]), Mat(v1, v1, vec[v0 * v0:])
+
+    units = Mat.identity(v0 * v0 + v1 * v1)
+    unit_pairs = [pair(units.col(u)) for u in range(units.cols)]
+    cols = [(F0 @ dmat - dmat @ F1).data for F0, F1 in unit_pairs]
+    basis, span = kernel(Mat.from_cols(cols, v0 * v1))
+
+    def coords(F0: Mat, F1: Mat) -> tuple:
+        c = span(F0.data + F1.data)
+        if c is None:
+            raise ValueError("value escaped the degree-0 span")
+        return c
+
+    return [pair(vec) for vec in basis], coords
 
 
 def make_endo(dmat: Mat) -> Lie2Algebra:
@@ -595,26 +590,15 @@ def make_endo(dmat: Mat) -> Lie2Algebra:
     Degree 0 is the space of pairs (F0, F1) with F0 dmat = dmat F1 under
     the commutator bracket, degree -1 is Hom(V_0, V_{-1}), and the
     differential sends theta to (dmat theta, theta dmat).  The degree-0
-    basis follows kernel_basis output order, so results are deterministic.
+    basis follows kernel output order, so results are deterministic.
     """
     v0, v1 = dmat.rows, dmat.cols
-    pairs = _endo_data(dmat)
+    pairs, coords = _endo_data(dmat)
     n0 = len(pairs)
     n1 = v1 * v0
-    span = span_coords(Mat.from_cols([_flatten_pair(*p) for p in pairs], v0 * v0 + v1 * v1))
-
-    def coords(F0: Mat, F1: Mat) -> tuple:
-        c = span(_flatten_pair(F0, F1))
-        if c is None:
-            raise ValueError("value escaped the degree-0 span")
-        return c
-
-    def theta_mat(t: int) -> Mat:
-        data = [Fraction(0)] * (v1 * v0)
-        data[t] = Fraction(1)
-        return Mat(v1, v0, data)
-
-    d = Mat.from_cols([coords(dmat @ theta_mat(t), theta_mat(t) @ dmat) for t in range(n1)], n0)
+    units = Mat.identity(n1)
+    thetas = [Mat(v1, v0, units.col(t)) for t in range(n1)]  # row-major unit maps
+    d = Mat.from_cols([coords(dmat @ theta, theta @ dmat) for theta in thetas], n0)
 
     def b00_val(key):
         (F0, F1), (G0, G1) = pairs[key[0]], pairs[key[1]]
@@ -624,7 +608,7 @@ def make_endo(dmat: Mat) -> Lie2Algebra:
 
     b01 = []
     for F0, F1 in pairs:
-        cols = [((F1 @ theta_mat(t)) - (theta_mat(t) @ F0)).data for t in range(n1)]
+        cols = [((F1 @ theta) - (theta @ F0)).data for theta in thetas]
         b01.append(Mat.from_cols(cols, n1))
 
     return Lie2Algebra(n0, n1, d, b00, b01, AltTensor.zero(3, n0, n1))

@@ -23,11 +23,10 @@ from .linalg import (
     Mat,
     ModeError,
     _same_mode,
-    kernel_basis,
+    kernel,
     mat_distance,
     rref,
     scalar_zero,
-    span_coords,
     sparse_alt,
     sparse_apply,
     sparse_columns,
@@ -95,6 +94,15 @@ class DerM1:
 def der0_zero(L: Lie2Algebra) -> Derivation0:
     return Derivation0(Mat.zero(L.n0, L.n0, L.mode), Mat.zero(L.n1, L.n1, L.mode),
                        AltTensor.zero(2, L.n0, L.n1, L.mode))
+
+
+def _der0_combination(L: Lie2Algebra, terms) -> Derivation0:
+    """The sum of c D over the (c, D) pairs of terms, zero coefficients skipped."""
+    out = der0_zero(L)
+    for c, D in terms:
+        if c != 0:
+            out = out + D.scale(c)
+    return out
 
 
 def derM1_zero(L: Lie2Algebra) -> DerM1:
@@ -256,10 +264,25 @@ def der0_constraints(L: Lie2Algebra) -> Mat:
     return Mat._result(len(rows), nfree, data, "exact")
 
 
+def _der0_kernel(L: Lie2Algebra):
+    """(basis, coords) of the degree-0 derivation space from one elimination
+    of `der0_constraints` (`linalg.kernel`): coords(D) is the coordinate
+    tuple of D in the basis, and raises ValueError when D is off the span."""
+    vecs, span = kernel(der0_constraints(L))
+
+    def coords(D: Derivation0) -> tuple:
+        c = span(flatten_der0(L, D))
+        if c is None:
+            raise ValueError("not in the degree-0 derivation span")
+        return c
+
+    return [unflatten_der0(L, v) for v in vecs], coords
+
+
 def compute_der0_basis(L: Lie2Algebra) -> list:
     """Basis of the degree-0 derivation space: the kernel of
-    `der0_constraints`, in kernel_basis order (deterministic)."""
-    return [unflatten_der0(L, v) for v in kernel_basis(der0_constraints(L))]
+    `der0_constraints`, in kernel order (deterministic)."""
+    return _der0_kernel(L)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -382,27 +405,15 @@ class DerLie2:
         return T.theta.data
 
     def der0_from_coords(self, c) -> Derivation0:
-        out = der0_zero(self._base)
-        for s, basis_el in zip(c, self.basis0):
-            if s != 0:
-                out = out + basis_el.scale(s)
-        return out
+        return _der0_combination(self._base, zip(c, self.basis0))
 
 
 def build_der_lie2(L: Lie2Algebra) -> DerLie2:
     """Assemble the strict derivation Lie 2-algebra of L in explicit bases."""
-    basis0 = compute_der0_basis(L)
+    basis0, coords = _der0_kernel(L)
     basisM1 = derM1_basis(L)
     r = len(basis0)
     m = len(basisM1)
-    span = span_coords(Mat.from_cols([flatten_der0(L, D) for D in basis0], _der0_flat_len(L)))
-
-    def coords(D: Derivation0) -> tuple:
-        c = span(flatten_der0(L, D))
-        if c is None:
-            raise ValueError("not in the degree-0 derivation span")
-        return c
-
     dmat = Mat.from_cols([coords(dbar(L, T)) for T in basisM1], r)
 
     b00 = AltTensor.from_function(
@@ -501,15 +512,12 @@ def classify_derivation(L: Lie2Algebra, elem) -> dict:
 # ---------------------------------------------------------------------------
 
 def random_der0(L: Lie2Algebra, rng, basis=None, dens=(1, 2)) -> Derivation0:
-    """Random rational combination of a degree-0 derivation basis."""
+    """Random rational combination of a degree-0 derivation basis; each
+    coefficient draws rng.randint(-3, 3), then rng.choice(dens), in basis order."""
     if basis is None:
         basis = compute_der0_basis(L)
-    out = der0_zero(L)
-    for D in basis:
-        c = Fraction(rng.randint(-3, 3), rng.choice(dens))
-        if c != 0:
-            out = out + D.scale(c)
-    return out
+    return _der0_combination(
+        L, ((Fraction(rng.randint(-3, 3), rng.choice(dens)), D) for D in basis))
 
 
 def random_derM1(L: Lie2Algebra, rng, dens=(1, 2)) -> DerM1:

@@ -56,7 +56,6 @@ from .derivations import (
     compute_der0_basis,
     dbar,
     der0_distance,
-    der0_zero,
     derM1_basis,
     graded_bracket,
     inn0_basis,
@@ -360,10 +359,7 @@ def _commuting_iv_sample(L: Lie2Algebra, rng, der_basis):
             return D, tau
     flat = [B for B in der_basis if B.X0.is_zero() and B.X1.is_zero()]
     tau = _random_invertible_tau(L, rng)
-    D = der0_zero(L)
-    for B in flat:
-        D = D + B.scale(Fraction(rng.randint(-3, 3), rng.choice((8, 16))))
-    return D, tau
+    return random_der0(L, rng, flat, dens=(8, 16)), tau
 
 
 def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,

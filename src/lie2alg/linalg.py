@@ -382,22 +382,45 @@ def rref(m: Mat):
     return Mat._result(m.rows, m.cols, data, "exact"), pivots
 
 
-def kernel_basis(m: Mat) -> list:
-    """Basis of the exact null space, one vector per free column: the free
-    column set to 1, the other free columns 0, read off the pivot rows."""
-    pivot_rows, pivots = _reduce(_exact_rows(m, "kernel_basis"), m.cols)
-    pivot_set = set(pivots)
+def kernel(m: Mat):
+    """The exact null space from one elimination: (basis, coords).
+
+    The basis has one vector per free column: the free column set to 1, the
+    other free columns 0, read off the pivot rows.  So coords(b), the
+    coordinates of b in the basis, are b read at the free columns, and b is
+    in the span iff every reduced pivot row vanishes on b; off the span
+    coords returns None.  A vector of the wrong length raises ValueError.
+    """
+    pivot_rows, pivots = _reduce(_exact_rows(m, "kernel"), m.cols)
+    free = sorted(set(range(m.cols)) - set(pivots))
+    touched = [[] for _ in range(m.cols)]  # column -> (pivot row number, entry)
+    for t, r in enumerate(pivot_rows):
+        for j, x in r.items():
+            touched[j].append((t, x))
     basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
+    for f in free:
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
-        for r, p in zip(pivot_rows, pivots):
-            if f in r:
-                v[p] = -r[f]
+        for t, x in touched[f]:
+            v[pivots[t]] = -x
         basis.append(tuple(v))
-    return basis
+
+    def coords(b: tuple):
+        if len(b) != m.cols:
+            raise ValueError("vector length mismatch")
+        rb = {}  # the pivot rows applied to b, over the nonzero entries of b
+        for j, y in enumerate(b):
+            if y:
+                for t, x in touched[j]:
+                    rb[t] = rb.get(t, 0) + x * y
+        return None if any(rb.values()) else tuple(b[f] for f in free)
+
+    return basis, coords
+
+
+def kernel_basis(m: Mat) -> list:
+    """Basis of the exact null space (see `kernel`)."""
+    return kernel(m)[0]
 
 
 def mat_inverse(m: Mat):
@@ -447,34 +470,6 @@ def solve(m: Mat, b: tuple):
     for r, p in zip(pivot_rows, pivots):
         x[p] = r.get(m.cols, Fraction(0))
     return tuple(x)
-
-
-def span_coords(m: Mat):
-    """Factor an exact matrix with independent columns once, for many solves.
-
-    Returns coords(b): the unique x with m x = b, or None when b is off the
-    column span.  A set of independent rows of m is inverted once; every
-    candidate x is then checked by testing m x == b, so membership is
-    decided by the same equation solve() answers.  The check sums the
-    columns of m over the nonzero coordinates of x only.  Raises
-    ValueError when the columns are dependent.
-    """
-    if m.mode != "exact":
-        raise ModeError("span_coords requires exact scalars")
-    cols = sparse_columns(m)
-    rows = _reduce([dict(c) for c in cols], m.rows)[1]
-    if len(rows) != m.cols:
-        raise ValueError("columns are linearly dependent")
-    inv = mat_inverse(Mat.from_rows([m.row(i) for i in rows]))
-
-    def coords(b: tuple):
-        if len(b) != m.rows:
-            raise ValueError("vector length mismatch")
-        x = inv.apply(tuple(b[i] for i in rows))
-        mx = sparse_apply(cols, {t: v for t, v in enumerate(x) if v})
-        return x if all(mx.get(i, 0) == v for i, v in enumerate(b)) else None
-
-    return coords
 
 
 def rank(m: Mat) -> int:
@@ -667,14 +662,18 @@ class AltTensor:
         return tuple(out)
 
     def __add__(self, other: "AltTensor") -> "AltTensor":
-        self._compat(other)
-        keys = set(self.entries) | set(other.entries)
-        entries = {k: vadd(self.entries.get(k, self._zero_vec()),
-                           other.entries.get(k, other._zero_vec())) for k in keys}
-        return AltTensor._result(self.arity, self.dim, self.codim, entries, self.mode)
+        return self._keywise(vadd, other)
 
     def __sub__(self, other: "AltTensor") -> "AltTensor":
-        return self + (-other)
+        return self._keywise(vsub, other)
+
+    def _keywise(self, op, other: "AltTensor") -> "AltTensor":
+        """op (vadd or vsub) on the values of the two tensors, key by key."""
+        self._compat(other)
+        zero = self._zero_vec()
+        entries = {k: op(self.entries.get(k, zero), other.entries.get(k, zero))
+                   for k in set(self.entries) | set(other.entries)}
+        return AltTensor._result(self.arity, self.dim, self.codim, entries, self.mode)
 
     def __neg__(self) -> "AltTensor":
         return AltTensor._result(self.arity, self.dim, self.codim,

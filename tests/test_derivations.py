@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,7 @@ from lie2alg.derivations import (
     random_der0,
     random_derM1,
 )
+from lie2alg.fileio import parse_element
 from lie2alg.fixtures import (
     fix_ab,
     fix_end,
@@ -289,6 +291,18 @@ def test_der_lie2_dbar_matches_columns():
         coords = der.algebra.d.col(t)
         rebuilt = der.der0_from_coords(coords)
         assert der0_distance(rebuilt, dbar(L, T)) == 0
+
+
+def test_der0_coords_rejects_a_non_derivation():
+    # the golden element breaks all four derivation laws, so it has no
+    # coordinates in the degree-0 basis; the basis elements have unit ones
+    L = skeletal_demo()
+    der = build_der_lie2(L)
+    for t, D in enumerate(der.basis0):
+        assert der.der0_coords(D) == tuple(int(i == t) for i in range(len(der.basis0)))
+    text = (Path(__file__).parent / "golden" / "skeletal-demo-nonder.der0").read_text(encoding="utf-8")
+    with pytest.raises(ValueError):
+        der.der0_coords(parse_element(text, L))
 
 
 def test_der_lie2_random_fixtures_validate():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lie2alg import fixtures
 from lie2alg.derivations import der0_constraints
@@ -12,6 +12,7 @@ from lie2alg.linalg import (
     AltTensor,
     Mat,
     ModeError,
+    kernel,
     kernel_basis,
     mat_distance,
     mat_inverse,
@@ -21,7 +22,6 @@ from lie2alg.linalg import (
     rat_str,
     rref,
     solve,
-    span_coords,
     truncated_exp,
     vec_is_zero,
 )
@@ -71,6 +71,12 @@ def test_rref_rejects_float():
 
 def test_kernel_identity_empty():
     assert kernel_basis(Mat.identity(3)) == []
+    basis, coords = kernel(Mat.identity(3))
+    assert basis == [] and coords((0, 0, 0)) == ()
+    assert coords((0, 1, 0)) is None
+    # no columns: the zero space, whose one vector is ()
+    basis, coords = kernel(Mat.zero(2, 0))
+    assert basis == [] and coords(()) == ()
 
 
 def test_kernel_zero_full():
@@ -78,6 +84,12 @@ def test_kernel_zero_full():
     assert len(basis) == 2
     assert basis[0] == (1, 0)
     assert basis[1] == (0, 1)
+    # every vector is in the kernel of a zero matrix, and is its own coordinates
+    _, coords = kernel(Mat.zero(1, 2))
+    assert coords((Fraction(2, 3), -5)) == (Fraction(2, 3), -5)
+    for bad in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            coords(bad)
 
 
 def test_kernel_line():
@@ -88,6 +100,14 @@ def test_kernel_line():
     v = basis[0]
     assert v[0] * 1 + v[1] * 1 == 0
     assert v[1] != 0 and v[0] / v[1] == -1
+    # the basis vector is (-1, 1): 2 (-1, 1) = (-2, 2), and (1, 1) is off the line
+    _, coords = kernel(m)
+    assert coords((-2, 2)) == (2,)
+    assert coords((1, 1)) is None
+    with pytest.raises(ValueError):
+        coords((1,))
+    with pytest.raises(ModeError):
+        kernel(Mat.from_rows([[1.0, 1.0]]))
 
 
 def test_mat_inverse_cases():
@@ -390,46 +410,6 @@ def test_mat_apply_float_zero_coordinate_keeps_float_sum():
 
 
 # ---------------------------------------------------------------------------
-# the factor-once span helper
-# ---------------------------------------------------------------------------
-
-@st.composite
-def _full_column_rank(draw):
-    rows = draw(st.integers(1, 5))
-    cols = draw(st.integers(0, rows))
-    m = Mat(rows, cols, draw(st.lists(small_rats, min_size=rows * cols, max_size=rows * cols)))
-    assume(rank(m) == cols)
-    return m
-
-
-@given(_full_column_rank(), st.data())
-def test_span_coords_equals_solve(m, data):
-    coords = span_coords(m)
-    x = tuple(data.draw(st.lists(small_rats, min_size=m.cols, max_size=m.cols)))
-    b = m.apply(x)
-    assert coords(b) == x == solve(m, b)
-    other = tuple(data.draw(st.lists(small_rats, min_size=m.rows, max_size=m.rows)))
-    assert coords(other) == solve(m, other)
-
-
-def test_span_coords_off_span_is_none():
-    coords = span_coords(Mat.from_rows([[1, 0], [0, 1], [1, 1]]))
-    assert coords((2, 3, 5)) == (2, 3)
-    assert coords((2, 3, 4)) is None
-    assert span_coords(Mat.zero(2, 0))((0, 0)) == ()
-    assert span_coords(Mat.zero(2, 0))((0, 1)) is None
-
-
-def test_span_coords_rejects_dependent_columns():
-    for m in (Mat.from_rows([[1, 2], [2, 4]]), Mat.from_rows([[1, 0], [0, 0]]),
-              Mat.zero(0, 1), Mat.from_rows([[1, 1, 0], [0, 1, 1]])):
-        with pytest.raises(ValueError):
-            span_coords(m)
-    with pytest.raises(ModeError):
-        span_coords(Mat.from_rows([[1.0], [0.0]]))
-
-
-# ---------------------------------------------------------------------------
 # sympy as an independent oracle (test-only; skipped when sympy is absent)
 # ---------------------------------------------------------------------------
 
@@ -475,9 +455,19 @@ def test_kernel_basis_and_rank_match_sympy(rows, cols, data):
     m = _draw_mat(data, rows, cols)
     sm = _to_sympy(m)
     assert rank(m) == sm.rank()
+    basis, coords = kernel(m)
+    assert basis == kernel_basis(m)
     # both set one free column to 1 and the others to 0, so the bases agree
-    got = [_to_sympy(Mat(cols, 1, v)) for v in kernel_basis(m)]
+    got = [_to_sympy(Mat(cols, 1, v)) for v in basis]
     assert got == sm.nullspace()
+    # the coordinates of a combination of the basis are its coefficients
+    x = tuple(data.draw(st.lists(zero_heavy_rats, min_size=len(basis), max_size=len(basis))))
+    assert coords(tuple(sum((c * v[j] for c, v in zip(x, basis)), Fraction(0))
+                        for j in range(cols))) == x
+    # any vector is in the span iff sympy's m b vanishes
+    b = tuple(data.draw(st.lists(data.draw(st.sampled_from([small_rats, zero_heavy_rats])),
+                                 min_size=cols, max_size=cols)))
+    assert (coords(b) is None) == (not (sm * _to_sympy(Mat(cols, 1, b))).is_zero_matrix)
 
 
 @settings(deadline=None)
@@ -491,27 +481,6 @@ def test_mat_inverse_matches_sympy(n, shift, data):
     assert (inv is None) == (sm.det() == 0)
     if inv is not None:
         assert _to_sympy(inv) == sm.inv()
-
-
-@settings(deadline=None)
-@given(st.integers(1, 10), st.data())
-def test_span_coords_matches_sympy(rows, data):
-    cols = data.draw(st.integers(0, min(rows, 8)))
-    m = _draw_mat(data, rows, cols)
-    # a one in a distinct row of every column makes full column rank likely
-    hit = data.draw(st.permutations(range(rows)))[:cols]
-    m = m + Mat(rows, cols, [Fraction(int(hit[j] == i)) for i in range(rows) for j in range(cols)])
-    assume(rank(m) == cols)
-    sm = _to_sympy(m)
-    coords = span_coords(m)
-    x = tuple(data.draw(st.lists(zero_heavy_rats, min_size=cols, max_size=cols)))
-    assert coords(m.apply(x)) == x
-    b = tuple(data.draw(st.lists(zero_heavy_rats, min_size=rows, max_size=rows)))
-    sb = _to_sympy(Mat(rows, 1, b))
-    got = coords(b)
-    assert (got is None) == (sm.row_join(sb).rank() > cols)
-    if got is not None:
-        assert sm * _to_sympy(Mat(cols, 1, got)) == sb
 
 
 def test_der0_constraint_kernels_match_sympy():
