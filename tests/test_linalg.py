@@ -410,6 +410,42 @@ def test_mat_apply_float_zero_coordinate_keeps_float_sum():
 
 
 # ---------------------------------------------------------------------------
+# coordinates in the span of a kernel basis
+# ---------------------------------------------------------------------------
+
+def _basis_columns(basis, n):
+    """The n x len(basis) matrix whose columns are the basis vectors."""
+    return Mat(n, len(basis), [v[j] for j in range(n) for v in basis])
+
+
+@given(st.integers(1, 5), st.integers(0, 5), st.data())
+def test_span_coords_equals_solve(rows, cols, data):
+    m = Mat(rows, cols, data.draw(st.lists(small_rats, min_size=rows * cols,
+                                           max_size=rows * cols)))
+    basis, coords = kernel(m)
+    cb = _basis_columns(basis, cols)
+    # the basis columns are independent, so solve's one solution is the only one
+    x = tuple(data.draw(st.lists(small_rats, min_size=len(basis), max_size=len(basis))))
+    b = cb.apply(x)
+    assert coords(b) == x == solve(cb, b)
+    other = tuple(data.draw(st.lists(small_rats, min_size=cols, max_size=cols)))
+    assert coords(other) == solve(cb, other)
+
+
+def test_span_coords_off_span_is_none():
+    # x + y = z: the basis is (-1, 1, 0) and (1, 0, 1), at free columns 1 and 2
+    basis, coords = kernel(Mat.from_rows([[1, 1, -1]]))
+    assert basis == [(-1, 1, 0), (1, 0, 1)]
+    assert coords((5, 2, 7)) == (2, 7)
+    assert coords((5, 2, 6)) is None
+    assert coords((1, 0, 0)) is None
+    # a zero kernel holds the zero vector only
+    _, coords = kernel(Mat.identity(2))
+    assert coords((0, 0)) == ()
+    assert coords((0, 1)) is None
+
+
+# ---------------------------------------------------------------------------
 # sympy as an independent oracle (test-only; skipped when sympy is absent)
 # ---------------------------------------------------------------------------
 
@@ -481,6 +517,26 @@ def test_mat_inverse_matches_sympy(n, shift, data):
     assert (inv is None) == (sm.det() == 0)
     if inv is not None:
         assert _to_sympy(inv) == sm.inv()
+
+
+@settings(deadline=None)
+@given(st.integers(1, 8), st.integers(1, 10), st.booleans(), st.data())
+def test_span_coords_matches_sympy(rows, cols, in_span, data):
+    m = _draw_mat(data, rows, cols)
+    basis, coords = kernel(m)
+    cb = _basis_columns(basis, cols)
+    scb = _to_sympy(cb)
+    x = tuple(data.draw(st.lists(zero_heavy_rats, min_size=len(basis), max_size=len(basis))))
+    assert coords(cb.apply(x)) == x
+    # b is a combination of the basis, or any vector (then mostly off the span)
+    b = cb.apply(tuple(data.draw(st.lists(small_rats, min_size=len(basis),
+                                          max_size=len(basis))))) if in_span else \
+        tuple(data.draw(st.lists(zero_heavy_rats, min_size=cols, max_size=cols)))
+    sb = _to_sympy(Mat(cols, 1, b))
+    got = coords(b)
+    assert (got is None) == (scb.row_join(sb).rank() > len(basis))
+    if got is not None:
+        assert scb * _to_sympy(Mat(len(basis), 1, got)) == sb
 
 
 def test_der0_constraint_kernels_match_sympy():
