@@ -271,15 +271,15 @@ def semidirect_distance(L: Lie2Algebra, p1, p2):
 def classify_automorphism(L: Lie2Algebra, elem) -> dict:
     """Flags {weak, strict}.
 
-    Degree 0: strict iff dropping A2 still gives an automorphism.
+    Degree 0: strict iff A2 = 0, the homomorphism residuals are literally 0
+    (tolerance 0) and the cached component inverses are present.
     Degree -1: strict iff tau[x,y] = [x, tau y] + [tau x, y] + [tau x, d tau y],
     that is iff the twist l^id_tau of the identity vanishes.
     """
     if isinstance(elem, Aut0):
-        stripped = Lie2Hom(L, L, elem.hom.A0, elem.hom.A1,
-                           AltTensor.zero(2, L.n0, L.n1, L.mode))
-        ok, _ = is_aut0(L, stripped)
-        return {"weak": True, "strict": elem.hom.A2.is_zero() and ok}
+        strict = (elem.hom.A2.is_zero() and elem.a0_inv is not None
+                  and elem.a1_inv is not None and validate_hom(elem.hom).ok)
+        return {"weak": True, "strict": strict}
     if isinstance(elem, Tau):
         return {"weak": tau_is_invertible(L, elem),
                 "strict": twist_lower(L, hom_identity(L), elem).is_zero()}

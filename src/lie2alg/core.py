@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import (
@@ -45,7 +44,7 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class Residual:
-    value: object  # Fraction (exact mode) or float
+    value: object  # an exact int or Fraction (exact mode), or a float
     witness: tuple | None = None
 
 
@@ -66,7 +65,7 @@ class ResidualReport:
         return all(r.value == 0 for r in self.entries.values())
 
     def max_value(self):
-        return max((r.value for r in self.entries.values()), default=Fraction(0))
+        return max((r.value for r in self.entries.values()), default=0)
 
     def within(self, tol) -> bool:
         return all(abs(r.value) <= tol for r in self.entries.values())
@@ -543,7 +542,7 @@ def make_string(sc: AltTensor) -> Lie2Algebra:
     def l3_val(key):
         i, j, k = key
         u = sc.eval_basis(i, j)
-        return (sum((u[s] * K.at(s, k) for s in range(n)), Fraction(0)),)
+        return (sum((u[s] * K.at(s, k) for s in range(n)), 0),)
 
     l3 = AltTensor.from_function(3, n, 1, l3_val, sc.mode)
     return Lie2Algebra(n, 1, Mat.zero(n, 1, sc.mode), sc, [Mat.zero(1, 1, sc.mode)] * n, l3)

@@ -36,6 +36,7 @@ from .linalg import (
     vadd,
     vscale,
     vsub,
+    vzero,
 )
 
 
@@ -194,9 +195,12 @@ def _der0_flat_len(L: Lie2Algebra) -> int:
 
 
 def flatten_der0(L: Lie2Algebra, D: Derivation0) -> tuple:
+    """X0, X1 (row-major), then lX on each increasing pair (i, j) in
+    lexicographic order, read from its stored values (zero when absent)."""
     parts = list(D.X0.data) + list(D.X1.data)
+    zero = vzero(D.lX.codim, D.lX.mode)
     for key in itertools.combinations(range(L.n0), 2):
-        parts.extend(D.lX.eval_basis(*key))
+        parts.extend(D.lX.entries.get(key, zero))
     return tuple(parts)
 
 
@@ -247,7 +251,7 @@ def der0_constraints(L: Lie2Algebra) -> Mat:
         raise ModeError("der0_constraints requires exact scalars")
     n0, n1 = L.n0, L.n1
     nfree = _der0_flat_len(L)
-    unit = [_Form({u: Fraction(1)}) for u in range(nfree)]
+    unit = [_Form({u: 1}) for u in range(nfree)]
     x0 = [{r: unit[r * n0 + m] for r in range(n0)} for m in range(n0)]
     x1 = [{r: unit[n0 * n0 + r * n1 + a] for r in range(n1)} for a in range(n1)]
     lx = {}
@@ -257,7 +261,7 @@ def der0_constraints(L: Lie2Algebra) -> Mat:
     rows = [vec.get(c, SPARSE_ZERO)
             for size, group in _der0_condition_vectors(L, x0, x1, lx).values()
             for vec, _ in group for c in range(size)]
-    data = [Fraction(0)] * (len(rows) * nfree)
+    data = [0] * (len(rows) * nfree)
     for t, form in enumerate(rows):
         for u, v in form.items():
             data[t * nfree + u] = v
@@ -377,8 +381,8 @@ def derM1_basis(L: Lie2Algebra) -> list:
     out = []
     for a in range(L.n1):
         for b in range(L.n0):
-            data = [Fraction(0)] * (L.n1 * L.n0)
-            data[a * L.n0 + b] = Fraction(1)
+            data = [0] * (L.n1 * L.n0)
+            data[a * L.n0 + b] = 1
             out.append(DerM1(Mat(L.n1, L.n0, data)))
     return out
 

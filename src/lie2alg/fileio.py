@@ -12,7 +12,6 @@ lexicographically, so parse(serialize(x)) = x.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .automorphisms import Tau
@@ -108,7 +107,7 @@ def _read_entries(lines, tags: dict, dims, filename: str, unknown: str) -> dict:
 
 def _mat(entries: dict, rows: int, cols: int) -> Mat:
     """The matrix with entry (r, c) = entries[(r, c)], zero if absent."""
-    data = [Fraction(0)] * (rows * cols)
+    data = [0] * (rows * cols)
     for (r, c), v in entries.items():
         data[r * cols + c] = v
     return Mat(rows, cols, data)
@@ -118,7 +117,7 @@ def _alt(entries: dict, arity: int, dim: int, codim: int) -> AltTensor:
     """The alternating tensor with value coordinate c on key k = entries[(*k, c)]."""
     vecs = {}
     for (*key, c), v in entries.items():
-        vecs.setdefault(tuple(key), [Fraction(0)] * codim)[c] = v
+        vecs.setdefault(tuple(key), [0] * codim)[c] = v
     return AltTensor(arity, dim, codim, vecs)
 
 

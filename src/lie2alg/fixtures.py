@@ -50,8 +50,8 @@ def sl_structure(n: int) -> AltTensor:
     its first n - 1 diagonal entries.
     """
     def unit(i, j):
-        data = [Fraction(0)] * (n * n)
-        data[i * n + j] = Fraction(1)
+        data = [0] * (n * n)
+        data[i * n + j] = 1
         return Mat(n, n, data)
 
     offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]

@@ -1,8 +1,15 @@
 """Exact-rational (and float) linear algebra.
 
-Scalars are `fractions.Fraction` in exact mode or `float` in analytic
-mode.  Every value keeps the scalar mode it was built in, all-zero and
-empty values included: literal data is float iff an entry is, a zero or
+Scalars are exact rationals in exact mode or `float` in analytic mode.
+An exact scalar is an `int` or a `fractions.Fraction`.  Literal data,
+scalars and pivot quotients take the canonical form (`_exact`: an `int`
+when integral), and sums and products of ints stay ints, so integral data
+is computed in ints; a `Fraction` enters only with a non-integral value (a
+division, a literal p/q, a sampled draw).  Every exact division goes
+through `Fraction`, never `/` on two ints, which would give a float.
+
+Every value keeps the scalar mode it was built in, all-zero and empty
+values included: literal data is float iff an entry is, a zero or
 identity takes its mode as an argument, and a computed result has the
 mode of its operands.  Mixing the two modes in one expression raises
 `ModeError`.  Row reduction, kernel bases and exact inverses are only
@@ -30,14 +37,26 @@ class ModeError(TypeError):
     """Raised when exact and float values meet in one expression."""
 
 
-def rat(text: str) -> Fraction:
-    """Parse a rational literal: optional '-', integer, optional '/positive-integer'."""
+def _exact(q):
+    """The canonical exact form of an int or Fraction q: an int when q is
+    integral (a bool becomes its int), else the Fraction."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _quotient(x, y):
+    """The exact quotient x / y of two exact scalars, in canonical form."""
+    return _exact(Fraction(x, y))
+
+
+def rat(text: str):
+    """Parse a rational literal: optional '-', integer, optional '/positive-integer'.
+    The value is canonical: an int when integral, else a Fraction."""
     m = _RAT_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
-    return Fraction(num, den)
+    return _quotient(num, den)
 
 
 def rat_str(q) -> str:
@@ -50,7 +69,8 @@ def rat_str(q) -> str:
 
 def _coerce_entries(entries, mode=None):
     """Normalize a flat list of scalars from outside the program to one
-    mode: `mode` when given, else float iff an entry is.  ints fit either."""
+    mode: `mode` when given, else float iff an entry is.  ints fit either;
+    exact entries take their canonical form (`_exact`)."""
     has_float = any(isinstance(e, float) for e in entries)
     mode = mode or ("float" if has_float else "exact")
     if mode == "float":
@@ -60,16 +80,17 @@ def _coerce_entries(entries, mode=None):
         return tuple(float(e) for e in entries), mode
     if has_float:
         raise ModeError("mixed exact and float entries")
-    return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries), mode
+    return tuple(e if type(e) is int else _exact(e if isinstance(e, Fraction) else Fraction(e))
+                 for e in entries), mode
 
 
 def _check_scalar(s, mode):
     if isinstance(s, int):
-        return Fraction(s) if mode == "exact" else float(s)
+        return _exact(s) if mode == "exact" else float(s)
     if isinstance(s, Fraction):
         if mode != "exact":
             raise ModeError("rational scalar applied to float value")
-        return s
+        return _exact(s)
     if isinstance(s, float):
         if mode != "float":
             raise ModeError("float scalar applied to exact value")
@@ -78,8 +99,8 @@ def _check_scalar(s, mode):
 
 
 def scalar_zero(mode: str):
-    """The zero scalar of a mode: Fraction(0) when exact, 0.0 when float."""
-    return Fraction(0) if mode == "exact" else 0.0
+    """The zero scalar of a mode: the int 0 when exact, 0.0 when float."""
+    return 0 if mode == "exact" else 0.0
 
 
 def _same_mode(a, b):
@@ -96,7 +117,7 @@ def vzero(n: int, mode: str = "exact") -> tuple:
 
 
 def basis_vec(n: int, i: int, mode: str = "exact") -> tuple:
-    one = Fraction(1) if mode == "exact" else 1.0
+    one = 1 if mode == "exact" else 1.0
     z = scalar_zero(mode)
     return tuple(one if j == i else z for j in range(n))
 
@@ -118,7 +139,7 @@ def vscale(s, u: tuple) -> tuple:
 
 
 def vmax_abs(u: tuple):
-    return max((abs(a) for a in u), default=Fraction(0))
+    return max((abs(a) for a in u), default=0)
 
 
 def vec_is_zero(u: tuple) -> bool:
@@ -262,7 +283,7 @@ class Mat:
         else:
             support = [t for t, x in enumerate(vec) if x]
             # a float coordinate, even a zero one, makes an exact row sum a float
-            zero = 0.0 if any(isinstance(x, float) for x in vec) else Fraction(0)
+            zero = 0.0 if any(isinstance(x, float) for x in vec) else 0
         out = []
         for i in range(self.rows):
             r = self.row(i)
@@ -322,10 +343,11 @@ def _reduce(rows: list, ncols: int):
     Columns are taken in increasing order.  The pivot of a column is the
     sparsest row with a nonzero entry there and no pivot yet (the first
     such row among equals), scaled to a leading 1; the column is then
-    cleared from every other row, above and below.  Only nonzero entries
-    are stored or touched.  Returns the pivot rows in pivot order and the
-    strictly increasing pivot columns; every other row reduces to zero.
-    The rows passed in are consumed.
+    cleared from every other row, above and below.  The pivot row is
+    scaled by exact quotients (`_quotient`), so an entry the pivot divides
+    stays an int.  Only nonzero entries are stored or touched.  Returns the
+    pivot rows in pivot order and the strictly increasing pivot columns;
+    every other row reduces to zero.  The rows passed in are consumed.
     """
     where = [set() for _ in range(ncols)]  # column -> rows with a nonzero entry there
     for i, r in enumerate(rows):
@@ -338,7 +360,7 @@ def _reduce(rows: list, ncols: int):
             continue
         p = min(candidates, key=lambda i: (len(rows[i]), i))
         pv = rows[p][c]
-        prow = rows[p] if pv == 1 else {j: x / pv for j, x in rows[p].items()}
+        prow = rows[p] if pv == 1 else {j: _quotient(x, pv) for j, x in rows[p].items()}
         rows[p] = prow
         for i in where[c] - {p}:
             r = rows[i]
@@ -363,8 +385,7 @@ def _reduce(rows: list, ncols: int):
 
 def _dense_data(rows: list, ncols: int) -> list:
     """The row-major entries of exact sparse rows, zeros filled in."""
-    zero = Fraction(0)
-    return [x for r in rows for x in (r.get(j, zero) for j in range(ncols))]
+    return [x for r in rows for x in (r.get(j, 0) for j in range(ncols))]
 
 
 def rref(m: Mat):
@@ -378,7 +399,7 @@ def rref(m: Mat):
     increasing list of pivot columns.
     """
     pivot_rows, pivots = _reduce(_exact_rows(m, "rref"), m.cols)
-    data = _dense_data(pivot_rows, m.cols) + [Fraction(0)] * ((m.rows - len(pivots)) * m.cols)
+    data = _dense_data(pivot_rows, m.cols) + [0] * ((m.rows - len(pivots)) * m.cols)
     return Mat._result(m.rows, m.cols, data, "exact"), pivots
 
 
@@ -399,8 +420,8 @@ def kernel(m: Mat):
             touched[j].append((t, x))
     basis = []
     for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
+        v = [0] * m.cols
+        v[f] = 1
         for t, x in touched[f]:
             v[pivots[t]] = -x
         basis.append(tuple(v))
@@ -435,7 +456,7 @@ def mat_inverse(m: Mat):
     if m.mode == "exact":
         rows = _exact_rows(m, "mat_inverse")
         for i, r in enumerate(rows):
-            r[n + i] = Fraction(1)
+            r[n + i] = 1
         pivot_rows, pivots = _reduce(rows, 2 * n)
         if pivots != list(range(n)):
             return None
@@ -466,9 +487,9 @@ def solve(m: Mat, b: tuple):
     pivot_rows, pivots = _reduce(rows, m.cols + 1)
     if m.cols in pivots:
         return None
-    x = [Fraction(0)] * m.cols
+    x = [0] * m.cols
     for r, p in zip(pivot_rows, pivots):
-        x[p] = r.get(m.cols, Fraction(0))
+        x[p] = r.get(m.cols, 0)
     return tuple(x)
 
 
@@ -523,7 +544,7 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
         t, top = Fraction(t), (k - 1 if k is not None else order)
     result = term = Mat.identity(m.rows, m.mode)
     for n in range(1, top + 1):
-        term = (term @ m).scale(t / n)
+        term = (term @ m).scale(t / n if m.mode == "float" else Fraction(t, n))
         result = result + term
     for _ in range(s):
         result = result @ result

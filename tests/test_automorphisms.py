@@ -1,7 +1,11 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+from lie2alg import automorphisms, linalg
 
 from lie2alg.automorphisms import (
     Tau,
@@ -58,6 +62,7 @@ from lie2alg.fixtures import (
     string_aut_hom,
     trivial_rep,
 )
+from lie2alg.cli import run
 from lie2alg.linalg import AltTensor, Mat, mat_inverse
 
 
@@ -464,6 +469,41 @@ def test_strictness_stable_under_composition():
     for t1 in stricts:
         for t2 in stricts:
             assert classify_automorphism(L, star(L, t1, t2))["strict"]
+
+
+def _strict_by_stripped_hom(L, A):
+    """Strictness as the homomorphism test of (A0, A1, 0), tolerance 0."""
+    stripped = Lie2Hom(L, L, A.hom.A0, A.hom.A1, AltTensor.zero(2, L.n0, L.n1, L.mode))
+    return A.hom.A2.is_zero() and is_aut0(L, stripped)[0]
+
+
+def test_classify_aut0_agrees_with_the_stripped_hom_without_inverting(monkeypatch):
+    rng = random.Random(59)
+    L = fix_str()
+    elems = [aut_identity(L)] + [string_aut0(L, rng) for _ in range(3)]
+    elems += [certify_aut0(L, Lie2Hom(L, L, string_aut_hom(L, rng).A0, Mat.identity(1),
+                                      AltTensor.zero(2, 3, 1))) for _ in range(2)]
+    want = [_strict_by_stripped_hom(L, A) for A in elems]
+    assert True in want and False in want
+    calls = []
+    monkeypatch.setattr(automorphisms, "mat_inverse", calls.append)
+    assert [classify_automorphism(L, A)["strict"] for A in elems] == want
+    assert not calls  # the cached inverses of the Aut0 serve
+
+
+def test_aut_report_inverts_each_component_once(monkeypatch):
+    calls, real = [], linalg.mat_inverse
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lie2alg") and hasattr(module, "mat_inverse"):
+            monkeypatch.setattr(module, "mat_inverse", counting)
+    element = Path(__file__).parent / "golden" / "string-sl2-aut.hom"
+    code, _ = run(["aut", "string-sl2", "--element", str(element)])
+    assert code == 0 and len(calls) == 2  # A0 and A1, by certify_aut0
 
 
 # ---------------------------------------------------------------------------

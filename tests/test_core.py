@@ -345,6 +345,14 @@ def test_ce_squares_to_zero():
             assert ce_coboundary(sc, rep, ce_coboundary(sc, rep, f)).is_zero()
 
 
+def _bits(x):
+    """A float by type and bit pattern (signed zeros too); an exact scalar,
+    an int or a Fraction, by value."""
+    if type(x) is float:
+        return float, x.hex()
+    return ("exact" if type(x) in (int, Fraction) else type(x)), x
+
+
 def _bracket01_reference(L, x, a):
     """[x, a] as a sum of full vectors, one per nonzero coordinate of x."""
     out = tuple(Fraction(0) if L.mode == "exact" else 0.0 for _ in range(L.n1))
@@ -355,7 +363,8 @@ def _bracket01_reference(L, x, a):
 
 
 def test_bracket01_matches_reference():
-    # exact values are equal; float values carry the same bits, signed zeros too
+    # exact values are exact (int or Fraction) and equal; float values carry
+    # the same bits, signed zeros too
     rng = random.Random(41)
     for L in (fix_ab(), fix_str(), fix_end(), skeletal_demo(), make_endo(rand_mat(rng, 2, 1))):
         for M in (L, L.to_float()):
@@ -364,8 +373,7 @@ def test_bracket01_matches_reference():
                 x = tuple(cast(Fraction(rng.choice([0, 0, -1, 2]), 3)) for _ in range(M.n0))
                 a = tuple(cast(Fraction(rng.choice([0, 1, -2]), 5)) for _ in range(M.n1))
                 got, want = M.bracket01(x, a), _bracket01_reference(M, x, a)
-                assert [(type(g), g.hex() if isinstance(g, float) else g) for g in got] == \
-                    [(type(w), w.hex() if isinstance(w, float) else w) for w in want]
+                assert [_bits(g) for g in got] == [_bits(w) for w in want]
 
 
 def test_float_copies_are_float_in_every_tensor():

@@ -314,6 +314,22 @@ def test_der_lie2_random_fixtures_validate():
         assert rep.ok, (L, {k: str(v.value) for k, v in rep})
 
 
+def _flatten_der0_by_eval(L, D):
+    """flatten_der0 through the signed evaluator on basis index pairs."""
+    parts = list(D.X0.data) + list(D.X1.data)
+    for key in itertools.combinations(range(L.n0), 2):
+        parts.extend(D.lX.eval_basis(*key))
+    return tuple(parts)
+
+
+def test_flatten_der0_reads_stored_values():
+    fixtures = [fix_ab(), fix_str(), fix_end(), skeletal_demo()]
+    fixtures += [random_fixture(random.Random(seed)) for seed in range(10)]
+    for L in fixtures:
+        for D in build_der_lie2(L).basis0:
+            assert flatten_der0(L, D) == _flatten_der0_by_eval(L, D)
+
+
 # ---------------------------------------------------------------------------
 # adjoint homomorphism and inner derivations
 # ---------------------------------------------------------------------------

@@ -714,7 +714,8 @@ def test_float_residuals_start_at_float_zero():
     rep = validate_lie2(fix_ab().to_float())
     assert [type(res.value) for _, res in rep] == [float] * 5
     assert type(rep.max_value()) is float
-    assert type(validate_lie2(fix_ab()).max_value()) is Fraction
+    exact_max = validate_lie2(fix_ab()).max_value()
+    assert type(exact_max) in (int, Fraction) and exact_max == 0
     Z = Mat.zero(0, 0, "float")
     assert type(Z.max_abs()) is float and type(mat_distance(Z, Z)) is float
     T = AltTensor.zero(2, 2, 1, "float")

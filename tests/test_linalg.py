@@ -293,8 +293,10 @@ def _dense_apply(m, vec):
 
 
 def _bits(vec):
-    """Exact mode: values and types; float mode: the IEEE bit patterns (signed zeros too)."""
-    return tuple((type(x), x.hex() if isinstance(x, float) else x) for x in vec)
+    """Exact mode: values, each exact (an int or a Fraction); float mode:
+    the IEEE bit patterns (signed zeros too)."""
+    return tuple((float, x.hex()) if type(x) is float
+                 else ("exact" if type(x) in (int, Fraction) else type(x), x) for x in vec)
 
 
 def _scalars(mode):
