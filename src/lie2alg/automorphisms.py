@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     Lie2Algebra,
@@ -32,6 +33,10 @@ class Tau:
 
     mat: Mat
 
+    @property
+    def mode(self) -> str:
+        return self.mat.mode
+
     def to_float(self) -> "Tau":
         return Tau(self.mat.to_float())
 
@@ -47,6 +52,14 @@ class Aut0:
     @property
     def algebra(self) -> Lie2Algebra:
         return self.hom.source
+
+    @property
+    def mode(self) -> str:
+        return self.a0_inv.mode
+
+    def to_float(self) -> "Aut0":
+        """The float copy of the hom and of both cached inverses."""
+        return Aut0(self.hom.to_float(), self.a0_inv.to_float(), self.a1_inv.to_float())
 
 
 def tau_zero(L: Lie2Algebra) -> Tau:
@@ -197,15 +210,44 @@ def check_crossed_module(L: Lie2Algebra, auts, taus) -> list:
 
 
 # ---------------------------------------------------------------------------
-# 2-group cells
+# the semidirect product group and the 2-group cells
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwoGroupCell:
-    """Cell of the associated strict 2-group: source g, morphism datum h."""
+class TwoGroupCell(NamedTuple):
+    """Cell of the associated strict 2-group: source g, morphism datum h.
+    Under horizontal product the cells are the semidirect pairs (A, tau)."""
 
     g: Aut0
     h: Tau
+
+
+def semidirect_identity(L: Lie2Algebra) -> TwoGroupCell:
+    return TwoGroupCell(aut_identity(L), tau_zero(L))
+
+
+def semidirect_multiply(L: Lie2Algebra, p1, p2) -> TwoGroupCell:
+    """(A, tau) (A', tau') = (A A', tau * (A |> tau'))."""
+    A1, t1 = p1
+    A2, t2 = p2
+    return TwoGroupCell(aut_compose(A1, A2), star(L, t1, act(L, A1, t2)))
+
+
+def semidirect_inverse(L: Lie2Algebra, p) -> TwoGroupCell:
+    A, t = p
+    ti = tau_inverse(L, t)
+    if ti is None:
+        raise ValueError("tau is not star-invertible")
+    Ai = aut_inverse(A)
+    return TwoGroupCell(Ai, act(L, Ai, ti))
+
+
+def semidirect_distance(L: Lie2Algebra, p1, p2):
+    return max(aut_distance(p1[0], p2[0]), tau_distance(p1[1], p2[1]))
+
+
+# the horizontal product of cells is the semidirect product of their pairs
+hmultiply = semidirect_multiply
+cell_distance = semidirect_distance
 
 
 def cell_source(L: Lie2Algebra, c: TwoGroupCell) -> Aut0:
@@ -225,43 +267,6 @@ def vcompose(L: Lie2Algebra, c1: TwoGroupCell, c2: TwoGroupCell) -> TwoGroupCell
     if aut_distance(cell_target(L, c2), cell_source(L, c1)) != 0:
         raise ValueError("cells are not vertically composable")
     return TwoGroupCell(c2.g, star(L, c1.h, c2.h))
-
-
-def hmultiply(L: Lie2Algebra, c1: TwoGroupCell, c2: TwoGroupCell) -> TwoGroupCell:
-    """Horizontal product: the semidirect product of the pairs (g, h)."""
-    return TwoGroupCell(*semidirect_multiply(L, (c1.g, c1.h), (c2.g, c2.h)))
-
-
-def cell_distance(L: Lie2Algebra, c1: TwoGroupCell, c2: TwoGroupCell):
-    return max(aut_distance(c1.g, c2.g), tau_distance(c1.h, c2.h))
-
-
-# ---------------------------------------------------------------------------
-# the semidirect product group
-# ---------------------------------------------------------------------------
-
-def semidirect_identity(L: Lie2Algebra):
-    return (aut_identity(L), tau_zero(L))
-
-
-def semidirect_multiply(L: Lie2Algebra, p1, p2):
-    """(A, tau) (A', tau') = (A A', tau * (A |> tau'))."""
-    A1, t1 = p1
-    A2, t2 = p2
-    return (aut_compose(A1, A2), star(L, t1, act(L, A1, t2)))
-
-
-def semidirect_inverse(L: Lie2Algebra, p):
-    A, t = p
-    ti = tau_inverse(L, t)
-    if ti is None:
-        raise ValueError("tau is not star-invertible")
-    Ai = aut_inverse(A)
-    return (Ai, act(L, Ai, ti))
-
-
-def semidirect_distance(L: Lie2Algebra, p1, p2):
-    return max(aut_distance(p1[0], p2[0]), tau_distance(p1[1], p2[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +336,13 @@ def ad_conjugate(L: Lie2Algebra, conj, target):
 # seeded samplers
 # ---------------------------------------------------------------------------
 
-def random_tau(L: Lie2Algebra, rng, dens=(1, 2), invertible=None) -> Tau:
-    """Random rational tau; invertible=True rejection-samples to units,
-    invertible=False to singular draws (give up after a bounded search)."""
+def random_tau(L: Lie2Algebra, rng, dens=(1, 2), invertible: bool = False) -> Tau:
+    """Random rational tau; invertible=True rejection-samples to units
+    (tau = 0 after a bounded search), False takes the first draw."""
     for _ in range(200):
         t = Tau(Mat(L.n1, L.n0,
                     [Fraction(rng.randint(-3, 3), rng.choice(dens))
                      for _ in range(L.n1 * L.n0)]))
-        if invertible is None or tau_is_invertible(L, t) == invertible:
+        if not invertible or tau_is_invertible(L, t):
             return t
-    if invertible is False:
-        raise ValueError("no singular tau found (d may be zero)")
     return tau_zero(L)

@@ -60,6 +60,10 @@ class Derivation0:
     def scale(self, s) -> "Derivation0":
         return Derivation0(self.X0.scale(s), self.X1.scale(s), self.lX.scale(s))
 
+    @property
+    def mode(self) -> str:
+        return self.X0.mode
+
     def to_float(self) -> "Derivation0":
         return Derivation0(self.X0.to_float(), self.X1.to_float(), self.lX.to_float())
 
@@ -84,6 +88,10 @@ class DerM1:
 
     def scale(self, s) -> "DerM1":
         return DerM1(self.theta.scale(s))
+
+    @property
+    def mode(self) -> str:
+        return self.theta.mode
 
     def to_float(self) -> "DerM1":
         return DerM1(self.theta.to_float())
@@ -183,7 +191,7 @@ def is_derivation0(L: Lie2Algebra, D: Derivation0) -> ResidualReport:
         L, sparse_columns(D.X0), sparse_columns(D.X1), sparse_alt(D.lX))
     out = {}
     for key, (_, group) in families.items():
-        acc = _Acc(D.X0.mode)
+        acc = _Acc(D.mode)
         for r, w in group:
             acc.add(r.values(), w)
         out[key] = acc.residual()

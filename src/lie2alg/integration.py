@@ -14,27 +14,29 @@ and squares a series truncated at a configurable order.  Finite-difference
 probes recover the graded bracket from group commutators at second order
 in the step.
 
-Scalar mode is decided once per identity, never per value: `_joint_mode`
-applies the policy of `ExpConfig.mode` to every element the identity
-exponentiates and converts the algebra and all operands together, so both
-sides of an identity, and every exponential within it, share one mode.
-Every value carries its mode from construction, so an exponential inside
-an identity, run on the converted values, makes the same choice, and
-`truncated_exp` simply follows the mode of its input.  The checks return
-(residual, mode) pairs: the mode label of each report line is the mode
-that computed it.
+The scalar mode follows the values, and is decided once per identity:
+`_joint_mode` keeps an identity exact iff the algebra and every operand
+are exact and every series the identity exponentiates terminates;
+otherwise it converts the algebra and all operands to float together, so
+both sides of an identity, and every exponential within it, share one
+mode.  Every value carries its mode from construction, so an exponential
+inside an identity, run on the converted values, makes the same choice,
+and `truncated_exp` simply follows the mode of its input.  The checks
+return (residual, mode) pairs: the mode label of each report line is the
+mode that computed it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .automorphisms import (
     Aut0,
     Tau,
+    TwoGroupCell,
     act,
     ad_conjugate,
     aut_compose,
@@ -68,19 +70,17 @@ from .linalg import AltTensor, Mat, nilpotency_index, row_sum_norm, truncated_ex
 
 @dataclass(frozen=True)
 class ExpConfig:
-    """Truncation and tolerance policy for the exponential maps.
+    """Truncation, tolerance and finite-difference step of the exponential
+    maps.
 
-    mode "auto" runs exactly whenever every series of an identity
-    terminates and in float otherwise; "exact" refuses non-terminating
-    input; "float" always sums `order` terms in floating point, with
-    scaling and squaring.  `_scalar_mode` is this policy, and `_joint_mode`
-    applies it once per identity by converting the values; the series then
-    run in the mode of the converted values.
+    The scalar mode is not configured: it follows the values (see
+    `_joint_mode`).  A float series sums `order` terms, with scaling and
+    squaring, and a float identity passes within `tol`; `fd_step` is the
+    step of the bracket-recovery finite differences.
     """
 
     order: int = 24
     tol: float = 1e-9
-    mode: str = "auto"
     fd_step: float = 1e-3
 
     def __post_init__(self):
@@ -93,7 +93,7 @@ DEFAULT = ExpConfig()
 
 def der0_terminating(D: Derivation0):
     """Nilpotency indices (p0, p1) when the degree-0 series terminates."""
-    if D.X0.mode != "exact":
+    if D.mode != "exact":
         return None
     p0 = nilpotency_index(D.X0)
     p1 = nilpotency_index(D.X1)
@@ -104,7 +104,7 @@ def der0_terminating(D: Derivation0):
 
 def derM1_terminating(L: Lie2Algebra, T: DerM1):
     """Nilpotency index of theta d when the degree -1 series terminates."""
-    if T.theta.mode != "exact" or L.mode != "exact":
+    if T.mode != "exact" or L.mode != "exact":
         return None
     return nilpotency_index(T.theta @ L.d)
 
@@ -159,42 +159,25 @@ def _exp_hom(L: Lie2Algebra, D: Derivation0, t, order: int) -> Lie2Hom:
     return Lie2Hom(L, L, truncated_exp(D.X0, t, order), A1, A2)
 
 
-def _scalar_mode(cfg: ExpConfig, terminating: bool) -> str:
-    """The mode policy: "exact" when every series terminates and cfg allows
-    it, "float" otherwise; cfg.mode "exact" raises instead of falling back."""
-    if cfg.mode == "float":
-        return "float"
-    if terminating:
-        return "exact"
-    if cfg.mode == "exact":
-        raise ValueError("series does not terminate; exact mode impossible")
-    return "float"
-
-
-def aut_to_float(A: Aut0) -> Aut0:
-    return Aut0(A.hom.to_float(), A.a0_inv.to_float(), A.a1_inv.to_float())
-
-
 def _terminates(L: Lie2Algebra, X) -> bool:
-    if isinstance(X, DerM1):
-        return derM1_terminating(L, X) is not None
-    return L.mode == "exact" and der0_terminating(X) is not None
+    return (derM1_terminating(L, X) if isinstance(X, DerM1) else der0_terminating(X)) is not None
 
 
-def _joint_mode(L: Lie2Algebra, cfg: ExpConfig, exps, *operands):
+def _joint_mode(L: Lie2Algebra, exps, *operands):
     """The one mode decision of an identity that exponentiates `exps`.
 
-    Returns (mode, algebra, exps + operands), the algebra and every operand
-    (Aut0, Tau, Derivation0 or DerM1) converted together.  An exponential
-    called on the converted values with the same cfg decides the same mode:
+    Returns (mode, algebra, exps + operands).  The mode is "exact" iff the
+    algebra and every value (Aut0, Tau, Derivation0 or DerM1) are exact and
+    every series in `exps` terminates, and the values come back as given;
+    otherwise the algebra and every value are converted to float together.
+    An exponential called on the returned values decides the same mode:
     float values never terminate, and exact ones were found to.
     """
-    mode = _scalar_mode(cfg, all(_terminates(L, X) for X in exps))
     values = (*exps, *operands)
-    if mode == "float":
-        L = L.to_float()
-        values = tuple(aut_to_float(x) if isinstance(x, Aut0) else x.to_float() for x in values)
-    return mode, L, values
+    if (L.mode == "exact" and all(x.mode == "exact" for x in values)
+            and all(_terminates(L, X) for X in exps)):
+        return "exact", L, values
+    return "float", L.to_float(), tuple(x.to_float() for x in values)
 
 
 def exp_der0(L: Lie2Algebra, D: Derivation0, t=1, cfg: ExpConfig = DEFAULT) -> Aut0:
@@ -204,7 +187,7 @@ def exp_der0(L: Lie2Algebra, D: Derivation0, t=1, cfg: ExpConfig = DEFAULT) -> A
     and certified with zero residual; otherwise the series truncates at
     cfg.order in float and certifies within cfg.tol.
     """
-    mode, L, (D,) = _joint_mode(L, cfg, (D,))
+    mode, L, (D,) = _joint_mode(L, (D,))
     tol = 0 if mode == "exact" else cfg.tol
     rep = is_derivation0(L, D)
     if not rep.within(tol):
@@ -217,7 +200,7 @@ def exp_derM1(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> Tau:
     e^theta = theta + theta d theta / 2! + theta d theta d theta / 3! + ...,
     the top-right block of e^{tN} for N = [[theta d, theta], [0, 0]].
     Exact when theta d is nilpotent."""
-    mode, L, (T,) = _joint_mode(L, cfg, (T,))
+    mode, L, (T,) = _joint_mode(L, (T,))
     return Tau(_exp_upper(T.theta @ L.d, T.theta, Mat.zero(L.n0, L.n0, mode), t, cfg.order)[1])
 
 
@@ -227,7 +210,7 @@ def exp_derM1(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> Tau:
 
 def check_one_parameter(L: Lie2Algebra, D: Derivation0, t, s, cfg: ExpConfig = DEFAULT):
     """(residual, mode) of e^{(t+s)D} against e^{tD} e^{sD}, componentwise."""
-    mode, L, (D,) = _joint_mode(L, cfg, (D,))
+    mode, L, (D,) = _joint_mode(L, (D,))
     lhs = exp_der0(L, D, Fraction(t) + Fraction(s), cfg)
     a = exp_der0(L, D, t, cfg)
     b = exp_der0(L, D, s, cfg)
@@ -236,7 +219,7 @@ def check_one_parameter(L: Lie2Algebra, D: Derivation0, t, s, cfg: ExpConfig = D
 
 def one_parameter_derM1(L: Lie2Algebra, T: DerM1, t, s, cfg: ExpConfig = DEFAULT):
     """(residual, mode) of e^{(t+s)theta} against e^{t theta} * e^{s theta}."""
-    mode, L, (T,) = _joint_mode(L, cfg, (T,))
+    mode, L, (T,) = _joint_mode(L, (T,))
     lhs = exp_derM1(L, T, Fraction(t) + Fraction(s), cfg)
     a = exp_derM1(L, T, t, cfg)
     b = exp_derM1(L, T, s, cfg)
@@ -245,7 +228,7 @@ def one_parameter_derM1(L: Lie2Algebra, T: DerM1, t, s, cfg: ExpConfig = DEFAULT
 
 def check_commuting_square(L: Lie2Algebra, T: DerM1, cfg: ExpConfig = DEFAULT):
     """(residual, mode) of partial(e^theta) against e^{dbar(theta)}."""
-    mode, L, (T,) = _joint_mode(L, cfg, (T,))
+    mode, L, (T,) = _joint_mode(L, (T,))
     lhs = partial(L, exp_derM1(L, T, 1, cfg)).hom
     return hom_distance(lhs, exp_der0(L, dbar(L, T), 1, cfg).hom), mode
 
@@ -269,24 +252,14 @@ def recover_bracket(L: Lie2Algebra, D1: Derivation0, D2: Derivation0,
     [F(h,h) - F(h,-h) - F(-h,h) + F(-h,-h)] / (4 h^2) applied to each of
     (A0, A1, A2); within O(h^2) of the graded bracket.
     """
-    _, Lf, (d1, d2) = _joint_mode(L, replace(cfg, mode="float"), (), D1, D2)
+    Lf, d1, d2 = L.to_float(), D1.to_float(), D2.to_float()
     h = cfg.fd_step
-    f = {}
-    for ss, tt in ((h, h), (h, -h), (-h, h), (-h, -h)):
-        f[(ss, tt)] = _group_commutator_hom(Lf, d1, d2, ss, tt, cfg.order)
+    pp, pm, mp, mm = (_group_commutator_hom(Lf, d1, d2, ss, tt, cfg.order)
+                      for ss, tt in ((h, h), (h, -h), (-h, h), (-h, -h)))
     scale = 1.0 / (4.0 * h * h)
-
-    def combo(pick):
-        pp = pick(f[(h, h)])
-        pm = pick(f[(h, -h)])
-        mp = pick(f[(-h, h)])
-        mm = pick(f[(-h, -h)])
-        return ((pp - pm) - (mp - mm)).scale(scale)
-
-    X0 = combo(lambda F: F.A0)
-    X1 = combo(lambda F: F.A1)
-    a2 = (f[(h, h)].A2 - f[(h, -h)].A2 - f[(-h, h)].A2 + f[(-h, -h)].A2).scale(scale)
-    return Derivation0(X0, X1, a2)
+    return Derivation0(((pp.A0 - pm.A0) - (mp.A0 - mm.A0)).scale(scale),
+                       ((pp.A1 - pm.A1) - (mp.A1 - mm.A1)).scale(scale),
+                       (pp.A2 - pm.A2 - mp.A2 + mm.A2).scale(scale))
 
 
 def bracket_recovery_residual(L, D1, D2, cfg: ExpConfig = DEFAULT):
@@ -298,13 +271,12 @@ def bracket_recovery_residual(L, D1, D2, cfg: ExpConfig = DEFAULT):
 def recover_bracket_m1(L: Lie2Algebra, T1: DerM1, T2: DerM1,
                        cfg: ExpConfig = DEFAULT) -> DerM1:
     """Finite-difference commutator of e^{s theta}, e^{t theta'} under star."""
-    fcfg = replace(cfg, mode="float")
-    _, Lf, (T1, T2) = _joint_mode(L, fcfg, (), T1, T2)
+    Lf, T1, T2 = L.to_float(), T1.to_float(), T2.to_float()
     h = cfg.fd_step
 
     def curve(ss, tt):
-        a = exp_derM1(Lf, T1, ss, fcfg)
-        b = exp_derM1(Lf, T2, tt, fcfg)
+        a = exp_derM1(Lf, T1, ss, cfg)
+        b = exp_derM1(Lf, T2, tt, cfg)
         ai = tau_inverse(Lf, a)
         bi = tau_inverse(Lf, b)
         return star(Lf, star(Lf, star(Lf, a, b), ai), bi).mat
@@ -324,8 +296,8 @@ def exp_semidirect(L: Lie2Algebra, pair, cfg: ExpConfig = DEFAULT):
     The componentwise formula is a one-parameter curve for the semidirect
     product precisely when the two legs commute ({D, theta} = 0).
     """
-    _, L, (D, T) = _joint_mode(L, cfg, pair)
-    return (exp_der0(L, D, 1, cfg), exp_derM1(L, T, 1, cfg))
+    _, L, (D, T) = _joint_mode(L, pair)
+    return TwoGroupCell(exp_der0(L, D, 1, cfg), exp_derM1(L, T, 1, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +306,7 @@ def exp_semidirect(L: Lie2Algebra, pair, cfg: ExpConfig = DEFAULT):
 
 def _conj_der0(L: Lie2Algebra, cfg: ExpConfig, A: Aut0, D: Derivation0, E: Derivation0):
     """(residual, mode) of A e^D A^{-1} = e^E, in one joint mode."""
-    mode, L, (D, E, A) = _joint_mode(L, cfg, (D, E), A)
+    mode, L, (D, E, A) = _joint_mode(L, (D, E), A)
     lhs = conjugate_hom(A, exp_der0(L, D, 1, cfg).hom)
     return hom_distance(lhs, exp_der0(L, E, 1, cfg).hom), mode
 
@@ -363,7 +335,7 @@ def _commuting_iv_sample(L: Lie2Algebra, rng, der_basis):
 
 
 def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
-                                 samples: int = 5, aut_sampler=None) -> list:
+                                 samples: int = 5) -> list:
     """Residuals for the conjugation identity suite.
 
     Identities: conj0 (A e^D A^{-1} = e^{Ad(A) D}), conj_m1
@@ -372,14 +344,13 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
     = e^{degree -1 part of Ad(tau) D}), conj_dbar (transport of differentials)
     and conj_adjoint (transport of adjoint generators).
     Returns (name, residual, mode) triples, one mode decision per identity:
-    exact where every series of both sides terminates and cfg.mode allows.
+    exact where the values are exact and every series of both sides
+    terminates.
     """
     der_basis = compute_der0_basis(L)
-    if aut_sampler is None:
-        aut_sampler = lambda: random_aut0(L, rng, cfg, der_basis)
     out = []
     for idx in range(samples):
-        A = aut_sampler()
+        A = random_aut0(L, rng, cfg, der_basis)
         D = random_der0(L, rng, der_basis, dens=(8, 16))
         T = random_derM1(L, rng, dens=(8, 16))
         tau = _random_invertible_tau(L, rng)
@@ -390,13 +361,13 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
         # (ii) tau * e^theta * tau^{-1} = e^{(I + tau d) theta (I + d tau)^{-1}};
         # here and in (iii) the conjugated theta d is similar to theta d, so
         # T alone decides the mode
-        mode, Lm, (Tm, adT, taum) = _joint_mode(L, cfg, (T,), ad_conjugate(L, tau, T), tau)
+        mode, Lm, (Tm, adT, taum) = _joint_mode(L, (T,), ad_conjugate(L, tau, T), tau)
         lhs_t = star(Lm, star(Lm, taum, exp_derM1(Lm, Tm, 1, cfg)), tau_inverse(Lm, taum))
         out.append((f"conj_m1[{idx}]", tau_distance(lhs_t, exp_derM1(Lm, adT, 1, cfg)), mode))
 
         # (iii) A |> e^theta = e^{A1 theta A0^{-1}}
         actT = ad_conjugate(L, A, T)
-        mode, Lm, (Tm, actTm, Am) = _joint_mode(L, cfg, (T,), actT, A)
+        mode, Lm, (Tm, actTm, Am) = _joint_mode(L, (T,), actT, A)
         lhs_t = act(Lm, Am, exp_derM1(Lm, Tm, 1, cfg))
         out.append((f"act_exp[{idx}]", tau_distance(lhs_t, exp_derM1(Lm, actTm, 1, cfg)), mode))
 
@@ -408,7 +379,7 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
         # finite-difference probes).
         Dc, tauc = _commuting_iv_sample(L, rng, der_basis)
         _, theta_part = ad_conjugate(L, tauc, Dc)
-        mode, Lm, (Dc, theta_part, tauc) = _joint_mode(L, cfg, (Dc, theta_part), tauc)
+        mode, Lm, (Dc, theta_part, tauc) = _joint_mode(L, (Dc, theta_part), tauc)
         eD = exp_der0(Lm, Dc, 1, cfg)
         lhs_t = star(Lm, tauc, act(Lm, eD, tau_inverse(Lm, tauc)))
         rhs_t = exp_derM1(Lm, theta_part, 1, cfg)
@@ -432,15 +403,15 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
 
 def inn_group_generators(L: Lie2Algebra, cfg: ExpConfig = DEFAULT) -> list:
     """Exponentials of the inner degree-0 basis and of the degree -1 basis,
-    as semidirect pairs (degree-0 generators carry tau = 0, degree -1
+    as 2-group cells (degree-0 generators carry tau = 0, degree -1
     generators ride on the identity)."""
     gens = []
     for D in inn0_basis(L):
         A = exp_der0(L, D, 1, cfg)
-        gens.append((A, tau_zero(A.algebra)))
+        gens.append(TwoGroupCell(A, tau_zero(A.algebra)))
     for T in derM1_basis(L):
-        _, base, (T,) = _joint_mode(L, cfg, (T,))
-        gens.append((aut_identity(base), exp_derM1(base, T, 1, cfg)))
+        _, base, (T,) = _joint_mode(L, (T,))
+        gens.append(TwoGroupCell(aut_identity(base), exp_derM1(base, T, 1, cfg)))
     return gens
 
 
@@ -462,7 +433,7 @@ def random_aut0(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT, der_basis=None) -
     for _ in range(rng.randint(1, 3)):
         if nilpotent and rng.random() < 0.5:
             D = rng.choice(nilpotent).scale(Fraction(rng.randint(-2, 2), 2))
-            out = aut_compose(out, exp_der0(L, D, 1, replace(cfg, mode="auto")))
+            out = aut_compose(out, exp_der0(L, D, 1, cfg))
         else:
             out = aut_compose(out, partial(L, _random_invertible_tau(L, rng)))
     return out

@@ -44,6 +44,8 @@ from lie2alg.fixtures import (
 from lie2alg.integration import (
     ExpConfig,
     _exp_hom,
+    _joint_mode,
+    _random_invertible_tau,
     bracket_recovery_residual,
     check_commuting_square,
     check_conjugation_identities,
@@ -129,14 +131,6 @@ def test_exp_der0_float_certifies_within_tol():
         D = small_der0(L, rng, basis)
         A = exp_der0(L, D, 1)
         assert validate_hom(A.hom).max_value() < 1e-9
-
-
-def test_exp_exact_mode_refuses_non_terminating():
-    L = fix_str()
-    D = adbar0_single(L, L.e0(0))  # ad_h is semisimple
-    assert der0_terminating(D) is None
-    with pytest.raises(ValueError):
-        exp_der0(L, D, 1, ExpConfig(mode="exact"))
 
 
 # ---------------------------------------------------------------------------
@@ -372,18 +366,6 @@ def test_conjugation_identities_bigger_endo():
             assert resid < 1e-9, (name, resid)
 
 
-def test_conjugation_identities_follow_the_mode_policy():
-    # cfg.mode holds for every identity: "float" puts each line in float,
-    # "exact" refuses a draw whose series does not terminate
-    lines = check_conjugation_identities(fix_str(), random.Random(86), ExpConfig(mode="float"),
-                                         samples=1)
-    assert len(lines) == 6 and {mode for _, _, mode in lines} == {"float"}
-    assert all(resid < 1e-9 for _, resid, _ in lines)
-    with pytest.raises(ValueError, match="does not terminate"):
-        check_conjugation_identities(fix_end(), random.Random(87), ExpConfig(mode="exact"),
-                                     samples=1)
-
-
 def test_one_non_terminating_leg_puts_every_operand_in_float():
     L = fix_end()
     T = random_derM1(L, random.Random(89), dens=SMALL)
@@ -392,9 +374,39 @@ def test_one_non_terminating_leg_puts_every_operand_in_float():
     assert (A.hom.A0.mode, A.a0_inv.mode, t.mat.mode) == ("float", "float", "float")
     resid, mode = check_commuting_square(L, T)
     assert resid < 1e-9 and mode == "float"
-    resid, mode = check_commuting_square(fix_str(), random_derM1(fix_str(), random.Random(90)),
-                                         ExpConfig(mode="float"))
+    # a float operand puts an identity in float, also one whose series terminates
+    Ls = fix_str()
+    resid, mode = check_commuting_square(Ls, random_derM1(Ls, random.Random(90)).to_float())
     assert resid < 1e-9 and mode == "float"
+
+
+def test_joint_mode_follows_the_values():
+    # exact iff the algebra and every value are exact and every exponentiated
+    # series terminates; otherwise the algebra and all values go to float together
+    rng = random.Random(91)
+    L = fix_end()
+    A, tau = random_aut0(L, rng), _random_invertible_tau(L, rng)
+    D, T = der0_zero(L), derM1_zero(L)
+    assert der0_terminating(D) is not None and derM1_terminating(L, T) is not None
+    mode, Lm, got = _joint_mode(L, (D, T), A, tau)
+    assert mode == "exact" and Lm is L and all(g is v for g, v in zip(got, (D, T, A, tau)))
+    nonterm = DerM1(Mat.from_rows([[Fraction(1, 2)]]))  # theta d = 1/2 (d = 1)
+    assert derM1_terminating(L, nonterm) is None
+    exact = [D, T, A, tau]
+    cases = [exact[:i] + [exact[i].to_float()] + exact[i + 1:] for i in range(4)]
+    cases.append([D, nonterm, A, tau])
+    for d, t, a, ta in cases:
+        for exps, operands in (((d, t), (a, ta)), ((t,), (d, a, ta))):
+            mode, Lm, got = _joint_mode(L, exps, *operands)
+            assert mode == "float" and Lm.mode == "float"
+            assert [type(g) for g in got] == [type(v) for v in (*exps, *operands)]
+            assert {g.mode for g in got} == {"float"}
+    # Aut0.to_float converts the hom and both cached inverses
+    Af = A.to_float()
+    parts = (Af.hom.A0, Af.hom.A1, Af.hom.A2, Af.a0_inv, Af.a1_inv)
+    assert {Af.mode, Af.algebra.mode, Af.hom.target.mode} | {x.mode for x in parts} == {"float"}
+    assert Af.hom == A.hom.to_float()
+    assert (Af.a0_inv, Af.a1_inv) == (A.a0_inv.to_float(), A.a1_inv.to_float())
 
 
 def test_ad_tau_der0_matches_first_order_conjugation():
@@ -403,7 +415,6 @@ def test_ad_tau_der0_matches_first_order_conjugation():
     # for general (non-commuting) draws
     rng = random.Random(95)
     from lie2alg.core import make_endo
-    from lie2alg.integration import _random_invertible_tau
     for L in (fix_str(), make_endo(Mat.from_rows([[1], [0]]))):
         basis = compute_der0_basis(L)
         for _ in range(3):
@@ -412,7 +423,7 @@ def test_ad_tau_der0_matches_first_order_conjugation():
             _, want = ad_conjugate(L, tau, D)
             Lf = L.to_float()
             tf = tau.to_float()
-            fcfg = ExpConfig(order=30, mode="float")
+            fcfg = ExpConfig(order=30)
             h = 1e-5
 
             def curve(t):
@@ -432,11 +443,9 @@ def test_ad_matches_first_order_conjugation():
     want = ad_conjugate(L, A, T).theta.to_float()
     h = 1e-6
     Lf = L.to_float()
-    from lie2alg.integration import aut_to_float
-    Af = aut_to_float(A)
-    fcfg = ExpConfig(mode="float")
-    plus = act(Lf, Af, exp_derM1(Lf, T.to_float(), h, fcfg)).mat
-    minus = act(Lf, Af, exp_derM1(Lf, T.to_float(), -h, fcfg)).mat
+    Af = A.to_float()
+    plus = act(Lf, Af, exp_derM1(Lf, T.to_float(), h)).mat
+    minus = act(Lf, Af, exp_derM1(Lf, T.to_float(), -h)).mat
     got = (plus - minus).scale(1.0 / (2.0 * h))
     assert mat_distance(got, want) < 1e-8
 
@@ -455,9 +464,10 @@ def test_inn_generators_abelian():
 
 
 def test_float_inn_generators_of_abelian_multiply():
+    # endo-1-1 is abelian with d = 1, so no generator's series terminates:
     # every generator lives over the float copy, identity and tau alike
-    gens = inn_group_generators(fix_ab(), ExpConfig(mode="float"))
-    assert gens
+    gens = inn_group_generators(fix_end())
+    assert len(gens) == 2
     for p, q in itertools.product(gens, gens):
         A, t = semidirect_multiply(p[0].algebra, p, q)
         assert A.hom.A0.mode == t.mat.mode == "float"
@@ -466,7 +476,7 @@ def test_float_inn_generators_of_abelian_multiply():
 
 def test_float_exponential_composes_with_the_identity_of_its_algebra():
     L = fix_ab()
-    A = exp_der0(L, der0_zero(L), 1, ExpConfig(mode="float"))
+    A = exp_der0(L, der0_zero(L).to_float())
     AI = aut_compose(A, aut_identity(A.algebra))
     assert A.algebra.mode == AI.hom.A0.mode == "float"
     assert aut_distance(AI, A) == 0
@@ -625,7 +635,7 @@ def test_star_exp_equals_series():
                 exact += 1
                 assert exp_derM1(L, T, t).mat == _ref_exp_derM1(L, T, t, q)
             Lf, Tf = L.to_float(), T.to_float()
-            got = exp_derM1(Lf, Tf, float(t), ExpConfig(mode="float")).mat
+            got = exp_derM1(Lf, Tf, float(t)).mat
             assert _relative_close(got, _ref_exp_derM1(Lf, Tf, float(t), 24), mat_distance)
     assert exact >= 10
 
@@ -708,8 +718,7 @@ def test_star_exp_large_time_scales_and_squares():
 
 def test_float_residuals_start_at_float_zero():
     L = strict_sl2()
-    r, mode = one_parameter_derM1(L, derM1_zero(L), Fraction(1, 2), Fraction(1, 3),
-                                  ExpConfig(mode="float"))
+    r, mode = one_parameter_derM1(L, derM1_zero(L).to_float(), Fraction(1, 2), Fraction(1, 3))
     assert mode == "float" and type(r) is float and r == 0
     rep = validate_lie2(fix_ab().to_float())
     assert [type(res.value) for _, res in rep] == [float] * 5
