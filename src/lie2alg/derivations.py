@@ -7,6 +7,16 @@ nonzero structure constants of the algebra (`Lie2Algebra.sparse`).  The
 membership test evaluates them on one candidate; the degree-0 space is the
 kernel of the stacked homogeneous linear system obtained by evaluating them
 on the unknowns themselves, as linear forms.
+
+The derivation Lie 2-algebra (`build_der_lie2`) reads each basis derivation
+once into a sparse form (`_Sparse0`: the columns and rows of X0 and X1, lX
+on every ordering of its keys).  The bracket of two basis derivations is
+taken on those forms and read in the basis by the kernel coordinates of the
+same elimination; the bracket with degree -1 is the closed form
+X1 (x) I - I (x) X0^T.  `dbar`, `adbar0_single`, `graded_bracket` and
+`lie_cochain_action` sum over nonzero terms only, in the order of the dense
+evaluation on unit vectors: exact results are equal, and float results are
+the dense left-to-right sums bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import Lie2Algebra, Lie2Hom, ResidualReport, _Acc
 from .linalg import (
@@ -22,7 +33,9 @@ from .linalg import (
     AltTensor,
     Mat,
     ModeError,
+    _check_scalar,
     _same_mode,
+    basis_vec,
     kernel,
     mat_distance,
     rref,
@@ -31,11 +44,9 @@ from .linalg import (
     sparse_apply,
     sparse_columns,
     sparse_comb,
+    sparse_rows,
     sparse_sum,
     tensor_distance,
-    vadd,
-    vscale,
-    vsub,
     vzero,
 )
 
@@ -106,12 +117,17 @@ def der0_zero(L: Lie2Algebra) -> Derivation0:
 
 
 def _der0_combination(L: Lie2Algebra, terms) -> Derivation0:
-    """The sum of c D over the (c, D) pairs of terms, zero coefficients skipped."""
-    out = der0_zero(L)
+    """The sum of c D over the (c, D) pairs of terms, in one pass over the
+    flat coordinates (`flatten_der0`): zero coefficients and zero entries
+    are skipped, so each coordinate adds its nonzero terms in term order."""
+    flat = [scalar_zero(L.mode)] * _der0_flat_len(L)
     for c, D in terms:
         if c != 0:
-            out = out + D.scale(c)
-    return out
+            c = _check_scalar(c, D.mode)
+            for t, v in enumerate(flatten_der0(L, D)):
+                if v:
+                    flat[t] += c * v
+    return unflatten_der0(L, flat)
 
 
 def derM1_zero(L: Lie2Algebra) -> DerM1:
@@ -278,12 +294,13 @@ def der0_constraints(L: Lie2Algebra) -> Mat:
 
 def _der0_kernel(L: Lie2Algebra):
     """(basis, coords) of the degree-0 derivation space from one elimination
-    of `der0_constraints` (`linalg.kernel`): coords(D) is the coordinate
-    tuple of D in the basis, and raises ValueError when D is off the span."""
+    of `der0_constraints` (`linalg.kernel`): coords(v) is the coordinate
+    tuple in the basis of a vector v of `flatten_der0` coordinates, dense or
+    sparse, and raises ValueError when v is off the span."""
     vecs, span = kernel(der0_constraints(L))
 
-    def coords(D: Derivation0) -> tuple:
-        c = span(flatten_der0(L, D))
+    def coords(v) -> tuple:
+        c = span(v)
         if c is None:
             raise ValueError("not in the degree-0 derivation span")
         return c
@@ -301,19 +318,79 @@ def compute_der0_basis(L: Lie2Algebra) -> list:
 # the differential and brackets
 # ---------------------------------------------------------------------------
 
+def _dense(vec: dict, n: int, zero) -> tuple:
+    """A sparse vector as a tuple of length n.  A zero value that cancelled
+    out reads as `zero`, the +0.0 the dense sums give in float mode."""
+    return tuple(vec.get(c) or zero for c in range(n))
+
+
 def dbar(L: Lie2Algebra, T: DerM1) -> Derivation0:
-    """Differential into degree 0: (d theta, theta d, l_{delta(theta)})."""
-    X0 = L.d @ T.theta
-    X1 = T.theta @ L.d
+    """Differential into degree 0: (d theta, theta d, l_{delta(theta)}).
 
-    def lval(key):
-        i, j = key
-        r = T.theta.apply(L.b00.eval_basis(i, j))
-        r = vsub(r, L.bracket01(L.e0(i), T.theta.col(j)))
-        r = vadd(r, L.bracket01(L.e0(j), T.theta.col(i)))
-        return r
+    l_{delta(theta)}(e_i, e_j) = theta[e_i, e_j] - [e_i, theta e_j]
+    + [e_j, theta e_i], summed over the nonzero structure constants of L
+    and entries of theta in the order of the dense evaluation on unit
+    vectors, so float results are those sums bit for bit.
+    """
+    _same_mode(L, T)
+    _, b00, b01, _ = L.sparse()
+    th = sparse_columns(T.theta)  # th[j] = theta e_j
+    zero = scalar_zero(L.mode)
+    entries = {}
+    for i, j in itertools.combinations(range(L.n0), 2):
+        r = sparse_sum((1, sparse_apply(th, b00.get((i, j), SPARSE_ZERO))),
+                       (-1, sparse_apply(b01[i], th[j])),
+                       (1, sparse_apply(b01[j], th[i])))
+        if r:
+            entries[i, j] = _dense(r, L.n1, zero)
+    return Derivation0(L.d @ T.theta, T.theta @ L.d,
+                       AltTensor._result(2, L.n0, L.n1, entries, L.mode))
 
-    return Derivation0(X0, X1, AltTensor.from_function(2, L.n0, L.n1, lval, L.mode))
+
+class _Sparse0(NamedTuple):
+    """A degree-0 triple (X0, X1, lX) read once as sparse vectors."""
+
+    x0: list       # columns of X0
+    x0_rows: list  # rows of X0
+    x1: list       # columns of X1
+    x1_rows: list  # rows of X1
+    lx: dict       # lX on every ordering of its stored keys (`sparse_alt`)
+    keys: tuple    # the stored keys of lX, increasing
+
+
+def _sparse0(X0: Mat, X1: Mat, lX: AltTensor) -> _Sparse0:
+    return _Sparse0(sparse_columns(X0), sparse_rows(X0), sparse_columns(X1),
+                    sparse_rows(X1), sparse_alt(lX), tuple(lX.entries))
+
+
+def _action(a: _Sparse0, w: dict, keys, zero) -> dict:
+    """(L_(X0, X1) omega) on sparse forms: {key: sparse value} at every key
+    that a term reaches from a stored key of omega; w is `sparse_alt(omega)`
+    and keys are its stored keys (see `lie_cochain_action`).  The vectors
+    of `sparse_columns` and `sparse_alt` hold their indices in increasing
+    order, so iterating them runs each sum by increasing index."""
+    reached = set(keys)
+    for key in keys:
+        for t, m in enumerate(key):
+            rest = key[:t] + key[t + 1:]
+            for i in a.x0_rows[m]:
+                if i not in rest:
+                    reached.add(tuple(sorted(rest + (i,))))
+    out = {}
+    for key in reached:
+        r = {}
+        for t, y in w.get(key, SPARSE_ZERO).items():
+            for c, x in a.x1[t].items():
+                r[c] = r.get(c, zero) + x * y
+        for t in range(len(key)):
+            s = {}  # the slot-t sum, on the coordinates it reaches
+            for m, x in a.x0[key[t]].items():
+                for c, y in w.get(key[:t] + (m,) + key[t + 1:], SPARSE_ZERO).items():
+                    s[c] = s.get(c, zero) + x * y
+            for c, v in s.items():
+                r[c] = r.get(c, zero) - v
+        out[key] = r
+    return out
 
 
 def lie_cochain_action(X0: Mat, X1: Mat, omega: AltTensor) -> AltTensor:
@@ -324,38 +401,46 @@ def lie_cochain_action(X0: Mat, X1: Mat, omega: AltTensor) -> AltTensor:
     On basis arguments the value at a key is X1 omega(key) minus, slot by
     slot, the sum over m of X0[m, key_t] omega(key with slot t set to m).
     Only keys that one of those terms reaches from a nonzero value of omega
-    are formed, and each sum runs over nonzero entries by increasing m, the
-    order of the dense evaluation on basis vectors: exact results are equal
-    and finite float results are the dense left-to-right sums bit for bit.
+    (through the sparse rows of X0) are formed, and each sum runs over
+    nonzero entries by increasing m, the order of the dense evaluation on
+    basis vectors: exact results are equal and finite float results are the
+    dense left-to-right sums bit for bit.
     """
     _same_mode(X0, omega)
     _same_mode(X1, omega)
-    w = sparse_alt(omega)
-    x0 = sparse_columns(X0)
-    x1 = sparse_columns(X1)
-    keys = set(omega.entries)
-    for key in omega.entries:
-        for t, m in enumerate(key):
-            rest = key[:t] + key[t + 1:]
-            for i, x in enumerate(X0.row(m)):
-                if x and i not in rest:
-                    keys.add(tuple(sorted(rest + (i,))))
+    form = _sparse0(X0, X1, omega)
     zero = scalar_zero(omega.mode)
-    entries = {}
-    for key in keys:
-        r = [zero] * omega.codim
-        for t, y in sorted(w.get(key, SPARSE_ZERO).items()):
-            for c, a in x1[t].items():
-                r[c] += a * y
-        for t in range(len(key)):
-            s = {}  # the slot-t sum, on the coordinates it reaches
-            for m, x in sorted(x0[key[t]].items()):
-                for c, y in w.get(key[:t] + (m,) + key[t + 1:], SPARSE_ZERO).items():
-                    s[c] = s.get(c, zero) + x * y
-            for c, v in s.items():
-                r[c] -= v
-        entries[key] = tuple(r)
+    entries = {key: _dense(r, omega.codim, zero)
+               for key, r in _action(form, form.lx, form.keys, zero).items()}
     return AltTensor._result(omega.arity, omega.dim, omega.codim, entries, omega.mode)
+
+
+def _product(p_rows: list, q_rows: list, zero) -> dict:
+    """PQ from the sparse rows of P and Q, {(i, j): value}; each entry adds
+    its nonzero terms by increasing inner index, as `Mat.__matmul__` does."""
+    out = {}
+    for i, row in enumerate(p_rows):
+        for t, x in row.items():
+            for j, y in q_rows[t].items():
+                out[i, j] = out.get((i, j), zero) + x * y
+    return out
+
+
+def _commutator(p_rows: list, q_rows: list, zero) -> dict:
+    pq, qp = _product(p_rows, q_rows, zero), _product(q_rows, p_rows, zero)
+    return {k: pq.get(k, zero) - qp.get(k, zero) for k in pq.keys() | qp.keys()}
+
+
+def _bracket0(a: _Sparse0, b: _Sparse0, zero) -> tuple:
+    """The bracket of two degree-0 triples on their sparse forms: the
+    commutators [X0, Y0] and [X1, Y1] as {(i, j): value}, and
+    L_a lY - L_b lX as {key: sparse value}."""
+    la, lb = _action(a, b.lx, b.keys, zero), _action(b, a.lx, a.keys, zero)
+    lX = {}
+    for key in la.keys() | lb.keys():
+        u, v = la.get(key, SPARSE_ZERO), lb.get(key, SPARSE_ZERO)
+        lX[key] = {c: u.get(c, zero) - v.get(c, zero) for c in u.keys() | v.keys()}
+    return _commutator(a.x0_rows, b.x0_rows, zero), _commutator(a.x1_rows, b.x1_rows, zero), lX
 
 
 def graded_bracket(L: Lie2Algebra, a, b):
@@ -367,10 +452,16 @@ def graded_bracket(L: Lie2Algebra, a, b):
     differential: theta d theta' - theta' d theta).
     """
     if isinstance(a, Derivation0) and isinstance(b, Derivation0):
-        X0 = a.X0 @ b.X0 - b.X0 @ a.X0
-        X1 = a.X1 @ b.X1 - b.X1 @ a.X1
-        lX = lie_cochain_action(a.X0, a.X1, b.lX) - lie_cochain_action(b.X0, b.X1, a.lX)
-        return Derivation0(X0, X1, lX)
+        _same_mode(a, b)
+        n0, n1, zero = a.X0.rows, a.X1.rows, scalar_zero(a.mode)
+        X0, X1, lX = _bracket0(_sparse0(a.X0, a.X1, a.lX), _sparse0(b.X0, b.X1, b.lX), zero)
+        return Derivation0(
+            Mat._result(n0, n0, [X0.get((i, j)) or zero for i in range(n0) for j in range(n0)],
+                        a.mode),
+            Mat._result(n1, n1, [X1.get((i, j)) or zero for i in range(n1) for j in range(n1)],
+                        a.mode),
+            AltTensor._result(2, n0, n1, {k: _dense(v, n1, zero) for k, v in lX.items()},
+                              a.mode))
     if isinstance(a, Derivation0) and isinstance(b, DerM1):
         return DerM1(a.X1 @ b.theta - b.theta @ a.X0)
     if isinstance(a, DerM1) and isinstance(b, Derivation0):
@@ -385,14 +476,9 @@ def graded_bracket(L: Lie2Algebra, a, b):
 # ---------------------------------------------------------------------------
 
 def derM1_basis(L: Lie2Algebra) -> list:
-    """Standard basis of Hom(g_0, g_{-1}), row-major."""
-    out = []
-    for a in range(L.n1):
-        for b in range(L.n0):
-            data = [0] * (L.n1 * L.n0)
-            data[a * L.n0 + b] = 1
-            out.append(DerM1(Mat(L.n1, L.n0, data)))
-    return out
+    """Standard basis of Hom(g_0, g_{-1}), row-major, in the mode of L."""
+    m = L.n1 * L.n0
+    return [DerM1(Mat._result(L.n1, L.n0, basis_vec(m, t, L.mode), L.mode)) for t in range(m)]
 
 
 @dataclass(frozen=True)
@@ -407,11 +493,11 @@ class DerLie2:
     algebra: Lie2Algebra
     basis0: tuple
     basisM1: tuple
-    _coords: object  # coordinates of a degree-0 derivation in basis0
+    _coords: object  # coordinates in basis0 of a vector of flatten_der0 coordinates
     _base: Lie2Algebra
 
     def der0_coords(self, D: Derivation0) -> tuple:
-        return self._coords(D)
+        return self._coords(flatten_der0(self._base, D))
 
     def derM1_coords(self, T: DerM1) -> tuple:
         return T.theta.data
@@ -420,22 +506,59 @@ class DerLie2:
         return _der0_combination(self._base, zip(c, self.basis0))
 
 
+def _ad_derM1(f: _Sparse0, n0: int, n1: int) -> Mat:
+    """The matrix of theta |-> X1 theta - theta X0 on row-major Hom(g_0, g_{-1}),
+    from the sparse form of an exact (X0, X1, lX): X1 (x) I - I (x) X0^T,
+    entry ((a, b), (c, e)) = X1[a, c] [b = e] - [a = c] X0[e, b]."""
+    m = n1 * n0
+    data = [0] * (m * m)
+    for a, row in enumerate(f.x1_rows):
+        for c, x in row.items():
+            for b in range(n0):
+                data[(a * n0 + b) * m + c * n0 + b] += x
+    for b, col in enumerate(f.x0):
+        for e, x in col.items():
+            for a in range(n1):
+                data[(a * n0 + b) * m + a * n0 + e] -= x
+    return Mat._result(m, m, data, "exact")
+
+
 def build_der_lie2(L: Lie2Algebra) -> DerLie2:
-    """Assemble the strict derivation Lie 2-algebra of L in explicit bases."""
+    """Assemble the strict derivation Lie 2-algebra of L in explicit bases.
+
+    Each basis derivation is read once into its sparse form (the columns
+    and rows of X0 and X1, and lX on every ordering of its keys).  b00 is
+    the bracket of two basis derivations, the commutators and the cochain
+    action taken on those forms, as a sparse vector in the coordinates of
+    `flatten_der0`, read in the basis by the kernel coordinates.  b01 is the
+    closed form ad_D(theta) = X1 theta - theta X0 (`_ad_derM1`); the degree
+    -1 space is all of Hom(g_0, g_{-1}), so its brackets need no membership
+    check.  Every matrix and tensor is built from computed exact values,
+    with no coercion.
+    """
     basis0, coords = _der0_kernel(L)
     basisM1 = derM1_basis(L)
     r = len(basis0)
     m = len(basisM1)
-    dmat = Mat.from_cols([coords(dbar(L, T)) for T in basisM1], r)
+    n0, n1 = L.n0, L.n1
+    dcols = [coords(flatten_der0(L, dbar(L, T))) for T in basisM1]
+    dmat = Mat._result(r, m, [dcols[j][i] for i in range(r) for j in range(m)], "exact")
 
-    b00 = AltTensor.from_function(
-        2, r, r, lambda key: coords(graded_bracket(L, basis0[key[0]], basis0[key[1]])))
+    off1, off2 = n0 * n0, n0 * n0 + n1 * n1
+    pair = {key: off2 + p * n1 for p, key in enumerate(itertools.combinations(range(n0), 2))}
+    forms = [_sparse0(D.X0, D.X1, D.lX) for D in basis0]
+    entries = {}
+    for p, q in itertools.combinations(range(r), 2):
+        X0, X1, lX = _bracket0(forms[p], forms[q], 0)
+        flat = {i * n0 + j: v for (i, j), v in X0.items() if v}
+        flat.update((off1 + i * n1 + j, v) for (i, j), v in X1.items() if v)
+        for key, vec in lX.items():
+            flat.update((pair[key] + c, v) for c, v in vec.items() if v)
+        if flat:
+            entries[p, q] = coords(flat)
+    b00 = AltTensor._result(2, r, r, entries, "exact")
 
-    b01 = []
-    for D in basis0:
-        cols = [graded_bracket(L, D, T).theta.data for T in basisM1]
-        b01.append(Mat.from_cols(cols, m))
-
+    b01 = [_ad_derM1(f, n0, n1) for f in forms]
     algebra = Lie2Algebra(r, m, dmat, b00, b01, AltTensor.zero(3, r, m))
     return DerLie2(algebra, tuple(basis0), tuple(basisM1), coords, L)
 
@@ -445,14 +568,27 @@ def build_der_lie2(L: Lie2Algebra) -> DerLie2:
 # ---------------------------------------------------------------------------
 
 def adbar0_single(L: Lie2Algebra, x: tuple) -> Derivation0:
-    """The degree-0 derivation ([x, .], l3(x, ., .)) attached to x in g_0."""
-    # built from its columns as rows, then transposed: an empty X0 keeps L's mode
-    cols = [v for j in range(L.n0) for v in L.bracket00(x, L.e0(j))]
-    X0 = Mat._result(L.n0, L.n0, cols, L.mode).transpose()
-    X1 = L.act0_mat(x)
-    lX = AltTensor.from_function(
-        2, L.n0, L.n1, lambda key: L.l3.eval(x, L.e0(key[0]), L.e0(key[1])), L.mode)
-    return Derivation0(X0, X1, lX)
+    """The degree-0 derivation ([x, .], l3(x, ., .)) attached to x in g_0.
+
+    Column j of X0 is [x, e_j], column a of X1 is [x, e_a] and lX(e_i, e_j)
+    is l3(x, e_i, e_j): sums over the support of x, by increasing index, of
+    the nonzero structure constants, the order of the dense evaluation on
+    unit vectors, so float results are those sums bit for bit.
+    """
+    _, b00, b01, l3 = L.sparse()
+    u = {m: _check_scalar(v, L.mode) for m, v in enumerate(x) if v}
+    n0, n1, zero = L.n0, L.n1, scalar_zero(L.mode)
+    x0 = [sparse_comb((v, b00.get((m, j), SPARSE_ZERO)) for m, v in u.items()) for j in range(n0)]
+    x1 = [sparse_comb((v, b01[m][a]) for m, v in u.items()) for a in range(n1)]
+    entries = {}
+    for i, j in itertools.combinations(range(n0), 2):
+        r = sparse_comb((v, l3.get((m, i, j), SPARSE_ZERO)) for m, v in u.items())
+        if r:
+            entries[i, j] = _dense(r, n1, zero)
+    return Derivation0(
+        Mat._result(n0, n0, [x0[j].get(i) or zero for i in range(n0) for j in range(n0)], L.mode),
+        Mat._result(n1, n1, [x1[a].get(c) or zero for c in range(n1) for a in range(n1)], L.mode),
+        AltTensor._result(2, n0, n1, entries, L.mode))
 
 
 def ad1_single(L: Lie2Algebra, a: tuple) -> DerM1:
@@ -470,22 +606,32 @@ def adbar(L: Lie2Algebra, der: DerLie2 | None = None) -> Lie2Hom:
     if der is None:
         der = build_der_lie2(L)
     target = der.algebra
-    A0 = Mat.from_cols([der.der0_coords(adbar0_single(L, L.e0(i))) for i in range(L.n0)], target.n0)
-    A1 = Mat.from_cols([der.derM1_coords(ad1_single(L, L.e1(a))) for a in range(L.n1)], target.n1)
-
-    def a2val(key):
-        j, k = key
-        cols = [vscale(-1, L.l3.eval_basis(j, k, t)) for t in range(L.n0)]
-        return der.derM1_coords(DerM1(Mat.from_cols(cols, L.n1)))
-
-    A2 = AltTensor.from_function(2, L.n0, target.n1, a2val, L.mode)
+    n0, n1 = L.n0, L.n1
+    cols0 = [der.der0_coords(adbar0_single(L, L.e0(i))) for i in range(n0)]
+    cols1 = [der.derM1_coords(ad1_single(L, L.e1(a))) for a in range(n1)]
+    A0 = Mat._result(target.n0, n0, [c[i] for i in range(target.n0) for c in cols0], target.mode)
+    A1 = Mat._result(target.n1, n1, [c[i] for i in range(target.n1) for c in cols1], target.mode)
+    # A2(e_j, e_k) is the map e_t |-> -l3(e_j, e_k, e_t), in row-major coordinates
+    l3 = L.sparse().l3
+    entries = {}
+    for j, k in itertools.combinations(range(n0), 2):
+        vec = [0] * target.n1
+        for t in range(n0):
+            for a, v in l3.get((j, k, t), SPARSE_ZERO).items():
+                vec[a * n0 + t] = -v
+        entries[j, k] = tuple(vec)
+    A2 = AltTensor._result(2, n0, target.n1, entries, target.mode)
     return Lie2Hom(L, target, A0, A1, A2)
 
 
 def inn0_basis(L: Lie2Algebra) -> list:
     """Basis of inner degree-0 derivations: the span of the adjoint image
-    and the image of the differential, by row reduction (generator order:
-    adjoint generators first, then differential images of the Hom basis)."""
+    and the image of the differential, by exact row reduction (generator
+    order: adjoint generators first, then differential images of the Hom
+    basis).  A float algebra raises `ModeError`."""
+    if L.mode != "exact":
+        raise ModeError("inner derivations need an exact algebra: "
+                        "their basis comes from an exact row reduction")
     gens = [adbar0_single(L, L.e0(i)) for i in range(L.n0)]
     gens += [dbar(L, T) for T in derM1_basis(L)]
     if not gens:

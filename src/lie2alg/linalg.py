@@ -333,7 +333,7 @@ def _exact_rows(m: Mat, what: str) -> list:
     """The rows of an exact matrix as sparse vectors ({col: value})."""
     if m.mode != "exact":
         raise ModeError(f"{what} requires exact scalars")
-    return [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
+    return sparse_rows(m)
 
 
 def _reduce(rows: list, ncols: int):
@@ -410,7 +410,10 @@ def kernel(m: Mat):
     other free columns 0, read off the pivot rows.  So coords(b), the
     coordinates of b in the basis, are b read at the free columns, and b is
     in the span iff every reduced pivot row vanishes on b; off the span
-    coords returns None.  A vector of the wrong length raises ValueError.
+    coords returns None.  b is a vector, whose wrong length raises
+    ValueError, or a sparse vector ({index: value}, see "sparse vectors"
+    below); either way only the pivot rows that meet the support of b are
+    visited.
     """
     pivot_rows, pivots = _reduce(_exact_rows(m, "kernel"), m.cols)
     free = sorted(set(range(m.cols)) - set(pivots))
@@ -426,15 +429,24 @@ def kernel(m: Mat):
             v[pivots[t]] = -x
         basis.append(tuple(v))
 
-    def coords(b: tuple):
-        if len(b) != m.cols:
+    position = {f: p for p, f in enumerate(free)}
+
+    def coords(b):
+        if isinstance(b, dict):
+            support = b.items()
+        elif len(b) != m.cols:
             raise ValueError("vector length mismatch")
+        else:
+            support = [(j, y) for j, y in enumerate(b) if y]
         rb = {}  # the pivot rows applied to b, over the nonzero entries of b
-        for j, y in enumerate(b):
-            if y:
-                for t, x in touched[j]:
-                    rb[t] = rb.get(t, 0) + x * y
-        return None if any(rb.values()) else tuple(b[f] for f in free)
+        out = [0] * len(free)
+        for j, y in support:
+            for t, x in touched[j]:
+                rb[t] = rb.get(t, 0) + x * y
+            p = position.get(j)
+            if p is not None:
+                out[p] = y
+        return None if any(rb.values()) else tuple(out)
 
     return basis, coords
 
@@ -778,6 +790,11 @@ def sparse_columns(m: Mat) -> list:
     return cols
 
 
+def sparse_rows(m: Mat) -> list:
+    """The rows of m as sparse vectors."""
+    return [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
+
+
 def sparse_alt(t: AltTensor) -> dict:
     """The values of t on every ordering of its nonzero keys, with the
     permutation sign: {index tuple: sparse vector}."""
@@ -803,6 +820,30 @@ def sparse_apply(cols, u: dict) -> dict:
     """The sum of u[t] * cols[t] over the support of u, by increasing t:
     a matrix with sparse columns applied to a sparse vector."""
     return sparse_comb((u[t], cols[t]) for t in sorted(u))
+
+
+def sparse_eval(t: AltTensor, *vectors: dict) -> dict:
+    """t on sparse vectors, term by term as `AltTensor.eval` adds them: the
+    stored keys in increasing order, each key's permutation terms in their
+    fixed order (those with a zero factor skipped), then the key's minor
+    times its value."""
+    k = t.arity
+    support = set().union(*vectors)
+    perms = _signed_perms(k)
+    out = {}
+    for key, vec in t.entries.items():
+        if not support.issuperset(key):
+            continue
+        minor = 0
+        for p, sign in perms:
+            factors = [vectors[a].get(key[p[a]]) for a in range(k)]
+            if all(factors):
+                minor += sign * math.prod(factors)
+        if minor:
+            for c, y in enumerate(vec):
+                if y:
+                    out[c] = out[c] + minor * y if c in out else minor * y
+    return out
 
 
 def sparse_sum(*terms) -> dict:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from lie2alg.core import (
     ce_coboundary,
     lie_ad_matrices,
+    make_endo,
     make_string,
     validate_hom,
     validate_lie2,
@@ -33,8 +35,9 @@ from lie2alg.derivations import (
     random_der0,
     random_derM1,
 )
-from lie2alg.fileio import parse_element
+from lie2alg.fileio import parse_element, serialize_element, serialize_lie2
 from lie2alg.fixtures import (
+    NAMED_EXAMPLES,
     fix_ab,
     fix_end,
     fix_str,
@@ -496,3 +499,87 @@ def test_string_sl4_derivation_lie2():
     assert (der.algebra.n0, der.algebra.n1) == (30, 15)
     assert validate_lie2(der.algebra).ok
     assert validate_hom(adbar(L, der)).ok
+
+
+# ---------------------------------------------------------------------------
+# pinned derivation algebras
+# ---------------------------------------------------------------------------
+
+# sha256 of serialize_lie2(der.algebra) followed by the serialized basis0,
+# recorded from the dense assembly that the sparse one replaced
+DER_DIGESTS = {
+    "abelian": "6f83920ea2480dc56705904a2ebbb74a40e29bfa1d3accd18905e24dcd81c555",
+    "string-sl2": "be1cdabf08046653769826f9b0b5d880a40d606236b0ac0fb6d7d28872a62185",
+    "endo-1-1": "fb75e3bead5d39472ecd0cf04f438a71a3b3480d29c77fd97be25c188d472fe4",
+    "skeletal-demo": "fecb3f0ea2023b15dae6dbb409adaea9697f6d1b2fa4369478398bd40800ebd7",
+    "string-sl3": "1595246ea8b69eee5e92c7649a23e2af752a87430745e664aae632df254642ad",
+    "endo-id2": "4cc4c2e0f8145bdd5a899fdc647b54c4a4b6f5c1f2b791531b2a7dcce6049cc6",
+    "random-0": "b834b5990e716f757820e521f908498a243918d050fc70a5887842580c9fabad",
+    "random-1": "feca8de76e2e5add392e8b49c3fba1fb58818340805a7604415836b6e51053f7",
+    "random-2": "93f0b46b7b657b93f340d7d4a58990952db1fd0166dd8a940d75bfb25e838a91",
+    "random-3": "feca8de76e2e5add392e8b49c3fba1fb58818340805a7604415836b6e51053f7",
+    "random-4": "feca8de76e2e5add392e8b49c3fba1fb58818340805a7604415836b6e51053f7",
+    "random-5": "853af753f9d4d98eecf63359e0bc79d071a7f643f6ddf07b43a9d297b1da8e96",
+    "random-6": "e47e1fff1139ab69631d25172b19a406b1921ec31519fa70d5c0eef5022525a8",
+    "random-7": "5977665296ff623ad2e3a740983ec23db35b67d78089a9d35fb6f4a9c2801faa",
+    "random-8": "feca8de76e2e5add392e8b49c3fba1fb58818340805a7604415836b6e51053f7",
+    "random-9": "b834b5990e716f757820e521f908498a243918d050fc70a5887842580c9fabad",
+    "random-10": "e47e1fff1139ab69631d25172b19a406b1921ec31519fa70d5c0eef5022525a8",
+    "random-11": "b834b5990e716f757820e521f908498a243918d050fc70a5887842580c9fabad",
+    "random-12": "b834b5990e716f757820e521f908498a243918d050fc70a5887842580c9fabad",
+    "random-13": "0e7bacd10bf383509aca79b2121023b28fb922cd1e2ebb946067fdc315d1bc6c",
+    "random-14": "e0a8da1ceb5d4ceb402adffe5e1768856e5baea4868b359183088eb86c400d1d",
+    "random-15": "feca8de76e2e5add392e8b49c3fba1fb58818340805a7604415836b6e51053f7",
+    "random-16": "64921485be9a3b895b1f212f7c41646464835b75f39064e4956f6e3746b09d9c",
+    "random-17": "b834b5990e716f757820e521f908498a243918d050fc70a5887842580c9fabad",
+    "random-18": "feca8de76e2e5add392e8b49c3fba1fb58818340805a7604415836b6e51053f7",
+    "random-19": "e0a8da1ceb5d4ceb402adffe5e1768856e5baea4868b359183088eb86c400d1d",
+    "random-20": "feca8de76e2e5add392e8b49c3fba1fb58818340805a7604415836b6e51053f7",
+    "random-21": "feca8de76e2e5add392e8b49c3fba1fb58818340805a7604415836b6e51053f7",
+    "random-22": "feca8de76e2e5add392e8b49c3fba1fb58818340805a7604415836b6e51053f7",
+    "random-23": "0f5d6b592597f0b2c366a57cf11205ef7889066597bbcb4fd357ed1ec3464997",
+    "random-24": "b834b5990e716f757820e521f908498a243918d050fc70a5887842580c9fabad",
+    "random-25": "b834b5990e716f757820e521f908498a243918d050fc70a5887842580c9fabad",
+    "random-26": "feca8de76e2e5add392e8b49c3fba1fb58818340805a7604415836b6e51053f7",
+    "random-27": "b834b5990e716f757820e521f908498a243918d050fc70a5887842580c9fabad",
+    "random-28": "e0a8da1ceb5d4ceb402adffe5e1768856e5baea4868b359183088eb86c400d1d",
+    "random-29": "e47e1fff1139ab69631d25172b19a406b1921ec31519fa70d5c0eef5022525a8",
+    "string-sl4": "d3b0a104807303b7b22f8ea0d4e3a14e58d9ca5879b772197c4c6896f522e3d0",
+    "endo-id3": "d5a9390e01e06a261878b1235b1446ec4824c8cc1c4f06981240b2b00b7e55e4",
+}
+
+
+def _pinned_algebras():
+    algebras = [(name, make()) for name, make in NAMED_EXAMPLES.items()]
+    algebras += [("string-sl3", make_string(sl_structure(3))),
+                 ("endo-id2", make_endo(Mat.identity(2)))]
+    algebras += [(f"random-{seed}", random_fixture(random.Random(seed))) for seed in range(30)]
+    algebras += [("string-sl4", make_string(sl_structure(4))),
+                 ("endo-id3", make_endo(Mat.identity(3)))]
+    return algebras
+
+
+def test_derivation_algebras_match_their_pinned_digests():
+    got = {}
+    for name, L in _pinned_algebras():
+        der = build_der_lie2(L)
+        text = serialize_lie2(der.algebra) + "".join(serialize_element(D, L) for D in der.basis0)
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == DER_DIGESTS
+
+
+def test_b01_is_the_bracket_with_each_hom_basis_vector():
+    # the closed form X1 (x) I - I (x) X0^T against graded_bracket(D, T)
+    algebras = [L for _, L in _pinned_algebras()[:6]]
+    algebras += [random_fixture(random.Random(seed)) for seed in range(10)]
+    for L in algebras:
+        der = build_der_lie2(L)
+        for p, D in enumerate(der.basis0):
+            for t, T in enumerate(der.basisM1):
+                assert der.algebra.b01[p].col(t) == graded_bracket(L, D, T).theta.data, (L, p, t)
+
+
+def test_inner_derivations_of_a_float_algebra_raise():
+    L = fix_ab().to_float()
+    with pytest.raises(ModeError, match="inner derivations need an exact algebra"):
+        inn0_basis(L)

@@ -64,6 +64,7 @@ from lie2alg.integration import (
 from lie2alg.linalg import (
     AltTensor,
     Mat,
+    ModeError,
     mat_distance,
     nilpotency_index,
     tensor_distance,
@@ -472,6 +473,11 @@ def test_float_inn_generators_of_abelian_multiply():
         A, t = semidirect_multiply(p[0].algebra, p, q)
         assert A.hom.A0.mode == t.mat.mode == "float"
     assert all((A.algebra.mode, A.hom.A0.mode, t.mat.mode) == ("float",) * 3 for A, t in gens)
+
+
+def test_inner_generators_of_a_float_algebra_raise():
+    with pytest.raises(ModeError, match="inner derivations need an exact algebra"):
+        inn_group_generators(fix_ab().to_float())
 
 
 def test_float_exponential_composes_with_the_identity_of_its_algebra():

@@ -1,7 +1,8 @@
 """Differential tests of the sparse law evaluators.
 
-`validate_lie2`, the degree-0 derivation conditions and the cochain action
-`lie_cochain_action` sum over the nonzero structure constants only.  The references below are the earlier evaluators,
+`validate_lie2`, `validate_hom`, the degree-0 derivation conditions, the
+cochain action `lie_cochain_action`, `dbar` and `adbar0_single` sum over
+the nonzero structure constants only.  The references below are the earlier evaluators,
 which apply every law to unit basis vectors through dense vectors; both must
 give the same ResidualReport: the same value, of the same type, and the same
 witness, for every key.  Exact values are equal.  Float values are equal bit
@@ -13,37 +14,53 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+from lie2alg.automorphisms import twist_hom
 from lie2alg.core import (
     Lie2Algebra,
+    Lie2Hom,
     Residual,
     ResidualReport,
     ce_coboundary,
+    hom_identity,
     make_endo,
     make_skeletal,
     make_string,
+    validate_hom,
     validate_lie2,
 )
 from lie2alg.derivations import (
     Derivation0,
+    DerM1,
     _der0_flat_len,
+    adbar,
+    adbar0_single,
     build_der_lie2,
     compute_der0_basis,
+    dbar,
     der0_constraints,
+    derM1_basis,
     is_derivation0,
     lie_cochain_action,
     random_der0,
+    random_derM1,
     unflatten_der0,
 )
+from lie2alg.fileio import parse_element
 from lie2alg.fixtures import (
     NAMED_EXAMPLES,
     abelian_structure,
     adjoint_rep,
     aff1_sum_structure,
+    fix_end,
+    fix_str,
     rand_cochain,
+    rand_vec,
     random_fixture,
     sl2_structure,
     sl_structure,
+    string_aut_hom,
     trivial_rep,
 )
 from lie2alg.linalg import (
@@ -500,3 +517,206 @@ def test_cochain_action_is_bitwise_on_random_float_pairs():
             X0 = Mat(n, n, _float_draw(rng, n * n))
             X1 = Mat(codim, codim, _float_draw(rng, codim * codim))
             check_action(X0, X1, omega)
+
+
+# ---------------------------------------------------------------------------
+# the differential and the adjoint generators
+# ---------------------------------------------------------------------------
+
+def ref_dbar(L, T):
+    """The dense formula: the 2-component on unit vectors."""
+    def lval(key):
+        i, j = key
+        r = T.theta.apply(L.b00.eval_basis(i, j))
+        r = vsub(r, L.bracket01(L.e0(i), T.theta.col(j)))
+        return vadd(r, L.bracket01(L.e0(j), T.theta.col(i)))
+
+    return Derivation0(L.d @ T.theta, T.theta @ L.d,
+                       AltTensor.from_function(2, L.n0, L.n1, lval, L.mode))
+
+
+def ref_adbar0_single(L, x):
+    """The dense formula: [x, e_j] and l3(x, e_i, e_j) on unit vectors, and
+    X1 the sum of x_m b01[m]."""
+    cols = [v for j in range(L.n0) for v in L.bracket00(x, L.e0(j))]
+    X1 = Mat.zero(L.n1, L.n1, L.mode)
+    for m, xi in zip(L.b01, x):
+        if xi != 0:
+            X1 = X1 + m.scale(xi)
+    lX = AltTensor.from_function(
+        2, L.n0, L.n1, lambda key: L.l3.eval(x, L.e0(key[0]), L.e0(key[1])), L.mode)
+    return Derivation0(Mat._result(L.n0, L.n0, cols, L.mode).transpose(), X1, lX)
+
+
+def _same_floats(got, want) -> bool:
+    return len(got) == len(want) and all(
+        type(g) is float and _same_float(g, w) for g, w in zip(got, want))
+
+
+def assert_same_derivation(got: Derivation0, want: Derivation0):
+    parts = ((got.X0, want.X0), (got.X1, want.X1), (got.lX, want.lX))
+    assert [g.mode for g, _ in parts] == [w.mode for _, w in parts]
+    if want.mode == "exact":
+        assert got == want
+        return
+    # float.hex tells -0.0 from 0.0, so signed zeros are compared too
+    for g, w in parts[:2]:
+        assert (g.rows, g.cols) == (w.rows, w.cols) and _same_floats(g.data, w.data)
+    assert list(got.lX.entries) == list(want.lX.entries)
+    for key, vec in want.lX.entries.items():
+        assert _same_floats(got.lX.entries[key], vec), key
+
+
+def _signed_float_algebra(rng, n0, n1):
+    """Random float structure constants, a third of them zero of either sign."""
+    def alt(arity, codim):
+        return AltTensor(arity, n0, codim, {key: _float_draw(rng, codim) for key in
+                                            itertools.combinations(range(n0), arity)}, "float")
+
+    return Lie2Algebra(n0, n1, Mat(n0, n1, _float_draw(rng, n0 * n1)), alt(2, n0),
+                       [Mat(n1, n1, _float_draw(rng, n1 * n1)) for _ in range(n0)], alt(3, n1))
+
+
+def _generator_algebras():
+    return ([f() for f in NAMED_EXAMPLES.values()] + _random_fixtures() + _degenerate()
+            + [make_string(sl_structure(3)), _endo_id2(), _aff1_non_cocycle()])
+
+
+def test_dbar_matches_reference():
+    rng = random.Random(21)
+    for L in _generator_algebras():
+        thetas = derM1_basis(L) + [random_derM1(L, rng) for _ in range(2)]
+        for T in thetas:
+            assert_same_derivation(dbar(L, T), ref_dbar(L, T))
+            Lf, Tf = L.to_float(), T.to_float()
+            assert_same_derivation(dbar(Lf, Tf), ref_dbar(Lf, Tf))
+
+
+def test_adbar0_single_matches_reference():
+    rng = random.Random(22)
+    for L in _generator_algebras():
+        xs = [L.e0(i) for i in range(L.n0)] + [rand_vec(rng, L.n0) for _ in range(2)]
+        for x in xs:
+            assert_same_derivation(adbar0_single(L, x), ref_adbar0_single(L, x))
+            Lf, xf = L.to_float(), tuple(float(v) for v in x)
+            assert_same_derivation(adbar0_single(Lf, xf), ref_adbar0_single(Lf, xf))
+
+
+def test_generators_are_bitwise_on_random_float_constants():
+    rng = random.Random(23)
+    for n0, n1 in ((4, 3), (5, 2), (3, 4)):
+        for _ in range(3):
+            L = _signed_float_algebra(rng, n0, n1)
+            T = DerM1(Mat(n1, n0, _float_draw(rng, n1 * n0)))
+            assert_same_derivation(dbar(L, T), ref_dbar(L, T))
+            x = tuple(_float_draw(rng, n0))
+            assert_same_derivation(adbar0_single(L, x), ref_adbar0_single(L, x))
+
+
+# ---------------------------------------------------------------------------
+# validate_hom
+# ---------------------------------------------------------------------------
+
+def ref_validate_hom(A):
+    """The dense evaluator: every law on unit basis vectors."""
+    src, tgt = A.source, A.target
+    acc = {k: _RefAcc(A.A0.mode) for k in ("chain", "i", "ii", "iii")}
+
+    chain = (tgt.d @ A.A1) - (A.A0 @ src.d)
+    acc["chain"].add(chain.data, None)
+
+    e0 = [src.e0(i) for i in range(src.n0)]
+    e1 = [src.e1(a) for a in range(src.n1)]
+    img0 = [A.A0.col(i) for i in range(src.n0)]
+    img1 = [A.A1.col(a) for a in range(src.n1)]
+
+    for i, j in itertools.combinations(range(src.n0), 2):
+        r = A.A0.apply(src.b00.eval_basis(i, j))
+        r = vsub(r, tgt.bracket00(img0[i], img0[j]))
+        r = vsub(r, tgt.dv(A.A2.eval_basis(i, j)))
+        acc["i"].add(r, (i, j))
+
+    for i in range(src.n0):
+        for a in range(src.n1):
+            r = A.A1.apply(src.bracket01(e0[i], e1[a]))
+            r = vsub(r, tgt.bracket01(img0[i], img1[a]))
+            r = vsub(r, A.A2.eval(e0[i], src.dcol(a)))
+            acc["ii"].add(r, (i, a))
+
+    for i, j, k in itertools.combinations(range(src.n0), 3):
+        r = vzero(tgt.n1, tgt.mode)
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            r = vadd(r, tgt.bracket01(img0[x], A.A2.eval_basis(y, z)))
+            r = vsub(r, A.A2.eval(src.b00.eval_basis(x, y), e0[z]))
+        r = vadd(r, tgt.l3.eval(img0[i], img0[j], img0[k]))
+        r = vsub(r, A.A1.apply(src.l3.eval_basis(i, j, k)))
+        acc["iii"].add(r, (i, j, k))
+
+    return ResidualReport({k: a.residual() for k, a in acc.items()})
+
+
+def check_hom(A: Lie2Hom):
+    assert_same_report(validate_hom(A), ref_validate_hom(A))
+
+
+def hom_perturbations(A: Lie2Hom, rng) -> list:
+    """Copies of A, each with one entry of A0, A1 or A2 changed."""
+    src, tgt = A.source, A.target
+    out = []
+    if A.A0.data:
+        out.append(Lie2Hom(src, tgt, _with_entry(A.A0, rng.randrange(len(A.A0.data)), _bump(rng)),
+                           A.A1, A.A2))
+    if A.A1.data:
+        out.append(Lie2Hom(src, tgt, A.A0,
+                           _with_entry(A.A1, rng.randrange(len(A.A1.data)), _bump(rng)), A.A2))
+    if src.n0 >= 2 and tgt.n1:
+        key = tuple(sorted(rng.sample(range(src.n0), 2)))
+        out.append(Lie2Hom(src, tgt, A.A0, A.A1,
+                           _with_tensor_entry(A.A2, key, rng.randrange(tgt.n1), _bump(rng))))
+    return out
+
+
+def _golden_homs():
+    """The homs behind the four `lie2 aut` golden reports: the two hom
+    files against string-sl2, and the identity twisted by each tau file of
+    endo-1-1."""
+    golden = Path(__file__).parent / "golden"
+    homs = []
+    for name in ("string-sl2-aut.hom", "string-sl2-nonaut.hom"):
+        L = fix_str()
+        homs.append(parse_element((golden / name).read_text(encoding="utf-8"), L))
+    for name in ("endo-1-1-tau.tau", "endo-1-1-tau-singular.tau"):
+        L = fix_end()
+        tau = parse_element((golden / name).read_text(encoding="utf-8"), L)
+        homs.append(twist_hom(L, hom_identity(L), tau))
+    return homs
+
+
+def test_validate_hom_matches_reference_on_adbar_and_perturbed_homs():
+    rng = random.Random(24)
+    for L in _random_fixtures():
+        for A in (adbar(L), hom_identity(L)):
+            for B in [A] + hom_perturbations(A, rng):
+                check_hom(B)
+                check_hom(B.to_float())
+
+
+def test_validate_hom_matches_reference_on_golden_and_sampled_homs():
+    rng = random.Random(25)
+    homs = _golden_homs() + [string_aut_hom(fix_str(), rng) for _ in range(4)]
+    homs += [adbar(make_string(sl_structure(3))), adbar(_endo_id2())]
+    for A in homs:
+        for B in [A] + hom_perturbations(A, rng):
+            check_hom(B)
+            check_hom(B.to_float())
+
+
+def test_validate_hom_is_bitwise_on_random_float_homs():
+    rng = random.Random(26)
+    for (n0, n1), (m0, m1) in (((3, 2), (4, 3)), ((4, 3), (3, 2)), ((5, 2), (4, 4))):
+        for _ in range(3):
+            src, tgt = _signed_float_algebra(rng, n0, n1), _signed_float_algebra(rng, m0, m1)
+            A2 = AltTensor(2, n0, m1, {key: _float_draw(rng, m1) for key in
+                                       itertools.combinations(range(n0), 2)}, "float")
+            check_hom(Lie2Hom(src, tgt, Mat(m0, n0, _float_draw(rng, m0 * n0)),
+                              Mat(m1, n1, _float_draw(rng, m1 * n1)), A2))
