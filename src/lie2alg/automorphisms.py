@@ -23,7 +23,7 @@ from .core import (
     inverse_from_parts,
     validate_hom,
 )
-from .derivations import DerM1, Derivation0, lie_cochain_action
+from .derivations import DerM1, Derivation0, lie_cochain_action, ratio_draws
 from .linalg import AltTensor, Mat, mat_distance, mat_inverse, vadd, vsub
 
 
@@ -340,9 +340,7 @@ def random_tau(L: Lie2Algebra, rng, dens=(1, 2), invertible: bool = False) -> Ta
     """Random rational tau; invertible=True rejection-samples to units
     (tau = 0 after a bounded search), False takes the first draw."""
     for _ in range(200):
-        t = Tau(Mat(L.n1, L.n0,
-                    [Fraction(rng.randint(-3, 3), rng.choice(dens))
-                     for _ in range(L.n1 * L.n0)]))
+        t = Tau(Mat(L.n1, L.n0, [Fraction(p, q) for p, q in ratio_draws(rng, L.n1 * L.n0, dens)]))
         if not invertible or tau_is_invertible(L, t):
             return t
     return tau_zero(L)

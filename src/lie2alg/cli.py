@@ -11,6 +11,7 @@ error.  The same seed always produces byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import random
@@ -293,7 +294,10 @@ def _cmd_example(args) -> tuple:
     return serialize_lie2(NAMED_EXAMPLES[args.name]()), True
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The `lie2` parser, built once per process: parsing a command line
+    leaves the parser as it was, so every call can share it."""
     p = argparse.ArgumentParser(
         prog="lie2",
         description="Validate Lie 2-algebras, compute their derivations and "

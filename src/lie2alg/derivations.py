@@ -34,6 +34,7 @@ from .linalg import (
     Mat,
     ModeError,
     _check_scalar,
+    _exact,
     _same_mode,
     basis_vec,
     kernel,
@@ -229,15 +230,17 @@ def flatten_der0(L: Lie2Algebra, D: Derivation0) -> tuple:
 
 
 def unflatten_der0(L: Lie2Algebra, vec) -> Derivation0:
-    n0, n1 = L.n0, L.n1
-    vec = list(vec)
-    X0 = Mat(n0, n0, vec[:n0 * n0])
-    X1 = Mat(n1, n1, vec[n0 * n0:n0 * n0 + n1 * n1])
+    """The triple of `flatten_der0` coordinates in the mode of L, built
+    without coercion; exact values take their canonical form (`_exact`)."""
+    n0, n1, mode = L.n0, L.n1, L.mode
+    vec = [_exact(x) for x in vec] if mode == "exact" else list(vec)
+    X0 = Mat._result(n0, n0, vec[:n0 * n0], mode)
+    X1 = Mat._result(n1, n1, vec[n0 * n0:n0 * n0 + n1 * n1], mode)
     rest = vec[n0 * n0 + n1 * n1:]
     entries = {}
     for t, key in enumerate(itertools.combinations(range(n0), 2)):
         entries[key] = tuple(rest[t * n1:(t + 1) * n1])
-    return Derivation0(X0, X1, AltTensor(2, n0, n1, entries))
+    return Derivation0(X0, X1, AltTensor._result(2, n0, n1, entries, mode))
 
 
 class _Form(dict):
@@ -636,7 +639,8 @@ def inn0_basis(L: Lie2Algebra) -> list:
     gens += [dbar(L, T) for T in derM1_basis(L)]
     if not gens:
         return []
-    rows = Mat.from_rows([flatten_der0(L, D) for D in gens])
+    rows = Mat._result(len(gens), _der0_flat_len(L),
+                       [x for D in gens for x in flatten_der0(L, D)], "exact")
     red, pivots = rref(rows)
     return [unflatten_der0(L, red.row(t)) for t in range(len(pivots))]
 
@@ -669,15 +673,22 @@ def classify_derivation(L: Lie2Algebra, elem) -> dict:
 # seeded samplers
 # ---------------------------------------------------------------------------
 
+def ratio_draws(rng, count: int, dens) -> list:
+    """count (numerator, denominator) pairs, each drawing rng.randint(-3, 3),
+    then rng.choice(dens): the draws of every seeded sampler, in one place."""
+    return [(rng.randint(-3, 3), rng.choice(dens)) for _ in range(count)]
+
+
 def random_der0(L: Lie2Algebra, rng, basis=None, dens=(1, 2)) -> Derivation0:
-    """Random rational combination of a degree-0 derivation basis; each
-    coefficient draws rng.randint(-3, 3), then rng.choice(dens), in basis order."""
+    """Random rational combination of a degree-0 derivation basis; the
+    coefficients are `ratio_draws`, in basis order."""
     if basis is None:
         basis = compute_der0_basis(L)
-    return _der0_combination(
-        L, ((Fraction(rng.randint(-3, 3), rng.choice(dens)), D) for D in basis))
+    pairs = ratio_draws(rng, len(basis), dens)
+    return _der0_combination(L, ((Fraction(p, q), D) for (p, q), D in zip(pairs, basis)))
 
 
 def random_derM1(L: Lie2Algebra, rng, dens=(1, 2)) -> DerM1:
-    data = [Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(L.n1 * L.n0)]
-    return DerM1(Mat(L.n1, L.n0, data))
+    """Random rational theta; its entries are `ratio_draws`, row-major."""
+    pairs = ratio_draws(rng, L.n1 * L.n0, dens)
+    return DerM1(Mat(L.n1, L.n0, [Fraction(p, q) for p, q in pairs]))

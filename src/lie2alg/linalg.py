@@ -14,8 +14,9 @@ identity takes its mode as an argument, and a computed result has the
 mode of its operands.  Mixing the two modes in one expression raises
 `ModeError`.  Row reduction, kernel bases and exact inverses are only
 available in exact mode, where results are exact by construction; they
-share one elimination over sparse rows (`_reduce`).  All values are
-immutable and all operations are pure.
+share one elimination over sparse rows (`_reduce`).  `adjugate_det`
+eliminates integer matrices fraction-free instead, in ints only.  All
+values are immutable and all operations are pure.
 Sparse vectors ({index: value}) serve the law evaluators; see the
 "sparse vectors" section.
 """
@@ -338,7 +339,7 @@ def _exact_rows(m: Mat, what: str) -> list:
 
 def _reduce(rows: list, ncols: int):
     """Reduce exact sparse rows ({col: value}) to reduced row-echelon form;
-    the one exact elimination of the package.
+    the one rational elimination of the package.
 
     Columns are taken in increasing order.  The pivot of a column is the
     sparsest row with a nonzero entry there and no pivot yet (the first
@@ -487,6 +488,39 @@ def mat_inverse(m: Mat):
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return Mat._result(n, n, [x for r in rows for x in r[n:]], "float")
+
+
+def adjugate_det(m: Mat):
+    """(s adj(m), s det(m)) of a square integer matrix, with s = +-1, by one
+    fraction-free Gauss-Jordan elimination (Bareiss 1968); (None, 0) when m
+    is singular.
+
+    [m | I] is reduced in ints: step k swaps a row with a nonzero entry in
+    column k up to row k when needed, and makes every other row i
+    (p_k row_i - r_ik row_k) / p_{k-1}, with r_ik its entry in column k,
+    p_k the new pivot and p_{-1} = 1; every division is exact.  The left block ends as p_n I with
+    p_n = s det(m) (s the sign of the swaps), so the right block is
+    p_n m^{-1} = s adj(m), and adj / det is the inverse.
+    """
+    if m.rows != m.cols:
+        raise ValueError("square matrix required")
+    if m.mode != "exact" or any(type(x) is not int for x in m.data):
+        raise ValueError("adjugate_det requires integer entries")
+    n = m.rows
+    rows = [list(m.row(i)) + [int(j == i) for j in range(n)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return None, 0
+        rows[k], rows[p] = rows[p], rows[k]
+        pk, pivot_row = rows[k][k], rows[k]
+        for i, r in enumerate(rows):
+            f = r[k]
+            if i != k and (f or pk != prev):
+                rows[i] = [(pk * a - f * b) // prev for a, b in zip(r, pivot_row)]
+        prev = pk
+    return Mat._result(n, n, [x for r in rows for x in r[n:]], "exact"), prev
 
 
 def solve(m: Mat, b: tuple):

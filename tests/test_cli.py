@@ -1,5 +1,6 @@
 import random
 
+from lie2alg import cli
 from lie2alg.cli import run
 from lie2alg.fileio import serialize_element
 from lie2alg.fixtures import fix_str, string_aut_hom
@@ -10,6 +11,31 @@ def test_validate_named_examples_pass():
         code, text = run(["validate", name])
         assert code == 0, text
         assert "RESULT PASS" in text
+
+
+def test_cached_parser_gives_the_results_of_a_fresh_one(monkeypatch):
+    # one parser serves every call of a process; options and errors of one
+    # call must not leak into the next
+    monkeypatch.delenv("LIE2_SEED", raising=False)
+    calls = (
+        (["check", "abelian", "--suite", "axioms"], 0),
+        (["check", "abelian", "--suite", "no-such-suite"], 2),
+        (["der", "endo-1-1", "--basis", "--inner", "--classify"], 0),
+        (["der", "endo-1-1"], 0),
+        (["aut", "endo-1-1"], 2),
+        (["check", "endo-1-1", "--suite", "crossed-module", "--samples", "2", "--seed", "3"], 0),
+        (["check", "endo-1-1", "--suite", "crossed-module", "--samples", "2"], 0),
+        ([], 2),
+        (["validate", "string-sl2"], 0),
+        (["exp", "endo-1-1", "--element", "no-such-file", "--order", "x"], 2),
+        (["example", "--name", "abelian"], 0),
+    )
+    assert cli._build_parser() is cli._build_parser()
+    cached = [run(argv) for argv, _ in calls]
+    assert [code for code, _ in cached] == [code for _, code in calls]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cli._build_parser() is not cli._build_parser()
+    assert [run(argv) for argv, _ in calls] == cached
 
 
 def test_validate_broken_file_fails(tmp_path):

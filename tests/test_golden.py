@@ -14,6 +14,7 @@ is meant to change):
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,24 @@ def test_golden_report(stem):
     code, text = run(argv)
     assert code == want_code, text
     assert text == (GOLDEN / f"{stem}.txt").read_text(encoding="utf-8")
+
+
+# sha256 of "NAME SEED CODE\n" + report text of `lie2 check NAME --suite
+# conjugation --samples 2 --seed SEED`, for NAME in NAMED and SEED = 1..40 in
+# that order: the sampled pairs of the conjugation suite, and so every line
+# of its reports, stay fixed over many more seeds than the golden files hold
+CONJUGATION_SEEDS = range(1, 41)
+CONJUGATION_DIGEST = "a4e125379b6263b323f05d05abefb7fa17405c739983cdbc197def6c2c56ec2c"
+
+
+def test_conjugation_reports_match_their_pinned_digest():
+    h = hashlib.sha256()
+    for name in NAMED:
+        for seed in CONJUGATION_SEEDS:
+            code, text = run(["check", name, "--suite", "conjugation", "--samples", "2",
+                              "--seed", str(seed)])
+            h.update(f"{name} {seed} {code}\n{text}".encode())
+    assert h.hexdigest() == CONJUGATION_DIGEST
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lie2alg.automorphisms import (
+    Tau,
     act,
     ad_conjugate,
     aut_compose,
@@ -21,6 +22,7 @@ from lie2alg.core import Lie2Algebra, validate_hom, validate_lie2
 from lie2alg.derivations import (
     DerM1,
     Derivation0,
+    _der0_combination,
     adbar0_single,
     compute_der0_basis,
     dbar,
@@ -30,6 +32,7 @@ from lie2alg.derivations import (
     graded_bracket,
     random_der0,
     random_derM1,
+    ratio_draws,
 )
 from lie2alg.fixtures import (
     NAMED_EXAMPLES,
@@ -43,9 +46,12 @@ from lie2alg.fixtures import (
 )
 from lie2alg.integration import (
     ExpConfig,
+    _IvImages,
+    _commuting_iv_sample,
     _exp_hom,
     _joint_mode,
     _random_invertible_tau,
+    _theta_image,
     bracket_recovery_residual,
     check_commuting_square,
     check_conjugation_identities,
@@ -365,6 +371,110 @@ def test_conjugation_identities_bigger_endo():
             assert resid == 0, name
         else:
             assert resid < 1e-9, (name, resid)
+
+
+# the commuting-pair sampler of conj_tau_der, whose accept test runs on
+# integer images, against a Fraction rejection loop that draws D and tau
+# and tests the conjugated leg with `graded_bracket`
+
+def _ref_draw(rng):
+    return Fraction(rng.randint(-3, 3), rng.choice((8, 16)))
+
+
+def _ref_der0(L, rng, basis):
+    D = der0_zero(L)
+    for B in basis:
+        D = D + B.scale(_ref_draw(rng))
+    return D
+
+
+def _ref_invertible_tau(L, rng):
+    for _ in range(200):
+        tau = Tau(Mat(L.n1, L.n0, [_ref_draw(rng) for _ in range(L.n1 * L.n0)]))
+        if tau_inverse(L, tau) is not None:
+            return tau
+    return tau_zero(L)
+
+
+def ref_commuting_iv_sample(L, rng, der_basis):
+    """(D, tau, accepted): the reference body of `_commuting_iv_sample`,
+    in Fractions throughout."""
+    for _ in range(40):
+        D = _ref_der0(L, rng, der_basis)
+        tau = _ref_invertible_tau(L, rng)
+        _, theta = ad_conjugate(L, tau, D)
+        if graded_bracket(L, D, theta).is_zero():
+            return D, tau, True
+    flat = [B for B in der_basis if B.X0.is_zero() and B.X1.is_zero()]
+    tau = _ref_invertible_tau(L, rng)
+    return _ref_der0(L, rng, flat), tau, False
+
+
+def _sampler_algebras():
+    return ([(name, f()) for name, f in NAMED_EXAMPLES.items()]
+            + [(f"random-{seed}", random_fixture(random.Random(seed))) for seed in range(30)])
+
+
+def test_commuting_iv_sample_matches_the_fraction_reference():
+    accepted = fell_back = 0
+    for name, L in _sampler_algebras():
+        basis = compute_der0_basis(L)
+        for seed in range(5):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            D, tau = _commuting_iv_sample(L, rng, basis)
+            want_D, want_tau, ok = ref_commuting_iv_sample(L, ref_rng, basis)
+            assert (D, tau) == (want_D, want_tau), (name, seed)
+            assert rng.getstate() == ref_rng.getstate(), (name, seed)
+            accepted += ok
+            fell_back += not ok
+    assert accepted >= 60 and fell_back >= 60
+
+
+class _StuckRandom(random.Random):
+    """Draws -3, then the first denominator, every time."""
+
+    def randint(self, a, b):
+        return -3
+
+    def choice(self, seq):
+        return seq[0]
+
+
+def test_commuting_iv_sample_after_200_singular_taus_takes_tau_zero():
+    # d = 8/3 makes 1 + d tau = 0 for the only draw, tau = -3/8; with
+    # tau = 0 the conjugated leg vanishes, so the first pair is taken
+    L = make_endo(Mat.from_rows([[Fraction(8, 3)]]))
+    basis = compute_der0_basis(L)
+    D, tau = _commuting_iv_sample(L, _StuckRandom(0), basis)
+    assert (D, tau) == ref_commuting_iv_sample(L, _StuckRandom(0), basis)[:2]
+    assert tau == tau_zero(L) and not D.is_zero()
+
+
+def test_theta_image_is_a_multiple_of_the_conjugated_leg():
+    # Y = (T X0 - X1 T) adj on the integer images equals 16 sigma det / delta
+    # times theta = ad_conjugate(L, tau, D)[1].theta
+    nonzero = 0
+    for name, L in _sampler_algebras()[:14]:
+        basis = compute_der0_basis(L)
+        images = _IvImages(L, basis)
+        rng = random.Random(len(name))
+        for _ in range(8):
+            dpairs = ratio_draws(rng, len(basis), (8, 16))
+            tpairs = ratio_draws(rng, L.n1 * L.n0, (8, 16))
+            D = _der0_combination(L, ((Fraction(p, q), B) for (p, q), B in zip(dpairs, basis)))
+            tau = Tau(Mat(L.n1, L.n0, [Fraction(p, q) for p, q in tpairs]))
+            T, adj, det = images.tau_image(tpairs)
+            assert T == tau.mat.scale(16)
+            if det == 0:
+                assert tau_inverse(L, tau) is None, name
+                continue
+            X0, X1 = images.legs_image(dpairs)
+            assert (X0, X1) == (D.X0.scale(16 * images.sigma), D.X1.scale(16 * images.sigma))
+            theta = ad_conjugate(L, tau, D)[1].theta
+            Y = _theta_image(X0, X1, T, adj)
+            assert Y == theta.scale(Fraction(16 * images.sigma * det, images.delta)), name
+            nonzero += not theta.is_zero()
+    assert nonzero >= 80
 
 
 def test_one_non_terminating_leg_puts_every_operand_in_float():

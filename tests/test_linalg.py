@@ -12,6 +12,7 @@ from lie2alg.linalg import (
     AltTensor,
     Mat,
     ModeError,
+    adjugate_det,
     kernel,
     kernel_basis,
     mat_distance,
@@ -120,6 +121,54 @@ def test_mat_inverse_cases():
     assert inv @ m == Mat.identity(2)
     assert inv == Mat.from_rows([[1, -1], [0, 1]])
     assert mat_inverse(Mat.from_rows([[1, 2], [2, 4]])) is None
+
+
+def _leibniz_det(rows) -> int:
+    n, total = len(rows), 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_adjugate_det_matches_mat_inverse():
+    # dense, zero-heavy, singular (a row a multiple of another) and zero
+    # leading pivot draws of sizes 1-5
+    rng = random.Random(17)
+    singular = zero_pivot = 0
+    for trial in range(500):
+        n, kind = rng.randint(1, 5), trial % 4
+        rows = [[rng.randint(-4, 4) if kind != 1 or rng.random() < 0.3 else 0
+                 for _ in range(n)] for _ in range(n)]
+        if kind == 2 and n >= 2:
+            i, j = rng.sample(range(n), 2)
+            rows[i] = [rng.randint(-2, 2) * x for x in rows[j]]
+        if kind == 3:
+            rows[0][0] = 0
+        m = Mat.from_rows(rows)
+        adj, det = adjugate_det(m)
+        inv = mat_inverse(m)
+        assert abs(det) == abs(_leibniz_det(rows))
+        assert (det == 0) == (inv is None)
+        if inv is None:
+            assert adj is None
+            singular += 1
+            continue
+        zero_pivot += rows[0][0] == 0 and n >= 2
+        assert all(type(x) is int for x in adj.data)
+        assert adj.scale(Fraction(1, det)) == inv
+        assert adj @ m == m @ adj == Mat.identity(n).scale(det)
+    assert singular >= 50 and zero_pivot >= 50
+
+
+def test_adjugate_det_edge_cases():
+    assert adjugate_det(Mat(0, 0, [])) == (Mat(0, 0, []), 1)
+    assert adjugate_det(Mat.from_rows([[0, 1], [1, 0]])) == (Mat.from_rows([[0, 1], [1, 0]]), 1)
+    assert adjugate_det(Mat.from_rows([[0, 0], [1, 2]])) == (None, 0)
+    for bad in (Mat.from_rows([[Fraction(1, 2)]]), Mat.from_rows([[1.0]]),
+                Mat.from_rows([[1, 2]])):
+        with pytest.raises(ValueError):
+            adjugate_det(bad)
 
 
 def test_mat_inverse_float():
