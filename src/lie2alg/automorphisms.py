@@ -10,6 +10,7 @@ here with exact arithmetic so every law is an equality test.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -24,7 +25,7 @@ from .core import (
     validate_hom,
 )
 from .derivations import DerM1, Derivation0, lie_cochain_action, ratio_draws
-from .linalg import AltTensor, Mat, mat_distance, mat_inverse, vadd, vsub
+from .linalg import AltTensor, Mat, adjugate_det, mat_distance, mat_inverse, vadd, vsub
 
 
 @dataclass(frozen=True)
@@ -336,11 +337,52 @@ def ad_conjugate(L: Lie2Algebra, conj, target):
 # seeded samplers
 # ---------------------------------------------------------------------------
 
+class TauDraws:
+    """The draws of `random_tau(invertible=True)` on one algebra, with their
+    invertibility decided in ints.
+
+    A tau with `ratio_draws` entries p/q, q in dens, scales to the integer
+    T = den tau, den = lcm(dens), and I + d tau to the integer
+    M = den delta (I + d tau), with delta the common denominator of d; tau
+    is a unit iff det(M) != 0.
+    """
+
+    def __init__(self, L: Lie2Algebra, dens):
+        self.n0, self.n1, self.dens = L.n0, L.n1, dens
+        self.den = math.lcm(*dens)
+        entries = [Fraction(x) for x in L.d.data]
+        self.delta = math.lcm(1, *(x.denominator for x in entries))
+        self.d = Mat._result(L.n0, L.n1, [int(x * self.delta) for x in entries], "exact")
+        self.diag = Mat.identity(L.n0).scale(self.den * self.delta)
+
+    def image(self, pairs) -> tuple:
+        """(T, +-adj(M), +-det(M)) of the tau with entries `pairs`, by
+        `adjugate_det`: (T, None, 0) when M is singular."""
+        T = Mat._result(self.n1, self.n0, [p * (self.den // q) for p, q in pairs], "exact")
+        return (T, *adjugate_det(self.diag + self.d @ T))
+
+    def draw(self, rng) -> tuple:
+        """(pairs, T, adj) of the first of up to 200 draws with det(M) != 0;
+        after 200 singular draws, those of tau = 0."""
+        count = self.n1 * self.n0
+        for _ in range(200):
+            pairs = ratio_draws(rng, count, self.dens)
+            T, adj, det = self.image(pairs)
+            if det:
+                return pairs, T, adj
+        pairs = [(0, 1)] * count
+        return (pairs, *self.image(pairs)[:2])
+
+
+def tau_of_draws(L: Lie2Algebra, pairs) -> Tau:
+    """The tau whose entries are the (numerator, denominator) `pairs`."""
+    return Tau(Mat(L.n1, L.n0, [Fraction(p, q) for p, q in pairs]))
+
+
 def random_tau(L: Lie2Algebra, rng, dens=(1, 2), invertible: bool = False) -> Tau:
     """Random rational tau; invertible=True rejection-samples to units
-    (tau = 0 after a bounded search), False takes the first draw."""
-    for _ in range(200):
-        t = Tau(Mat(L.n1, L.n0, [Fraction(p, q) for p, q in ratio_draws(rng, L.n1 * L.n0, dens)]))
-        if not invertible or tau_is_invertible(L, t):
-            return t
-    return tau_zero(L)
+    through `TauDraws` (tau = 0 after a bounded search), False takes the
+    first draw."""
+    if invertible:
+        return tau_of_draws(L, TauDraws(L, dens).draw(rng)[0])
+    return tau_of_draws(L, ratio_draws(rng, L.n1 * L.n0, dens))

@@ -36,6 +36,7 @@ from fractions import Fraction
 from .automorphisms import (
     Aut0,
     Tau,
+    TauDraws,
     TwoGroupCell,
     act,
     ad_conjugate,
@@ -48,6 +49,7 @@ from .automorphisms import (
     star,
     tau_distance,
     tau_inverse,
+    tau_of_draws,
     tau_zero,
 )
 from .core import Lie2Algebra, Lie2Hom, compose_hom, hom_distance
@@ -70,7 +72,6 @@ from .derivations import (
 from .linalg import (
     AltTensor,
     Mat,
-    adjugate_det,
     nilpotency_index,
     row_sum_norm,
     truncated_exp,
@@ -337,20 +338,18 @@ class _IvImages:
     call, on which its accept test runs in ints.
 
     sigma is the common denominator of the legs X0, X1 of every basis
-    derivation and delta that of d.  A draw p/q scales to the integer
-    16 p/q, so the legs of D = sum c_k B_k scale to 16 sigma (X0, X1), tau
-    to T = 16 tau and I + d tau to M = 16 delta (I + d tau).
+    derivation.  A draw p/q scales to the integer 16 p/q, so the legs of
+    D = sum c_k B_k scale to 16 sigma (X0, X1); `taus` draws tau with its
+    images T = 16 tau and M = 16 delta (I + d tau).
     """
 
     def __init__(self, L: Lie2Algebra, der_basis):
-        n0, n1 = self.n0, self.n1 = L.n0, L.n1
+        self.n0, self.n1 = L.n0, L.n1
         legs = [B.X0.data + B.X1.data for B in der_basis]
         self.sigma = math.lcm(1, *(x.denominator for leg in legs for x in leg))
         self.legs = [[(t, int(x * self.sigma)) for t, x in enumerate(leg) if x]
                      for leg in legs]
-        self.delta = math.lcm(1, *(x.denominator for x in L.d.data))
-        self.d = Mat._result(n0, n1, [int(x * self.delta) for x in L.d.data], "exact")
-        self.diag = Mat.identity(n0).scale(_DEN * self.delta)
+        self.taus = TauDraws(L, _DENS)
 
     def legs_image(self, pairs) -> tuple:
         """16 sigma (X0, X1) of the combination with coefficients `pairs`."""
@@ -363,24 +362,6 @@ class _IvImages:
                     acc[t] += w * x
         return (Mat._result(self.n0, self.n0, acc[:n00], "exact"),
                 Mat._result(self.n1, self.n1, acc[n00:], "exact"))
-
-    def tau_image(self, pairs) -> tuple:
-        """(T, +-adj(M), +-det(M)) of the tau with entries `pairs`."""
-        T = Mat._result(self.n1, self.n0, [p * (_DEN // q) for p, q in pairs], "exact")
-        return (T, *adjugate_det(self.diag + self.d @ T))
-
-    def invertible_tau(self, rng) -> tuple:
-        """The draws of `random_tau(invertible=True)` on their images:
-        (pairs, T, adj) of the first draw with det(M) != 0, the test that
-        `tau_is_invertible` makes; after 200 singular draws, those of the
-        tau = 0 that `random_tau` returns then."""
-        for _ in range(200):
-            pairs = ratio_draws(rng, self.n1 * self.n0, _DENS)
-            T, adj, det = self.tau_image(pairs)
-            if det:
-                return pairs, T, adj
-        pairs = [(0, 1)] * (self.n1 * self.n0)
-        return (pairs, *self.tau_image(pairs)[:2])
 
 
 def _theta_image(X0: Mat, X1: Mat, T: Mat, adj: Mat) -> Mat:
@@ -398,10 +379,11 @@ def _theta_image(X0: Mat, X1: Mat, T: Mat, adj: Mat) -> Mat:
 def _commuting_iv_sample(L: Lie2Algebra, rng, der_basis):
     """(D, tau) whose conjugated pair has star-commuting legs.
 
-    Tries up to 40 random pairs, drawn as `random_der0` and
-    `random_tau(invertible=True)` draw them, and takes the first whose
-    conjugated degree -1 leg theta commutes with D (X1 theta = theta X0);
-    the test runs on the integer images of `_IvImages` (theta by
+    Tries up to 40 random pairs, D drawn as `random_der0` draws it and tau
+    by `TauDraws.draw`, the loop of `random_tau(invertible=True)`, and takes
+    the first whose conjugated degree -1 leg theta commutes with D
+    (X1 theta = theta X0); the test runs on the integer images of
+    `_IvImages` (theta by
     `_theta_image`), and D and tau are built from the same draws only on
     acceptance.  Then it falls back to derivations with vanishing matrix
     parts (whose conjugated degree -1 leg is zero), then to D = 0.
@@ -412,13 +394,13 @@ def _commuting_iv_sample(L: Lie2Algebra, rng, der_basis):
     images = _IvImages(L, der_basis)
     for _ in range(40):
         dpairs = ratio_draws(rng, len(der_basis), _DENS)
-        tpairs, T, adj = images.invertible_tau(rng)
+        tpairs, T, adj = images.taus.draw(rng)
         X0, X1 = images.legs_image(dpairs)
         Y = _theta_image(X0, X1, T, adj)
         if X1 @ Y == Y @ X0:
             D = _der0_combination(
                 L, ((Fraction(p, q), B) for (p, q), B in zip(dpairs, der_basis)))
-            return D, Tau(Mat(L.n1, L.n0, [Fraction(p, q) for p, q in tpairs]))
+            return D, tau_of_draws(L, tpairs)
     flat = [B for B in der_basis if B.X0.is_zero() and B.X1.is_zero()]
     tau = _random_invertible_tau(L, rng)
     return random_der0(L, rng, flat, dens=_DENS), tau
@@ -441,8 +423,8 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
     out = []
     for idx in range(samples):
         A = random_aut0(L, rng, cfg, der_basis)
-        D = random_der0(L, rng, der_basis, dens=(8, 16))
-        T = random_derM1(L, rng, dens=(8, 16))
+        D = random_der0(L, rng, der_basis, dens=_DENS)
+        T = random_derM1(L, rng, dens=_DENS)
         tau = _random_invertible_tau(L, rng)
 
         # (i) A e^D A^{-1} = e^{Ad(A) D}

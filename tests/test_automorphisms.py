@@ -9,6 +9,7 @@ from lie2alg import automorphisms, linalg
 
 from lie2alg.automorphisms import (
     Tau,
+    TauDraws,
     TwoGroupCell,
     act,
     ad_conjugate,
@@ -33,6 +34,7 @@ from lie2alg.automorphisms import (
     tau_distance,
     tau_inverse,
     tau_is_invertible,
+    tau_of_draws,
     tau_zero,
     twist_hom,
     random_tau,
@@ -40,6 +42,7 @@ from lie2alg.automorphisms import (
 )
 from lie2alg.core import (
     Lie2Hom,
+    make_endo,
     ce_coboundary,
     compose_hom,
     hom_distance,
@@ -52,11 +55,13 @@ from lie2alg.derivations import (
     is_derivation0,
     random_der0,
     random_derM1,
+    ratio_draws,
 )
 from lie2alg.fixtures import (
     fix_ab,
     fix_end,
     fix_str,
+    random_fixture,
     skeletal_demo,
     sl2_structure,
     string_aut_hom,
@@ -195,6 +200,63 @@ def test_invertibility_lemma_bigger_complex():
         left = mat_inverse(Mat.identity(L.n0) + L.d @ t.mat) is not None
         right = mat_inverse(Mat.identity(L.n1) + t.mat @ L.d) is not None
         assert left == right == tau_is_invertible(L, t)
+
+
+def _ref_random_unit_tau(L, rng, dens):
+    """random_tau(invertible=True) with the Fraction test `tau_is_invertible`."""
+    for _ in range(200):
+        t = Tau(Mat(L.n1, L.n0, [Fraction(rng.randint(-3, 3), rng.choice(dens))
+                                 for _ in range(L.n1 * L.n0)]))
+        if tau_is_invertible(L, t):
+            return t
+    return tau_zero(L)
+
+
+def _unit_tau_algebras():
+    return ([fix_ab(), fix_str(), fix_end(), skeletal_demo(),
+             make_endo(Mat.from_rows([[Fraction(8, 3)]]))]
+            + [random_fixture(random.Random(seed)) for seed in range(20)])
+
+
+def test_tau_draws_decide_invertibility_as_tau_inverse_does():
+    # det(M) = 0 on the integer image iff I + d tau has no inverse; random
+    # draws are rarely singular, so singular ones are added by hand
+    rng = random.Random(38)
+    cases = [(L, dens, ratio_draws(rng, L.n1 * L.n0, dens))
+             for L in _unit_tau_algebras() for dens in ((1, 2), (8, 16)) for _ in range(10)]
+    cases += [(fix_end(), (1, 2), [(-1, 1)]),
+              (make_endo(Mat.from_rows([[Fraction(8, 3)]])), (8, 16), [(-3, 8)])]
+    singular = 0
+    for L, dens, pairs in cases:
+        draws = TauDraws(L, dens)
+        tau = tau_of_draws(L, pairs)
+        T, adj, det = draws.image(pairs)
+        assert T == tau.mat.scale(draws.den)
+        assert (det == 0) == (adj is None) == (tau_inverse(L, tau) is None)
+        singular += det == 0
+    assert singular >= 4
+
+
+def test_random_unit_tau_matches_the_fraction_test():
+    for L in _unit_tau_algebras():
+        for dens in ((1, 2), (8, 16)):
+            for seed in range(5):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert random_tau(L, rng, dens, invertible=True) == _ref_random_unit_tau(L, ref, dens)
+                assert rng.getstate() == ref.getstate()
+
+
+def test_random_unit_tau_after_200_singular_draws_is_zero():
+    class Stuck(random.Random):
+        def randint(self, a, b):
+            return -3
+
+        def choice(self, seq):
+            return seq[0]
+
+    # 1 + (8/3)(-3/8) = 0: every draw is singular
+    L = make_endo(Mat.from_rows([[Fraction(8, 3)]]))
+    assert random_tau(L, Stuck(0), (8, 16), invertible=True) == tau_zero(L)
 
 
 # ---------------------------------------------------------------------------

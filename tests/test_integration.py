@@ -463,7 +463,7 @@ def test_theta_image_is_a_multiple_of_the_conjugated_leg():
             tpairs = ratio_draws(rng, L.n1 * L.n0, (8, 16))
             D = _der0_combination(L, ((Fraction(p, q), B) for (p, q), B in zip(dpairs, basis)))
             tau = Tau(Mat(L.n1, L.n0, [Fraction(p, q) for p, q in tpairs]))
-            T, adj, det = images.tau_image(tpairs)
+            T, adj, det = images.taus.image(tpairs)
             assert T == tau.mat.scale(16)
             if det == 0:
                 assert tau_inverse(L, tau) is None, name
@@ -472,7 +472,7 @@ def test_theta_image_is_a_multiple_of_the_conjugated_leg():
             assert (X0, X1) == (D.X0.scale(16 * images.sigma), D.X1.scale(16 * images.sigma))
             theta = ad_conjugate(L, tau, D)[1].theta
             Y = _theta_image(X0, X1, T, adj)
-            assert Y == theta.scale(Fraction(16 * images.sigma * det, images.delta)), name
+            assert Y == theta.scale(Fraction(16 * images.sigma * det, images.taus.delta)), name
             nonzero += not theta.is_zero()
     assert nonzero >= 80
 
