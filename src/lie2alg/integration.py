@@ -12,7 +12,8 @@ stays exact) when M or N is nilpotent, which holds exactly when X0 and X1,
 or theta d, are; otherwise the computation converts to float and scales
 and squares a series truncated at a configurable order.  Finite-difference
 probes recover the graded bracket from group commutators at second order
-in the step.
+in the step; one step builds the four exponentials (and, in degree -1,
+their star inverses) once, and its four commutators share them.
 
 The scalar mode follows the values, and is decided once per identity:
 `_joint_mode` keeps an identity exact iff the algebra and every operand
@@ -248,12 +249,15 @@ def check_commuting_square(L: Lie2Algebra, T: DerM1, cfg: ExpConfig = DEFAULT):
 # bracket recovery by finite differences
 # ---------------------------------------------------------------------------
 
-def _group_commutator_hom(L, D1, D2, s, t, order):
-    a = _exp_hom(L, D1, s, order)
-    b = _exp_hom(L, D2, t, order)
-    ai = _exp_hom(L, D1, -s, order)
-    bi = _exp_hom(L, D2, -t, order)
-    return compose_hom(compose_hom(compose_hom(a, b), ai), bi)
+def _commutators(mul, xs, ys):
+    """The four group commutators F(s, t) = ((x y) x^{-1}) y^{-1} of a
+    finite-difference step, in the order (h, h), (h, -h), (-h, h), (-h, -h).
+
+    xs = ((x, x^{-1}) at s = h, (x, x^{-1}) at s = -h), ys likewise in t:
+    the step builds each exponential and inverse once, and the four
+    commutators share them.  `mul` is the group product.
+    """
+    return [mul(mul(mul(x, y), xi), yi) for x, xi in xs for y, yi in ys]
 
 
 def recover_bracket(L: Lie2Algebra, D1: Derivation0, D2: Derivation0,
@@ -261,12 +265,15 @@ def recover_bracket(L: Lie2Algebra, D1: Derivation0, D2: Derivation0,
     """Mixed central finite difference of the group commutator curve at 0.
 
     [F(h,h) - F(h,-h) - F(-h,h) + F(-h,-h)] / (4 h^2) applied to each of
-    (A0, A1, A2); within O(h^2) of the graded bracket.
+    (A0, A1, A2), F(s, t) = e^{sD1} e^{tD2} e^{-sD1} e^{-tD2}; within O(h^2)
+    of the graded bracket.  The step builds the four exponentials e^{+-hD1},
+    e^{+-hD2} once, and the four commutators share them.
     """
     Lf, d1, d2 = L.to_float(), D1.to_float(), D2.to_float()
     h = cfg.fd_step
-    pp, pm, mp, mm = (_group_commutator_hom(Lf, d1, d2, ss, tt, cfg.order)
-                      for ss, tt in ((h, h), (h, -h), (-h, h), (-h, -h)))
+    a, ai = (_exp_hom(Lf, d1, s, cfg.order) for s in (h, -h))
+    b, bi = (_exp_hom(Lf, d2, t, cfg.order) for t in (h, -h))
+    pp, pm, mp, mm = _commutators(compose_hom, ((a, ai), (ai, a)), ((b, bi), (bi, b)))
     scale = 1.0 / (4.0 * h * h)
     return Derivation0(((pp.A0 - pm.A0) - (mp.A0 - mm.A0)).scale(scale),
                        ((pp.A1 - pm.A1) - (mp.A1 - mm.A1)).scale(scale),
@@ -281,18 +288,20 @@ def bracket_recovery_residual(L, D1, D2, cfg: ExpConfig = DEFAULT):
 
 def recover_bracket_m1(L: Lie2Algebra, T1: DerM1, T2: DerM1,
                        cfg: ExpConfig = DEFAULT) -> DerM1:
-    """Finite-difference commutator of e^{s theta}, e^{t theta'} under star."""
+    """Finite-difference commutator of e^{s theta}, e^{t theta'} under star.
+
+    The step builds the four star exponentials e^{+-h theta}, e^{+-h theta'}
+    and their four star inverses once, and the four commutators share them.
+    """
     Lf, T1, T2 = L.to_float(), T1.to_float(), T2.to_float()
     h = cfg.fd_step
 
-    def curve(ss, tt):
-        a = exp_derM1(Lf, T1, ss, cfg)
-        b = exp_derM1(Lf, T2, tt, cfg)
-        ai = tau_inverse(Lf, a)
-        bi = tau_inverse(Lf, b)
-        return star(Lf, star(Lf, star(Lf, a, b), ai), bi).mat
+    def with_inverses(T):
+        return [(e, tau_inverse(Lf, e)) for e in (exp_derM1(Lf, T, s, cfg) for s in (h, -h))]
 
-    m = (curve(h, h) - curve(h, -h)) - (curve(-h, h) - curve(-h, -h))
+    pp, pm, mp, mm = (c.mat for c in _commutators(
+        lambda x, y: star(Lf, x, y), with_inverses(T1), with_inverses(T2)))
+    m = (pp - pm) - (mp - mm)
     return DerM1(m.scale(1.0 / (4.0 * h * h)))
 
 

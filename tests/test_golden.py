@@ -86,6 +86,24 @@ def test_conjugation_reports_match_their_pinned_digest():
     assert h.hexdigest() == CONJUGATION_DIGEST
 
 
+# sha256 of "NAME SEED CODE\n" + report text of `lie2 check NAME --suite
+# bracket-recovery --samples 2 --seed SEED`, for NAME in NAMED and SEED = 1..20
+# in that order: every float residual of the finite-difference recovery, and
+# so the order of its exponentials, products and differences, stays fixed
+BRACKET_RECOVERY_SEEDS = range(1, 21)
+BRACKET_RECOVERY_DIGEST = "8164a1a54541fadc797d56a3dcfff74fe457085c8d55a179f708cee8003f7655"
+
+
+def test_bracket_recovery_reports_match_their_pinned_digest():
+    h = hashlib.sha256()
+    for name in NAMED:
+        for seed in BRACKET_RECOVERY_SEEDS:
+            code, text = run(["check", name, "--suite", "bracket-recovery", "--samples", "2",
+                              "--seed", str(seed)])
+            h.update(f"{name} {seed} {code}\n{text}".encode())
+    assert h.hexdigest() == BRACKET_RECOVERY_DIGEST
+
+
 if __name__ == "__main__":
     for stem, (argv, _) in sorted(CASES.items()):
         code, text = run(argv)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import lie2alg.integration as integration
 from lie2alg.automorphisms import (
     Tau,
     act,
@@ -18,7 +19,7 @@ from lie2alg.automorphisms import (
     tau_inverse,
     tau_zero,
 )
-from lie2alg.core import Lie2Algebra, validate_hom, validate_lie2
+from lie2alg.core import Lie2Algebra, compose_hom, validate_hom, validate_lie2
 from lie2alg.derivations import (
     DerM1,
     Derivation0,
@@ -303,6 +304,98 @@ def test_recover_bracket_degree_m1():
     got = recover_bracket_m1(L, T1, T2)
     want = graded_bracket(L, T1, T2).to_float()
     assert mat_distance(got.theta, want.theta) < 1e-6
+
+
+def ref_recover_bracket(L, D1, D2, cfg=ExpConfig()):
+    """`recover_bracket` with one group commutator per corner, four
+    exponentials each: 16 exponentials per step."""
+    Lf, d1, d2 = L.to_float(), D1.to_float(), D2.to_float()
+    h = cfg.fd_step
+
+    def commutator(s, t):
+        a = _exp_hom(Lf, d1, s, cfg.order)
+        b = _exp_hom(Lf, d2, t, cfg.order)
+        ai = _exp_hom(Lf, d1, -s, cfg.order)
+        bi = _exp_hom(Lf, d2, -t, cfg.order)
+        return compose_hom(compose_hom(compose_hom(a, b), ai), bi)
+
+    pp, pm, mp, mm = (commutator(s, t) for s, t in ((h, h), (h, -h), (-h, h), (-h, -h)))
+    scale = 1.0 / (4.0 * h * h)
+    return Derivation0(((pp.A0 - pm.A0) - (mp.A0 - mm.A0)).scale(scale),
+                       ((pp.A1 - pm.A1) - (mp.A1 - mm.A1)).scale(scale),
+                       (pp.A2 - pm.A2 - mp.A2 + mm.A2).scale(scale))
+
+
+def ref_recover_bracket_m1(L, T1, T2, cfg=ExpConfig()):
+    """`recover_bracket_m1` with one star commutator per corner, two star
+    exponentials and two star inverses each: 8 and 8 per step."""
+    Lf, T1, T2 = L.to_float(), T1.to_float(), T2.to_float()
+    h = cfg.fd_step
+
+    def curve(s, t):
+        a = exp_derM1(Lf, T1, s, cfg)
+        b = exp_derM1(Lf, T2, t, cfg)
+        ai = tau_inverse(Lf, a)
+        bi = tau_inverse(Lf, b)
+        return star(Lf, star(Lf, star(Lf, a, b), ai), bi).mat
+
+    m = (curve(h, h) - curve(h, -h)) - (curve(-h, h) - curve(-h, -h))
+    return DerM1(m.scale(1.0 / (4.0 * h * h)))
+
+
+def _bracket_cases():
+    """(label, algebra, D1, D2, T1, T2): full-size draws, as the
+    bracket-recovery suite draws them, on the named examples and on 30
+    random algebras."""
+    algebras = ([(name, make()) for name, make in NAMED_EXAMPLES.items()]
+                + [(f"random-{seed}", random_fixture(random.Random(seed))) for seed in range(30)])
+    rng = random.Random(86)
+    for label, L in algebras:
+        basis = compute_der0_basis(L)
+        D1, D2 = random_der0(L, rng, basis), random_der0(L, rng, basis)
+        yield label, L, D1, D2, random_derM1(L, rng), random_derM1(L, rng)
+
+
+def test_recover_bracket_equals_its_per_corner_reference_bit_for_bit():
+    cases = list(_bracket_cases())
+    assert len(cases) == 34
+    for cfg in (ExpConfig(), ExpConfig(fd_step=5e-4)):
+        for label, L, D1, D2, T1, T2 in cases:
+            got, want = recover_bracket(L, D1, D2, cfg), ref_recover_bracket(L, D1, D2, cfg)
+            assert (got.X0, got.X1, got.lX) == (want.X0, want.X1, want.lX), label
+            got_m1 = recover_bracket_m1(L, T1, T2, cfg)
+            assert got_m1.theta == ref_recover_bracket_m1(L, T1, T2, cfg).theta, label
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(integration, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(integration, name, counted)
+    return calls
+
+
+def test_recover_bracket_builds_four_exponentials_per_step(monkeypatch):
+    L = fix_str()
+    D1 = adbar0_single(L, L.e0(0))
+    D2 = adbar0_single(L, L.e0(1))
+    exps = _counting(monkeypatch, "_exp_hom")
+    recover_bracket(L, D1, D2)
+    assert len(exps) == 4
+
+
+def test_recover_bracket_m1_builds_four_exponentials_and_inverses_per_step(monkeypatch):
+    rng = random.Random(87)
+    L = fix_end()
+    T1, T2 = random_derM1(L, rng), random_derM1(L, rng)
+    exps = _counting(monkeypatch, "exp_derM1")
+    inverses = _counting(monkeypatch, "tau_inverse")
+    recover_bracket_m1(L, T1, T2)
+    assert (len(exps), len(inverses)) == (4, 4)
 
 
 # ---------------------------------------------------------------------------
