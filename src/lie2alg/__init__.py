@@ -11,15 +11,11 @@ from .linalg import Rat, Mat, AltTensor, ModeError, rat, rref, kernel_basis, mat
 from .core import (
     Lie2Algebra,
     Lie2Hom,
-    CrossedModLieAlg,
     ResidualReport,
     validate_lie2,
     validate_hom,
     compose_hom,
-    invert_hom,
     hom_identity,
-    strict_to_crossed,
-    crossed_to_strict,
     make_string,
     make_skeletal,
     make_endo,

@@ -21,7 +21,6 @@ from .core import (
     compose_hom,
     hom_distance,
     hom_identity,
-    inverse_from_parts,
     validate_hom,
 )
 from .derivations import DerM1, Derivation0, lie_cochain_action, ratio_draws
@@ -107,7 +106,10 @@ def aut_compose(A: Aut0, B: Aut0) -> Aut0:
 
 
 def aut_inverse(A: Aut0) -> Aut0:
-    return Aut0(inverse_from_parts(A.hom, A.a0_inv, A.a1_inv), A.hom.A0, A.hom.A1)
+    """The inverse automorphism, from the cached component inverses; its
+    2-component is -A1^{-1} A2 (A0^{-1} x A0^{-1})."""
+    A2 = -(A.hom.A2.pullback(A.a0_inv).postcompose(A.a1_inv))
+    return Aut0(Lie2Hom(A.hom.target, A.hom.source, A.a0_inv, A.a1_inv, A2), A.hom.A0, A.hom.A1)
 
 
 def conjugate_hom(A: Aut0, B: Lie2Hom) -> Lie2Hom:

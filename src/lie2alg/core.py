@@ -1,4 +1,4 @@
-"""Lie 2-algebras, weak homomorphisms and crossed modules of Lie algebras.
+"""Lie 2-algebras and weak homomorphisms.
 
 A Lie 2-algebra is a two-term complex g_{-1} --d--> g_0 with a graded
 skew bracket and an alternating trilinear map l3 measuring the failure
@@ -22,7 +22,6 @@ from .linalg import (
     basis_vec,
     kernel,
     mat_distance,
-    mat_inverse,
     scalar_zero,
     sparse_alt,
     sparse_apply,
@@ -34,7 +33,6 @@ from .linalg import (
     vadd,
     vmax_abs,
     vscale,
-    vsub,
     vzero,
 )
 
@@ -101,16 +99,6 @@ class _Acc:
 # ---------------------------------------------------------------------------
 # Lie 2-algebras
 # ---------------------------------------------------------------------------
-
-def _action_matrix(mats, x: tuple, n: int, mode: str) -> Mat:
-    """The n x n matrix sum_i x_i mats[i] of x acting through one matrix
-    per basis vector."""
-    out = Mat.zero(n, n, mode)
-    for m, xi in zip(mats, x):
-        if xi != 0:
-            out = out + m.scale(xi)
-    return out
-
 
 class SparseStructure(NamedTuple):
     """The nonzero structure constants of a Lie 2-algebra, as sparse
@@ -396,131 +384,10 @@ def compose_hom(B: Lie2Hom, A: Lie2Hom) -> Lie2Hom:
     return Lie2Hom(A.source, B.target, B.A0 @ A.A0, B.A1 @ A.A1, A2)
 
 
-def invert_hom(A: Lie2Hom):
-    """Inverse homomorphism when A0, A1 are invertible, else None."""
-    a0i = mat_inverse(A.A0)
-    a1i = mat_inverse(A.A1)
-    if a0i is None or a1i is None:
-        return None
-    return inverse_from_parts(A, a0i, a1i)
-
-
-def inverse_from_parts(A: Lie2Hom, a0_inv: Mat, a1_inv: Mat) -> Lie2Hom:
-    """The inverse of A from the inverses of its components A0 and A1; its
-    2-component is -A1^{-1} A2 (A0^{-1} x A0^{-1})."""
-    return Lie2Hom(A.target, A.source, a0_inv, a1_inv,
-                   -(A.A2.pullback(a0_inv).postcompose(a1_inv)))
-
-
 def hom_distance(A: Lie2Hom, B: Lie2Hom):
     """Max abs componentwise difference over (A0, A1, A2)."""
     return max(mat_distance(A.A0, B.A0), mat_distance(A.A1, B.A1),
                tensor_distance(A.A2, B.A2))
-
-
-# ---------------------------------------------------------------------------
-# crossed modules of Lie algebras
-# ---------------------------------------------------------------------------
-
-class CrossedModLieAlg:
-    """Crossed module (h1, h0, varphi, action) of Lie algebras."""
-
-    __slots__ = ("n1", "n0", "b1", "b0", "varphi", "action")
-
-    def __init__(self, b1: AltTensor, b0: AltTensor, varphi: Mat, action):
-        action = tuple(action)
-        n1, n0 = b1.dim, b0.dim
-        if (b1.arity, b1.codim) != (2, n1) or (b0.arity, b0.codim) != (2, n0):
-            raise ValueError("brackets must be alternating 2-tensors")
-        if (varphi.rows, varphi.cols) != (n0, n1):
-            raise ValueError("varphi shape mismatch")
-        if len(action) != n0 or any((m.rows, m.cols) != (n1, n1) for m in action):
-            raise ValueError("action must hold n0 matrices of shape n1 x n1")
-        object.__setattr__(self, "n1", n1)
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "b0", b0)
-        object.__setattr__(self, "varphi", varphi)
-        object.__setattr__(self, "action", action)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CrossedModLieAlg is immutable")
-
-    def act_mat(self, x: tuple) -> Mat:
-        """Matrix of x acting on h1."""
-        return _action_matrix(self.action, x, self.n1, self.b1.mode)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CrossedModLieAlg) and self.b1 == other.b1
-                and self.b0 == other.b0 and self.varphi == other.varphi
-                and self.action == other.action)
-
-    def __hash__(self):
-        return hash((self.b1, self.b0, self.varphi, self.action))
-
-
-def validate_crossed_module(C: CrossedModLieAlg) -> ResidualReport:
-    """Jacobi for both brackets, hom/action laws, equivariance, Peiffer."""
-    acc = {k: _Acc(C.b1.mode) for k in ("jacobi1", "jacobi0", "varphi_hom", "action_hom",
-                                        "action_der", "equivariance", "peiffer")}
-
-    def jacobi(b: AltTensor, key: str):
-        for i, j, k in itertools.combinations(range(b.dim), 3):
-            x, y, z = (basis_vec(b.dim, t) for t in (i, j, k))
-            r = b.eval(b.eval(x, y), z)
-            r = vadd(r, b.eval(b.eval(y, z), x))
-            r = vadd(r, b.eval(b.eval(z, x), y))
-            acc[key].add(r, (i, j, k))
-
-    jacobi(C.b1, "jacobi1")
-    jacobi(C.b0, "jacobi0")
-
-    for a, b in itertools.combinations(range(C.n1), 2):
-        r = vsub(C.varphi.apply(C.b1.eval_basis(a, b)),
-                 C.b0.eval(C.varphi.col(a), C.varphi.col(b)))
-        acc["varphi_hom"].add(r, (a, b))
-
-    for i, j in itertools.combinations(range(C.n0), 2):
-        m = C.act_mat(C.b0.eval_basis(i, j))
-        comm = (C.action[i] @ C.action[j]) - (C.action[j] @ C.action[i])
-        acc["action_hom"].add((m - comm).data, (i, j))
-
-    for i in range(C.n0):
-        for a, b in itertools.combinations(range(C.n1), 2):
-            fa, fb = basis_vec(C.n1, a), basis_vec(C.n1, b)
-            r = C.action[i].apply(C.b1.eval_basis(a, b))
-            r = vsub(r, C.b1.eval(C.action[i].apply(fa), fb))
-            r = vsub(r, C.b1.eval(fa, C.action[i].apply(fb)))
-            acc["action_der"].add(r, (i, a, b))
-
-    for i in range(C.n0):
-        for a in range(C.n1):
-            r = vsub(C.varphi.apply(C.action[i].col(a)),
-                     C.b0.eval(basis_vec(C.n0, i), C.varphi.col(a)))
-            acc["equivariance"].add(r, (i, a))
-
-    for a in range(C.n1):
-        for b in range(C.n1):
-            r = vsub(C.act_mat(C.varphi.col(a)).apply(basis_vec(C.n1, b)),
-                     C.b1.eval_basis(a, b))
-            acc["peiffer"].add(r, (a, b))
-
-    return ResidualReport({k: v.residual() for k, v in acc.items()})
-
-
-def strict_to_crossed(L: Lie2Algebra) -> CrossedModLieAlg:
-    """Strict Lie 2-algebra -> crossed module: [a,b] = [da, b], phi_x = [x, .]."""
-    if not L.l3.is_zero():
-        raise ValueError("strict_to_crossed requires l3 = 0")
-    b1 = AltTensor.from_function(2, L.n1, L.n1,
-                                 lambda key: L.bracket01(L.dcol(key[0]), L.e1(key[1])), L.mode)
-    return CrossedModLieAlg(b1, L.b00, L.d, L.b01)
-
-
-def crossed_to_strict(C: CrossedModLieAlg) -> Lie2Algebra:
-    """Crossed module -> strict Lie 2-algebra with d = varphi, [x,a] = phi_x(a)."""
-    return Lie2Algebra(C.n0, C.n1, C.varphi, C.b0, C.action,
-                       AltTensor.zero(3, C.n0, C.n1, C.b0.mode))
 
 
 # ---------------------------------------------------------------------------

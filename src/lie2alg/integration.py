@@ -192,6 +192,17 @@ def _joint_mode(L: Lie2Algebra, exps, *operands):
     return "float", L.to_float(), tuple(x.to_float() for x in values)
 
 
+def _exp_der0_at(L: Lie2Algebra, D: Derivation0, ts, cfg: ExpConfig):
+    """(mode, [e^{tD} for t in ts]): one mode decision and one membership
+    check for D, then one certified exponential per t."""
+    mode, L, (D,) = _joint_mode(L, (D,))
+    tol = 0 if mode == "exact" else cfg.tol
+    rep = is_derivation0(L, D)
+    if not rep.within(tol):
+        raise ValueError(f"not a derivation within tol {tol}: {rep!r}")
+    return mode, [certify_aut0(L, _exp_hom(L, D, t, cfg.order), tol=tol) for t in ts]
+
+
 def exp_der0(L: Lie2Algebra, D: Derivation0, t=1, cfg: ExpConfig = DEFAULT) -> Aut0:
     """Exponential of a degree-0 derivation: (e^{tX0}, e^{tX1}, e^{t lX}).
 
@@ -199,12 +210,7 @@ def exp_der0(L: Lie2Algebra, D: Derivation0, t=1, cfg: ExpConfig = DEFAULT) -> A
     and certified with zero residual; otherwise the series truncates at
     cfg.order in float and certifies within cfg.tol.
     """
-    mode, L, (D,) = _joint_mode(L, (D,))
-    tol = 0 if mode == "exact" else cfg.tol
-    rep = is_derivation0(L, D)
-    if not rep.within(tol):
-        raise ValueError(f"not a derivation within tol {tol}: {rep!r}")
-    return certify_aut0(L, _exp_hom(L, D, t, cfg.order), tol=tol)
+    return _exp_der0_at(L, D, (t,), cfg)[1][0]
 
 
 def exp_derM1(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> Tau:
@@ -222,10 +228,7 @@ def exp_derM1(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> Tau:
 
 def check_one_parameter(L: Lie2Algebra, D: Derivation0, t, s, cfg: ExpConfig = DEFAULT):
     """(residual, mode) of e^{(t+s)D} against e^{tD} e^{sD}, componentwise."""
-    mode, L, (D,) = _joint_mode(L, (D,))
-    lhs = exp_der0(L, D, Fraction(t) + Fraction(s), cfg)
-    a = exp_der0(L, D, t, cfg)
-    b = exp_der0(L, D, s, cfg)
+    mode, (lhs, a, b) = _exp_der0_at(L, D, (Fraction(t) + Fraction(s), t, s), cfg)
     return hom_distance(lhs.hom, compose_hom(a.hom, b.hom)), mode
 
 

@@ -110,6 +110,35 @@ def test_aut_inverse_uses_cache():
     assert hom_distance(compose_hom(A.hom, Ai.hom), hom_identity(L)) == 0
 
 
+def test_aut_inverse_identity_and_scaling():
+    L = fix_ab()
+    ident = certify_aut0(L, hom_identity(L))
+    assert aut_distance(aut_inverse(ident), ident) == 0
+    A = Lie2Hom(L, L, Mat.from_rows([[2]]), Mat.from_rows([[2]]), AltTensor.zero(2, 1, 1))
+    Ainv = aut_inverse(certify_aut0(L, A)).hom
+    assert Ainv.A0 == Mat.from_rows([[Fraction(1, 2)]])
+    assert Ainv.A1 == Mat.from_rows([[Fraction(1, 2)]])
+
+
+def test_aut_inverse_round_trip_exact():
+    rng = random.Random(6)
+    L = fix_str()
+    for _ in range(5):
+        A = string_aut0(L, rng)
+        Ainv = aut_inverse(A).hom
+        assert validate_hom(Ainv).ok
+        assert hom_distance(compose_hom(Ainv, A.hom), hom_identity(L)) == 0
+        assert hom_distance(compose_hom(A.hom, Ainv), hom_identity(L)) == 0
+
+
+def test_certify_aut0_rejects_singular_components():
+    L = fix_ab()
+    A = Lie2Hom(L, L, Mat.zero(1, 1), Mat.identity(1), AltTensor.zero(2, 1, 1))
+    assert validate_hom(A).ok
+    with pytest.raises(ValueError, match="not invertible"):
+        certify_aut0(L, A)
+
+
 # ---------------------------------------------------------------------------
 # the star monoid
 # ---------------------------------------------------------------------------

@@ -8,16 +8,12 @@ from lie2alg.core import (
     Lie2Hom,
     ce_coboundary,
     compose_hom,
-    crossed_to_strict,
     hom_distance,
     hom_identity,
-    invert_hom,
     killing_form,
     make_endo,
     make_skeletal,
     make_string,
-    strict_to_crossed,
-    validate_crossed_module,
     validate_hom,
     validate_lie2,
 )
@@ -187,64 +183,6 @@ def test_compose_associative():
     left = compose_hom(compose_hom(C, B), A)
     right = compose_hom(C, compose_hom(B, A))
     assert hom_distance(left, right) == 0
-
-
-def test_invert_identity_and_scaling():
-    L = fix_ab()
-    assert hom_distance(invert_hom(hom_identity(L)), hom_identity(L)) == 0
-    A = Lie2Hom(L, L, Mat.from_rows([[2]]), Mat.from_rows([[2]]), AltTensor.zero(2, 1, 1))
-    Ainv = invert_hom(A)
-    assert Ainv.A0 == Mat.from_rows([[Fraction(1, 2)]])
-    assert Ainv.A1 == Mat.from_rows([[Fraction(1, 2)]])
-
-
-def test_invert_round_trip_exact():
-    rng = random.Random(6)
-    L = fix_str()
-    for _ in range(5):
-        A = string_aut_hom(rng, L)
-        Ainv = invert_hom(A)
-        assert validate_hom(Ainv).ok
-        assert hom_distance(compose_hom(Ainv, A), hom_identity(L)) == 0
-        assert hom_distance(compose_hom(A, Ainv), hom_identity(L)) == 0
-
-
-def test_invert_singular_absent():
-    L = fix_ab()
-    A = Lie2Hom(L, L, Mat.zero(1, 1), Mat.identity(1), AltTensor.zero(2, 1, 1))
-    assert invert_hom(A) is None
-
-
-# ---------------------------------------------------------------------------
-# crossed modules
-# ---------------------------------------------------------------------------
-
-def test_round_trip_abelian():
-    L = fix_ab()
-    C = strict_to_crossed(L)
-    assert validate_crossed_module(C).ok
-    assert crossed_to_strict(C) == L
-
-
-def test_round_trip_endo():
-    L = fix_end()
-    C = strict_to_crossed(L)
-    assert validate_crossed_module(C).ok
-    assert crossed_to_strict(C) == L
-    assert strict_to_crossed(crossed_to_strict(C)) == C
-
-
-def test_round_trip_strict_sl2():
-    L = strict_sl2()
-    C = strict_to_crossed(L)
-    assert C.n1 == 0 and C.n0 == 3
-    assert validate_crossed_module(C).ok
-    assert crossed_to_strict(C) == L
-
-
-def test_strict_to_crossed_rejects_l3():
-    with pytest.raises(ValueError):
-        strict_to_crossed(fix_str())
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,16 @@ def test_one_parameter_degree_m1():
         assert resid < 1e-9 and mode == ("exact" if derM1_terminating(L, T) is not None else "float")
 
 
+def test_one_parameter_checks_membership_once(monkeypatch):
+    L = fix_str()
+    checks = _counting(monkeypatch, "is_derivation0")
+    exps = _counting(monkeypatch, "_exp_hom")
+    for D, mode in ((adbar0_single(L, L.e0(1)), "exact"), (adbar0_single(L, L.e0(0)), "float")):
+        del checks[:], exps[:]
+        assert check_one_parameter(L, D, Fraction(1, 2), Fraction(1, 4))[1] == mode
+        assert (len(checks), len(exps)) == (1, 3)
+
+
 # ---------------------------------------------------------------------------
 # the commuting square
 # ---------------------------------------------------------------------------
