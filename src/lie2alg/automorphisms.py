@@ -4,7 +4,8 @@ Degree 0 holds the invertible weak self-homomorphisms under composition;
 degree -1 holds the units of the monoid (Hom(g_0, g_{-1}), star) with
 tau * tau' = tau + tau' + tau d tau'.  Together with the connecting map
 and the natural action they form a crossed module of groups, realized
-here with exact arithmetic so every law is an equality test.
+here with exact arithmetic so every law is an equality test.  A twist
+by tau runs the 2-component loop of `dbar` (`derivations._lower_term`).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .core import (
     hom_identity,
     validate_hom,
 )
-from .derivations import DerM1, Derivation0, lie_cochain_action, ratio_draws
-from .linalg import AltTensor, Mat, adjugate_det, mat_distance, mat_inverse, vadd, vsub
+from .derivations import DerM1, Derivation0, _lower_term, lie_cochain_action, ratio_draws
+from .linalg import AltTensor, Mat, adjugate_det, mat_distance, mat_inverse, sparse_columns
 
 
 @dataclass(frozen=True)
@@ -144,21 +145,10 @@ def tau_is_invertible(L: Lie2Algebra, t: Tau) -> bool:
 
 def twist_lower(L: Lie2Algebra, A: Lie2Hom, t: Tau) -> AltTensor:
     """The 2-component correction l^A_tau(x,y) = tau[x,y] - [A0 x, tau y]
-    - [tau x, A0 y] - [tau x, d tau y]."""
-    tm = t.mat
-
-    def val(key):
-        i, j = key
-        x, y = L.e0(i), L.e0(j)
-        a0x, a0y = A.A0.col(i), A.A0.col(j)
-        tx, ty = tm.col(i), tm.col(j)
-        r = tm.apply(L.b00.eval_basis(i, j))
-        r = vsub(r, L.bracket01(a0x, ty))
-        r = vadd(r, L.bracket01(a0y, tx))          # -[tau x, A0 y] = +[A0 y, tau x]
-        r = vadd(r, L.bracket01(L.dv(ty), tx))     # -[tau x, d tau y] = +[d tau y, tau x]
-        return r
-
-    return AltTensor.from_function(2, L.n0, L.n1, val, L.mode)
+    - [tau x, A0 y] - [tau x, d tau y], by the loop of `dbar`'s 2-component
+    (`derivations._lower_term`, a = A0, c = d tau)."""
+    return _lower_term(L, sparse_columns(t.mat), sparse_columns(A.A0),
+                       sparse_columns(L.d @ t.mat))
 
 
 def twist_hom(L: Lie2Algebra, A: Lie2Hom, t: Tau) -> Lie2Hom:

@@ -187,10 +187,6 @@ class Lie2Algebra:
                         out[c] += xi * y
         return tuple(out)
 
-    def bracket10(self, a: tuple, x: tuple) -> tuple:
-        """[a, x] = -[x, a]."""
-        return vscale(-1, self.bracket01(x, a))
-
     def to_float(self) -> "Lie2Algebra":
         if self.mode == "float":
             return self

@@ -16,7 +16,9 @@ same elimination; the bracket with degree -1 is the closed form
 X1 (x) I - I (x) X0^T.  `dbar`, `adbar0_single`, `graded_bracket` and
 `lie_cochain_action` sum over nonzero terms only, in the order of the dense
 evaluation on unit vectors: exact results are equal, and float results are
-the dense left-to-right sums bit for bit.
+the dense left-to-right sums bit for bit.  The 2-component of `dbar` and
+that of the tau-twist (`automorphisms.twist_lower`) are one loop,
+`_lower_term`.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .linalg import (
     sparse_apply,
     sparse_columns,
     sparse_comb,
+    sparse_dense,
     sparse_rows,
     sparse_sum,
     tensor_distance,
@@ -321,33 +324,36 @@ def compute_der0_basis(L: Lie2Algebra) -> list:
 # the differential and brackets
 # ---------------------------------------------------------------------------
 
-def _dense(vec: dict, n: int, zero) -> tuple:
-    """A sparse vector as a tuple of length n.  A zero value that cancelled
-    out reads as `zero`, the +0.0 the dense sums give in float mode."""
-    return tuple(vec.get(c) or zero for c in range(n))
-
-
-def dbar(L: Lie2Algebra, T: DerM1) -> Derivation0:
-    """Differential into degree 0: (d theta, theta d, l_{delta(theta)}).
-
-    l_{delta(theta)}(e_i, e_j) = theta[e_i, e_j] - [e_i, theta e_j]
-    + [e_j, theta e_i], summed over the nonzero structure constants of L
-    and entries of theta in the order of the dense evaluation on unit
-    vectors, so float results are those sums bit for bit.
-    """
-    _same_mode(L, T)
+def _lower_term(L: Lie2Algebra, th: list, a: list, c: list) -> AltTensor:
+    """(x, y) |-> theta[x, y] - [a x, theta y] + [a y, theta x] + [c y, theta x]
+    from the sparse columns th of theta: g_0 -> g_{-1} and a, c of maps
+    g_0 -> g_0: the 2-component of `dbar` (a = I, c = 0) and of the twist
+    `automorphisms.twist_lower` (a = A0, c = d tau).  Sums run over nonzero
+    terms in the order of the dense evaluation on unit vectors, so float
+    results are those sums bit for bit."""
     _, b00, b01, _ = L.sparse()
-    th = sparse_columns(T.theta)  # th[j] = theta e_j
     zero = scalar_zero(L.mode)
+
+    def br(u, w):  # [u, w] for u in g_0 and w in g_{-1}
+        return sparse_comb((x, sparse_apply(b01[m], w)) for m, x in sorted(u.items()))
+
     entries = {}
     for i, j in itertools.combinations(range(L.n0), 2):
         r = sparse_sum((1, sparse_apply(th, b00.get((i, j), SPARSE_ZERO))),
-                       (-1, sparse_apply(b01[i], th[j])),
-                       (1, sparse_apply(b01[j], th[i])))
+                       (-1, br(a[i], th[j])), (1, br(a[j], th[i])), (1, br(c[j], th[i])))
         if r:
-            entries[i, j] = _dense(r, L.n1, zero)
-    return Derivation0(L.d @ T.theta, T.theta @ L.d,
-                       AltTensor._result(2, L.n0, L.n1, entries, L.mode))
+            entries[i, j] = sparse_dense(r, L.n1, zero)
+    return AltTensor._result(2, L.n0, L.n1, entries, L.mode)
+
+
+def dbar(L: Lie2Algebra, T: DerM1) -> Derivation0:
+    """Differential into degree 0: (d theta, theta d, l_{delta(theta)}),
+    l_{delta(theta)}(x, y) = theta[x, y] - [x, theta y] + [y, theta x]
+    (`_lower_term`)."""
+    _same_mode(L, T)
+    units = sparse_columns(Mat.identity(L.n0, L.mode))
+    lX = _lower_term(L, sparse_columns(T.theta), units, [SPARSE_ZERO] * L.n0)
+    return Derivation0(L.d @ T.theta, T.theta @ L.d, lX)
 
 
 class _Sparse0(NamedTuple):
@@ -413,7 +419,7 @@ def lie_cochain_action(X0: Mat, X1: Mat, omega: AltTensor) -> AltTensor:
     _same_mode(X1, omega)
     form = _sparse0(X0, X1, omega)
     zero = scalar_zero(omega.mode)
-    entries = {key: _dense(r, omega.codim, zero)
+    entries = {key: sparse_dense(r, omega.codim, zero)
                for key, r in _action(form, form.lx, form.keys, zero).items()}
     return AltTensor._result(omega.arity, omega.dim, omega.codim, entries, omega.mode)
 
@@ -463,7 +469,7 @@ def graded_bracket(L: Lie2Algebra, a, b):
                         a.mode),
             Mat._result(n1, n1, [X1.get((i, j)) or zero for i in range(n1) for j in range(n1)],
                         a.mode),
-            AltTensor._result(2, n0, n1, {k: _dense(v, n1, zero) for k, v in lX.items()},
+            AltTensor._result(2, n0, n1, {k: sparse_dense(v, n1, zero) for k, v in lX.items()},
                               a.mode))
     if isinstance(a, Derivation0) and isinstance(b, DerM1):
         return DerM1(a.X1 @ b.theta - b.theta @ a.X0)
@@ -587,7 +593,7 @@ def adbar0_single(L: Lie2Algebra, x: tuple) -> Derivation0:
     for i, j in itertools.combinations(range(n0), 2):
         r = sparse_comb((v, l3.get((m, i, j), SPARSE_ZERO)) for m, v in u.items())
         if r:
-            entries[i, j] = _dense(r, n1, zero)
+            entries[i, j] = sparse_dense(r, n1, zero)
     return Derivation0(
         Mat._result(n0, n0, [x0[j].get(i) or zero for i in range(n0) for j in range(n0)], L.mode),
         Mat._result(n1, n1, [x1[a].get(c) or zero for c in range(n1) for a in range(n1)], L.mode),
@@ -595,8 +601,11 @@ def adbar0_single(L: Lie2Algebra, x: tuple) -> Derivation0:
 
 
 def ad1_single(L: Lie2Algebra, a: tuple) -> DerM1:
-    """The degree -1 derivation [a, .] attached to a in g_{-1}."""
-    cols = [v for j in range(L.n0) for v in L.bracket10(a, L.e0(j))]
+    """The degree -1 derivation [a, .] attached to a in g_{-1}: column j of
+    theta is [a, e_j] = [e_j, -a], from the nonzero structure constants."""
+    b01, zero = L.sparse().b01, scalar_zero(L.mode)
+    u = {t: -v for t, v in enumerate(a) if v}
+    cols = [x for j in range(L.n0) for x in sparse_dense(sparse_apply(b01[j], u), L.n1, zero)]
     return DerM1(Mat._result(L.n0, L.n1, cols, L.mode).transpose())
 
 

@@ -20,11 +20,11 @@ The scalar mode follows the values, and is decided once per identity:
 are exact and every series the identity exponentiates terminates;
 otherwise it converts the algebra and all operands to float together, so
 both sides of an identity, and every exponential within it, share one
-mode.  Every value carries its mode from construction, so an exponential
-inside an identity, run on the converted values, makes the same choice,
-and `truncated_exp` simply follows the mode of its input.  The checks
-return (residual, mode) pairs: the mode label of each report line is the
-mode that computed it.
+mode.  `exp_der0` and `exp_derM1` are `_joint_mode` plus a body in the
+decided mode (`_der0_exps`, `_derM1_exp`); an identity decides once and
+calls the bodies, and `truncated_exp` simply follows the mode of its
+input.  The checks return (residual, mode) pairs: the mode label of each
+report line is the mode that computed it.
 """
 
 from __future__ import annotations
@@ -192,15 +192,20 @@ def _joint_mode(L: Lie2Algebra, exps, *operands):
     return "float", L.to_float(), tuple(x.to_float() for x in values)
 
 
-def _exp_der0_at(L: Lie2Algebra, D: Derivation0, ts, cfg: ExpConfig):
-    """(mode, [e^{tD} for t in ts]): one mode decision and one membership
-    check for D, then one certified exponential per t."""
-    mode, L, (D,) = _joint_mode(L, (D,))
-    tol = 0 if mode == "exact" else cfg.tol
+def _der0_exps(L: Lie2Algebra, D: Derivation0, ts, cfg: ExpConfig) -> list:
+    """[e^{tD} for t in ts] in the decided mode of L (`_joint_mode`): one
+    membership check for D, then one certified exponential per t."""
+    tol = 0 if L.mode == "exact" else cfg.tol
     rep = is_derivation0(L, D)
     if not rep.within(tol):
         raise ValueError(f"not a derivation within tol {tol}: {rep!r}")
-    return mode, [certify_aut0(L, _exp_hom(L, D, t, cfg.order), tol=tol) for t in ts]
+    return [certify_aut0(L, _exp_hom(L, D, t, cfg.order), tol=tol) for t in ts]
+
+
+def _derM1_exp(L: Lie2Algebra, T: DerM1, t, cfg: ExpConfig) -> Tau:
+    """e^{t theta} in the decided mode of L (`_joint_mode`), the top-right
+    block of e^{tN}, N = [[theta d, theta], [0, 0]]."""
+    return Tau(_exp_upper(T.theta @ L.d, T.theta, Mat.zero(L.n0, L.n0, L.mode), t, cfg.order)[1])
 
 
 def exp_der0(L: Lie2Algebra, D: Derivation0, t=1, cfg: ExpConfig = DEFAULT) -> Aut0:
@@ -210,7 +215,8 @@ def exp_der0(L: Lie2Algebra, D: Derivation0, t=1, cfg: ExpConfig = DEFAULT) -> A
     and certified with zero residual; otherwise the series truncates at
     cfg.order in float and certifies within cfg.tol.
     """
-    return _exp_der0_at(L, D, (t,), cfg)[1][0]
+    _, L, (D,) = _joint_mode(L, (D,))
+    return _der0_exps(L, D, (t,), cfg)[0]
 
 
 def exp_derM1(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> Tau:
@@ -218,8 +224,8 @@ def exp_derM1(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> Tau:
     e^theta = theta + theta d theta / 2! + theta d theta d theta / 3! + ...,
     the top-right block of e^{tN} for N = [[theta d, theta], [0, 0]].
     Exact when theta d is nilpotent."""
-    mode, L, (T,) = _joint_mode(L, (T,))
-    return Tau(_exp_upper(T.theta @ L.d, T.theta, Mat.zero(L.n0, L.n0, mode), t, cfg.order)[1])
+    _, L, (T,) = _joint_mode(L, (T,))
+    return _derM1_exp(L, T, t, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -228,24 +234,24 @@ def exp_derM1(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> Tau:
 
 def check_one_parameter(L: Lie2Algebra, D: Derivation0, t, s, cfg: ExpConfig = DEFAULT):
     """(residual, mode) of e^{(t+s)D} against e^{tD} e^{sD}, componentwise."""
-    mode, (lhs, a, b) = _exp_der0_at(L, D, (Fraction(t) + Fraction(s), t, s), cfg)
+    mode, L, (D,) = _joint_mode(L, (D,))
+    lhs, a, b = _der0_exps(L, D, (Fraction(t) + Fraction(s), t, s), cfg)
     return hom_distance(lhs.hom, compose_hom(a.hom, b.hom)), mode
 
 
 def one_parameter_derM1(L: Lie2Algebra, T: DerM1, t, s, cfg: ExpConfig = DEFAULT):
     """(residual, mode) of e^{(t+s)theta} against e^{t theta} * e^{s theta}."""
     mode, L, (T,) = _joint_mode(L, (T,))
-    lhs = exp_derM1(L, T, Fraction(t) + Fraction(s), cfg)
-    a = exp_derM1(L, T, t, cfg)
-    b = exp_derM1(L, T, s, cfg)
+    lhs, a, b = (_derM1_exp(L, T, x, cfg) for x in (Fraction(t) + Fraction(s), t, s))
     return tau_distance(lhs, star(L, a, b)), mode
 
 
 def check_commuting_square(L: Lie2Algebra, T: DerM1, cfg: ExpConfig = DEFAULT):
-    """(residual, mode) of partial(e^theta) against e^{dbar(theta)}."""
+    """(residual, mode) of partial(e^theta) against e^{dbar(theta)}; theta
+    decides the mode of both, as d theta is nilpotent iff theta d is."""
     mode, L, (T,) = _joint_mode(L, (T,))
-    lhs = partial(L, exp_derM1(L, T, 1, cfg)).hom
-    return hom_distance(lhs, exp_der0(L, dbar(L, T), 1, cfg).hom), mode
+    lhs = partial(L, _derM1_exp(L, T, 1, cfg)).hom
+    return hom_distance(lhs, _der0_exps(L, dbar(L, T), (1,), cfg)[0].hom), mode
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +326,7 @@ def exp_semidirect(L: Lie2Algebra, pair, cfg: ExpConfig = DEFAULT):
     product precisely when the two legs commute ({D, theta} = 0).
     """
     _, L, (D, T) = _joint_mode(L, pair)
-    return TwoGroupCell(exp_der0(L, D, 1, cfg), exp_derM1(L, T, 1, cfg))
+    return TwoGroupCell(_der0_exps(L, D, (1,), cfg)[0], _derM1_exp(L, T, 1, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +336,8 @@ def exp_semidirect(L: Lie2Algebra, pair, cfg: ExpConfig = DEFAULT):
 def _conj_der0(L: Lie2Algebra, cfg: ExpConfig, A: Aut0, D: Derivation0, E: Derivation0):
     """(residual, mode) of A e^D A^{-1} = e^E, in one joint mode."""
     mode, L, (D, E, A) = _joint_mode(L, (D, E), A)
-    lhs = conjugate_hom(A, exp_der0(L, D, 1, cfg).hom)
-    return hom_distance(lhs, exp_der0(L, E, 1, cfg).hom), mode
+    lhs = conjugate_hom(A, _der0_exps(L, D, (1,), cfg)[0].hom)
+    return hom_distance(lhs, _der0_exps(L, E, (1,), cfg)[0].hom), mode
 
 
 def _theta_from_a2(L: Lie2Algebra, A: Aut0, x: tuple) -> DerM1:
@@ -446,14 +452,14 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
         # here and in (iii) the conjugated theta d is similar to theta d, so
         # T alone decides the mode
         mode, Lm, (Tm, adT, taum) = _joint_mode(L, (T,), ad_conjugate(L, tau, T), tau)
-        lhs_t = star(Lm, star(Lm, taum, exp_derM1(Lm, Tm, 1, cfg)), tau_inverse(Lm, taum))
-        out.append((f"conj_m1[{idx}]", tau_distance(lhs_t, exp_derM1(Lm, adT, 1, cfg)), mode))
+        lhs_t = star(Lm, star(Lm, taum, _derM1_exp(Lm, Tm, 1, cfg)), tau_inverse(Lm, taum))
+        out.append((f"conj_m1[{idx}]", tau_distance(lhs_t, _derM1_exp(Lm, adT, 1, cfg)), mode))
 
         # (iii) A |> e^theta = e^{A1 theta A0^{-1}}
         actT = ad_conjugate(L, A, T)
         mode, Lm, (Tm, actTm, Am) = _joint_mode(L, (T,), actT, A)
-        lhs_t = act(Lm, Am, exp_derM1(Lm, Tm, 1, cfg))
-        out.append((f"act_exp[{idx}]", tau_distance(lhs_t, exp_derM1(Lm, actTm, 1, cfg)), mode))
+        lhs_t = act(Lm, Am, _derM1_exp(Lm, Tm, 1, cfg))
+        out.append((f"act_exp[{idx}]", tau_distance(lhs_t, _derM1_exp(Lm, actTm, 1, cfg)), mode))
 
         # (iv) tau * (e^D |> tau^{-1}) = e^{X1 tau^{-1} + tau X0 + tau X0 d tau^{-1}}.
         # The right side uses the componentwise semidirect exponential, which
@@ -464,9 +470,9 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
         Dc, tauc = _commuting_iv_sample(L, rng, der_basis)
         _, theta_part = ad_conjugate(L, tauc, Dc)
         mode, Lm, (Dc, theta_part, tauc) = _joint_mode(L, (Dc, theta_part), tauc)
-        eD = exp_der0(Lm, Dc, 1, cfg)
+        eD = _der0_exps(Lm, Dc, (1,), cfg)[0]
         lhs_t = star(Lm, tauc, act(Lm, eD, tau_inverse(Lm, tauc)))
-        rhs_t = exp_derM1(Lm, theta_part, 1, cfg)
+        rhs_t = _derM1_exp(Lm, theta_part, 1, cfg)
         out.append((f"conj_tau_der[{idx}]", tau_distance(lhs_t, rhs_t), mode))
 
         # transport of differentials: A e^{dbar T} A^{-1} = e^{dbar(A1 T A0^{-1})}
@@ -495,7 +501,7 @@ def inn_group_generators(L: Lie2Algebra, cfg: ExpConfig = DEFAULT) -> list:
         gens.append(TwoGroupCell(A, tau_zero(A.algebra)))
     for T in derM1_basis(L):
         _, base, (T,) = _joint_mode(L, (T,))
-        gens.append(TwoGroupCell(aut_identity(base), exp_derM1(base, T, 1, cfg)))
+        gens.append(TwoGroupCell(aut_identity(base), _derM1_exp(base, T, 1, cfg)))
     return gens
 
 

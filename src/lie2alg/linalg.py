@@ -17,8 +17,9 @@ available in exact mode, where results are exact by construction; they
 share one elimination over sparse rows (`_reduce`).  `adjugate_det`
 eliminates integer matrices fraction-free instead, in ints only.  All
 values are immutable and all operations are pure.
-Sparse vectors ({index: value}) serve the law evaluators; see the
-"sparse vectors" section.
+Sparse vectors ({index: value}) serve the law evaluators and
+`AltTensor.eval`, which runs through `sparse_eval`; see the "sparse
+vectors" section.
 """
 
 from __future__ import annotations
@@ -565,13 +566,14 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     """The exponential e^{tm} by its Taylor series, in the mode of m; the
     only series in the package.
 
-    An exact nilpotent m makes the series terminate, so the result is the
-    true exponential, exactly; other exact input is summed to `order`.  A
-    float m is scaled and squared (Higham 2005): with ||.|| the max row sum,
-    s = max(0, ceil(log2(||tm|| / 0.5))), `order` terms of the series are
-    summed at t / 2^s and the result is squared s times, so the series is
-    only ever summed where it converges fast, however large ||tm|| is.  A
-    norm that is not finite raises ValueError.
+    An exact series stops at its first zero term: a nilpotent m makes it
+    terminate, so the result is the true exponential, exactly; other exact
+    input is summed to `order`.  A float m is scaled and squared (Higham
+    2005): with ||.|| the max row sum, s = max(0, ceil(log2(||tm|| / 0.5))),
+    `order` terms of the series are summed at t / 2^s and the result is
+    squared s times, so the series is only ever summed where it converges
+    fast, however large ||tm|| is.  A norm that is not finite raises
+    ValueError.
     """
     if m.rows != m.cols:
         raise ValueError("square matrix required")
@@ -586,12 +588,19 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
         s = max(0, math.ceil(math.log2(ratio))) if ratio > 0 else 0
         t, top = math.ldexp(t, -s), order
     else:
-        k = nilpotency_index(m)
-        t, top = Fraction(t), (k - 1 if k is not None else order)
-    result = term = Mat.identity(m.rows, m.mode)
+        # an exact m is nilpotent iff a term vanishes, by term m.rows at the latest
+        t, top = Fraction(t), max(order, m.rows)
+    result = term = at_order = Mat.identity(m.rows, m.mode)
     for n in range(1, top + 1):
-        term = (term @ m).scale(t / n if m.mode == "float" else Fraction(t, n))
+        term = term @ m
+        if m.mode == "exact" and term.is_zero():
+            break
+        term = term.scale(t / n if m.mode == "float" else Fraction(t, n))
         result = result + term
+        if n == order:
+            at_order = result
+    else:
+        result = at_order  # no term vanished: the series stops at `order`
     for _ in range(s):
         result = result @ result
     return result
@@ -694,39 +703,14 @@ class AltTensor:
         return vec if sign == 1 else vneg(vec)
 
     def eval(self, *vectors) -> tuple:
-        """Multilinear alternating evaluation on length-`dim` vectors.
-
-        In exact mode each argument's support is scanned once, and a
-        permutation term is formed only when every factor is a nonzero
-        coordinate.  Keys and permutations keep their fixed order, so the
-        result equals the dense sum exactly.  Float mode, and exact mode on
-        fully dense arguments, form every term: there the support saves
-        less than it costs to find.
-        """
+        """Multilinear alternating evaluation on length-`dim` vectors:
+        `sparse_eval` on their supports."""
         if len(vectors) != self.arity:
             raise ValueError("arity mismatch")
-        k = self.arity
-        if k == 0:
+        if not vectors:
             return self.entries.get((), self._zero_vec())
-        supports = None
-        if self.mode == "exact":
-            supports = [{i for i, x in enumerate(v) if x} for v in vectors]
-            if not all(supports):
-                return self._zero_vec()
-            if all(len(s) == self.dim for s in supports):
-                supports = None
-        out = list(self._zero_vec())
-        perms = _signed_perms(k)
-        for key, vec in self.entries.items():
-            terms = perms if supports is None else [
-                (p, sign) for p, sign in perms
-                if all(key[p[a]] in supports[a] for a in range(k))]
-            minor = sum(sign * math.prod(vectors[a][key[p[a]]] for a in range(k))
-                        for p, sign in terms)
-            if minor != 0:
-                for c in range(self.codim):
-                    out[c] += minor * vec[c]
-        return tuple(out)
+        r = sparse_eval(self, *({i: x for i, x in enumerate(v) if x} for v in vectors))
+        return sparse_dense(r, self.codim, scalar_zero(self.mode))
 
     def __add__(self, other: "AltTensor") -> "AltTensor":
         return self._keywise(vadd, other)
@@ -806,10 +790,11 @@ class AltTensor:
 # sparse vectors ({index: value}, nonzero values only)
 # ---------------------------------------------------------------------------
 #
-# The law evaluators in `core` and `derivations` work on these.  Each sum
-# adds its nonzero terms in the order the dense kernels above add them, so
-# exact results are equal and float results are the dense sums bit for bit
-# (a skipped term is a signed zero, which changes no nonzero sum).
+# The law evaluators in `core` and `derivations`, and `AltTensor.eval`,
+# work on these.  Each sum adds its nonzero terms in the order of the dense
+# sum over every term, so exact results are equal and float results are the
+# dense sums bit for bit (a skipped term is a signed zero, which changes no
+# nonzero sum).
 
 SPARSE_ZERO = MappingProxyType({})  # the zero vector, read-only
 
@@ -857,10 +842,10 @@ def sparse_apply(cols, u: dict) -> dict:
 
 
 def sparse_eval(t: AltTensor, *vectors: dict) -> dict:
-    """t on sparse vectors, term by term as `AltTensor.eval` adds them: the
-    stored keys in increasing order, each key's permutation terms in their
-    fixed order (those with a zero factor skipped), then the key's minor
-    times its value."""
+    """t on sparse vectors, the one alternating evaluator: the stored keys
+    in increasing order, each key's permutation terms in their fixed order
+    (those with a zero factor skipped), then the key's minor times its
+    value."""
     k = t.arity
     support = set().union(*vectors)
     perms = _signed_perms(k)
@@ -878,6 +863,12 @@ def sparse_eval(t: AltTensor, *vectors: dict) -> dict:
                 if y:
                     out[c] = out[c] + minor * y if c in out else minor * y
     return out
+
+
+def sparse_dense(vec: dict, n: int, zero) -> tuple:
+    """A sparse vector as a tuple of length n.  A zero value that cancelled
+    out reads as `zero`, the +0.0 the dense sums give in float mode."""
+    return tuple(vec.get(c) or zero for c in range(n))
 
 
 def sparse_sum(*terms) -> dict:

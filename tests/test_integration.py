@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import lie2alg.integration as integration
+import lie2alg.linalg as linalg
 from lie2alg.automorphisms import (
     Tau,
     act,
@@ -235,6 +236,26 @@ def test_one_parameter_checks_membership_once(monkeypatch):
         del checks[:], exps[:]
         assert check_one_parameter(L, D, Fraction(1, 2), Fraction(1, 4))[1] == mode
         assert (len(checks), len(exps)) == (1, 3)
+
+
+def test_degree_m1_identities_decide_termination_once(monkeypatch):
+    """`_joint_mode` tests theta d for nilpotency once; the exponentials run
+    in the mode it decides, and the exact series stop at their first zero
+    term, so no other nilpotency test runs."""
+    L = fix_str()
+    T = random_derM1(L, random.Random(76))
+    calls = []
+    for module in (integration, linalg):
+        def counted(m, _original=module.nilpotency_index):
+            calls.append(m)
+            return _original(m)
+
+        monkeypatch.setattr(module, "nilpotency_index", counted)
+    for check in (lambda: one_parameter_derM1(L, T, Fraction(1, 2), Fraction(1, 3)),
+                  lambda: check_commuting_square(L, T)):
+        del calls[:]
+        assert check() == (0, "exact")
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,17 @@ def test_truncated_exp_nilpotent_exact():
     assert truncated_exp(m, Fraction(1, 2)) == Mat.from_rows([[1, Fraction(1, 2)], [0, 1]])
 
 
+def test_truncated_exp_exact_stops_at_the_first_zero_term_or_at_order():
+    shift = Mat(5, 5, [int(j == i + 1) for i in range(5) for j in range(5)])  # index 5 > order
+    want = Mat.identity(5)
+    for n in range(1, 5):
+        want = want + shift.power(n).scale(Fraction(1, math.factorial(n)))
+    assert truncated_exp(shift, 1, order=2) == want
+    m = Mat.from_rows([[1, 1, 0], [0, 2, 1], [0, 0, 0]])  # not nilpotent, 3 > order
+    assert truncated_exp(m, 1, order=2) == Mat.identity(3) + m + (m @ m).scale(Fraction(1, 2))
+    assert truncated_exp(m, 0) == Mat.identity(3)
+
+
 def test_truncated_exp_float_scalar():
     got = truncated_exp(Mat.from_rows([[1]]).to_float(), 1, order=20)
     assert abs(got.at(0, 0) - math.e) < 1e-12
@@ -383,6 +394,65 @@ def _tensor_and_args(draw):
     pool = draw(st.lists(_sparse_vec(dim, mode), min_size=1, max_size=3))
     args = [draw(st.sampled_from(pool)) for _ in range(arity)]
     return t, args
+
+
+def ref_alt_eval(t, *vectors):
+    """The earlier permutation sum of `AltTensor.eval`: exact mode forms only
+    the terms whose factors are all nonzero; float mode, and exact mode on
+    fully dense arguments, form every term."""
+    k = t.arity
+    if k == 0:
+        return t.entries.get((), t._zero_vec())
+    supports = None
+    if t.mode == "exact":
+        supports = [{i for i, x in enumerate(v) if x} for v in vectors]
+        if not all(supports):
+            return t._zero_vec()
+        if all(len(s) == t.dim for s in supports):
+            supports = None
+    out = list(t._zero_vec())
+    perms = [(p, -1 if sum(p[i] > p[j] for i, j in itertools.combinations(range(k), 2)) % 2
+              else 1) for p in itertools.permutations(range(k))]
+    for key, vec in t.entries.items():
+        terms = perms if supports is None else [
+            (p, sign) for p, sign in perms
+            if all(key[p[a]] in supports[a] for a in range(k))]
+        minor = sum(sign * math.prod(vectors[a][key[p[a]]] for a in range(k))
+                    for p, sign in terms)
+        if minor != 0:
+            for c in range(t.codim):
+                out[c] += minor * vec[c]
+    return tuple(out)
+
+
+def _signed_draw(rng, n, mode):
+    """n scalars of `mode`, a third of them zero (of either sign in float)."""
+    if mode == "exact":
+        return [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) if rng.random() < 0.67 else 0
+                for _ in range(n)]
+    return [rng.uniform(-1, 1) if rng.random() < 0.67 else rng.choice((0.0, -0.0))
+            for _ in range(n)]
+
+
+def test_alt_eval_and_pullback_match_the_permutation_sum_reference():
+    rng = random.Random(31)
+    for mode, arity in itertools.product(("exact", "float"), range(4)):
+        for _ in range(40):
+            dim, codim = rng.randint(max(arity, 1), 5), rng.randint(1, 3)
+            keys = [k for k in itertools.combinations(range(dim), arity) if rng.random() < 0.7]
+            t = AltTensor(arity, dim, codim, {k: _signed_draw(rng, codim, mode) for k in keys},
+                          mode)
+            # a small pool, so the same vector often fills two slots
+            pool = [tuple(_signed_draw(rng, dim, mode)) for _ in range(2)]
+            for _ in range(3):
+                args = [rng.choice(pool) for _ in range(arity)]
+                assert _bits(t.eval(*args)) == _bits(ref_alt_eval(t, *args))
+            cols = rng.randint(1, 4)
+            b = Mat(dim, cols, _signed_draw(rng, dim * cols, mode))
+            got = t.pullback(b)
+            for key in itertools.combinations(range(cols), arity):
+                want = ref_alt_eval(t, *(b.col(j) for j in key))
+                assert _bits(got.eval_basis(*key)) == _bits(want)
 
 
 @given(_tensor_and_args())

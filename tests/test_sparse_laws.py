@@ -1,9 +1,10 @@
 """Differential tests of the sparse law evaluators.
 
 `validate_lie2`, `validate_hom`, the degree-0 derivation conditions, the
-cochain action `lie_cochain_action`, `dbar` and `adbar0_single` sum over
-the nonzero structure constants only.  The references below are the earlier evaluators,
-which apply every law to unit basis vectors through dense vectors; both must
+cochain action `lie_cochain_action`, `dbar`, the tau-twist `twist_lower`
+and `adbar0_single` sum over the nonzero structure constants only.  The
+references below are the earlier evaluators, which apply every law to unit
+basis vectors through dense vectors; both must
 give the same ResidualReport: the same value, of the same type, and the same
 witness, for every key.  Exact values are equal.  Float values are equal bit
 for bit where builtin `sum` adds floats left to right (before Python 3.12)
@@ -16,7 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from lie2alg.automorphisms import twist_hom
+from lie2alg.automorphisms import Tau, random_tau, twist_hom, twist_lower
 from lie2alg.core import (
     Lie2Algebra,
     Lie2Hom,
@@ -535,6 +536,22 @@ def ref_dbar(L, T):
                        AltTensor.from_function(2, L.n0, L.n1, lval, L.mode))
 
 
+def ref_twist_lower(L, A, t):
+    """The dense formula on unit vectors: tau[x, y] - [A0 x, tau y]
+    + [A0 y, tau x] + [d tau y, tau x]."""
+    tm = t.mat
+
+    def val(key):
+        i, j = key
+        tx, ty = tm.col(i), tm.col(j)
+        r = tm.apply(L.b00.eval_basis(i, j))
+        r = vsub(r, L.bracket01(A.A0.col(i), ty))
+        r = vadd(r, L.bracket01(A.A0.col(j), tx))
+        return vadd(r, L.bracket01(L.dv(ty), tx))
+
+    return AltTensor.from_function(2, L.n0, L.n1, val, L.mode)
+
+
 def ref_adbar0_single(L, x):
     """The dense formula: [x, e_j] and l3(x, e_i, e_j) on unit vectors, and
     X1 the sum of x_m b01[m]."""
@@ -553,6 +570,16 @@ def _same_floats(got, want) -> bool:
         type(g) is float and _same_float(g, w) for g, w in zip(got, want))
 
 
+def assert_same_tensor(got: AltTensor, want: AltTensor):
+    assert got.mode == want.mode
+    if want.mode == "exact":
+        assert got == want
+        return
+    assert list(got.entries) == list(want.entries)
+    for key, vec in want.entries.items():
+        assert _same_floats(got.entries[key], vec), key
+
+
 def assert_same_derivation(got: Derivation0, want: Derivation0):
     parts = ((got.X0, want.X0), (got.X1, want.X1), (got.lX, want.lX))
     assert [g.mode for g, _ in parts] == [w.mode for _, w in parts]
@@ -562,9 +589,7 @@ def assert_same_derivation(got: Derivation0, want: Derivation0):
     # float.hex tells -0.0 from 0.0, so signed zeros are compared too
     for g, w in parts[:2]:
         assert (g.rows, g.cols) == (w.rows, w.cols) and _same_floats(g.data, w.data)
-    assert list(got.lX.entries) == list(want.lX.entries)
-    for key, vec in want.lX.entries.items():
-        assert _same_floats(got.lX.entries[key], vec), key
+    assert_same_tensor(got.lX, want.lX)
 
 
 def _signed_float_algebra(rng, n0, n1):
@@ -592,6 +617,22 @@ def test_dbar_matches_reference():
             assert_same_derivation(dbar(Lf, Tf), ref_dbar(Lf, Tf))
 
 
+def test_twist_lower_matches_reference():
+    """The identity of each named example, string-sl3 and the random
+    fixtures, and four sampled automorphisms of string-sl2, each twisted by
+    two random taus, in exact and in float mode."""
+    rng = random.Random(27)
+    algebras = ([f() for f in NAMED_EXAMPLES.values()] + [make_string(sl_structure(3))]
+                + _random_fixtures())
+    cases = [(L, hom_identity(L)) for L in algebras]
+    cases += [(fix_str(), string_aut_hom(fix_str(), rng)) for _ in range(4)]
+    for L, A in cases:
+        for t in (random_tau(L, rng), random_tau(L, rng)):
+            assert_same_tensor(twist_lower(L, A, t), ref_twist_lower(L, A, t))
+            Lf, Af, tf = L.to_float(), A.to_float(), t.to_float()
+            assert_same_tensor(twist_lower(Lf, Af, tf), ref_twist_lower(Lf, Af, tf))
+
+
 def test_adbar0_single_matches_reference():
     rng = random.Random(22)
     for L in _generator_algebras():
@@ -611,6 +652,17 @@ def test_generators_are_bitwise_on_random_float_constants():
             assert_same_derivation(dbar(L, T), ref_dbar(L, T))
             x = tuple(_float_draw(rng, n0))
             assert_same_derivation(adbar0_single(L, x), ref_adbar0_single(L, x))
+
+
+def test_twist_lower_is_bitwise_on_random_float_constants():
+    rng = random.Random(28)
+    for n0, n1 in ((4, 3), (5, 2), (3, 4)):
+        for _ in range(3):
+            L = _signed_float_algebra(rng, n0, n1)
+            A = Lie2Hom(L, L, Mat(n0, n0, _float_draw(rng, n0 * n0)), Mat.identity(n1, "float"),
+                        AltTensor.zero(2, n0, n1, "float"))
+            t = Tau(Mat(n1, n0, _float_draw(rng, n1 * n0)))
+            assert_same_tensor(twist_lower(L, A, t), ref_twist_lower(L, A, t))
 
 
 # ---------------------------------------------------------------------------
