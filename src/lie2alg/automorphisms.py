@@ -25,7 +25,8 @@ from .core import (
     validate_hom,
 )
 from .derivations import DerM1, Derivation0, _lower_term, lie_cochain_action, ratio_draws
-from .linalg import AltTensor, Mat, adjugate_det, mat_distance, mat_inverse, sparse_columns
+from .linalg import (AltTensor, Mat, adjugate_det, common_denominator, mat_distance,
+                     mat_inverse, sparse_columns)
 
 
 @dataclass(frozen=True)
@@ -131,12 +132,22 @@ def star(L: Lie2Algebra, t1: Tau, t2: Tau) -> Tau:
     return Tau(t1.mat + t2.mat + (t1.mat @ L.d @ t2.mat))
 
 
+def _star_inverse(t: Tau, a0: Mat):
+    """-tau a0^{-1} for a0 = I + d tau, None when a0 is singular."""
+    core = mat_inverse(a0)
+    return None if core is None else Tau(-(t.mat @ core))
+
+
 def tau_inverse(L: Lie2Algebra, t: Tau):
     """Star-inverse -tau (I + d tau)^{-1}, present iff I + d tau is invertible."""
-    core = mat_inverse(Mat.identity(L.n0, L.mode) + L.d @ t.mat)
-    if core is None:
-        return None
-    return Tau(-(t.mat @ core))
+    return _star_inverse(t, Mat.identity(L.n0, L.mode) + L.d @ t.mat)
+
+
+def _required_inverse(ti):
+    """The star-inverse ti of a tau, which must exist."""
+    if ti is None:
+        raise ValueError("tau is not star-invertible")
+    return ti
 
 
 def tau_is_invertible(L: Lie2Algebra, t: Tau) -> bool:
@@ -153,21 +164,23 @@ def twist_lower(L: Lie2Algebra, A: Lie2Hom, t: Tau) -> AltTensor:
 
 def twist_hom(L: Lie2Algebra, A: Lie2Hom, t: Tau) -> Lie2Hom:
     """Shift a self-homomorphism by a degree -1 map:
-    (A0 + d tau, A1 + tau d, A2 + l^A_tau); always a homomorphism again."""
-    return Lie2Hom(L, L, A.A0 + L.d @ t.mat, A.A1 + t.mat @ L.d,
-                   A.A2 + twist_lower(L, A, t))
+    (A0 + d tau, A1 + tau d, A2 + l^A_tau); always a homomorphism again.
+    d tau is formed once, for A0 + d tau and for l^A_tau (as in `twist_lower`)."""
+    dt = L.d @ t.mat
+    lower = _lower_term(L, sparse_columns(t.mat), sparse_columns(A.A0), sparse_columns(dt))
+    return Lie2Hom(L, L, A.A0 + dt, A.A1 + t.mat @ L.d, A.A2 + lower)
 
 
 def partial(L: Lie2Algebra, t: Tau) -> Aut0:
     """The connecting map: invertible tau |-> (I + d tau, I + tau d, l^id_tau).
 
-    The cached inverses come from the star-inverse: (I + d tau)^{-1} =
-    I + d tau^{-1} and likewise on the other side, so no elimination runs.
+    The star-inverse is read off the hom's first component, I + d tau, so
+    d tau is formed once.  The cached inverses come from it:
+    (I + d tau)^{-1} = I + d tau^{-1} and likewise on the other side, so no
+    elimination runs beyond the one that decides invertibility.
     """
-    ti = tau_inverse(L, t)
-    if ti is None:
-        raise ValueError("tau is not star-invertible")
     hom = twist_hom(L, hom_identity(L), t)
+    ti = _required_inverse(_star_inverse(t, hom.A0))
     a0i = Mat.identity(L.n0, L.mode) + L.d @ ti.mat
     a1i = Mat.identity(L.n1, L.mode) + ti.mat @ L.d
     return Aut0(hom, a0i, a1i)
@@ -227,9 +240,7 @@ def semidirect_multiply(L: Lie2Algebra, p1, p2) -> TwoGroupCell:
 
 def semidirect_inverse(L: Lie2Algebra, p) -> TwoGroupCell:
     A, t = p
-    ti = tau_inverse(L, t)
-    if ti is None:
-        raise ValueError("tau is not star-invertible")
+    ti = _required_inverse(tau_inverse(L, t))
     Ai = aut_inverse(A)
     return TwoGroupCell(Ai, act(L, Ai, ti))
 
@@ -309,16 +320,12 @@ def ad_conjugate(L: Lie2Algebra, conj, target):
     if isinstance(conj, Aut0) and isinstance(target, DerM1):
         return DerM1(conj.hom.A1 @ target.theta @ conj.a0_inv)
     if isinstance(conj, Tau) and isinstance(target, Derivation0):
-        ti = tau_inverse(L, conj)
-        if ti is None:
-            raise ValueError("tau is not star-invertible")
+        ti = _required_inverse(tau_inverse(L, conj))
         tm, tim = conj.mat, ti.mat
         theta = target.X1 @ tim + tm @ target.X0 + tm @ target.X0 @ L.d @ tim
         return (target, DerM1(theta))
     if isinstance(conj, Tau) and isinstance(target, DerM1):
-        ti = tau_inverse(L, conj)
-        if ti is None:
-            raise ValueError("tau is not star-invertible")
+        ti = _required_inverse(tau_inverse(L, conj))
         left = Mat.identity(L.n1, L.mode) + conj.mat @ L.d
         right = Mat.identity(L.n0, L.mode) + L.d @ ti.mat  # = (I + d tau)^{-1}
         return DerM1(left @ target.theta @ right)
@@ -342,9 +349,8 @@ class TauDraws:
     def __init__(self, L: Lie2Algebra, dens):
         self.n0, self.n1, self.dens = L.n0, L.n1, dens
         self.den = math.lcm(*dens)
-        entries = [Fraction(x) for x in L.d.data]
-        self.delta = math.lcm(1, *(x.denominator for x in entries))
-        self.d = Mat._result(L.n0, L.n1, [int(x * self.delta) for x in entries], "exact")
+        self.delta = common_denominator(L.d.data)
+        self.d = Mat._result(L.n0, L.n1, [int(x * self.delta) for x in L.d.data], "exact")
         self.diag = Mat.identity(L.n0).scale(self.den * self.delta)
 
     def image(self, pairs) -> tuple:

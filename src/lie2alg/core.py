@@ -7,6 +7,11 @@ by structure constants; validators return per-axiom residual tables so
 tests can assert exactly which law broke and where.  `validate_lie2` reads
 the constants through `Lie2Algebra.sparse`, a view of the nonzero ones
 computed once per algebra, so each law costs what its nonzero terms cost.
+In exact mode it runs the laws on an integer image of the constants, the
+fraction-free approach of `linalg.adjugate_det`: each law is homogeneous
+of degree 2 in them, so scaling every constant by their common denominator
+D scales every residual by D^2 and leaves the worst one and its witness in
+place.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from .linalg import (
     SPARSE_ZERO,
     AltTensor,
     Mat,
+    _quotient,
     basis_vec,
+    common_denominator,
     kernel,
     mat_distance,
     scalar_zero,
@@ -217,9 +224,24 @@ def validate_lie2(L: Lie2Algebra) -> ResidualReport:
     structure constants only (`Lie2Algebra.sparse`), adding its terms in
     the order of the dense evaluation on unit vectors, so values and
     witnesses are those of that evaluation (floats bit for bit).
+
+    Exact laws run in ints.  Every term of every law is a product of
+    exactly two structure constants, so with D the lcm of the denominators
+    of the nonzero constants, the laws on the integer image (every constant
+    times D) have residual vectors D^2 times the true ones.  As D^2 > 0, the
+    first maximum of each law and its witness are the same; the reported
+    value is that maximum divided by D^2, exactly.  Float constants are
+    used as they are (D = 1).
     """
     n0, n1 = L.n0, L.n1
     d, b00, b01, l3 = L.sparse()
+    D = 1 if L.mode == "float" else common_denominator(
+        x for v in itertools.chain(d, *b01, b00.values(), l3.values()) for x in v.values())
+    if D != 1:  # the integer image, every constant times D, formed with no Fraction operation
+        def scale(v):
+            return {c: x.numerator * (D // x.denominator) for c, x in v.items()}
+        d, b01 = [scale(v) for v in d], [[scale(v) for v in m] for m in b01]
+        b00, l3 = ({key: scale(v) for key, v in t.items()} for t in (b00, l3))
     acc = {k: _Acc(L.mode) for k in ("a1", "a2", "b1", "b2", "c")}
 
     def br00(u, k):  # [u, e_k] for u in g_0
@@ -272,7 +294,8 @@ def validate_lie2(L: Lie2Algebra) -> ResidualReport:
                           l3_pair(b00.get((quad[a], quad[b]), SPARSE_ZERO), s, t)))
         acc["c"].add(sparse_sum(*terms).values(), quad)
 
-    return ResidualReport({k: a.residual() for k, a in acc.items()})
+    return ResidualReport({k: Residual(a.value if D == 1 else _quotient(a.value, D * D), a.witness)
+                           for k, a in acc.items()})
 
 
 # ---------------------------------------------------------------------------

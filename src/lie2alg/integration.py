@@ -73,6 +73,7 @@ from .derivations import (
 from .linalg import (
     AltTensor,
     Mat,
+    common_denominator,
     nilpotency_index,
     row_sum_norm,
     truncated_exp,
@@ -364,7 +365,7 @@ class _IvImages:
     def __init__(self, L: Lie2Algebra, der_basis):
         self.n0, self.n1 = L.n0, L.n1
         legs = [B.X0.data + B.X1.data for B in der_basis]
-        self.sigma = math.lcm(1, *(x.denominator for leg in legs for x in leg))
+        self.sigma = common_denominator(x for leg in legs for x in leg)
         self.legs = [[(t, int(x * self.sigma)) for t, x in enumerate(leg) if x]
                      for leg in legs]
         self.taus = TauDraws(L, _DENS)

@@ -15,8 +15,9 @@ mode of its operands.  Mixing the two modes in one expression raises
 `ModeError`.  Row reduction, kernel bases and exact inverses are only
 available in exact mode, where results are exact by construction; they
 share one elimination over sparse rows (`_reduce`).  `adjugate_det`
-eliminates integer matrices fraction-free instead, in ints only.  All
-values are immutable and all operations are pure.
+eliminates integer matrices fraction-free instead, in ints only, and
+`common_denominator` gives the factor that scales rational data to such
+an integer image.  All values are immutable and all operations are pure.
 Sparse vectors ({index: value}) serve the law evaluators and
 `AltTensor.eval`, which runs through `sparse_eval`; see the "sparse
 vectors" section.
@@ -48,6 +49,11 @@ def _exact(q):
 def _quotient(x, y):
     """The exact quotient x / y of two exact scalars, in canonical form."""
     return _exact(Fraction(x, y))
+
+
+def common_denominator(values) -> int:
+    """The lcm of the denominators of exact scalars, 1 for none."""
+    return math.lcm(1, *(x.denominator for x in values))
 
 
 def rat(text: str):

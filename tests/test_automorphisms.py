@@ -8,6 +8,7 @@ import pytest
 from lie2alg import automorphisms, linalg
 
 from lie2alg.automorphisms import (
+    Aut0,
     Tau,
     TauDraws,
     TwoGroupCell,
@@ -37,6 +38,7 @@ from lie2alg.automorphisms import (
     tau_of_draws,
     tau_zero,
     twist_hom,
+    twist_lower,
     random_tau,
     vcompose,
 )
@@ -340,6 +342,39 @@ def test_partial_is_group_homomorphism():
             lhs = partial(L, star(L, t1, t2)).hom
             rhs = compose_hom(partial(L, t1).hom, partial(L, t2).hom)
             assert hom_distance(lhs, rhs) == 0
+
+
+def _ref_partial(L, t):
+    """partial as three separate steps form it: the star-inverse, the
+    twist of the identity (A0 + d tau, A1 + tau d, A2 + l^A_tau) and the
+    inverses I + d tau^{-1}, I + tau^{-1} d."""
+    ti = tau_inverse(L, t)
+    ident = hom_identity(L)
+    hom = Lie2Hom(L, L, ident.A0 + L.d @ t.mat, ident.A1 + t.mat @ L.d,
+                  ident.A2 + twist_lower(L, ident, t))
+    return Aut0(hom, Mat.identity(L.n0, L.mode) + L.d @ ti.mat,
+                Mat.identity(L.n1, L.mode) + ti.mat @ L.d)
+
+
+def test_partial_forms_d_tau_once(monkeypatch):
+    rng = random.Random(44)
+    cases = [(L, random_tau(L, rng, invertible=True)) for L in (fix_str(), fix_end())
+             for _ in range(3)]
+    cases += [(L.to_float(), t.to_float()) for L, t in cases[3:]]
+    real = Mat.__matmul__
+    for L, t in cases:
+        want = _ref_partial(L, t)
+        products = []
+
+        def counting(a, b):
+            products.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(Mat, "__matmul__", counting)
+        got = partial(L, t)
+        monkeypatch.setattr(Mat, "__matmul__", real)
+        assert sum(a is L.d and b is t.mat for a, b in products) == 1
+        assert got == want  # the hom and both cached inverses
 
 
 def test_partial_lands_in_aut0():

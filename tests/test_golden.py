@@ -9,7 +9,7 @@ from 3.12 on it compensates its rounding, and those lines may differ in
 their last digits.
 
 To rewrite the files from the code on the import path (only when a report
-is meant to change):
+is meant to change), from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -37,6 +37,10 @@ AUT_CASES = (
     ("aut-endo-1-1-tau", "endo-1-1", "endo-1-1-tau.tau", 0),
     ("aut-endo-1-1-tau-singular", "endo-1-1", "endo-1-1-tau-singular.tau", 1),
 )
+ROOT = GOLDEN.parent.parent
+# an exact algebra file with denominators 3 and 7 that breaks b1 and b2 (exit 1);
+# its report names the file, so it runs from the repository root, as CI runs it
+BROKEN_B1_B2 = "tests/golden/broken-b1-b2.lie2"
 
 
 def _cases() -> dict:
@@ -54,6 +58,7 @@ def _cases() -> dict:
         ["exp", "skeletal-demo", "--element", str(NON_DERIVATION)], 1)
     for stem, name, element, code in AUT_CASES:
         cases[stem] = (["aut", name, "--element", str(GOLDEN / element)], code)
+    cases["validate-broken-b1-b2"] = (["validate", BROKEN_B1_B2], 1)
     return cases
 
 
@@ -61,7 +66,8 @@ CASES = _cases()
 
 
 @pytest.mark.parametrize("stem", sorted(CASES))
-def test_golden_report(stem):
+def test_golden_report(stem, monkeypatch):
+    monkeypatch.chdir(ROOT)
     argv, want_code = CASES[stem]
     code, text = run(argv)
     assert code == want_code, text

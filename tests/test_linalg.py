@@ -13,6 +13,7 @@ from lie2alg.linalg import (
     Mat,
     ModeError,
     adjugate_det,
+    common_denominator,
     kernel,
     kernel_basis,
     mat_distance,
@@ -169,6 +170,15 @@ def test_adjugate_det_edge_cases():
                 Mat.from_rows([[1, 2]])):
         with pytest.raises(ValueError):
             adjugate_det(bad)
+
+
+def test_common_denominator():
+    assert common_denominator([]) == 1
+    assert common_denominator(iter([3, 0, -5])) == 1
+    assert common_denominator([Fraction(1, 4), 2, Fraction(-5, 6), Fraction(3, 4)]) == 12
+    values = [Fraction(1, 3), Fraction(2, 7), Fraction(-5, 12)]
+    D = common_denominator(values)
+    assert D == 84 and all((x * D).denominator == 1 for x in values)
 
 
 def test_mat_inverse_float():
