@@ -7,7 +7,7 @@ are checked with exact rational arithmetic; truncated floating-point
 series are used only for non-terminating exponentials.
 """
 
-from .linalg import Rat, Mat, AltTensor, ModeError, rat, rref, kernel_basis, mat_inverse, truncated_exp
+from .linalg import Mat, AltTensor, ModeError, rat, rref, kernel_basis, mat_inverse, truncated_exp
 from .core import (
     Lie2Algebra,
     Lie2Hom,
@@ -49,7 +49,6 @@ from .automorphisms import (
     act,
     check_crossed_module,
     vcompose,
-    hmultiply,
     semidirect_multiply,
     classify_automorphism,
     ad_conjugate,

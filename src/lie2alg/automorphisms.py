@@ -249,11 +249,6 @@ def semidirect_distance(L: Lie2Algebra, p1, p2):
     return max(aut_distance(p1[0], p2[0]), tau_distance(p1[1], p2[1]))
 
 
-# the horizontal product of cells is the semidirect product of their pairs
-hmultiply = semidirect_multiply
-cell_distance = semidirect_distance
-
-
 def cell_source(L: Lie2Algebra, c: TwoGroupCell) -> Aut0:
     return c.g
 

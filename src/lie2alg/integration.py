@@ -109,10 +109,8 @@ def der0_terminating(D: Derivation0):
     if D.mode != "exact":
         return None
     p0 = nilpotency_index(D.X0)
-    p1 = nilpotency_index(D.X1)
-    if p0 is None or p1 is None:
-        return None
-    return p0, p1
+    p1 = None if p0 is None else nilpotency_index(D.X1)
+    return None if p1 is None else (p0, p1)
 
 
 def derM1_terminating(L: Lie2Algebra, T: DerM1):

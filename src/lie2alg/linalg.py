@@ -31,8 +31,6 @@ import re
 from fractions import Fraction
 from types import MappingProxyType
 
-Rat = Fraction
-
 _RAT_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
@@ -221,12 +219,7 @@ class Mat:
     # Exact sums skip zero operands, which changes no exact value; float
     # sums stay dense, so signed zeros come out as the dense ops make them.
     def __add__(self, other: "Mat") -> "Mat":
-        pairs = self._pairs(other)
-        if self.mode == "float":
-            data = [a + b for a, b in pairs]
-        else:
-            data = [(a + b if a else b) if b else a for a, b in pairs]
-        return Mat._result(self.rows, self.cols, data, self.mode)
+        return Mat._result(self.rows, self.cols, _flat_add(self._pairs(other), self.mode), self.mode)
 
     def __sub__(self, other: "Mat") -> "Mat":
         pairs = self._pairs(other)
@@ -257,25 +250,9 @@ class Mat:
         _same_mode(self, other)
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self.data, other.data
-        # accumulate the nonzero entries of the rows of `other` picked by the
-        # nonzero entries of self.  Exact sums do not depend on their order;
-        # for finite floats each skipped product is a signed zero, which
-        # changes no running sum started at 0.0, so float results are the
-        # dense left-to-right sums bit for bit.
-        zero = scalar_zero(self.mode)
-        brows = [[(j, y) for j, y in enumerate(b[t * m:(t + 1) * m]) if y] for t in range(k)]
-        out = []
-        for i in range(n):
-            acc = [zero] * m
-            for t in range(k):
-                x = a[i * k + t]
-                if x:
-                    for j, y in brows[t]:
-                        acc[j] += x * y
-            out += acc
-        return Mat._result(n, m, out, self.mode)
+        out = _flat_mul(self.data, self.rows, _nonzero_rows(other.data, other.rows, other.cols),
+                        other.cols, scalar_zero(self.mode))
+        return Mat._result(self.rows, other.cols, out, self.mode)
 
     def apply(self, vec: tuple) -> tuple:
         """The product m vec.
@@ -335,6 +312,42 @@ class Mat:
     def __repr__(self) -> str:
         rows = [" ".join(rat_str(self.at(i, j)) for j in range(self.cols)) for i in range(self.rows)]
         return "Mat[" + "; ".join(rows) + "]"
+
+
+def _flat_add(pairs, mode: str) -> list:
+    """The sums a + b of (a, b) pairs in `mode`, as `Mat.__add__` forms them."""
+    if mode == "float":
+        return [a + b for a, b in pairs]
+    return [(a + b if a else b) if b else a for a, b in pairs]
+
+
+def _nonzero_rows(data, rows: int, cols: int) -> list:
+    """The nonzero entries of each row of row-major `data`, as (col, value)
+    pairs: the right factor of `_flat_mul`."""
+    return [[(j, y) for j, y in enumerate(data[i * cols:(i + 1) * cols]) if y] for i in range(rows)]
+
+
+def _flat_mul(a, n: int, brows: list, m: int, zero) -> list:
+    """The row-major entries of the product of the n x len(brows) row-major
+    entries `a` with the matrix of m columns whose nonzero rows are `brows`
+    (`_nonzero_rows`); the one matrix product loop of the package.
+
+    Row i accumulates, from `zero`, the rows of brows picked by the nonzero
+    entries of row i of a, in increasing order.  Exact sums do not depend on
+    their order; for finite floats each skipped product is a signed zero,
+    which changes no running sum started at 0.0, so float results are the
+    dense left-to-right sums bit for bit.
+    """
+    k, out = len(brows), []
+    for i in range(n):
+        acc = [zero] * m
+        for t, row in enumerate(brows, i * k):
+            x = a[t]
+            if x:
+                for j, y in row:
+                    acc[j] += x * y
+        out += acc
+    return out
 
 
 def _exact_rows(m: Mat, what: str) -> list:
@@ -554,12 +567,13 @@ def nilpotency_index(m: Mat):
     """Smallest k <= dim with m^k = 0, or None if m is not nilpotent."""
     if m.rows != m.cols:
         raise ValueError("square matrix required")
-    p = m
-    for k in range(1, m.rows + 1):
-        if p.is_zero():
+    n, zero = m.rows, scalar_zero(m.mode)
+    p, brows = m.data, _nonzero_rows(m.data, n, n)
+    for k in range(1, n + 1):
+        if not any(p):
             return k
-        p = p @ m
-    return 1 if m.rows == 0 else None
+        p = _flat_mul(p, n, brows, n, zero)
+    return 1 if n == 0 else None
 
 
 def row_sum_norm(m: Mat) -> float:
@@ -580,13 +594,20 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     squared s times, so the series is only ever summed where it converges
     fast, however large ||tm|| is.  A norm that is not finite raises
     ValueError.
+
+    The series and the squarings run on flat row-major lists through
+    `_flat_mul`, with the nonzero rows of m built once: term n is term
+    n - 1 times m, scaled by t / n, and is added as `Mat.__add__` adds, so
+    results are those of the same `Mat` operations (in float bit for bit,
+    signed zeros included); only the result is built as a `Mat`.
     """
     if m.rows != m.cols:
         raise ValueError("square matrix required")
     if order < 1:
         raise ValueError("order must be >= 1")
-    s = 0
-    if m.mode == "float":
+    size, mode, s = m.rows, m.mode, 0
+    exact = mode == "exact"
+    if not exact:
         t = float(t)
         ratio = 2 * abs(t) * row_sum_norm(m)  # ||tm|| / 0.5
         if not math.isfinite(ratio):
@@ -595,21 +616,23 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
         t, top = math.ldexp(t, -s), order
     else:
         # an exact m is nilpotent iff a term vanishes, by term m.rows at the latest
-        t, top = Fraction(t), max(order, m.rows)
-    result = term = at_order = Mat.identity(m.rows, m.mode)
+        t, top = Fraction(t), max(order, size)
+    zero, brows = scalar_zero(mode), _nonzero_rows(m.data, size, size)
+    result = term = at_order = Mat.identity(size, mode).data
     for n in range(1, top + 1):
-        term = term @ m
-        if m.mode == "exact" and term.is_zero():
+        term = _flat_mul(term, size, brows, size, zero)
+        if exact and not any(term):
             break
-        term = term.scale(t / n if m.mode == "float" else Fraction(t, n))
-        result = result + term
+        c = _quotient(t, n) if exact else t / n
+        term = [c * a for a in term]
+        result = _flat_add(zip(result, term), mode)
         if n == order:
             at_order = result
     else:
         result = at_order  # no term vanished: the series stops at `order`
     for _ in range(s):
-        result = result @ result
-    return result
+        result = _flat_mul(result, size, _nonzero_rows(result, size, size), size, zero)
+    return Mat._result(size, size, result, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,28 @@ def test_bracket_recovery_reports_match_their_pinned_digest():
     assert h.hexdigest() == BRACKET_RECOVERY_DIGEST
 
 
+
+# sha256 of "NAME SEED CODE\n" + report text of `lie2 check NAME --suite SUITE
+# --samples 2 --seed SEED`, for NAME in NAMED and SEED = 1..20 in that order:
+# the float lines of these suites run the order-24 series with scaling and
+# squaring, so every term, sum and squaring of `truncated_exp` stays fixed
+FLOAT_SERIES_SEEDS = range(1, 21)
+ONE_PARAMETER_DIGEST = "6b02139844a8854feedda4d1abadf3f6d5376c5b2ddc4ac7a73f90d347b3edae"
+EXP_SQUARE_DIGEST = "53eef47f1ae16c47ad6f5567e2ada3a217b7b4e9a1d32f6d375ef728ac4292ca"
+
+
+@pytest.mark.parametrize("suite, digest", [("one-parameter", ONE_PARAMETER_DIGEST),
+                                           ("exp-square", EXP_SQUARE_DIGEST)],
+                         ids=["one-parameter", "exp-square"])
+def test_float_series_reports_match_their_pinned_digest(suite, digest):
+    h = hashlib.sha256()
+    for name in NAMED:
+        for seed in FLOAT_SERIES_SEEDS:
+            code, text = run(["check", name, "--suite", suite, "--samples", "2",
+                              "--seed", str(seed)])
+            h.update(f"{name} {seed} {code}\n{text}".encode())
+    assert h.hexdigest() == digest
+
 if __name__ == "__main__":
     for stem, (argv, _) in sorted(CASES.items()):
         code, text = run(argv)

@@ -22,6 +22,7 @@ from lie2alg.linalg import (
     rank,
     rat,
     rat_str,
+    row_sum_norm,
     rref,
     solve,
     truncated_exp,
@@ -242,6 +243,86 @@ def test_truncated_exp_float_small_norm_is_the_plain_series():
         want = want + term
     assert truncated_exp(m, 1, 24) == want
 
+
+
+def ref_truncated_exp(m, t=1, order=24):
+    """The earlier `Mat` loop of `truncated_exp`: each term is term @ m,
+    scaled by t / n, then added, with a `Mat` built at every step."""
+    s = 0
+    if m.mode == "float":
+        t = float(t)
+        ratio = 2 * abs(t) * row_sum_norm(m)
+        s = max(0, math.ceil(math.log2(ratio))) if ratio > 0 else 0
+        t, top = math.ldexp(t, -s), order
+    else:
+        t, top = Fraction(t), max(order, m.rows)
+    result = term = at_order = Mat.identity(m.rows, m.mode)
+    for n in range(1, top + 1):
+        term = term @ m
+        if m.mode == "exact" and term.is_zero():
+            break
+        term = term.scale(t / n if m.mode == "float" else Fraction(t, n))
+        result = result + term
+        if n == order:
+            at_order = result
+    else:
+        result = at_order
+    for _ in range(s):
+        result = result @ result
+    return result
+
+
+def _typed(data):
+    """Float entries by repr (signed zeros too), exact ones by type and value."""
+    return [repr(x) if type(x) is float else (type(x), x) for x in data]
+
+
+def _exp_cases(rng):
+    """Seeded sparse matrices of sizes 0-7: float ones with signed zeros,
+    exact ones nilpotent (strictly upper triangular, permuted) or not."""
+    for size in range(8):
+        for _ in range(2):
+            yield Mat.zero(size, size, "float") if size == 0 else Mat(
+                size, size, [rng.uniform(-2, 2) if rng.random() < 0.4 else rng.choice((0.0, -0.0))
+                             for _ in range(size * size)])
+            perm = rng.sample(range(size), size)
+            for nilpotent in (True, False):
+                data = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                        if rng.random() < 0.4 and (perm[j] > perm[i] or not nilpotent) else 0
+                        for i in range(size) for j in range(size)]
+                yield Mat(size, size, data)
+
+
+def test_truncated_exp_matches_the_mat_loop_reference():
+    rng = random.Random(2024)
+    ts = {"float": (1e-3, -1e-3, 0.5, 1, 4, 30),
+          "exact": (Fraction(1, 1000), Fraction(-1, 1000), Fraction(1, 2), 1, 4, 30)}
+    for m in _exp_cases(rng):
+        for t in ts[m.mode]:
+            for order in (1, 2, 5, 24):
+                got, want = truncated_exp(m, t, order), ref_truncated_exp(m, t, order)
+                assert (got.rows, got.cols, got.mode) == (want.rows, want.cols, want.mode)
+                assert _typed(got.data) == _typed(want.data), (m, t, order)
+
+
+def test_truncated_exp_builds_no_intermediate_mat(monkeypatch):
+    """The series, the squarings and the nilpotency test run on flat lists:
+    no `Mat` product, scaling or sum is formed on the way."""
+    float_m = Mat.from_rows([[0.0, 3.0, -0.0], [1.5, 0.0, 2.0], [0.0, -1.0, 0.25]])
+    cases = [(float_m, 4), (Mat.from_rows([[0, 2, 1], [0, 0, -1], [0, 0, 0]]), Fraction(2, 3)),
+             (Mat.from_rows([[1, 1], [0, 2]]), Fraction(1, 2))]
+    want = [ref_truncated_exp(m, t) for m, t in cases]
+
+    def refuse(*args):
+        raise AssertionError("Mat operation inside the exponential kernel")
+
+    for name in ("__matmul__", "scale", "__add__"):
+        monkeypatch.setattr(Mat, name, refuse)
+    got = [truncated_exp(m, t) for m, t in cases]
+    indices = [nilpotency_index(m) for m, _ in cases]
+    monkeypatch.undo()
+    assert [_typed(g.data) for g in got] == [_typed(w.data) for w in want]
+    assert indices == [None, 3, None]
 
 def test_rank_nullity():
     rng = random.Random(11)
