@@ -40,7 +40,6 @@ from .automorphisms import (
     Tau,
     Aut0,
     TwoGroupCell,
-    is_aut0,
     certify_aut0,
     star,
     tau_inverse,

@@ -76,15 +76,6 @@ def tau_distance(a: Tau, b: Tau):
 # degree 0
 # ---------------------------------------------------------------------------
 
-def is_aut0(L: Lie2Algebra, A: Lie2Hom, tol=0):
-    """(flag, residual report): A is an automorphism iff the homomorphism
-    residuals vanish (within tol) and both components are invertible."""
-    rep = validate_hom(A)
-    invertible = mat_inverse(A.A0) is not None and mat_inverse(A.A1) is not None
-    ok = invertible and all(abs(r.value) <= tol for _, r in rep)
-    return ok, rep
-
-
 def certify_aut0(L: Lie2Algebra, A: Lie2Hom, tol=0) -> Aut0:
     """Validate and cache the component inverses; raises on failure."""
     rep = validate_hom(A)

@@ -282,6 +282,14 @@ def _cmd_exp(args) -> tuple:
 
 
 def _cmd_check(args) -> tuple:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed is None:
+        seed = os.environ.get("LIE2_SEED", "0")
+        try:
+            args.seed = int(seed)
+        except ValueError:
+            raise ValueError(f"LIE2_SEED must be an integer, got {seed!r}") from None
     L = _load_algebra(args.file)
     cfg = ExpConfig(order=args.order, tol=args.tol, fd_step=args.fd_step)
     rng = random.Random(args.seed)
@@ -349,8 +357,6 @@ def run(argv) -> tuple:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return (2 if exc.code not in (0, None) else 0), ""
-    if getattr(args, "seed", None) is None and args.command == "check":
-        args.seed = int(os.environ.get("LIE2_SEED", "0"))
     try:
         text, passed = {
             "validate": _cmd_validate,

@@ -4,9 +4,12 @@ Degree-0 derivations are triples (X0, X1, lX); degree minus-1 derivations
 are maps theta: g_0 -> g_{-1} (the full Hom space).  The four degree-0
 conditions are written once, in `_der0_condition_vectors`, as sums over the
 nonzero structure constants of the algebra (`Lie2Algebra.sparse`).  The
-membership test evaluates them on one candidate; the degree-0 space is the
-kernel of the stacked homogeneous linear system obtained by evaluating them
-on the unknowns themselves, as linear forms.
+membership test evaluates them on one candidate.  Evaluated on the
+unknowns themselves, as linear forms, they give the sparse rows of the
+stacked homogeneous linear system (`der0_constraints`), and the degree-0
+space is the kernel of those rows, from the one exact elimination of the
+package (`linalg._reduce`); the inner derivations are reduced by the same
+elimination.  No dense matrix of either system is built.
 
 The derivation Lie 2-algebra (`build_der_lie2`) reads each basis derivation
 once into a sparse form (`_Sparse0`: the columns and rows of X0 and X1, lX
@@ -37,11 +40,11 @@ from .linalg import (
     ModeError,
     _check_scalar,
     _exact,
+    _kernel,
+    _reduce,
     _same_mode,
     basis_vec,
-    kernel,
     mat_distance,
-    rref,
     scalar_zero,
     sparse_alt,
     sparse_apply,
@@ -266,16 +269,17 @@ class _Form(dict):
     __rmul__ = __mul__
 
 
-def der0_constraints(L: Lie2Algebra) -> Mat:
-    """The matrix of the degree-0 derivation conditions.
+def der0_constraints(L: Lie2Algebra) -> list:
+    """The rows of the degree-0 derivation conditions, as sparse vectors.
 
     The conditions are linear in (X0, X1, lX), so `_der0_condition_vectors`
     evaluated on the unknowns themselves, as unit linear forms, gives each
-    residual coordinate as a linear form: row t of the matrix is the t-th
-    coordinate of the stacked residual vectors (chain, then (a), (b) and (c)
-    by basis tuple), column u the coefficient of the u-th unknown of
-    `flatten_der0`.  The kernel is exact, so a float algebra raises
-    `ModeError`.
+    residual coordinate as a linear form: row t is the t-th coordinate of
+    the stacked residual vectors (chain, then (a), (b) and (c) by basis
+    tuple), {u: coefficient of the u-th unknown of `flatten_der0`}, with
+    the exact zeros that a sum of forms can hold dropped.  There are
+    `_der0_flat_len(L)` unknowns.  The kernel is exact, so a float algebra
+    raises `ModeError`.
     """
     if L.mode != "exact":
         raise ModeError("der0_constraints requires exact scalars")
@@ -288,22 +292,18 @@ def der0_constraints(L: Lie2Algebra) -> Mat:
     for p, (i, j) in enumerate(itertools.combinations(range(n0), 2)):
         lx[i, j] = {c: unit[n0 * n0 + n1 * n1 + p * n1 + c] for c in range(n1)}
         lx[j, i] = {c: -f for c, f in lx[i, j].items()}
-    rows = [vec.get(c, SPARSE_ZERO)
+    return [{u: v for u, v in vec.get(c, SPARSE_ZERO).items() if v}
             for size, group in _der0_condition_vectors(L, x0, x1, lx).values()
             for vec, _ in group for c in range(size)]
-    data = [0] * (len(rows) * nfree)
-    for t, form in enumerate(rows):
-        for u, v in form.items():
-            data[t * nfree + u] = v
-    return Mat._result(len(rows), nfree, data, "exact")
 
 
 def _der0_kernel(L: Lie2Algebra):
-    """(basis, coords) of the degree-0 derivation space from one elimination
-    of `der0_constraints` (`linalg.kernel`): coords(v) is the coordinate
-    tuple in the basis of a vector v of `flatten_der0` coordinates, dense or
-    sparse, and raises ValueError when v is off the span."""
-    vecs, span = kernel(der0_constraints(L))
+    """(basis, coords) of the degree-0 derivation space: the kernel of the
+    sparse rows of `der0_constraints`, from one elimination
+    (`linalg._kernel`).  coords(v) is the coordinate tuple in the basis of
+    a vector v of `flatten_der0` coordinates, dense or sparse, and raises
+    ValueError when v is off the span."""
+    vecs, span = _kernel(der0_constraints(L), _der0_flat_len(L))
 
     def coords(v) -> tuple:
         c = span(v)
@@ -638,20 +638,19 @@ def adbar(L: Lie2Algebra, der: DerLie2 | None = None) -> Lie2Hom:
 
 def inn0_basis(L: Lie2Algebra) -> list:
     """Basis of inner degree-0 derivations: the span of the adjoint image
-    and the image of the differential, by exact row reduction (generator
-    order: adjoint generators first, then differential images of the Hom
-    basis).  A float algebra raises `ModeError`."""
+    and the image of the differential, as the pivot rows of the one exact
+    elimination (`linalg._reduce`) of the nonzero `flatten_der0`
+    coordinates of the generators (adjoint generators first, then
+    differential images of the Hom basis), in pivot order.  A float algebra
+    raises `ModeError`."""
     if L.mode != "exact":
         raise ModeError("inner derivations need an exact algebra: "
                         "their basis comes from an exact row reduction")
     gens = [adbar0_single(L, L.e0(i)) for i in range(L.n0)]
     gens += [dbar(L, T) for T in derM1_basis(L)]
-    if not gens:
-        return []
-    rows = Mat._result(len(gens), _der0_flat_len(L),
-                       [x for D in gens for x in flatten_der0(L, D)], "exact")
-    red, pivots = rref(rows)
-    return [unflatten_der0(L, red.row(t)) for t in range(len(pivots))]
+    n = _der0_flat_len(L)
+    rows = [{t: v for t, v in enumerate(flatten_der0(L, D)) if v} for D in gens]
+    return [unflatten_der0(L, sparse_dense(r, n, 0)) for r in _reduce(rows, n)[0]]
 
 
 # ---------------------------------------------------------------------------

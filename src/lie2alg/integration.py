@@ -61,9 +61,7 @@ from .derivations import (
     adbar0_single,
     compute_der0_basis,
     dbar,
-    der0_distance,
     derM1_basis,
-    graded_bracket,
     inn0_basis,
     is_derivation0,
     random_der0,
@@ -286,12 +284,6 @@ def recover_bracket(L: Lie2Algebra, D1: Derivation0, D2: Derivation0,
     return Derivation0(((pp.A0 - pm.A0) - (mp.A0 - mm.A0)).scale(scale),
                        ((pp.A1 - pm.A1) - (mp.A1 - mm.A1)).scale(scale),
                        (pp.A2 - pm.A2 - mp.A2 + mm.A2).scale(scale))
-
-
-def bracket_recovery_residual(L, D1, D2, cfg: ExpConfig = DEFAULT):
-    got = recover_bracket(L, D1, D2, cfg)
-    want = graded_bracket(L, D1, D2).to_float()
-    return der0_distance(got, want)
 
 
 def recover_bracket_m1(L: Lie2Algebra, T1: DerM1, T2: DerM1,

@@ -425,7 +425,14 @@ def rref(m: Mat):
 
 
 def kernel(m: Mat):
-    """The exact null space from one elimination: (basis, coords).
+    """The exact null space of m from one elimination: (basis, coords), see
+    `_kernel`."""
+    return _kernel(_exact_rows(m, "kernel"), m.cols)
+
+
+def _kernel(rows: list, ncols: int):
+    """The null space of exact sparse rows ({col: value}, no stored zeros)
+    in ncols unknowns, from one elimination (`_reduce`): (basis, coords).
 
     The basis has one vector per free column: the free column set to 1, the
     other free columns 0, read off the pivot rows.  So coords(b), the
@@ -434,17 +441,17 @@ def kernel(m: Mat):
     coords returns None.  b is a vector, whose wrong length raises
     ValueError, or a sparse vector ({index: value}, see "sparse vectors"
     below); either way only the pivot rows that meet the support of b are
-    visited.
+    visited.  The rows passed in are consumed.
     """
-    pivot_rows, pivots = _reduce(_exact_rows(m, "kernel"), m.cols)
-    free = sorted(set(range(m.cols)) - set(pivots))
-    touched = [[] for _ in range(m.cols)]  # column -> (pivot row number, entry)
+    pivot_rows, pivots = _reduce(rows, ncols)
+    free = sorted(set(range(ncols)) - set(pivots))
+    touched = [[] for _ in range(ncols)]  # column -> (pivot row number, entry)
     for t, r in enumerate(pivot_rows):
         for j, x in r.items():
             touched[j].append((t, x))
     basis = []
     for f in free:
-        v = [0] * m.cols
+        v = [0] * ncols
         v[f] = 1
         for t, x in touched[f]:
             v[pivots[t]] = -x
@@ -455,7 +462,7 @@ def kernel(m: Mat):
     def coords(b):
         if isinstance(b, dict):
             support = b.items()
-        elif len(b) != m.cols:
+        elif len(b) != ncols:
             raise ValueError("vector length mismatch")
         else:
             support = [(j, y) for j, y in enumerate(b) if y]

@@ -23,7 +23,6 @@ from lie2alg.automorphisms import (
     certify_aut0,
     check_crossed_module,
     classify_automorphism,
-    is_aut0,
     partial,
     semidirect_distance,
     semidirect_identity,
@@ -81,8 +80,7 @@ def string_aut0(L, rng):
 
 def test_identity_is_aut0():
     for L in (fix_ab(), fix_str(), fix_end()):
-        ok, _ = is_aut0(L, hom_identity(L))
-        assert ok
+        assert certify_aut0(L, hom_identity(L)) == aut_identity(L)
 
 
 def test_string_weak_automorphisms_certify():
@@ -96,9 +94,9 @@ def test_string_weak_automorphisms_certify():
 def test_string_scaling_degree_m1_fails():
     L = fix_str()
     A = Lie2Hom(L, L, Mat.identity(3), Mat.from_rows([[2]]), AltTensor.zero(2, 3, 1))
-    ok, rep = is_aut0(L, A)
-    assert not ok
-    assert "iii" in rep.violated()
+    assert "iii" in validate_hom(A).violated()
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        certify_aut0(L, A)
 
 
 def test_aut_inverse_uses_cache():
@@ -379,8 +377,8 @@ def test_partial_lands_in_aut0():
     rng = random.Random(42)
     for L in (fix_str(), fix_end(), skeletal_demo()):
         t = random_tau(L, rng, invertible=True)
-        ok, _ = is_aut0(L, partial(L, t).hom)
-        assert ok
+        hom = partial(L, t).hom
+        assert certify_aut0(L, hom).hom == hom
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +596,8 @@ def test_strictness_stable_under_composition():
 def _strict_by_stripped_hom(L, A):
     """Strictness as the homomorphism test of (A0, A1, 0), tolerance 0."""
     stripped = Lie2Hom(L, L, A.hom.A0, A.hom.A1, AltTensor.zero(2, L.n0, L.n1, L.mode))
-    return A.hom.A2.is_zero() and is_aut0(L, stripped)[0]
+    return (A.hom.A2.is_zero() and validate_hom(stripped).ok
+            and mat_inverse(A.hom.A0) is not None and mat_inverse(A.hom.A1) is not None)
 
 
 def test_classify_aut0_agrees_with_the_stripped_hom_without_inverting(monkeypatch):

@@ -171,6 +171,20 @@ def test_check_seed_env_default(monkeypatch):
     assert code1 == 0
 
 
+def test_check_invalid_seed_env_is_input_error(monkeypatch):
+    monkeypatch.setenv("LIE2_SEED", "abc")
+    code, text = run(["check", "abelian", "--suite", "axioms"])
+    assert (code, text) == (2, "error: LIE2_SEED must be an integer, got 'abc'\n")
+    assert run(["check", "abelian", "--suite", "axioms", "--seed", "3"])[0] == 0
+
+
+def test_check_without_samples_is_input_error():
+    # no sample would give a vacuous RESULT PASS
+    for samples in ("0", "-3"):
+        code, text = run(["check", "abelian", "--suite", "exp-square", "--samples", samples])
+        assert (code, text) == (2, f"error: --samples must be at least 1, got {samples}\n")
+
+
 def test_example_output_parses(tmp_path):
     code, text = run(["example", "--name", "skeletal-demo"])
     assert code == 0

@@ -568,6 +568,81 @@ def test_derivation_algebras_match_their_pinned_digests():
     assert got == DER_DIGESTS
 
 
+# sha256 of the serialized inn0_basis, recorded from the dense reduction
+# (rref of a Mat of the generators) that the sparse one replaced
+INN_DIGESTS = {
+    "abelian": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "string-sl2": "b8d0f2153e7408e8f1c6ced1c98530a324ac09f0d239f4e4351013b65c26c9bf",
+    "endo-1-1": "8817d39d850e6511c97a11698d1acd7f7c02a3f2c758bad1ba1a7315d67e0579",
+    "skeletal-demo": "dd20fcbb3c687e249171fa87d2044b065d7795da9cbc3ca29eacd060dfdaddc6",
+    "string-sl3": "7637aeb316f5a886a02e579f58e809d9e0fc46b9b7521fce789066093b4b8119",
+    "endo-id2": "fd63b7503b764d8d506a343df068af811c014779e14e9b69b544ea14403f7fea",
+    "random-0": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "random-1": "391b82e8ec92bb6e0767886206a0dbb5ed706a89a659aae22b3bac78ce30a8b9",
+    "random-2": "b8d0f2153e7408e8f1c6ced1c98530a324ac09f0d239f4e4351013b65c26c9bf",
+    "random-3": "391b82e8ec92bb6e0767886206a0dbb5ed706a89a659aae22b3bac78ce30a8b9",
+    "random-4": "391b82e8ec92bb6e0767886206a0dbb5ed706a89a659aae22b3bac78ce30a8b9",
+    "random-5": "1f735e2ee8472be6d07b2675ec74c146c18d9e87553cd6914b4c61d1fb7d00ac",
+    "random-6": "1795a4c57b95b9a3c232a2f9909e94573d725f86c397e9a8f735f0cccd2822bc",
+    "random-7": "0fd8bddd168e0edfe355e36b87130af2afc77fd0e0c303fd9229c2c6f1bfb3ad",
+    "random-8": "391b82e8ec92bb6e0767886206a0dbb5ed706a89a659aae22b3bac78ce30a8b9",
+    "random-9": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "random-10": "1795a4c57b95b9a3c232a2f9909e94573d725f86c397e9a8f735f0cccd2822bc",
+    "random-11": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "random-12": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "random-13": "0139523fa05690cbaed6b94b63d44b5807082b4ea2d8f45fd06440eaeb992ed7",
+    "random-14": "7323718b3cb104c153e6cdf17b1585c6844d4fd5bb8fb91b3ebd0c25e927d882",
+    "random-15": "391b82e8ec92bb6e0767886206a0dbb5ed706a89a659aae22b3bac78ce30a8b9",
+    "random-16": "b589b4d0c145ddea3f6364e32d3ac62f943ae6a9496ec241ecbeb7293f1dec5b",
+    "random-17": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "random-18": "391b82e8ec92bb6e0767886206a0dbb5ed706a89a659aae22b3bac78ce30a8b9",
+    "random-19": "7323718b3cb104c153e6cdf17b1585c6844d4fd5bb8fb91b3ebd0c25e927d882",
+    "random-20": "391b82e8ec92bb6e0767886206a0dbb5ed706a89a659aae22b3bac78ce30a8b9",
+    "random-21": "391b82e8ec92bb6e0767886206a0dbb5ed706a89a659aae22b3bac78ce30a8b9",
+    "random-22": "391b82e8ec92bb6e0767886206a0dbb5ed706a89a659aae22b3bac78ce30a8b9",
+    "random-23": "8817d39d850e6511c97a11698d1acd7f7c02a3f2c758bad1ba1a7315d67e0579",
+    "random-24": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "random-25": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "random-26": "391b82e8ec92bb6e0767886206a0dbb5ed706a89a659aae22b3bac78ce30a8b9",
+    "random-27": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "random-28": "7323718b3cb104c153e6cdf17b1585c6844d4fd5bb8fb91b3ebd0c25e927d882",
+    "random-29": "1795a4c57b95b9a3c232a2f9909e94573d725f86c397e9a8f735f0cccd2822bc",
+    "string-sl4": "4ab8f98ee7a44423c3481e8f4e52eb55e1f83d3e2d4c8c36f9bdc9ebeac0650c",
+    "endo-id3": "ff813b115cffeece70c660294a59ef6a2c600e84bcd9350b9917a2a045a1a8cc",
+}
+
+
+def test_inner_bases_match_their_pinned_digests():
+    got = {}
+    for name, L in _pinned_algebras():
+        text = "".join(serialize_element(D, L) for D in inn0_basis(L))
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == INN_DIGESTS
+
+
+def test_derivation_solve_builds_no_constraint_matrix(monkeypatch):
+    # the constraint rows and the inner generators go to the elimination as
+    # sparse rows: no Mat built on the way is larger than max(n0, n1)^2
+    sizes = []
+    real_init, real_result = Mat.__init__, Mat._result.__func__
+
+    def init(self, rows, cols, data):
+        sizes.append(rows * cols)
+        real_init(self, rows, cols, data)
+
+    def result(cls, rows, cols, data, mode):
+        sizes.append(rows * cols)
+        return real_result(cls, rows, cols, data, mode)
+
+    monkeypatch.setattr(Mat, "__init__", init)
+    monkeypatch.setattr(Mat, "_result", classmethod(result))
+    for L in (make_string(sl_structure(3)), make_endo(Mat.identity(2))):
+        sizes.clear()
+        compute_der0_basis(L)
+        inn0_basis(L)
+        assert sizes and max(sizes) <= max(L.n0, L.n1) ** 2, (L.n0, L.n1, max(sizes))
+
+
 def test_b01_is_the_bracket_with_each_hom_basis_vector():
     # the closed form X1 (x) I - I (x) X0^T against graded_bracket(D, T)
     algebras = [L for _, L in _pinned_algebras()[:6]]

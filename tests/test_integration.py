@@ -54,7 +54,6 @@ from lie2alg.integration import (
     _joint_mode,
     _random_invertible_tau,
     _theta_image,
-    bracket_recovery_residual,
     check_commuting_square,
     check_conjugation_identities,
     check_one_parameter,
@@ -308,14 +307,16 @@ def test_recover_bracket_abelian_zero():
     rng = random.Random(81)
     L = fix_ab()
     D1, D2 = small_der0(L, rng), small_der0(L, rng)
-    assert bracket_recovery_residual(L, D1, D2) < 1e-8
+    want = graded_bracket(L, D1, D2).to_float()
+    assert der0_distance(recover_bracket(L, D1, D2), want) < 1e-8
 
 
 def test_recover_bracket_string_adjoint():
     L = fix_str()
     D1 = adbar0_single(L, L.e0(0))  # ad_h
     D2 = adbar0_single(L, L.e0(1))  # ad_e
-    assert bracket_recovery_residual(L, D1, D2) < 1e-4
+    want = graded_bracket(L, D1, D2).to_float()
+    assert der0_distance(recover_bracket(L, D1, D2), want) < 1e-4
 
 
 def test_recover_bracket_h2_convergence():
@@ -323,8 +324,9 @@ def test_recover_bracket_h2_convergence():
     L = fix_str()
     basis = compute_der0_basis(L)
     D1, D2 = small_der0(L, rng, basis), small_der0(L, rng, basis)
-    r1 = bracket_recovery_residual(L, D1, D2, ExpConfig(fd_step=1e-3))
-    r2 = bracket_recovery_residual(L, D1, D2, ExpConfig(fd_step=5e-4))
+    want = graded_bracket(L, D1, D2).to_float()
+    r1 = der0_distance(recover_bracket(L, D1, D2, ExpConfig(fd_step=1e-3)), want)
+    r2 = der0_distance(recover_bracket(L, D1, D2, ExpConfig(fd_step=5e-4)), want)
     assert 3.5 <= r1 / r2 <= 4.5
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lie2alg import fixtures
-from lie2alg.derivations import der0_constraints
+from lie2alg.derivations import _der0_flat_len, compute_der0_basis, der0_constraints, flatten_der0
 from lie2alg.linalg import (
     AltTensor,
     Mat,
@@ -752,13 +752,18 @@ def test_span_coords_matches_sympy(rows, cols, in_span, data):
 
 
 def test_der0_constraint_kernels_match_sympy():
-    # the assembled constraint matrices the derivation solve reduces
+    # the assembled constraint rows the derivation solve reduces, densified
+    # here; no row stores a zero
     algebras = [fixtures.fix_str(), fixtures.skeletal_demo()]
     algebras += [fixtures.random_fixture(random.Random(seed)) for seed in range(10)]
     for L in algebras:
-        c = der0_constraints(L)
-        got = [_to_sympy(Mat(c.cols, 1, v)) for v in kernel_basis(c)]
-        assert got == _to_sympy(c).nullspace()
+        rows, n = der0_constraints(L), _der0_flat_len(L)
+        assert all(v != 0 for r in rows for v in r.values())
+        c = Mat(len(rows), n, [r.get(u, 0) for r in rows for u in range(n)])
+        want = _to_sympy(c).nullspace()
+        assert [_to_sympy(Mat(n, 1, v)) for v in kernel_basis(c)] == want
+        got = [_to_sympy(Mat(n, 1, flatten_der0(L, D))) for D in compute_der0_basis(L)]
+        assert got == want
 
 
 @settings(deadline=None, max_examples=40)

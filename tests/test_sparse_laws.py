@@ -496,13 +496,17 @@ def test_der0_conditions_match_reference_on_float_copies():
 
 
 def test_der0_constraints_match_the_probed_reference():
-    # the directly assembled matrix equals the residuals of unit triples,
-    # entry for entry: every term of every family, with its sign and block
+    # the directly assembled rows, densified here, equal the residuals of unit
+    # triples, entry for entry: every term of every family, with its sign and
+    # block; no row stores a zero or an unknown out of range
     algebras = [f() for f in NAMED_EXAMPLES.values()]
     algebras += [make_string(sl_structure(3)), _endo_id2()] + _random_fixtures() + _degenerate()
     for L in algebras:
-        got, want = der0_constraints(L), ref_der0_constraints(L)
-        assert (got.rows, got.cols, got.mode) == (want.rows, want.cols, "exact")
+        rows, want = der0_constraints(L), ref_der0_constraints(L)
+        nfree = _der0_flat_len(L)
+        assert all(v != 0 and 0 <= u < nfree for r in rows for u, v in r.items())
+        got = Mat(len(rows), nfree, [r.get(u, 0) for r in rows for u in range(nfree)])
+        assert (got.rows, got.cols) == (want.rows, want.cols)
         assert got == want
 
 
