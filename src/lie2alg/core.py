@@ -6,7 +6,8 @@ of Jacobi, subject to coherence laws.  Everything here is represented
 by structure constants; validators return per-axiom residual tables so
 tests can assert exactly which law broke and where.  `validate_lie2` reads
 the constants through `Lie2Algebra.sparse`, a view of the nonzero ones
-computed once per algebra, so each law costs what its nonzero terms cost.
+computed once per algebra, and runs the laws on pairs of basis vectors
+rather than on index tuples, so each law costs what its nonzero terms cost.
 In exact mode it runs the laws on an integer image of the constants, the
 fraction-free approach of `linalg.adjugate_det`: each law is homogeneous
 of degree 2 in them, so scaling every constant by their common denominator
@@ -71,7 +72,7 @@ class ResidualReport:
         return all(r.value == 0 for r in self.entries.values())
 
     def max_value(self):
-        return max((r.value for r in self.entries.values()), default=0)
+        return vmax_abs([r.value for r in self.entries.values()])
 
     def within(self, tol) -> bool:
         return all(abs(r.value) <= tol for r in self.entries.values())
@@ -95,7 +96,7 @@ class _Acc:
     def add(self, vec, witness):
         """vec: the values of a residual vector (its zeros may be left out)."""
         m = vmax_abs(vec)
-        if m > self.value:
+        if m > self.value or m != m and self.value == self.value:  # the first NaN stays
             self.value = m
             self.witness = witness
 
@@ -223,7 +224,20 @@ def validate_lie2(L: Lie2Algebra) -> ResidualReport:
     one in each law's enumeration order.  Each law sums over the nonzero
     structure constants only (`Lie2Algebra.sparse`), adding its terms in
     the order of the dense evaluation on unit vectors, so values and
-    witnesses are those of that evaluation (floats bit for bit).
+    witnesses are those of that evaluation (floats bit for bit).  A NaN
+    constant gives a NaN residual, which fails `ok` and `within`.
+
+    The laws run as matrix identities: a1 for each i at every a, a2 for
+    each a at every b >= a, and b1 and b2 for each pair i < j, b1 at every
+    k > j and b2 at every a of g_{-1} (ad[e_i, e_j] - [ad e_i, ad e_j] plus
+    the l3 term).  The rows [e_m, .] of the brackets are read once, and each
+    term of a law is formed, as its own sum, only where a nonzero factor of
+    it reaches; the terms are then added in the order of the law, as
+    `sparse_sum` adds them.  A residual that is zero at every coordinate
+    changes no maximum and is skipped, so the cost is that of the nonzero
+    products of constants, not of the C(n0, 2) n1 index tuples of b2.  The
+    last index runs in increasing order, so the first maximum is the same
+    as by tuples.
 
     Exact laws run in ints.  Every term of every law is a product of
     exactly two structure constants, so with D the lcm of the denominators
@@ -243,43 +257,76 @@ def validate_lie2(L: Lie2Algebra) -> ResidualReport:
         d, b01 = [scale(v) for v in d], [[scale(v) for v in m] for m in b01]
         b00, l3 = ({key: scale(v) for key, v in t.items()} for t in (b00, l3))
     acc = {k: _Acc(L.mode) for k in ("a1", "a2", "b1", "b2", "c")}
+    ad0 = [{} for _ in range(n0)]  # ad0[m][k] = [e_m, e_k]
+    adT = [{} for _ in range(n0)]  # adT[k][m] = [e_m, e_k]
+    for (m, k), v in b00.items():
+        ad0[m][k] = adT[k][m] = v
+    ad1 = [{a: v for a, v in enumerate(cols) if v} for cols in b01]  # ad1[m][a] = [e_m, e_a]
+    dcols = dict(enumerate(d))
+    l3ij = {}  # (i, j) -> {k: l3(e_i, e_j, e_k)}
+    for (i, j, k), v in l3.items():
+        l3ij.setdefault((i, j), {})[k] = v
 
-    def br00(u, k):  # [u, e_k] for u in g_0
-        return sparse_comb((u[m], b00.get((m, k), SPARSE_ZERO)) for m in sorted(u))
+    # every sum runs over the support of a vector in its order, which is
+    # increasing: that of `sparse_columns` and `sparse_alt`, kept by scale
+    def apply(cols, vecs):  # {key: the sum of x cols[t] over (t, x) in u} for key, u in vecs
+        out = {}
+        for key, u in vecs.items():
+            r = out[key] = {}
+            for t, x in u.items():
+                for c, y in cols.get(t, SPARSE_ZERO).items():
+                    r[c] = r[c] + x * y if c in r else x * y
+        return out
 
-    def br01(u, a):  # [u, e_a] for u in g_0
-        return sparse_comb((u[m], b01[m][a]) for m in sorted(u))
+    def br_all(u, rows):  # {key: the sum of x rows[m][key] over (m, x) in u}: [u, e_key]
+        out = {}
+        for m, x in u.items():
+            for key, v in rows[m].items():
+                r = out.setdefault(key, {})
+                for c, y in v.items():
+                    r[c] = r[c] + x * y if c in r else x * y
+        return out
+
+    def add_into(out, sign, terms):  # out[key] += sign terms[key], as `sparse_sum` adds
+        for key, v in terms.items():
+            r = out.setdefault(key, {})
+            for c, y in v.items():
+                y = -y if sign < 0 else y
+                r[c] = r[c] + y if c in r else y
+
+    def record(law, r, key, low=-1):  # the nonzero residuals r[x], x > low, by increasing x
+        for x in sorted(r):
+            if x > low and any(r[x].values()):
+                acc[law].add(r[x].values(), key + (x,))
 
     def l3_pair(u, s, t):  # l3(u, e_s, e_t) for u in g_0
         return sparse_comb((u[m], l3.get((m, s, t), SPARSE_ZERO)) for m in sorted(u))
 
     for i in range(n0):
-        for a in range(n1):
-            lhs = sparse_apply(d, b01[i][a])
-            rhs = sparse_comb((x, b00.get((i, m), SPARSE_ZERO)) for m, x in sorted(d[a].items()))
-            acc["a1"].add(sparse_sum((1, lhs), (-1, rhs)).values(), (i, a))
+        r = apply(dcols, ad1[i])  # d [e_i, e_a] at every a
+        add_into(r, -1, apply(ad0[i], dcols))  # [e_i, d e_a]
+        record("a1", r, (i,))
 
+    da = [br_all(u, ad1) for u in d]  # da[a][b] = [d e_a, e_b]
     for a in range(n1):
-        for b in range(a, n1):
-            r = sparse_sum((1, br01(d[a], b)), (1, br01(d[b], a)))
-            acc["a2"].add(r.values(), (a, b))
+        record("a2", {b: sparse_sum((1, da[a].get(b, SPARSE_ZERO)), (1, da[b].get(a, SPARSE_ZERO)))
+                      for b in range(a, n1)}, (a,))
 
-    for i, j, k in itertools.combinations(range(n0), 3):
-        r = sparse_sum((1, br00(b00.get((i, j), SPARSE_ZERO), k)),
-                       (1, br00(b00.get((j, k), SPARSE_ZERO), i)),
-                       (1, br00(b00.get((k, i), SPARSE_ZERO), j)),
-                       (1, sparse_apply(d, l3.get((i, j, k), SPARSE_ZERO))))
-        acc["b1"].add(r.values(), (i, j, k))
-
+    # b1 and b2 pair by pair: for i < j, every term of the law at every k > j
+    # (b1) or every a (b2) where its factors are nonzero, each its own sum;
+    # the terms are added in the order of the law, as `sparse_sum` adds them
     for i, j in itertools.combinations(range(n0), 2):
-        bij = b00.get((i, j), SPARSE_ZERO)
-        for a in range(n1):
-            r = sparse_sum((1, br01(bij, a)),
-                           (-1, sparse_apply(b01[i], b01[j][a])),
-                           (1, sparse_apply(b01[j], b01[i][a])),
-                           (1, sparse_comb((x, l3.get((i, j, m), SPARSE_ZERO))
-                                           for m, x in sorted(d[a].items()))))
-            acc["b2"].add(r.values(), (i, j, a))
+        bij, lij = ad0[i].get(j, SPARSE_ZERO), l3ij.get((i, j), SPARSE_ZERO)
+        r = br_all(bij, ad0)  # [[e_i, e_j], e_k]
+        add_into(r, 1, apply(adT[i], {k: v for k, v in ad0[j].items() if k > j}))  # [[e_j, e_k], e_i]
+        add_into(r, 1, apply(adT[j], {k: adT[i][k] for k in ad0[i] if k > j}))  # [[e_k, e_i], e_j]
+        add_into(r, 1, apply(dcols, {k: v for k, v in lij.items() if k > j}))  # d l3(e_i, e_j, e_k)
+        record("b1", r, (i, j), j)
+        r = br_all(bij, ad1)  # [[e_i, e_j], e_a]
+        add_into(r, -1, apply(ad1[i], ad1[j]))  # [e_i, [e_j, e_a]]
+        add_into(r, 1, apply(ad1[j], ad1[i]))  # [e_j, [e_i, e_a]]
+        add_into(r, 1, apply(lij, dcols) if lij else {})  # l3(e_i, e_j, d e_a)
+        record("b2", r, (i, j))
 
     # every term of the arity-4 law contains l3, so it holds when l3 = 0
     for quad in itertools.combinations(range(n0), 4) if l3 else ():
@@ -404,9 +451,10 @@ def compose_hom(B: Lie2Hom, A: Lie2Hom) -> Lie2Hom:
 
 
 def hom_distance(A: Lie2Hom, B: Lie2Hom):
-    """Max abs componentwise difference over (A0, A1, A2)."""
-    return max(mat_distance(A.A0, B.A0), mat_distance(A.A1, B.A1),
-               tensor_distance(A.A2, B.A2))
+    """Max abs componentwise difference over (A0, A1, A2); NaN when an
+    entry of either is NaN."""
+    return vmax_abs((mat_distance(A.A0, B.A0), mat_distance(A.A1, B.A1),
+                     tensor_distance(A.A2, B.A2)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ space is the kernel of those rows, from the one exact elimination of the
 package (`linalg._reduce`); the inner derivations are reduced by the same
 elimination.  No dense matrix of either system is built.
 
+dbar and the adjoint map have sparse evaluators, `_dbar_flat` and
+`_ad_flat`, which give the `flatten_der0` coordinates of an image as a
+sparse vector; `dbar` and `adbar0_single` wrap them, and the Der build, the
+inner derivations and `adbar` feed the unit images of the Hom basis and of
+g_0 straight to the elimination, with no Derivation0 formed.
+
 The derivation Lie 2-algebra (`build_der_lie2`) reads each basis derivation
 once into a sparse form (`_Sparse0`: the columns and rows of X0 and X1, lX
 on every ordering of its keys).  The bracket of two basis derivations is
@@ -21,7 +27,8 @@ X1 (x) I - I (x) X0^T.  `dbar`, `adbar0_single`, `graded_bracket` and
 evaluation on unit vectors: exact results are equal, and float results are
 the dense left-to-right sums bit for bit.  The 2-component of `dbar` and
 that of the tau-twist (`automorphisms.twist_lower`) are one loop,
-`_lower_term`.
+`_lower_pairs`, which visits only the pairs a nonzero column of theta
+reaches.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from .linalg import (
     sparse_rows,
     sparse_sum,
     tensor_distance,
+    vmax_abs,
     vzero,
 )
 
@@ -142,8 +150,8 @@ def derM1_zero(L: Lie2Algebra) -> DerM1:
 
 
 def der0_distance(a: Derivation0, b: Derivation0):
-    return max(mat_distance(a.X0, b.X0), mat_distance(a.X1, b.X1),
-               tensor_distance(a.lX, b.lX))
+    return vmax_abs((mat_distance(a.X0, b.X0), mat_distance(a.X1, b.X1),
+                     tensor_distance(a.lX, b.lX)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,36 +332,70 @@ def compute_der0_basis(L: Lie2Algebra) -> list:
 # the differential and brackets
 # ---------------------------------------------------------------------------
 
-def _lower_term(L: Lie2Algebra, th: list, a: list, c: list) -> AltTensor:
+def _lower_pairs(L: Lie2Algebra, th: list, a: list, c: list) -> dict:
     """(x, y) |-> theta[x, y] - [a x, theta y] + [a y, theta x] + [c y, theta x]
     from the sparse columns th of theta: g_0 -> g_{-1} and a, c of maps
-    g_0 -> g_0: the 2-component of `dbar` (a = I, c = 0) and of the twist
-    `automorphisms.twist_lower` (a = A0, c = d tau).  Sums run over nonzero
+    g_0 -> g_0, as {(i, j): sparse value} on the pairs i < j where a term
+    is nonzero: the 2-component of `dbar` (a = I, c = 0) and of the twist
+    `automorphisms.twist_lower` (a = A0, c = d tau).  Every term has a
+    factor theta, so a pair is skipped when columns i and j of theta are
+    zero and [e_i, e_j] misses the nonzero columns.  Sums run over nonzero
     terms in the order of the dense evaluation on unit vectors, so float
     results are those sums bit for bit."""
     _, b00, b01, _ = L.sparse()
-    zero = scalar_zero(L.mode)
+    support = {m for m, col in enumerate(th) if col}
 
     def br(u, w):  # [u, w] for u in g_0 and w in g_{-1}
-        return sparse_comb((x, sparse_apply(b01[m], w)) for m, x in sorted(u.items()))
+        return sparse_comb((x, sparse_apply(b01[m], w)) for m, x in u.items())
 
-    entries = {}
+    out = {}
     for i, j in itertools.combinations(range(L.n0), 2):
-        r = sparse_sum((1, sparse_apply(th, b00.get((i, j), SPARSE_ZERO))),
-                       (-1, br(a[i], th[j])), (1, br(a[j], th[i])), (1, br(c[j], th[i])))
-        if r:
-            entries[i, j] = sparse_dense(r, L.n1, zero)
-    return AltTensor._result(2, L.n0, L.n1, entries, L.mode)
+        bij = b00.get((i, j), SPARSE_ZERO)
+        if th[i] or th[j] or not support.isdisjoint(bij):
+            r = sparse_sum((1, sparse_apply(th, bij)), (-1, br(a[i], th[j])),
+                           (1, br(a[j], th[i])), (1, br(c[j], th[i])))
+            if r:
+                out[i, j] = r
+    return out
+
+
+def _lower_term(L: Lie2Algebra, th: list, a: list, c: list) -> AltTensor:
+    """`_lower_pairs` as an alternating 2-tensor g_0 x g_0 -> g_{-1}."""
+    return AltTensor._result(2, L.n0, L.n1, {key: sparse_dense(r, L.n1, scalar_zero(L.mode))
+                                             for key, r in _lower_pairs(L, th, a, c).items()}, L.mode)
+
+
+def _dbar_flat(L: Lie2Algebra, th: list) -> dict:
+    """The `flatten_der0` coordinates of dbar(theta) as a sparse vector, from
+    the sparse columns th of theta: d theta and theta d by `sparse_apply`,
+    the 2-component by `_lower_pairs`; the unit image of the Der build."""
+    n0, n1 = L.n0, L.n1
+    d = L.sparse().d
+    flat = {}
+    for j, col in enumerate(th):
+        flat.update((r * n0 + j, v) for r, v in sparse_apply(d, col).items())
+    for a, col in enumerate(d):
+        flat.update((n0 * n0 + r * n1 + a, v) for r, v in sparse_apply(th, col).items())
+    lower = _lower_pairs(L, th, [{i: 1} for i in range(n0)], [SPARSE_ZERO] * n0)
+    for (i, j), r in lower.items():  # pair (i, j) is number i (2 n0 - i - 1) / 2 + j - i - 1
+        off = n0 * n0 + n1 * n1 + (i * (2 * n0 - i - 1) // 2 + j - i - 1) * n1
+        flat.update((off + c, v) for c, v in r.items())
+    return flat
+
+
+def _unit_thetas(L: Lie2Algebra) -> list:
+    """The sparse columns of each map of `derM1_basis`, exact."""
+    return [[{t // L.n0: 1} if j == t % L.n0 else SPARSE_ZERO for j in range(L.n0)]
+            for t in range(L.n1 * L.n0)]
 
 
 def dbar(L: Lie2Algebra, T: DerM1) -> Derivation0:
     """Differential into degree 0: (d theta, theta d, l_{delta(theta)}),
-    l_{delta(theta)}(x, y) = theta[x, y] - [x, theta y] + [y, theta x]
-    (`_lower_term`)."""
+    l_{delta(theta)}(x, y) = theta[x, y] - [x, theta y] + [y, theta x]:
+    the triple of the sparse coordinates of `_dbar_flat`."""
     _same_mode(L, T)
-    units = sparse_columns(Mat.identity(L.n0, L.mode))
-    lX = _lower_term(L, sparse_columns(T.theta), units, [SPARSE_ZERO] * L.n0)
-    return Derivation0(L.d @ T.theta, T.theta @ L.d, lX)
+    flat = _dbar_flat(L, sparse_columns(T.theta))
+    return unflatten_der0(L, sparse_dense(flat, _der0_flat_len(L), scalar_zero(L.mode)))
 
 
 class _Sparse0(NamedTuple):
@@ -539,7 +581,9 @@ def build_der_lie2(L: Lie2Algebra) -> DerLie2:
     and rows of X0 and X1, and lX on every ordering of its keys).  b00 is
     the bracket of two basis derivations, the commutators and the cochain
     action taken on those forms, as a sparse vector in the coordinates of
-    `flatten_der0`, read in the basis by the kernel coordinates.  b01 is the
+    `flatten_der0`, read in the basis by the kernel coordinates.  d is read
+    the same way from the sparse coordinates of dbar on each unit map of the
+    Hom basis (`_dbar_flat`), with no Derivation0 formed.  b01 is the
     closed form ad_D(theta) = X1 theta - theta X0 (`_ad_derM1`); the degree
     -1 space is all of Hom(g_0, g_{-1}), so its brackets need no membership
     check.  Every matrix and tensor is built from computed exact values,
@@ -550,7 +594,7 @@ def build_der_lie2(L: Lie2Algebra) -> DerLie2:
     r = len(basis0)
     m = len(basisM1)
     n0, n1 = L.n0, L.n1
-    dcols = [coords(flatten_der0(L, dbar(L, T))) for T in basisM1]
+    dcols = [coords(_dbar_flat(L, th)) for th in _unit_thetas(L)]
     dmat = Mat._result(r, m, [dcols[j][i] for i in range(r) for j in range(m)], "exact")
 
     off1, off2 = n0 * n0, n0 * n0 + n1 * n1
@@ -576,28 +620,33 @@ def build_der_lie2(L: Lie2Algebra) -> DerLie2:
 # adjoint and inner derivations
 # ---------------------------------------------------------------------------
 
-def adbar0_single(L: Lie2Algebra, x: tuple) -> Derivation0:
-    """The degree-0 derivation ([x, .], l3(x, ., .)) attached to x in g_0.
-
-    Column j of X0 is [x, e_j], column a of X1 is [x, e_a] and lX(e_i, e_j)
-    is l3(x, e_i, e_j): sums over the support of x, by increasing index, of
-    the nonzero structure constants, the order of the dense evaluation on
-    unit vectors, so float results are those sums bit for bit.
-    """
+def _ad_flat(L: Lie2Algebra, u: dict) -> dict:
+    """The `flatten_der0` coordinates of adbar0(x) as a sparse vector, x in
+    g_0 with nonzero coordinates u (increasing): column j of X0 is [x, e_j],
+    column a of X1 is [x, e_a] and lX(e_i, e_j) is l3(x, e_i, e_j).  For
+    each m in u it reads b00(m, .), b01[m] and l3(m, ., .); every coordinate
+    adds its nonzero terms by increasing m, the order of the dense
+    evaluation on unit vectors, so float results are those sums bit for bit."""
     _, b00, b01, l3 = L.sparse()
+    n0, n1 = L.n0, L.n1
+    off1, off2 = n0 * n0, n0 * n0 + n1 * n1
+    flat = {}
+    for m, x in u.items():
+        terms = [(r * n0 + j, y) for j in range(n0) for r, y in b00.get((m, j), SPARSE_ZERO).items()]
+        terms += [(off1 + c * n1 + a, y) for a, col in enumerate(b01[m]) for c, y in col.items()]
+        terms += [(off2 + p * n1 + c, y)
+                  for p, (i, j) in enumerate(itertools.combinations(range(n0), 2))
+                  for c, y in l3.get((m, i, j), SPARSE_ZERO).items()]
+        for t, y in terms:
+            flat[t] = flat[t] + x * y if t in flat else x * y
+    return flat
+
+
+def adbar0_single(L: Lie2Algebra, x: tuple) -> Derivation0:
+    """The degree-0 derivation ([x, .], l3(x, ., .)) attached to x in g_0:
+    the triple of the sparse coordinates of `_ad_flat`."""
     u = {m: _check_scalar(v, L.mode) for m, v in enumerate(x) if v}
-    n0, n1, zero = L.n0, L.n1, scalar_zero(L.mode)
-    x0 = [sparse_comb((v, b00.get((m, j), SPARSE_ZERO)) for m, v in u.items()) for j in range(n0)]
-    x1 = [sparse_comb((v, b01[m][a]) for m, v in u.items()) for a in range(n1)]
-    entries = {}
-    for i, j in itertools.combinations(range(n0), 2):
-        r = sparse_comb((v, l3.get((m, i, j), SPARSE_ZERO)) for m, v in u.items())
-        if r:
-            entries[i, j] = sparse_dense(r, n1, zero)
-    return Derivation0(
-        Mat._result(n0, n0, [x0[j].get(i) or zero for i in range(n0) for j in range(n0)], L.mode),
-        Mat._result(n1, n1, [x1[a].get(c) or zero for c in range(n1) for a in range(n1)], L.mode),
-        AltTensor._result(2, n0, n1, entries, L.mode))
+    return unflatten_der0(L, sparse_dense(_ad_flat(L, u), _der0_flat_len(L), scalar_zero(L.mode)))
 
 
 def ad1_single(L: Lie2Algebra, a: tuple) -> DerM1:
@@ -613,13 +662,17 @@ def adbar(L: Lie2Algebra, der: DerLie2 | None = None) -> Lie2Hom:
     """The adjoint homomorphism from L into its derivation Lie 2-algebra.
 
     Degree 0 sends x to ([x,.], l3(x,.,.)), degree -1 sends a to [a,.],
-    and the 2-component is (y,z) |-> -l3(y,z,.).
+    and the 2-component is (y,z) |-> -l3(y,z,.).  Column i of A0 is read in
+    the basis of `der` from the sparse unit image of e_i (`_ad_flat`).  A
+    `der` built for another algebra raises ValueError.
     """
     if der is None:
         der = build_der_lie2(L)
+    elif der._base != L:
+        raise ValueError("der is the derivation Lie 2-algebra of another algebra")
     target = der.algebra
     n0, n1 = L.n0, L.n1
-    cols0 = [der.der0_coords(adbar0_single(L, L.e0(i))) for i in range(n0)]
+    cols0 = [der._coords(_ad_flat(L, {i: 1})) for i in range(n0)]
     cols1 = [der.derM1_coords(ad1_single(L, L.e1(a))) for a in range(n1)]
     A0 = Mat._result(target.n0, n0, [c[i] for i in range(target.n0) for c in cols0], target.mode)
     A1 = Mat._result(target.n1, n1, [c[i] for i in range(target.n1) for c in cols1], target.mode)
@@ -640,16 +693,16 @@ def inn0_basis(L: Lie2Algebra) -> list:
     """Basis of inner degree-0 derivations: the span of the adjoint image
     and the image of the differential, as the pivot rows of the one exact
     elimination (`linalg._reduce`) of the nonzero `flatten_der0`
-    coordinates of the generators (adjoint generators first, then
-    differential images of the Hom basis), in pivot order.  A float algebra
-    raises `ModeError`."""
+    coordinates of the generators, in pivot order.  The generators are the
+    sparse unit images, adjoint ones first (`_ad_flat` of each e_i), then
+    dbar of each unit map of the Hom basis (`_dbar_flat`); no Derivation0
+    is formed for them.  A float algebra raises `ModeError`."""
     if L.mode != "exact":
         raise ModeError("inner derivations need an exact algebra: "
                         "their basis comes from an exact row reduction")
-    gens = [adbar0_single(L, L.e0(i)) for i in range(L.n0)]
-    gens += [dbar(L, T) for T in derM1_basis(L)]
+    gens = [_ad_flat(L, {i: 1}) for i in range(L.n0)] + [_dbar_flat(L, th) for th in _unit_thetas(L)]
     n = _der0_flat_len(L)
-    rows = [{t: v for t, v in enumerate(flatten_der0(L, D)) if v} for D in gens]
+    rows = [{t: v for t, v in g.items() if v} for g in gens]
     return [unflatten_der0(L, sparse_dense(r, n, 0)) for r in _reduce(rows, n)[0]]
 
 

@@ -144,8 +144,15 @@ def vscale(s, u: tuple) -> tuple:
     return tuple(s * a for a in u)
 
 
-def vmax_abs(u: tuple):
-    return max((abs(a) for a in u), default=0)
+def vmax_abs(u, default=0):
+    """The largest |a| over the entries of u, a sequence or a dict view (the
+    first among equals), or `default` when there are none.  A NaN entry
+    gives NaN: `max` compares with >, which a NaN fails, so it would pass a
+    NaN after the first entry over as if it were no entry."""
+    m = max(map(abs, u), default=default)
+    if isinstance(m, float) and m == m and any(a != a for a in u):
+        return math.nan
+    return m
 
 
 def vec_is_zero(u: tuple) -> bool:
@@ -295,7 +302,7 @@ class Mat:
         return all(a == 0 for a in self.data)
 
     def max_abs(self):
-        return max((abs(a) for a in self.data), default=scalar_zero(self.mode))
+        return vmax_abs(self.data, scalar_zero(self.mode))
 
     def to_float(self) -> "Mat":
         if self.mode == "float":
@@ -794,8 +801,7 @@ class AltTensor:
         return not self.entries
 
     def max_abs(self):
-        return max((vmax_abs(v) for v in self.entries.values()),
-                   default=scalar_zero(self.mode))
+        return vmax_abs([vmax_abs(v) for v in self.entries.values()], scalar_zero(self.mode))
 
     def to_float(self) -> "AltTensor":
         if self.mode == "float":
@@ -922,17 +928,12 @@ def tensor_distance(a: AltTensor, b: AltTensor):
     """Max abs difference over all strictly increasing tuples."""
     if (a.arity, a.dim, a.codim) != (b.arity, b.dim, b.codim):
         raise ValueError("tensor shape mismatch")
-    keys = set(a.entries) | set(b.entries)
     za, zb = a._zero_vec(), b._zero_vec()
-    worst = scalar_zero(a.mode)
-    for k in keys:
-        d = vmax_abs(vsub(a.entries.get(k, za), b.entries.get(k, zb)))
-        if d > worst:
-            worst = d
-    return worst
+    return vmax_abs([vmax_abs(vsub(a.entries.get(k, za), b.entries.get(k, zb)))
+                     for k in set(a.entries) | set(b.entries)], scalar_zero(a.mode))
 
 
 def mat_distance(a: Mat, b: Mat):
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("shape mismatch")
-    return max((abs(x - y) for x, y in zip(a.data, b.data)), default=scalar_zero(a.mode))
+    return vmax_abs(vsub(a.data, b.data), scalar_zero(a.mode))

@@ -327,3 +327,50 @@ def test_algebra_rejects_zero_tensors_of_the_other_mode():
     with pytest.raises(ValueError, match="mixed scalar modes"):
         Lie2Algebra(1, 1, Mat.from_rows([[0.5]]), AltTensor.zero(2, 1, 1), [Mat.zero(1, 1, "float")],
                     AltTensor.zero(3, 1, 1, "float"))
+
+
+# ---------------------------------------------------------------------------
+# a NaN never reads as zero
+# ---------------------------------------------------------------------------
+
+def _with_nan(m: Mat, t: int) -> Mat:
+    data = list(m.data)
+    data[t] = float("nan")
+    return Mat(m.rows, m.cols, data)
+
+
+def test_validate_lie2_reports_a_nan_structure_constant():
+    L = fix_str().to_float()
+    b01 = [Mat(1, 1, [float("nan")])] + list(L.b01[1:])
+    rep = validate_lie2(Lie2Algebra(L.n0, L.n1, L.d, L.b00, b01, L.l3))
+    assert not rep.ok and not rep.within(1.0)
+    assert rep.violated() == ["b2"]
+    assert rep["b2"].value != rep["b2"].value and rep["b2"].witness is not None
+    # the finite report is unchanged: all five laws hold exactly
+    assert validate_lie2(L).ok
+
+
+def test_validate_hom_reports_a_nan_entry_in_a0():
+    L = fix_str().to_float()
+    ident = hom_identity(L)
+    for t in (0, len(ident.A0.data) - 1):  # first and last entry: max passes over neither
+        bad = Lie2Hom(L, L, _with_nan(ident.A0, t), ident.A1, ident.A2)
+        rep = validate_hom(bad)
+        assert not rep.ok and not rep.within(1.0), t
+        assert any(r.value != r.value for _, r in rep), t
+        assert rep.max_value() != rep.max_value(), t  # `lie2 exp` reports this value
+    assert validate_hom(ident).ok
+
+
+def test_hom_distance_reports_a_nan_entry():
+    one = Mat.identity(2, "float")
+    assert hom_distance(hom_identity(fix_ab().to_float()), hom_identity(fix_ab().to_float())) == 0.0
+    from lie2alg.linalg import mat_distance
+    d = mat_distance(Mat(2, 2, [1.0, 0.0, 0.0, float("nan")]), one)
+    assert d != d
+    L = fix_str().to_float()
+    ident = hom_identity(L)
+    bad = Lie2Hom(L, L, _with_nan(ident.A0, len(ident.A0.data) - 1), ident.A1, ident.A2)
+    d = hom_distance(bad, ident)
+    assert d != d
+    assert hom_distance(ident, ident) == 0.0 and type(hom_distance(ident, ident)) is float

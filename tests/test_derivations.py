@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from lie2alg.core import (
+    Lie2Algebra,
     ce_coboundary,
     lie_ad_matrices,
     make_endo,
@@ -618,6 +619,79 @@ def test_inner_bases_match_their_pinned_digests():
         text = "".join(serialize_element(D, L) for D in inn0_basis(L))
         got[name] = hashlib.sha256(text.encode()).hexdigest()
     assert got == INN_DIGESTS
+
+
+# sha256 of the serialized adbar(L) (its A0, A1 and A2), recorded from the
+# assembly that read each adjoint generator through a Derivation0
+ADBAR_DIGESTS = {
+    "abelian": "2ef6b26856cba01ac7c50e32788017a030992af47cf37b0a17fbac9ac6ea83f1",
+    "string-sl2": "39d27b37c350175c0d5671f51f9e4f0a7f2fe984868be51e3c83f2ae119bf6cc",
+    "endo-1-1": "2ef6b26856cba01ac7c50e32788017a030992af47cf37b0a17fbac9ac6ea83f1",
+    "skeletal-demo": "f2c9b089de987fc3731a4095ba566ce36d7029e61da23859f12defa4d1bd37a7",
+    "string-sl3": "53b490063db3795efe0632506530d5867cda36ed5bea8793ee8a9048921c0e62",
+    "endo-id2": "ac7c26e61817844dd5879bee1b968202a322ad7417a6d72348e6230be260dada",
+    "random-0": "2ef6b26856cba01ac7c50e32788017a030992af47cf37b0a17fbac9ac6ea83f1",
+    "random-1": "23f4c5affacf290cb66c1e6f25324673bf8e8e3f69dd0289389996c24b96f1f8",
+    "random-2": "7daeebaa55feb6fdf5ee135406b5ba74508e3a092af01314542cd590c9799db1",
+    "random-3": "23f4c5affacf290cb66c1e6f25324673bf8e8e3f69dd0289389996c24b96f1f8",
+    "random-4": "23f4c5affacf290cb66c1e6f25324673bf8e8e3f69dd0289389996c24b96f1f8",
+    "random-5": "0613ed02d93bd905bb7554451e4d721ac3db8d0b218646665602b440aea61ff1",
+    "random-6": "eab106e1fb581d4fde3ef39bf15ebfbf73db4d9ec7669802c025a7d07b7a2e6f",
+    "random-7": "2388a78d09d3f55807e08e0b92235dca3ba0434e22ce85aa5794a82e23b434dc",
+    "random-8": "23f4c5affacf290cb66c1e6f25324673bf8e8e3f69dd0289389996c24b96f1f8",
+    "random-9": "2ef6b26856cba01ac7c50e32788017a030992af47cf37b0a17fbac9ac6ea83f1",
+    "random-10": "eab106e1fb581d4fde3ef39bf15ebfbf73db4d9ec7669802c025a7d07b7a2e6f",
+    "random-11": "2ef6b26856cba01ac7c50e32788017a030992af47cf37b0a17fbac9ac6ea83f1",
+    "random-12": "2ef6b26856cba01ac7c50e32788017a030992af47cf37b0a17fbac9ac6ea83f1",
+    "random-13": "f6bb5fd665a012fe25e40e92ec0be4b4a1d90d991563b2b6b38b06d5b1717783",
+    "random-14": "f3e0e9c3923f84464fd084894360eb1af996efcbe469811d7ea459d40d91e223",
+    "random-15": "23f4c5affacf290cb66c1e6f25324673bf8e8e3f69dd0289389996c24b96f1f8",
+    "random-16": "c97c7e900541801141248dc5a36e1b450b8db9ebfefb30f0a96d3f15a36fc83b",
+    "random-17": "2ef6b26856cba01ac7c50e32788017a030992af47cf37b0a17fbac9ac6ea83f1",
+    "random-18": "23f4c5affacf290cb66c1e6f25324673bf8e8e3f69dd0289389996c24b96f1f8",
+    "random-19": "f3e0e9c3923f84464fd084894360eb1af996efcbe469811d7ea459d40d91e223",
+    "random-20": "23f4c5affacf290cb66c1e6f25324673bf8e8e3f69dd0289389996c24b96f1f8",
+    "random-21": "23f4c5affacf290cb66c1e6f25324673bf8e8e3f69dd0289389996c24b96f1f8",
+    "random-22": "23f4c5affacf290cb66c1e6f25324673bf8e8e3f69dd0289389996c24b96f1f8",
+    "random-23": "2ef6b26856cba01ac7c50e32788017a030992af47cf37b0a17fbac9ac6ea83f1",
+    "random-24": "2ef6b26856cba01ac7c50e32788017a030992af47cf37b0a17fbac9ac6ea83f1",
+    "random-25": "2ef6b26856cba01ac7c50e32788017a030992af47cf37b0a17fbac9ac6ea83f1",
+    "random-26": "23f4c5affacf290cb66c1e6f25324673bf8e8e3f69dd0289389996c24b96f1f8",
+    "random-27": "2ef6b26856cba01ac7c50e32788017a030992af47cf37b0a17fbac9ac6ea83f1",
+    "random-28": "f3e0e9c3923f84464fd084894360eb1af996efcbe469811d7ea459d40d91e223",
+    "random-29": "eab106e1fb581d4fde3ef39bf15ebfbf73db4d9ec7669802c025a7d07b7a2e6f",
+    "string-sl4": "7690c21ae62734e0f25376616c028461cf1ac7fd73ad73dcd3f7809c1bed9dba",
+    "endo-id3": "203e8eba910649035484135e0512d0da6e363476dce52c04d862b813bd953c5b",
+}
+
+
+def test_adjoint_homomorphisms_match_their_pinned_digests():
+    got = {}
+    for name, L in _pinned_algebras():
+        got[name] = hashlib.sha256(serialize_element(adbar(L), L).encode()).hexdigest()
+    assert got == ADBAR_DIGESTS
+
+
+def test_adbar_refuses_the_derivation_algebra_of_another_algebra():
+    L1 = Lie2Algebra(2, 1, Mat.zero(2, 1), AltTensor.zero(2, 2, 2), [Mat.zero(1, 1)] * 2,
+                     AltTensor.zero(3, 2, 1))  # the all-zero 2|1 algebra
+    L2 = random_fixture(random.Random(14))
+    assert (L1.n0, L1.n1) == (L2.n0, L2.n1) and L1 != L2
+    with pytest.raises(ValueError, match="another algebra"):
+        adbar(L2, build_der_lie2(L1))
+    # an equal algebra built separately is the same algebra
+    der = build_der_lie2(random_fixture(random.Random(14)))
+    assert validate_hom(adbar(L2, der)).ok
+
+
+def test_is_derivation0_reports_a_nan_entry():
+    L = fix_str()
+    D = compute_der0_basis(L)[0].to_float()
+    X0 = list(D.X0.data)
+    X0[-1] = float("nan")
+    rep = is_derivation0(L.to_float(), Derivation0(Mat(L.n0, L.n0, X0), D.X1, D.lX))
+    assert not rep.ok and not rep.within(1.0)
+    assert is_derivation0(L.to_float(), D).ok
 
 
 def test_derivation_solve_builds_no_constraint_matrix(monkeypatch):

@@ -65,10 +65,14 @@ from lie2alg.fixtures import (
     trivial_rep,
 )
 from lie2alg.linalg import (
+    SPARSE_ZERO,
     AltTensor,
     Mat,
     basis_vec,
     kernel_basis,
+    sparse_apply,
+    sparse_comb,
+    sparse_sum,
     vadd,
     vmax_abs,
     vscale,
@@ -828,3 +832,72 @@ def test_validate_hom_is_bitwise_on_random_float_homs():
                                        itertools.combinations(range(n0), 2)}, "float")
             check_hom(Lie2Hom(src, tgt, Mat(m0, n0, _float_draw(rng, m0 * n0)),
                               Mat(m1, n1, _float_draw(rng, m1 * n1)), A2))
+
+
+# ---------------------------------------------------------------------------
+# laws b1 and b2 at sizes the dense reference cannot reach
+# ---------------------------------------------------------------------------
+
+def ref_tuple_b1_b2(L):
+    """The per-tuple loops of laws b1 and b2 that the pair-by-pair
+    evaluation replaced: four sparse sums at every index tuple, on the
+    constants as they are (no integer image)."""
+    n0, n1 = L.n0, L.n1
+    d, b00, b01, l3 = L.sparse()
+    acc = {k: _RefAcc(L.mode) for k in ("b1", "b2")}
+
+    def br00(u, k):  # [u, e_k] for u in g_0
+        return sparse_comb((u[m], b00.get((m, k), SPARSE_ZERO)) for m in sorted(u))
+
+    def br01(u, a):  # [u, e_a] for u in g_0
+        return sparse_comb((u[m], b01[m][a]) for m in sorted(u))
+
+    for i, j, k in itertools.combinations(range(n0), 3):
+        r = sparse_sum((1, br00(b00.get((i, j), SPARSE_ZERO), k)),
+                       (1, br00(b00.get((j, k), SPARSE_ZERO), i)),
+                       (1, br00(b00.get((k, i), SPARSE_ZERO), j)),
+                       (1, sparse_apply(d, l3.get((i, j, k), SPARSE_ZERO))))
+        acc["b1"].add(list(r.values()), (i, j, k))
+
+    for i, j in itertools.combinations(range(n0), 2):
+        bij = b00.get((i, j), SPARSE_ZERO)
+        for a in range(n1):
+            r = sparse_sum((1, br01(bij, a)),
+                           (-1, sparse_apply(b01[i], b01[j][a])),
+                           (1, sparse_apply(b01[j], b01[i][a])),
+                           (1, sparse_comb((x, l3.get((i, j, m), SPARSE_ZERO))
+                                           for m, x in sorted(d[a].items()))))
+            acc["b2"].add(list(r.values()), (i, j, a))
+
+    return ResidualReport({k: a.residual() for k, a in acc.items()})
+
+
+def _string_der_copies():
+    """Der(string-sl4) and Der(string-sl5) (30|15 and 48|24), each with a copy
+    that has one b00 entry changed and one that has one b01 entry changed,
+    all scaled by 2/7: exact laws then run on an integer image, and every
+    float constant is rounded, so the order of each float sum shows."""
+    rng = random.Random(26)
+    out = []
+    for n in (4, 5):
+        A = build_der_lie2(make_string(sl_structure(n))).algebra
+        key = tuple(sorted(rng.sample(range(A.n0), 2)))
+        b00 = _with_tensor_entry(A.b00, key, rng.randrange(A.n0), _bump(rng))
+        b01 = list(A.b01)
+        i = rng.randrange(A.n0)
+        b01[i] = _with_entry(b01[i], rng.randrange(A.n1 * A.n1), _bump(rng))
+        out += [_scaled(M, Fraction(2, 7)) for M in (A, Lie2Algebra(A.n0, A.n1, A.d, b00, A.b01, A.l3),
+                                                     Lie2Algebra(A.n0, A.n1, A.d, A.b00, b01, A.l3))]
+    return out
+
+
+def test_pair_by_pair_laws_match_the_per_tuple_loops_on_large_derivation_algebras():
+    broken = set()
+    for L in _string_der_copies():
+        for M in (L, L.to_float()):
+            want = ref_tuple_b1_b2(M)
+            got = validate_lie2(M)
+            assert_same_report(ResidualReport({k: got[k] for k in ("b1", "b2")}), want)
+            broken.update((M.mode, law) for law in want.violated())
+    # both laws are broken, and so compared with a witness, in both modes
+    assert broken == {(mode, law) for mode in ("exact", "float") for law in ("b1", "b2")}
