@@ -46,6 +46,7 @@ from .fileio import ParseError, parse_element, parse_lie2, serialize_element, se
 from .fixtures import NAMED_EXAMPLES
 from .integration import (
     ExpConfig,
+    _joint_mode,
     check_commuting_square,
     check_conjugation_identities,
     check_one_parameter,
@@ -56,7 +57,7 @@ from .integration import (
     recover_bracket,
     recover_bracket_m1,
 )
-from .linalg import mat_distance, mat_inverse, rat, rat_str
+from .linalg import mat_distance, mat_inverse, rat, rat_str, scalar_kind
 
 SUITES = ("axioms", "crossed-module", "exp-square", "one-parameter",
           "bracket-recovery", "conjugation")
@@ -72,9 +73,9 @@ class ReportLine:
 
     @property
     def passed(self) -> bool:
-        if self.mode == "exact":
-            return self.residual == 0
-        return abs(self.residual) <= self.tol
+        """|residual| within the tolerance of the mode: 0 when exact (tol is
+        not read), tol when float; a NaN residual fails."""
+        return abs(self.residual) <= scalar_kind(self.mode).tolerance(self.tol)
 
 
 def emit_report(header, lines) -> tuple:
@@ -272,8 +273,8 @@ def _cmd_exp(args) -> tuple:
         return text, passed
     if isinstance(elem, DerM1):
         tau = exp_derM1(L, elem, t, cfg)
-        base = L if tau.mode == "exact" else L.to_float()
-        invertible = tau_is_invertible(base, tau)
+        # the invertibility identity runs in the mode of tau: L converted with it
+        invertible = tau_is_invertible(_joint_mode(L, (), tau)[1], tau)
         text, passed = emit_report(
             header, [ReportLine("exp_tau_invertible", 0 if invertible else 1, "exact")])
         text += serialize_element(tau, L)

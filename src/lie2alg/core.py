@@ -27,9 +27,10 @@ from .linalg import (
     Mat,
     _quotient,
     basis_vec,
-    common_denominator,
     kernel,
+    kind_of,
     mat_distance,
+    scalar_kind,
     scalar_zero,
     sparse_alt,
     sparse_apply,
@@ -183,21 +184,21 @@ class Lie2Algebra:
         return self.b00.eval(x, y)
 
     def bracket01(self, x: tuple, a: tuple) -> tuple:
-        """[x, a] for x in g_0, a in g_{-1}."""
-        out = list(vzero(self.n1, self.mode))
+        """[x, a] for x in g_0, a in g_{-1}: the sum of x_i [e_i, a] over the
+        nonzero x_i, each term added by the rule of its kind (`linalg.kind_of`):
+        an exact zero term changes no sum, a float one may flip a zero's sign."""
+        out = vzero(self.n1, self.mode)
         for i, xi in enumerate(x):
             if xi != 0:
-                v = self.b01[i].apply(a)
-                # an exact zero term changes no sum; a float one may flip a zero's sign
-                dense = isinstance(xi, float) or (v and isinstance(v[0], float))
-                for c, y in enumerate(v):
-                    if y or dense:
-                        out[c] += xi * y
+                term = vscale(xi, self.b01[i].apply(a))
+                out = kind_of(term).add(zip(out, term))
         return tuple(out)
 
     def to_float(self) -> "Lie2Algebra":
-        if self.mode == "float":
-            return self
+        """L in float mode: L itself when float."""
+        return scalar_kind(self.mode).to_float(self, Lie2Algebra._float_copy)
+
+    def _float_copy(self) -> "Lie2Algebra":
         return Lie2Algebra(self.n0, self.n1, self.d.to_float(), self.b00.to_float(),
                            tuple(m.to_float() for m in self.b01), self.l3.to_float())
 
@@ -249,7 +250,7 @@ def validate_lie2(L: Lie2Algebra) -> ResidualReport:
     """
     n0, n1 = L.n0, L.n1
     d, b00, b01, l3 = L.sparse()
-    D = 1 if L.mode == "float" else common_denominator(
+    D = scalar_kind(L.mode).denominator(
         x for v in itertools.chain(d, *b01, b00.values(), l3.values()) for x in v.values())
     if D != 1:  # the integer image, every constant times D, formed with no Fraction operation
         def scale(v):

@@ -44,14 +44,12 @@ from .linalg import (
     SPARSE_ZERO,
     AltTensor,
     Mat,
-    ModeError,
-    _check_scalar,
-    _exact,
     _kernel,
     _reduce,
     _same_mode,
     basis_vec,
     mat_distance,
+    scalar_kind,
     scalar_zero,
     sparse_alt,
     sparse_apply,
@@ -135,10 +133,11 @@ def _der0_combination(L: Lie2Algebra, terms) -> Derivation0:
     """The sum of c D over the (c, D) pairs of terms, in one pass over the
     flat coordinates (`flatten_der0`): zero coefficients and zero entries
     are skipped, so each coordinate adds its nonzero terms in term order."""
-    flat = [scalar_zero(L.mode)] * _der0_flat_len(L)
+    kind = scalar_kind(L.mode)
+    flat = [kind.zero] * _der0_flat_len(L)
     for c, D in terms:
         if c != 0:
-            c = _check_scalar(c, D.mode)
+            c = kind.scalar(c)
             for t, v in enumerate(flatten_der0(L, D)):
                 if v:
                     flat[t] += c * v
@@ -244,10 +243,12 @@ def flatten_der0(L: Lie2Algebra, D: Derivation0) -> tuple:
 
 
 def unflatten_der0(L: Lie2Algebra, vec) -> Derivation0:
-    """The triple of `flatten_der0` coordinates in the mode of L, built
-    without coercion; exact values take their canonical form (`_exact`)."""
+    """The triple of `flatten_der0` coordinates in the mode of L, read by
+    the kind of L (`entries`): exact values take their canonical form,
+    float ones stay as they are, and a value of the other mode raises
+    ModeError."""
     n0, n1, mode = L.n0, L.n1, L.mode
-    vec = [_exact(x) for x in vec] if mode == "exact" else list(vec)
+    vec = scalar_kind(mode).entries(vec)
     X0 = Mat._result(n0, n0, vec[:n0 * n0], mode)
     X1 = Mat._result(n1, n1, vec[n0 * n0:n0 * n0 + n1 * n1], mode)
     rest = vec[n0 * n0 + n1 * n1:]
@@ -289,8 +290,7 @@ def der0_constraints(L: Lie2Algebra) -> list:
     `_der0_flat_len(L)` unknowns.  The kernel is exact, so a float algebra
     raises `ModeError`.
     """
-    if L.mode != "exact":
-        raise ModeError("der0_constraints requires exact scalars")
+    scalar_kind(L.mode).require_exact("der0_constraints requires exact scalars")
     n0, n1 = L.n0, L.n1
     nfree = _der0_flat_len(L)
     unit = [_Form({u: 1}) for u in range(nfree)]
@@ -645,8 +645,9 @@ def _ad_flat(L: Lie2Algebra, u: dict) -> dict:
 def adbar0_single(L: Lie2Algebra, x: tuple) -> Derivation0:
     """The degree-0 derivation ([x, .], l3(x, ., .)) attached to x in g_0:
     the triple of the sparse coordinates of `_ad_flat`."""
-    u = {m: _check_scalar(v, L.mode) for m, v in enumerate(x) if v}
-    return unflatten_der0(L, sparse_dense(_ad_flat(L, u), _der0_flat_len(L), scalar_zero(L.mode)))
+    kind = scalar_kind(L.mode)
+    u = {m: kind.scalar(v) for m, v in enumerate(x) if v}
+    return unflatten_der0(L, sparse_dense(_ad_flat(L, u), _der0_flat_len(L), kind.zero))
 
 
 def ad1_single(L: Lie2Algebra, a: tuple) -> DerM1:
@@ -697,9 +698,8 @@ def inn0_basis(L: Lie2Algebra) -> list:
     sparse unit images, adjoint ones first (`_ad_flat` of each e_i), then
     dbar of each unit map of the Hom basis (`_dbar_flat`); no Derivation0
     is formed for them.  A float algebra raises `ModeError`."""
-    if L.mode != "exact":
-        raise ModeError("inner derivations need an exact algebra: "
-                        "their basis comes from an exact row reduction")
+    scalar_kind(L.mode).require_exact("inner derivations need an exact algebra: "
+                                      "their basis comes from an exact row reduction")
     gens = [_ad_flat(L, {i: 1}) for i in range(L.n0)] + [_dbar_flat(L, th) for th in _unit_thetas(L)]
     n = _der0_flat_len(L)
     rows = [{t: v for t, v in g.items() if v} for g in gens]

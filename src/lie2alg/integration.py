@@ -2,11 +2,12 @@
 that the automorphism 2-group integrates the derivation Lie 2-algebra.
 
 Every exponential is a block of one matrix exponential, computed by
-`linalg.truncated_exp` (Van Loan 1978).  For a degree-0 derivation
-D = (X0, X1, lX), A0 = e^{tX0}, and A1, A2 are the top-left and top-right
-blocks of e^{tM}, M = [[X1, LX], [0, Lam]] on g_{-1} + Lam^2 g_0, where LX
-is lX on increasing basis pairs and Lam is X0 acting as a derivation on
-Lam^2 g_0.  The star exponential of theta is the top-right block of
+`linalg.truncated_exp`; `linalg.block_exp` gives the upper blocks (Van
+Loan 1978).  For a degree-0 derivation D = (X0, X1, lX), A0 = e^{tX0},
+and A1, A2 are the top-left and top-right blocks of e^{tM},
+M = [[X1, LX], [0, Lam]] on g_{-1} + Lam^2 g_0, where LX is lX on
+increasing basis pairs and Lam is X0 acting as a derivation on Lam^2 g_0.
+The star exponential of theta is the top-right block of
 e^{tN}, N = [[theta d, theta], [0, 0]].  Series terminate (and everything
 stays exact) when M or N is nilpotent, which holds exactly when X0 and X1,
 or theta d, are; otherwise the computation converts to float and scales
@@ -71,9 +72,10 @@ from .derivations import (
 from .linalg import (
     AltTensor,
     Mat,
+    block_exp,
     common_denominator,
     nilpotency_index,
-    row_sum_norm,
+    scalar_kind,
     truncated_exp,
     vzero,
 )
@@ -103,43 +105,17 @@ DEFAULT = ExpConfig()
 
 
 def der0_terminating(D: Derivation0):
-    """Nilpotency indices (p0, p1) when the degree-0 series terminates."""
-    if D.mode != "exact":
-        return None
+    """Nilpotency indices (p0, p1) of X0 and X1 when both are nilpotent,
+    else None: the exact degree-0 series terminates exactly then."""
     p0 = nilpotency_index(D.X0)
     p1 = None if p0 is None else nilpotency_index(D.X1)
     return None if p1 is None else (p0, p1)
 
 
 def derM1_terminating(L: Lie2Algebra, T: DerM1):
-    """Nilpotency index of theta d when the degree -1 series terminates."""
-    if T.mode != "exact" or L.mode != "exact":
-        return None
+    """Nilpotency index of theta d, or None: the exact degree -1 series
+    terminates exactly when theta d is nilpotent."""
     return nilpotency_index(T.theta @ L.d)
-
-
-def _exp_upper(a: Mat, b: Mat, c: Mat, t, order: int):
-    """Top-left and top-right blocks of e^{tM} for M = [[a, b], [0, c]], in
-    the mode of a, b and c.
-
-    The top-right block is the integral of e^{(t-s)a} b e^{sc} over
-    [0, t] (Van Loan 1978).  M is nilpotent exactly when a and c are.  That
-    block is linear in b, so in float mode b is scaled by an exact power of
-    two 2^-k to a norm of at most max(||a||, ||c||, 1/2) and the block by
-    2^k afterwards: a large b then adds no squarings, which would cost the
-    top-left block e^{ta} accuracy."""
-    n, m, mode, k = a.rows, c.rows, a.mode, 0
-    if mode == "float":
-        nb, cap = row_sum_norm(b), max(row_sum_norm(a), row_sum_norm(c), 0.5)
-        if cap < nb < math.inf:
-            # 2^k stays a finite float: a finite nb is below 2^1024
-            k = min(1023, math.ceil(math.log2(nb) - math.log2(cap)))
-            b = b.scale(2.0 ** -k)
-    rows = [a.row(i) + b.row(i) for i in range(n)] + [vzero(n, mode) + c.row(i) for i in range(m)]
-    E = truncated_exp(Mat._result(n + m, n + m, [x for r in rows for x in r], mode), t, order)
-    top = Mat._result(n, m, [E.at(i, j) for i in range(n) for j in range(n, n + m)], mode)
-    return (Mat._result(n, n, [E.at(i, j) for i in range(n) for j in range(n)], mode),
-            top.scale(2.0 ** k) if k else top)
 
 
 def _exp_hom(L: Lie2Algebra, D: Derivation0, t, order: int) -> Lie2Hom:
@@ -163,7 +139,7 @@ def _exp_hom(L: Lie2Algebra, D: Derivation0, t, order: int) -> Lie2Hom:
                         lam[index[(v, u)] * npairs + j] -= x
     cols = [D.lX.eval_basis(p, q) for p, q in pairs]
     LX = Mat._result(n1, npairs, [v[i] for i in range(n1) for v in cols], mode)
-    A1, top = _exp_upper(D.X1, LX, Mat._result(npairs, npairs, lam, mode), t, order)
+    A1, top = block_exp(D.X1, LX, Mat._result(npairs, npairs, lam, mode), t, order)
     A2 = AltTensor._result(2, n0, n1, {pq: top.col(j) for j, pq in enumerate(pairs)}, mode)
     return Lie2Hom(L, L, truncated_exp(D.X0, t, order), A1, A2)
 
@@ -180,7 +156,7 @@ def _joint_mode(L: Lie2Algebra, exps, *operands):
     every series in `exps` terminates, and the values come back as given;
     otherwise the algebra and every value are converted to float together.
     An exponential called on the returned values decides the same mode:
-    float values never terminate, and exact ones were found to.
+    float values stay float, and exact ones were found to terminate.
     """
     values = (*exps, *operands)
     if (L.mode == "exact" and all(x.mode == "exact" for x in values)
@@ -192,7 +168,7 @@ def _joint_mode(L: Lie2Algebra, exps, *operands):
 def _der0_exps(L: Lie2Algebra, D: Derivation0, ts, cfg: ExpConfig) -> list:
     """[e^{tD} for t in ts] in the decided mode of L (`_joint_mode`): one
     membership check for D, then one certified exponential per t."""
-    tol = 0 if L.mode == "exact" else cfg.tol
+    tol = scalar_kind(L.mode).tolerance(cfg.tol)
     rep = is_derivation0(L, D)
     if not rep.within(tol):
         raise ValueError(f"not a derivation within tol {tol}: {rep!r}")
@@ -202,7 +178,7 @@ def _der0_exps(L: Lie2Algebra, D: Derivation0, ts, cfg: ExpConfig) -> list:
 def _derM1_exp(L: Lie2Algebra, T: DerM1, t, cfg: ExpConfig) -> Tau:
     """e^{t theta} in the decided mode of L (`_joint_mode`), the top-right
     block of e^{tN}, N = [[theta d, theta], [0, 0]]."""
-    return Tau(_exp_upper(T.theta @ L.d, T.theta, Mat.zero(L.n0, L.n0, L.mode), t, cfg.order)[1])
+    return Tau(block_exp(T.theta @ L.d, T.theta, Mat.zero(L.n0, L.n0, L.mode), t, cfg.order)[1])
 
 
 def exp_der0(L: Lie2Algebra, D: Derivation0, t=1, cfg: ExpConfig = DEFAULT) -> Aut0:

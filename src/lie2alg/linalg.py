@@ -12,10 +12,28 @@ Every value keeps the scalar mode it was built in, all-zero and empty
 values included: literal data is float iff an entry is, a zero or
 identity takes its mode as an argument, and a computed result has the
 mode of its operands.  Mixing the two modes in one expression raises
-`ModeError`.  Row reduction, kernel bases and exact inverses are only
-available in exact mode, where results are exact by construction; they
-share one elimination over sparse rows (`_reduce`).  `adjugate_det`
-eliminates integer matrices fraction-free instead, in ints only, and
+`ModeError`; so does a float t on an exact `truncated_exp`, as a float
+scalar does in `Mat.scale`.  A mode name other than "exact" or "float"
+raises ValueError where a value is built from it.
+
+Every rule that differs between the modes lives in one table of scalar
+kinds, `_Exact` and `_Float` (see the "scalar kinds" section): zero and
+one, the scalar check and the coercion of literal data, the sum rule
+(exact sums skip zeros, float sums stay dense), rendering, the tolerance
+of an identity, the common denominator, the "requires exact" guard and
+whether a float copy converts.  `scalar_kind(mode)` looks a kind up by
+its mode name and `kind_of(values)` reads it off literal values; values
+carry the name, as `.mode`.  Elsewhere the package calls the kinds
+rather than testing modes, except `integration._joint_mode`, which
+decides the mode of an identity.  The branches left here are algorithm
+choices: the exact and the scaled-and-squared series of `truncated_exp`,
+the float balancing of `block_exp`, and elimination vs partial pivoting
+in `mat_inverse`.
+
+Row reduction, kernel bases and exact inverses are only available in
+exact mode, where results are exact by construction; they share one
+elimination over sparse rows (`_reduce`).  `adjugate_det` eliminates
+integer matrices fraction-free instead, in ints only, and
 `common_denominator` gives the factor that scales rational data to such
 an integer image.  All values are immutable and all operations are pure.
 Sparse vectors ({index: value}) serve the law evaluators and
@@ -67,46 +85,130 @@ def rat(text: str):
 
 def rat_str(q) -> str:
     """Render a scalar in the literal grammar (floats use repr)."""
-    if isinstance(q, float):
+    return kind_of((q,)).render(q)
+
+
+# ---------------------------------------------------------------------------
+# scalar kinds: every rule that differs between exact and float mode
+# ---------------------------------------------------------------------------
+
+class _Exact:
+    """Exact scalars: ints and Fractions, in canonical form (`_exact`).
+    Sums skip zero operands, which changes no exact value; identities hold
+    literally, with tolerance 0."""
+
+    name, zero, one = "exact", 0, 1
+
+    def scalar(self, s):
+        """s in canonical form; a float (or a non-number) raises ModeError."""
+        if isinstance(s, (int, Fraction)):
+            return _exact(s)
+        raise ModeError(f"{type(s).__name__} scalar applied to exact value")
+
+    def entries(self, values) -> tuple:
+        """Literal values in this kind: ints as they are, any other value
+        through `scalar`."""
+        return tuple(e if type(e) is int else self.scalar(e) for e in values)
+
+    def add(self, pairs) -> list:
+        """The sums a + b of (a, b) pairs, a zero operand skipped."""
+        return [(a + b if a else b) if b else a for a, b in pairs]
+
+    def neg(self, values) -> list:
+        """The negatives of values, a zero kept as it is."""
+        return [-a if a else a for a in values]
+
+    def support(self, vec):
+        """The coordinates a row sum against vec runs over, the nonzero ones,
+        and its start, the zero of the kind of vec: a float coordinate, even a
+        zero one, makes the sum a float."""
+        return [t for t, x in enumerate(vec) if x], kind_of(vec).zero
+
+    def render(self, q) -> str:
+        """q in the literal grammar, p or p/q."""
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    def tolerance(self, tol):
+        """What an identity in this kind is held to, given the float
+        tolerance tol: 0, as exact identities hold literally."""
+        return 0
+
+    def denominator(self, values) -> int:
+        """The factor that scales values to integers (`common_denominator`)."""
+        return common_denominator(values)
+
+    def require_exact(self, message: str):
+        """Pass: exact values admit the exact-only operations."""
+
+    def to_float(self, value, convert):
+        """The float copy of an exact value: `convert(value)`."""
+        return convert(value)
+
+
+class _Float:
+    """Float scalars.  ints fit too and are converted; sums stay dense, so
+    signed zeros come out as the dense operations make them; identities
+    hold within a tolerance."""
+
+    name, zero, one = "float", 0.0, 1.0
+
+    def scalar(self, s):
+        """s as a float; a Fraction (or a non-number) raises ModeError."""
+        if isinstance(s, (int, float)):
+            return float(s)
+        raise ModeError(f"{type(s).__name__} scalar applied to float value")
+
+    def entries(self, values) -> tuple:
+        """Literal values in this kind, each through `scalar`."""
+        return tuple(map(self.scalar, values))
+
+    def add(self, pairs) -> list:
+        return [a + b for a, b in pairs]
+
+    def neg(self, values) -> list:
+        return [-a for a in values]
+
+    def support(self, vec):
+        return range(len(vec)), 0.0
+
+    def render(self, q) -> str:
         return repr(q)
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    def tolerance(self, tol):
+        return tol
+
+    def denominator(self, values) -> int:
+        """1: float values are used as they are."""
+        return 1
+
+    def require_exact(self, message: str):
+        """Raise ModeError(message): an exact-only operation met floats."""
+        raise ModeError(message)
+
+    def to_float(self, value, convert):
+        """A float value is its own float copy."""
+        return value
 
 
-def _coerce_entries(entries, mode=None):
-    """Normalize a flat list of scalars from outside the program to one
-    mode: `mode` when given, else float iff an entry is.  ints fit either;
-    exact entries take their canonical form (`_exact`)."""
-    has_float = any(isinstance(e, float) for e in entries)
-    mode = mode or ("float" if has_float else "exact")
-    if mode == "float":
-        for e in entries:
-            if not isinstance(e, (float, int)):
-                raise ModeError("mixed exact and float entries")
-        return tuple(float(e) for e in entries), mode
-    if has_float:
-        raise ModeError("mixed exact and float entries")
-    return tuple(e if type(e) is int else _exact(e if isinstance(e, Fraction) else Fraction(e))
-                 for e in entries), mode
+_KINDS = {k.name: k for k in (_Exact(), _Float())}
 
 
-def _check_scalar(s, mode):
-    if isinstance(s, int):
-        return _exact(s) if mode == "exact" else float(s)
-    if isinstance(s, Fraction):
-        if mode != "exact":
-            raise ModeError("rational scalar applied to float value")
-        return _exact(s)
-    if isinstance(s, float):
-        if mode != "float":
-            raise ModeError("float scalar applied to exact value")
-        return s
-    raise TypeError(f"unsupported scalar {s!r}")
+def scalar_kind(mode: str):
+    """The kind of a mode name, "exact" or "float"; any other name raises
+    ValueError."""
+    if mode not in _KINDS:
+        raise ValueError(f"unknown scalar mode {mode!r}: expected 'exact' or 'float'")
+    return _KINDS[mode]
+
+
+def kind_of(values):
+    """The kind of literal values: float iff one of them is a float."""
+    return _KINDS["float" if any(isinstance(e, float) for e in values) else "exact"]
 
 
 def scalar_zero(mode: str):
     """The zero scalar of a mode: the int 0 when exact, 0.0 when float."""
-    return 0 if mode == "exact" else 0.0
+    return scalar_kind(mode).zero
 
 
 def _same_mode(a, b):
@@ -123,9 +225,8 @@ def vzero(n: int, mode: str = "exact") -> tuple:
 
 
 def basis_vec(n: int, i: int, mode: str = "exact") -> tuple:
-    one = 1 if mode == "exact" else 1.0
-    z = scalar_zero(mode)
-    return tuple(one if j == i else z for j in range(n))
+    k = scalar_kind(mode)
+    return tuple(k.one if j == i else k.zero for j in range(n))
 
 
 def vadd(u: tuple, v: tuple) -> tuple:
@@ -173,11 +274,11 @@ class Mat:
         data = list(data)
         if len(data) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(data)}")
-        entries, mode = _coerce_entries(data)
+        kind = kind_of(data)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", entries)
-        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "data", kind.entries(data))
+        object.__setattr__(self, "mode", kind.name)
 
     def __setattr__(self, *args):
         raise AttributeError("Mat is immutable")
@@ -207,7 +308,8 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int, mode: str = "exact") -> "Mat":
-        return cls._result(n, n, [x for i in range(n) for x in basis_vec(n, i, mode)], mode)
+        return cls._result(n, n, [x for i in range(n) for x in basis_vec(n, i, mode)],
+                           scalar_kind(mode).name)
 
     @classmethod
     def from_cols(cls, cols, nrows: int) -> "Mat":
@@ -223,25 +325,16 @@ class Mat:
     def col(self, j: int) -> tuple:
         return tuple(self.data[i * self.cols + j] for i in range(self.rows))
 
-    # Exact sums skip zero operands, which changes no exact value; float
-    # sums stay dense, so signed zeros come out as the dense ops make them.
+    # sums and negation by the rule of the kind: exact ones skip zeros, float
+    # ones stay dense
     def __add__(self, other: "Mat") -> "Mat":
-        return Mat._result(self.rows, self.cols, _flat_add(self._pairs(other), self.mode), self.mode)
+        return Mat._result(self.rows, self.cols, _KINDS[self.mode].add(self._pairs(other)), self.mode)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        pairs = self._pairs(other)
-        if self.mode == "float":
-            data = [a - b for a, b in pairs]
-        else:
-            data = [(a - b if a else -b) if b else a for a, b in pairs]
-        return Mat._result(self.rows, self.cols, data, self.mode)
+        return self + -other  # a - b is a + (-b), in float bit for bit
 
     def __neg__(self) -> "Mat":
-        if self.mode == "float":
-            data = [-a for a in self.data]
-        else:
-            data = [-a if a else a for a in self.data]
-        return Mat._result(self.rows, self.cols, data, self.mode)
+        return Mat._result(self.rows, self.cols, _KINDS[self.mode].neg(self.data), self.mode)
 
     def _pairs(self, other: "Mat"):
         _same_mode(self, other)
@@ -250,7 +343,7 @@ class Mat:
         return zip(self.data, other.data)
 
     def scale(self, s) -> "Mat":
-        s = _check_scalar(s, self.mode)
+        s = _KINDS[self.mode].scalar(s)
         return Mat._result(self.rows, self.cols, [s * a for a in self.data], self.mode)
 
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -265,17 +358,13 @@ class Mat:
         """The product m vec.
 
         In exact mode the sum runs over the nonzero coordinates of vec only,
-        which changes no exact sum.  Float mode sums every coordinate: a
-        native float product costs less than finding the support.
+        which changes no exact sum, and a float coordinate makes it a float
+        sum.  Float mode sums every coordinate: a native float product costs
+        less than finding the support.
         """
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        if self.mode == "float":
-            support, zero = range(self.cols), 0.0
-        else:
-            support = [t for t, x in enumerate(vec) if x]
-            # a float coordinate, even a zero one, makes an exact row sum a float
-            zero = 0.0 if any(isinstance(x, float) for x in vec) else 0
+        support, zero = _KINDS[self.mode].support(vec)
         out = []
         for i in range(self.rows):
             r = self.row(i)
@@ -305,8 +394,6 @@ class Mat:
         return vmax_abs(self.data, scalar_zero(self.mode))
 
     def to_float(self) -> "Mat":
-        if self.mode == "float":
-            return self
         return Mat._result(self.rows, self.cols, [float(a) for a in self.data], "float")
 
     def __eq__(self, other) -> bool:
@@ -319,13 +406,6 @@ class Mat:
     def __repr__(self) -> str:
         rows = [" ".join(rat_str(self.at(i, j)) for j in range(self.cols)) for i in range(self.rows)]
         return "Mat[" + "; ".join(rows) + "]"
-
-
-def _flat_add(pairs, mode: str) -> list:
-    """The sums a + b of (a, b) pairs in `mode`, as `Mat.__add__` forms them."""
-    if mode == "float":
-        return [a + b for a, b in pairs]
-    return [(a + b if a else b) if b else a for a, b in pairs]
 
 
 def _nonzero_rows(data, rows: int, cols: int) -> list:
@@ -359,8 +439,7 @@ def _flat_mul(a, n: int, brows: list, m: int, zero) -> list:
 
 def _exact_rows(m: Mat, what: str) -> list:
     """The rows of an exact matrix as sparse vectors ({col: value})."""
-    if m.mode != "exact":
-        raise ModeError(f"{what} requires exact scalars")
+    _KINDS[m.mode].require_exact(f"{what} requires exact scalars")
     return sparse_rows(m)
 
 
@@ -501,7 +580,7 @@ def mat_inverse(m: Mat):
         raise ValueError("square matrix required")
     n = m.rows
     if m.mode == "exact":
-        rows = _exact_rows(m, "mat_inverse")
+        rows = sparse_rows(m)
         for i, r in enumerate(rows):
             r[n + i] = 1
         pivot_rows, pivots = _reduce(rows, 2 * n)
@@ -538,7 +617,7 @@ def adjugate_det(m: Mat):
     """
     if m.rows != m.cols:
         raise ValueError("square matrix required")
-    if m.mode != "exact" or any(type(x) is not int for x in m.data):
+    if any(type(x) is not int for x in m.data):
         raise ValueError("adjugate_det requires integer entries")
     n = m.rows
     rows = [list(m.row(i)) + [int(j == i) for j in range(n)] for i in range(n)]
@@ -560,7 +639,7 @@ def adjugate_det(m: Mat):
 def solve(m: Mat, b: tuple):
     """One exact solution of m x = b (free variables set to 0), or None."""
     rows = _exact_rows(m, "solve")
-    rhs, _ = _coerce_entries([b[i] for i in range(m.rows)], "exact")
+    rhs = _KINDS["exact"].entries([b[i] for i in range(m.rows)])
     for r, v in zip(rows, rhs):
         if v:
             r[m.cols] = v
@@ -602,12 +681,13 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
 
     An exact series stops at its first zero term: a nilpotent m makes it
     terminate, so the result is the true exponential, exactly; other exact
-    input is summed to `order`.  A float m is scaled and squared (Higham
-    2005): with ||.|| the max row sum, s = max(0, ceil(log2(||tm|| / 0.5))),
-    `order` terms of the series are summed at t / 2^s and the result is
-    squared s times, so the series is only ever summed where it converges
-    fast, however large ||tm|| is.  A norm that is not finite raises
-    ValueError.
+    input is summed to `order`.  Its t is an exact scalar: a float t raises
+    ModeError, as a float scalar does in `Mat.scale`.  A float m is scaled
+    and squared (Higham 2005): with ||.|| the max row sum,
+    s = max(0, ceil(log2(||tm|| / 0.5))), `order` terms of the series are
+    summed at t / 2^s and the result is squared s times, so the series is
+    only ever summed where it converges fast, however large ||tm|| is.  A
+    norm that is not finite raises ValueError.
 
     The series and the squarings run on flat row-major lists through
     `_flat_mul`, with the nonzero rows of m built once: term n is term
@@ -620,7 +700,7 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     if order < 1:
         raise ValueError("order must be >= 1")
     size, mode, s = m.rows, m.mode, 0
-    exact = mode == "exact"
+    kind, exact = _KINDS[mode], mode == "exact"
     if not exact:
         t = float(t)
         ratio = 2 * abs(t) * row_sum_norm(m)  # ||tm|| / 0.5
@@ -630,8 +710,8 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
         t, top = math.ldexp(t, -s), order
     else:
         # an exact m is nilpotent iff a term vanishes, by term m.rows at the latest
-        t, top = Fraction(t), max(order, size)
-    zero, brows = scalar_zero(mode), _nonzero_rows(m.data, size, size)
+        t, top = kind.scalar(t), max(order, size)
+    zero, brows = kind.zero, _nonzero_rows(m.data, size, size)
     result = term = at_order = Mat.identity(size, mode).data
     for n in range(1, top + 1):
         term = _flat_mul(term, size, brows, size, zero)
@@ -639,7 +719,7 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
             break
         c = _quotient(t, n) if exact else t / n
         term = [c * a for a in term]
-        result = _flat_add(zip(result, term), mode)
+        result = kind.add(zip(result, term))
         if n == order:
             at_order = result
     else:
@@ -647,6 +727,30 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     for _ in range(s):
         result = _flat_mul(result, size, _nonzero_rows(result, size, size), size, zero)
     return Mat._result(size, size, result, mode)
+
+
+def block_exp(a: Mat, b: Mat, c: Mat, t=1, order: int = 24):
+    """The top-left and top-right blocks of e^{tM} for M = [[a, b], [0, c]],
+    in the mode of a, b and c, by one `truncated_exp`.
+
+    The top-right block is the integral of e^{(t-s)a} b e^{sc} over
+    [0, t] (Van Loan 1978).  M is nilpotent exactly when a and c are.  That
+    block is linear in b, so in float mode b is scaled by an exact power of
+    two 2^-k to a norm of at most max(||a||, ||c||, 1/2) and the block by
+    2^k afterwards: a large b then adds no squarings, which would cost the
+    top-left block e^{ta} accuracy."""
+    n, m, mode, k = a.rows, c.rows, a.mode, 0
+    if mode == "float":
+        nb, cap = row_sum_norm(b), max(row_sum_norm(a), row_sum_norm(c), 0.5)
+        if cap < nb < math.inf:
+            # 2^k stays a finite float: a finite nb is below 2^1024
+            k = min(1023, math.ceil(math.log2(nb) - math.log2(cap)))
+            b = b.scale(2.0 ** -k)
+    rows = [a.row(i) + b.row(i) for i in range(n)] + [vzero(n, mode) + c.row(i) for i in range(m)]
+    E = truncated_exp(Mat._result(n + m, n + m, [x for r in rows for x in r], mode), t, order)
+    top = Mat._result(n, m, [E.at(i, j) for i in range(n) for j in range(n, n + m)], mode)
+    return (Mat._result(n, n, [E.at(i, j) for i in range(n) for j in range(n)], mode),
+            top.scale(2.0 ** k) if k else top)
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +788,9 @@ class AltTensor:
 
     def __init__(self, arity: int, dim: int, codim: int, entries=None, mode: str | None = None):
         """A tensor of literal values, all in `mode` when it is given, else
-        float iff a value is; no values and no mode make it exact."""
-        clean = {}
+        in the kind of the first value (float iff one of its entries is); no
+        values and no mode make it exact."""
+        kind, clean = None if mode is None else scalar_kind(mode), {}
         for key, vec in (entries or {}).items():
             key = tuple(key)
             if len(key) != arity or any(not (0 <= i < dim) for i in key):
@@ -694,8 +799,9 @@ class AltTensor:
                 raise ValueError(f"index tuple not strictly increasing: {key}")
             if len(vec) != codim:
                 raise ValueError("value length mismatch")
-            clean[key], mode = _coerce_entries(list(vec), mode)
-        self._set(arity, dim, codim, clean, mode or "exact")
+            kind = kind or kind_of(vec)
+            clean[key] = kind.entries(vec)
+        self._set(arity, dim, codim, clean, kind.name if kind else "exact")
 
     def _set(self, arity, dim, codim, entries: dict, mode: str):
         object.__setattr__(self, "arity", arity)
@@ -718,7 +824,7 @@ class AltTensor:
 
     @classmethod
     def zero(cls, arity: int, dim: int, codim: int, mode: str = "exact") -> "AltTensor":
-        return cls._result(arity, dim, codim, {}, mode)
+        return cls._result(arity, dim, codim, {}, scalar_kind(mode).name)
 
     @classmethod
     def from_function(cls, arity: int, dim: int, codim: int, fn, mode: str | None = None) -> "AltTensor":
@@ -774,7 +880,7 @@ class AltTensor:
                                  {k: vneg(v) for k, v in self.entries.items()}, self.mode)
 
     def scale(self, s) -> "AltTensor":
-        s = _check_scalar(s, self.mode)
+        s = _KINDS[self.mode].scalar(s)
         return AltTensor._result(self.arity, self.dim, self.codim,
                                  {k: vscale(s, v) for k, v in self.entries.items()}, self.mode)
 
@@ -804,8 +910,6 @@ class AltTensor:
         return vmax_abs([vmax_abs(v) for v in self.entries.values()], scalar_zero(self.mode))
 
     def to_float(self) -> "AltTensor":
-        if self.mode == "float":
-            return self
         return AltTensor._result(self.arity, self.dim, self.codim,
                                  {k: tuple(float(x) for x in v) for k, v in self.entries.items()},
                                  "float")

@@ -1,7 +1,9 @@
+import math
 import random
+from fractions import Fraction
 
 from lie2alg import cli
-from lie2alg.cli import run
+from lie2alg.cli import ReportLine, run
 from lie2alg.fileio import serialize_element
 from lie2alg.fixtures import fix_str, string_aut_hom
 
@@ -218,3 +220,25 @@ def test_check_abelian_conjugation_and_bracket_recovery_pass():
             code, text = run(["check", "abelian", "--suite", suite,
                               "--samples", str(samples), "--seed", str(seed)])
             assert code == 0 and "RESULT PASS" in text, (suite, seed, text)
+
+
+def test_an_exact_report_line_passes_only_at_literal_zero():
+    # exact lines are built with cfg.tol (the crossed-module suite), which they never read
+    for tol in (0.0, 1e-9, 1.0):
+        assert ReportLine("x", 0, "exact", tol).passed
+        assert ReportLine("x", Fraction(0), "exact", tol).passed
+        assert not ReportLine("x", Fraction(1, 10 ** 12), "exact", tol).passed
+        assert not ReportLine("x", -1, "exact", tol).passed
+
+
+def test_a_float_report_line_passes_within_its_tolerance():
+    assert ReportLine("x", 1e-9, "float", 1e-9).passed
+    assert ReportLine("x", -1e-9, "float", 1e-9).passed
+    assert ReportLine("x", 0.0, "float", 0.0).passed
+    assert not ReportLine("x", 2e-9, "float", 1e-9).passed
+    assert not ReportLine("x", math.inf, "float", 1e-9).passed
+
+
+def test_a_nan_residual_fails_in_either_mode():
+    for mode in ("exact", "float"):
+        assert not ReportLine("x", math.nan, mode, 1e-9).passed

@@ -44,6 +44,7 @@ from lie2alg.fixtures import (
     rand_cochain,
     rand_mat,
     random_fixture,
+    skeletal_demo,
     strict_sl2,
 )
 from lie2alg.integration import (
@@ -223,7 +224,7 @@ def test_one_parameter_degree_m1():
     L = fix_end()
     for _ in range(5):
         T = random_derM1(L, rng, dens=SMALL)
-        resid, mode = one_parameter_derM1(L, T, 0.5, 0.25)
+        resid, mode = one_parameter_derM1(L, T, Fraction(1, 2), Fraction(1, 4))
         assert resid < 1e-9 and mode == ("exact" if derM1_terminating(L, T) is not None else "float")
 
 
@@ -999,3 +1000,21 @@ def test_ad_conjugate_lx_is_the_cochain_action_formula():
             A = random_aut0(L, rng, der_basis=basis)
             D = random_der0(L, rng, basis)
             assert ad_conjugate(L, A, D).lX == _conjugated_lx_by_formula(A, D)
+
+
+def test_a_float_t_on_an_exact_series_raises_as_scale_does():
+    # an exact series takes t through the exact scalar check: a float t no
+    # longer turns into the dyadic rational it stands for
+    m = Mat(2, 2, [0, 1, 0, 0])
+    with pytest.raises(ModeError):
+        m.scale(0.1)
+    with pytest.raises(ModeError):
+        truncated_exp(m, 0.1)
+    assert truncated_exp(m, Fraction(1, 10)) == Mat(2, 2, [1, Fraction(1, 10), 0, 1])
+    assert truncated_exp(m, 3).data == (1, 3, 0, 1)
+    assert truncated_exp(m.to_float(), Fraction(1, 10)).data == (1.0, 0.1, 0.0, 1.0)
+    L = skeletal_demo()
+    D = next(D for D in compute_der0_basis(L) if der0_terminating(D) is not None)
+    with pytest.raises(ModeError):
+        exp_der0(L, D, t=0.1)
+    assert exp_der0(L, D, t=Fraction(1, 10)).mode == exp_der0(L, D, t=2).mode == "exact"

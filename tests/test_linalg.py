@@ -13,6 +13,7 @@ from lie2alg.linalg import (
     Mat,
     ModeError,
     adjugate_det,
+    basis_vec,
     common_denominator,
     kernel,
     kernel_basis,
@@ -24,9 +25,11 @@ from lie2alg.linalg import (
     rat_str,
     row_sum_norm,
     rref,
+    scalar_zero,
     solve,
     truncated_exp,
     vec_is_zero,
+    vzero,
 )
 
 
@@ -833,3 +836,27 @@ def test_tensor_mode_is_declared_or_read_from_the_values():
         AltTensor.zero(2, 2, 1, "float") + AltTensor.zero(2, 2, 1)
     with pytest.raises(ModeError):
         AltTensor.zero(2, 2, 1).postcompose(Mat.zero(1, 1, "float"))
+
+
+# ---------------------------------------------------------------------------
+# mode names
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: Mat.zero(2, 2, "Exact"), lambda: Mat.identity(2, "exct"),
+    lambda: Mat.identity(0, "exct"),
+    lambda: vzero(2, "Exact"), lambda: basis_vec(2, 0, "exct"), lambda: scalar_zero("EXACT"),
+    lambda: AltTensor.zero(2, 3, 1, "floaty"), lambda: AltTensor(2, 2, 1, {}, "Float"),
+    lambda: AltTensor(2, 2, 1, {(0, 1): (1,)}, "exact "),
+], ids=["Mat.zero", "Mat.identity", "Mat.identity-0x0", "vzero", "basis_vec", "scalar_zero",
+        "AltTensor.zero", "AltTensor-no-values", "AltTensor-values"])
+def test_an_unknown_mode_name_raises_at_construction(make):
+    with pytest.raises(ValueError, match="unknown scalar mode"):
+        make()
+
+
+def test_known_mode_names_build_their_kind():
+    assert Mat.zero(1, 2, "float").data == (0.0, 0.0)
+    assert Mat.identity(2, "exact").data == (1, 0, 0, 1)
+    assert [type(x) for x in vzero(2, "float") + basis_vec(2, 1, "exact")] == [float] * 2 + [int] * 2
+    assert (scalar_zero("exact"), AltTensor.zero(2, 3, 1, "float").mode) == (0, "float")
