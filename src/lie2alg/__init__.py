@@ -39,7 +39,6 @@ from .derivations import (
 from .automorphisms import (
     Tau,
     Aut0,
-    TwoGroupCell,
     certify_aut0,
     star,
     tau_inverse,
@@ -47,7 +46,6 @@ from .automorphisms import (
     partial,
     act,
     check_crossed_module,
-    vcompose,
     semidirect_multiply,
     classify_automorphism,
     ad_conjugate,
@@ -59,9 +57,7 @@ from .integration import (
     check_one_parameter,
     check_commuting_square,
     recover_bracket,
-    exp_semidirect,
     check_conjugation_identities,
-    inn_group_generators,
 )
 
 __version__ = "0.1.0"

@@ -6,6 +6,10 @@ tau * tau' = tau + tau' + tau d tau'.  Together with the connecting map
 and the natural action they form a crossed module of groups, realized
 here with exact arithmetic so every law is an equality test.  A twist
 by tau runs the 2-component loop of `dbar` (`derivations._lower_term`).
+The strict 2-group carries the same data as the crossed module (Brown &
+Spencer 1976): its morphisms are the (Aut0, Tau) pairs, a group under the
+semidirect product `semidirect_multiply`, and `check_crossed_module`
+checks its laws.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .core import (
     Lie2Algebra,
@@ -207,56 +210,15 @@ def check_crossed_module(L: Lie2Algebra, auts, taus) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the semidirect product group and the 2-group cells
+# the semidirect product group
 # ---------------------------------------------------------------------------
 
-class TwoGroupCell(NamedTuple):
-    """Cell of the associated strict 2-group: source g, morphism datum h.
-    Under horizontal product the cells are the semidirect pairs (A, tau)."""
-
-    g: Aut0
-    h: Tau
-
-
-def semidirect_identity(L: Lie2Algebra) -> TwoGroupCell:
-    return TwoGroupCell(aut_identity(L), tau_zero(L))
-
-
-def semidirect_multiply(L: Lie2Algebra, p1, p2) -> TwoGroupCell:
-    """(A, tau) (A', tau') = (A A', tau * (A |> tau'))."""
+def semidirect_multiply(L: Lie2Algebra, p1, p2) -> tuple:
+    """The group law of the 2-group on (Aut0, Tau) pairs:
+    (A, tau) (A', tau') = (A A', tau * (A |> tau'))."""
     A1, t1 = p1
     A2, t2 = p2
-    return TwoGroupCell(aut_compose(A1, A2), star(L, t1, act(L, A1, t2)))
-
-
-def semidirect_inverse(L: Lie2Algebra, p) -> TwoGroupCell:
-    A, t = p
-    ti = _required_inverse(tau_inverse(L, t))
-    Ai = aut_inverse(A)
-    return TwoGroupCell(Ai, act(L, Ai, ti))
-
-
-def semidirect_distance(L: Lie2Algebra, p1, p2):
-    return max(aut_distance(p1[0], p2[0]), tau_distance(p1[1], p2[1]))
-
-
-def cell_source(L: Lie2Algebra, c: TwoGroupCell) -> Aut0:
-    return c.g
-
-
-def cell_target(L: Lie2Algebra, c: TwoGroupCell) -> Aut0:
-    return aut_compose(partial(L, c.h), c.g)
-
-
-def cell_identity(L: Lie2Algebra, g: Aut0) -> TwoGroupCell:
-    return TwoGroupCell(g, tau_zero(L))
-
-
-def vcompose(L: Lie2Algebra, c1: TwoGroupCell, c2: TwoGroupCell) -> TwoGroupCell:
-    """Vertical composite c1 after c2; needs target(c2) = source(c1)."""
-    if aut_distance(cell_target(L, c2), cell_source(L, c1)) != 0:
-        raise ValueError("cells are not vertically composable")
-    return TwoGroupCell(c2.g, star(L, c1.h, c2.h))
+    return aut_compose(A1, A2), star(L, t1, act(L, A1, t2))
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +228,13 @@ def vcompose(L: Lie2Algebra, c1: TwoGroupCell, c2: TwoGroupCell) -> TwoGroupCell
 def classify_automorphism(L: Lie2Algebra, elem) -> dict:
     """Flags {weak, strict}.
 
-    Degree 0: strict iff A2 = 0, the homomorphism residuals are literally 0
-    (tolerance 0) and the cached component inverses are present.
+    Degree 0: strict iff A2 = 0 and the homomorphism residuals are literally
+    0 (tolerance 0); every Aut0 carries both component inverses.
     Degree -1: strict iff tau[x,y] = [x, tau y] + [tau x, y] + [tau x, d tau y],
     that is iff the twist l^id_tau of the identity vanishes.
     """
     if isinstance(elem, Aut0):
-        strict = (elem.hom.A2.is_zero() and elem.a0_inv is not None
-                  and elem.a1_inv is not None and validate_hom(elem.hom).ok)
+        strict = elem.hom.A2.is_zero() and validate_hom(elem.hom).ok
         return {"weak": True, "strict": strict}
     if isinstance(elem, Tau):
         return {"weak": tau_is_invertible(L, elem),

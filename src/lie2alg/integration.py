@@ -39,7 +39,6 @@ from .automorphisms import (
     Aut0,
     Tau,
     TauDraws,
-    TwoGroupCell,
     act,
     ad_conjugate,
     aut_compose,
@@ -52,7 +51,6 @@ from .automorphisms import (
     tau_distance,
     tau_inverse,
     tau_of_draws,
-    tau_zero,
 )
 from .core import Lie2Algebra, Lie2Hom, compose_hom, hom_distance
 from .derivations import (
@@ -62,8 +60,6 @@ from .derivations import (
     adbar0_single,
     compute_der0_basis,
     dbar,
-    derM1_basis,
-    inn0_basis,
     is_derivation0,
     random_der0,
     random_derM1,
@@ -282,21 +278,6 @@ def recover_bracket_m1(L: Lie2Algebra, T1: DerM1, T2: DerM1,
 
 
 # ---------------------------------------------------------------------------
-# the semidirect exponential
-# ---------------------------------------------------------------------------
-
-def exp_semidirect(L: Lie2Algebra, pair, cfg: ExpConfig = DEFAULT):
-    """Componentwise exponential (e^{(X, lX)}, e^theta) of a semidirect pair.
-
-    Both legs run in one scalar mode: exact only if both series terminate.
-    The componentwise formula is a one-parameter curve for the semidirect
-    product precisely when the two legs commute ({D, theta} = 0).
-    """
-    _, L, (D, T) = _joint_mode(L, pair)
-    return TwoGroupCell(_der0_exps(L, D, (1,), cfg)[0], _derM1_exp(L, T, 1, cfg))
-
-
-# ---------------------------------------------------------------------------
 # conjugation identities
 # ---------------------------------------------------------------------------
 
@@ -452,24 +433,6 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
         out.append((f"conj_adjoint[{idx}]", *_conj_der0(L, cfg, A, adbar0_single(L, x), rhs_exp)))
 
     return out
-
-
-# ---------------------------------------------------------------------------
-# inner automorphism generators
-# ---------------------------------------------------------------------------
-
-def inn_group_generators(L: Lie2Algebra, cfg: ExpConfig = DEFAULT) -> list:
-    """Exponentials of the inner degree-0 basis and of the degree -1 basis,
-    as 2-group cells (degree-0 generators carry tau = 0, degree -1
-    generators ride on the identity)."""
-    gens = []
-    for D in inn0_basis(L):
-        A = exp_der0(L, D, 1, cfg)
-        gens.append(TwoGroupCell(A, tau_zero(A.algebra)))
-    for T in derM1_basis(L):
-        _, base, (T,) = _joint_mode(L, (T,))
-        gens.append(TwoGroupCell(aut_identity(base), _derM1_exp(base, T, 1, cfg)))
-    return gens
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ division, a literal p/q, a sampled draw).  Every exact division goes
 through `Fraction`, never `/` on two ints, which would give a float.
 
 Every value keeps the scalar mode it was built in, all-zero and empty
-values included: literal data is float iff an entry is, a zero or
-identity takes its mode as an argument, and a computed result has the
-mode of its operands.  Mixing the two modes in one expression raises
-`ModeError`; so does a float t on an exact `truncated_exp`, as a float
-scalar does in `Mat.scale`.  A mode name other than "exact" or "float"
+values included: literal data is float iff an entry is (for a tensor,
+an entry of any of its values), a zero or identity takes its mode as an
+argument, and a computed result has the mode of its operands.  Mixing
+the two modes in one expression raises `ModeError`; so does a float t on
+an exact `truncated_exp`, or a t that is no number on a float one, as a
+bad scalar does in `Mat.scale`.  A mode name other than "exact" or "float"
 raises ValueError where a value is built from it.
 
 Every rule that differs between the modes lives in one table of scalar
@@ -376,14 +377,6 @@ class Mat:
                            [self.at(i, j) for j in range(self.cols) for i in range(self.rows)],
                            self.mode)
 
-    def power(self, k: int) -> "Mat":
-        if self.rows != self.cols:
-            raise ValueError("square matrix required")
-        result = Mat.identity(self.rows, self.mode)
-        for _ in range(k):
-            result = result @ self
-        return result
-
     def trace(self):
         return sum((self.at(i, i) for i in range(self.rows)), scalar_zero(self.mode))
 
@@ -682,7 +675,8 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     An exact series stops at its first zero term: a nilpotent m makes it
     terminate, so the result is the true exponential, exactly; other exact
     input is summed to `order`.  Its t is an exact scalar: a float t raises
-    ModeError, as a float scalar does in `Mat.scale`.  A float m is scaled
+    ModeError, as a float scalar does in `Mat.scale`.  A float m takes an
+    int, float or Fraction t; any other t raises ModeError.  It is scaled
     and squared (Higham 2005): with ||.|| the max row sum,
     s = max(0, ceil(log2(||tm|| / 0.5))), `order` terms of the series are
     summed at t / 2^s and the result is squared s times, so the series is
@@ -702,7 +696,7 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     size, mode, s = m.rows, m.mode, 0
     kind, exact = _KINDS[mode], mode == "exact"
     if not exact:
-        t = float(t)
+        t = float(kind_of((t,)).scalar(t))
         ratio = 2 * abs(t) * row_sum_norm(m)  # ||tm|| / 0.5
         if not math.isfinite(ratio):
             raise ValueError(f"exponential overflows: ||t m|| / 0.5 = {ratio}")
@@ -788,10 +782,11 @@ class AltTensor:
 
     def __init__(self, arity: int, dim: int, codim: int, entries=None, mode: str | None = None):
         """A tensor of literal values, all in `mode` when it is given, else
-        in the kind of the first value (float iff one of its entries is); no
-        values and no mode make it exact."""
-        kind, clean = None if mode is None else scalar_kind(mode), {}
-        for key, vec in (entries or {}).items():
+        float iff an entry of any value is a float, as in `Mat`; no values
+        and no mode make it exact."""
+        entries, clean = entries or {}, {}
+        kind = kind_of(e for v in entries.values() for e in v) if mode is None else scalar_kind(mode)
+        for key, vec in entries.items():
             key = tuple(key)
             if len(key) != arity or any(not (0 <= i < dim) for i in key):
                 raise ValueError(f"bad index tuple {key}")
@@ -799,9 +794,8 @@ class AltTensor:
                 raise ValueError(f"index tuple not strictly increasing: {key}")
             if len(vec) != codim:
                 raise ValueError("value length mismatch")
-            kind = kind or kind_of(vec)
             clean[key] = kind.entries(vec)
-        self._set(arity, dim, codim, clean, kind.name if kind else "exact")
+        self._set(arity, dim, codim, clean, kind.name)
 
     def _set(self, arity, dim, codim, entries: dict, mode: str):
         object.__setattr__(self, "arity", arity)

@@ -11,22 +11,16 @@ from lie2alg.automorphisms import (
     Aut0,
     Tau,
     TauDraws,
-    TwoGroupCell,
     act,
     ad_conjugate,
     aut_compose,
     aut_distance,
     aut_identity,
     aut_inverse,
-    cell_identity,
-    cell_target,
     certify_aut0,
     check_crossed_module,
     classify_automorphism,
     partial,
-    semidirect_distance,
-    semidirect_identity,
-    semidirect_inverse,
     semidirect_multiply,
     star,
     tau_distance,
@@ -37,7 +31,6 @@ from lie2alg.automorphisms import (
     twist_hom,
     twist_lower,
     random_tau,
-    vcompose,
 )
 from lie2alg.core import (
     Lie2Hom,
@@ -460,51 +453,57 @@ def test_corrupted_action_breaks_peiffer():
 
 
 # ---------------------------------------------------------------------------
-# 2-group cells
+# the strict 2-group: semidirect pairs and their vertical composites
 # ---------------------------------------------------------------------------
+# A cell (g, h) is a semidirect pair (Aut0, Tau), from g to partial(h) g.
+# Its horizontal product is `semidirect_multiply`.  The unit (aut_identity,
+# tau = 0), inverses and the vertical composite (c2.g, c1.h * c2.h) of c1
+# after c2 are written out in the tests.
 
 def make_cell(L, rng, g=None):
-    g = g or string_aut0(L, rng)
-    return TwoGroupCell(g, random_tau(L, rng, invertible=True))
+    return g or string_aut0(L, rng), random_tau(L, rng, invertible=True)
+
+
+def cell_target(L, c):
+    return aut_compose(partial(L, c[1]), c[0])
+
+
+def pair_distance(p, q):
+    return max(aut_distance(p[0], q[0]), tau_distance(p[1], q[1]))
 
 
 def test_vcompose_identity_cell():
     rng = random.Random(50)
     L = fix_str()
     c2 = make_cell(L, rng)
-    c1 = cell_identity(L, cell_target(L, c2))
-    got = vcompose(L, c1, c2)
-    assert semidirect_distance(L, got, c2) == 0
+    c1 = cell_target(L, c2), tau_zero(L)
+    got = c2[0], star(L, c1[1], c2[1])
+    assert pair_distance(got, c2) == 0
+    assert aut_distance(cell_target(L, got), c1[0]) == 0
 
 
 def test_hmultiply_identity_cells():
     L = fix_str()
-    e = cell_identity(L, aut_identity(L))
+    e = aut_identity(L), tau_zero(L)
     got = semidirect_multiply(L, e, e)
-    assert semidirect_distance(L, got, e) == 0
-
-
-def test_vcompose_rejects_mismatched():
-    rng = random.Random(51)
-    L = fix_str()
-    c2 = make_cell(L, rng)
-    # a cell whose source differs from target(c2) cannot stack on it
-    mismatched = TwoGroupCell(aut_compose(c2.g, c2.g), c2.h)
-    with pytest.raises(ValueError):
-        vcompose(L, mismatched, c2)
+    assert pair_distance(got, e) == 0
 
 
 def test_interchange_law():
+    # (a after c)(b after d) = (a b) after (c d), where target(c d) = source(a b)
+    # because partial is a homomorphism and equivariant
     rng = random.Random(52)
     L = fix_str()
     for _ in range(3):
         c = make_cell(L, rng)
-        a = TwoGroupCell(cell_target(L, c), random_tau(L, rng, invertible=True))
+        a = make_cell(L, rng, cell_target(L, c))
         d = make_cell(L, rng)
-        b = TwoGroupCell(cell_target(L, d), random_tau(L, rng, invertible=True))
-        lhs = vcompose(L, semidirect_multiply(L, a, b), semidirect_multiply(L, c, d))
-        rhs = semidirect_multiply(L, vcompose(L, a, c), vcompose(L, b, d))
-        assert semidirect_distance(L, lhs, rhs) == 0
+        b = make_cell(L, rng, cell_target(L, d))
+        ab, cd = semidirect_multiply(L, a, b), semidirect_multiply(L, c, d)
+        assert aut_distance(cell_target(L, cd), ab[0]) == 0
+        lhs = cd[0], star(L, ab[1], cd[1])
+        rhs = semidirect_multiply(L, (c[0], star(L, a[1], c[1])), (d[0], star(L, b[1], d[1])))
+        assert pair_distance(lhs, rhs) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -514,24 +513,26 @@ def test_interchange_law():
 def test_semidirect_unit():
     rng = random.Random(53)
     L = fix_str()
-    p = (string_aut0(L, rng), random_tau(L, rng, invertible=True))
-    e = semidirect_identity(L)
-    assert semidirect_distance(L, semidirect_multiply(L, e, p), p) == 0
-    assert semidirect_distance(L, semidirect_multiply(L, p, e), p) == 0
+    p = make_cell(L, rng)
+    e = aut_identity(L), tau_zero(L)
+    assert pair_distance(semidirect_multiply(L, e, p), p) == 0
+    assert pair_distance(semidirect_multiply(L, p, e), p) == 0
 
 
 def test_semidirect_associative_and_inverse():
+    # (A, tau)^{-1} = (A^{-1}, A^{-1} |> tau^{-1})
     rng = random.Random(54)
     L = fix_str()
-    ps = [(string_aut0(L, rng), random_tau(L, rng, invertible=True)) for _ in range(3)]
+    ps = [make_cell(L, rng) for _ in range(3)]
     lhs = semidirect_multiply(L, semidirect_multiply(L, ps[0], ps[1]), ps[2])
     rhs = semidirect_multiply(L, ps[0], semidirect_multiply(L, ps[1], ps[2]))
-    assert semidirect_distance(L, lhs, rhs) == 0
-    e = semidirect_identity(L)
-    for p in ps:
-        pi = semidirect_inverse(L, p)
-        assert semidirect_distance(L, semidirect_multiply(L, p, pi), e) == 0
-        assert semidirect_distance(L, semidirect_multiply(L, pi, p), e) == 0
+    assert pair_distance(lhs, rhs) == 0
+    e = aut_identity(L), tau_zero(L)
+    for A, t in ps:
+        Ai = aut_inverse(A)
+        pi = Ai, act(L, Ai, tau_inverse(L, t))
+        assert pair_distance(semidirect_multiply(L, (A, t), pi), e) == 0
+        assert pair_distance(semidirect_multiply(L, pi, (A, t)), e) == 0
 
 
 def test_semidirect_abelian_splits():

@@ -14,9 +14,9 @@ from lie2alg.automorphisms import (
     aut_compose,
     aut_distance,
     aut_identity,
-    semidirect_distance,
     semidirect_multiply,
     star,
+    tau_distance,
     tau_inverse,
     tau_zero,
 )
@@ -30,8 +30,10 @@ from lie2alg.derivations import (
     dbar,
     der0_distance,
     der0_zero,
+    derM1_basis,
     derM1_zero,
     graded_bracket,
+    inn0_basis,
     random_der0,
     random_derM1,
     ratio_draws,
@@ -62,8 +64,6 @@ from lie2alg.integration import (
     derM1_terminating,
     exp_der0,
     exp_derM1,
-    exp_semidirect,
-    inn_group_generators,
     one_parameter_derM1,
     random_aut0,
     recover_bracket,
@@ -436,24 +436,9 @@ def test_recover_bracket_m1_builds_four_exponentials_and_inverses_per_step(monke
 # semidirect exponential
 # ---------------------------------------------------------------------------
 
-def test_exp_semidirect_zero():
-    L = fix_str()
-    A, t = exp_semidirect(L, (der0_zero(L), derM1_zero(L)))
-    assert aut_distance(A, aut_identity(L)) == 0
-    assert t == tau_zero(L)
-
-
-def test_exp_semidirect_abelian_collapses():
-    rng = random.Random(84)
-    L = fix_ab()
-    T = random_derM1(L, rng)
-    A, t = exp_semidirect(L, (der0_zero(L), T))
-    assert t.mat == T.theta  # d = 0 collapses the series
-
-
 def test_exp_semidirect_one_parameter_on_commuting_pairs():
-    # the componentwise exponential is a one-parameter curve in the
-    # semidirect group exactly when the two legs commute; differential
+    # the componentwise exponential (e^D, e^theta) is a one-parameter curve in
+    # the semidirect group exactly when the two legs commute; differential
     # images on the string fixture have vanishing matrix parts, so they do
     rng = random.Random(85)
     L = fix_str()
@@ -461,9 +446,11 @@ def test_exp_semidirect_one_parameter_on_commuting_pairs():
         D = dbar(L, random_derM1(L, rng))
         T = random_derM1(L, rng)
         assert graded_bracket(L, D, T).is_zero()
-        full = exp_semidirect(L, (D.scale(2), T.scale(2)))
-        half = exp_semidirect(L, (D, T))
-        assert semidirect_distance(L, full, semidirect_multiply(L, half, half)) == 0
+        full = exp_der0(L, D.scale(2)), exp_derM1(L, T.scale(2))
+        half = exp_der0(L, D), exp_derM1(L, T)
+        assert {x.mode for x in (*full, *half)} == {"exact"}
+        A, t = semidirect_multiply(L, half, half)
+        assert aut_distance(full[0], A) == tau_distance(full[1], t) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +595,10 @@ def test_one_non_terminating_leg_puts_every_operand_in_float():
     L = fix_end()
     T = random_derM1(L, random.Random(89), dens=SMALL)
     assert derM1_terminating(L, T) is None and der0_terminating(der0_zero(L)) is not None
-    A, t = exp_semidirect(L, (der0_zero(L), T))
-    assert (A.hom.A0.mode, A.a0_inv.mode, t.mat.mode) == ("float", "float", "float")
+    mode, Lm, (Df, Tf) = _joint_mode(L, (der0_zero(L), T))
+    A = integration._der0_exps(Lm, Df, (1,), ExpConfig())[0]
+    t = integration._derM1_exp(Lm, Tf, 1, ExpConfig())
+    assert (mode, A.hom.A0.mode, A.a0_inv.mode, t.mat.mode) == ("float",) * 4
     resid, mode = check_commuting_square(L, T)
     assert resid < 1e-9 and mode == "float"
     # a float operand puts an identity in float, also one whose series terminates
@@ -689,32 +678,28 @@ def test_ad_matches_first_order_conjugation():
 
 
 # ---------------------------------------------------------------------------
-# inner automorphism generators
+# exponentials of the inner and degree -1 bases
 # ---------------------------------------------------------------------------
 
 def test_inn_generators_abelian():
+    # no inner degree-0 generators; one degree -1 generator, whose series
+    # stops at theta (d = 0)
     L = fix_ab()
-    gens = inn_group_generators(L)
-    # no inner degree-0 generators; one degree -1 generator, kept as-is
-    assert len(gens) == 1
-    A, t = gens[0]
-    assert t.mat == Mat.identity(1)
+    assert inn0_basis(L) == []
+    assert [exp_derM1(L, T).mat for T in derM1_basis(L)] == [Mat.identity(1)]
 
 
 def test_float_inn_generators_of_abelian_multiply():
     # endo-1-1 is abelian with d = 1, so no generator's series terminates:
     # every generator lives over the float copy, identity and tau alike
-    gens = inn_group_generators(fix_end())
+    L = fix_end()
+    gens = [(A, tau_zero(A.algebra)) for A in (exp_der0(L, D) for D in inn0_basis(L))]
+    gens += [(aut_identity(L.to_float()), exp_derM1(L, T)) for T in derM1_basis(L)]
     assert len(gens) == 2
     for p, q in itertools.product(gens, gens):
         A, t = semidirect_multiply(p[0].algebra, p, q)
         assert A.hom.A0.mode == t.mat.mode == "float"
     assert all((A.algebra.mode, A.hom.A0.mode, t.mat.mode) == ("float",) * 3 for A, t in gens)
-
-
-def test_inner_generators_of_a_float_algebra_raise():
-    with pytest.raises(ModeError, match="inner derivations need an exact algebra"):
-        inn_group_generators(fix_ab().to_float())
 
 
 def test_float_exponential_composes_with_the_identity_of_its_algebra():
@@ -727,16 +712,15 @@ def test_float_exponential_composes_with_the_identity_of_its_algebra():
 
 def test_inn_generators_string_counts():
     L = fix_str()
-    gens = inn_group_generators(L)
-    assert len(gens) == 6 + 3
-    for A, t in gens:
-        base = A.algebra
+    inner, degm1 = inn0_basis(L), derM1_basis(L)
+    assert (len(inner), len(degm1)) == (6, 3)
+    for D in inner:
+        A = exp_der0(L, D)
         rep = validate_hom(A.hom)
-        if base.mode == "exact":
-            assert rep.ok
-        else:
-            assert rep.max_value() < 1e-9
-        assert tau_inverse(base if t.mat.mode == base.mode else base.to_float(), t) is not None
+        assert rep.ok if A.mode == "exact" else rep.max_value() < 1e-9
+    for T in degm1:
+        t = exp_derM1(L, T)
+        assert tau_inverse(L if t.mode == L.mode else L.to_float(), t) is not None
 
 
 def test_random_aut0_sampler_is_exact():

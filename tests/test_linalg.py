@@ -209,9 +209,10 @@ def test_truncated_exp_nilpotent_exact():
 
 def test_truncated_exp_exact_stops_at_the_first_zero_term_or_at_order():
     shift = Mat(5, 5, [int(j == i + 1) for i in range(5) for j in range(5)])  # index 5 > order
-    want = Mat.identity(5)
+    want = power = Mat.identity(5)
     for n in range(1, 5):
-        want = want + shift.power(n).scale(Fraction(1, math.factorial(n)))
+        power = power @ shift
+        want = want + power.scale(Fraction(1, math.factorial(n)))
     assert truncated_exp(shift, 1, order=2) == want
     m = Mat.from_rows([[1, 1, 0], [0, 2, 1], [0, 0, 0]])  # not nilpotent, 3 > order
     assert truncated_exp(m, 1, order=2) == Mat.identity(3) + m + (m @ m).scale(Fraction(1, 2))
@@ -221,6 +222,16 @@ def test_truncated_exp_exact_stops_at_the_first_zero_term_or_at_order():
 def test_truncated_exp_float_scalar():
     got = truncated_exp(Mat.from_rows([[1]]).to_float(), 1, order=20)
     assert abs(got.at(0, 0) - math.e) < 1e-12
+
+
+def test_a_string_t_on_a_float_series_raises_as_scale_does():
+    m = Mat(1, 1, [1.0])
+    with pytest.raises(ModeError):
+        m.scale("0.5")
+    with pytest.raises(ModeError):
+        truncated_exp(m, "0.5")
+    for t in (1, 0.5, Fraction(1, 2)):  # _joint_mode hands rational t to float series
+        assert abs(truncated_exp(m, t).at(0, 0) - math.exp(t)) < 1e-12
 
 
 def test_truncated_exp_float_scales_and_squares():
@@ -830,8 +841,10 @@ def test_tensor_mode_is_declared_or_read_from_the_values():
     assert (AltTensor.zero(2, 2, 1, "float") + AltTensor.zero(2, 2, 1, "float")).mode == "float"
     with pytest.raises(ModeError):
         AltTensor(2, 2, 1, {(0, 1): (Fraction(1, 2),)}, "float")
-    with pytest.raises(ModeError):
-        AltTensor(2, 3, 1, {(0, 1): (1,), (0, 2): (0.5,)})
+    # as in Mat, one float entry in any value makes every value float
+    mixed = AltTensor(2, 3, 1, {(0, 1): (1,), (0, 2): (0.5,)})
+    assert mixed.mode == "float" and mixed.entries == {(0, 1): (1.0,), (0, 2): (0.5,)}
+    assert type(mixed.entries[(0, 1)][0]) is float
     with pytest.raises(ModeError):
         AltTensor.zero(2, 2, 1, "float") + AltTensor.zero(2, 2, 1)
     with pytest.raises(ModeError):
