@@ -28,7 +28,6 @@ from .linalg import (
     _quotient,
     basis_vec,
     kernel,
-    kind_of,
     mat_distance,
     scalar_kind,
     scalar_zero,
@@ -185,13 +184,15 @@ class Lie2Algebra:
 
     def bracket01(self, x: tuple, a: tuple) -> tuple:
         """[x, a] for x in g_0, a in g_{-1}: the sum of x_i [e_i, a] over the
-        nonzero x_i, each term added by the rule of its kind (`linalg.kind_of`):
-        an exact zero term changes no sum, a float one may flip a zero's sign."""
+        nonzero x_i, each term added by the rule of the algebra's kind: an
+        exact zero term changes no sum, a float one may flip a zero's sign.
+        A coordinate of x or a of the other mode raises ModeError."""
+        kind = scalar_kind(self.mode)
         out = vzero(self.n1, self.mode)
         for i, xi in enumerate(x):
             if xi != 0:
-                term = vscale(xi, self.b01[i].apply(a))
-                out = kind_of(term).add(zip(out, term))
+                term = vscale(kind.scalar(xi), self.b01[i].apply(a))
+                out = kind.add(zip(out, term))
         return tuple(out)
 
     def to_float(self) -> "Lie2Algebra":

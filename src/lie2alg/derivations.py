@@ -724,8 +724,9 @@ def classify_derivation(L: Lie2Algebra, elem) -> dict:
         strict = elem.lX.is_zero() and weak
         return {"weak": weak, "strict": strict, "homotopy": weak}
     if isinstance(elem, DerM1):
-        bracket_ok = dbar(L, elem).lX.is_zero()
-        closed = (L.d @ elem.theta).is_zero() and (elem.theta @ L.d).is_zero()
+        D = dbar(L, elem)  # (d theta, theta d, the 2-component)
+        bracket_ok = D.lX.is_zero()
+        closed = D.X0.is_zero() and D.X1.is_zero()
         return {"weak": True, "strict": bracket_ok, "homotopy": bracket_ok and closed}
     raise TypeError("expected Derivation0 or DerM1")
 

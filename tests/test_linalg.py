@@ -453,8 +453,16 @@ def _dense_eval(t, *vectors):
 
 
 def _dense_apply(m, vec):
+    # left-to-right sums over every t from 0.0, as in _dense_matmul (builtin
+    # float sum() compensates its rounding from Python 3.12 on)
     zero = Fraction(0) if m.mode == "exact" else 0.0
-    return tuple(sum((m.at(i, t) * vec[t] for t in range(m.cols)), zero) for i in range(m.rows))
+    out = []
+    for i in range(m.rows):
+        acc = zero
+        for t in range(m.cols):
+            acc += m.at(i, t) * vec[t]
+        out.append(acc)
+    return tuple(out)
 
 
 def _bits(vec):
@@ -568,10 +576,9 @@ def test_alt_eval_matches_dense_reference(case):
 
 @given(st.sampled_from(["exact", "float"]), st.integers(0, 4), st.integers(0, 5), st.data())
 def test_mat_apply_matches_dense_reference(mode, rows, cols, data):
-    m = Mat(rows, cols, data.draw(_sparse_vec(rows * cols, mode)))
+    m = _mat(rows, cols, data.draw(_sparse_vec(rows * cols, mode)), mode)
     vec = data.draw(_sparse_vec(cols, mode))
-    if m.data:
-        assert m.mode == mode
+    assert m.mode == mode
     assert _bits(m.apply(vec)) == _bits(_dense_apply(m, vec))
 
 
@@ -627,12 +634,25 @@ def test_alt_eval_repeated_basis_arguments_vanish():
     assert t.eval(e[0], (0, 0, 0, 0), e[2]) == (0, 0)
 
 
-def test_mat_apply_float_zero_coordinate_keeps_float_sum():
-    # an exact matrix on a float vector sums in float even where only zeros meet it
+def test_float_sums_run_left_to_right_on_every_python():
+    # compensated summation (builtin sum() from Python 3.12 on) would give 1.0,
+    # 1.0 and 1e16 + 2 here; plain left-to-right sums lose the small terms
+    assert _bits(Mat(1, 3, [1.0, 1.0, 1.0]).apply((1e16, 1.0, -1e16))) == _bits((0.0,))
+    assert Mat(3, 3, [1e16, 0, 0, 0, 1.0, 0, 0, 0, -1e16]).trace() == 0.0
+    assert row_sum_norm(Mat(1, 3, [1e16, 1.0, -1.0])) == 1e16
+
+
+def test_mat_apply_rejects_a_vector_of_the_other_mode():
+    # a float coordinate, even a zero one, does not meet an exact matrix, nor a
+    # Fraction a float one; ints fit either mode, as in literal data
     m = Mat.from_rows([[1, 2], [3, 4]])
-    out = m.apply((0.0, 0.0))
-    assert out == (0.0, 0.0) and all(isinstance(x, float) for x in out)
-    assert all(isinstance(x, Fraction) for x in m.apply((0, Fraction(1, 2))))
+    with pytest.raises(ModeError):
+        m.apply((0.0, 0.0))
+    with pytest.raises(ModeError):
+        m.to_float().apply((0, Fraction(1, 2)))
+    out = m.apply((0, Fraction(1, 2)))
+    assert out == (1, 2) and all(type(x) in (int, Fraction) for x in out)
+    assert _bits(m.to_float().apply((1, 0))) == _bits((1.0, 3.0))
 
 
 # ---------------------------------------------------------------------------
