@@ -285,7 +285,9 @@ def ad_conjugate(L: Lie2Algebra, conj, target):
 
 class TauDraws:
     """The draws of `random_tau(invertible=True)` on one algebra, with their
-    invertibility decided in ints.
+    invertibility decided in ints.  The conjugation suite draws every unit
+    tau here (`integration._random_invertible_tau`) and checks each one as
+    drawn, `conj_tau_der` included.
 
     A tau with `ratio_draws` entries p/q, q in dens, scales to the integer
     T = den tau, den = lcm(dens), and I + d tau to the integer
@@ -306,17 +308,15 @@ class TauDraws:
         T = Mat._result(self.n1, self.n0, [p * (self.den // q) for p, q in pairs], "exact")
         return (T, *adjugate_det(self.diag + self.d @ T))
 
-    def draw(self, rng) -> tuple:
-        """(pairs, T, adj) of the first of up to 200 draws with det(M) != 0;
+    def draw(self, rng) -> list:
+        """The pairs of the first of up to 200 draws with det(M) != 0;
         after 200 singular draws, those of tau = 0."""
         count = self.n1 * self.n0
         for _ in range(200):
             pairs = ratio_draws(rng, count, self.dens)
-            T, adj, det = self.image(pairs)
-            if det:
-                return pairs, T, adj
-        pairs = [(0, 1)] * count
-        return (pairs, *self.image(pairs)[:2])
+            if self.image(pairs)[2]:
+                return pairs
+        return [(0, 1)] * count
 
 
 def tau_of_draws(L: Lie2Algebra, pairs) -> Tau:
@@ -329,5 +329,5 @@ def random_tau(L: Lie2Algebra, rng, dens=(1, 2), invertible: bool = False) -> Ta
     through `TauDraws` (tau = 0 after a bounded search), False takes the
     first draw."""
     if invertible:
-        return tau_of_draws(L, TauDraws(L, dens).draw(rng)[0])
+        return tau_of_draws(L, TauDraws(L, dens).draw(rng))
     return tau_of_draws(L, ratio_draws(rng, L.n1 * L.n0, dens))

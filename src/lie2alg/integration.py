@@ -11,10 +11,20 @@ The star exponential of theta is the top-right block of
 e^{tN}, N = [[theta d, theta], [0, 0]].  Series terminate (and everything
 stays exact) when M or N is nilpotent, which holds exactly when X0 and X1,
 or theta d, are; otherwise the computation converts to float and scales
-and squares a series truncated at a configurable order.  Finite-difference
-probes recover the graded bracket from group commutators at second order
-in the step; one step builds the four exponentials (and, in degree -1,
-their star inverses) once, and its four commutators share them.
+and squares a series truncated at a configurable order.
+
+The conjugation suite checks that the 2-group integrates the derivations
+also across degrees: conjugating the one-parameter group (e^{tD}, 0) by
+(id, tau) gives the one-parameter group of Ad(tau) D = (D, theta) in the
+semidirect product, whose degree -1 leg at t = 1 is sigma e^{-X0}, sigma
+the top-right block of exp([[X1, theta], [0, X0 + d theta]]) (one more
+`block_exp`; the derivation is in `_conj_tau_der`).  It holds for every D
+and unit tau, so no pair is sampled for a special property.
+
+Finite-difference probes recover the graded bracket from group
+commutators at second order in the step; one step builds the four
+exponentials (and, in degree -1, their star inverses) once, and its four
+commutators share them.
 
 The scalar mode follows the values, and is decided once per identity:
 `_joint_mode` keeps an identity exact iff the algebra and every operand
@@ -31,14 +41,12 @@ report line is the mode that computed it.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .automorphisms import (
     Aut0,
     Tau,
-    TauDraws,
     act,
     ad_conjugate,
     aut_compose,
@@ -50,26 +58,22 @@ from .automorphisms import (
     star,
     tau_distance,
     tau_inverse,
-    tau_of_draws,
 )
 from .core import Lie2Algebra, Lie2Hom, compose_hom, hom_distance
 from .derivations import (
     DerM1,
     Derivation0,
-    _der0_combination,
     adbar0_single,
     compute_der0_basis,
     dbar,
     is_derivation0,
     random_der0,
     random_derM1,
-    ratio_draws,
 )
 from .linalg import (
     AltTensor,
     Mat,
     block_exp,
-    common_denominator,
     nilpotency_index,
     scalar_kind,
     truncated_exp,
@@ -141,6 +145,10 @@ def _exp_hom(L: Lie2Algebra, D: Derivation0, t, order: int) -> Lie2Hom:
 
 
 def _terminates(L: Lie2Algebra, X) -> bool:
+    """Whether the exact series of X, a Derivation0, a DerM1 or a square
+    Mat, terminates."""
+    if isinstance(X, Mat):
+        return nilpotency_index(X) is not None
     return (derM1_terminating(L, X) if isinstance(X, DerM1) else der0_terminating(X)) is not None
 
 
@@ -148,9 +156,9 @@ def _joint_mode(L: Lie2Algebra, exps, *operands):
     """The one mode decision of an identity that exponentiates `exps`.
 
     Returns (mode, algebra, exps + operands).  The mode is "exact" iff the
-    algebra and every value (Aut0, Tau, Derivation0 or DerM1) are exact and
-    every series in `exps` terminates, and the values come back as given;
-    otherwise the algebra and every value are converted to float together.
+    algebra and every value (Aut0, Tau, Derivation0, DerM1 or Mat) are exact
+    and every series in `exps` terminates (`_terminates`), and the values
+    come back as given; otherwise the algebra and every value are converted to float together.
     An exponential called on the returned values decides the same mode:
     float values stay float, and exact ones were found to terminate.
     """
@@ -294,82 +302,35 @@ def _theta_from_a2(L: Lie2Algebra, A: Aut0, x: tuple) -> DerM1:
     return DerM1(Mat.from_cols(cols, L.n1))
 
 
-# the denominators of the conjugation suite's draws, and their lcm
+def _conj_tau_der(L: Lie2Algebra, cfg: ExpConfig, D: Derivation0, tau: Tau):
+    """(residual, mode) of tau * (e^D |> tau^{-1}) = sigma e^{-X0}, with
+    sigma the top-right block of exp([[X1, theta], [0, X0 + d theta]]) and
+    theta the degree -1 part of Ad(tau) D; one `block_exp` (Van Loan 1978)
+    gives sigma, and e^{-X0} is the cached inverse of e^D's A0.
+
+    Conjugating the one-parameter group (e^{tD}, 0) by (id, tau) gives the
+    curve g(t) = (e^{tD}, tau(t)), tau(t) = tau * (e^{tD} |> tau^{-1}), the
+    one-parameter group of Ad(tau) D = (D, theta).  It is a one-parameter
+    subgroup under `semidirect_multiply`, so tau(t + h) = tau(t) *
+    (e^{tD} |> tau(h)); at h = 0 this gives tau' = (I + tau(t) d) e^{tX1}
+    theta e^{-tX0}.  With sigma(t) = tau(t) e^{tX0} and d X1 = X0 d it reads
+    sigma' = e^{tX1} theta + sigma (X0 + d theta), sigma(0) = 0, solved by
+    the top-right block above at t = 1.  When X1 theta = theta X0, X0
+    commutes with d theta and the right side is e^theta.
+
+    Exact iff D, theta and tau are exact and X0, X1 and X0 + d theta are
+    nilpotent (`_joint_mode`).
+    """
+    theta = ad_conjugate(L, tau, D)[1].theta
+    mode, L, (D, c, theta, tau) = _joint_mode(L, (D, D.X0 + L.d @ theta), theta, tau)
+    eD = _der0_exps(L, D, (1,), cfg)[0]
+    lhs = star(L, tau, act(L, eD, tau_inverse(L, tau)))
+    sigma = block_exp(D.X1, theta, c, 1, cfg.order)[1]
+    return tau_distance(lhs, Tau(sigma @ eD.a0_inv)), mode
+
+
+# the denominators of the conjugation suite's draws
 _DENS = (8, 16)
-_DEN = math.lcm(*_DENS)
-
-
-class _IvImages:
-    """Integer images of the draws of `_commuting_iv_sample`, built once per
-    call, on which its accept test runs in ints.
-
-    sigma is the common denominator of the legs X0, X1 of every basis
-    derivation.  A draw p/q scales to the integer 16 p/q, so the legs of
-    D = sum c_k B_k scale to 16 sigma (X0, X1); `taus` draws tau with its
-    images T = 16 tau and M = 16 delta (I + d tau).
-    """
-
-    def __init__(self, L: Lie2Algebra, der_basis):
-        self.n0, self.n1 = L.n0, L.n1
-        legs = [B.X0.data + B.X1.data for B in der_basis]
-        self.sigma = common_denominator(x for leg in legs for x in leg)
-        self.legs = [[(t, int(x * self.sigma)) for t, x in enumerate(leg) if x]
-                     for leg in legs]
-        self.taus = TauDraws(L, _DENS)
-
-    def legs_image(self, pairs) -> tuple:
-        """16 sigma (X0, X1) of the combination with coefficients `pairs`."""
-        n00 = self.n0 * self.n0
-        acc = [0] * (n00 + self.n1 * self.n1)
-        for (p, q), leg in zip(pairs, self.legs):
-            w = p * (_DEN // q)
-            if w:
-                for t, x in leg:
-                    acc[t] += w * x
-        return (Mat._result(self.n0, self.n0, acc[:n00], "exact"),
-                Mat._result(self.n1, self.n1, acc[n00:], "exact"))
-
-
-def _theta_image(X0: Mat, X1: Mat, T: Mat, adj: Mat) -> Mat:
-    """(T X0 - X1 T) adj: for the integer images of `_IvImages`, a nonzero
-    multiple of theta, the degree -1 part of `ad_conjugate(L, tau, D)`.
-
-    theta = X1 tau' + tau X0 + tau X0 d tau' with tau' = -tau C,
-    C = (I + d tau)^{-1}, is (tau X0 - X1 tau) C, and adj = +-det(M) M^{-1}
-    with M = 16 delta (I + d tau); so the image is 16 sigma det / delta
-    times theta, with det the signed determinant `adjugate_det` returns.
-    """
-    return (T @ X0 - X1 @ T) @ adj
-
-
-def _commuting_iv_sample(L: Lie2Algebra, rng, der_basis):
-    """(D, tau) whose conjugated pair has star-commuting legs.
-
-    Tries up to 40 random pairs, D drawn as `random_der0` draws it and tau
-    by `TauDraws.draw`, the loop of `random_tau(invertible=True)`, and takes
-    the first whose conjugated degree -1 leg theta commutes with D
-    (X1 theta = theta X0); the test runs on the integer images of
-    `_IvImages` (theta by
-    `_theta_image`), and D and tau are built from the same draws only on
-    acceptance.  Then it falls back to derivations with vanishing matrix
-    parts (whose conjugated degree -1 leg is zero), then to D = 0.
-    Measured over rng seeds 0-19, skeletal-demo never accepts, so its
-    conj_tau_der lines test only the flat fallback (theta = 0);
-    string-sl2 falls back in 12 of 20, abelian and endo-1-1 never.
-    """
-    images = _IvImages(L, der_basis)
-    for _ in range(40):
-        dpairs = ratio_draws(rng, len(der_basis), _DENS)
-        tpairs, T, adj = images.taus.draw(rng)
-        X0, X1 = images.legs_image(dpairs)
-        Y = _theta_image(X0, X1, T, adj)
-        if X1 @ Y == Y @ X0:
-            D = _der0_combination(
-                L, ((Fraction(p, q), B) for (p, q), B in zip(dpairs, der_basis)))
-            return D, tau_of_draws(L, tpairs)
-    flat = [B for B in der_basis if B.X0.is_zero() and B.X1.is_zero()]
-    tau = _random_invertible_tau(L, rng)
-    return random_der0(L, rng, flat, dens=_DENS), tau
 
 
 def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
@@ -379,13 +340,18 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
     Identities: conj0 (A e^D A^{-1} = e^{Ad(A) D}), conj_m1
     (tau * e^theta * tau^{-1} = e^{Ad(tau) theta}), act_exp
     (A |> e^theta = e^{A1 theta A0^{-1}}), conj_tau_der (tau * (e^D |> tau^{-1})
-    = e^{degree -1 part of Ad(tau) D}), conj_dbar (transport of differentials)
-    and conj_adjoint (transport of adjoint generators).
+    = sigma e^{-X0}, the one-parameter group of Ad(tau) D = (D, theta) at 1,
+    for every D and unit tau: see `_conj_tau_der`), conj_dbar (transport of
+    differentials) and conj_adjoint (transport of adjoint generators).
+    conj_tau_der draws D as `random_aut0` draws its exact factors, a
+    nilpotent basis derivation times p/2, or a `random_der0` combination
+    when the basis has no nilpotent element.
     Returns (name, residual, mode) triples, one mode decision per identity:
     exact where the values are exact and every series of both sides
     terminates.
     """
     der_basis = compute_der0_basis(L)
+    nilpotent = _nilpotent(der_basis)
     out = []
     for idx in range(samples):
         A = random_aut0(L, rng, cfg, der_basis)
@@ -409,19 +375,11 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
         lhs_t = act(Lm, Am, _derM1_exp(Lm, Tm, 1, cfg))
         out.append((f"act_exp[{idx}]", tau_distance(lhs_t, _derM1_exp(Lm, actTm, 1, cfg)), mode))
 
-        # (iv) tau * (e^D |> tau^{-1}) = e^{X1 tau^{-1} + tau X0 + tau X0 d tau^{-1}}.
-        # The right side uses the componentwise semidirect exponential, which
-        # agrees with the conjugated one-parameter curve exactly when the two
-        # legs of the conjugated pair commute; sampled accordingly (the
-        # general case matches at first order only, covered by the
-        # finite-difference probes).
-        Dc, tauc = _commuting_iv_sample(L, rng, der_basis)
-        _, theta_part = ad_conjugate(L, tauc, Dc)
-        mode, Lm, (Dc, theta_part, tauc) = _joint_mode(L, (Dc, theta_part), tauc)
-        eD = _der0_exps(Lm, Dc, (1,), cfg)[0]
-        lhs_t = star(Lm, tauc, act(Lm, eD, tau_inverse(Lm, tauc)))
-        rhs_t = _derM1_exp(Lm, theta_part, 1, cfg)
-        out.append((f"conj_tau_der[{idx}]", tau_distance(lhs_t, rhs_t), mode))
+        # (iv) tau * (e^D |> tau^{-1}) = sigma e^{-X0}
+        Dc = (_nilpotent_draw(rng, nilpotent) if nilpotent
+              else random_der0(L, rng, der_basis, dens=_DENS))
+        out.append((f"conj_tau_der[{idx}]",
+                    *_conj_tau_der(L, cfg, Dc, _random_invertible_tau(L, rng))))
 
         # transport of differentials: A e^{dbar T} A^{-1} = e^{dbar(A1 T A0^{-1})}
         out.append((f"conj_dbar[{idx}]", *_conj_der0(L, cfg, A, dbar(L, T), dbar(L, actT))))
@@ -443,17 +401,26 @@ def _random_invertible_tau(L: Lie2Algebra, rng) -> Tau:
     return random_tau(L, rng, dens=_DENS, invertible=True)
 
 
+def _nilpotent(der_basis) -> list:
+    """The basis derivations whose exact exponential terminates."""
+    return [D for D in der_basis if der0_terminating(D) is not None]
+
+
+def _nilpotent_draw(rng, nilpotent) -> Derivation0:
+    """One of the `nilpotent` basis derivations, times p/2 with p in -2..2."""
+    return rng.choice(nilpotent).scale(Fraction(rng.randint(-2, 2), 2))
+
+
 def random_aut0(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT, der_basis=None) -> Aut0:
     """Exact random automorphism: a product of connecting-map images and
-    terminating exponentials of basis derivations."""
+    terminating exponentials of basis derivations (`_nilpotent_draw`)."""
     if der_basis is None:
         der_basis = compute_der0_basis(L)
-    nilpotent = [D for D in der_basis if der0_terminating(D) is not None]
+    nilpotent = _nilpotent(der_basis)
     out = aut_identity(L)
     for _ in range(rng.randint(1, 3)):
         if nilpotent and rng.random() < 0.5:
-            D = rng.choice(nilpotent).scale(Fraction(rng.randint(-2, 2), 2))
-            out = aut_compose(out, exp_der0(L, D, 1, cfg))
+            out = aut_compose(out, exp_der0(L, _nilpotent_draw(rng, nilpotent), 1, cfg))
         else:
             out = aut_compose(out, partial(L, _random_invertible_tau(L, rng)))
     return out

@@ -671,14 +671,15 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     """The exponential e^{tm} by its Taylor series, in the mode of m; the
     only series in the package.
 
-    An exact series stops at its first zero term: a nilpotent m makes it
-    terminate, so the result is the true exponential, exactly; other exact
-    input is summed to `order`.  Its t is an exact scalar: a float t raises
-    ModeError, as a float scalar does in `Mat.scale`.  A float m takes an
-    int, float or Fraction t; any other t raises ModeError.  It is scaled
-    and squared (Higham 2005): with ||.|| the max row sum,
-    s = max(0, ceil(log2(||tm|| / 0.5))), `order` terms of the series are
-    summed at t / 2^s and the result is squared s times, so the series is
+    An exact series stops at its first zero term, so the result is the true
+    exponential, exactly, and `order` plays no part.  When no term vanishes
+    by term m.rows + 1 (m is not nilpotent and t != 0) it raises ValueError
+    rather than return a truncated sum as exact.  Its t is an exact scalar:
+    a float t raises ModeError, as a float scalar does in `Mat.scale`.  A
+    float m takes an int, float or Fraction t; any other t raises
+    ModeError.  It is scaled and squared (Higham 2005): with ||.|| the max
+    row sum, s = max(0, ceil(log2(||tm|| / 0.5))), `order` terms of the
+    series are summed at t / 2^s and the result is squared s times, so the series is
     only ever summed where it converges fast, however large ||tm|| is.  A
     norm that is not finite raises ValueError.
 
@@ -703,9 +704,9 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
         t, top = math.ldexp(t, -s), order
     else:
         # an exact m is nilpotent iff a term vanishes, by term m.rows at the latest
-        t, top = kind.scalar(t), max(order, size)
+        t, top = kind.scalar(t), size + 1
     zero, brows = kind.zero, _nonzero_rows(m.data, size, size)
-    result = term = at_order = Mat.identity(size, mode).data
+    result = term = Mat.identity(size, mode).data
     for n in range(1, top + 1):
         term = _flat_mul(term, size, brows, size, zero)
         if exact and not any(term):
@@ -713,10 +714,9 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
         c = _quotient(t, n) if exact else t / n
         term = [c * a for a in term]
         result = kind.add(zip(result, term))
-        if n == order:
-            at_order = result
     else:
-        result = at_order  # no term vanished: the series stops at `order`
+        if exact:
+            raise ValueError("exact exponential of a matrix that is not nilpotent")
     for _ in range(s):
         result = _flat_mul(result, size, _nonzero_rows(result, size, size), size, zero)
     return Mat._result(size, size, result, mode)

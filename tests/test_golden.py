@@ -77,7 +77,7 @@ def test_golden_report(stem, monkeypatch):
 # that order: the sampled pairs of the conjugation suite, and so every line
 # of its reports, stay fixed over many more seeds than the golden files hold
 CONJUGATION_SEEDS = range(1, 41)
-CONJUGATION_DIGEST = "a4e125379b6263b323f05d05abefb7fa17405c739983cdbc197def6c2c56ec2c"
+CONJUGATION_DIGEST = "ee9fbf4faf6b851a693b5f9e3e9da3fe5d1915f9b2b65390fbb904e8d814614a"
 
 
 def test_conjugation_reports_match_their_pinned_digest():

@@ -214,8 +214,12 @@ def test_truncated_exp_exact_stops_at_the_first_zero_term_or_at_order():
         power = power @ shift
         want = want + power.scale(Fraction(1, math.factorial(n)))
     assert truncated_exp(shift, 1, order=2) == want
-    m = Mat.from_rows([[1, 1, 0], [0, 2, 1], [0, 0, 0]])  # not nilpotent, 3 > order
-    assert truncated_exp(m, 1, order=2) == Mat.identity(3) + m + (m @ m).scale(Fraction(1, 2))
+    # an exact m that is not nilpotent has no zero term: no truncated sum
+    # passes as exact; at t = 0 the second term vanishes, and e^0 = I
+    m = Mat.from_rows([[1, 1, 0], [0, 2, 1], [0, 0, 0]])
+    for bad, order in ((m, 2), (m, 24), (Mat.from_rows([[1, 1], [0, 2]]), 24)):
+        with pytest.raises(ValueError, match="not nilpotent"):
+            truncated_exp(bad, 1, order)
     assert truncated_exp(m, 0) == Mat.identity(3)
 
 
@@ -261,7 +265,8 @@ def test_truncated_exp_float_small_norm_is_the_plain_series():
 
 def ref_truncated_exp(m, t=1, order=24):
     """The earlier `Mat` loop of `truncated_exp`: each term is term @ m,
-    scaled by t / n, then added, with a `Mat` built at every step."""
+    scaled by t / n, then added, with a `Mat` built at every step.  An exact
+    m must be nilpotent."""
     s = 0
     if m.mode == "float":
         t = float(t)
@@ -269,18 +274,14 @@ def ref_truncated_exp(m, t=1, order=24):
         s = max(0, math.ceil(math.log2(ratio))) if ratio > 0 else 0
         t, top = math.ldexp(t, -s), order
     else:
-        t, top = Fraction(t), max(order, m.rows)
-    result = term = at_order = Mat.identity(m.rows, m.mode)
+        t, top = Fraction(t), m.rows  # a nilpotent m: term m.rows is zero
+    result = term = Mat.identity(m.rows, m.mode)
     for n in range(1, top + 1):
         term = term @ m
         if m.mode == "exact" and term.is_zero():
             break
         term = term.scale(t / n if m.mode == "float" else Fraction(t, n))
         result = result + term
-        if n == order:
-            at_order = result
-    else:
-        result = at_order
     for _ in range(s):
         result = result @ result
     return result
@@ -314,6 +315,10 @@ def test_truncated_exp_matches_the_mat_loop_reference():
     for m in _exp_cases(rng):
         for t in ts[m.mode]:
             for order in (1, 2, 5, 24):
+                if m.mode == "exact" and nilpotency_index(m) is None:
+                    with pytest.raises(ValueError, match="not nilpotent"):
+                        truncated_exp(m, t, order)
+                    continue
                 got, want = truncated_exp(m, t, order), ref_truncated_exp(m, t, order)
                 assert (got.rows, got.cols, got.mode) == (want.rows, want.cols, want.mode)
                 assert _typed(got.data) == _typed(want.data), (m, t, order)
@@ -323,8 +328,8 @@ def test_truncated_exp_builds_no_intermediate_mat(monkeypatch):
     """The series, the squarings and the nilpotency test run on flat lists:
     no `Mat` product, scaling or sum is formed on the way."""
     float_m = Mat.from_rows([[0.0, 3.0, -0.0], [1.5, 0.0, 2.0], [0.0, -1.0, 0.25]])
-    cases = [(float_m, 4), (Mat.from_rows([[0, 2, 1], [0, 0, -1], [0, 0, 0]]), Fraction(2, 3)),
-             (Mat.from_rows([[1, 1], [0, 2]]), Fraction(1, 2))]
+    cases = [(float_m, 4), (Mat.from_rows([[0, 2, 1], [0, 0, -1], [0, 0, 0]]), Fraction(2, 3))]
+    not_nilpotent = Mat.from_rows([[1, 1], [0, 2]])
     want = [ref_truncated_exp(m, t) for m, t in cases]
 
     def refuse(*args):
@@ -333,7 +338,9 @@ def test_truncated_exp_builds_no_intermediate_mat(monkeypatch):
     for name in ("__matmul__", "scale", "__add__"):
         monkeypatch.setattr(Mat, name, refuse)
     got = [truncated_exp(m, t) for m, t in cases]
-    indices = [nilpotency_index(m) for m, _ in cases]
+    with pytest.raises(ValueError, match="not nilpotent"):
+        truncated_exp(not_nilpotent, Fraction(1, 2))
+    indices = [nilpotency_index(m) for m, _ in cases] + [nilpotency_index(not_nilpotent)]
     monkeypatch.undo()
     assert [_typed(g.data) for g in got] == [_typed(w.data) for w in want]
     assert indices == [None, 3, None]
