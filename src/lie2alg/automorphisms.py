@@ -28,8 +28,8 @@ from .core import (
     validate_hom,
 )
 from .derivations import DerM1, Derivation0, _lower_term, lie_cochain_action, ratio_draws
-from .linalg import (AltTensor, Mat, adjugate_det, common_denominator, mat_distance,
-                     mat_inverse, sparse_columns)
+from .linalg import (AltTensor, Mat, common_denominator, int_det, mat_distance, mat_inverse,
+                     sparse_columns)
 
 
 @dataclass(frozen=True)
@@ -303,10 +303,9 @@ class TauDraws:
         self.diag = Mat.identity(L.n0).scale(self.den * self.delta)
 
     def image(self, pairs) -> tuple:
-        """(T, +-adj(M), +-det(M)) of the tau with entries `pairs`, by
-        `adjugate_det`: (T, None, 0) when M is singular."""
+        """(T, det(M)) of the tau with entries `pairs`, by `int_det`."""
         T = Mat._result(self.n1, self.n0, [p * (self.den // q) for p, q in pairs], "exact")
-        return (T, *adjugate_det(self.diag + self.d @ T))
+        return T, int_det(self.diag + self.d @ T)
 
     def draw(self, rng) -> list:
         """The pairs of the first of up to 200 draws with det(M) != 0;
@@ -314,7 +313,7 @@ class TauDraws:
         count = self.n1 * self.n0
         for _ in range(200):
             pairs = ratio_draws(rng, count, self.dens)
-            if self.image(pairs)[2]:
+            if self.image(pairs)[1]:
                 return pairs
         return [(0, 1)] * count
 

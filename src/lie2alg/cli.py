@@ -52,6 +52,7 @@ from .integration import (
     check_one_parameter,
     exp_der0,
     exp_derM1,
+    nilpotent_derivations,
     one_parameter_derM1,
     random_aut0,
     recover_bracket,
@@ -113,8 +114,8 @@ def _suite_axioms(L, rng, args, cfg):
 
 def _suite_crossed_module(L, rng, args, cfg):
     n = max(2, math.isqrt(max(args.samples - 1, 0)) + 1)
-    der_basis = compute_der0_basis(L)
-    auts = [random_aut0(L, rng, cfg, der_basis) for _ in range(n)]
+    nilpotent = nilpotent_derivations(compute_der0_basis(L))
+    auts = [random_aut0(L, rng, cfg, nilpotent) for _ in range(n)]
     taus = [random_tau(L, rng, invertible=True) for _ in range(n)]
     return [ReportLine(name, resid, "exact", cfg.tol)
             for name, resid in check_crossed_module(L, auts, taus)]
@@ -306,6 +307,9 @@ def _cmd_example(args) -> tuple:
     return serialize_lie2(NAMED_EXAMPLES[args.name]()), True
 
 
+_ORDER_HELP = "largest Taylor degree of a float series"
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The `lie2` parser, built once per process: parsing a command line
@@ -333,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("file")
     pe.add_argument("--element", required=True)
     pe.add_argument("--t", default="1")
-    pe.add_argument("--order", type=int, default=24)
+    pe.add_argument("--order", type=int, default=24, help=_ORDER_HELP)
     pe.add_argument("--tol", type=float, default=1e-9)
 
     pc = sub.add_parser("check", help="run a randomized verification suite")
@@ -342,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--samples", type=int, default=25)
     pc.add_argument("--seed", type=int, default=None)
     pc.add_argument("--fd-step", type=float, default=1e-3, dest="fd_step")
-    pc.add_argument("--order", type=int, default=24)
+    pc.add_argument("--order", type=int, default=24, help=_ORDER_HELP)
     pc.add_argument("--tol", type=float, default=1e-9)
 
     px = sub.add_parser("example", help="print a named example file")

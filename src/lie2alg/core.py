@@ -9,7 +9,7 @@ the constants through `Lie2Algebra.sparse`, a view of the nonzero ones
 computed once per algebra, and runs the laws on pairs of basis vectors
 rather than on index tuples, so each law costs what its nonzero terms cost.
 In exact mode it runs the laws on an integer image of the constants, the
-fraction-free approach of `linalg.adjugate_det`: each law is homogeneous
+fraction-free approach of `linalg.int_det`: each law is homogeneous
 of degree 2 in them, so scaling every constant by their common denominator
 D scales every residual by D^2 and leaves the worst one and its witness in
 place.

@@ -11,7 +11,8 @@ The star exponential of theta is the top-right block of
 e^{tN}, N = [[theta d, theta], [0, 0]].  Series terminate (and everything
 stays exact) when M or N is nilpotent, which holds exactly when X0 and X1,
 or theta d, are; otherwise the computation converts to float and scales
-and squares a series truncated at a configurable order.
+and squares a series whose degree and squarings `truncated_exp` takes
+from the norm, with the degree capped at a configurable order.
 
 The conjugation suite checks that the 2-group integrates the derivations
 also across degrees: conjugating the one-parameter group (e^{tD}, 0) by
@@ -87,9 +88,11 @@ class ExpConfig:
     maps.
 
     The scalar mode is not configured: it follows the values (see
-    `_joint_mode`).  A float series sums `order` terms, with scaling and
-    squaring, and a float identity passes within `tol`; `fd_step` is the
-    step of the bracket-recovery finite differences.
+    `_joint_mode`).  `order` caps the degree of a float series, whose
+    degree and squarings `linalg.truncated_exp` takes from the norm (a
+    smaller cap costs more squarings); a float identity passes within
+    `tol`; `fd_step` is the step of the bracket-recovery finite
+    differences.
     """
 
     order: int = 24
@@ -189,8 +192,8 @@ def exp_der0(L: Lie2Algebra, D: Derivation0, t=1, cfg: ExpConfig = DEFAULT) -> A
     """Exponential of a degree-0 derivation: (e^{tX0}, e^{tX1}, e^{t lX}).
 
     Rejects non-members.  Terminating (nilpotent) input is summed exactly
-    and certified with zero residual; otherwise the series truncates at
-    cfg.order in float and certifies within cfg.tol.
+    and certified with zero residual; otherwise the series is summed in
+    float to a degree of at most cfg.order and certifies within cfg.tol.
     """
     _, L, (D,) = _joint_mode(L, (D,))
     return _der0_exps(L, D, (t,), cfg)[0]
@@ -351,10 +354,10 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
     terminates.
     """
     der_basis = compute_der0_basis(L)
-    nilpotent = _nilpotent(der_basis)
+    nilpotent = nilpotent_derivations(der_basis)
     out = []
     for idx in range(samples):
-        A = random_aut0(L, rng, cfg, der_basis)
+        A = random_aut0(L, rng, cfg, nilpotent)
         D = random_der0(L, rng, der_basis, dens=_DENS)
         T = random_derM1(L, rng, dens=_DENS)
         tau = _random_invertible_tau(L, rng)
@@ -401,8 +404,9 @@ def _random_invertible_tau(L: Lie2Algebra, rng) -> Tau:
     return random_tau(L, rng, dens=_DENS, invertible=True)
 
 
-def _nilpotent(der_basis) -> list:
-    """The basis derivations whose exact exponential terminates."""
+def nilpotent_derivations(der_basis) -> list:
+    """The basis derivations whose exact exponential terminates: the
+    factors `random_aut0` and the conjugation suite draw from."""
     return [D for D in der_basis if der0_terminating(D) is not None]
 
 
@@ -411,12 +415,13 @@ def _nilpotent_draw(rng, nilpotent) -> Derivation0:
     return rng.choice(nilpotent).scale(Fraction(rng.randint(-2, 2), 2))
 
 
-def random_aut0(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT, der_basis=None) -> Aut0:
+def random_aut0(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT, nilpotent=None) -> Aut0:
     """Exact random automorphism: a product of connecting-map images and
-    terminating exponentials of basis derivations (`_nilpotent_draw`)."""
-    if der_basis is None:
-        der_basis = compute_der0_basis(L)
-    nilpotent = _nilpotent(der_basis)
+    terminating exponentials of basis derivations (`_nilpotent_draw`).
+    `nilpotent` is `nilpotent_derivations` of the degree-0 basis of L; a
+    caller that draws several holds it once, and None computes it."""
+    if nilpotent is None:
+        nilpotent = nilpotent_derivations(compute_der0_basis(L))
     out = aut_identity(L)
     for _ in range(rng.randint(1, 3)):
         if nilpotent and rng.random() < 0.5:

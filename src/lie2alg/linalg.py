@@ -33,7 +33,7 @@ in `mat_inverse`.
 
 Row reduction, kernel bases and exact inverses are only available in
 exact mode, where results are exact by construction; they share one
-elimination over sparse rows (`_reduce`).  `adjugate_det` eliminates
+elimination over sparse rows (`_reduce`).  `int_det` eliminates
 integer matrices fraction-free instead, in ints only, and
 `common_denominator` gives the factor that scales rational data to such
 an integer image.  All values are immutable and all operations are pure.
@@ -44,6 +44,8 @@ vectors" section.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import re
@@ -592,37 +594,38 @@ def mat_inverse(m: Mat):
     return Mat._result(n, n, [x for r in rows for x in r[n:]], "float")
 
 
-def adjugate_det(m: Mat):
-    """(s adj(m), s det(m)) of a square integer matrix, with s = +-1, by one
-    fraction-free Gauss-Jordan elimination (Bareiss 1968); (None, 0) when m
-    is singular.
+def int_det(m: Mat) -> int:
+    """det(m) of a square integer matrix, by fraction-free elimination
+    (Bareiss 1968), in ints only.
 
-    [m | I] is reduced in ints: step k swaps a row with a nonzero entry in
-    column k up to row k when needed, and makes every other row i
-    (p_k row_i - r_ik row_k) / p_{k-1}, with r_ik its entry in column k,
-    p_k the new pivot and p_{-1} = 1; every division is exact.  The left block ends as p_n I with
-    p_n = s det(m) (s the sign of the swaps), so the right block is
-    p_n m^{-1} = s adj(m), and adj / det is the inverse.
+    Step k swaps a row with a nonzero entry in column k up to row k when
+    needed (each swap flips the sign), and makes every entry (i, j) below
+    and right of the pivot (p_k r_ij - r_ik r_kj) / p_{k-1}, with p_k the
+    new pivot and p_{-1} = 1; every division is exact, and the last pivot
+    is the determinant up to the sign of the swaps.  0 when a column has no
+    pivot, 1 for the empty matrix.
     """
     if m.rows != m.cols:
         raise ValueError("square matrix required")
     if any(type(x) is not int for x in m.data):
-        raise ValueError("adjugate_det requires integer entries")
+        raise ValueError("int_det requires integer entries")
     n = m.rows
-    rows = [list(m.row(i)) + [int(j == i) for j in range(n)] for i in range(n)]
-    prev = 1
+    rows = [list(m.row(i)) for i in range(n)]
+    sign, prev = 1, 1
     for k in range(n):
         p = next((i for i in range(k, n) if rows[i][k]), None)
         if p is None:
-            return None, 0
-        rows[k], rows[p] = rows[p], rows[k]
-        pk, pivot_row = rows[k][k], rows[k]
-        for i, r in enumerate(rows):
+            return 0
+        if p != k:
+            rows[k], rows[p], sign = rows[p], rows[k], -sign
+        pivot_row = rows[k]
+        pk = pivot_row[k]
+        for r in rows[k + 1:]:
             f = r[k]
-            if i != k and (f or pk != prev):
-                rows[i] = [(pk * a - f * b) // prev for a, b in zip(r, pivot_row)]
+            for j in range(k + 1, n):
+                r[j] = (pk * r[j] - f * pivot_row[j]) // prev
         prev = pk
-    return Mat._result(n, n, [x for r in rows for x in r[n:]], "exact"), prev
+    return sign * prev
 
 
 def solve(m: Mat, b: tuple):
@@ -660,11 +663,56 @@ def nilpotency_index(m: Mat):
 
 def row_sum_norm(m: Mat) -> float:
     """The max row sum of |entries| as a float, the norm that sets the
-    number of squarings in float `truncated_exp`; the row sums are |m| times
-    ones, through `_flat_mul`."""
+    degree and the number of squarings in float `truncated_exp`; the row
+    sums are |m| times ones, through `_flat_mul`."""
     kind = _KINDS[m.mode]
     sums = _flat_mul([abs(x) for x in m.data], m.rows, [[(0, kind.one)]] * m.cols, 1, kind.zero)
     return max(map(float, sums), default=0.0)
+
+
+_LOG_UNIT_ROUNDOFF = -53 * math.log(2)  # log 2^-53
+
+
+def _log_tail(k: int, y: float) -> float:
+    """log tail_k(y), tail_k(y) = y^{k+1}/(k+1)! / (1 - y/(k+2)) e^y, for
+    0 < y < k + 2.  For ||X|| = y the remainder of the degree-k Taylor sum
+    of e^X is at most y^{k+1}/(k+1)! / (1 - y/(k+2)) (its terms fall by a
+    ratio below y/(k+2)), and ||e^X|| >= e^{-y}, so tail_k(y) bounds the
+    relative truncation error.  In logs, so no power or factorial overflows."""
+    return (k + 1) * math.log(y) - math.lgamma(k + 2) - math.log1p(-y / (k + 2)) + y
+
+
+@functools.cache
+def _thetas(order: int) -> tuple:
+    """(theta_1, ..., theta_order), theta_k the largest float y with
+    tail_k(y) <= 2^-53.  Each is a bisection of (theta_{k-1}, k + 2), where
+    tail_k increases from below 2^-53 to infinity: the thetas increase, as
+    tail_k(y) < tail_{k-1}(y) for y < k + 1.  Computed on the first call
+    with an order, not at import."""
+    thetas, lo = [], 0.0
+    for k in range(1, order + 1):
+        hi = float(k + 2)
+        mid = (lo + hi) / 2
+        while lo < mid < hi:
+            if _log_tail(k, mid) <= _LOG_UNIT_ROUNDOFF:
+                lo = mid
+            else:
+                hi = mid
+            mid = (lo + hi) / 2
+        thetas.append(lo)
+    return tuple(thetas)
+
+
+def _taylor_plan(x: float, order: int) -> tuple:
+    """(m, s) for a float series of norm x = ||tm||: s is the least s >= 0
+    with tail_order(x / 2^s) <= 2^-53, m the least m >= 1 with
+    tail_m(x / 2^s) <= 2^-53 (so m <= order), see `_log_tail`.  Summing m
+    terms at t / 2^s and squaring s times then truncates below the unit
+    roundoff (Higham 2005; Al-Mohy and Higham 2009)."""
+    thetas, s = _thetas(order), 0
+    while math.ldexp(x, -s) > thetas[-1]:
+        s += 1
+    return bisect.bisect_left(thetas, math.ldexp(x, -s)) + 1, s
 
 
 def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
@@ -677,11 +725,15 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     rather than return a truncated sum as exact.  Its t is an exact scalar:
     a float t raises ModeError, as a float scalar does in `Mat.scale`.  A
     float m takes an int, float or Fraction t; any other t raises
-    ModeError.  It is scaled and squared (Higham 2005): with ||.|| the max
-    row sum, s = max(0, ceil(log2(||tm|| / 0.5))), `order` terms of the
-    series are summed at t / 2^s and the result is squared s times, so the series is
-    only ever summed where it converges fast, however large ||tm|| is.  A
-    norm that is not finite raises ValueError.
+    ModeError.  It is scaled and squared (Higham 2005) with the degree and
+    the squarings taken from the norm: with x = |t| ||m||, ||.|| the max row
+    sum, `_taylor_plan` picks the least s and then the least degree
+    m <= `order` whose truncation bound at x / 2^s is at most 2^-53; m
+    terms of the series are summed at t / 2^s and the result is squared s
+    times.  `order` caps the degree: a smaller cap costs more squarings.  At
+    the default 24 the series is summed up to x / 2^s <= theta_24 (about
+    2.14), so a small x costs a few terms and no squaring.  A norm x of
+    2^1023 or more (2x is not finite, a NaN included) raises ValueError.
 
     The series and the squarings run on flat row-major lists through
     `_flat_mul`, with the nonzero rows of m built once: term n is term
@@ -697,11 +749,11 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     kind, exact = _KINDS[mode], mode == "exact"
     if not exact:
         t = float(kind_of((t,)).scalar(t))
-        ratio = 2 * abs(t) * row_sum_norm(m)  # ||tm|| / 0.5
-        if not math.isfinite(ratio):
-            raise ValueError(f"exponential overflows: ||t m|| / 0.5 = {ratio}")
-        s = max(0, math.ceil(math.log2(ratio))) if ratio > 0 else 0
-        t, top = math.ldexp(t, -s), order
+        x = abs(t) * row_sum_norm(m)
+        if not math.isfinite(2 * x):
+            raise ValueError(f"exponential overflows: ||t m|| = {x} is not below 2^1023")
+        top, s = _taylor_plan(x, order)
+        t = math.ldexp(t, -s)
     else:
         # an exact m is nilpotent iff a term vanishes, by term m.rows at the latest
         t, top = kind.scalar(t), size + 1

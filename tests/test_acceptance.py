@@ -50,6 +50,7 @@ from lie2alg.integration import (
     check_conjugation_identities,
     check_one_parameter,
     derM1_terminating,
+    nilpotent_derivations,
     one_parameter_derM1,
     random_aut0,
     recover_bracket,
@@ -128,8 +129,8 @@ def test_criterion_4_crossed_module():
     worst = Fraction(0)
     count = 0
     for L, n in ((fix_str(), 8), (fix_end(), 8)):
-        basis = compute_der0_basis(L)
-        auts = [random_aut0(L, rng, der_basis=basis) for _ in range(n)]
+        nilpotent = nilpotent_derivations(compute_der0_basis(L))
+        auts = [random_aut0(L, rng, nilpotent=nilpotent) for _ in range(n)]
         taus = [random_tau(L, rng, invertible=True) for _ in range(n)]
         for _, resid in check_crossed_module(L, auts, taus):
             worst = max(worst, resid)

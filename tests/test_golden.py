@@ -77,7 +77,7 @@ def test_golden_report(stem, monkeypatch):
 # that order: the sampled pairs of the conjugation suite, and so every line
 # of its reports, stay fixed over many more seeds than the golden files hold
 CONJUGATION_SEEDS = range(1, 41)
-CONJUGATION_DIGEST = "ee9fbf4faf6b851a693b5f9e3e9da3fe5d1915f9b2b65390fbb904e8d814614a"
+CONJUGATION_DIGEST = "9e2b20dc048f0c9b57fd4d479e3c480234dc12252eb50743521f3e60cfea9319"
 
 
 def test_conjugation_reports_match_their_pinned_digest():
@@ -95,7 +95,7 @@ def test_conjugation_reports_match_their_pinned_digest():
 # in that order: every float residual of the finite-difference recovery, and
 # so the order of its exponentials, products and differences, stays fixed
 BRACKET_RECOVERY_SEEDS = range(1, 21)
-BRACKET_RECOVERY_DIGEST = "ddf33061adf34882a7e721f6930eb7e28ed37a03366811d79df4cccb3b2f630b"
+BRACKET_RECOVERY_DIGEST = "69c8ea93db1fe2d0bc1d3f228cdca1f3cc40578bee656528642a732e285fab5b"
 
 
 def test_bracket_recovery_reports_match_their_pinned_digest():
@@ -111,10 +111,11 @@ def test_bracket_recovery_reports_match_their_pinned_digest():
 
 # sha256 of "NAME SEED CODE\n" + report text of `lie2 check NAME --suite SUITE
 # --samples 2 --seed SEED`, for NAME in NAMED and SEED = 1..20 in that order:
-# the float lines of these suites run the order-24 series with scaling and
-# squaring, so every term, sum and squaring of `truncated_exp` stays fixed
+# the float lines of these suites run the scaled and squared series, whose
+# degree and squarings `truncated_exp` takes from the norm, so every term,
+# sum and squaring of it stays fixed
 FLOAT_SERIES_SEEDS = range(1, 21)
-ONE_PARAMETER_DIGEST = "6b02139844a8854feedda4d1abadf3f6d5376c5b2ddc4ac7a73f90d347b3edae"
+ONE_PARAMETER_DIGEST = "b77ee42045bc330753d683e74d9be4891065cb358ffe94e422ac4a0c50779083"
 EXP_SQUARE_DIGEST = "53eef47f1ae16c47ad6f5567e2ada3a217b7b4e9a1d32f6d375ef728ac4292ca"
 
 

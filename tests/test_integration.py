@@ -59,6 +59,7 @@ from lie2alg.integration import (
     derM1_terminating,
     exp_der0,
     exp_derM1,
+    nilpotent_derivations,
     one_parameter_derM1,
     random_aut0,
     recover_bracket,
@@ -654,6 +655,22 @@ def test_random_aut0_sampler_is_exact():
             assert validate_hom(A.hom).ok
 
 
+def test_the_conjugation_suite_finds_the_nilpotent_derivations_once(monkeypatch):
+    # random_aut0 draws from the caller's list, with the same draws as the
+    # list it would compute
+    for L in (fix_str(), skeletal_demo()):
+        rng, ref = random.Random(4), random.Random(4)
+        nilpotent = nilpotent_derivations(compute_der0_basis(L))
+        assert random_aut0(L, rng, nilpotent=nilpotent) == random_aut0(L, ref)
+        assert rng.getstate() == ref.getstate()
+    calls = []
+    find = integration.nilpotent_derivations
+    monkeypatch.setattr(integration, "nilpotent_derivations",
+                        lambda basis: calls.append(1) or find(basis))
+    check_conjugation_identities(fix_str(), random.Random(1), samples=2)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # the block exponentials against the series they replaced
 # ---------------------------------------------------------------------------
@@ -902,8 +919,9 @@ def test_ad_conjugate_lx_is_the_cochain_action_formula():
     for seed, L in enumerate(algebras):
         rng = random.Random(seed)
         basis = compute_der0_basis(L)
+        nilpotent = nilpotent_derivations(basis)
         for _ in range(3):
-            A = random_aut0(L, rng, der_basis=basis)
+            A = random_aut0(L, rng, nilpotent=nilpotent)
             D = random_der0(L, rng, basis)
             assert ad_conjugate(L, A, D).lX == _conjugated_lx_by_formula(A, D)
 

@@ -12,9 +12,10 @@ from lie2alg.linalg import (
     AltTensor,
     Mat,
     ModeError,
-    adjugate_det,
+    _taylor_plan,
     basis_vec,
     common_denominator,
+    int_det,
     kernel,
     kernel_basis,
     mat_distance,
@@ -136,9 +137,10 @@ def _leibniz_det(rows) -> int:
     return total
 
 
-def test_adjugate_det_matches_mat_inverse():
+def test_int_det_matches_sympy_and_mat_inverse():
     # dense, zero-heavy, singular (a row a multiple of another) and zero
     # leading pivot draws of sizes 1-5
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(17)
     singular = zero_pivot = 0
     for trial in range(500):
@@ -150,30 +152,23 @@ def test_adjugate_det_matches_mat_inverse():
             rows[i] = [rng.randint(-2, 2) * x for x in rows[j]]
         if kind == 3:
             rows[0][0] = 0
-        m = Mat.from_rows(rows)
-        adj, det = adjugate_det(m)
-        inv = mat_inverse(m)
-        assert abs(det) == abs(_leibniz_det(rows))
-        assert (det == 0) == (inv is None)
-        if inv is None:
-            assert adj is None
-            singular += 1
-            continue
-        zero_pivot += rows[0][0] == 0 and n >= 2
-        assert all(type(x) is int for x in adj.data)
-        assert adj.scale(Fraction(1, det)) == inv
-        assert adj @ m == m @ adj == Mat.identity(n).scale(det)
+        det = int_det(Mat.from_rows(rows))
+        assert type(det) is int
+        assert det == sympy.Matrix(rows).det() == _leibniz_det(rows)
+        assert (det == 0) == (mat_inverse(Mat.from_rows(rows)) is None)
+        singular += det == 0
+        zero_pivot += det != 0 and rows[0][0] == 0 and n >= 2
     assert singular >= 50 and zero_pivot >= 50
 
 
-def test_adjugate_det_edge_cases():
-    assert adjugate_det(Mat(0, 0, [])) == (Mat(0, 0, []), 1)
-    assert adjugate_det(Mat.from_rows([[0, 1], [1, 0]])) == (Mat.from_rows([[0, 1], [1, 0]]), 1)
-    assert adjugate_det(Mat.from_rows([[0, 0], [1, 2]])) == (None, 0)
+def test_int_det_edge_cases():
+    assert int_det(Mat(0, 0, [])) == 1
+    assert int_det(Mat.from_rows([[0, 1], [1, 0]])) == -1  # one row swap
+    assert int_det(Mat.from_rows([[0, 0], [1, 2]])) == 0
     for bad in (Mat.from_rows([[Fraction(1, 2)]]), Mat.from_rows([[1.0]]),
                 Mat.from_rows([[1, 2]])):
         with pytest.raises(ValueError):
-            adjugate_det(bad)
+            int_det(bad)
 
 
 def test_common_denominator():
@@ -252,27 +247,29 @@ def test_truncated_exp_float_overflowing_norm_raises(x):
         truncated_exp(Mat.from_rows([[x]]).to_float(), 1e308)
 
 
-def test_truncated_exp_float_small_norm_is_the_plain_series():
-    # at ||tm|| <= 1/2 no squaring happens: the order-24 sum, bit for bit
+def test_truncated_exp_float_below_theta_is_the_plain_series_of_the_least_degree():
+    # ||m|| = 0.375 lies in (theta_12, theta_13]: no squaring, and the
+    # degree-13 sum, bit for bit; the cap (order) cannot raise the degree
     m = Mat.from_rows([[0.125, -0.25], [0.0625, 0.0]])
+    assert _taylor_plan(row_sum_norm(m), 24) == (13, 0)
     term = want = Mat.identity(2, "float")
-    for n in range(1, 25):
+    for n in range(1, 14):
         term = (term @ m).scale(1.0 / n)
         want = want + term
-    assert truncated_exp(m, 1, 24) == want
+    assert truncated_exp(m, 1, 24) == truncated_exp(m, 1, 13) == truncated_exp(m, 1, 40) == want
 
 
 
 def ref_truncated_exp(m, t=1, order=24):
     """The earlier `Mat` loop of `truncated_exp`: each term is term @ m,
-    scaled by t / n, then added, with a `Mat` built at every step.  An exact
-    m must be nilpotent."""
+    scaled by t / n, then added, with a `Mat` built at every step; a float
+    m takes its degree and squarings from `_taylor_plan`, as `truncated_exp`
+    does.  An exact m must be nilpotent."""
     s = 0
     if m.mode == "float":
         t = float(t)
-        ratio = 2 * abs(t) * row_sum_norm(m)
-        s = max(0, math.ceil(math.log2(ratio))) if ratio > 0 else 0
-        t, top = math.ldexp(t, -s), order
+        top, s = _taylor_plan(abs(t) * row_sum_norm(m), order)
+        t = math.ldexp(t, -s)
     else:
         t, top = Fraction(t), m.rows  # a nilpotent m: term m.rows is zero
     result = term = Mat.identity(m.rows, m.mode)
