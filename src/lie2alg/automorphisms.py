@@ -15,9 +15,7 @@ checks its laws.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     Lie2Algebra,
@@ -27,9 +25,8 @@ from .core import (
     hom_identity,
     validate_hom,
 )
-from .derivations import DerM1, Derivation0, _lower_term, lie_cochain_action, ratio_draws
-from .linalg import (AltTensor, Mat, common_denominator, int_det, mat_distance, mat_inverse,
-                     sparse_columns)
+from .derivations import DerM1, Derivation0, _lower_term, lie_cochain_action, rand_mat
+from .linalg import AltTensor, Mat, mat_distance, mat_inverse, sparse_columns
 
 
 @dataclass(frozen=True)
@@ -283,50 +280,12 @@ def ad_conjugate(L: Lie2Algebra, conj, target):
 # seeded samplers
 # ---------------------------------------------------------------------------
 
-class TauDraws:
-    """The draws of `random_tau(invertible=True)` on one algebra, with their
-    invertibility decided in ints.  The conjugation suite draws every unit
-    tau here (`integration._random_invertible_tau`) and checks each one as
-    drawn, `conj_tau_der` included.
-
-    A tau with `ratio_draws` entries p/q, q in dens, scales to the integer
-    T = den tau, den = lcm(dens), and I + d tau to the integer
-    M = den delta (I + d tau), with delta the common denominator of d; tau
-    is a unit iff det(M) != 0.
-    """
-
-    def __init__(self, L: Lie2Algebra, dens):
-        self.n0, self.n1, self.dens = L.n0, L.n1, dens
-        self.den = math.lcm(*dens)
-        self.delta = common_denominator(L.d.data)
-        self.d = Mat._result(L.n0, L.n1, [int(x * self.delta) for x in L.d.data], "exact")
-        self.diag = Mat.identity(L.n0).scale(self.den * self.delta)
-
-    def image(self, pairs) -> tuple:
-        """(T, det(M)) of the tau with entries `pairs`, by `int_det`."""
-        T = Mat._result(self.n1, self.n0, [p * (self.den // q) for p, q in pairs], "exact")
-        return T, int_det(self.diag + self.d @ T)
-
-    def draw(self, rng) -> list:
-        """The pairs of the first of up to 200 draws with det(M) != 0;
-        after 200 singular draws, those of tau = 0."""
-        count = self.n1 * self.n0
-        for _ in range(200):
-            pairs = ratio_draws(rng, count, self.dens)
-            if self.image(pairs)[1]:
-                return pairs
-        return [(0, 1)] * count
-
-
-def tau_of_draws(L: Lie2Algebra, pairs) -> Tau:
-    """The tau whose entries are the (numerator, denominator) `pairs`."""
-    return Tau(Mat(L.n1, L.n0, [Fraction(p, q) for p, q in pairs]))
-
-
 def random_tau(L: Lie2Algebra, rng, dens=(1, 2), invertible: bool = False) -> Tau:
-    """Random rational tau; invertible=True rejection-samples to units
-    through `TauDraws` (tau = 0 after a bounded search), False takes the
-    first draw."""
-    if invertible:
-        return tau_of_draws(L, TauDraws(L, dens).draw(rng))
-    return tau_of_draws(L, ratio_draws(rng, L.n1 * L.n0, dens))
+    """Random rational tau, its entries `ratio_draws` row-major (`rand_mat`);
+    invertible=True takes the first of up to 200 draws that is a unit
+    (`tau_is_invertible`), and tau = 0 after 200 singular draws."""
+    for _ in range(200 if invertible else 1):
+        t = Tau(rand_mat(rng, L.n1, L.n0, dens))
+        if not invertible or tau_is_invertible(L, t):
+            return t
+    return tau_zero(L)

@@ -8,11 +8,10 @@ tests can assert exactly which law broke and where.  `validate_lie2` reads
 the constants through `Lie2Algebra.sparse`, a view of the nonzero ones
 computed once per algebra, and runs the laws on pairs of basis vectors
 rather than on index tuples, so each law costs what its nonzero terms cost.
-In exact mode it runs the laws on an integer image of the constants, the
-fraction-free approach of `linalg.int_det`: each law is homogeneous
-of degree 2 in them, so scaling every constant by their common denominator
-D scales every residual by D^2 and leaves the worst one and its witness in
-place.
+In exact mode it runs the laws on an integer image of the constants, so
+the sums stay in ints.  Each law is homogeneous of degree 2 in them, so
+scaling every constant by their common denominator D scales every residual
+by D^2 and leaves the worst one and its witness in place.
 """
 
 from __future__ import annotations

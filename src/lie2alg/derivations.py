@@ -377,10 +377,17 @@ def _dbar_flat(L: Lie2Algebra, th: list) -> dict:
     for a, col in enumerate(d):
         flat.update((n0 * n0 + r * n1 + a, v) for r, v in sparse_apply(th, col).items())
     lower = _lower_pairs(L, th, [{i: 1} for i in range(n0)], [SPARSE_ZERO] * n0)
-    for (i, j), r in lower.items():  # pair (i, j) is number i (2 n0 - i - 1) / 2 + j - i - 1
-        off = n0 * n0 + n1 * n1 + (i * (2 * n0 - i - 1) // 2 + j - i - 1) * n1
+    for (i, j), r in lower.items():
+        off = _pair_offset(L, i, j)
         flat.update((off + c, v) for c, v in r.items())
     return flat
+
+
+def _pair_offset(L: Lie2Algebra, i: int, j: int) -> int:
+    """Where lX on the pair i < j starts in `flatten_der0` coordinates: the
+    pair is number i (2 n0 - i - 1) / 2 + j - i - 1 in lexicographic order."""
+    n0, n1 = L.n0, L.n1
+    return n0 * n0 + n1 * n1 + (i * (2 * n0 - i - 1) // 2 + j - i - 1) * n1
 
 
 def _unit_thetas(L: Lie2Algebra) -> list:
@@ -482,16 +489,22 @@ def _commutator(p_rows: list, q_rows: list, zero) -> dict:
     return {k: pq.get(k, zero) - qp.get(k, zero) for k in pq.keys() | qp.keys()}
 
 
-def _bracket0(a: _Sparse0, b: _Sparse0, zero) -> tuple:
-    """The bracket of two degree-0 triples on their sparse forms: the
-    commutators [X0, Y0] and [X1, Y1] as {(i, j): value}, and
-    L_a lY - L_b lX as {key: sparse value}."""
+def _bracket_flat(L: Lie2Algebra, a: _Sparse0, b: _Sparse0, zero) -> dict:
+    """The bracket of two degree-0 triples on their sparse forms, as a sparse
+    vector in `flatten_der0` coordinates with its zero values dropped: the
+    commutators [X0, Y0] and [X1, Y1], then L_a lY - L_b lX."""
+    n0, n1 = L.n0, L.n1
+    flat = {i * n0 + j: v for (i, j), v in _commutator(a.x0_rows, b.x0_rows, zero).items() if v}
+    flat.update((n0 * n0 + i * n1 + j, v)
+                for (i, j), v in _commutator(a.x1_rows, b.x1_rows, zero).items() if v)
     la, lb = _action(a, b.lx, b.keys, zero), _action(b, a.lx, a.keys, zero)
-    lX = {}
     for key in la.keys() | lb.keys():
-        u, v = la.get(key, SPARSE_ZERO), lb.get(key, SPARSE_ZERO)
-        lX[key] = {c: u.get(c, zero) - v.get(c, zero) for c in u.keys() | v.keys()}
-    return _commutator(a.x0_rows, b.x0_rows, zero), _commutator(a.x1_rows, b.x1_rows, zero), lX
+        u, w, off = la.get(key, SPARSE_ZERO), lb.get(key, SPARSE_ZERO), _pair_offset(L, *key)
+        for c in u.keys() | w.keys():
+            v = u.get(c, zero) - w.get(c, zero)
+            if v:
+                flat[off + c] = v
+    return flat
 
 
 def graded_bracket(L: Lie2Algebra, a, b):
@@ -504,15 +517,9 @@ def graded_bracket(L: Lie2Algebra, a, b):
     """
     if isinstance(a, Derivation0) and isinstance(b, Derivation0):
         _same_mode(a, b)
-        n0, n1, zero = a.X0.rows, a.X1.rows, scalar_zero(a.mode)
-        X0, X1, lX = _bracket0(_sparse0(a.X0, a.X1, a.lX), _sparse0(b.X0, b.X1, b.lX), zero)
-        return Derivation0(
-            Mat._result(n0, n0, [X0.get((i, j)) or zero for i in range(n0) for j in range(n0)],
-                        a.mode),
-            Mat._result(n1, n1, [X1.get((i, j)) or zero for i in range(n1) for j in range(n1)],
-                        a.mode),
-            AltTensor._result(2, n0, n1, {k: sparse_dense(v, n1, zero) for k, v in lX.items()},
-                              a.mode))
+        zero = scalar_zero(a.mode)
+        flat = _bracket_flat(L, _sparse0(a.X0, a.X1, a.lX), _sparse0(b.X0, b.X1, b.lX), zero)
+        return unflatten_der0(L, sparse_dense(flat, _der0_flat_len(L), zero))
     if isinstance(a, Derivation0) and isinstance(b, DerM1):
         return DerM1(a.X1 @ b.theta - b.theta @ a.X0)
     if isinstance(a, DerM1) and isinstance(b, Derivation0):
@@ -581,9 +588,10 @@ def build_der_lie2(L: Lie2Algebra) -> DerLie2:
     and rows of X0 and X1, and lX on every ordering of its keys).  b00 is
     the bracket of two basis derivations, the commutators and the cochain
     action taken on those forms, as a sparse vector in the coordinates of
-    `flatten_der0`, read in the basis by the kernel coordinates.  d is read
-    the same way from the sparse coordinates of dbar on each unit map of the
-    Hom basis (`_dbar_flat`), with no Derivation0 formed.  b01 is the
+    `flatten_der0` (`_bracket_flat`), read in the basis by the kernel
+    coordinates.  d is read the same way from the sparse coordinates of
+    dbar on each unit map of the Hom basis (`_dbar_flat`), with no
+    Derivation0 formed.  b01 is the
     closed form ad_D(theta) = X1 theta - theta X0 (`_ad_derM1`); the degree
     -1 space is all of Hom(g_0, g_{-1}), so its brackets need no membership
     check.  Every matrix and tensor is built from computed exact values,
@@ -597,16 +605,10 @@ def build_der_lie2(L: Lie2Algebra) -> DerLie2:
     dcols = [coords(_dbar_flat(L, th)) for th in _unit_thetas(L)]
     dmat = Mat._result(r, m, [dcols[j][i] for i in range(r) for j in range(m)], "exact")
 
-    off1, off2 = n0 * n0, n0 * n0 + n1 * n1
-    pair = {key: off2 + p * n1 for p, key in enumerate(itertools.combinations(range(n0), 2))}
     forms = [_sparse0(D.X0, D.X1, D.lX) for D in basis0]
     entries = {}
     for p, q in itertools.combinations(range(r), 2):
-        X0, X1, lX = _bracket0(forms[p], forms[q], 0)
-        flat = {i * n0 + j: v for (i, j), v in X0.items() if v}
-        flat.update((off1 + i * n1 + j, v) for (i, j), v in X1.items() if v)
-        for key, vec in lX.items():
-            flat.update((pair[key] + c, v) for c, v in vec.items() if v)
+        flat = _bracket_flat(L, forms[p], forms[q], 0)
         if flat:
             entries[p, q] = coords(flat)
     b00 = AltTensor._result(2, r, r, entries, "exact")
@@ -741,6 +743,11 @@ def ratio_draws(rng, count: int, dens) -> list:
     return [(rng.randint(-3, 3), rng.choice(dens)) for _ in range(count)]
 
 
+def rand_mat(rng, rows: int, cols: int, dens=(1, 2)) -> Mat:
+    """A rows x cols matrix of `ratio_draws` entries p/q, row-major."""
+    return Mat(rows, cols, [Fraction(p, q) for p, q in ratio_draws(rng, rows * cols, dens)])
+
+
 def random_der0(L: Lie2Algebra, rng, basis=None, dens=(1, 2)) -> Derivation0:
     """Random rational combination of a degree-0 derivation basis; the
     coefficients are `ratio_draws`, in basis order."""
@@ -751,6 +758,5 @@ def random_der0(L: Lie2Algebra, rng, basis=None, dens=(1, 2)) -> Derivation0:
 
 
 def random_derM1(L: Lie2Algebra, rng, dens=(1, 2)) -> DerM1:
-    """Random rational theta; its entries are `ratio_draws`, row-major."""
-    pairs = ratio_draws(rng, L.n1 * L.n0, dens)
-    return DerM1(Mat(L.n1, L.n0, [Fraction(p, q) for p, q in pairs]))
+    """Random rational theta (`rand_mat`)."""
+    return DerM1(rand_mat(rng, L.n1, L.n0, dens))

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from .core import Lie2Algebra, ce_coboundary, lie_ad_matrices, make_endo, make_skeletal, make_string
-from .derivations import ratio_draws
+from .derivations import rand_mat, ratio_draws
 from .linalg import AltTensor, Mat
 
 
@@ -129,10 +129,6 @@ NAMED_EXAMPLES = {
 def rand_vec(rng: random.Random, n: int, dens=(1, 2)) -> tuple:
     """n entries p/q drawn by `derivations.ratio_draws`."""
     return tuple(Fraction(p, q) for p, q in ratio_draws(rng, n, dens))
-
-
-def rand_mat(rng: random.Random, rows: int, cols: int, dens=(1, 2)) -> Mat:
-    return Mat(rows, cols, rand_vec(rng, rows * cols, dens))
 
 
 def rand_cochain(rng: random.Random, arity: int, dim: int, codim: int, dens=(1, 2)) -> AltTensor:

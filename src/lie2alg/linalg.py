@@ -33,10 +33,9 @@ in `mat_inverse`.
 
 Row reduction, kernel bases and exact inverses are only available in
 exact mode, where results are exact by construction; they share one
-elimination over sparse rows (`_reduce`).  `int_det` eliminates
-integer matrices fraction-free instead, in ints only, and
-`common_denominator` gives the factor that scales rational data to such
-an integer image.  All values are immutable and all operations are pure.
+elimination over sparse rows (`_reduce`).  `common_denominator` gives the
+factor that scales rational data to an integer image.  All values are
+immutable and all operations are pure.
 Sparse vectors ({index: value}) serve the law evaluators and
 `AltTensor.eval`, which runs through `sparse_eval`; see the "sparse
 vectors" section.
@@ -594,40 +593,6 @@ def mat_inverse(m: Mat):
     return Mat._result(n, n, [x for r in rows for x in r[n:]], "float")
 
 
-def int_det(m: Mat) -> int:
-    """det(m) of a square integer matrix, by fraction-free elimination
-    (Bareiss 1968), in ints only.
-
-    Step k swaps a row with a nonzero entry in column k up to row k when
-    needed (each swap flips the sign), and makes every entry (i, j) below
-    and right of the pivot (p_k r_ij - r_ik r_kj) / p_{k-1}, with p_k the
-    new pivot and p_{-1} = 1; every division is exact, and the last pivot
-    is the determinant up to the sign of the swaps.  0 when a column has no
-    pivot, 1 for the empty matrix.
-    """
-    if m.rows != m.cols:
-        raise ValueError("square matrix required")
-    if any(type(x) is not int for x in m.data):
-        raise ValueError("int_det requires integer entries")
-    n = m.rows
-    rows = [list(m.row(i)) for i in range(n)]
-    sign, prev = 1, 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if rows[i][k]), None)
-        if p is None:
-            return 0
-        if p != k:
-            rows[k], rows[p], sign = rows[p], rows[k], -sign
-        pivot_row = rows[k]
-        pk = pivot_row[k]
-        for r in rows[k + 1:]:
-            f = r[k]
-            for j in range(k + 1, n):
-                r[j] = (pk * r[j] - f * pivot_row[j]) // prev
-        prev = pk
-    return sign * prev
-
-
 def solve(m: Mat, b: tuple):
     """One exact solution of m x = b (free variables set to 0), or None."""
     rows = _exact_rows(m, "solve")
@@ -733,7 +698,8 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     times.  `order` caps the degree: a smaller cap costs more squarings.  At
     the default 24 the series is summed up to x / 2^s <= theta_24 (about
     2.14), so a small x costs a few terms and no squaring.  A norm x of
-    2^1023 or more (2x is not finite, a NaN included) raises ValueError.
+    2^1023 or more (2x is not finite, a NaN included) raises ValueError,
+    and so does a result with an entry that overflows to inf or NaN.
 
     The series and the squarings run on flat row-major lists through
     `_flat_mul`, with the nonzero rows of m built once: term n is term
@@ -771,6 +737,8 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
             raise ValueError("exact exponential of a matrix that is not nilpotent")
     for _ in range(s):
         result = _flat_mul(result, size, _nonzero_rows(result, size, size), size, zero)
+    if not exact and not all(map(math.isfinite, result)):
+        raise ValueError(f"exponential overflows: e^(t m) is not finite at ||t m|| = {x}")
     return Mat._result(size, size, result, mode)
 
 

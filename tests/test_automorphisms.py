@@ -10,7 +10,6 @@ from lie2alg import automorphisms, linalg
 from lie2alg.automorphisms import (
     Aut0,
     Tau,
-    TauDraws,
     act,
     ad_conjugate,
     aut_compose,
@@ -26,7 +25,6 @@ from lie2alg.automorphisms import (
     tau_distance,
     tau_inverse,
     tau_is_invertible,
-    tau_of_draws,
     tau_zero,
     twist_hom,
     twist_lower,
@@ -47,12 +45,12 @@ from lie2alg.derivations import (
     is_derivation0,
     random_der0,
     random_derM1,
-    ratio_draws,
 )
 from lie2alg.fixtures import (
     fix_ab,
     fix_end,
     fix_str,
+    rand_mat,
     random_fixture,
     skeletal_demo,
     sl2_structure,
@@ -213,7 +211,6 @@ def test_invertibility_lemma_three_ways():
 def test_invertibility_lemma_bigger_complex():
     rng = random.Random(37)
     from lie2alg.core import make_endo
-    from lie2alg.fixtures import rand_mat
     L = make_endo(rand_mat(rng, 2, 1))
     for _ in range(40):
         t = random_tau(L, rng)
@@ -238,23 +235,24 @@ def _unit_tau_algebras():
             + [random_fixture(random.Random(seed)) for seed in range(20)])
 
 
-def test_tau_draws_decide_invertibility_as_tau_inverse_does():
-    # det(M) = 0 on the integer image iff I + d tau has no inverse; random
-    # draws are rarely singular, so singular ones are added by hand
-    rng = random.Random(38)
-    cases = [(L, dens, ratio_draws(rng, L.n1 * L.n0, dens))
-             for L in _unit_tau_algebras() for dens in ((1, 2), (8, 16)) for _ in range(10)]
-    cases += [(fix_end(), (1, 2), [(-1, 1)]),
-              (make_endo(Mat.from_rows([[Fraction(8, 3)]])), (8, 16), [(-3, 8)])]
-    singular = 0
-    for L, dens, pairs in cases:
-        draws = TauDraws(L, dens)
-        tau = tau_of_draws(L, pairs)
-        T, det = draws.image(pairs)
-        assert T == tau.mat.scale(draws.den)
-        assert (det == 0) == (tau_inverse(L, tau) is None)
-        singular += det == 0
-    assert singular >= 4
+def test_random_unit_tau_skips_a_singular_draw():
+    # 1 + d tau = 0 at tau = -1 on endo-1-1 and at tau = -3/8 on d = 8/3;
+    # random draws are rarely singular, so a seed whose first draw is
+    # singular and whose second is a unit is looked up
+    for L, dens, singular in ((fix_end(), (1, 2), -1),
+                              (make_endo(Mat.from_rows([[Fraction(8, 3)]])), (8, 16),
+                               Fraction(-3, 8))):
+        assert tau_inverse(L, Tau(Mat.from_rows([[singular]]))) is None
+        for seed in range(1000):
+            draws = random.Random(seed)
+            first, second = Tau(rand_mat(draws, 1, 1, dens)), Tau(rand_mat(draws, 1, 1, dens))
+            if first.mat.at(0, 0) == singular and tau_is_invertible(L, second):
+                break
+        else:
+            pytest.fail("no seed below 1000 draws a singular tau, then a unit")
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert random_tau(L, rng, dens, invertible=True) == second == _ref_random_unit_tau(L, ref, dens)
+        assert rng.getstate() == ref.getstate() == draws.getstate()
 
 
 def test_random_unit_tau_matches_the_fraction_test():

@@ -136,6 +136,16 @@ def test_exp_overflowing_time_is_an_error(tmp_path):
     assert "overflows" in text
 
 
+def test_exp_overflowing_result_is_an_error(tmp_path):
+    # ||D|| = 1000 is finite but e^1000 is not: the exponential itself
+    # raises, before the homomorphism check would read a NaN residual
+    elem = tmp_path / "d.elem"
+    elem.write_text("der0\nx0 0 0 1000\nx1 0 0 1000\n")
+    code, text = run(["exp", "endo-1-1", "--element", str(elem)])
+    assert code == 2
+    assert "exponential overflows" in text and "nan" not in text
+
+
 def test_exp_derM1(tmp_path):
     elem = tmp_path / "t.elem"
     elem.write_text("derM1\ntheta 0 0 1\ntheta 0 1 -1\n")

@@ -15,7 +15,6 @@ from lie2alg.linalg import (
     _taylor_plan,
     basis_vec,
     common_denominator,
-    int_det,
     kernel,
     kernel_basis,
     mat_distance,
@@ -129,48 +128,6 @@ def test_mat_inverse_cases():
     assert mat_inverse(Mat.from_rows([[1, 2], [2, 4]])) is None
 
 
-def _leibniz_det(rows) -> int:
-    n, total = len(rows), 0
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
-        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
-    return total
-
-
-def test_int_det_matches_sympy_and_mat_inverse():
-    # dense, zero-heavy, singular (a row a multiple of another) and zero
-    # leading pivot draws of sizes 1-5
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(17)
-    singular = zero_pivot = 0
-    for trial in range(500):
-        n, kind = rng.randint(1, 5), trial % 4
-        rows = [[rng.randint(-4, 4) if kind != 1 or rng.random() < 0.3 else 0
-                 for _ in range(n)] for _ in range(n)]
-        if kind == 2 and n >= 2:
-            i, j = rng.sample(range(n), 2)
-            rows[i] = [rng.randint(-2, 2) * x for x in rows[j]]
-        if kind == 3:
-            rows[0][0] = 0
-        det = int_det(Mat.from_rows(rows))
-        assert type(det) is int
-        assert det == sympy.Matrix(rows).det() == _leibniz_det(rows)
-        assert (det == 0) == (mat_inverse(Mat.from_rows(rows)) is None)
-        singular += det == 0
-        zero_pivot += det != 0 and rows[0][0] == 0 and n >= 2
-    assert singular >= 50 and zero_pivot >= 50
-
-
-def test_int_det_edge_cases():
-    assert int_det(Mat(0, 0, [])) == 1
-    assert int_det(Mat.from_rows([[0, 1], [1, 0]])) == -1  # one row swap
-    assert int_det(Mat.from_rows([[0, 0], [1, 2]])) == 0
-    for bad in (Mat.from_rows([[Fraction(1, 2)]]), Mat.from_rows([[1.0]]),
-                Mat.from_rows([[1, 2]])):
-        with pytest.raises(ValueError):
-            int_det(bad)
-
-
 def test_common_denominator():
     assert common_denominator([]) == 1
     assert common_denominator(iter([3, 0, -5])) == 1
@@ -245,6 +202,13 @@ def test_truncated_exp_float_scales_and_squares():
 def test_truncated_exp_float_overflowing_norm_raises(x):
     with pytest.raises(ValueError, match="overflows"):
         truncated_exp(Mat.from_rows([[x]]).to_float(), 1e308)
+
+
+def test_truncated_exp_float_overflowing_result_raises():
+    # ||t m|| = 1000 is finite, e^1000 is not; e^700 is
+    assert math.isfinite(truncated_exp(Mat.from_rows([[700.0]]), 1).at(0, 0))
+    with pytest.raises(ValueError, match="exponential overflows"):
+        truncated_exp(Mat.from_rows([[1000.0]]), 1)
 
 
 def test_truncated_exp_float_below_theta_is_the_plain_series_of_the_least_degree():
