@@ -203,6 +203,8 @@ class Lie2Algebra:
                            tuple(m.to_float() for m in self.b01), self.l3.to_float())
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (isinstance(other, Lie2Algebra) and self.n0 == other.n0 and self.n1 == other.n1
                 and self.d == other.d and self.b00 == other.b00
                 and self.b01 == other.b01 and self.l3 == other.l3)

@@ -23,9 +23,11 @@ the top-right block of exp([[X1, theta], [0, X0 + d theta]]) (one more
 and unit tau, so no pair is sampled for a special property.
 
 Finite-difference probes recover the graded bracket from group
-commutators at second order in the step; one step builds the four
-exponentials (and, in degree -1, their star inverses) once, and its four
-commutators share them.
+commutators at second order in the step.  Each group element is built
+once: degree 0 builds e^{+-(h/2)D1}, e^{+-(h/2)D2} and takes their squares
+for the step h, so one call gives the estimates at h and h/2; degree -1
+builds e^{+-h theta}, e^{+-h theta'}, each the star inverse of the other.
+The four commutators of a step come from four shared products.
 
 The scalar mode follows the values, and is decided once per identity:
 `_joint_mode` keeps an identity exact iff the algebra and every operand
@@ -238,54 +240,51 @@ def check_commuting_square(L: Lie2Algebra, T: DerM1, cfg: ExpConfig = DEFAULT):
 # bracket recovery by finite differences
 # ---------------------------------------------------------------------------
 
-def _commutators(mul, xs, ys):
-    """The four group commutators F(s, t) = ((x y) x^{-1}) y^{-1} of a
-    finite-difference step, in the order (h, h), (h, -h), (-h, h), (-h, -h).
+def _bracket_estimate(mul, leg, step, x, xi, y, yi):
+    """[F(h,h) - F(h,-h)] - [F(-h,h) - F(-h,-h)], over 4 h^2 for h = step,
+    F(s, t) = x_s y_t x_s^{-1} y_t^{-1} the group commutator.
 
-    xs = ((x, x^{-1}) at s = h, (x, x^{-1}) at s = -h), ys likewise in t:
-    the step builds each exponential and inverse once, and the four
-    commutators share them.  `mul` is the group product.
+    x, xi, y, yi are x_h, x_h^{-1}, y_h, y_h^{-1}; `mul` is the group
+    product and `leg` takes an element to the derivation its entries form.
+    The four corners come from four products, P = xy, Q = xy^{-1},
+    R = x^{-1}y and S = x^{-1}y^{-1}: F(h,h) = PS, F(h,-h) = QR,
+    F(-h,h) = RQ and F(-h,-h) = SP.
     """
-    return [mul(mul(mul(x, y), xi), yi) for x, xi in xs for y, yi in ys]
+    P, Q, R, S = mul(x, y), mul(x, yi), mul(xi, y), mul(xi, yi)
+    pp, pm, mp, mm = (leg(F) for F in (mul(P, S), mul(Q, R), mul(R, Q), mul(S, P)))
+    return ((pp - pm) - (mp - mm)).scale(1.0 / (4.0 * step * step))
 
 
 def recover_bracket(L: Lie2Algebra, D1: Derivation0, D2: Derivation0,
-                    cfg: ExpConfig = DEFAULT) -> Derivation0:
-    """Mixed central finite difference of the group commutator curve at 0.
+                    cfg: ExpConfig = DEFAULT) -> tuple:
+    """(R(h), R(h/2)), h = cfg.fd_step: the mixed central finite
+    differences of the group commutator curve at 0, each within O(h^2) of
+    the graded bracket (`_bracket_estimate` on each of A0, A1, A2).
 
-    [F(h,h) - F(h,-h) - F(-h,h) + F(-h,-h)] / (4 h^2) applied to each of
-    (A0, A1, A2), F(s, t) = e^{sD1} e^{tD2} e^{-sD1} e^{-tD2}; within O(h^2)
-    of the graded bracket.  The step builds the four exponentials e^{+-hD1},
-    e^{+-hD2} once, and the four commutators share them.
+    The h/2 step builds e^{+-(h/2)D1} and e^{+-(h/2)D2} once, and the h
+    step takes their squares as e^{+-hD1} and e^{+-hD2}.
     """
     Lf, d1, d2 = L.to_float(), D1.to_float(), D2.to_float()
-    h = cfg.fd_step
-    a, ai = (_exp_hom(Lf, d1, s, cfg.order) for s in (h, -h))
-    b, bi = (_exp_hom(Lf, d2, t, cfg.order) for t in (h, -h))
-    pp, pm, mp, mm = _commutators(compose_hom, ((a, ai), (ai, a)), ((b, bi), (bi, b)))
-    scale = 1.0 / (4.0 * h * h)
-    return Derivation0(((pp.A0 - pm.A0) - (mp.A0 - mm.A0)).scale(scale),
-                       ((pp.A1 - pm.A1) - (mp.A1 - mm.A1)).scale(scale),
-                       (pp.A2 - pm.A2 - mp.A2 + mm.A2).scale(scale))
+    half = cfg.fd_step / 2
+    elems = [_exp_hom(Lf, D, s, cfg.order) for D in (d1, d2) for s in (half, -half)]
+    return tuple(_bracket_estimate(compose_hom, lambda F: Derivation0(F.A0, F.A1, F.A2), step, *gs)
+                 for step, gs in ((cfg.fd_step, [compose_hom(g, g) for g in elems]),
+                                  (half, elems)))
 
 
 def recover_bracket_m1(L: Lie2Algebra, T1: DerM1, T2: DerM1,
                        cfg: ExpConfig = DEFAULT) -> DerM1:
-    """Finite-difference commutator of e^{s theta}, e^{t theta'} under star.
+    """Finite-difference commutator of e^{s theta}, e^{t theta'} under star,
+    at the step h = cfg.fd_step (`_bracket_estimate`).
 
     The step builds the four star exponentials e^{+-h theta}, e^{+-h theta'}
-    and their four star inverses once, and the four commutators share them.
+    once; e^{-h theta} is the star inverse of e^{h theta}, as they lie on
+    one one-parameter group, so no inverse is eliminated.
     """
     Lf, T1, T2 = L.to_float(), T1.to_float(), T2.to_float()
     h = cfg.fd_step
-
-    def with_inverses(T):
-        return [(e, tau_inverse(Lf, e)) for e in (exp_derM1(Lf, T, s, cfg) for s in (h, -h))]
-
-    pp, pm, mp, mm = (c.mat for c in _commutators(
-        lambda x, y: star(Lf, x, y), with_inverses(T1), with_inverses(T2)))
-    m = (pp - pm) - (mp - mm)
-    return DerM1(m.scale(1.0 / (4.0 * h * h)))
+    return _bracket_estimate(lambda a, b: star(Lf, a, b), lambda c: DerM1(c.mat), h,
+                             *(_derM1_exp(Lf, T, s, cfg) for T in (T1, T2) for s in (h, -h)))
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,7 @@ class Mat:
         return cls._result(rows, cols, vzero(rows * cols, mode), mode)
 
     @classmethod
+    @functools.cache  # a Mat is immutable, so each (n, mode) is built once
     def identity(cls, n: int, mode: str = "exact") -> "Mat":
         return cls._result(n, n, [x for i in range(n) for x in basis_vec(n, i, mode)],
                            scalar_kind(mode).name)
@@ -751,7 +752,8 @@ def block_exp(a: Mat, b: Mat, c: Mat, t=1, order: int = 24):
     block is linear in b, so in float mode b is scaled by an exact power of
     two 2^-k to a norm of at most max(||a||, ||c||, 1/2) and the block by
     2^k afterwards: a large b then adds no squarings, which would cost the
-    top-left block e^{ta} accuracy."""
+    top-left block e^{ta} accuracy.  A block that overflows to inf or NaN
+    when scaled back raises ValueError, as `truncated_exp` does."""
     n, m, mode, k = a.rows, c.rows, a.mode, 0
     if mode == "float":
         nb, cap = row_sum_norm(b), max(row_sum_norm(a), row_sum_norm(c), 0.5)
@@ -762,8 +764,11 @@ def block_exp(a: Mat, b: Mat, c: Mat, t=1, order: int = 24):
     rows = [a.row(i) + b.row(i) for i in range(n)] + [vzero(n, mode) + c.row(i) for i in range(m)]
     E = truncated_exp(Mat._result(n + m, n + m, [x for r in rows for x in r], mode), t, order)
     top = Mat._result(n, m, [E.at(i, j) for i in range(n) for j in range(n, n + m)], mode)
-    return (Mat._result(n, n, [E.at(i, j) for i in range(n) for j in range(n)], mode),
-            top.scale(2.0 ** k) if k else top)
+    if k:
+        top = top.scale(2.0 ** k)
+        if not all(map(math.isfinite, top.data)):
+            raise ValueError(f"exponential overflows: the top-right block is not finite at ||b|| = {nb}")
+    return Mat._result(n, n, [E.at(i, j) for i in range(n) for j in range(n)], mode), top
 
 
 # ---------------------------------------------------------------------------
@@ -910,6 +915,8 @@ class AltTensor:
         if b.rows != self.dim:
             raise ValueError("shape mismatch")
         _same_mode(self, b)
+        if not self.entries:
+            return AltTensor._result(self.arity, b.cols, self.codim, {}, self.mode)
         cols = [b.col(j) for j in range(b.cols)]
         entries = {}
         for key in itertools.combinations(range(b.cols), self.arity):

@@ -95,7 +95,7 @@ def test_conjugation_reports_match_their_pinned_digest():
 # in that order: every float residual of the finite-difference recovery, and
 # so the order of its exponentials, products and differences, stays fixed
 BRACKET_RECOVERY_SEEDS = range(1, 21)
-BRACKET_RECOVERY_DIGEST = "69c8ea93db1fe2d0bc1d3f228cdca1f3cc40578bee656528642a732e285fab5b"
+BRACKET_RECOVERY_DIGEST = "6ff39ae1dc92e06860d54438f99cbbd5cc863d2dfdc333dc102b998d9c579531"
 
 
 def test_bracket_recovery_reports_match_their_pinned_digest():

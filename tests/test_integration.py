@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -296,8 +297,8 @@ def test_recover_bracket_self_is_zero():
     L = fix_str()
     basis = compute_der0_basis(L)
     D = small_der0(L, rng, basis)
-    got = recover_bracket(L, D, D)
-    assert der0_distance(got, der0_zero(L).to_float()) < 1e-6
+    for got in recover_bracket(L, D, D):
+        assert der0_distance(got, der0_zero(L).to_float()) < 1e-6
 
 
 def test_recover_bracket_abelian_zero():
@@ -305,7 +306,8 @@ def test_recover_bracket_abelian_zero():
     L = fix_ab()
     D1, D2 = small_der0(L, rng), small_der0(L, rng)
     want = graded_bracket(L, D1, D2).to_float()
-    assert der0_distance(recover_bracket(L, D1, D2), want) < 1e-8
+    for got in recover_bracket(L, D1, D2):
+        assert der0_distance(got, want) < 1e-8
 
 
 def test_recover_bracket_string_adjoint():
@@ -313,7 +315,8 @@ def test_recover_bracket_string_adjoint():
     D1 = adbar0_single(L, L.e0(0))  # ad_h
     D2 = adbar0_single(L, L.e0(1))  # ad_e
     want = graded_bracket(L, D1, D2).to_float()
-    assert der0_distance(recover_bracket(L, D1, D2), want) < 1e-4
+    for got in recover_bracket(L, D1, D2):
+        assert der0_distance(got, want) < 1e-4
 
 
 def test_recover_bracket_h2_convergence():
@@ -322,8 +325,7 @@ def test_recover_bracket_h2_convergence():
     basis = compute_der0_basis(L)
     D1, D2 = small_der0(L, rng, basis), small_der0(L, rng, basis)
     want = graded_bracket(L, D1, D2).to_float()
-    r1 = der0_distance(recover_bracket(L, D1, D2, ExpConfig(fd_step=1e-3)), want)
-    r2 = der0_distance(recover_bracket(L, D1, D2, ExpConfig(fd_step=5e-4)), want)
+    r1, r2 = (der0_distance(R, want) for R in recover_bracket(L, D1, D2, ExpConfig(fd_step=1e-3)))
     assert 3.5 <= r1 / r2 <= 4.5
 
 
@@ -337,39 +339,45 @@ def test_recover_bracket_degree_m1():
 
 
 def ref_recover_bracket(L, D1, D2, cfg=ExpConfig()):
-    """`recover_bracket` with one group commutator per corner, four
-    exponentials each: 16 exponentials per step."""
+    """`recover_bracket` with each corner built on its own: fresh
+    e^{+-(h/2)D} (squared for the h step), then (x y)(x^{-1} y^{-1}) with
+    x = e^{s D1}, y = e^{t D2} at the corner (s, t)."""
     Lf, d1, d2 = L.to_float(), D1.to_float(), D2.to_float()
-    h = cfg.fd_step
+    half = cfg.fd_step / 2
 
-    def commutator(s, t):
-        a = _exp_hom(Lf, d1, s, cfg.order)
-        b = _exp_hom(Lf, d2, t, cfg.order)
-        ai = _exp_hom(Lf, d1, -s, cfg.order)
-        bi = _exp_hom(Lf, d2, -t, cfg.order)
-        return compose_hom(compose_hom(compose_hom(a, b), ai), bi)
+    def element(D, s, squared):
+        g = _exp_hom(Lf, D, s, cfg.order)
+        return compose_hom(g, g) if squared else g
 
-    pp, pm, mp, mm = (commutator(s, t) for s, t in ((h, h), (h, -h), (-h, h), (-h, -h)))
-    scale = 1.0 / (4.0 * h * h)
-    return Derivation0(((pp.A0 - pm.A0) - (mp.A0 - mm.A0)).scale(scale),
-                       ((pp.A1 - pm.A1) - (mp.A1 - mm.A1)).scale(scale),
-                       (pp.A2 - pm.A2 - mp.A2 + mm.A2).scale(scale))
+    def corner(s, t, squared):
+        x, y = element(d1, s, squared), element(d2, t, squared)
+        xi, yi = element(d1, -s, squared), element(d2, -t, squared)
+        return compose_hom(compose_hom(x, y), compose_hom(xi, yi))
+
+    out = []
+    for step, squared in ((cfg.fd_step, True), (half, False)):
+        pp, pm, mp, mm = (corner(s, t, squared)
+                          for s, t in ((half, half), (half, -half), (-half, half), (-half, -half)))
+        scale = 1.0 / (4.0 * step * step)
+        out.append(Derivation0(((pp.A0 - pm.A0) - (mp.A0 - mm.A0)).scale(scale),
+                               ((pp.A1 - pm.A1) - (mp.A1 - mm.A1)).scale(scale),
+                               ((pp.A2 - pm.A2) - (mp.A2 - mm.A2)).scale(scale)))
+    return tuple(out)
 
 
 def ref_recover_bracket_m1(L, T1, T2, cfg=ExpConfig()):
-    """`recover_bracket_m1` with one star commutator per corner, two star
-    exponentials and two star inverses each: 8 and 8 per step."""
+    """`recover_bracket_m1` with each corner built on its own: fresh
+    e^{s theta}, e^{t theta'} and, as their star inverses, e^{-s theta},
+    e^{-t theta'}, then (x * y) * (x^{-1} * y^{-1})."""
     Lf, T1, T2 = L.to_float(), T1.to_float(), T2.to_float()
     h = cfg.fd_step
 
-    def curve(s, t):
-        a = exp_derM1(Lf, T1, s, cfg)
-        b = exp_derM1(Lf, T2, t, cfg)
-        ai = tau_inverse(Lf, a)
-        bi = tau_inverse(Lf, b)
-        return star(Lf, star(Lf, star(Lf, a, b), ai), bi).mat
+    def corner(s, t):
+        x, y = exp_derM1(Lf, T1, s, cfg), exp_derM1(Lf, T2, t, cfg)
+        xi, yi = exp_derM1(Lf, T1, -s, cfg), exp_derM1(Lf, T2, -t, cfg)
+        return star(Lf, star(Lf, x, y), star(Lf, xi, yi)).mat
 
-    m = (curve(h, h) - curve(h, -h)) - (curve(-h, h) - curve(-h, -h))
+    m = (corner(h, h) - corner(h, -h)) - (corner(-h, h) - corner(-h, -h))
     return DerM1(m.scale(1.0 / (4.0 * h * h)))
 
 
@@ -392,9 +400,22 @@ def test_recover_bracket_equals_its_per_corner_reference_bit_for_bit():
     for cfg in (ExpConfig(), ExpConfig(fd_step=5e-4)):
         for label, L, D1, D2, T1, T2 in cases:
             got, want = recover_bracket(L, D1, D2, cfg), ref_recover_bracket(L, D1, D2, cfg)
-            assert (got.X0, got.X1, got.lX) == (want.X0, want.X1, want.lX), label
+            assert [(R.X0, R.X1, R.lX) for R in got] == [(R.X0, R.X1, R.lX) for R in want], label
             got_m1 = recover_bracket_m1(L, T1, T2, cfg)
             assert got_m1.theta == ref_recover_bracket_m1(L, T1, T2, cfg).theta, label
+
+
+def test_recover_bracket_from_squares_is_at_the_rounding_floor_of_the_direct_step():
+    # R(h) from the squares of e^{+-(h/2)D} against R(h) from e^{+-hD} built
+    # at h, which is the h/2 estimate of the step 2h; they differ only by
+    # rounding, whose floor in a quotient by 4 h^2 of corners of norm about
+    # 1 is eps / (4 h^2), about 5.6e-11 (the 34 cases read at most 3 units)
+    h = ExpConfig().fd_step
+    floor = sys.float_info.epsilon / (4.0 * h * h)
+    for label, L, D1, D2, _, _ in _bracket_cases():
+        squared = recover_bracket(L, D1, D2)[0]
+        direct = recover_bracket(L, D1, D2, ExpConfig(fd_step=2 * h))[1]
+        assert der0_distance(squared, direct) <= 4 * floor, label
 
 
 def _counting(monkeypatch, name):
@@ -409,23 +430,26 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_recover_bracket_builds_four_exponentials_per_step(monkeypatch):
+def test_recover_bracket_builds_four_exponentials_for_both_steps(monkeypatch):
     L = fix_str()
     D1 = adbar0_single(L, L.e0(0))
     D2 = adbar0_single(L, L.e0(1))
     exps = _counting(monkeypatch, "_exp_hom")
+    products = _counting(monkeypatch, "compose_hom")
     recover_bracket(L, D1, D2)
-    assert len(exps) == 4
+    # 4 squares, then 4 products and 4 corners per step
+    assert (len(exps), len(products)) == (4, 20)
 
 
-def test_recover_bracket_m1_builds_four_exponentials_and_inverses_per_step(monkeypatch):
+def test_recover_bracket_m1_builds_four_exponentials_and_no_inverse(monkeypatch):
     rng = random.Random(87)
     L = fix_end()
     T1, T2 = random_derM1(L, rng), random_derM1(L, rng)
-    exps = _counting(monkeypatch, "exp_derM1")
+    exps = _counting(monkeypatch, "_derM1_exp")
     inverses = _counting(monkeypatch, "tau_inverse")
+    products = _counting(monkeypatch, "star")
     recover_bracket_m1(L, T1, T2)
-    assert (len(exps), len(inverses)) == (4, 4)
+    assert (len(exps), len(inverses), len(products)) == (4, 0, 8)
 
 
 # ---------------------------------------------------------------------------

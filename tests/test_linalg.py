@@ -14,6 +14,7 @@ from lie2alg.linalg import (
     ModeError,
     _taylor_plan,
     basis_vec,
+    block_exp,
     common_denominator,
     kernel,
     kernel_basis,
@@ -209,6 +210,15 @@ def test_truncated_exp_float_overflowing_result_raises():
     assert math.isfinite(truncated_exp(Mat.from_rows([[700.0]]), 1).at(0, 0))
     with pytest.raises(ValueError, match="exponential overflows"):
         truncated_exp(Mat.from_rows([[1000.0]]), 1)
+
+
+def test_block_exp_float_overflowing_top_right_block_raises():
+    # b is scaled down by 2^-1023 for the series; the block 10 b overflows
+    # only when scaled back, after truncated_exp has checked its result
+    a = c = Mat.from_rows([[0.0]])
+    assert block_exp(a, Mat.from_rows([[1e308]]), c, 1)[1] == Mat.from_rows([[1e308]])
+    with pytest.raises(ValueError, match="exponential overflows"):
+        block_exp(a, Mat.from_rows([[1e308]]), c, 10)
 
 
 def test_truncated_exp_float_below_theta_is_the_plain_series_of_the_least_degree():
