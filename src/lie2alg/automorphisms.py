@@ -26,7 +26,7 @@ from .core import (
     validate_hom,
 )
 from .derivations import DerM1, Derivation0, _lower_term, lie_cochain_action, rand_mat
-from .linalg import AltTensor, Mat, mat_distance, mat_inverse, sparse_columns
+from .linalg import Mat, mat_distance, mat_inverse, sparse_columns
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,6 @@ def conjugate_hom(A: Aut0, B: Lie2Hom) -> Lie2Hom:
     return compose_hom(compose_hom(A.hom, B), aut_inverse(A).hom)
 
 
-def aut_distance(A: Aut0, B: Aut0):
-    return hom_distance(A.hom, B.hom)
-
-
 # ---------------------------------------------------------------------------
 # degree -1: the star monoid and its unit group
 # ---------------------------------------------------------------------------
@@ -145,18 +141,13 @@ def tau_is_invertible(L: Lie2Algebra, t: Tau) -> bool:
     return tau_inverse(L, t) is not None
 
 
-def twist_lower(L: Lie2Algebra, A: Lie2Hom, t: Tau) -> AltTensor:
-    """The 2-component correction l^A_tau(x,y) = tau[x,y] - [A0 x, tau y]
-    - [tau x, A0 y] - [tau x, d tau y], by the loop of `dbar`'s 2-component
-    (`derivations._lower_term`, a = A0, c = d tau)."""
-    return _lower_term(L, sparse_columns(t.mat), sparse_columns(A.A0),
-                       sparse_columns(L.d @ t.mat))
-
-
 def twist_hom(L: Lie2Algebra, A: Lie2Hom, t: Tau) -> Lie2Hom:
     """Shift a self-homomorphism by a degree -1 map:
     (A0 + d tau, A1 + tau d, A2 + l^A_tau); always a homomorphism again.
-    d tau is formed once, for A0 + d tau and for l^A_tau (as in `twist_lower`)."""
+    The correction l^A_tau(x,y) = tau[x,y] - [A0 x, tau y] - [tau x, A0 y]
+    - [tau x, d tau y] runs the loop of `dbar`'s 2-component
+    (`derivations._lower_term`, a = A0, c = d tau); d tau is formed once,
+    for A0 + d tau and for l^A_tau."""
     dt = L.d @ t.mat
     lower = _lower_term(L, sparse_columns(t.mat), sparse_columns(A.A0), sparse_columns(dt))
     return Lie2Hom(L, L, A.A0 + dt, A.A1 + t.mat @ L.d, A.A2 + lower)
@@ -235,7 +226,7 @@ def classify_automorphism(L: Lie2Algebra, elem) -> dict:
         return {"weak": True, "strict": strict}
     if isinstance(elem, Tau):
         return {"weak": tau_is_invertible(L, elem),
-                "strict": twist_lower(L, hom_identity(L), elem).is_zero()}
+                "strict": twist_hom(L, hom_identity(L), elem).A2.is_zero()}
     raise TypeError("expected Aut0 or Tau")
 
 

@@ -114,7 +114,7 @@ def _suite_axioms(L, rng, args, cfg):
 
 def _suite_crossed_module(L, rng, args, cfg):
     n = max(2, math.isqrt(max(args.samples - 1, 0)) + 1)
-    nilpotent = nilpotent_derivations(compute_der0_basis(L))
+    nilpotent = nilpotent_derivations(L, compute_der0_basis(L))
     auts = [random_aut0(L, rng, cfg, nilpotent) for _ in range(n)]
     taus = [random_tau(L, rng, invertible=True) for _ in range(n)]
     return [ReportLine(name, resid, "exact", cfg.tol)

@@ -12,6 +12,12 @@ In exact mode it runs the laws on an integer image of the constants, so
 the sums stay in ints.  Each law is homogeneous of degree 2 in them, so
 scaling every constant by their common denominator D scales every residual
 by D^2 and leaves the worst one and its witness in place.
+
+Vectors of g_0 and g_{-1} are tuples, and the algebra's structure is
+read through its tensors: the bracket on g_0 is `b00.eval`, the
+differential `d.apply`, [e_i, a] the matrix `b01[i]`, and a basis vector
+`linalg.basis_vec`.  `ResidualReport.violated`, the names of the laws
+with a nonzero residual, is kept as library API beside `ok` and `within`.
 """
 
 from __future__ import annotations
@@ -163,36 +169,6 @@ class Lie2Algebra:
                 sparse_columns(self.d), sparse_alt(self.b00),
                 [sparse_columns(m) for m in self.b01], sparse_alt(self.l3)))
         return self._sparse
-
-    # basis helpers -------------------------------------------------------
-    def e0(self, i: int) -> tuple:
-        return basis_vec(self.n0, i, self.mode)
-
-    def e1(self, a: int) -> tuple:
-        return basis_vec(self.n1, a, self.mode)
-
-    def dcol(self, a: int) -> tuple:
-        return self.d.col(a)
-
-    def dv(self, a: tuple) -> tuple:
-        return self.d.apply(a)
-
-    # brackets ------------------------------------------------------------
-    def bracket00(self, x: tuple, y: tuple) -> tuple:
-        return self.b00.eval(x, y)
-
-    def bracket01(self, x: tuple, a: tuple) -> tuple:
-        """[x, a] for x in g_0, a in g_{-1}: the sum of x_i [e_i, a] over the
-        nonzero x_i, each term added by the rule of the algebra's kind: an
-        exact zero term changes no sum, a float one may flip a zero's sign.
-        A coordinate of x or a of the other mode raises ModeError."""
-        kind = scalar_kind(self.mode)
-        out = vzero(self.n1, self.mode)
-        for i, xi in enumerate(x):
-            if xi != 0:
-                term = vscale(kind.scalar(xi), self.b01[i].apply(a))
-                out = kind.add(zip(out, term))
-        return tuple(out)
 
     def to_float(self) -> "Lie2Algebra":
         """L in float mode: L itself when float."""

@@ -26,9 +26,15 @@ X1 (x) I - I (x) X0^T.  `dbar`, `adbar0_single`, `graded_bracket` and
 `lie_cochain_action` sum over nonzero terms only, in the order of the dense
 evaluation on unit vectors: exact results are equal, and float results are
 the dense left-to-right sums bit for bit.  The 2-component of `dbar` and
-that of the tau-twist (`automorphisms.twist_lower`) are one loop,
+that of the tau-twist (`automorphisms.twist_hom`) are one loop,
 `_lower_pairs`, which visits only the pairs a nonzero column of theta
 reaches.
+
+Kept as library API: `der0_zero` and `derM1_zero`, the zero derivations
+of each degree, beside `automorphisms.tau_zero` and `core.hom_identity`;
+and `DerLie2.der0_coords` with its inverse `DerLie2.der0_from_coords`,
+the coordinates of a degree-0 derivation in the basis of Der(g), in
+which a group law such as Baker-Campbell-Hausdorff is written.
 """
 
 from __future__ import annotations
@@ -337,7 +343,7 @@ def _lower_pairs(L: Lie2Algebra, th: list, a: list, c: list) -> dict:
     from the sparse columns th of theta: g_0 -> g_{-1} and a, c of maps
     g_0 -> g_0, as {(i, j): sparse value} on the pairs i < j where a term
     is nonzero: the 2-component of `dbar` (a = I, c = 0) and of the twist
-    `automorphisms.twist_lower` (a = A0, c = d tau).  Every term has a
+    `automorphisms.twist_hom` (a = A0, c = d tau).  Every term has a
     factor theta, so a pair is skipped when columns i and j of theta are
     zero and [e_i, e_j] misses the nonzero columns.  Sums run over nonzero
     terms in the order of the dense evaluation on unit vectors, so float
@@ -676,7 +682,7 @@ def adbar(L: Lie2Algebra, der: DerLie2 | None = None) -> Lie2Hom:
     target = der.algebra
     n0, n1 = L.n0, L.n1
     cols0 = [der._coords(_ad_flat(L, {i: 1})) for i in range(n0)]
-    cols1 = [der.derM1_coords(ad1_single(L, L.e1(a))) for a in range(n1)]
+    cols1 = [der.derM1_coords(ad1_single(L, basis_vec(n1, a, L.mode))) for a in range(n1)]
     A0 = Mat._result(target.n0, n0, [c[i] for i in range(target.n0) for c in cols0], target.mode)
     A1 = Mat._result(target.n1, n1, [c[i] for i in range(target.n1) for c in cols1], target.mode)
     # A2(e_j, e_k) is the map e_t |-> -l3(e_j, e_k, e_t), in row-major coordinates

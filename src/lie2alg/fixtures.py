@@ -1,4 +1,11 @@
-"""Named example algebras and seeded random fixtures for suites and tests."""
+"""Named example algebras and seeded random fixtures for suites and tests.
+
+Some builders are test data by design, and no code of the package calls
+them: `abelian_structure`, `aff1_sum_structure`, `strict_sl2` (sl2 with
+g_{-1} = 0) and `string_aut_hom` (a weak automorphism of the string
+algebra with a nonzero 2-component).  A representation by adjoint
+matrices is `core.lie_ad_matrices`.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +13,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from .core import Lie2Algebra, ce_coboundary, lie_ad_matrices, make_endo, make_skeletal, make_string
+from .core import Lie2Algebra, Lie2Hom, ce_coboundary, lie_ad_matrices, make_endo, make_skeletal, make_string
 from .derivations import rand_mat, ratio_draws
-from .linalg import AltTensor, Mat
+from .linalg import AltTensor, Mat, truncated_exp
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +81,6 @@ def trivial_rep(n: int, m: int) -> tuple:
     return tuple(Mat.zero(m, m) for _ in range(n))
 
 
-def adjoint_rep(sc: AltTensor) -> tuple:
-    return tuple(lie_ad_matrices(sc))
-
-
 # ---------------------------------------------------------------------------
 # named fixtures
 # ---------------------------------------------------------------------------
@@ -108,7 +111,7 @@ def strict_sl2() -> Lie2Algebra:
 def skeletal_demo() -> Lie2Algebra:
     """Skeletal algebra on sl2 acting on itself, with an exact 3-cocycle."""
     sc = sl2_structure()
-    rep = adjoint_rep(sc)
+    rep = lie_ad_matrices(sc)
     omega = AltTensor(2, 3, 3, {(0, 1): (0, 1, 0)})
     l3 = ce_coboundary(sc, rep, omega)
     return make_skeletal(sc, rep, l3)
@@ -140,8 +143,6 @@ def rand_cochain(rng: random.Random, arity: int, dim: int, codim: int, dens=(1, 
 def sl2_aut_matrix(rng: random.Random) -> Mat:
     """Random rational automorphism of sl2: a product of unipotent
     exponentials of the nilpotent inner derivations."""
-    from .core import lie_ad_matrices
-    from .linalg import truncated_exp
     ads = lie_ad_matrices(sl2_structure())
     a0 = Mat.identity(3)
     for _ in range(rng.randint(1, 3)):
@@ -152,7 +153,6 @@ def sl2_aut_matrix(rng: random.Random) -> Mat:
 
 def string_aut_hom(L: Lie2Algebra, rng: random.Random):
     """Exact weak automorphism (A0, 1, omega) of the string fixture."""
-    from .core import Lie2Hom
     return Lie2Hom(L, L, sl2_aut_matrix(rng), Mat.identity(1), rand_cochain(rng, 2, 3, 1))
 
 
@@ -177,7 +177,7 @@ def random_fixture(rng: random.Random) -> Lie2Algebra:
     if kind == 1:
         # skeletal with the adjoint representation of the 2-dim solvable algebra
         sc = solvable2_structure()
-        rep = adjoint_rep(sc)
+        rep = lie_ad_matrices(sc)
         l3 = ce_coboundary(sc, rep, rand_cochain(rng, 2, 2, 2))
         return make_skeletal(sc, rep, l3)
     if kind == 2:

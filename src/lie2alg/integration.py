@@ -44,6 +44,7 @@ report line is the mode that computed it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,7 +95,7 @@ class ExpConfig:
     degree and squarings `linalg.truncated_exp` takes from the norm (a
     smaller cap costs more squarings); a float identity passes within
     `tol`; `fd_step` is the step of the bracket-recovery finite
-    differences.
+    differences.  Both must be finite and positive.
     """
 
     order: int = 24
@@ -102,25 +103,13 @@ class ExpConfig:
     fd_step: float = 1e-3
 
     def __post_init__(self):
-        if self.order < 1 or self.tol <= 0 or self.fd_step <= 0:
-            raise ValueError("order >= 1, tol > 0 and fd_step > 0 required")
+        # written so that NaN fails every comparison and is refused
+        if self.order < 1 or not (0 < self.tol < math.inf and 0 < self.fd_step < math.inf):
+            raise ValueError("order >= 1 and finite tol > 0 and fd_step > 0 required, "
+                             f"got order={self.order} tol={self.tol} fd_step={self.fd_step}")
 
 
 DEFAULT = ExpConfig()
-
-
-def der0_terminating(D: Derivation0):
-    """Nilpotency indices (p0, p1) of X0 and X1 when both are nilpotent,
-    else None: the exact degree-0 series terminates exactly then."""
-    p0 = nilpotency_index(D.X0)
-    p1 = None if p0 is None else nilpotency_index(D.X1)
-    return None if p1 is None else (p0, p1)
-
-
-def derM1_terminating(L: Lie2Algebra, T: DerM1):
-    """Nilpotency index of theta d, or None: the exact degree -1 series
-    terminates exactly when theta d is nilpotent."""
-    return nilpotency_index(T.theta @ L.d)
 
 
 def _exp_hom(L: Lie2Algebra, D: Derivation0, t, order: int) -> Lie2Hom:
@@ -150,11 +139,12 @@ def _exp_hom(L: Lie2Algebra, D: Derivation0, t, order: int) -> Lie2Hom:
 
 
 def _terminates(L: Lie2Algebra, X) -> bool:
-    """Whether the exact series of X, a Derivation0, a DerM1 or a square
-    Mat, terminates."""
-    if isinstance(X, Mat):
-        return nilpotency_index(X) is not None
-    return (derM1_terminating(L, X) if isinstance(X, DerM1) else der0_terminating(X)) is not None
+    """Whether the exact series of X terminates: whether every generator it
+    exponentiates is nilpotent, tested in order, X0 then X1 for a
+    Derivation0, theta d for a DerM1, and a square Mat itself."""
+    gens = ((X.X0, X.X1) if isinstance(X, Derivation0)
+            else (X.theta @ L.d,) if isinstance(X, DerM1) else (X,))
+    return all(nilpotency_index(m) is not None for m in gens)
 
 
 def _joint_mode(L: Lie2Algebra, exps, *operands):
@@ -353,7 +343,7 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
     terminates.
     """
     der_basis = compute_der0_basis(L)
-    nilpotent = nilpotent_derivations(der_basis)
+    nilpotent = nilpotent_derivations(L, der_basis)
     out = []
     for idx in range(samples):
         A = random_aut0(L, rng, cfg, nilpotent)
@@ -403,10 +393,11 @@ def _random_invertible_tau(L: Lie2Algebra, rng) -> Tau:
     return random_tau(L, rng, dens=_DENS, invertible=True)
 
 
-def nilpotent_derivations(der_basis) -> list:
-    """The basis derivations whose exact exponential terminates: the
-    factors `random_aut0` and the conjugation suite draw from."""
-    return [D for D in der_basis if der0_terminating(D) is not None]
+def nilpotent_derivations(L: Lie2Algebra, der_basis) -> list:
+    """The basis derivations of L whose exact exponential terminates
+    (`_terminates`): the factors `random_aut0` and the conjugation suite
+    draw from."""
+    return [D for D in der_basis if _terminates(L, D)]
 
 
 def _nilpotent_draw(rng, nilpotent) -> Derivation0:
@@ -420,7 +411,7 @@ def random_aut0(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT, nilpotent=None) -
     `nilpotent` is `nilpotent_derivations` of the degree-0 basis of L; a
     caller that draws several holds it once, and None computes it."""
     if nilpotent is None:
-        nilpotent = nilpotent_derivations(compute_der0_basis(L))
+        nilpotent = nilpotent_derivations(L, compute_der0_basis(L))
     out = aut_identity(L)
     for _ in range(rng.randint(1, 3)):
         if nilpotent and rng.random() < 0.5:

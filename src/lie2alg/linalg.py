@@ -38,7 +38,9 @@ factor that scales rational data to an integer image.  All values are
 immutable and all operations are pure.
 Sparse vectors ({index: value}) serve the law evaluators and
 `AltTensor.eval`, which runs through `sparse_eval`; see the "sparse
-vectors" section.
+vectors" section.  `Mat.max_abs` and `AltTensor.max_abs`, the largest
+entry in absolute value, are kept as library API: the scale of a value,
+against which a float residual can be read.
 """
 
 from __future__ import annotations
@@ -700,7 +702,8 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     the default 24 the series is summed up to x / 2^s <= theta_24 (about
     2.14), so a small x costs a few terms and no squaring.  A norm x of
     2^1023 or more (2x is not finite, a NaN included) raises ValueError,
-    and so does a result with an entry that overflows to inf or NaN.
+    and so do a t too large for a float and a result with an entry that
+    overflows to inf or NaN.
 
     The series and the squarings run on flat row-major lists through
     `_flat_mul`, with the nonzero rows of m built once: term n is term
@@ -715,7 +718,10 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     size, mode, s = m.rows, m.mode, 0
     kind, exact = _KINDS[mode], mode == "exact"
     if not exact:
-        t = float(kind_of((t,)).scalar(t))
+        try:
+            t = float(kind_of((t,)).scalar(t))
+        except OverflowError:
+            raise ValueError("exponential overflows: t is too large for a float") from None
         x = abs(t) * row_sum_norm(m)
         if not math.isfinite(2 * x):
             raise ValueError(f"exponential overflows: ||t m|| = {x} is not below 2^1023")

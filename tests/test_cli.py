@@ -136,6 +136,15 @@ def test_exp_overflowing_time_is_an_error(tmp_path):
     assert "overflows" in text
 
 
+def test_exp_time_too_large_for_a_float_is_an_error(tmp_path):
+    # theta d = 1 is not nilpotent, so the series runs in float, and float(t)
+    # would overflow before the norm check
+    elem = tmp_path / "t.elem"
+    elem.write_text("derM1\ntheta 0 0 1\n")
+    code, text = run(["exp", "endo-1-1", "--element", str(elem), "--t", "1" + "0" * 400])
+    assert (code, text) == (2, "error: exponential overflows: t is too large for a float\n")
+
+
 def test_exp_overflowing_result_is_an_error(tmp_path):
     # ||D|| = 1000 is finite but e^1000 is not: the exponential itself
     # raises, before the homomorphism check would read a NaN residual
@@ -195,6 +204,18 @@ def test_check_without_samples_is_input_error():
     for samples in ("0", "-3"):
         code, text = run(["check", "abelian", "--suite", "exp-square", "--samples", samples])
         assert (code, text) == (2, f"error: --samples must be at least 1, got {samples}\n")
+
+
+def test_check_refuses_a_tolerance_or_step_that_is_not_finite_and_positive():
+    # NaN fails every comparison and inf passes every residual, so neither
+    # may reach a report
+    for suite, flag, value in (("one-parameter", "--tol", "nan"),
+                               ("one-parameter", "--tol", "inf"),
+                               ("bracket-recovery", "--fd-step", "nan")):
+        code, text = run(["check", "skeletal-demo", "--suite", suite, "--samples", "1",
+                          "--seed", "1", flag, value])
+        assert code == 2 and text.startswith("error: order >= 1 and finite tol > 0"), text
+        assert f"{flag[2:].replace('-', '_')}={value}" in text
 
 
 def test_example_output_parses(tmp_path):

@@ -11,6 +11,7 @@ from lie2alg.core import (
     hom_distance,
     hom_identity,
     killing_form,
+    lie_ad_matrices,
     make_endo,
     make_skeletal,
     make_string,
@@ -19,7 +20,6 @@ from lie2alg.core import (
 )
 from lie2alg.fixtures import (
     abelian_structure,
-    adjoint_rep,
     aff1_sum_structure,
     fix_ab,
     fix_end,
@@ -37,7 +37,6 @@ from lie2alg.linalg import AltTensor, Mat, truncated_exp
 
 def sl2_aut(rng):
     """Random rational automorphism of sl2: a product of unipotent exponentials."""
-    from lie2alg.core import lie_ad_matrices
     ads = lie_ad_matrices(sl2_structure())
     a0 = Mat.identity(3)
     for _ in range(rng.randint(1, 3)):
@@ -119,7 +118,7 @@ def test_axiom_c_accepts_coboundary_l3_nontrivial_rep():
     # dim-4 base with a nontrivial action: the only case where the relative
     # sign between the two halves of the arity-4 law is observable
     sc = aff1_sum_structure()
-    rep = adjoint_rep(sc)
+    rep = lie_ad_matrices(sc)
     rng = random.Random(0)
     for _ in range(5):
         l3 = ce_coboundary(sc, rep, rand_cochain(rng, 2, 4, 4))
@@ -273,45 +272,14 @@ def test_ce_squares_to_zero():
     rng = random.Random(8)
     cases = [
         (sl2_structure(), trivial_rep(3, 1)),
-        (sl2_structure(), adjoint_rep(sl2_structure())),
-        (solvable2_structure(), adjoint_rep(solvable2_structure())),
+        (sl2_structure(), lie_ad_matrices(sl2_structure())),
+        (solvable2_structure(), lie_ad_matrices(solvable2_structure())),
         (aff1_sum_structure(), trivial_rep(4, 2)),
     ]
     for sc, rep in cases:
         for arity in range(0, min(3, sc.dim)):
             f = rand_cochain(rng, arity, sc.dim, rep[0].rows)
             assert ce_coboundary(sc, rep, ce_coboundary(sc, rep, f)).is_zero()
-
-
-def _bits(x):
-    """A float by type and bit pattern (signed zeros too); an exact scalar,
-    an int or a Fraction, by value."""
-    if type(x) is float:
-        return float, x.hex()
-    return ("exact" if type(x) in (int, Fraction) else type(x)), x
-
-
-def _bracket01_reference(L, x, a):
-    """[x, a] as a sum of full vectors, one per nonzero coordinate of x."""
-    out = tuple(Fraction(0) if L.mode == "exact" else 0.0 for _ in range(L.n1))
-    for i, xi in enumerate(x):
-        if xi != 0:
-            out = tuple(o + xi * v for o, v in zip(out, L.b01[i].apply(a)))
-    return out
-
-
-def test_bracket01_matches_reference():
-    # exact values are exact (int or Fraction) and equal; float values carry
-    # the same bits, signed zeros too
-    rng = random.Random(41)
-    for L in (fix_ab(), fix_str(), fix_end(), skeletal_demo(), make_endo(rand_mat(rng, 2, 1))):
-        for M in (L, L.to_float()):
-            cast = (lambda q: q) if M.mode == "exact" else float
-            for _ in range(10):
-                x = tuple(cast(Fraction(rng.choice([0, 0, -1, 2]), 3)) for _ in range(M.n0))
-                a = tuple(cast(Fraction(rng.choice([0, 1, -2]), 5)) for _ in range(M.n1))
-                got, want = M.bracket01(x, a), _bracket01_reference(M, x, a)
-                assert [_bits(g) for g in got] == [_bits(w) for w in want]
 
 
 def test_float_copies_are_float_in_every_tensor():

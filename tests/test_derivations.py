@@ -50,7 +50,7 @@ from lie2alg.fixtures import (
     strict_sl2,
     trivial_rep,
 )
-from lie2alg.linalg import AltTensor, Mat, ModeError, rank, solve, vadd, vsub
+from lie2alg.linalg import AltTensor, Mat, ModeError, basis_vec, rank, solve, vadd, vsub
 
 
 def sl2_ad_as_der0(L, x, xi):
@@ -75,7 +75,7 @@ def test_zero_is_derivation():
 def test_adjoint_generators_are_derivations():
     for L in (fix_str(), fix_end(), skeletal_demo()):
         for i in range(L.n0):
-            assert is_derivation0(L, adbar0_single(L, L.e0(i))).ok
+            assert is_derivation0(L, adbar0_single(L, basis_vec(L.n0, i, L.mode))).ok
 
 
 def test_identity_fails_on_string():
@@ -113,7 +113,7 @@ def test_der0_basis_soundness_and_completeness():
         base_rank = rank(Mat.from_rows(flat))
         assert base_rank == len(basis)
         # independently constructed members do not increase the rank
-        extras = [adbar0_single(L, L.e0(i)) for i in range(L.n0)]
+        extras = [adbar0_single(L, basis_vec(L.n0, i, L.mode)) for i in range(L.n0)]
         extras += [dbar(L, random_derM1(L, rng)) for _ in range(3)]
         extras += [graded_bracket(L, basis[0], D) for D in basis[:3]]
         for E in extras:
@@ -346,7 +346,7 @@ def test_adbar_abelian_is_zero():
 
 def test_adbar0_string_h():
     L = fix_str()
-    D = adbar0_single(L, L.e0(0))
+    D = adbar0_single(L, basis_vec(L.n0, 0, L.mode))
     # ad_h = diag(0, 2, -2) on (h, e, f); action on R is zero
     assert D.X0 == Mat.from_rows([[0, 0, 0], [0, 2, 0], [0, 0, -2]])
     assert D.X1.is_zero()
@@ -364,11 +364,11 @@ def test_adbar_bracket_defect_identity():
     # {adbar0(x), adbar0(y)} = adbar0([x,y]) + dbar(l3(x, y, .))
     L = fix_str()
     for i, j in itertools.combinations(range(3), 2):
-        x, y = L.e0(i), L.e0(j)
+        x, y = basis_vec(L.n0, i, L.mode), basis_vec(L.n0, j, L.mode)
         lhs = graded_bracket(L, adbar0_single(L, x), adbar0_single(L, y))
-        cols = [L.l3.eval(x, y, L.e0(t)) for t in range(3)]
+        cols = [L.l3.eval(x, y, basis_vec(L.n0, t, L.mode)) for t in range(3)]
         theta = DerM1(Mat.from_cols(cols, 1))
-        rhs = adbar0_single(L, L.bracket00(x, y)) + dbar(L, theta)
+        rhs = adbar0_single(L, L.b00.eval(x, y)) + dbar(L, theta)
         assert der0_distance(lhs, rhs) == 0
 
 
@@ -440,8 +440,8 @@ def _strict_derM1_residual(L, T):
     worst = Fraction(0) if L.mode == "exact" else 0.0
     for i, j in itertools.combinations(range(L.n0), 2):
         r = T.theta.apply(L.b00.eval_basis(i, j))
-        r = vsub(r, L.bracket01(L.e0(i), T.theta.col(j)))
-        r = vadd(r, L.bracket01(L.e0(j), T.theta.col(i)))
+        r = vsub(r, L.b01[i].apply(T.theta.col(j)))
+        r = vadd(r, L.b01[j].apply(T.theta.col(i)))
         worst = max(worst, max((abs(x) for x in r), default=worst))
     return worst
 

@@ -12,7 +12,6 @@ from lie2alg.automorphisms import (
     act,
     ad_conjugate,
     aut_compose,
-    aut_distance,
     aut_identity,
     semidirect_multiply,
     star,
@@ -20,7 +19,7 @@ from lie2alg.automorphisms import (
     tau_inverse,
     tau_zero,
 )
-from lie2alg.core import Lie2Algebra, compose_hom, validate_hom, validate_lie2
+from lie2alg.core import Lie2Algebra, compose_hom, hom_distance, validate_hom, validate_lie2
 from lie2alg.derivations import (
     DerM1,
     Derivation0,
@@ -52,12 +51,11 @@ from lie2alg.integration import (
     ExpConfig,
     _exp_hom,
     _joint_mode,
+    _terminates,
     _random_invertible_tau,
     check_commuting_square,
     check_conjugation_identities,
     check_one_parameter,
-    der0_terminating,
-    derM1_terminating,
     exp_der0,
     exp_derM1,
     nilpotent_derivations,
@@ -70,6 +68,7 @@ from lie2alg.linalg import (
     AltTensor,
     Mat,
     ModeError,
+    basis_vec,
     mat_distance,
     nilpotency_index,
     tensor_distance,
@@ -94,7 +93,14 @@ def small_der0(L, rng, basis=None):
 def test_exp_zero_is_identity():
     L = fix_str()
     A = exp_der0(L, der0_zero(L))
-    assert aut_distance(A, aut_identity(L)) == 0
+    assert hom_distance(A.hom, aut_identity(L).hom) == 0
+
+
+@pytest.mark.parametrize("value", [0, -1e-9, math.nan, math.inf])
+@pytest.mark.parametrize("field", ["tol", "fd_step"])
+def test_exp_config_requires_a_finite_positive_tol_and_step(field, value):
+    with pytest.raises(ValueError, match="finite tol > 0 and fd_step > 0"):
+        ExpConfig(**{field: value})
 
 
 def test_exp_rejects_non_derivation():
@@ -119,7 +125,7 @@ def test_exp_dbar_image_terminates_exactly():
 def test_exp_adbar_h_matches_diagonal_oracle():
     # ad_h = diag(0, 2, -2), so e^{ad_h} = diag(1, e^2, e^-2) exactly
     L = fix_str()
-    D = adbar0_single(L, L.e0(0))
+    D = adbar0_single(L, basis_vec(L.n0, 0, L.mode))
     A = exp_der0(L, D, 1, ExpConfig(order=24))
     expected = Mat.from_rows([[1.0, 0.0, 0.0],
                               [0.0, math.exp(2.0), 0.0],
@@ -196,8 +202,8 @@ def test_one_parameter_dbar_image_exact():
 def test_one_parameter_adbar_e_exact():
     # ad_e is nilpotent, so the whole one-parameter law holds exactly
     L = fix_str()
-    D = adbar0_single(L, L.e0(1))
-    assert der0_terminating(D) is not None
+    D = adbar0_single(L, basis_vec(L.n0, 1, L.mode))
+    assert _terminates(L, D)
     assert check_one_parameter(L, D, Fraction(1, 2), Fraction(1, 2)) == (0, "exact")
 
 
@@ -210,7 +216,7 @@ def test_one_parameter_float_residual():
         t = Fraction(rng.randint(-4, 4), 8)
         s = Fraction(rng.randint(-4, 4), 8)
         resid, mode = check_one_parameter(L, D, t, s)
-        assert resid < 1e-9 and mode == ("exact" if der0_terminating(D) else "float")
+        assert resid < 1e-9 and mode == ("exact" if _terminates(L, D) else "float")
 
 
 def test_one_parameter_degree_m1():
@@ -222,14 +228,15 @@ def test_one_parameter_degree_m1():
     for _ in range(5):
         T = random_derM1(L, rng, dens=SMALL)
         resid, mode = one_parameter_derM1(L, T, Fraction(1, 2), Fraction(1, 4))
-        assert resid < 1e-9 and mode == ("exact" if derM1_terminating(L, T) is not None else "float")
+        assert resid < 1e-9 and mode == ("exact" if _terminates(L, T) else "float")
 
 
 def test_one_parameter_checks_membership_once(monkeypatch):
     L = fix_str()
     checks = _counting(monkeypatch, "is_derivation0")
     exps = _counting(monkeypatch, "_exp_hom")
-    for D, mode in ((adbar0_single(L, L.e0(1)), "exact"), (adbar0_single(L, L.e0(0)), "float")):
+    ad_h, ad_e = (adbar0_single(L, basis_vec(L.n0, i, L.mode)) for i in (0, 1))
+    for D, mode in ((ad_e, "exact"), (ad_h, "float")):
         del checks[:], exps[:]
         assert check_one_parameter(L, D, Fraction(1, 2), Fraction(1, 4))[1] == mode
         assert (len(checks), len(exps)) == (1, 3)
@@ -312,8 +319,8 @@ def test_recover_bracket_abelian_zero():
 
 def test_recover_bracket_string_adjoint():
     L = fix_str()
-    D1 = adbar0_single(L, L.e0(0))  # ad_h
-    D2 = adbar0_single(L, L.e0(1))  # ad_e
+    D1 = adbar0_single(L, basis_vec(L.n0, 0, L.mode))  # ad_h
+    D2 = adbar0_single(L, basis_vec(L.n0, 1, L.mode))  # ad_e
     want = graded_bracket(L, D1, D2).to_float()
     for got in recover_bracket(L, D1, D2):
         assert der0_distance(got, want) < 1e-4
@@ -432,8 +439,8 @@ def _counting(monkeypatch, name):
 
 def test_recover_bracket_builds_four_exponentials_for_both_steps(monkeypatch):
     L = fix_str()
-    D1 = adbar0_single(L, L.e0(0))
-    D2 = adbar0_single(L, L.e0(1))
+    D1 = adbar0_single(L, basis_vec(L.n0, 0, L.mode))
+    D2 = adbar0_single(L, basis_vec(L.n0, 1, L.mode))
     exps = _counting(monkeypatch, "_exp_hom")
     products = _counting(monkeypatch, "compose_hom")
     recover_bracket(L, D1, D2)
@@ -470,7 +477,7 @@ def test_exp_semidirect_one_parameter_on_commuting_pairs():
         half = exp_der0(L, D), exp_derM1(L, T)
         assert {x.mode for x in (*full, *half)} == {"exact"}
         A, t = semidirect_multiply(L, half, half)
-        assert aut_distance(full[0], A) == tau_distance(full[1], t) == 0
+        assert hom_distance(full[0].hom, A.hom) == tau_distance(full[1], t) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +548,7 @@ def test_conj_tau_der_holds_for_every_derivation_and_unit_tau():
 def test_one_non_terminating_leg_puts_every_operand_in_float():
     L = fix_end()
     T = random_derM1(L, random.Random(89), dens=SMALL)
-    assert derM1_terminating(L, T) is None and der0_terminating(der0_zero(L)) is not None
+    assert not _terminates(L, T) and _terminates(L, der0_zero(L))
     mode, Lm, (Df, Tf) = _joint_mode(L, (der0_zero(L), T))
     A = integration._der0_exps(Lm, Df, (1,), ExpConfig())[0]
     t = integration._derM1_exp(Lm, Tf, 1, ExpConfig())
@@ -561,11 +568,11 @@ def test_joint_mode_follows_the_values():
     L = fix_end()
     A, tau = random_aut0(L, rng), _random_invertible_tau(L, rng)
     D, T = der0_zero(L), derM1_zero(L)
-    assert der0_terminating(D) is not None and derM1_terminating(L, T) is not None
+    assert _terminates(L, D) and _terminates(L, T)
     mode, Lm, got = _joint_mode(L, (D, T), A, tau)
     assert mode == "exact" and Lm is L and all(g is v for g, v in zip(got, (D, T, A, tau)))
     nonterm = DerM1(Mat.from_rows([[Fraction(1, 2)]]))  # theta d = 1/2 (d = 1)
-    assert derM1_terminating(L, nonterm) is None
+    assert not _terminates(L, nonterm)
     exact = [D, T, A, tau]
     cases = [exact[:i] + [exact[i].to_float()] + exact[i + 1:] for i in range(4)]
     cases.append([D, nonterm, A, tau])
@@ -654,7 +661,7 @@ def test_float_exponential_composes_with_the_identity_of_its_algebra():
     A = exp_der0(L, der0_zero(L).to_float())
     AI = aut_compose(A, aut_identity(A.algebra))
     assert A.algebra.mode == AI.hom.A0.mode == "float"
-    assert aut_distance(AI, A) == 0
+    assert hom_distance(AI.hom, A.hom) == 0
 
 
 def test_inn_generators_string_counts():
@@ -684,13 +691,13 @@ def test_the_conjugation_suite_finds_the_nilpotent_derivations_once(monkeypatch)
     # list it would compute
     for L in (fix_str(), skeletal_demo()):
         rng, ref = random.Random(4), random.Random(4)
-        nilpotent = nilpotent_derivations(compute_der0_basis(L))
+        nilpotent = nilpotent_derivations(L, compute_der0_basis(L))
         assert random_aut0(L, rng, nilpotent=nilpotent) == random_aut0(L, ref)
         assert rng.getstate() == ref.getstate()
     calls = []
     find = integration.nilpotent_derivations
     monkeypatch.setattr(integration, "nilpotent_derivations",
-                        lambda basis: calls.append(1) or find(basis))
+                        lambda L, basis: calls.append(1) or find(L, basis))
     check_conjugation_identities(fix_str(), random.Random(1), samples=2)
     assert len(calls) == 1
 
@@ -747,11 +754,11 @@ def _differential_fixtures():
 def _nilpotent_derivations(L, rng):
     """Terminating basis derivations at random scales, and sums of pairs
     of them that still terminate."""
-    basis = [D for D in compute_der0_basis(L) if der0_terminating(D) is not None]
+    basis = [D for D in compute_der0_basis(L) if _terminates(L, D)]
     out = [D.scale(Fraction(rng.randint(1, 5), rng.randint(1, 3))) for D in basis]
     for D1, D2 in itertools.combinations(basis, 2):
         D = D1 + D2.scale(Fraction(rng.randint(-3, 3), 2))
-        if der0_terminating(D) is not None:
+        if _terminates(L, D):
             out.append(D)
     return out
 
@@ -776,7 +783,7 @@ def test_block_exp_equals_series_on_nilpotent_derivations():
     with_x0_and_lx = 0
     for L in _differential_fixtures():
         for D in _nilpotent_derivations(L, rng):
-            p0, p1 = der0_terminating(D)
+            p0, p1 = nilpotency_index(D.X0), nilpotency_index(D.X1)
             t = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             A = exp_der0(L, D, t)
             assert A.hom.A0 == truncated_exp(D.X0, t)
@@ -820,7 +827,7 @@ def test_star_exp_equals_series():
         for _ in range(3):
             T = random_derM1(L, rng, dens=SMALL)
             t = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            q = derM1_terminating(L, T)
+            q = nilpotency_index(T.theta @ L.d)
             if q is not None:
                 exact += 1
                 assert exp_derM1(L, T, t).mat == _ref_exp_derM1(L, T, t, q)
@@ -855,7 +862,7 @@ def test_block_exp_nilpotent_wedge_action_still_runs_in_float():
     L = _abelian(2, 1)
     lx = AltTensor(2, 2, 1, {(0, 1): (Fraction(1, 3),)})
     D = Derivation0(Mat.from_rows([[1, 0], [0, -1]]), Mat.from_rows([[Fraction(1, 2)]]), lx)
-    assert der0_terminating(D) is None
+    assert not _terminates(L, D)
     A = exp_der0(L, D, 1)
     assert A.hom.A0.mode == A.hom.A1.mode == A.hom.A2.mode == "float"
     assert _relative_close(A.hom.A2, _ref_exp_a2(D.to_float(), 1.0, 24), tensor_distance)
@@ -943,7 +950,7 @@ def test_ad_conjugate_lx_is_the_cochain_action_formula():
     for seed, L in enumerate(algebras):
         rng = random.Random(seed)
         basis = compute_der0_basis(L)
-        nilpotent = nilpotent_derivations(basis)
+        nilpotent = nilpotent_derivations(L, basis)
         for _ in range(3):
             A = random_aut0(L, rng, nilpotent=nilpotent)
             D = random_der0(L, rng, basis)
@@ -962,7 +969,7 @@ def test_a_float_t_on_an_exact_series_raises_as_scale_does():
     assert truncated_exp(m, 3).data == (1, 3, 0, 1)
     assert truncated_exp(m.to_float(), Fraction(1, 10)).data == (1.0, 0.1, 0.0, 1.0)
     L = skeletal_demo()
-    D = next(D for D in compute_der0_basis(L) if der0_terminating(D) is not None)
+    D = next(D for D in compute_der0_basis(L) if _terminates(L, D))
     with pytest.raises(ModeError):
         exp_der0(L, D, t=0.1)
     assert exp_der0(L, D, t=Fraction(1, 10)).mode == exp_der0(L, D, t=2).mode == "exact"

@@ -205,6 +205,14 @@ def test_truncated_exp_float_overflowing_norm_raises(x):
         truncated_exp(Mat.from_rows([[x]]).to_float(), 1e308)
 
 
+@pytest.mark.parametrize("t", [10**400, -10**400, Fraction(10**400, 3)],
+                         ids=["1e400", "-1e400", "1e400/3"])
+def test_truncated_exp_float_time_too_large_for_a_float_raises(t):
+    # float(t) itself overflows, before the norm is read
+    with pytest.raises(ValueError, match="exponential overflows"):
+        truncated_exp(Mat.from_rows([[1.0]]), t)
+
+
 def test_truncated_exp_float_overflowing_result_raises():
     # ||t m|| = 1000 is finite, e^1000 is not; e^700 is
     assert math.isfinite(truncated_exp(Mat.from_rows([[700.0]]), 1).at(0, 0))

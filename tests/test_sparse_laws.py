@@ -1,14 +1,15 @@
 """Differential tests of the sparse law evaluators.
 
 `validate_lie2`, `validate_hom`, the degree-0 derivation conditions, the
-cochain action `lie_cochain_action`, `dbar`, the tau-twist `twist_lower`
-and `adbar0_single` sum over the nonzero structure constants only.  The
-references below are the earlier evaluators, which apply every law to unit
-basis vectors through dense vectors; both must
-give the same ResidualReport: the same value, of the same type, and the same
-witness, for every key.  Exact values are equal.  Float values are equal bit
-for bit where builtin `sum` adds floats left to right (before Python 3.12)
-and within 1e-12 relative otherwise.
+cochain action `lie_cochain_action`, `dbar`, the 2-component of the
+tau-twist `twist_hom` and `adbar0_single` sum over the nonzero structure
+constants only.  The references below are the earlier evaluators, which
+apply every law to unit basis vectors through dense vectors, with [x, a]
+summed one full vector per coordinate of x (`_bracket01_reference`); both
+must give the same ResidualReport: the same value, of the same type, and
+the same witness, for every key.  Exact values are equal.  Float values
+are equal bit for bit where builtin `sum` adds floats left to right
+(before Python 3.12) and within 1e-12 relative otherwise.
 """
 
 import itertools
@@ -17,7 +18,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from lie2alg.automorphisms import Tau, random_tau, twist_hom, twist_lower
+from lie2alg.automorphisms import Tau, random_tau, twist_hom
 from lie2alg.core import (
     Lie2Algebra,
     Lie2Hom,
@@ -25,6 +26,7 @@ from lie2alg.core import (
     ResidualReport,
     ce_coboundary,
     hom_identity,
+    lie_ad_matrices,
     make_endo,
     make_skeletal,
     make_string,
@@ -52,7 +54,6 @@ from lie2alg.fileio import parse_element
 from lie2alg.fixtures import (
     NAMED_EXAMPLES,
     abelian_structure,
-    adjoint_rep,
     aff1_sum_structure,
     fix_end,
     fix_str,
@@ -102,37 +103,47 @@ class _RefAcc:
         return Residual(self.value, self.witness)
 
 
+def _bracket01_reference(L, x, a):
+    """[x, a] as a sum of full vectors, one per nonzero coordinate of x."""
+    out = tuple(Fraction(0) if L.mode == "exact" else 0.0 for _ in range(L.n1))
+    for i, xi in enumerate(x):
+        if xi != 0:
+            out = tuple(o + xi * v for o, v in zip(out, L.b01[i].apply(a)))
+    return out
+
+
 def ref_validate_lie2(L):
     n0, n1 = L.n0, L.n1
     acc = {k: _RefAcc(L.mode) for k in ("a1", "a2", "b1", "b2", "c")}
-    e0 = [L.e0(i) for i in range(n0)]
-    e1 = [L.e1(a) for a in range(n1)]
+    e0 = [basis_vec(n0, i, L.mode) for i in range(n0)]
+    e1 = [basis_vec(n1, a, L.mode) for a in range(n1)]
 
     for i in range(n0):
         for a in range(n1):
-            lhs = L.dv(L.bracket01(e0[i], e1[a]))
-            rhs = L.bracket00(e0[i], L.dcol(a))
+            lhs = L.d.apply(_bracket01_reference(L, e0[i], e1[a]))
+            rhs = L.b00.eval(e0[i], L.d.col(a))
             acc["a1"].add(vsub(lhs, rhs), (i, a))
 
     for a in range(n1):
         for b in range(a, n1):
-            r = vadd(L.bracket01(L.dcol(a), e1[b]), L.bracket01(L.dcol(b), e1[a]))
+            r = vadd(_bracket01_reference(L, L.d.col(a), e1[b]),
+                     _bracket01_reference(L, L.d.col(b), e1[a]))
             acc["a2"].add(r, (a, b))
 
     for i, j, k in itertools.combinations(range(n0), 3):
         x, y, z = e0[i], e0[j], e0[k]
-        r = L.bracket00(L.bracket00(x, y), z)
-        r = vadd(r, L.bracket00(L.bracket00(y, z), x))
-        r = vadd(r, L.bracket00(L.bracket00(z, x), y))
-        r = vadd(r, L.dv(L.l3.eval_basis(i, j, k)))
+        r = L.b00.eval(L.b00.eval(x, y), z)
+        r = vadd(r, L.b00.eval(L.b00.eval(y, z), x))
+        r = vadd(r, L.b00.eval(L.b00.eval(z, x), y))
+        r = vadd(r, L.d.apply(L.l3.eval_basis(i, j, k)))
         acc["b1"].add(r, (i, j, k))
 
     for i, j in itertools.combinations(range(n0), 2):
         for a in range(n1):
-            r = L.bracket01(L.b00.eval_basis(i, j), e1[a])
-            r = vsub(r, L.bracket01(e0[i], L.bracket01(e0[j], e1[a])))
-            r = vadd(r, L.bracket01(e0[j], L.bracket01(e0[i], e1[a])))
-            r = vadd(r, L.l3.eval(e0[i], e0[j], L.dcol(a)))
+            r = _bracket01_reference(L, L.b00.eval_basis(i, j), e1[a])
+            r = vsub(r, _bracket01_reference(L, e0[i], _bracket01_reference(L, e0[j], e1[a])))
+            r = vadd(r, _bracket01_reference(L, e0[j], _bracket01_reference(L, e0[i], e1[a])))
+            r = vadd(r, L.l3.eval(e0[i], e0[j], L.d.col(a)))
             acc["b2"].add(r, (i, j, a))
 
     if L.l3.is_zero():
@@ -143,11 +154,11 @@ def ref_validate_lie2(L):
             r = vzero(n1, L.mode)
             for a in range(4):
                 rest = [xs[t] for t in range(4) if t != a]
-                term = L.bracket01(xs[a], L.l3.eval(*rest))
+                term = _bracket01_reference(L, xs[a], L.l3.eval(*rest))
                 r = vadd(r, term if a % 2 == 0 else vscale(-1, term))
             for a, b in itertools.combinations(range(4), 2):
                 rest = [xs[t] for t in range(4) if t not in (a, b)]
-                term = L.l3.eval(L.bracket00(xs[a], xs[b]), *rest)
+                term = L.l3.eval(L.b00.eval(xs[a], xs[b]), *rest)
                 r = vadd(r, term if (a + b) % 2 == 0 else vscale(-1, term))
             acc["c"].add(r, quad)
 
@@ -156,27 +167,27 @@ def ref_validate_lie2(L):
 
 def ref_der0_condition_vectors(L, D):
     n0, n1 = L.n0, L.n1
-    e0 = [L.e0(i) for i in range(n0)]
-    e1 = [L.e1(a) for a in range(n1)]
+    e0 = [basis_vec(n0, i, L.mode) for i in range(n0)]
+    e1 = [basis_vec(n1, a, L.mode) for a in range(n1)]
     x0col = [D.X0.col(i) for i in range(n0)]
 
     chain = [((D.X0 @ L.d) - (L.d @ D.X1)).data]
 
     cond_a = []
     for i, j in itertools.combinations(range(n0), 2):
-        r = L.dv(D.lX.eval_basis(i, j))
+        r = L.d.apply(D.lX.eval_basis(i, j))
         r = vsub(r, D.X0.apply(L.b00.eval_basis(i, j)))
-        r = vadd(r, L.bracket00(x0col[i], e0[j]))
-        r = vadd(r, L.bracket00(e0[i], x0col[j]))
+        r = vadd(r, L.b00.eval(x0col[i], e0[j]))
+        r = vadd(r, L.b00.eval(e0[i], x0col[j]))
         cond_a.append((r, (i, j)))
 
     cond_b = []
     for i in range(n0):
         for a in range(n1):
-            r = D.lX.eval(e0[i], L.dcol(a))
-            r = vsub(r, D.X1.apply(L.bracket01(e0[i], e1[a])))
-            r = vadd(r, L.bracket01(x0col[i], e1[a]))
-            r = vadd(r, L.bracket01(e0[i], D.X1.col(a)))
+            r = D.lX.eval(e0[i], L.d.col(a))
+            r = vsub(r, D.X1.apply(_bracket01_reference(L, e0[i], e1[a])))
+            r = vadd(r, _bracket01_reference(L, x0col[i], e1[a]))
+            r = vadd(r, _bracket01_reference(L, e0[i], D.X1.col(a)))
             cond_b.append((r, (i, a)))
 
     cond_c = []
@@ -184,7 +195,7 @@ def ref_der0_condition_vectors(L, D):
         r = D.X1.apply(L.l3.eval_basis(i, j, k))
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
             r = vsub(r, D.lX.eval(e0[x], L.b00.eval_basis(y, z)))
-            r = vsub(r, L.bracket01(e0[x], D.lX.eval_basis(y, z)))
+            r = vsub(r, _bracket01_reference(L, e0[x], D.lX.eval_basis(y, z)))
             r = vsub(r, L.l3.eval(x0col[x], e0[y], e0[z]))
         cond_c.append((r, (i, j, k)))
 
@@ -422,7 +433,7 @@ def test_validate_matches_reference_on_arity_four_law_with_action():
     # a nontrivial action makes both halves of the arity-4 law nonzero, so
     # their relative sign shows; random l3 break the law, coboundaries keep it
     sc = aff1_sum_structure()
-    rep = adjoint_rep(sc)
+    rep = lie_ad_matrices(sc)
     rng = random.Random(11)
     for _ in range(4):
         for l3 in (rand_cochain(rng, 3, 4, 4), ce_coboundary(sc, rep, rand_cochain(rng, 2, 4, 4))):
@@ -589,8 +600,8 @@ def ref_dbar(L, T):
     def lval(key):
         i, j = key
         r = T.theta.apply(L.b00.eval_basis(i, j))
-        r = vsub(r, L.bracket01(L.e0(i), T.theta.col(j)))
-        return vadd(r, L.bracket01(L.e0(j), T.theta.col(i)))
+        r = vsub(r, _bracket01_reference(L, basis_vec(L.n0, i, L.mode), T.theta.col(j)))
+        return vadd(r, _bracket01_reference(L, basis_vec(L.n0, j, L.mode), T.theta.col(i)))
 
     return Derivation0(L.d @ T.theta, T.theta @ L.d,
                        AltTensor.from_function(2, L.n0, L.n1, lval, L.mode))
@@ -605,9 +616,9 @@ def ref_twist_lower(L, A, t):
         i, j = key
         tx, ty = tm.col(i), tm.col(j)
         r = tm.apply(L.b00.eval_basis(i, j))
-        r = vsub(r, L.bracket01(A.A0.col(i), ty))
-        r = vadd(r, L.bracket01(A.A0.col(j), tx))
-        return vadd(r, L.bracket01(L.dv(ty), tx))
+        r = vsub(r, _bracket01_reference(L, A.A0.col(i), ty))
+        r = vadd(r, _bracket01_reference(L, A.A0.col(j), tx))
+        return vadd(r, _bracket01_reference(L, L.d.apply(ty), tx))
 
     return AltTensor.from_function(2, L.n0, L.n1, val, L.mode)
 
@@ -615,13 +626,14 @@ def ref_twist_lower(L, A, t):
 def ref_adbar0_single(L, x):
     """The dense formula: [x, e_j] and l3(x, e_i, e_j) on unit vectors, and
     X1 the sum of x_m b01[m]."""
-    cols = [v for j in range(L.n0) for v in L.bracket00(x, L.e0(j))]
+    e0 = [basis_vec(L.n0, j, L.mode) for j in range(L.n0)]
+    cols = [v for j in range(L.n0) for v in L.b00.eval(x, e0[j])]
     X1 = Mat.zero(L.n1, L.n1, L.mode)
     for m, xi in zip(L.b01, x):
         if xi != 0:
             X1 = X1 + m.scale(xi)
     lX = AltTensor.from_function(
-        2, L.n0, L.n1, lambda key: L.l3.eval(x, L.e0(key[0]), L.e0(key[1])), L.mode)
+        2, L.n0, L.n1, lambda key: L.l3.eval(x, e0[key[0]], e0[key[1]]), L.mode)
     return Derivation0(Mat._result(L.n0, L.n0, cols, L.mode).transpose(), X1, lX)
 
 
@@ -680,7 +692,8 @@ def test_dbar_matches_reference():
 def test_twist_lower_matches_reference():
     """The identity of each named example, string-sl3 and the random
     fixtures, and four sampled automorphisms of string-sl2, each twisted by
-    two random taus, in exact and in float mode."""
+    two random taus, in exact and in float mode: the 2-component of
+    `twist_hom` is A2 plus the reference correction."""
     rng = random.Random(27)
     algebras = ([f() for f in NAMED_EXAMPLES.values()] + [make_string(sl_structure(3))]
                 + _random_fixtures())
@@ -688,15 +701,16 @@ def test_twist_lower_matches_reference():
     cases += [(fix_str(), string_aut_hom(fix_str(), rng)) for _ in range(4)]
     for L, A in cases:
         for t in (random_tau(L, rng), random_tau(L, rng)):
-            assert_same_tensor(twist_lower(L, A, t), ref_twist_lower(L, A, t))
+            assert_same_tensor(twist_hom(L, A, t).A2, A.A2 + ref_twist_lower(L, A, t))
             Lf, Af, tf = L.to_float(), A.to_float(), t.to_float()
-            assert_same_tensor(twist_lower(Lf, Af, tf), ref_twist_lower(Lf, Af, tf))
+            assert_same_tensor(twist_hom(Lf, Af, tf).A2, Af.A2 + ref_twist_lower(Lf, Af, tf))
 
 
 def test_adbar0_single_matches_reference():
     rng = random.Random(22)
     for L in _generator_algebras():
-        xs = [L.e0(i) for i in range(L.n0)] + [rand_vec(rng, L.n0) for _ in range(2)]
+        xs = [basis_vec(L.n0, i, L.mode) for i in range(L.n0)]
+        xs += [rand_vec(rng, L.n0) for _ in range(2)]
         for x in xs:
             assert_same_derivation(adbar0_single(L, x), ref_adbar0_single(L, x))
             Lf, xf = L.to_float(), tuple(float(v) for v in x)
@@ -722,7 +736,7 @@ def test_twist_lower_is_bitwise_on_random_float_constants():
             A = Lie2Hom(L, L, Mat(n0, n0, _float_draw(rng, n0 * n0)), Mat.identity(n1, "float"),
                         AltTensor.zero(2, n0, n1, "float"))
             t = Tau(Mat(n1, n0, _float_draw(rng, n1 * n0)))
-            assert_same_tensor(twist_lower(L, A, t), ref_twist_lower(L, A, t))
+            assert_same_tensor(twist_hom(L, A, t).A2, A.A2 + ref_twist_lower(L, A, t))
 
 
 # ---------------------------------------------------------------------------
@@ -737,28 +751,28 @@ def ref_validate_hom(A):
     chain = (tgt.d @ A.A1) - (A.A0 @ src.d)
     acc["chain"].add(chain.data, None)
 
-    e0 = [src.e0(i) for i in range(src.n0)]
-    e1 = [src.e1(a) for a in range(src.n1)]
+    e0 = [basis_vec(src.n0, i, src.mode) for i in range(src.n0)]
+    e1 = [basis_vec(src.n1, a, src.mode) for a in range(src.n1)]
     img0 = [A.A0.col(i) for i in range(src.n0)]
     img1 = [A.A1.col(a) for a in range(src.n1)]
 
     for i, j in itertools.combinations(range(src.n0), 2):
         r = A.A0.apply(src.b00.eval_basis(i, j))
-        r = vsub(r, tgt.bracket00(img0[i], img0[j]))
-        r = vsub(r, tgt.dv(A.A2.eval_basis(i, j)))
+        r = vsub(r, tgt.b00.eval(img0[i], img0[j]))
+        r = vsub(r, tgt.d.apply(A.A2.eval_basis(i, j)))
         acc["i"].add(r, (i, j))
 
     for i in range(src.n0):
         for a in range(src.n1):
-            r = A.A1.apply(src.bracket01(e0[i], e1[a]))
-            r = vsub(r, tgt.bracket01(img0[i], img1[a]))
-            r = vsub(r, A.A2.eval(e0[i], src.dcol(a)))
+            r = A.A1.apply(_bracket01_reference(src, e0[i], e1[a]))
+            r = vsub(r, _bracket01_reference(tgt, img0[i], img1[a]))
+            r = vsub(r, A.A2.eval(e0[i], src.d.col(a)))
             acc["ii"].add(r, (i, a))
 
     for i, j, k in itertools.combinations(range(src.n0), 3):
         r = vzero(tgt.n1, tgt.mode)
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            r = vadd(r, tgt.bracket01(img0[x], A.A2.eval_basis(y, z)))
+            r = vadd(r, _bracket01_reference(tgt, img0[x], A.A2.eval_basis(y, z)))
             r = vsub(r, A.A2.eval(src.b00.eval_basis(x, y), e0[z]))
         r = vadd(r, tgt.l3.eval(img0[i], img0[j], img0[k]))
         r = vsub(r, A.A1.apply(src.l3.eval_basis(i, j, k)))
