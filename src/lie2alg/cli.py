@@ -45,7 +45,9 @@ from .derivations import (
 from .fileio import ParseError, parse_element, parse_lie2, serialize_element, serialize_lie2
 from .fixtures import NAMED_EXAMPLES
 from .integration import (
+    DEFAULT,
     ExpConfig,
+    _DENS,
     _joint_mode,
     check_commuting_square,
     check_conjugation_identities,
@@ -102,20 +104,24 @@ def _header(cmd: str, args, L: Lie2Algebra) -> list:
     return [f"lie2 {cmd} file={args.file}", f"dim0 {L.n0} dim1 {L.n1}"]
 
 
+def _report_lines(prefix: str, report, mode: str, tol: float = 0.0) -> list:
+    """One line per identity of a `ResidualReport`, named prefix + name,
+    with its witness."""
+    return [ReportLine(prefix + name, r.value, mode, tol, r.witness) for name, r in report]
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
 def _suite_axioms(L, rng, args, cfg):
-    rep = validate_lie2(L)
-    return [ReportLine(f"axiom_{name}", r.value, L.mode, cfg.tol, r.witness)
-            for name, r in rep]
+    return _report_lines("axiom_", validate_lie2(L), L.mode, cfg.tol)
 
 
 def _suite_crossed_module(L, rng, args, cfg):
     n = max(2, math.isqrt(max(args.samples - 1, 0)) + 1)
     nilpotent = nilpotent_derivations(L, compute_der0_basis(L))
-    auts = [random_aut0(L, rng, cfg, nilpotent) for _ in range(n)]
+    auts = [random_aut0(L, rng, nilpotent) for _ in range(n)]
     taus = [random_tau(L, rng, invertible=True) for _ in range(n)]
     return [ReportLine(name, resid, "exact", cfg.tol)
             for name, resid in check_crossed_module(L, auts, taus)]
@@ -124,7 +130,7 @@ def _suite_crossed_module(L, rng, args, cfg):
 def _suite_exp_square(L, rng, args, cfg):
     out = []
     for i in range(args.samples):
-        T = random_derM1(L, rng, dens=(8, 16))
+        T = random_derM1(L, rng, dens=_DENS)
         out.append(ReportLine(f"exp_square[{i}]", *check_commuting_square(L, T, cfg), cfg.tol))
     return out
 
@@ -133,12 +139,12 @@ def _suite_one_parameter(L, rng, args, cfg):
     out = []
     basis = compute_der0_basis(L)
     for i in range(args.samples):
-        D = random_der0(L, rng, basis, dens=(8, 16))
+        D = random_der0(L, rng, basis, dens=_DENS)
         t = Fraction(rng.randint(-8, 8), 8)
         s = Fraction(rng.randint(-8, 8), 8)
         out.append(ReportLine(f"one_param_deg0[{i}]", *check_one_parameter(L, D, t, s, cfg),
                               cfg.tol))
-        T = random_derM1(L, rng, dens=(8, 16))
+        T = random_derM1(L, rng, dens=_DENS)
         out.append(ReportLine(f"one_param_degM1[{i}]", *one_parameter_derM1(L, T, t, s, cfg),
                               cfg.tol))
     return out
@@ -209,22 +215,14 @@ def _cmd_der(args) -> tuple:
     out.append(f"dim Der^0 = {len(basis)}")
     out.append(f"dim Der^-1 = {L.n1 * L.n0}")
     out.append(f"dim inn^0 = {len(inner)}")
-    if args.basis:
-        for t, D in enumerate(basis):
-            out.append(f"# Der^0 basis element {t}")
+    for shown, label, elems in ((args.basis, "Der^0", basis), (args.inner, "inn^0", inner)):
+        for t, D in enumerate(elems if shown else ()):
+            out.append(f"# {label} basis element {t}")
             out.append(serialize_element(D, L).rstrip("\n"))
-    if args.inner:
-        for t, D in enumerate(inner):
-            out.append(f"# inn^0 basis element {t}")
-            out.append(serialize_element(D, L).rstrip("\n"))
-    if args.classify:
-        for t, D in enumerate(basis):
+    for label, elems in (("Der^0", basis), ("Der^-1", derM1_basis(L))) if args.classify else ():
+        for t, D in enumerate(elems):
             flags = classify_derivation(L, D)
-            out.append(f"classify Der^0[{t}] weak={flags['weak']} "
-                       f"strict={flags['strict']} homotopy={flags['homotopy']}")
-        for t, T in enumerate(derM1_basis(L)):
-            flags = classify_derivation(L, T)
-            out.append(f"classify Der^-1[{t}] weak={flags['weak']} "
+            out.append(f"classify {label}[{t}] weak={flags['weak']} "
                        f"strict={flags['strict']} homotopy={flags['homotopy']}")
     return "\n".join(out) + "\n", True
 
@@ -235,8 +233,7 @@ def _cmd_aut(args) -> tuple:
     header = _header("aut", args, L)
     if isinstance(elem, Lie2Hom):
         a0i, a1i = mat_inverse(elem.A0), mat_inverse(elem.A1)
-        lines = [ReportLine(f"hom_{name}", r.value, L.mode, 0.0, r.witness)
-                 for name, r in validate_hom(elem)]
+        lines = _report_lines("hom_", validate_hom(elem), L.mode)
         lines.append(ReportLine("invertible", 0 if a0i is not None and a1i is not None else 1, "exact"))
         text, passed = emit_report(header, lines)
         if passed:  # every residual is 0 and both components invert
@@ -262,9 +259,7 @@ def _cmd_exp(args) -> tuple:
     if isinstance(elem, Derivation0):
         rep = is_derivation0(L, elem)
         if not rep.ok:
-            lines = [ReportLine(f"der_{name}", r.value, L.mode, 0.0, r.witness)
-                     for name, r in rep]
-            return emit_report(header, lines)
+            return emit_report(header, _report_lines("der_", rep, L.mode))
         A = exp_der0(L, elem, t, cfg)
         resid = validate_hom(A.hom).max_value()
         text, passed = emit_report(
@@ -306,9 +301,6 @@ def _cmd_example(args) -> tuple:
     return serialize_lie2(NAMED_EXAMPLES[args.name]()), True
 
 
-_ORDER_HELP = "largest Taylor degree of a float series"
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The `lie2` parser, built once per process: parsing a command line
@@ -336,17 +328,18 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("file")
     pe.add_argument("--element", required=True)
     pe.add_argument("--t", default="1")
-    pe.add_argument("--order", type=int, default=24, help=_ORDER_HELP)
-    pe.add_argument("--tol", type=float, default=1e-9)
 
     pc = sub.add_parser("check", help="run a randomized verification suite")
     pc.add_argument("file")
     pc.add_argument("--suite", required=True, choices=SUITES)
     pc.add_argument("--samples", type=int, default=25)
     pc.add_argument("--seed", type=int, default=None)
-    pc.add_argument("--fd-step", type=float, default=1e-3, dest="fd_step")
-    pc.add_argument("--order", type=int, default=24, help=_ORDER_HELP)
-    pc.add_argument("--tol", type=float, default=1e-9)
+    pc.add_argument("--fd-step", type=float, default=DEFAULT.fd_step, dest="fd_step")
+    # the exponential options of both commands, with ExpConfig's defaults
+    for sp in (pe, pc):
+        sp.add_argument("--order", type=int, default=DEFAULT.order,
+                        help="largest Taylor degree of a float series")
+        sp.add_argument("--tol", type=float, default=DEFAULT.tol)
 
     px = sub.add_parser("example", help="print a named example file")
     px.add_argument("--name", required=True)

@@ -95,7 +95,9 @@ class ExpConfig:
     degree and squarings `linalg.truncated_exp` takes from the norm (a
     smaller cap costs more squarings); a float identity passes within
     `tol`; `fd_step` is the step of the bracket-recovery finite
-    differences.  Both must be finite and positive.
+    differences.  Both must be finite and positive, and 1/fd_step^2 a
+    finite positive float too (fd_step from about 7.5e-155 to 1.3e154): the
+    estimate at the half step h/2 divides by 4 (h/2)^2 = h^2.
     """
 
     order: int = 24
@@ -107,6 +109,10 @@ class ExpConfig:
         if self.order < 1 or not (0 < self.tol < math.inf and 0 < self.fd_step < math.inf):
             raise ValueError("order >= 1 and finite tol > 0 and fd_step > 0 required, "
                              f"got order={self.order} tol={self.tol} fd_step={self.fd_step}")
+        square = self.fd_step * self.fd_step
+        if not (0 < square and 0 < 1 / square < math.inf):
+            raise ValueError("fd_step with a finite positive 1/fd_step^2 required, "
+                             f"got fd_step={self.fd_step}")
 
 
 DEFAULT = ExpConfig()
@@ -321,7 +327,8 @@ def _conj_tau_der(L: Lie2Algebra, cfg: ExpConfig, D: Derivation0, tau: Tau):
     return tau_distance(lhs, Tau(sigma @ eD.a0_inv)), mode
 
 
-# the denominators of the conjugation suite's draws
+# the denominators of the suites' random draws (the conjugation, exp-square
+# and one-parameter suites)
 _DENS = (8, 16)
 
 
@@ -346,7 +353,7 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
     nilpotent = nilpotent_derivations(L, der_basis)
     out = []
     for idx in range(samples):
-        A = random_aut0(L, rng, cfg, nilpotent)
+        A = random_aut0(L, rng, nilpotent)
         D = random_der0(L, rng, der_basis, dens=_DENS)
         T = random_derM1(L, rng, dens=_DENS)
         tau = _random_invertible_tau(L, rng)
@@ -405,17 +412,18 @@ def _nilpotent_draw(rng, nilpotent) -> Derivation0:
     return rng.choice(nilpotent).scale(Fraction(rng.randint(-2, 2), 2))
 
 
-def random_aut0(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT, nilpotent=None) -> Aut0:
+def random_aut0(L: Lie2Algebra, rng, nilpotent=None) -> Aut0:
     """Exact random automorphism: a product of connecting-map images and
     terminating exponentials of basis derivations (`_nilpotent_draw`).
     `nilpotent` is `nilpotent_derivations` of the degree-0 basis of L; a
-    caller that draws several holds it once, and None computes it."""
+    caller that draws several holds it once, and None computes it.  Every
+    exponential terminates and is summed exactly, so no `ExpConfig` applies."""
     if nilpotent is None:
         nilpotent = nilpotent_derivations(L, compute_der0_basis(L))
     out = aut_identity(L)
     for _ in range(rng.randint(1, 3)):
         if nilpotent and rng.random() < 0.5:
-            out = aut_compose(out, exp_der0(L, _nilpotent_draw(rng, nilpotent), 1, cfg))
+            out = aut_compose(out, exp_der0(L, _nilpotent_draw(rng, nilpotent)))
         else:
             out = aut_compose(out, partial(L, _random_invertible_tau(L, rng)))
     return out

@@ -651,24 +651,20 @@ def _log_tail(k: int, y: float) -> float:
 
 
 @functools.cache
-def _thetas(order: int) -> tuple:
-    """(theta_1, ..., theta_order), theta_k the largest float y with
-    tail_k(y) <= 2^-53.  Each is a bisection of (theta_{k-1}, k + 2), where
-    tail_k increases from below 2^-53 to infinity: the thetas increase, as
-    tail_k(y) < tail_{k-1}(y) for y < k + 1.  Computed on the first call
-    with an order, not at import."""
-    thetas, lo = [], 0.0
-    for k in range(1, order + 1):
-        hi = float(k + 2)
+def _theta(k: int) -> float:
+    """theta_k, the largest float y with tail_k(y) <= 2^-53: a bisection
+    of (0, k + 2), where tail_k increases from below 2^-53 to infinity.
+    The thetas increase with k, as tail_k(y) < tail_{k-1}(y) for y < k + 1.
+    Cached one degree at a time, on first use, not at import."""
+    lo, hi = 0.0, float(k + 2)
+    mid = (lo + hi) / 2
+    while lo < mid < hi:
+        if _log_tail(k, mid) <= _LOG_UNIT_ROUNDOFF:
+            lo = mid
+        else:
+            hi = mid
         mid = (lo + hi) / 2
-        while lo < mid < hi:
-            if _log_tail(k, mid) <= _LOG_UNIT_ROUNDOFF:
-                lo = mid
-            else:
-                hi = mid
-            mid = (lo + hi) / 2
-        thetas.append(lo)
-    return tuple(thetas)
+    return lo
 
 
 def _taylor_plan(x: float, order: int) -> tuple:
@@ -676,11 +672,13 @@ def _taylor_plan(x: float, order: int) -> tuple:
     with tail_order(x / 2^s) <= 2^-53, m the least m >= 1 with
     tail_m(x / 2^s) <= 2^-53 (so m <= order), see `_log_tail`.  Summing m
     terms at t / 2^s and squaring s times then truncates below the unit
-    roundoff (Higham 2005; Al-Mohy and Higham 2009)."""
-    thetas, s = _thetas(order), 0
-    while math.ldexp(x, -s) > thetas[-1]:
+    roundoff (Higham 2005; Al-Mohy and Higham 2009).  Only theta_order and
+    the thetas the bisection probes are computed, so a large order costs
+    about log2(order) of them."""
+    s = 0
+    while math.ldexp(x, -s) > _theta(order):
         s += 1
-    return bisect.bisect_left(thetas, math.ldexp(x, -s)) + 1, s
+    return bisect.bisect_left(range(1, order + 1), math.ldexp(x, -s), key=_theta) + 1, s
 
 
 def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:

@@ -1,11 +1,17 @@
+import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from lie2alg import cli
 from lie2alg.cli import ReportLine, run
 from lie2alg.fileio import serialize_element
 from lie2alg.fixtures import fix_str, string_aut_hom
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_validate_named_examples_pass():
@@ -81,6 +87,34 @@ def test_der_strict_sl2_file(tmp_path):
     code, text = run(["der", str(f)])
     assert code == 0
     assert "dim Der^0 = 3" in text and "dim Der^-1 = 0" in text and "dim inn^0 = 3" in text
+
+
+def _der_sections(text):
+    """A der report split into its head and the blocks of --basis, --inner
+    and --classify, each a list of lines."""
+    sections = {"head": [], "basis": [], "inner": [], "classify": []}
+    key = "head"
+    for line in text.splitlines(keepends=True):
+        for prefix, name in (("# Der^0 basis element", "basis"),
+                             ("# inn^0 basis element", "inner"), ("classify ", "classify")):
+            if line.startswith(prefix):
+                key = name
+        sections[key].append(line)
+    return sections
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN.glob("der-*.txt")), ids=lambda p: p.stem)
+def test_der_with_each_subset_of_flags_keeps_those_blocks_of_the_full_report(golden):
+    sections = _der_sections(golden.read_text(encoding="utf-8"))
+    # every block the golden can hold is there, so each subset removes one
+    assert sections["basis"] and sections["classify"]
+    assert bool(sections["inner"]) == ("dim inn^0 = 0\n" not in sections["head"])
+    name = golden.stem.removeprefix("der-")
+    flags = ("basis", "inner", "classify")
+    for size in range(len(flags) + 1):
+        for subset in itertools.combinations(flags, size):
+            want = "".join(sections["head"] + [ln for f in subset for ln in sections[f]])
+            assert run(["der", name, *(f"--{f}" for f in subset)]) == (0, want), subset
 
 
 def test_der_classify_lists_flags():
@@ -216,6 +250,16 @@ def test_check_refuses_a_tolerance_or_step_that_is_not_finite_and_positive():
                           "--seed", "1", flag, value])
         assert code == 2 and text.startswith("error: order >= 1 and finite tol > 0"), text
         assert f"{flag[2:].replace('-', '_')}={value}" in text
+
+
+def test_check_refuses_a_step_whose_inverse_square_is_not_a_finite_float():
+    # the bracket estimates divide by h^2: at 1e-200 it underflows to 0 and
+    # at 1e-160 to a subnormal whose reciprocal is inf
+    for value in ("1e-200", "1e-160"):
+        code, text = run(["check", "string-sl2", "--suite", "bracket-recovery", "--samples", "1",
+                          "--seed", "1", "--fd-step", value])
+        assert (code, text) == (2, "error: fd_step with a finite positive 1/fd_step^2 required, "
+                                   f"got fd_step={value}\n")
 
 
 def test_example_output_parses(tmp_path):

@@ -10,12 +10,13 @@ at 40 digits, and the results to their bound against `mpmath.expm`.
 
 import math
 import random
+import time
 
 import mpmath
 import pytest
 
 from lie2alg import cli, integration, linalg
-from lie2alg.linalg import Mat, _taylor_plan, _thetas, row_sum_norm, truncated_exp
+from lie2alg.linalg import Mat, _taylor_plan, _theta, row_sum_norm, truncated_exp
 
 U = 2.0 ** -53
 # the code evaluates tail_k in floats, in logs; its rounding is far below this
@@ -37,7 +38,8 @@ def _norms():
     just above it, where the plan changes."""
     xs = [0.0, 1e-300, 1e-20, 1e-8, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.0, 8.0, 30.0, 1e3, 1e10, 1e300]
     for order in ORDERS:
-        for theta in _thetas(order):
+        for k in range(1, order + 1):
+            theta = _theta(k)
             xs += [theta, math.nextafter(theta, math.inf), 5 * theta]
     return xs
 
@@ -56,13 +58,24 @@ def test_taylor_plan_meets_the_bound_with_the_least_squarings_and_degree():
 
 
 def test_no_squaring_up_to_theta_of_the_order():
-    assert 2.13 < _thetas(24)[-1] < 2.15
+    assert 2.13 < _theta(24) < 2.15
     for order in ORDERS:
-        theta = _thetas(order)[-1]
+        theta = _theta(order)
         for x in (0.0, theta / 3, theta):
             assert _taylor_plan(x, order)[1] == 0
         assert _taylor_plan(math.nextafter(theta, math.inf), order)[1] == 1
-        assert list(_thetas(order)) == sorted(set(_thetas(order)))  # increasing
+        thetas = [_theta(k) for k in range(1, order + 1)]
+        assert thetas == sorted(set(thetas))  # increasing
+
+
+def test_a_large_order_computes_only_the_thetas_it_probes():
+    # theta_k is about 2.1 at k = 24 and grows with k, so a norm of 1 needs
+    # no squaring and the degree does not depend on a cap of 24 or more
+    cached = _theta.cache_info().currsize
+    start = time.perf_counter()
+    assert _taylor_plan(1.0, 10 ** 9) == _taylor_plan(1.0, 24)
+    assert time.perf_counter() - start < 1.0
+    assert _theta.cache_info().currsize - cached <= 2 * 30  # about log2(10^9) bisection probes
 
 
 def _random_mat(rng, size, norm, dense):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -101,6 +102,17 @@ def test_exp_zero_is_identity():
 def test_exp_config_requires_a_finite_positive_tol_and_step(field, value):
     with pytest.raises(ValueError, match="finite tol > 0 and fd_step > 0"):
         ExpConfig(**{field: value})
+
+
+@pytest.mark.parametrize("fd_step", [1e-160, 1e-200, 5e-324, 1e155, 1e300])
+def test_exp_config_requires_a_finite_positive_inverse_square_step(fd_step):
+    # the half-step bracket estimate divides by 4 (h/2)^2 = h^2, which
+    # underflows below about 7.5e-155 and overflows above about 1.3e154
+    with pytest.raises(ValueError, match=re.escape(
+            f"fd_step with a finite positive 1/fd_step^2 required, got fd_step={fd_step}")):
+        ExpConfig(fd_step=fd_step)
+    assert ExpConfig(fd_step=7.5e-155).fd_step == 7.5e-155
+    assert ExpConfig(fd_step=1.3e154).fd_step == 1.3e154
 
 
 def test_exp_rejects_non_derivation():
