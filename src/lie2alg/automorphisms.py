@@ -10,6 +10,9 @@ The strict 2-group carries the same data as the crossed module (Brown &
 Spencer 1976): its morphisms are the (Aut0, Tau) pairs, a group under the
 semidirect product `semidirect_multiply`, and `check_crossed_module`
 checks its laws.
+
+Kept as library API: `tau_zero`, the unit of the star monoid, beside
+`core.hom_identity`, the unit of degree 0.
 """
 
 from __future__ import annotations
@@ -274,9 +277,9 @@ def ad_conjugate(L: Lie2Algebra, conj, target):
 def random_tau(L: Lie2Algebra, rng, dens=(1, 2), invertible: bool = False) -> Tau:
     """Random rational tau, its entries `ratio_draws` row-major (`rand_mat`);
     invertible=True takes the first of up to 200 draws that is a unit
-    (`tau_is_invertible`), and tau = 0 after 200 singular draws."""
+    (`tau_is_invertible`); 200 singular draws raise ValueError."""
     for _ in range(200 if invertible else 1):
         t = Tau(rand_mat(rng, L.n1, L.n0, dens))
         if not invertible or tau_is_invertible(L, t):
             return t
-    return tau_zero(L)
+    raise ValueError("no unit tau in 200 draws: each was singular")

@@ -460,12 +460,11 @@ def make_string(sc: AltTensor) -> Lie2Algebra:
     and a Jacobi failure of the input surfaces in the validator.
     """
     n = sc.dim
-    K = killing_form(sc)
+    Kt = killing_form(sc).transpose()
 
-    def l3_val(key):
+    def l3_val(key):  # K(u, e_k) = (K^T u)[k], summed by `Mat.apply`
         i, j, k = key
-        u = sc.eval_basis(i, j)
-        return (sum((u[s] * K.at(s, k) for s in range(n)), 0),)
+        return (Kt.apply(sc.eval_basis(i, j))[k],)
 
     l3 = AltTensor.from_function(3, n, 1, l3_val, sc.mode)
     return Lie2Algebra(n, 1, Mat.zero(n, 1, sc.mode), sc, [Mat.zero(1, 1, sc.mode)] * n, l3)

@@ -563,9 +563,6 @@ class DerLie2:
     def der0_coords(self, D: Derivation0) -> tuple:
         return self._coords(flatten_der0(self._base, D))
 
-    def derM1_coords(self, T: DerM1) -> tuple:
-        return T.theta.data
-
     def der0_from_coords(self, c) -> Derivation0:
         return _der0_combination(self._base, zip(c, self.basis0))
 
@@ -658,43 +655,32 @@ def adbar0_single(L: Lie2Algebra, x: tuple) -> Derivation0:
     return unflatten_der0(L, sparse_dense(_ad_flat(L, u), _der0_flat_len(L), kind.zero))
 
 
-def ad1_single(L: Lie2Algebra, a: tuple) -> DerM1:
-    """The degree -1 derivation [a, .] attached to a in g_{-1}: column j of
-    theta is [a, e_j] = [e_j, -a], from the nonzero structure constants."""
-    b01, zero = L.sparse().b01, scalar_zero(L.mode)
-    u = {t: -v for t, v in enumerate(a) if v}
-    cols = [x for j in range(L.n0) for x in sparse_dense(sparse_apply(b01[j], u), L.n1, zero)]
-    return DerM1(Mat._result(L.n0, L.n1, cols, L.mode).transpose())
-
-
 def adbar(L: Lie2Algebra, der: DerLie2 | None = None) -> Lie2Hom:
     """The adjoint homomorphism from L into its derivation Lie 2-algebra.
 
     Degree 0 sends x to ([x,.], l3(x,.,.)), degree -1 sends a to [a,.],
     and the 2-component is (y,z) |-> -l3(y,z,.).  Column i of A0 is read in
-    the basis of `der` from the sparse unit image of e_i (`_ad_flat`).  A
-    `der` built for another algebra raises ValueError.
+    the basis of `der` from the sparse unit image of e_i (`_ad_flat`).  A1
+    and A2 are the structure constants themselves, in the row-major Hom
+    coordinates of the degree -1 basis: column a of A1 is [e_a, .] =
+    -[., e_a], entry -b01[t][a][c] at row c n0 + t, and A2(e_j, e_k) is
+    e_t |-> -l3(e_j, e_k, e_t), entry -l3(e_j, e_k, e_t)[c] at c n0 + t.
+    A `der` built for another algebra raises ValueError.
     """
     if der is None:
         der = build_der_lie2(L)
     elif der._base != L:
         raise ValueError("der is the derivation Lie 2-algebra of another algebra")
     target = der.algebra
-    n0, n1 = L.n0, L.n1
-    cols0 = [der._coords(_ad_flat(L, {i: 1})) for i in range(n0)]
-    cols1 = [der.derM1_coords(ad1_single(L, basis_vec(n1, a, L.mode))) for a in range(n1)]
-    A0 = Mat._result(target.n0, n0, [c[i] for i in range(target.n0) for c in cols0], target.mode)
-    A1 = Mat._result(target.n1, n1, [c[i] for i in range(target.n1) for c in cols1], target.mode)
-    # A2(e_j, e_k) is the map e_t |-> -l3(e_j, e_k, e_t), in row-major coordinates
-    l3 = L.sparse().l3
-    entries = {}
-    for j, k in itertools.combinations(range(n0), 2):
-        vec = [0] * target.n1
-        for t in range(n0):
-            for a, v in l3.get((j, k, t), SPARSE_ZERO).items():
-                vec[a * n0 + t] = -v
-        entries[j, k] = tuple(vec)
-    A2 = AltTensor._result(2, n0, target.n1, entries, target.mode)
+    n0, n1, m = L.n0, L.n1, target.n1
+    _, _, b01, l3 = L.sparse()
+    # -[e_t, e_a] and -l3(e_j, e_k, e_t), each at the row-major Hom coordinate c n0 + t
+    a1 = {(c * n0 + t, a): -v for t in range(n0) for a, u in enumerate(b01[t]) for c, v in u.items()}
+    a2 = {(j, k, c * n0 + t): -v for (j, k, t), u in l3.items() if j < k for c, v in u.items()}
+    A0 = Mat.from_cols([der._coords(_ad_flat(L, {i: 1})) for i in range(n0)], target.n0)
+    A1 = Mat(m, n1, [a1.get((r, a), 0) for r in range(m) for a in range(n1)])
+    A2 = AltTensor.from_function(2, n0, m, lambda jk: [a2.get((*jk, r), 0) for r in range(m)],
+                                 target.mode)
     return Lie2Hom(L, target, A0, A1, A2)
 
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,9 +96,11 @@ class ExpConfig:
     degree and squarings `linalg.truncated_exp` takes from the norm (a
     smaller cap costs more squarings); a float identity passes within
     `tol`; `fd_step` is the step of the bracket-recovery finite
-    differences.  Both must be finite and positive, and 1/fd_step^2 a
-    finite positive float too (fd_step from about 7.5e-155 to 1.3e154): the
-    estimate at the half step h/2 divides by 4 (h/2)^2 = h^2.
+    differences.  `order` runs from 1 to sys.maxsize, the largest cap a
+    series can be planned for.  `tol` and `fd_step` must be finite and
+    positive, and 1/fd_step^2 a finite positive float too (fd_step from
+    about 7.5e-155 to 1.3e154): the estimate at the half step h/2 divides
+    by 4 (h/2)^2 = h^2.
     """
 
     order: int = 24
@@ -109,6 +112,8 @@ class ExpConfig:
         if self.order < 1 or not (0 < self.tol < math.inf and 0 < self.fd_step < math.inf):
             raise ValueError("order >= 1 and finite tol > 0 and fd_step > 0 required, "
                              f"got order={self.order} tol={self.tol} fd_step={self.fd_step}")
+        if self.order > sys.maxsize:
+            raise ValueError(f"order <= sys.maxsize = {sys.maxsize} required, got order={self.order}")
         square = self.fd_step * self.fd_step
         if not (0 < square and 0 < 1 / square < math.inf):
             raise ValueError("fd_step with a finite positive 1/fd_step^2 required, "

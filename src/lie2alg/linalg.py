@@ -50,6 +50,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -597,19 +598,18 @@ def mat_inverse(m: Mat):
 
 
 def solve(m: Mat, b: tuple):
-    """One exact solution of m x = b (free variables set to 0), or None."""
+    """One exact solution of m x = b (free variables set to 0), or None.
+
+    x is read off the null space of [m | -b] (`_kernel`): when the column of
+    -b is free it is the last free column, and the last basis vector is
+    (x, 1); when it pivots, every basis vector is 0 there and there is no x."""
     rows = _exact_rows(m, "solve")
     rhs = _KINDS["exact"].entries([b[i] for i in range(m.rows)])
     for r, v in zip(rows, rhs):
         if v:
-            r[m.cols] = v
-    pivot_rows, pivots = _reduce(rows, m.cols + 1)
-    if m.cols in pivots:
-        return None
-    x = [0] * m.cols
-    for r, p in zip(pivot_rows, pivots):
-        x[p] = r.get(m.cols, 0)
-    return tuple(x)
+            r[m.cols] = -v
+    basis = _kernel(rows, m.cols + 1)[0]
+    return basis[-1][:m.cols] if basis and basis[-1][m.cols] else None
 
 
 def rank(m: Mat) -> int:
@@ -696,7 +696,8 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     sum, `_taylor_plan` picks the least s and then the least degree
     m <= `order` whose truncation bound at x / 2^s is at most 2^-53; m
     terms of the series are summed at t / 2^s and the result is squared s
-    times.  `order` caps the degree: a smaller cap costs more squarings.  At
+    times.  `order` caps the degree: a smaller cap costs more squarings, and
+    one outside 1 to sys.maxsize raises ValueError.  At
     the default 24 the series is summed up to x / 2^s <= theta_24 (about
     2.14), so a small x costs a few terms and no squaring.  A norm x of
     2^1023 or more (2x is not finite, a NaN included) raises ValueError,
@@ -711,8 +712,8 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     """
     if m.rows != m.cols:
         raise ValueError("square matrix required")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if not 1 <= order <= sys.maxsize:
+        raise ValueError(f"order must be from 1 to sys.maxsize = {sys.maxsize}, got {order}")
     size, mode, s = m.rows, m.mode, 0
     kind, exact = _KINDS[mode], mode == "exact"
     if not exact:
@@ -788,13 +789,10 @@ def _perm_sign(perm) -> int:
     return -1 if inv % 2 else 1
 
 
-_PERMS_CACHE: dict = {}
-
-
-def _signed_perms(k: int):
-    if k not in _PERMS_CACHE:
-        _PERMS_CACHE[k] = [(p, _perm_sign(p)) for p in itertools.permutations(range(k))]
-    return _PERMS_CACHE[k]
+@functools.cache
+def _signed_perms(k: int) -> tuple:
+    """Every permutation of range(k) with its sign, in `itertools` order."""
+    return tuple((p, _perm_sign(p)) for p in itertools.permutations(range(k)))
 
 
 class AltTensor:
@@ -884,18 +882,18 @@ class AltTensor:
         return sparse_dense(r, self.codim, scalar_zero(self.mode))
 
     def __add__(self, other: "AltTensor") -> "AltTensor":
-        return self._keywise(vadd, other)
-
-    def __sub__(self, other: "AltTensor") -> "AltTensor":
-        return self._keywise(vsub, other)
-
-    def _keywise(self, op, other: "AltTensor") -> "AltTensor":
-        """op (vadd or vsub) on the values of the two tensors, key by key."""
+        """The values of the two tensors added key by key."""
         self._compat(other)
         zero = self._zero_vec()
-        entries = {k: op(self.entries.get(k, zero), other.entries.get(k, zero))
+        entries = {k: vadd(self.entries.get(k, zero), other.entries.get(k, zero))
                    for k in set(self.entries) | set(other.entries)}
         return AltTensor._result(self.arity, self.dim, self.codim, entries, self.mode)
+
+    def __sub__(self, other: "AltTensor") -> "AltTensor":
+        """self + -other: in float the key-by-key difference bit for bit,
+        but for the sign of a zero entry at a key `other` does not store
+        (a stored -0.0 minus an absent 0.0 comes out as +0.0)."""
+        return self + -other
 
     def __neg__(self) -> "AltTensor":
         return AltTensor._result(self.arity, self.dim, self.codim,

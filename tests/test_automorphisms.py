@@ -262,7 +262,7 @@ def test_random_unit_tau_matches_the_fraction_test():
                 assert rng.getstate() == ref.getstate()
 
 
-def test_random_unit_tau_after_200_singular_draws_is_zero():
+def test_random_unit_tau_after_200_singular_draws_raises():
     class Stuck(random.Random):
         def randint(self, a, b):
             return -3
@@ -272,7 +272,8 @@ def test_random_unit_tau_after_200_singular_draws_is_zero():
 
     # 1 + (8/3)(-3/8) = 0: every draw is singular
     L = make_endo(Mat.from_rows([[Fraction(8, 3)]]))
-    assert random_tau(L, Stuck(0), (8, 16), invertible=True) == tau_zero(L)
+    with pytest.raises(ValueError, match="no unit tau in 200 draws"):
+        random_tau(L, Stuck(0), (8, 16), invertible=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -250,6 +251,15 @@ def test_check_refuses_a_tolerance_or_step_that_is_not_finite_and_positive():
                           "--seed", "1", flag, value])
         assert code == 2 and text.startswith("error: order >= 1 and finite tol > 0"), text
         assert f"{flag[2:].replace('-', '_')}={value}" in text
+
+
+def test_check_refuses_an_order_above_sys_maxsize():
+    # no traceback and no violation (exit 1): an input error, with the bound named
+    for order in (10 ** 19, 10 ** 400):
+        code, text = run(["check", "abelian", "--suite", "one-parameter", "--samples", "1",
+                          "--seed", "1", "--order", str(order)])
+        assert (code, text) == (2, f"error: order <= sys.maxsize = {sys.maxsize} required, "
+                                   f"got order={order}\n")
 
 
 def test_check_refuses_a_step_whose_inverse_square_is_not_a_finite_float():

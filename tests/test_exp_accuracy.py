@@ -10,6 +10,7 @@ at 40 digits, and the results to their bound against `mpmath.expm`.
 
 import math
 import random
+import sys
 import time
 
 import mpmath
@@ -76,6 +77,15 @@ def test_a_large_order_computes_only_the_thetas_it_probes():
     assert _taylor_plan(1.0, 10 ** 9) == _taylor_plan(1.0, 24)
     assert time.perf_counter() - start < 1.0
     assert _theta.cache_info().currsize - cached <= 2 * 30  # about log2(10^9) bisection probes
+    # the largest order a range can hold plans as fast
+    assert _taylor_plan(1.0, sys.maxsize) == _taylor_plan(1.0, 24)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("order", [sys.maxsize + 1, 10 ** 19, 10 ** 400])
+def test_order_above_sys_maxsize_raises(order):
+    with pytest.raises(ValueError, match=f"order must be from 1 to sys.maxsize = {sys.maxsize}"):
+        truncated_exp(Mat.from_rows([[1.0]]), 1, order)
 
 
 def _random_mat(rng, size, norm, dense):

@@ -104,6 +104,15 @@ def test_exp_config_requires_a_finite_positive_tol_and_step(field, value):
         ExpConfig(**{field: value})
 
 
+@pytest.mark.parametrize("order", [sys.maxsize + 1, 10 ** 19, 10 ** 400])
+def test_exp_config_requires_an_order_of_at_most_sys_maxsize(order):
+    # a larger cap cannot be planned: the degree search runs over range(1, order + 1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"order <= sys.maxsize = {sys.maxsize} required, got order={order}")):
+        ExpConfig(order=order)
+    assert ExpConfig(order=sys.maxsize).order == sys.maxsize
+
+
 @pytest.mark.parametrize("fd_step", [1e-160, 1e-200, 5e-324, 1e155, 1e300])
 def test_exp_config_requires_a_finite_positive_inverse_square_step(fd_step):
     # the half-step bracket estimate divides by 4 (h/2)^2 = h^2, which

@@ -148,6 +148,10 @@ def test_solve_consistent_and_not():
     m = Mat.from_rows([[1, 2], [0, 0]])
     assert solve(m, (3, 0)) == (3, 0)
     assert solve(m, (0, 1)) is None
+    # no unknowns: only b = 0 is solved, by the empty vector
+    empty = Mat(2, 0, [])
+    assert solve(empty, (0, 0)) == ()
+    assert solve(empty, (0, 1)) is None
 
 
 def test_truncated_exp_zero():

@@ -9,6 +9,10 @@ of a mode test: a comparison with a mode name or of a `mode`, an
 the `numbers` tower.  `linalg.py` may hold at most 10 such lines; outside
 it, only `integration._joint_mode`, the one mode decision of an identity,
 may hold one.
+
+Float sums give the same digits on every Python only when added with
+plain `+`: from Python 3.12 on the builtin `sum` compensates float
+rounding.  So no module of the package calls it.
 """
 
 import ast
@@ -100,3 +104,20 @@ def test_only_joint_mode_decides_the_mode_outside_linalg():
              for n, code in mode_test_lines(path) if (path.name, n) not in allowed]
     assert stray == []
     assert len(mode_test_lines(PACKAGE / "integration.py")) == 1
+
+
+def builtin_sum_calls(source: str) -> list:
+    """The line numbers of the calls of the builtin `sum` in source."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"]
+
+
+def test_the_sum_check_finds_a_call():
+    assert builtin_sum_calls("x = 1\ny = sum(v, 0) + total.sum()\n") == [2]
+
+
+def test_no_module_calls_the_builtin_sum():
+    found = [f"{path.name}:{n}" for path in sorted(PACKAGE.glob("*.py"))
+             for n in builtin_sum_calls(path.read_text(encoding="utf-8"))]
+    assert found == []
