@@ -82,7 +82,7 @@ def tau_distance(a: Tau, b: Tau):
 def certify_aut0(L: Lie2Algebra, A: Lie2Hom, tol=0) -> Aut0:
     """Validate and cache the component inverses; raises on failure."""
     rep = validate_hom(A)
-    if not all(abs(r.value) <= tol for _, r in rep):
+    if not rep.within(tol):
         raise ValueError(f"not a homomorphism: residuals {rep!r}")
     a0i = mat_inverse(A.A0)
     a1i = mat_inverse(A.A1)
@@ -244,7 +244,7 @@ def ad_conjugate(L: Lie2Algebra, conj, target):
       Aut0 on Derivation0 -> Derivation0: A0 X0 A0^{-1}, X1' = A1 X1 A1^{-1}
           and (A1 lX - L_(X0, X1') A2)(A0^{-1} ., A0^{-1} .), with L the
           action on cochains (`lie_cochain_action`);
-      Aut0 on DerM1 -> DerM1: A1 theta A0^{-1};
+      Aut0 on DerM1 -> DerM1: A1 theta A0^{-1}, the natural action `act`;
       Tau on Derivation0 -> (Derivation0, DerM1): the degree-0 part is
           untouched and the degree -1 part is X1 tau^{-1} + tau X0
           + tau X0 d tau^{-1} (tau^{-1} the star-inverse);
@@ -256,7 +256,7 @@ def ad_conjugate(L: Lie2Algebra, conj, target):
         lX = target.lX.postcompose(A.A1) - lie_cochain_action(target.X0, X1, A.A2)
         return Derivation0(A.A0 @ target.X0 @ conj.a0_inv, X1, lX.pullback(conj.a0_inv))
     if isinstance(conj, Aut0) and isinstance(target, DerM1):
-        return DerM1(conj.hom.A1 @ target.theta @ conj.a0_inv)
+        return DerM1(act(L, conj, Tau(target.theta)).mat)
     if isinstance(conj, Tau) and isinstance(target, Derivation0):
         ti = _required_inverse(tau_inverse(L, conj))
         tm, tim = conj.mat, ti.mat

@@ -30,8 +30,9 @@ from .linalg import (
     SPARSE_ZERO,
     AltTensor,
     Mat,
+    _exact,
     _quotient,
-    basis_vec,
+    _same_mode,
     kernel,
     mat_distance,
     scalar_kind,
@@ -40,13 +41,12 @@ from .linalg import (
     sparse_apply,
     sparse_columns,
     sparse_comb,
+    sparse_dense,
     sparse_eval,
+    sparse_rows,
     sparse_sum,
     tensor_distance,
-    vadd,
     vmax_abs,
-    vscale,
-    vzero,
 )
 
 
@@ -192,13 +192,61 @@ class Lie2Algebra:
         return f"Lie2Algebra(n0={self.n0}, n1={self.n1})"
 
 
+# ---------------------------------------------------------------------------
+# g_0 acting on g_{-1}, on sparse forms
+# ---------------------------------------------------------------------------
+
+def _bracket01(b01: list, u: dict, w: dict) -> dict:
+    """[u, w] for u in g_0 and w in g_{-1}, from the sparse columns b01[m]
+    of [e_m, .]: the sum of u[m] [e_m, w] by increasing m, the order in
+    which u holds its indices (as `sparse_columns` holds them)."""
+    return sparse_comb((x, sparse_apply(b01[m], w)) for m, x in u.items())
+
+
+def _ce_value(br: dict, act: list, f: dict, key: tuple) -> dict:
+    """(delta f)(e_key), delta the Chevalley-Eilenberg coboundary of the Lie
+    algebra with bracket br acting through the sparse columns act[m] of
+    [e_m, .], f a cochain; br and f hold every ordering of their keys, with
+    increasing indices in each value (`sparse_alt`), and key is increasing.
+    The terms are added in order: (-1)^a [e_(key a), f(key without a)] by a,
+    then (-1)^(a+b) f([e_(key a), e_(key b)], key without a, b) by pair
+    a < b, each the sum over the bracket's coordinates m by increasing m."""
+    k = len(key)
+    terms = [(-1 if a % 2 else 1, sparse_apply(act[key[a]], f.get(key[:a] + key[a + 1:], SPARSE_ZERO)))
+             for a in range(k)]
+    for a, b in itertools.combinations(range(k), 2):
+        rest = tuple(key[c] for c in range(k) if c not in (a, b))
+        terms.append((-1 if (a + b) % 2 else 1, sparse_comb((x, f.get((m,) + rest, SPARSE_ZERO))
+                      for m, x in br.get((key[a], key[b]), SPARSE_ZERO).items())))
+    return sparse_sum(*terms)
+
+
+def _hom_action(x1_rows: list, x0: list, n0: int, n1: int) -> Mat:
+    """The matrix of theta |-> X1 theta - theta X0 on row-major Hom(g_0, g_{-1}),
+    from the sparse rows of an exact X1 and the sparse columns of an exact X0:
+    X1 (x) I - I (x) X0^T, entry ((a, b), (c, e)) = X1[a, c] [b = e] - [a = c] X0[e, b],
+    in canonical exact form (a diagonal entry X1[a, a] - X0[b, b] may be an
+    integral Fraction).  The b01 of `make_endo` and of `derivations.build_der_lie2`."""
+    m = n1 * n0
+    data = [0] * (m * m)
+    for a, b in itertools.product(range(n1), range(n0)):  # row (a, b)
+        row = (a * n0 + b) * m
+        for c, x in x1_rows[a].items():
+            data[row + c * n0 + b] += x
+        for e, x in x0[b].items():
+            data[row + a * n0 + e] = _exact(data[row + a * n0 + e] - x)
+    return Mat._result(m, m, data, "exact")
+
+
 def validate_lie2(L: Lie2Algebra) -> ResidualReport:
     """Residuals of the five coherence identities, exactly zero iff valid.
 
     Keys: "a1" (d[x,a] = [x,da]), "a2" ([da,b] = [a,db]),
     "b1" ([[x,y],z] + cyc = -d l3(x,y,z)),
     "b2" ([[x,y],a] + cyc = -l3(x,y,da)),
-    "c"  (the signed arity-4 coherence law for l3).
+    "c"  (the signed arity-4 coherence law for l3: the Chevalley-Eilenberg
+    coboundary formula applied to l3, `_ce_value`, the evaluator of
+    `ce_coboundary`; when d = 0 it says that l3 is a 3-cocycle).
     Witnesses are the basis tuples achieving the max residual, the first
     one in each law's enumeration order.  Each law sums over the nonzero
     structure constants only (`Lie2Algebra.sparse`), adding its terms in
@@ -278,9 +326,6 @@ def validate_lie2(L: Lie2Algebra) -> ResidualReport:
             if x > low and any(r[x].values()):
                 acc[law].add(r[x].values(), key + (x,))
 
-    def l3_pair(u, s, t):  # l3(u, e_s, e_t) for u in g_0
-        return sparse_comb((u[m], l3.get((m, s, t), SPARSE_ZERO)) for m in sorted(u))
-
     for i in range(n0):
         r = apply(dcols, ad1[i])  # d [e_i, e_a] at every a
         add_into(r, -1, apply(ad0[i], dcols))  # [e_i, d e_a]
@@ -307,18 +352,9 @@ def validate_lie2(L: Lie2Algebra) -> ResidualReport:
         add_into(r, 1, apply(lij, dcols) if lij else {})  # l3(e_i, e_j, d e_a)
         record("b2", r, (i, j))
 
-    # every term of the arity-4 law contains l3, so it holds when l3 = 0
+    # law c is the coboundary of l3; every term contains l3, so it holds when l3 = 0
     for quad in itertools.combinations(range(n0), 4) if l3 else ():
-        terms = []
-        for a in range(4):
-            rest = quad[:a] + quad[a + 1:]
-            terms.append((-1 if a % 2 else 1,
-                          sparse_apply(b01[quad[a]], l3.get(rest, SPARSE_ZERO))))
-        for a, b in itertools.combinations(range(4), 2):
-            s, t = (quad[c] for c in range(4) if c not in (a, b))
-            terms.append((-1 if (a + b) % 2 else 1,
-                          l3_pair(b00.get((quad[a], quad[b]), SPARSE_ZERO), s, t)))
-        acc["c"].add(sparse_sum(*terms).values(), quad)
+        acc["c"].add(_ce_value(b00, b01, l3, quad).values(), quad)
 
     return ResidualReport({k: Residual(a.value if D == 1 else _quotient(a.value, D * D), a.witness)
                            for k, a in acc.items()})
@@ -387,9 +423,6 @@ def validate_hom(A: Lie2Hom) -> ResidualReport:
     a0, a1, a2 = sparse_columns(A.A0), sparse_columns(A.A1), sparse_alt(A.A2)
     acc = {k: _Acc(A.A0.mode) for k in ("chain", "i", "ii", "iii")}
 
-    def br01(u, w):  # [u, w] in the target, for u in g_0 and w in g_{-1}
-        return sparse_comb((u[m], sparse_apply(tb01[m], w)) for m in sorted(u))
-
     for a in range(src.n1):
         r = sparse_sum((1, sparse_apply(td, a1[a])), (-1, sparse_apply(a0, sd[a])))
         acc["chain"].add(r.values(), None)
@@ -403,7 +436,7 @@ def validate_hom(A: Lie2Hom) -> ResidualReport:
     for i in range(src.n0):
         for a in range(src.n1):
             r = sparse_sum((1, sparse_apply(a1, sb01[i][a])),
-                           (-1, br01(a0[i], a1[a])),
+                           (-1, _bracket01(tb01, a0[i], a1[a])),
                            (-1, sparse_comb((x, a2.get((i, m), SPARSE_ZERO))  # A2(e_i, d e_a)
                                             for m, x in sorted(sd[a].items()))))
             acc["ii"].add(r.values(), (i, a))
@@ -411,7 +444,7 @@ def validate_hom(A: Lie2Hom) -> ResidualReport:
     for i, j, k in itertools.combinations(range(src.n0), 3):
         terms = []
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            terms.append((1, br01(a0[x], a2.get((y, z), SPARSE_ZERO))))
+            terms.append((1, _bracket01(tb01, a0[x], a2.get((y, z), SPARSE_ZERO))))
             terms.append((-1, sparse_comb((v, a2.get((m, z), SPARSE_ZERO))  # A2([e_x, e_y], e_z)
                                           for m, v in sorted(sb00.get((x, y), SPARSE_ZERO).items()))))
         terms.append((1, sparse_eval(tgt.l3, a0[i], a0[j], a0[k])))
@@ -527,10 +560,7 @@ def make_endo(dmat: Mat) -> Lie2Algebra:
 
     b00 = AltTensor.from_function(2, n0, n0, b00_val)
 
-    b01 = []
-    for F0, F1 in pairs:
-        cols = [((F1 @ theta) - (theta @ F0)).data for theta in thetas]
-        b01.append(Mat.from_cols(cols, n1))
+    b01 = [_hom_action(sparse_rows(F1), sparse_columns(F0), v0, v1) for F0, F1 in pairs]
 
     return Lie2Algebra(n0, n1, d, b00, b01, AltTensor.zero(3, n0, n1))
 
@@ -539,7 +569,9 @@ def ce_coboundary(sc: AltTensor, rep, f: AltTensor) -> AltTensor:
     """Lie algebra coboundary operator on cochains with values in a module.
 
     rep is one matrix per basis vector of the algebra; f is an alternating
-    k-cochain.  Squares to zero whenever rep is a representation.
+    k-cochain.  Squares to zero whenever rep is a representation.  Each value
+    is `_ce_value` on the sparse forms of sc, rep and f, the evaluator of
+    law c of `validate_lie2`.  sc, rep and f must share one mode.
     """
     rep = tuple(rep)
     n = sc.dim
@@ -547,19 +579,12 @@ def ce_coboundary(sc: AltTensor, rep, f: AltTensor) -> AltTensor:
         raise ValueError("cochain domain mismatch")
     if f.arity > n:
         raise ValueError("cochain arity exceeds the algebra dimension")
-    m = f.codim
+    for t in (sc, *rep):
+        _same_mode(t, f)
+    br, act, fs = sparse_alt(sc), [sparse_columns(m) for m in rep], sparse_alt(f)
+    zero = scalar_zero(f.mode)
 
     def val(key):
-        out = vzero(m, f.mode)
-        k = len(key)
-        for a in range(k):
-            rest = tuple(key[t] for t in range(k) if t != a)
-            term = rep[key[a]].apply(f.eval_basis(*rest))
-            out = vadd(out, term if a % 2 == 0 else vscale(-1, term))
-        for a, b in itertools.combinations(range(k), 2):
-            rest = [basis_vec(n, key[t], f.mode) for t in range(k) if t not in (a, b)]
-            term = f.eval(sc.eval_basis(key[a], key[b]), *rest)
-            out = vadd(out, term if (a + b) % 2 == 0 else vscale(-1, term))
-        return out
+        return sparse_dense(_ce_value(br, act, fs, key), f.codim, zero)
 
-    return AltTensor.from_function(f.arity + 1, n, m, val, f.mode)
+    return AltTensor.from_function(f.arity + 1, n, f.codim, val, f.mode)

@@ -22,7 +22,8 @@ once into a sparse form (`_Sparse0`: the columns and rows of X0 and X1, lX
 on every ordering of its keys).  The bracket of two basis derivations is
 taken on those forms and read in the basis by the kernel coordinates of the
 same elimination; the bracket with degree -1 is the closed form
-X1 (x) I - I (x) X0^T.  `dbar`, `adbar0_single`, `graded_bracket` and
+X1 (x) I - I (x) X0^T (`core._hom_action`, which gives `core.make_endo` its
+b01 too).  `dbar`, `adbar0_single`, `graded_bracket` and
 `lie_cochain_action` sum over nonzero terms only, in the order of the dense
 evaluation on unit vectors: exact results are equal, and float results are
 the dense left-to-right sums bit for bit.  The 2-component of `dbar` and
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import Lie2Algebra, Lie2Hom, ResidualReport, _Acc
+from .core import Lie2Algebra, Lie2Hom, ResidualReport, _Acc, _bracket01, _hom_action
 from .linalg import (
     SPARSE_ZERO,
     AltTensor,
@@ -345,21 +346,18 @@ def _lower_pairs(L: Lie2Algebra, th: list, a: list, c: list) -> dict:
     is nonzero: the 2-component of `dbar` (a = I, c = 0) and of the twist
     `automorphisms.twist_hom` (a = A0, c = d tau).  Every term has a
     factor theta, so a pair is skipped when columns i and j of theta are
-    zero and [e_i, e_j] misses the nonzero columns.  Sums run over nonzero
+    zero and [e_i, e_j] misses the nonzero columns.  The brackets [u, w]
+    with u in g_0 and w in g_{-1} are `core._bracket01`.  Sums run over nonzero
     terms in the order of the dense evaluation on unit vectors, so float
     results are those sums bit for bit."""
     _, b00, b01, _ = L.sparse()
     support = {m for m, col in enumerate(th) if col}
-
-    def br(u, w):  # [u, w] for u in g_0 and w in g_{-1}
-        return sparse_comb((x, sparse_apply(b01[m], w)) for m, x in u.items())
-
     out = {}
     for i, j in itertools.combinations(range(L.n0), 2):
         bij = b00.get((i, j), SPARSE_ZERO)
         if th[i] or th[j] or not support.isdisjoint(bij):
-            r = sparse_sum((1, sparse_apply(th, bij)), (-1, br(a[i], th[j])),
-                           (1, br(a[j], th[i])), (1, br(c[j], th[i])))
+            r = sparse_sum((1, sparse_apply(th, bij)), (-1, _bracket01(b01, a[i], th[j])),
+                           (1, _bracket01(b01, a[j], th[i])), (1, _bracket01(b01, c[j], th[i])))
             if r:
                 out[i, j] = r
     return out
@@ -567,23 +565,6 @@ class DerLie2:
         return _der0_combination(self._base, zip(c, self.basis0))
 
 
-def _ad_derM1(f: _Sparse0, n0: int, n1: int) -> Mat:
-    """The matrix of theta |-> X1 theta - theta X0 on row-major Hom(g_0, g_{-1}),
-    from the sparse form of an exact (X0, X1, lX): X1 (x) I - I (x) X0^T,
-    entry ((a, b), (c, e)) = X1[a, c] [b = e] - [a = c] X0[e, b]."""
-    m = n1 * n0
-    data = [0] * (m * m)
-    for a, row in enumerate(f.x1_rows):
-        for c, x in row.items():
-            for b in range(n0):
-                data[(a * n0 + b) * m + c * n0 + b] += x
-    for b, col in enumerate(f.x0):
-        for e, x in col.items():
-            for a in range(n1):
-                data[(a * n0 + b) * m + a * n0 + e] -= x
-    return Mat._result(m, m, data, "exact")
-
-
 def build_der_lie2(L: Lie2Algebra) -> DerLie2:
     """Assemble the strict derivation Lie 2-algebra of L in explicit bases.
 
@@ -594,11 +575,11 @@ def build_der_lie2(L: Lie2Algebra) -> DerLie2:
     `flatten_der0` (`_bracket_flat`), read in the basis by the kernel
     coordinates.  d is read the same way from the sparse coordinates of
     dbar on each unit map of the Hom basis (`_dbar_flat`), with no
-    Derivation0 formed.  b01 is the
-    closed form ad_D(theta) = X1 theta - theta X0 (`_ad_derM1`); the degree
-    -1 space is all of Hom(g_0, g_{-1}), so its brackets need no membership
-    check.  Every matrix and tensor is built from computed exact values,
-    with no coercion.
+    Derivation0 formed.  b01 is the closed form ad_D(theta) = X1 theta -
+    theta X0 (`core._hom_action`, on the rows of X1 and the columns of X0);
+    the degree -1 space is all of Hom(g_0, g_{-1}), so its brackets need no
+    membership check.  Every matrix and tensor is built from computed exact
+    values, with no coercion.
     """
     basis0, coords = _der0_kernel(L)
     basisM1 = derM1_basis(L)
@@ -616,7 +597,7 @@ def build_der_lie2(L: Lie2Algebra) -> DerLie2:
             entries[p, q] = coords(flat)
     b00 = AltTensor._result(2, r, r, entries, "exact")
 
-    b01 = [_ad_derM1(f, n0, n1) for f in forms]
+    b01 = [_hom_action(f.x1_rows, f.x0, n0, n1) for f in forms]
     algebra = Lie2Algebra(r, m, dmat, b00, b01, AltTensor.zero(3, r, m))
     return DerLie2(algebra, tuple(basis0), tuple(basisM1), coords, L)
 
@@ -671,6 +652,7 @@ def adbar(L: Lie2Algebra, der: DerLie2 | None = None) -> Lie2Hom:
         der = build_der_lie2(L)
     elif der._base != L:
         raise ValueError("der is the derivation Lie 2-algebra of another algebra")
+    _same_mode(der._base, L)
     target = der.algebra
     n0, n1, m = L.n0, L.n1, target.n1
     _, _, b01, l3 = L.sparse()

@@ -32,7 +32,7 @@ from lie2alg.fixtures import (
     strict_sl2,
     trivial_rep,
 )
-from lie2alg.linalg import AltTensor, Mat, truncated_exp
+from lie2alg.linalg import AltTensor, Mat, ModeError, truncated_exp
 
 
 def sl2_aut(rng):
@@ -123,6 +123,22 @@ def test_axiom_c_accepts_coboundary_l3_nontrivial_rep():
     for _ in range(5):
         l3 = ce_coboundary(sc, rep, rand_cochain(rng, 2, 4, 4))
         assert validate_lie2(make_skeletal(sc, rep, l3)).ok
+
+
+def test_law_c_is_the_coboundary_of_l3():
+    # the validator's law c and ce_coboundary share one evaluator: the
+    # residual is the largest entry of delta l3 and the witness its first key
+    sc = aff1_sum_structure()
+    rep = lie_ad_matrices(sc)
+    for s in range(20):
+        L = make_skeletal(sc, rep, rand_cochain(random.Random(s), 3, 4, 4))
+        for M in (L, L.to_float()):
+            dl3 = ce_coboundary(M.b00, M.b01, M.l3)
+            largest = {key: max(map(abs, v)) for key, v in dl3.entries.items()}
+            top = max(largest.values())
+            r = validate_lie2(M)["c"]
+            assert r.value == top != 0, (s, M.mode)
+            assert r.witness == next(key for key, v in largest.items() if v == top)
 
 
 def test_scaled_l3_on_string_sl2_stays_valid():
@@ -280,6 +296,16 @@ def test_ce_squares_to_zero():
         for arity in range(0, min(3, sc.dim)):
             f = rand_cochain(rng, arity, sc.dim, rep[0].rows)
             assert ce_coboundary(sc, rep, ce_coboundary(sc, rep, f)).is_zero()
+
+
+def test_ce_coboundary_refuses_mixed_modes():
+    sc = sl2_structure()
+    rep = lie_ad_matrices(sc)
+    f = rand_cochain(random.Random(1), 2, 3, 3)
+    with pytest.raises(ModeError, match="mode mismatch"):
+        ce_coboundary(sc, rep, f.to_float())
+    with pytest.raises(ModeError, match="mode mismatch"):
+        ce_coboundary(sc, [m.to_float() for m in rep], f)
 
 
 def test_float_copies_are_float_in_every_tensor():

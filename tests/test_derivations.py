@@ -684,6 +684,14 @@ def test_adbar_refuses_the_derivation_algebra_of_another_algebra():
     assert validate_hom(adbar(L2, der)).ok
 
 
+def test_adbar_refuses_the_derivation_algebra_of_the_exact_copy():
+    # the float copy equals L entry by entry, so only the mode check stops
+    # it, before any work
+    L = fix_str()
+    with pytest.raises(ModeError, match="mode mismatch: exact vs float"):
+        adbar(L.to_float(), build_der_lie2(L))
+
+
 def test_is_derivation0_reports_a_nan_entry():
     L = fix_str()
     D = compute_der0_basis(L)[0].to_float()
@@ -726,6 +734,27 @@ def test_b01_is_the_bracket_with_each_hom_basis_vector():
         for p, D in enumerate(der.basis0):
             for t, T in enumerate(der.basisM1):
                 assert der.algebra.b01[p].col(t) == graded_bracket(L, D, T).theta.data, (L, p, t)
+
+
+@pytest.mark.parametrize("rows", [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                  [[1], [2]], [[0], [3]]])
+def test_endo_algebra_is_der_of_the_abelian_complex_when_d_is_injective(rows):
+    # Der of the complex with zero brackets and l3: d lX = 0 forces lX = 0,
+    # so both constructors take their b01 from the one action on Hom
+    dmat = Mat.from_rows(rows)
+    v0, v1 = dmat.rows, dmat.cols
+    abelian = Lie2Algebra(v0, v1, dmat, AltTensor.zero(2, v0, v0), [Mat.zero(v1, v1)] * v0,
+                          AltTensor.zero(3, v0, v1))
+    assert make_endo(dmat) == build_der_lie2(abelian).algebra
+
+
+def test_endo_algebra_and_der_differ_when_d_has_a_kernel():
+    # at d = 0 a derivation gains an lX with values in ker d, which no
+    # endomorphism pair has: the two constructors stay separate
+    dmat = Mat.zero(2, 1)
+    abelian = Lie2Algebra(2, 1, dmat, AltTensor.zero(2, 2, 2), [Mat.zero(1, 1)] * 2,
+                          AltTensor.zero(3, 2, 1))
+    assert (make_endo(dmat).n0, build_der_lie2(abelian).algebra.n0) == (5, 6)
 
 
 def test_inner_derivations_of_a_float_algebra_raise():

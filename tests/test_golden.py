@@ -41,6 +41,9 @@ ROOT = GOLDEN.parent.parent
 # an exact algebra file with denominators 3 and 7 that breaks b1 and b2 (exit 1);
 # its report names the file, so it runs from the repository root, as CI runs it
 BROKEN_B1_B2 = "tests/golden/broken-b1-b2.lie2"
+# the aff1 sum under its adjoint action with an l3 of denominators 3 and 7
+# that is not a cocycle: only law c fails (exit 1), on the integer image
+BROKEN_C = "tests/golden/broken-c.lie2"
 
 
 def _cases() -> dict:
@@ -57,6 +60,7 @@ def _cases() -> dict:
     for stem, name, element, code in AUT_CASES:
         cases[stem] = (["aut", name, "--element", str(GOLDEN / element)], code)
     cases["validate-broken-b1-b2"] = (["validate", BROKEN_B1_B2], 1)
+    cases["validate-broken-c"] = (["validate", BROKEN_C], 1)
     return cases
 
 
