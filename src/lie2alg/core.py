@@ -6,10 +6,11 @@ of Jacobi, subject to coherence laws.  Everything here is represented
 by structure constants; validators return per-axiom residual tables so
 tests can assert exactly which law broke and where.  `validate_lie2` reads
 the constants through `Lie2Algebra.sparse`, a view of the nonzero ones
-computed once per algebra, and runs the laws on pairs of basis vectors
-rather than on index tuples, so each law costs what its nonzero terms cost.
-In exact mode it runs the laws on an integer image of the constants, so
-the sums stay in ints.  Each law is homogeneous of degree 2 in them, so
+computed once per algebra (`Lie2Algebra.view`), and runs the laws on pairs
+of basis vectors rather than on index tuples, so each law costs what its
+nonzero terms cost.  In exact mode it runs the laws on the integer image of
+the constants (`Lie2Algebra.integer_image`, another view), so the sums
+stay in ints.  Each law is homogeneous of degree 2 in them, so
 scaling every constant by their common denominator D scales every residual
 by D^2 and leaves the worst one and its witness in place.
 
@@ -135,7 +136,7 @@ class Lie2Algebra:
         l3: alternating trilinear map on g_0 with values in g_{-1}.
     """
 
-    __slots__ = ("n0", "n1", "d", "b00", "b01", "l3", "mode", "_sparse")
+    __slots__ = ("n0", "n1", "d", "b00", "b01", "l3", "mode", "_views")
 
     def __init__(self, n0: int, n1: int, d: Mat, b00: AltTensor, b01, l3: AltTensor):
         b01 = tuple(b01)
@@ -157,18 +158,32 @@ class Lie2Algebra:
         object.__setattr__(self, "b01", b01)
         object.__setattr__(self, "l3", l3)
         object.__setattr__(self, "mode", modes.pop())
-        object.__setattr__(self, "_sparse", None)
+        object.__setattr__(self, "_views", {})
 
     def __setattr__(self, *a):
         raise AttributeError("Lie2Algebra is immutable")
 
+    def view(self, build):
+        """build(self), computed on first use and kept on this object: the
+        views `sparse` and `integer_image`, and the unit images of
+        `derivations`.  An algebra is immutable, so a view never goes stale;
+        an equal algebra built apart computes its own."""
+        views = self._views
+        return views[build] if build in views else views.setdefault(build, build(self))
+
     def sparse(self) -> SparseStructure:
         """The nonzero structure constants, computed on first use."""
-        if self._sparse is None:
-            object.__setattr__(self, "_sparse", SparseStructure(
-                sparse_columns(self.d), sparse_alt(self.b00),
-                [sparse_columns(m) for m in self.b01], sparse_alt(self.l3)))
-        return self._sparse
+        return self.view(_sparse_structure)
+
+    def integer_image(self) -> tuple:
+        """(D, the nonzero constants times D), computed on first use: D is
+        the lcm of the denominators of the exact constants
+        (`linalg.common_denominator`, 1 for a float algebra, whose constants
+        stay as they are), and every constant x becomes the int
+        x.numerator (D / x.denominator), with no Fraction operation.  Every
+        bilinear law and every linear image of the constants scales by a
+        power of D on it, and its sums stay in ints."""
+        return self.view(_integer_image)
 
     def to_float(self) -> "Lie2Algebra":
         """L in float mode: L itself when float."""
@@ -190,6 +205,24 @@ class Lie2Algebra:
 
     def __repr__(self):
         return f"Lie2Algebra(n0={self.n0}, n1={self.n1})"
+
+
+def _sparse_structure(L: Lie2Algebra) -> SparseStructure:
+    return SparseStructure(sparse_columns(L.d), sparse_alt(L.b00),
+                           [sparse_columns(m) for m in L.b01], sparse_alt(L.l3))
+
+
+def _integer_image(L: Lie2Algebra) -> tuple:
+    d, b00, b01, l3 = sp = L.sparse()
+    D = scalar_kind(L.mode).denominator(
+        x for v in itertools.chain(d, *b01, b00.values(), l3.values()) for x in v.values())
+
+    def scale(v):
+        return {c: x.numerator * (D // x.denominator) for c, x in v.items()}
+
+    return D, sp if D == 1 else SparseStructure(
+        [scale(v) for v in d], {key: scale(v) for key, v in b00.items()},
+        [[scale(v) for v in m] for m in b01], {key: scale(v) for key, v in l3.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +254,13 @@ def _ce_value(br: dict, act: list, f: dict, key: tuple) -> dict:
     return sparse_sum(*terms)
 
 
-def _hom_action(x1_rows: list, x0: list, n0: int, n1: int) -> Mat:
+def _hom_action(x1_rows: list, x0: list, n0: int, n1: int, s: int = 1) -> Mat:
     """The matrix of theta |-> X1 theta - theta X0 on row-major Hom(g_0, g_{-1}),
-    from the sparse rows of an exact X1 and the sparse columns of an exact X0:
-    X1 (x) I - I (x) X0^T, entry ((a, b), (c, e)) = X1[a, c] [b = e] - [a = c] X0[e, b],
-    in canonical exact form (a diagonal entry X1[a, a] - X0[b, b] may be an
-    integral Fraction).  The b01 of `make_endo` and of `derivations.build_der_lie2`."""
+    from the sparse rows of s X1 and the sparse columns of s X0, X0 and X1
+    exact and s an int > 0: X1 (x) I - I (x) X0^T, entry ((a, b), (c, e)) =
+    X1[a, c] [b = e] - [a = c] X0[e, b], each divided by s once, in
+    canonical exact form.  The b01 of `make_endo` and of
+    `derivations.build_der_lie2`."""
     m = n1 * n0
     data = [0] * (m * m)
     for a, b in itertools.product(range(n1), range(n0)):  # row (a, b)
@@ -234,8 +268,53 @@ def _hom_action(x1_rows: list, x0: list, n0: int, n1: int) -> Mat:
         for c, x in x1_rows[a].items():
             data[row + c * n0 + b] += x
         for e, x in x0[b].items():
-            data[row + a * n0 + e] = _exact(data[row + a * n0 + e] - x)
-    return Mat._result(m, m, data, "exact")
+            data[row + a * n0 + e] -= x
+    return Mat._result(m, m, [_exact(x) if s == 1 else x and _quotient(x, s) for x in data], "exact")
+
+
+# The law evaluators below run a law for one index at every value of the
+# last one at once.  Every sum runs over the support of a vector in its
+# order, which is increasing: that of `sparse_columns` and `sparse_alt`.
+
+def _apply(cols: dict, vecs: dict) -> dict:
+    """{key: the sum of x cols[t] over (t, x) in u} for key, u in vecs: the
+    matrix with sparse columns cols ({t: column}) on each vector."""
+    out = {}
+    for key, u in vecs.items():
+        r = out[key] = {}
+        for t, x in u.items():
+            for c, y in cols.get(t, SPARSE_ZERO).items():
+                r[c] = r[c] + x * y if c in r else x * y
+    return out
+
+
+def _br_all(u: dict, rows) -> dict:
+    """{key: the sum of x rows[m][key] over (m, x) in u}: [u, e_key] when
+    rows[m] holds [e_m, e_key]."""
+    out = {}
+    for m, x in u.items():
+        for key, v in rows[m].items():
+            r = out.setdefault(key, {})
+            for c, y in v.items():
+                r[c] = r[c] + x * y if c in r else x * y
+    return out
+
+
+def _add_into(out: dict, sign: int, terms: dict):
+    """out[key] += sign terms[key], as `sparse_sum` adds."""
+    for key, v in terms.items():
+        r = out.setdefault(key, {})
+        for c, y in v.items():
+            y = -y if sign < 0 else y
+            r[c] = r[c] + y if c in r else y
+
+
+def _record(acc: _Acc, r: dict, key: tuple, low=-1):
+    """The nonzero residuals r[x], x > low, into acc by increasing x, with
+    witness key + (x,); a zero residual changes no maximum."""
+    for x in sorted(r):
+        if x > low and any(r[x].values()):
+            acc.add(r[x].values(), key + (x,))
 
 
 def validate_lie2(L: Lie2Algebra) -> ResidualReport:
@@ -275,14 +354,7 @@ def validate_lie2(L: Lie2Algebra) -> ResidualReport:
     used as they are (D = 1).
     """
     n0, n1 = L.n0, L.n1
-    d, b00, b01, l3 = L.sparse()
-    D = scalar_kind(L.mode).denominator(
-        x for v in itertools.chain(d, *b01, b00.values(), l3.values()) for x in v.values())
-    if D != 1:  # the integer image, every constant times D, formed with no Fraction operation
-        def scale(v):
-            return {c: x.numerator * (D // x.denominator) for c, x in v.items()}
-        d, b01 = [scale(v) for v in d], [[scale(v) for v in m] for m in b01]
-        b00, l3 = ({key: scale(v) for key, v in t.items()} for t in (b00, l3))
+    D, (d, b00, b01, l3) = L.integer_image()
     acc = {k: _Acc(L.mode) for k in ("a1", "a2", "b1", "b2", "c")}
     ad0 = [{} for _ in range(n0)]  # ad0[m][k] = [e_m, e_k]
     adT = [{} for _ in range(n0)]  # adT[k][m] = [e_m, e_k]
@@ -294,63 +366,31 @@ def validate_lie2(L: Lie2Algebra) -> ResidualReport:
     for (i, j, k), v in l3.items():
         l3ij.setdefault((i, j), {})[k] = v
 
-    # every sum runs over the support of a vector in its order, which is
-    # increasing: that of `sparse_columns` and `sparse_alt`, kept by scale
-    def apply(cols, vecs):  # {key: the sum of x cols[t] over (t, x) in u} for key, u in vecs
-        out = {}
-        for key, u in vecs.items():
-            r = out[key] = {}
-            for t, x in u.items():
-                for c, y in cols.get(t, SPARSE_ZERO).items():
-                    r[c] = r[c] + x * y if c in r else x * y
-        return out
-
-    def br_all(u, rows):  # {key: the sum of x rows[m][key] over (m, x) in u}: [u, e_key]
-        out = {}
-        for m, x in u.items():
-            for key, v in rows[m].items():
-                r = out.setdefault(key, {})
-                for c, y in v.items():
-                    r[c] = r[c] + x * y if c in r else x * y
-        return out
-
-    def add_into(out, sign, terms):  # out[key] += sign terms[key], as `sparse_sum` adds
-        for key, v in terms.items():
-            r = out.setdefault(key, {})
-            for c, y in v.items():
-                y = -y if sign < 0 else y
-                r[c] = r[c] + y if c in r else y
-
-    def record(law, r, key, low=-1):  # the nonzero residuals r[x], x > low, by increasing x
-        for x in sorted(r):
-            if x > low and any(r[x].values()):
-                acc[law].add(r[x].values(), key + (x,))
-
     for i in range(n0):
-        r = apply(dcols, ad1[i])  # d [e_i, e_a] at every a
-        add_into(r, -1, apply(ad0[i], dcols))  # [e_i, d e_a]
-        record("a1", r, (i,))
+        r = _apply(dcols, ad1[i])  # d [e_i, e_a] at every a
+        _add_into(r, -1, _apply(ad0[i], dcols))  # [e_i, d e_a]
+        _record(acc["a1"], r, (i,))
 
-    da = [br_all(u, ad1) for u in d]  # da[a][b] = [d e_a, e_b]
+    da = [_br_all(u, ad1) for u in d]  # da[a][b] = [d e_a, e_b]
     for a in range(n1):
-        record("a2", {b: sparse_sum((1, da[a].get(b, SPARSE_ZERO)), (1, da[b].get(a, SPARSE_ZERO)))
-                      for b in range(a, n1)}, (a,))
+        _record(acc["a2"], {b: sparse_sum((1, da[a].get(b, SPARSE_ZERO)), (1, da[b].get(a, SPARSE_ZERO)))
+                            for b in range(a, n1)}, (a,))
 
     # b1 and b2 pair by pair: for i < j, every term of the law at every k > j
     # (b1) or every a (b2) where its factors are nonzero, each its own sum;
     # the terms are added in the order of the law, as `sparse_sum` adds them
     for i, j in itertools.combinations(range(n0), 2):
         bij, lij = ad0[i].get(j, SPARSE_ZERO), l3ij.get((i, j), SPARSE_ZERO)
-        r = br_all(bij, ad0)  # [[e_i, e_j], e_k]
-        add_into(r, 1, apply(adT[i], {k: v for k, v in ad0[j].items() if k > j}))  # [[e_j, e_k], e_i]
-        add_into(r, 1, apply(adT[j], {k: adT[i][k] for k in ad0[i] if k > j}))  # [[e_k, e_i], e_j]
-        add_into(r, 1, apply(dcols, {k: v for k, v in lij.items() if k > j}))  # d l3(e_i, e_j, e_k)
-        record("b1", r, (i, j), j)
-        r = br_all(bij, ad1)  # [[e_i, e_j], e_a]
-        add_into(r, -1, apply(ad1[i], ad1[j]))  # [e_i, [e_j, e_a]]
-        add_into(r, 1, apply(ad1[j], ad1[i]))  # [e_j, [e_i, e_a]]
-        add_into(r, 1, apply(lij, dcols) if lij else {})  # l3(e_i, e_j, d e_a)
-        record("b2", r, (i, j))
+        r = _br_all(bij, ad0)  # [[e_i, e_j], e_k]
+        _add_into(r, 1, _apply(adT[i], {k: v for k, v in ad0[j].items() if k > j}))  # [[e_j, e_k], e_i]
+        _add_into(r, 1, _apply(adT[j], {k: adT[i][k] for k in ad0[i] if k > j}))  # [[e_k, e_i], e_j]
+        _add_into(r, 1, _apply(dcols, {k: v for k, v in lij.items() if k > j}))  # d l3(e_i, e_j, e_k)
+        _record(acc["b1"], r, (i, j), j)
+        r = _br_all(bij, ad1)  # [[e_i, e_j], e_a]
+        _add_into(r, -1, _apply(ad1[i], ad1[j]))  # [e_i, [e_j, e_a]]
+        _add_into(r, 1, _apply(ad1[j], ad1[i]))  # [e_j, [e_i, e_a]]
+        _add_into(r, 1, _apply(lij, dcols) if lij else {})  # l3(e_i, e_j, d e_a)
+        _record(acc["b2"], r, (i, j))
 
     # law c is the coboundary of l3; every term contains l3, so it holds when l3 = 0
     for quad in itertools.combinations(range(n0), 4) if l3 else ():
@@ -416,6 +456,14 @@ def validate_hom(A: Lie2Hom) -> ResidualReport:
     the columns of A0 and A1 and the values of A2, adding its terms in the
     order of the dense evaluation on unit vectors, so values and witnesses
     are those of that evaluation (floats bit for bit).
+
+    Law ii runs for each i at every a, in the shape of `validate_lie2`:
+    each [e_m, A1 e_a] is formed once for every m that a column of A0
+    reaches, and each term of the law is its own sum, added in the law's
+    order.  Law iii runs per triple: each of its terms [A0 e_x, A2(e_y, e_z)]
+    and A2([e_x, e_y], e_z) occurs in one triple only, and tables of them
+    over every m and pair did more products than the triples on the adjoint
+    homomorphism, whose columns of A0 have disjoint supports.
     """
     src, tgt = A.source, A.target
     sd, sb00, sb01, sl3 = src.sparse()
@@ -433,13 +481,15 @@ def validate_hom(A: Lie2Hom) -> ResidualReport:
                        (-1, sparse_apply(td, a2.get((i, j), SPARSE_ZERO))))
         acc["i"].add(r.values(), (i, j))
 
+    # law ii for each i at every a, each term its own sum, added in the law's order
+    cols1, dv = dict(enumerate(a1)), dict(enumerate(sd))
+    ta1 = {m: _apply(dict(enumerate(tb01[m])), cols1) for m in set().union(*a0)}  # [e_m, A1 e_a]
+    a2from = [{m: v for (k, m), v in a2.items() if k == i} for i in range(src.n0)]  # A2(e_i, e_m)
     for i in range(src.n0):
-        for a in range(src.n1):
-            r = sparse_sum((1, sparse_apply(a1, sb01[i][a])),
-                           (-1, _bracket01(tb01, a0[i], a1[a])),
-                           (-1, sparse_comb((x, a2.get((i, m), SPARSE_ZERO))  # A2(e_i, d e_a)
-                                            for m, x in sorted(sd[a].items()))))
-            acc["ii"].add(r.values(), (i, a))
+        r = _apply(cols1, dict(enumerate(sb01[i])))  # A1 [e_i, e_a]
+        _add_into(r, -1, _br_all(a0[i], ta1))  # [A0 e_i, A1 e_a]
+        _add_into(r, -1, _apply(a2from[i], dv))  # A2(e_i, d e_a)
+        _record(acc["ii"], r, (i,))
 
     for i, j, k in itertools.combinations(range(src.n0), 3):
         terms = []

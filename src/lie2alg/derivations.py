@@ -8,14 +8,25 @@ membership test evaluates them on one candidate.  Evaluated on the
 unknowns themselves, as linear forms, they give the sparse rows of the
 stacked homogeneous linear system (`der0_constraints`), and the degree-0
 space is the kernel of those rows, from the one exact elimination of the
-package (`linalg._reduce`); the inner derivations are reduced by the same
+package (`linalg._kernel`); the inner derivations are reduced by the same
 elimination.  No dense matrix of either system is built.
+
+The derivation solve runs in ints.  Every condition is linear in the
+structure constants, so on their integer image (`Lie2Algebra.integer_image`,
+every constant times the lcm D of their denominators) each constraint row
+is D times the true one and the kernel is the same; the elimination is
+fraction-free, and each basis vector comes out as a primitive integer
+vector with one scale.  The sparse form of each basis derivation is read
+straight off that vector, so the brackets and the membership checks of the
+build run in ints, and each coordinate is divided once.
 
 dbar and the adjoint map have sparse evaluators, `_dbar_flat` and
 `_ad_flat`, which give the `flatten_der0` coordinates of an image as a
-sparse vector; `dbar` and `adbar0_single` wrap them, and the Der build, the
-inner derivations and `adbar` feed the unit images of the Hom basis and of
-g_0 straight to the elimination, with no Derivation0 formed.
+sparse vector; `dbar` and `adbar0_single` wrap them.  The unit images of
+the Hom basis and of g_0, on the integer image, are one sweep per algebra
+object (`_unit_images`, a `Lie2Algebra.view`): the Der build, the inner
+derivations and `adbar` all read it and feed it straight to the
+elimination, with no Derivation0 formed.
 
 The derivation Lie 2-algebra (`build_der_lie2`) reads each basis derivation
 once into a sparse form (`_Sparse0`: the columns and rows of X0 and X1, lX
@@ -54,6 +65,7 @@ from .linalg import (
     _kernel,
     _reduce,
     _same_mode,
+    _vector,
     basis_vec,
     mat_distance,
     scalar_kind,
@@ -164,20 +176,33 @@ def der0_distance(a: Derivation0, b: Derivation0):
 # membership
 # ---------------------------------------------------------------------------
 
-def _der0_condition_vectors(L: Lie2Algebra, x0: list, x1: list, lx: dict) -> dict:
+def _der0_condition_vectors(L: Lie2Algebra, sp, x0: list, x1: list, lx: dict) -> dict:
     """Residual vectors of the conditions on (X0, X1, lX), by family.
 
-    x0 and x1 are the columns of X0 and X1 (`sparse_columns`), lx the values
-    of lX on every ordering of its keys (`sparse_alt`).  The result maps
+    sp holds the nonzero structure constants of L, `L.sparse()` or its
+    integer image (`Lie2Algebra.integer_image`).  x0 and x1 are the columns
+    of X0 and X1 (`sparse_columns`), lx the values of lX on every ordering
+    of its keys (`sparse_alt`).  The result maps
     "chain", "a", "b" and "c" to (length, [(vector, witness), ...]): sparse
     vectors ({index: value}) of that length, one per basis tuple, zero ones
     included, so positions in the stacked residual are fixed.  The chain is
     one vector, X0 d - d X1 row-major.  Sums run over the nonzero constants
     of L and entries of the parts only; the entries of the parts need +,
-    unary - and products with scalars, so they may be linear forms.
+    unary - and products with scalars, so they may be linear forms.  A sum
+    over the entries m of a column of X0 visits only the m where the
+    constant it meets is nonzero, by increasing m (`comb`).
     """
     n0, n1 = L.n0, L.n1
-    d, b00, b01, l3 = L.sparse()
+    d, b00, b01, l3 = sp
+    at_a = [{m: cols[a] for m, cols in enumerate(b01) if cols[a]} for a in range(n1)]  # [e_m, e_a]
+    left, right, l3_at = {}, {}, {}
+    for (i, j), v in b00.items():
+        left.setdefault(i, {})[j] = right.setdefault(j, {})[i] = v  # [e_i, e_j]
+    for (m, y, z), v in l3.items():
+        l3_at.setdefault((y, z), {})[m] = v
+
+    def comb(u, vecs):  # the sum of u[m] vecs[m] over the m both hold, by increasing m
+        return sparse_comb((u[m], vecs[m]) for m in sorted(u.keys() & vecs.keys()))
 
     chain = {}
     for a in range(n1):
@@ -190,8 +215,8 @@ def _der0_condition_vectors(L: Lie2Algebra, x0: list, x1: list, lx: dict) -> dic
         r = sparse_sum(
             (1, sparse_apply(d, lx.get((i, j), SPARSE_ZERO))),
             (-1, sparse_apply(x0, b00.get((i, j), SPARSE_ZERO))),
-            (1, sparse_comb((x, b00.get((m, j), SPARSE_ZERO)) for m, x in sorted(x0[i].items()))),
-            (1, sparse_comb((x, b00.get((i, m), SPARSE_ZERO)) for m, x in sorted(x0[j].items()))))
+            (1, comb(x0[i], right.get(j, SPARSE_ZERO))),
+            (1, comb(x0[j], left.get(i, SPARSE_ZERO))))
         cond_a.append((r, (i, j)))
 
     cond_b = []
@@ -200,7 +225,7 @@ def _der0_condition_vectors(L: Lie2Algebra, x0: list, x1: list, lx: dict) -> dic
             r = sparse_sum(
                 (1, sparse_comb((x, lx.get((i, m), SPARSE_ZERO)) for m, x in sorted(d[a].items()))),
                 (-1, sparse_apply(x1, b01[i][a])),
-                (1, sparse_comb((x, b01[m][a]) for m, x in sorted(x0[i].items()))),
+                (1, comb(x0[i], at_a[a])),
                 (1, sparse_apply(b01[i], x1[a])))
             cond_b.append((r, (i, a)))
 
@@ -212,8 +237,7 @@ def _der0_condition_vectors(L: Lie2Algebra, x0: list, x1: list, lx: dict) -> dic
                 (-1, sparse_comb((v, lx.get((x, m), SPARSE_ZERO))
                                  for m, v in sorted(b00.get((y, z), SPARSE_ZERO).items()))),
                 (-1, sparse_apply(b01[x], lx.get((y, z), SPARSE_ZERO))),
-                (-1, sparse_comb((v, l3.get((m, y, z), SPARSE_ZERO))
-                                 for m, v in sorted(x0[x].items())))]
+                (-1, comb(x0[x], l3_at.get((y, z), SPARSE_ZERO)))]
         cond_c.append((sparse_sum(*terms), (i, j, k)))
 
     return {"chain": (n0 * n1, [(chain, None)]), "a": (n0, cond_a),
@@ -225,7 +249,7 @@ def is_derivation0(L: Lie2Algebra, D: Derivation0) -> ResidualReport:
     _same_mode(D.X0, L)
     _same_mode(L, D.X1)
     families = _der0_condition_vectors(
-        L, sparse_columns(D.X0), sparse_columns(D.X1), sparse_alt(D.lX))
+        L, L.sparse(), sparse_columns(D.X0), sparse_columns(D.X1), sparse_alt(D.lX))
     out = {}
     for key, (_, group) in families.items():
         acc = _Acc(D.mode)
@@ -280,7 +304,7 @@ class _Form(dict):
         return _Form({u: -v for u, v in self.items()})
 
     def __mul__(self, s) -> "_Form":
-        return _Form({u: v * s for u, v in self.items()})
+        return self if s == 1 else _Form({u: v * s for u, v in self.items()})
 
     __rmul__ = __mul__
 
@@ -297,49 +321,56 @@ def der0_constraints(L: Lie2Algebra) -> list:
     `_der0_flat_len(L)` unknowns.  The kernel is exact, so a float algebra
     raises `ModeError`.
     """
+    return _constraint_rows(L, L.sparse())
+
+
+def _constraint_rows(L: Lie2Algebra, sp) -> list:
+    """The rows of `der0_constraints`, on the structure constants sp (see
+    `_der0_condition_vectors`): each row is linear in them, so on the
+    integer image every row is D times the true one."""
     scalar_kind(L.mode).require_exact("der0_constraints requires exact scalars")
-    n0, n1 = L.n0, L.n1
-    nfree = _der0_flat_len(L)
-    unit = [_Form({u: 1}) for u in range(nfree)]
-    x0 = [{r: unit[r * n0 + m] for r in range(n0)} for m in range(n0)]
-    x1 = [{r: unit[n0 * n0 + r * n1 + a] for r in range(n1)} for a in range(n1)]
-    lx = {}
-    for p, (i, j) in enumerate(itertools.combinations(range(n0), 2)):
-        lx[i, j] = {c: unit[n0 * n0 + n1 * n1 + p * n1 + c] for c in range(n1)}
-        lx[j, i] = {c: -f for c, f in lx[i, j].items()}
+    f = _form(L, {u: _Form({u: 1}) for u in range(_der0_flat_len(L))})  # the unknowns
     return [{u: v for u, v in vec.get(c, SPARSE_ZERO).items() if v}
-            for size, group in _der0_condition_vectors(L, x0, x1, lx).values()
+            for size, group in _der0_condition_vectors(L, sp, f.x0, f.x1, f.lx).values()
             for vec, _ in group for c in range(size)]
 
 
 def _der0_kernel(L: Lie2Algebra):
-    """(basis, coords) of the degree-0 derivation space: the kernel of the
-    sparse rows of `der0_constraints`, from one elimination
-    (`linalg._kernel`).  coords(v) is the coordinate tuple in the basis of
-    a vector v of `flatten_der0` coordinates, dense or sparse, and raises
-    ValueError when v is off the span."""
-    vecs, span = _kernel(der0_constraints(L), _der0_flat_len(L))
+    """(vecs, coords) of the degree-0 derivation space, from one elimination
+    (`linalg._kernel`) of the constraint rows of the integer image of L: D
+    times those of `der0_constraints`, with the same kernel.  vecs holds
+    each basis vector as a primitive integer vector of `flatten_der0`
+    coordinates with its scale (see `_kernel`).  coords(v, scale=1) is the
+    coordinate tuple in the basis of v / scale, v a vector of
+    `flatten_der0` coordinates, dense or sparse, and raises ValueError when
+    v is off the span."""
+    vecs, span = _kernel(_constraint_rows(L, L.integer_image()[1]), _der0_flat_len(L))
 
-    def coords(v) -> tuple:
-        c = span(v)
+    def coords(v, scale=1) -> tuple:
+        c = span(v, scale)
         if c is None:
             raise ValueError("not in the degree-0 derivation span")
         return c
 
-    return [unflatten_der0(L, v) for v in vecs], coords
+    return vecs, coords
+
+
+def _derivation(L: Lie2Algebra, v: dict, s: int) -> Derivation0:
+    """The triple of `flatten_der0` coordinates v / s, v an integer vector."""
+    return unflatten_der0(L, _vector(v, s, _der0_flat_len(L)))
 
 
 def compute_der0_basis(L: Lie2Algebra) -> list:
     """Basis of the degree-0 derivation space: the kernel of
     `der0_constraints`, in kernel order (deterministic)."""
-    return _der0_kernel(L)[0]
+    return [_derivation(L, v, s) for v, s in _der0_kernel(L)[0]]
 
 
 # ---------------------------------------------------------------------------
 # the differential and brackets
 # ---------------------------------------------------------------------------
 
-def _lower_pairs(L: Lie2Algebra, th: list, a: list, c: list) -> dict:
+def _lower_pairs(L: Lie2Algebra, sp, th: list, a: list, c: list) -> dict:
     """(x, y) |-> theta[x, y] - [a x, theta y] + [a y, theta x] + [c y, theta x]
     from the sparse columns th of theta: g_0 -> g_{-1} and a, c of maps
     g_0 -> g_0, as {(i, j): sparse value} on the pairs i < j where a term
@@ -349,15 +380,20 @@ def _lower_pairs(L: Lie2Algebra, th: list, a: list, c: list) -> dict:
     zero and [e_i, e_j] misses the nonzero columns.  The brackets [u, w]
     with u in g_0 and w in g_{-1} are `core._bracket01`.  Sums run over nonzero
     terms in the order of the dense evaluation on unit vectors, so float
-    results are those sums bit for bit."""
-    _, b00, b01, _ = L.sparse()
+    results are those sums bit for bit.  sp holds the structure constants
+    read (see `_der0_condition_vectors`)."""
+    _, b00, b01, _ = sp
     support = {m for m, col in enumerate(th) if col}
     out = {}
     for i, j in itertools.combinations(range(L.n0), 2):
         bij = b00.get((i, j), SPARSE_ZERO)
         if th[i] or th[j] or not support.isdisjoint(bij):
-            r = sparse_sum((1, sparse_apply(th, bij)), (-1, _bracket01(b01, a[i], th[j])),
-                           (1, _bracket01(b01, a[j], th[i])), (1, _bracket01(b01, c[j], th[i])))
+            terms = [(1, sparse_apply(th, bij))]  # a bracket with a zero column of theta is left out
+            if th[j]:
+                terms.append((-1, _bracket01(b01, a[i], th[j])))
+            if th[i]:
+                terms += [(1, _bracket01(b01, a[j], th[i])), (1, _bracket01(b01, c[j], th[i]))]
+            r = sparse_sum(*terms)
             if r:
                 out[i, j] = r
     return out
@@ -365,22 +401,23 @@ def _lower_pairs(L: Lie2Algebra, th: list, a: list, c: list) -> dict:
 
 def _lower_term(L: Lie2Algebra, th: list, a: list, c: list) -> AltTensor:
     """`_lower_pairs` as an alternating 2-tensor g_0 x g_0 -> g_{-1}."""
+    lower = _lower_pairs(L, L.sparse(), th, a, c)
     return AltTensor._result(2, L.n0, L.n1, {key: sparse_dense(r, L.n1, scalar_zero(L.mode))
-                                             for key, r in _lower_pairs(L, th, a, c).items()}, L.mode)
+                                             for key, r in lower.items()}, L.mode)
 
 
-def _dbar_flat(L: Lie2Algebra, th: list) -> dict:
+def _dbar_flat(L: Lie2Algebra, sp, th: list) -> dict:
     """The `flatten_der0` coordinates of dbar(theta) as a sparse vector, from
-    the sparse columns th of theta: d theta and theta d by `sparse_apply`,
-    the 2-component by `_lower_pairs`; the unit image of the Der build."""
+    the sparse columns th of theta and the structure constants sp: d theta
+    and theta d by `sparse_apply`, the 2-component by `_lower_pairs`."""
     n0, n1 = L.n0, L.n1
-    d = L.sparse().d
+    d = sp.d
     flat = {}
     for j, col in enumerate(th):
         flat.update((r * n0 + j, v) for r, v in sparse_apply(d, col).items())
     for a, col in enumerate(d):
         flat.update((n0 * n0 + r * n1 + a, v) for r, v in sparse_apply(th, col).items())
-    lower = _lower_pairs(L, th, [{i: 1} for i in range(n0)], [SPARSE_ZERO] * n0)
+    lower = _lower_pairs(L, sp, th, [{i: 1} for i in range(n0)], [SPARSE_ZERO] * n0)
     for (i, j), r in lower.items():
         off = _pair_offset(L, i, j)
         flat.update((off + c, v) for c, v in r.items())
@@ -405,7 +442,7 @@ def dbar(L: Lie2Algebra, T: DerM1) -> Derivation0:
     l_{delta(theta)}(x, y) = theta[x, y] - [x, theta y] + [y, theta x]:
     the triple of the sparse coordinates of `_dbar_flat`."""
     _same_mode(L, T)
-    flat = _dbar_flat(L, sparse_columns(T.theta))
+    flat = _dbar_flat(L, L.sparse(), sparse_columns(T.theta))
     return unflatten_der0(L, sparse_dense(flat, _der0_flat_len(L), scalar_zero(L.mode)))
 
 
@@ -425,12 +462,34 @@ def _sparse0(X0: Mat, X1: Mat, lX: AltTensor) -> _Sparse0:
                     sparse_rows(X1), sparse_alt(lX), tuple(lX.entries))
 
 
+def _form(L: Lie2Algebra, v: dict) -> _Sparse0:
+    """The sparse form of the triple whose `flatten_der0` coordinates are the
+    sparse vector v, increasing, read straight off v: no Derivation0."""
+    n0, n1 = L.n0, L.n1
+    x0, x0_rows, x1, x1_rows = ([{} for _ in range(n)] for n in (n0, n0, n1, n1))
+    lx, pairs = {}, list(itertools.combinations(range(n0), 2))
+    for u, x in v.items():
+        if u < n0 * n0:
+            x0[u % n0][u // n0] = x0_rows[u // n0][u % n0] = x
+        elif u < n0 * n0 + n1 * n1:
+            r, a = divmod(u - n0 * n0, n1)
+            x1[a][r] = x1_rows[r][a] = x
+        else:
+            t, c = divmod(u - n0 * n0 - n1 * n1, n1)
+            lx.setdefault(pairs[t], {})[c] = x
+            lx.setdefault(pairs[t][::-1], {})[c] = -x
+    return _Sparse0(x0, x0_rows, x1, x1_rows, lx, tuple(k for k in lx if k[0] < k[1]))
+
+
 def _action(a: _Sparse0, w: dict, keys, zero) -> dict:
     """(L_(X0, X1) omega) on sparse forms: {key: sparse value} at every key
     that a term reaches from a stored key of omega; w is `sparse_alt(omega)`
     and keys are its stored keys (see `lie_cochain_action`).  The vectors
     of `sparse_columns` and `sparse_alt` hold their indices in increasing
-    order, so iterating them runs each sum by increasing index."""
+    order, so iterating them runs each sum by increasing index.  A pair
+    with X0 = 0 and X1 = 0 acts as zero: no key is formed."""
+    if not (any(a.x0) or any(a.x1)):
+        return {}
     reached = set(keys)
     for key in keys:
         for t, m in enumerate(key):
@@ -444,9 +503,9 @@ def _action(a: _Sparse0, w: dict, keys, zero) -> dict:
         for t, y in w.get(key, SPARSE_ZERO).items():
             for c, x in a.x1[t].items():
                 r[c] = r.get(c, zero) + x * y
-        for t in range(len(key)):
+        for t, k in enumerate(key):
             s = {}  # the slot-t sum, on the coordinates it reaches
-            for m, x in a.x0[key[t]].items():
+            for m, x in a.x0[k].items():
                 for c, y in w.get(key[:t] + (m,) + key[t + 1:], SPARSE_ZERO).items():
                     s[c] = s.get(c, zero) + x * y
             for c, v in s.items():
@@ -477,38 +536,39 @@ def lie_cochain_action(X0: Mat, X1: Mat, omega: AltTensor) -> AltTensor:
     return AltTensor._result(omega.arity, omega.dim, omega.codim, entries, omega.mode)
 
 
-def _product(p_rows: list, q_rows: list, zero) -> dict:
-    """PQ from the sparse rows of P and Q, {(i, j): value}; each entry adds
-    its nonzero terms by increasing inner index, as `Mat.__matmul__` does."""
+def _product(p_rows: list, q_rows: list, zero, off: int, n: int) -> dict:
+    """PQ from the sparse rows of P and Q, n the number of columns of Q, as
+    {off + i n + j: value}: row-major from offset off.  Each entry adds its
+    nonzero terms by increasing inner index, from zero, as `Mat.__matmul__`
+    does."""
     out = {}
     for i, row in enumerate(p_rows):
+        base = off + i * n
         for t, x in row.items():
             for j, y in q_rows[t].items():
-                out[i, j] = out.get((i, j), zero) + x * y
+                out[base + j] = out.get(base + j, zero) + x * y
     return out
-
-
-def _commutator(p_rows: list, q_rows: list, zero) -> dict:
-    pq, qp = _product(p_rows, q_rows, zero), _product(q_rows, p_rows, zero)
-    return {k: pq.get(k, zero) - qp.get(k, zero) for k in pq.keys() | qp.keys()}
 
 
 def _bracket_flat(L: Lie2Algebra, a: _Sparse0, b: _Sparse0, zero) -> dict:
     """The bracket of two degree-0 triples on their sparse forms, as a sparse
     vector in `flatten_der0` coordinates with its zero values dropped: the
-    commutators [X0, Y0] and [X1, Y1], then L_a lY - L_b lX."""
+    commutators [X0, Y0] and [X1, Y1], then L_a lY - L_b lX.  Each
+    difference is formed in place, its first term then its second
+    subtracted, an entry the second misses being the first's."""
     n0, n1 = L.n0, L.n1
-    flat = {i * n0 + j: v for (i, j), v in _commutator(a.x0_rows, b.x0_rows, zero).items() if v}
-    flat.update((n0 * n0 + i * n1 + j, v)
-                for (i, j), v in _commutator(a.x1_rows, b.x1_rows, zero).items() if v)
-    la, lb = _action(a, b.lx, b.keys, zero), _action(b, a.lx, a.keys, zero)
-    for key in la.keys() | lb.keys():
-        u, w, off = la.get(key, SPARSE_ZERO), lb.get(key, SPARSE_ZERO), _pair_offset(L, *key)
-        for c in u.keys() | w.keys():
-            v = u.get(c, zero) - w.get(c, zero)
-            if v:
-                flat[off + c] = v
-    return flat
+    flat = {}
+    for p, q, off, n in ((a.x0_rows, b.x0_rows, 0, n0), (a.x1_rows, b.x1_rows, n0 * n0, n1)):
+        flat.update(_product(p, q, zero, off, n))
+        for k, v in _product(q, p, zero, off, n).items():
+            flat[k] = flat.get(k, zero) - v
+    for key, u in _action(a, b.lx, b.keys, zero).items():
+        flat.update((_pair_offset(L, *key) + c, v) for c, v in u.items())
+    for key, u in _action(b, a.lx, a.keys, zero).items():
+        off = _pair_offset(L, *key)
+        for c, v in u.items():
+            flat[off + c] = flat.get(off + c, zero) - v
+    return {t: v for t, v in flat.items() if v}
 
 
 def graded_bracket(L: Lie2Algebra, a, b):
@@ -568,52 +628,58 @@ class DerLie2:
 def build_der_lie2(L: Lie2Algebra) -> DerLie2:
     """Assemble the strict derivation Lie 2-algebra of L in explicit bases.
 
-    Each basis derivation is read once into its sparse form (the columns
-    and rows of X0 and X1, and lX on every ordering of its keys).  b00 is
-    the bracket of two basis derivations, the commutators and the cochain
-    action taken on those forms, as a sparse vector in the coordinates of
-    `flatten_der0` (`_bracket_flat`), read in the basis by the kernel
-    coordinates.  d is read the same way from the sparse coordinates of
-    dbar on each unit map of the Hom basis (`_dbar_flat`), with no
-    Derivation0 formed.  b01 is the closed form ad_D(theta) = X1 theta -
-    theta X0 (`core._hom_action`, on the rows of X1 and the columns of X0);
-    the degree -1 space is all of Hom(g_0, g_{-1}), so its brackets need no
-    membership check.  Every matrix and tensor is built from computed exact
-    values, with no coercion.
+    The work runs in ints.  The basis comes from the kernel of the integer
+    image of L (`_der0_kernel`), as primitive integer vectors v with scales
+    s (basis vector v / s), and each is read once into its sparse form (the
+    columns and rows of X0 and X1, and lX on every ordering of its keys)
+    straight off v (`_form`).  b00 is the bracket of two basis derivations,
+    the commutators and the cochain action taken on the integer forms, as a
+    sparse integer vector in the coordinates of `flatten_der0`
+    (`_bracket_flat`); the bracket is bilinear, so that vector is s_p s_q
+    times the true one, and the kernel coordinates check it against every
+    pivot row they meet, in ints, and divide once per coordinate.  d is
+    read the same way from the dbar images of the unit maps of the Hom
+    basis on the integer image, D times the true ones, kept on L
+    (`_unit_images`), with no Derivation0 formed.  b01 is the closed form
+    ad_D(theta) = X1 theta - theta X0 (`core._hom_action`, on the rows of
+    s X1 and the columns of s X0, divided by s); the degree -1 space is all
+    of Hom(g_0, g_{-1}), so its brackets need no membership check.  Every
+    matrix and tensor is built from computed exact values, with no
+    coercion.
     """
-    basis0, coords = _der0_kernel(L)
+    vecs, coords = _der0_kernel(L)
     basisM1 = derM1_basis(L)
-    r = len(basis0)
-    m = len(basisM1)
-    n0, n1 = L.n0, L.n1
-    dcols = [coords(_dbar_flat(L, th)) for th in _unit_thetas(L)]
+    D, _, dbar_units = L.view(_unit_images)
+    r, m, n0, n1 = len(vecs), len(basisM1), L.n0, L.n1
+    dcols = [coords(u, D) for u in dbar_units]
     dmat = Mat._result(r, m, [dcols[j][i] for i in range(r) for j in range(m)], "exact")
 
-    forms = [_sparse0(D.X0, D.X1, D.lX) for D in basis0]
+    forms = [_form(L, v) for v, _ in vecs]
     entries = {}
     for p, q in itertools.combinations(range(r), 2):
         flat = _bracket_flat(L, forms[p], forms[q], 0)
         if flat:
-            entries[p, q] = coords(flat)
+            entries[p, q] = coords(flat, vecs[p][1] * vecs[q][1])
     b00 = AltTensor._result(2, r, r, entries, "exact")
 
-    b01 = [_hom_action(f.x1_rows, f.x0, n0, n1) for f in forms]
+    b01 = [_hom_action(f.x1_rows, f.x0, n0, n1, s) for f, (_, s) in zip(forms, vecs)]
     algebra = Lie2Algebra(r, m, dmat, b00, b01, AltTensor.zero(3, r, m))
-    return DerLie2(algebra, tuple(basis0), tuple(basisM1), coords, L)
+    return DerLie2(algebra, tuple(_derivation(L, v, s) for v, s in vecs), tuple(basisM1), coords, L)
 
 
 # ---------------------------------------------------------------------------
 # adjoint and inner derivations
 # ---------------------------------------------------------------------------
 
-def _ad_flat(L: Lie2Algebra, u: dict) -> dict:
+def _ad_flat(L: Lie2Algebra, sp, u: dict) -> dict:
     """The `flatten_der0` coordinates of adbar0(x) as a sparse vector, x in
-    g_0 with nonzero coordinates u (increasing): column j of X0 is [x, e_j],
-    column a of X1 is [x, e_a] and lX(e_i, e_j) is l3(x, e_i, e_j).  For
-    each m in u it reads b00(m, .), b01[m] and l3(m, ., .); every coordinate
-    adds its nonzero terms by increasing m, the order of the dense
-    evaluation on unit vectors, so float results are those sums bit for bit."""
-    _, b00, b01, l3 = L.sparse()
+    g_0 with nonzero coordinates u (increasing), on the structure constants
+    sp (see `_der0_condition_vectors`): column j of X0 is [x, e_j], column
+    a of X1 is [x, e_a] and lX(e_i, e_j) is l3(x, e_i, e_j).  For each m in
+    u it reads b00(m, .), b01[m] and l3(m, ., .); every coordinate adds its
+    nonzero terms by increasing m, the order of the dense evaluation on
+    unit vectors, so float results are those sums bit for bit."""
+    _, b00, b01, l3 = sp
     n0, n1 = L.n0, L.n1
     off1, off2 = n0 * n0, n0 * n0 + n1 * n1
     flat = {}
@@ -628,12 +694,24 @@ def _ad_flat(L: Lie2Algebra, u: dict) -> dict:
     return flat
 
 
+def _unit_images(L: Lie2Algebra) -> tuple:
+    """(D, ad, dbar): the one sweep of unit images of L on its integer image
+    (`Lie2Algebra.integer_image`), each D times the true one, as sparse
+    vectors: ad[i] is `_ad_flat` of e_i of g_0 and dbar[t] `_dbar_flat` of
+    unit map t of `derM1_basis`.  A view (`Lie2Algebra.view`), so
+    `build_der_lie2` (d), `inn0_basis` (its generators) and `adbar` (A0)
+    share it."""
+    D, sp = L.integer_image()
+    return (D, [_ad_flat(L, sp, {i: 1}) for i in range(L.n0)],
+            [_dbar_flat(L, sp, th) for th in _unit_thetas(L)])
+
+
 def adbar0_single(L: Lie2Algebra, x: tuple) -> Derivation0:
     """The degree-0 derivation ([x, .], l3(x, ., .)) attached to x in g_0:
     the triple of the sparse coordinates of `_ad_flat`."""
     kind = scalar_kind(L.mode)
     u = {m: kind.scalar(v) for m, v in enumerate(x) if v}
-    return unflatten_der0(L, sparse_dense(_ad_flat(L, u), _der0_flat_len(L), kind.zero))
+    return unflatten_der0(L, sparse_dense(_ad_flat(L, L.sparse(), u), _der0_flat_len(L), kind.zero))
 
 
 def adbar(L: Lie2Algebra, der: DerLie2 | None = None) -> Lie2Hom:
@@ -641,9 +719,10 @@ def adbar(L: Lie2Algebra, der: DerLie2 | None = None) -> Lie2Hom:
 
     Degree 0 sends x to ([x,.], l3(x,.,.)), degree -1 sends a to [a,.],
     and the 2-component is (y,z) |-> -l3(y,z,.).  Column i of A0 is read in
-    the basis of `der` from the sparse unit image of e_i (`_ad_flat`).  A1
-    and A2 are the structure constants themselves, in the row-major Hom
-    coordinates of the degree -1 basis: column a of A1 is [e_a, .] =
+    the basis of `der` from the unit image of e_i on the integer image of
+    L (`_unit_images`), D times the true one, so the coordinates divide by
+    D.  A1 and A2 are the structure constants themselves, in the row-major
+    Hom coordinates of the degree -1 basis: column a of A1 is [e_a, .] =
     -[., e_a], entry -b01[t][a][c] at row c n0 + t, and A2(e_j, e_k) is
     e_t |-> -l3(e_j, e_k, e_t), entry -l3(e_j, e_k, e_t)[c] at c n0 + t.
     A `der` built for another algebra raises ValueError.
@@ -659,7 +738,8 @@ def adbar(L: Lie2Algebra, der: DerLie2 | None = None) -> Lie2Hom:
     # -[e_t, e_a] and -l3(e_j, e_k, e_t), each at the row-major Hom coordinate c n0 + t
     a1 = {(c * n0 + t, a): -v for t in range(n0) for a, u in enumerate(b01[t]) for c, v in u.items()}
     a2 = {(j, k, c * n0 + t): -v for (j, k, t), u in l3.items() if j < k for c, v in u.items()}
-    A0 = Mat.from_cols([der._coords(_ad_flat(L, {i: 1})) for i in range(n0)], target.n0)
+    D, ad_units, _ = L.view(_unit_images)
+    A0 = Mat.from_cols([der._coords(u, D) for u in ad_units], target.n0)
     A1 = Mat(m, n1, [a1.get((r, a), 0) for r in range(m) for a in range(n1)])
     A2 = AltTensor.from_function(2, n0, m, lambda jk: [a2.get((*jk, r), 0) for r in range(m)],
                                  target.mode)
@@ -668,18 +748,19 @@ def adbar(L: Lie2Algebra, der: DerLie2 | None = None) -> Lie2Hom:
 
 def inn0_basis(L: Lie2Algebra) -> list:
     """Basis of inner degree-0 derivations: the span of the adjoint image
-    and the image of the differential, as the pivot rows of the one exact
-    elimination (`linalg._reduce`) of the nonzero `flatten_der0`
-    coordinates of the generators, in pivot order.  The generators are the
-    sparse unit images, adjoint ones first (`_ad_flat` of each e_i), then
-    dbar of each unit map of the Hom basis (`_dbar_flat`); no Derivation0
-    is formed for them.  A float algebra raises `ModeError`."""
+    and the image of the differential, as the reduced pivot rows of the one
+    exact elimination (`linalg._reduce`) of the generators, in pivot
+    order.  The generators are the unit images of L on its integer image
+    (`_unit_images`), adjoint ones first, then dbar of each unit map of the
+    Hom basis: D times the true ones, which spans the same space, so the
+    reduced rows are the same.  No Derivation0 is formed for them.  A float
+    algebra raises `ModeError`."""
     scalar_kind(L.mode).require_exact("inner derivations need an exact algebra: "
                                       "their basis comes from an exact row reduction")
-    gens = [_ad_flat(L, {i: 1}) for i in range(L.n0)] + [_dbar_flat(L, th) for th in _unit_thetas(L)]
-    n = _der0_flat_len(L)
-    rows = [{t: v for t, v in g.items() if v} for g in gens]
-    return [unflatten_der0(L, sparse_dense(r, n, 0)) for r in _reduce(rows, n)[0]]
+    _, ad_units, dbar_units = L.view(_unit_images)
+    rows = [{t: v for t, v in g.items() if v} for g in ad_units + dbar_units]
+    pivot_rows, pivots = _reduce(rows, _der0_flat_len(L))
+    return [_derivation(L, r, r[c]) for r, c in zip(pivot_rows, pivots)]
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,13 @@ in `mat_inverse`.
 
 Row reduction, kernel bases and exact inverses are only available in
 exact mode, where results are exact by construction; they share one
-elimination over sparse rows (`_reduce`).  `common_denominator` gives the
-factor that scales rational data to an integer image.  All values are
-immutable and all operations are pure.
+elimination over sparse rows (`_reduce`).  It runs in ints, fraction-free:
+each pivot row is an integer row with one denominator, its entry at its
+pivot, and each kernel basis vector a primitive integer vector with one
+scale (`_kernel`), so a `Fraction` is formed only where a reduced row, a
+basis vector or a coordinate is divided out, once per entry.
+`common_denominator` gives the factor that scales rational data to an
+integer image.  All values are immutable and all operations are pure.
 Sparse vectors ({index: value}) serve the law evaluators and
 `AltTensor.eval`, which runs through `sparse_eval`; see the "sparse
 vectors" section.  `Mat.max_abs` and `AltTensor.max_abs`, the largest
@@ -439,17 +443,28 @@ def _exact_rows(m: Mat, what: str) -> list:
 
 def _reduce(rows: list, ncols: int):
     """Reduce exact sparse rows ({col: value}) to reduced row-echelon form;
-    the one rational elimination of the package.
+    the one rational elimination of the package, run in ints.
 
-    Columns are taken in increasing order.  The pivot of a column is the
-    sparsest row with a nonzero entry there and no pivot yet (the first
-    such row among equals), scaled to a leading 1; the column is then
-    cleared from every other row, above and below.  The pivot row is
-    scaled by exact quotients (`_quotient`), so an entry the pivot divides
-    stays an int.  Only nonzero entries are stored or touched.  Returns the
-    pivot rows in pivot order and the strictly increasing pivot columns;
-    every other row reduces to zero.  The rows passed in are consumed.
+    Each row is first scaled by the lcm of its denominators, which leaves
+    the row space alone, so every entry is an int from then on.  Columns
+    are taken in increasing order.  The pivot of a column is the sparsest
+    row with a nonzero entry there and no pivot yet (the first such row
+    among equals); the column is then cleared from every other row, above
+    and below, fraction-free: a row r with entry f there becomes
+    (p/g) r - (f/g) prow, g = gcd(p, f), p the pivot entry, and is divided
+    by the gcd of its entries when it was scaled.  A pivot row stands for
+    its reduced row, the row divided by its entry at its pivot (its
+    denominator), which later steps only scale.  Only nonzero entries are
+    stored or touched.  Returns the pivot rows in pivot order and the
+    strictly increasing pivot columns; every other row reduces to zero.
+    The reduced row-echelon form is unique, so the reduced rows do not
+    depend on the pivot choices, though their integer multiples may.  The
+    rows passed in are consumed.
     """
+    for i, r in enumerate(rows):
+        if any(type(x) is not int for x in r.values()):
+            den = common_denominator(r.values())
+            rows[i] = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
     where = [set() for _ in range(ncols)]  # column -> rows with a nonzero entry there
     for i, r in enumerate(rows):
         for j in r:
@@ -460,12 +475,15 @@ def _reduce(rows: list, ncols: int):
         if not candidates:
             continue
         p = min(candidates, key=lambda i: (len(rows[i]), i))
-        pv = rows[p][c]
-        prow = rows[p] if pv == 1 else {j: _quotient(x, pv) for j, x in rows[p].items()}
-        rows[p] = prow
+        prow = rows[p]
+        pv = prow[c]
         for i in where[c] - {p}:
             r = rows[i]
             f = r[c]
+            a, f = pv // (g := math.gcd(pv, f)), f // g
+            if a != 1:
+                for j in r:
+                    r[j] *= a
             for j, y in prow.items():
                 v = r.get(j)
                 if v is None:
@@ -478,15 +496,20 @@ def _reduce(rows: list, ncols: int):
                     else:
                         del r[j]
                         where[j].discard(i)
+            if a != 1 and (g := math.gcd(*r.values())) != 1:
+                for j in r:
+                    r[j] //= g
         taken.add(p)
         pivot_rows.append(prow)
         pivots.append(c)
     return pivot_rows, pivots
 
 
-def _dense_data(rows: list, ncols: int) -> list:
-    """The row-major entries of exact sparse rows, zeros filled in."""
-    return [x for r in rows for x in (r.get(j, 0) for j in range(ncols))]
+def _dense_data(rows: list, pivots: list, cols) -> list:
+    """The row-major entries, at the columns cols, of the reduced rows that
+    the pivot rows of `_reduce` stand for: each row divided by its entry at
+    its pivot, zeros filled in."""
+    return [x for r, c in zip(rows, pivots) for x in (_quotient(r[j], r[c]) if j in r else 0 for j in cols)]
 
 
 def rref(m: Mat):
@@ -500,14 +523,21 @@ def rref(m: Mat):
     increasing list of pivot columns.
     """
     pivot_rows, pivots = _reduce(_exact_rows(m, "rref"), m.cols)
-    data = _dense_data(pivot_rows, m.cols) + [0] * ((m.rows - len(pivots)) * m.cols)
+    data = _dense_data(pivot_rows, pivots, range(m.cols)) + [0] * ((m.rows - len(pivots)) * m.cols)
     return Mat._result(m.rows, m.cols, data, "exact"), pivots
 
 
 def kernel(m: Mat):
-    """The exact null space of m from one elimination: (basis, coords), see
-    `_kernel`."""
-    return _kernel(_exact_rows(m, "kernel"), m.cols)
+    """The exact null space of m from one elimination: (basis, coords), the
+    basis as vectors of canonical exact values (see `_kernel`)."""
+    vecs, coords = _kernel(_exact_rows(m, "kernel"), m.cols)
+    return [_vector(v, s, m.cols) for v, s in vecs], coords
+
+
+def _vector(v: dict, s: int, n: int) -> tuple:
+    """The vector of length n that the integer vector v with scale s stands
+    for, v / s, in canonical exact form."""
+    return tuple(_quotient(v[j], s) if s != 1 and j in v else v.get(j, 0) for j in range(n))
 
 
 def _kernel(rows: list, ncols: int):
@@ -515,13 +545,17 @@ def _kernel(rows: list, ncols: int):
     in ncols unknowns, from one elimination (`_reduce`): (basis, coords).
 
     The basis has one vector per free column: the free column set to 1, the
-    other free columns 0, read off the pivot rows.  So coords(b), the
-    coordinates of b in the basis, are b read at the free columns, and b is
-    in the span iff every reduced pivot row vanishes on b; off the span
+    other free columns 0, read off the pivot rows.  Each is given as a
+    primitive integer vector v ({index: int}, increasing) with its scale s,
+    an int > 0: the basis vector is v / s, so s is v at its free column.
+    coords(b, scale=1), the coordinates in the basis of b / scale, are b
+    read at the free columns, each divided by scale once, and b is in the
+    span iff every pivot row, an integer row, vanishes on b; off the span
     coords returns None.  b is a vector, whose wrong length raises
     ValueError, or a sparse vector ({index: value}, see "sparse vectors"
     below); either way only the pivot rows that meet the support of b are
-    visited.  The rows passed in are consumed.
+    visited, and an integer b is checked in ints.  The rows passed in are
+    consumed.
     """
     pivot_rows, pivots = _reduce(rows, ncols)
     free = sorted(set(range(ncols)) - set(pivots))
@@ -529,17 +563,16 @@ def _kernel(rows: list, ncols: int):
     for t, r in enumerate(pivot_rows):
         for j, x in r.items():
             touched[j].append((t, x))
-    basis = []
+    vecs = []
     for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for t, x in touched[f]:
-            v[pivots[t]] = -x
-        basis.append(tuple(v))
+        # entry -x / den at each pivot column, den the pivot row's entry at its pivot
+        terms = [(pivots[t], x, pivot_rows[t][pivots[t]]) for t, x in touched[f]]
+        s = math.lcm(1, *(den // math.gcd(x, den) for _, x, den in terms))
+        vecs.append((dict(sorted([(c, -x * s // den) for c, x, den in terms] + [(f, s)])), s))
 
     position = {f: p for p, f in enumerate(free)}
 
-    def coords(b):
+    def coords(b, scale=1):
         if isinstance(b, dict):
             support = b.items()
         elif len(b) != ncols:
@@ -553,10 +586,10 @@ def _kernel(rows: list, ncols: int):
                 rb[t] = rb.get(t, 0) + x * y
             p = position.get(j)
             if p is not None:
-                out[p] = y
+                out[p] = y if scale == 1 else _quotient(y, scale)
         return None if any(rb.values()) else tuple(out)
 
-    return basis, coords
+    return vecs, coords
 
 
 def kernel_basis(m: Mat) -> list:
@@ -580,8 +613,7 @@ def mat_inverse(m: Mat):
         pivot_rows, pivots = _reduce(rows, 2 * n)
         if pivots != list(range(n)):
             return None
-        return Mat._result(n, n, _dense_data([{j - n: x for j, x in r.items() if j >= n}
-                                              for r in pivot_rows], n), "exact")
+        return Mat._result(n, n, _dense_data(pivot_rows, pivots, range(n, 2 * n)), "exact")
     rows = [list(m.row(i)) + [1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
     for c in range(n):
         pr = max(range(c, n), key=lambda i: abs(rows[i][c]))
@@ -602,14 +634,15 @@ def solve(m: Mat, b: tuple):
 
     x is read off the null space of [m | -b] (`_kernel`): when the column of
     -b is free it is the last free column, and the last basis vector is
-    (x, 1); when it pivots, every basis vector is 0 there and there is no x."""
+    (x, 1), held as the integer vector (s x, s) with its scale s; when it
+    pivots, every basis vector is 0 there and there is no x."""
     rows = _exact_rows(m, "solve")
     rhs = _KINDS["exact"].entries([b[i] for i in range(m.rows)])
     for r, v in zip(rows, rhs):
         if v:
             r[m.cols] = -v
-    basis = _kernel(rows, m.cols + 1)[0]
-    return basis[-1][:m.cols] if basis and basis[-1][m.cols] else None
+    vecs = _kernel(rows, m.cols + 1)[0]
+    return _vector(*vecs[-1], m.cols) if vecs and m.cols in vecs[-1][0] else None
 
 
 def rank(m: Mat) -> int:

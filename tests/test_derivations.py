@@ -50,6 +50,7 @@ from lie2alg.fixtures import (
     strict_sl2,
     trivial_rep,
 )
+from lie2alg import core, derivations, linalg
 from lie2alg.linalg import AltTensor, Mat, ModeError, basis_vec, rank, solve, vadd, vsub
 
 
@@ -670,6 +671,92 @@ def test_adjoint_homomorphisms_match_their_pinned_digests():
     for name, L in _pinned_algebras():
         got[name] = hashlib.sha256(serialize_element(adbar(L), L).encode()).hexdigest()
     assert got == ADBAR_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# the integer path of the derivation build
+# ---------------------------------------------------------------------------
+
+def _count_fractions(monkeypatch) -> dict:
+    """A counter of Fraction constructions, split by whether an exact
+    division (`linalg._quotient`, which `core` imports too) made them:
+    constructors run __new__, and arithmetic results run __new__ or, from
+    Python 3.12 on, _from_coprime_ints."""
+    counts = {"division": 0, "other": 0}
+    dividing = [False]
+
+    def count(fn):
+        def wrapper(*args, **kwargs):
+            counts["division" if dividing[0] else "other"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def quotient(x, y, _q=linalg._quotient):
+        dividing[0] = True
+        try:
+            return _q(x, y)
+        finally:
+            dividing[0] = False
+
+    monkeypatch.setattr(Fraction, "__new__", count(Fraction.__new__))
+    if "_from_coprime_ints" in vars(Fraction):
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(count(Fraction._from_coprime_ints.__func__)))
+    monkeypatch.setattr(linalg, "_quotient", quotient)
+    monkeypatch.setattr(core, "_quotient", quotient)
+    return counts
+
+
+def test_der_build_on_an_integer_image_makes_no_fraction_but_its_divisions(monkeypatch):
+    # integer structure constants (D = 1): the constraint rows, the kernel,
+    # the bracket table and the coords check all run in ints, and a Fraction
+    # comes only from an exact division by a basis scale, once per
+    # coordinate; skeletal-demo's basis vectors all have scale 1
+    cases = [(name, L) for name, L in _pinned_algebras()
+             if name in ("skeletal-demo", "string-sl3", "endo-id2")]
+    wants = {name: serialize_lie2(build_der_lie2(L).algebra) for name, L in cases}
+    counts = _count_fractions(monkeypatch)
+    in_brackets = []
+    bracket = derivations._bracket_flat
+
+    def counted_bracket(*args):
+        before = counts["division"] + counts["other"]
+        out = bracket(*args)
+        in_brackets.append(counts["division"] + counts["other"] - before)
+        assert all(type(v) is int for v in out.values())
+        return out
+
+    monkeypatch.setattr(derivations, "_bracket_flat", counted_bracket)
+    for name, L in cases:
+        assert L.integer_image()[0] == 1
+        counts.update(division=0, other=0)
+        in_brackets.clear()
+        der = build_der_lie2(Lie2Algebra(L.n0, L.n1, L.d, L.b00, L.b01, L.l3))  # no views yet
+        assert counts["other"] == 0 and in_brackets and not any(in_brackets), name
+        assert (counts["division"] == 0) == (name == "skeletal-demo"), name
+        assert serialize_lie2(der.algebra) == wants[name]
+
+
+def test_one_sweep_of_unit_images_serves_the_build_inn0_and_adbar(monkeypatch):
+    # _dbar_flat runs once per unit map of the Hom basis and _ad_flat once
+    # per basis vector of g_0, however many of the three read them
+    calls = {"_dbar_flat": 0, "_ad_flat": 0}
+    for fn in calls:
+        def counted(*args, _fn=getattr(derivations, fn), _name=fn):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(derivations, fn, counted)
+    L = random_fixture(random.Random(14))
+    der = build_der_lie2(L)
+    inn0_basis(L)
+    inn0_basis(L)
+    adbar(L, der)
+    assert calls == {"_dbar_flat": L.n0 * L.n1, "_ad_flat": L.n0}
+    # an equal algebra built apart is another object, with its own sweep
+    L2 = Lie2Algebra(L.n0, L.n1, L.d, L.b00, L.b01, L.l3)
+    assert L2 == L
+    inn0_basis(L2)
+    assert calls == {"_dbar_flat": 2 * L.n0 * L.n1, "_ad_flat": 2 * L.n0}
 
 
 def test_adbar_refuses_the_derivation_algebra_of_another_algebra():

@@ -20,6 +20,9 @@ from pathlib import Path
 import pytest
 
 from lie2alg.cli import run
+from lie2alg.core import make_endo
+from lie2alg.fileio import serialize_lie2
+from lie2alg.linalg import Mat
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMED = ("abelian", "string-sl2", "endo-1-1", "skeletal-demo")
@@ -74,6 +77,19 @@ def test_golden_report(stem, monkeypatch):
     code, text = run(argv)
     assert code == want_code, text
     assert text == (GOLDEN / f"{stem}.txt").read_text(encoding="utf-8")
+
+
+def test_der_report_of_serialized_endo_id2(tmp_path, monkeypatch):
+    # endo-id2 (4|4, Der 16|16) is the heaviest derive input, and its Der
+    # basis holds Fractions; CI diffs the same report from the installed
+    # script.  The golden file was written before the derivation build ran
+    # in ints, and stays byte for byte.
+    (tmp_path / "endo-id2.lie2").write_text(serialize_lie2(make_endo(Mat.identity(2))),
+                                            encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, text = run(["der", "endo-id2.lie2", "--basis", "--inner", "--classify"])
+    assert code == 0
+    assert text == (GOLDEN / "der-endo-id2.txt").read_text(encoding="utf-8")
 
 
 # sha256 of "NAME SEED CODE\n" + report text of `lie2 check NAME --suite

@@ -18,13 +18,13 @@ def test_scale_table_prints_one_valid_row_per_algebra():
     lines = proc.stdout.splitlines()
     assert len(lines) == 4
     header = [c.strip() for c in lines[0].strip("|").split(" | ")]
-    assert header == ["algebra", "size", "Der size", "build s", "inn0 s", "validate Der s", "ok",
-                      "peak RSS MB"]
+    assert header == ["algebra", "size", "Der size", "build s", "inn0 s", "adbar s",
+                      "validate Der s", "validate hom s", "ok", "peak RSS MB"]
     rows = [[c.strip() for c in line.strip("|").split(" | ")] for line in lines[2:]]
     # Der(string-sl2) is 6|3; Der(endo-id1) is 1|1
-    assert [(r[0], r[1], r[2], r[6]) for r in rows] == [
+    assert [(r[0], r[1], r[2], r[8]) for r in rows] == [
         ("string-sl:2", "3\\|1", "6\\|3", "True"), ("endo-id:1", "1\\|1", "1\\|1", "True")]
-    assert all(float(c) >= 0 for r in rows for c in r[3:6] + r[7:])
+    assert all(float(c) >= 0 for r in rows for c in r[3:8] + r[9:])
 
 
 def test_scale_table_refuses_a_bad_name():

@@ -5,8 +5,9 @@
 
 For each algebra named on the command line it prints one row: the sizes
 of the algebra and of Der(g), the seconds of `build_der_lie2`,
-`inn0_basis` and `validate_lie2(Der)`, whether that validation passed,
-and the peak resident memory.  Names are string-sl:N, the string Lie
+`inn0_basis`, `adbar`, `validate_lie2(Der)` and `validate_hom(adbar)`,
+whether both validations passed, and the peak resident memory.  A row
+times the whole of a derive op of the benchmark but for parsing.  Names are string-sl:N, the string Lie
 2-algebra of sl_N (`core.make_string(fixtures.sl_structure(N))`, N >= 2),
 and endo-id:N, the endomorphism Lie 2-algebra of the identity on Q^N
 (`core.make_endo(Mat.identity(N))`, N >= 1).
@@ -42,7 +43,8 @@ def parse_name(name: str):
 
 
 def measure(name: str) -> dict:
-    """Build, reduce and validate one algebra in this process."""
+    """Build, reduce and validate one algebra in this process, in the order
+    of a derive op."""
     sys.path.insert(0, str(ROOT / "src"))
     from lie2alg import core, derivations, fixtures, linalg
 
@@ -57,10 +59,14 @@ def measure(name: str) -> dict:
     t1 = perf_counter()
     derivations.inn0_basis(L)
     t2 = perf_counter()
-    ok = core.validate_lie2(der.algebra).ok
+    ad = derivations.adbar(L, der)
     t3 = perf_counter()
+    ok = core.validate_lie2(der.algebra).ok
+    t4 = perf_counter()
+    ok = core.validate_hom(ad).ok and ok
+    t5 = perf_counter()
     row.update(der_size=f"{der.algebra.n0}\\|{der.algebra.n1}", build_s=t1 - t0, inn0_s=t2 - t1,
-               validate_s=t3 - t2, ok=ok,
+               adbar_s=t3 - t2, validate_s=t4 - t3, validate_hom_s=t5 - t4, ok=ok,
                peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     return row
 
@@ -78,20 +84,22 @@ def main(argv: list) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print("| algebra | size | Der size | build s | inn0 s | validate Der s | ok | peak RSS MB |")
-    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
+    print("| algebra | size | Der size | build s | inn0 s | adbar s | validate Der s | validate hom s "
+          "| ok | peak RSS MB |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     status = 0
     for name in argv:
         proc = subprocess.run([sys.executable, __file__, "--one", name],
                               capture_output=True, text=True)
         if proc.returncode != 0:
-            print(f"| {name} | failed (exit {proc.returncode}) | | | | | False | |")
+            print(f"| {name} | failed (exit {proc.returncode}) | | | | | | | False | |")
             print(proc.stderr, file=sys.stderr, end="")
             status = 1
             continue
         r = json.loads(proc.stdout.splitlines()[-1])
         print(f"| {r['algebra']} | {r['size']} | {r['der_size']} | {r['build_s']:.3f} "
-              f"| {r['inn0_s']:.3f} | {r['validate_s']:.3f} | {r['ok']} | {r['peak_rss_mb']:.0f} |")
+              f"| {r['inn0_s']:.3f} | {r['adbar_s']:.3f} | {r['validate_s']:.3f} "
+              f"| {r['validate_hom_s']:.3f} | {r['ok']} | {r['peak_rss_mb']:.0f} |")
         if not r["ok"]:
             status = 1
     return status
