@@ -457,13 +457,12 @@ def validate_hom(A: Lie2Hom) -> ResidualReport:
     order of the dense evaluation on unit vectors, so values and witnesses
     are those of that evaluation (floats bit for bit).
 
-    Law ii runs for each i at every a, in the shape of `validate_lie2`:
-    each [e_m, A1 e_a] is formed once for every m that a column of A0
-    reaches, and each term of the law is its own sum, added in the law's
-    order.  Law iii runs per triple: each of its terms [A0 e_x, A2(e_y, e_z)]
-    and A2([e_x, e_y], e_z) occurs in one triple only, and tables of them
-    over every m and pair did more products than the triples on the adjoint
-    homomorphism, whose columns of A0 have disjoint supports.
+    Every law runs per index tuple, as one `sparse_sum` of its terms.  Law
+    ii on (i, a) adds A1 [e_i, e_a], -[A0 e_i, A1 e_a] (`_bracket01`) and
+    -A2(e_i, d e_a).  Tables of the terms over every index, in the shape of
+    `validate_lie2`, saved about 0.3% of a derive pass: the adjoint
+    homomorphism's columns of A0 have disjoint supports, so each term
+    occurs in one tuple only.
     """
     src, tgt = A.source, A.target
     sd, sb00, sb01, sl3 = src.sparse()
@@ -481,15 +480,12 @@ def validate_hom(A: Lie2Hom) -> ResidualReport:
                        (-1, sparse_apply(td, a2.get((i, j), SPARSE_ZERO))))
         acc["i"].add(r.values(), (i, j))
 
-    # law ii for each i at every a, each term its own sum, added in the law's order
-    cols1, dv = dict(enumerate(a1)), dict(enumerate(sd))
-    ta1 = {m: _apply(dict(enumerate(tb01[m])), cols1) for m in set().union(*a0)}  # [e_m, A1 e_a]
-    a2from = [{m: v for (k, m), v in a2.items() if k == i} for i in range(src.n0)]  # A2(e_i, e_m)
-    for i in range(src.n0):
-        r = _apply(cols1, dict(enumerate(sb01[i])))  # A1 [e_i, e_a]
-        _add_into(r, -1, _br_all(a0[i], ta1))  # [A0 e_i, A1 e_a]
-        _add_into(r, -1, _apply(a2from[i], dv))  # A2(e_i, d e_a)
-        _record(acc["ii"], r, (i,))
+    for i, a in itertools.product(range(src.n0), range(src.n1)):
+        r = sparse_sum((1, sparse_apply(a1, sb01[i][a])),
+                       (-1, _bracket01(tb01, a0[i], a1[a])),
+                       (-1, sparse_comb((x, a2.get((i, m), SPARSE_ZERO))  # A2(e_i, d e_a)
+                                        for m, x in sd[a].items())))
+        acc["ii"].add(r.values(), (i, a))
 
     for i, j, k in itertools.combinations(range(src.n0), 3):
         terms = []

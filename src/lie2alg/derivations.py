@@ -189,21 +189,12 @@ def _der0_condition_vectors(L: Lie2Algebra, sp, x0: list, x1: list, lx: dict) ->
     one vector, X0 d - d X1 row-major.  Sums run over the nonzero constants
     of L and entries of the parts only; the entries of the parts need +,
     unary - and products with scalars, so they may be linear forms.  A sum
-    over the entries m of a column of X0 visits only the m where the
-    constant it meets is nonzero, by increasing m (`comb`).
+    over the entries m of a column of X0 walks them by increasing m and
+    reads each constant by key from sp; a missing constant is the empty
+    vector, which adds nothing.
     """
     n0, n1 = L.n0, L.n1
     d, b00, b01, l3 = sp
-    at_a = [{m: cols[a] for m, cols in enumerate(b01) if cols[a]} for a in range(n1)]  # [e_m, e_a]
-    left, right, l3_at = {}, {}, {}
-    for (i, j), v in b00.items():
-        left.setdefault(i, {})[j] = right.setdefault(j, {})[i] = v  # [e_i, e_j]
-    for (m, y, z), v in l3.items():
-        l3_at.setdefault((y, z), {})[m] = v
-
-    def comb(u, vecs):  # the sum of u[m] vecs[m] over the m both hold, by increasing m
-        return sparse_comb((u[m], vecs[m]) for m in sorted(u.keys() & vecs.keys()))
-
     chain = {}
     for a in range(n1):
         col = sparse_sum((1, sparse_apply(x0, d[a])), (-1, sparse_apply(d, x1[a])))
@@ -215,8 +206,8 @@ def _der0_condition_vectors(L: Lie2Algebra, sp, x0: list, x1: list, lx: dict) ->
         r = sparse_sum(
             (1, sparse_apply(d, lx.get((i, j), SPARSE_ZERO))),
             (-1, sparse_apply(x0, b00.get((i, j), SPARSE_ZERO))),
-            (1, comb(x0[i], right.get(j, SPARSE_ZERO))),
-            (1, comb(x0[j], left.get(i, SPARSE_ZERO))))
+            (1, sparse_comb((x, b00.get((m, j), SPARSE_ZERO)) for m, x in sorted(x0[i].items()))),
+            (1, sparse_comb((x, b00.get((i, m), SPARSE_ZERO)) for m, x in sorted(x0[j].items()))))
         cond_a.append((r, (i, j)))
 
     cond_b = []
@@ -225,7 +216,7 @@ def _der0_condition_vectors(L: Lie2Algebra, sp, x0: list, x1: list, lx: dict) ->
             r = sparse_sum(
                 (1, sparse_comb((x, lx.get((i, m), SPARSE_ZERO)) for m, x in sorted(d[a].items()))),
                 (-1, sparse_apply(x1, b01[i][a])),
-                (1, comb(x0[i], at_a[a])),
+                (1, sparse_comb((x, b01[m][a]) for m, x in sorted(x0[i].items()))),
                 (1, sparse_apply(b01[i], x1[a])))
             cond_b.append((r, (i, a)))
 
@@ -237,7 +228,8 @@ def _der0_condition_vectors(L: Lie2Algebra, sp, x0: list, x1: list, lx: dict) ->
                 (-1, sparse_comb((v, lx.get((x, m), SPARSE_ZERO))
                                  for m, v in sorted(b00.get((y, z), SPARSE_ZERO).items()))),
                 (-1, sparse_apply(b01[x], lx.get((y, z), SPARSE_ZERO))),
-                (-1, comb(x0[x], l3_at.get((y, z), SPARSE_ZERO)))]
+                (-1, sparse_comb((v, l3.get((m, y, z), SPARSE_ZERO))
+                                 for m, v in sorted(x0[x].items())))]
         cond_c.append((sparse_sum(*terms), (i, j, k)))
 
     return {"chain": (n0 * n1, [(chain, None)]), "a": (n0, cond_a),
@@ -377,23 +369,21 @@ def _lower_pairs(L: Lie2Algebra, sp, th: list, a: list, c: list) -> dict:
     is nonzero: the 2-component of `dbar` (a = I, c = 0) and of the twist
     `automorphisms.twist_hom` (a = A0, c = d tau).  Every term has a
     factor theta, so a pair is skipped when columns i and j of theta are
-    zero and [e_i, e_j] misses the nonzero columns.  The brackets [u, w]
-    with u in g_0 and w in g_{-1} are `core._bracket01`.  Sums run over nonzero
-    terms in the order of the dense evaluation on unit vectors, so float
-    results are those sums bit for bit.  sp holds the structure constants
-    read (see `_der0_condition_vectors`)."""
+    zero and [e_i, e_j] misses the nonzero columns; the four terms of a
+    pair it keeps are one `sparse_sum`, a bracket with an empty column of
+    theta being the empty vector.  The brackets [u, w] with u in g_0 and w
+    in g_{-1} are `core._bracket01`.  Sums run over nonzero terms in the
+    order of the dense evaluation on unit vectors, so float results are
+    those sums bit for bit.  sp holds the structure constants read (see
+    `_der0_condition_vectors`)."""
     _, b00, b01, _ = sp
     support = {m for m, col in enumerate(th) if col}
     out = {}
     for i, j in itertools.combinations(range(L.n0), 2):
         bij = b00.get((i, j), SPARSE_ZERO)
         if th[i] or th[j] or not support.isdisjoint(bij):
-            terms = [(1, sparse_apply(th, bij))]  # a bracket with a zero column of theta is left out
-            if th[j]:
-                terms.append((-1, _bracket01(b01, a[i], th[j])))
-            if th[i]:
-                terms += [(1, _bracket01(b01, a[j], th[i])), (1, _bracket01(b01, c[j], th[i]))]
-            r = sparse_sum(*terms)
+            r = sparse_sum((1, sparse_apply(th, bij)), (-1, _bracket01(b01, a[i], th[j])),
+                           (1, _bracket01(b01, a[j], th[i])), (1, _bracket01(b01, c[j], th[i])))
             if r:
                 out[i, j] = r
     return out
@@ -487,9 +477,8 @@ def _action(a: _Sparse0, w: dict, keys, zero) -> dict:
     and keys are its stored keys (see `lie_cochain_action`).  The vectors
     of `sparse_columns` and `sparse_alt` hold their indices in increasing
     order, so iterating them runs each sum by increasing index.  A pair
-    with X0 = 0 and X1 = 0 acts as zero: no key is formed."""
-    if not (any(a.x0) or any(a.x1)):
-        return {}
+    with X0 = 0 and X1 = 0 forms an empty value at each stored key of
+    omega, which its callers drop as zero."""
     reached = set(keys)
     for key in keys:
         for t, m in enumerate(key):

@@ -96,7 +96,7 @@ class ExpConfig:
     degree and squarings `linalg.truncated_exp` takes from the norm (a
     smaller cap costs more squarings); a float identity passes within
     `tol`; `fd_step` is the step of the bracket-recovery finite
-    differences.  `order` runs from 1 to sys.maxsize, the largest cap a
+    differences.  `order` is an int from 1 to sys.maxsize, the largest cap a
     series can be planned for.  `tol` and `fd_step` must be finite and
     positive, and 1/fd_step^2 a finite positive float too (fd_step from
     about 7.5e-155 to 1.3e154): the estimate at the half step h/2 divides
@@ -108,6 +108,8 @@ class ExpConfig:
     fd_step: float = 1e-3
 
     def __post_init__(self):
+        if not isinstance(self.order, int):
+            raise ValueError(f"order must be an int, got order={self.order!r}")
         # written so that NaN fails every comparison and is refused
         if self.order < 1 or not (0 < self.tol < math.inf and 0 < self.fd_step < math.inf):
             raise ValueError("order >= 1 and finite tol > 0 and fd_step > 0 required, "

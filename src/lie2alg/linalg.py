@@ -730,7 +730,7 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     m <= `order` whose truncation bound at x / 2^s is at most 2^-53; m
     terms of the series are summed at t / 2^s and the result is squared s
     times.  `order` caps the degree: a smaller cap costs more squarings, and
-    one outside 1 to sys.maxsize raises ValueError.  At
+    one that is no int or lies outside 1 to sys.maxsize raises ValueError.  At
     the default 24 the series is summed up to x / 2^s <= theta_24 (about
     2.14), so a small x costs a few terms and no squaring.  A norm x of
     2^1023 or more (2x is not finite, a NaN included) raises ValueError,
@@ -745,8 +745,8 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     """
     if m.rows != m.cols:
         raise ValueError("square matrix required")
-    if not 1 <= order <= sys.maxsize:
-        raise ValueError(f"order must be from 1 to sys.maxsize = {sys.maxsize}, got {order}")
+    if not (isinstance(order, int) and 1 <= order <= sys.maxsize):
+        raise ValueError(f"order must be from 1 to sys.maxsize = {sys.maxsize}, an int, got {order!r}")
     size, mode, s = m.rows, m.mode, 0
     kind, exact = _KINDS[mode], mode == "exact"
     if not exact:
@@ -891,9 +891,12 @@ class AltTensor:
         return vzero(self.codim, self.mode)
 
     def eval_basis(self, *indices) -> tuple:
-        """Value on basis indices, with the sign of the sorting permutation."""
+        """Value on basis indices, with the sign of the sorting permutation;
+        an index outside range(dim) raises ValueError."""
         if len(indices) != self.arity:
             raise ValueError("arity mismatch")
+        if not all(0 <= i < self.dim for i in indices):
+            raise ValueError(f"index outside range({self.dim}): {indices}")
         if len(set(indices)) != len(indices):
             return self._zero_vec()
         order = sorted(range(len(indices)), key=lambda i: indices[i])
@@ -906,9 +909,12 @@ class AltTensor:
 
     def eval(self, *vectors) -> tuple:
         """Multilinear alternating evaluation on length-`dim` vectors:
-        `sparse_eval` on their supports."""
+        `sparse_eval` on their supports.  A vector of another length raises
+        ValueError, as in `Mat.apply`."""
         if len(vectors) != self.arity:
             raise ValueError("arity mismatch")
+        if any(len(v) != self.dim for v in vectors):
+            raise ValueError("vector length mismatch")
         if not vectors:
             return self.entries.get((), self._zero_vec())
         r = sparse_eval(self, *({i: x for i, x in enumerate(v) if x} for v in vectors))

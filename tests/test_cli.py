@@ -221,6 +221,19 @@ def test_check_suites_pass_on_string():
         assert "RESULT PASS" in text
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "degree -1 bracket recovery fails on serialized endo-id2 at seed 2: bracket_recover_degM1[0] "
+    "reads 2.9e-4 against the tolerance 1e-4, the O(h^2) error of the central difference; "
+    "ROADMAP item 21 replaces the probe with exact lines, and then this marker must go"))
+def test_bracket_recovery_passes_on_serialized_endo_id2_at_seed_2(tmp_path, monkeypatch):
+    (tmp_path / "endo-id2.lie2").write_text(serialize_lie2(make_endo(Mat.identity(2))),
+                                            encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, text = run(["check", "endo-id2.lie2", "--suite", "bracket-recovery", "--samples", "2",
+                      "--seed", "2"])
+    assert code == 0, text
+
+
 def test_check_seed_reproducible():
     args = ["check", "string-sl2", "--suite", "conjugation", "--samples", "2", "--seed", "5"]
     code1, text1 = run(args)

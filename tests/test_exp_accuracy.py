@@ -227,3 +227,11 @@ def test_conjugation_exponentials_of_the_found_case_match_the_plain_series(monke
 def test_order_below_one_raises(order):
     with pytest.raises(ValueError, match="order"):
         truncated_exp(Mat.from_rows([[1.0]]), 1, order)
+
+
+@pytest.mark.parametrize("order", [2.5, 24.0, "3", None])
+@pytest.mark.parametrize("data", [[[1.0]], [[0, 1], [0, 0]]], ids=["float", "exact"])
+def test_an_order_that_is_no_int_raises(order, data):
+    # a float order would reach range() in `_taylor_plan`, a string a comparison
+    with pytest.raises(ValueError, match=f"order must be from 1 to sys.maxsize = {sys.maxsize}, an int"):
+        truncated_exp(Mat.from_rows(data), 1, order)

@@ -113,6 +113,13 @@ def test_exp_config_requires_an_order_of_at_most_sys_maxsize(order):
     assert ExpConfig(order=sys.maxsize).order == sys.maxsize
 
 
+@pytest.mark.parametrize("order", [2.5, 24.0, "3", math.nan])
+def test_exp_config_requires_an_int_order(order):
+    # refused where it is given, not later in the float plan's range()
+    with pytest.raises(ValueError, match=re.escape(f"order must be an int, got order={order!r}")):
+        ExpConfig(order=order)
+
+
 @pytest.mark.parametrize("fd_step", [1e-160, 1e-200, 5e-324, 1e155, 1e300])
 def test_exp_config_requires_a_finite_positive_inverse_square_step(fd_step):
     # the half-step bracket estimate divides by 4 (h/2)^2 = h^2, which

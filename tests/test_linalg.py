@@ -420,6 +420,22 @@ def test_alt_tensor_arity_zero():
     assert AltTensor.zero(0, 3, 2).eval() == (0, 0)
 
 
+@pytest.mark.parametrize("vectors", [((1, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0, 5)), ((), ())])
+def test_alt_tensor_eval_rejects_a_vector_of_another_length(vectors):
+    # as `Mat.apply` does: a stray coordinate must not be read or dropped silently
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        AltTensor(2, 3, 1, {(0, 1): (1,)}).eval(*vectors)
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        AltTensor.zero(2, 3, 1, "float").eval(*vectors)
+
+
+@pytest.mark.parametrize("indices", [(0, 7), (-1, 1), (3, 0), (0, 3)])
+def test_alt_tensor_eval_basis_rejects_an_index_outside_the_domain(indices):
+    with pytest.raises(ValueError, match=r"index outside range\(3\)"):
+        AltTensor(2, 3, 1, {(0, 1): (1,)}).eval_basis(*indices)
+    assert AltTensor(2, 3, 1, {(0, 1): (1,)}).eval_basis(2, 0) == (0,)
+
+
 # ---------------------------------------------------------------------------
 # support-aware kernels against dense references
 # ---------------------------------------------------------------------------
