@@ -185,18 +185,18 @@ def check_crossed_module(L: Lie2Algebra, auts, taus) -> list:
 
     Equivariance compares partial(A |> tau) with A partial(tau) A^{-1};
     Peiffer compares partial(tau) |> tau' with tau * tau' * tau^{-1}.
+    Each unit's partial(tau) and star inverse tau^{-1} are formed once,
+    before both loops, and every pair reads them.
     Returns (name, residual) pairs, one per sample.
     """
+    units = [(t, partial(L, t), tau_inverse(L, t)) for t in taus]
     out = []
-    for s, (A, t) in enumerate(itertools.product(auts, taus)):
+    for s, (A, (t, pt, _)) in enumerate(itertools.product(auts, units)):
         lhs = partial(L, act(L, A, t)).hom
-        rhs = conjugate_hom(A, partial(L, t).hom)
-        out.append((f"equivariance[{s}]", hom_distance(lhs, rhs)))
-    for s, (t1, t2) in enumerate(itertools.product(taus, taus)):
-        lhs = act(L, partial(L, t1), t2)
-        t1i = tau_inverse(L, t1)
+        out.append((f"equivariance[{s}]", hom_distance(lhs, conjugate_hom(A, pt.hom))))
+    for s, ((t1, pt1, t1i), (t2, _, _)) in enumerate(itertools.product(units, units)):
         rhs = star(L, star(L, t1, t2), t1i)
-        out.append((f"peiffer[{s}]", tau_distance(lhs, rhs)))
+        out.append((f"peiffer[{s}]", tau_distance(act(L, pt1, t2), rhs)))
     return out
 
 

@@ -165,9 +165,9 @@ class Lie2Algebra:
 
     def view(self, build):
         """build(self), computed on first use and kept on this object: the
-        views `sparse` and `integer_image`, and the unit images of
-        `derivations`.  An algebra is immutable, so a view never goes stale;
-        an equal algebra built apart computes its own."""
+        views `sparse` and `integer_image`, the float copy `to_float`, and
+        the unit images of `derivations`.  An algebra is immutable, so a view
+        never goes stale; an equal algebra built apart computes its own."""
         views = self._views
         return views[build] if build in views else views.setdefault(build, build(self))
 
@@ -186,8 +186,10 @@ class Lie2Algebra:
         return self.view(_integer_image)
 
     def to_float(self) -> "Lie2Algebra":
-        """L in float mode: L itself when float."""
-        return scalar_kind(self.mode).to_float(self, Lie2Algebra._float_copy)
+        """L in float mode: L itself when float; an exact L builds its float
+        copy once, as a view (`view`), so every float identity on L shares
+        that copy and its own views."""
+        return scalar_kind(self.mode).to_float(self, lambda L: L.view(Lie2Algebra._float_copy))
 
     def _float_copy(self) -> "Lie2Algebra":
         return Lie2Algebra(self.n0, self.n1, self.d.to_float(), self.b00.to_float(),
@@ -521,15 +523,17 @@ def hom_distance(A: Lie2Hom, B: Lie2Hom):
 
 def lie_ad_matrices(sc: AltTensor) -> list:
     """Adjoint matrices of a Lie algebra given by structure constants."""
-    n = sc.dim
-    return [Mat.from_cols([sc.eval_basis(i, j) for j in range(n)], n) for i in range(n)]
+    n, kind = sc.dim, scalar_kind(sc.mode)
+    # the rows of ad_i^T are the columns [e_i, e_j]
+    return [Mat._result(n, n, kind.entries(x for j in range(n) for x in sc.eval_basis(i, j)),
+                        sc.mode).transpose() for i in range(n)]
 
 
 def killing_form(sc: AltTensor) -> Mat:
     """K(x, y) = trace(ad_x ad_y); symmetric."""
-    ads = lie_ad_matrices(sc)
-    n = sc.dim
-    return Mat.from_rows([[(ads[i] @ ads[j]).trace() for j in range(n)] for i in range(n)])
+    ads, n = lie_ad_matrices(sc), sc.dim
+    traces = ((ads[i] @ ads[j]).trace() for i in range(n) for j in range(n))
+    return Mat._result(n, n, scalar_kind(sc.mode).entries(traces), sc.mode)
 
 
 def make_string(sc: AltTensor) -> Lie2Algebra:

@@ -304,7 +304,8 @@ def _conj_der0(L: Lie2Algebra, cfg: ExpConfig, A: Aut0, D: Derivation0, E: Deriv
 def _theta_from_a2(L: Lie2Algebra, A: Aut0, x: tuple) -> DerM1:
     """The degree -1 map y |-> A2(x, A0^{-1} y)."""
     cols = [A.hom.A2.eval(x, A.a0_inv.col(j)) for j in range(L.n0)]
-    return DerM1(Mat.from_cols(cols, L.n1))
+    entries = scalar_kind(A.mode).entries(c[i] for i in range(L.n1) for c in cols)
+    return DerM1(Mat._result(L.n1, L.n0, entries, A.mode))
 
 
 def _conj_tau_der(L: Lie2Algebra, cfg: ExpConfig, D: Derivation0, tau: Tau):
@@ -368,18 +369,16 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
         # (i) A e^D A^{-1} = e^{Ad(A) D}
         out.append((f"conj0[{idx}]", *_conj_der0(L, cfg, A, D, ad_conjugate(L, A, D))))
 
-        # (ii) tau * e^theta * tau^{-1} = e^{(I + tau d) theta (I + d tau)^{-1}};
-        # here and in (iii) the conjugated theta d is similar to theta d, so
-        # T alone decides the mode
-        mode, Lm, (Tm, adT, taum) = _joint_mode(L, (T,), ad_conjugate(L, tau, T), tau)
-        lhs_t = star(Lm, star(Lm, taum, _derM1_exp(Lm, Tm, 1, cfg)), tau_inverse(Lm, taum))
-        out.append((f"conj_m1[{idx}]", tau_distance(lhs_t, _derM1_exp(Lm, adT, 1, cfg)), mode))
-
-        # (iii) A |> e^theta = e^{A1 theta A0^{-1}}
+        # (ii) tau * e^theta * tau^{-1} = e^{(I + tau d) theta (I + d tau)^{-1}}
+        # and (iii) A |> e^theta = e^{A1 theta A0^{-1}}, in one mode and from
+        # one e^theta: the conjugated theta d is similar to theta d, and A
+        # and tau are exact, so T alone decides the mode
         actT = ad_conjugate(L, A, T)
-        mode, Lm, (Tm, actTm, Am) = _joint_mode(L, (T,), actT, A)
-        lhs_t = act(Lm, Am, _derM1_exp(Lm, Tm, 1, cfg))
-        out.append((f"act_exp[{idx}]", tau_distance(lhs_t, _derM1_exp(Lm, actTm, 1, cfg)), mode))
+        mode, Lm, (Tm, adT, taum, actTm, Am) = _joint_mode(L, (T,), ad_conjugate(L, tau, T), tau, actT, A)
+        eT = _derM1_exp(Lm, Tm, 1, cfg)
+        lhs_t = star(Lm, star(Lm, taum, eT), tau_inverse(Lm, taum))
+        out.append((f"conj_m1[{idx}]", tau_distance(lhs_t, _derM1_exp(Lm, adT, 1, cfg)), mode))
+        out.append((f"act_exp[{idx}]", tau_distance(act(Lm, Am, eT), _derM1_exp(Lm, actTm, 1, cfg)), mode))
 
         # (iv) tau * (e^D |> tau^{-1}) = sigma e^{-X0}
         Dc = (_nilpotent_draw(rng, nilpotent) if nilpotent

@@ -217,6 +217,18 @@ def test_killing_form_abelian_zero():
     assert killing_form(abelian_structure(3)).is_zero()
 
 
+def test_killing_form_and_ad_matrices_keep_the_mode_of_their_input():
+    # a 0-dimensional algebra gives empty data, which holds no entry to read
+    # a mode from; the input's mode decides, and exact entries stay canonical
+    for mode in ("exact", "float"):
+        assert killing_form(AltTensor.zero(2, 0, 0, mode)).mode == mode
+    sc = sl2_structure()
+    K = killing_form(sc)
+    assert all(type(x) is int for x in K.data)
+    assert killing_form(sc.to_float()).data == K.to_float().data
+    assert [m.mode for m in lie_ad_matrices(sc.to_float())] == ["float"] * 3
+
+
 def test_make_string_l3_value():
     L = fix_str()
     # l3(h, e, f) = K([h,e], f) = 2 K(e, f) = 8
@@ -315,6 +327,16 @@ def test_float_copies_are_float_in_every_tensor():
         assert Lf.mode == "float"
         assert {v.mode for v in (Lf.d, Lf.b00, Lf.l3, *Lf.b01)} == {"float"}
         assert hom_identity(Lf).A2.mode == "float"
+
+
+def test_float_copy_is_built_once_with_its_views():
+    # every float identity on an exact L reads one float copy, and so one
+    # sparse view and integer image of it; a float L is its own copy
+    L = fix_end()
+    Lf = L.to_float()
+    assert L.to_float() is Lf and Lf.to_float() is Lf
+    assert L.to_float().sparse() is Lf.sparse()
+    assert L.to_float().integer_image() is Lf.integer_image()
 
 
 def test_algebra_rejects_zero_tensors_of_the_other_mode():

@@ -92,6 +92,21 @@ def test_der_report_of_serialized_endo_id2(tmp_path, monkeypatch):
     assert text == (GOLDEN / "der-endo-id2.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("suite", ["crossed-module", "conjugation"])
+def test_check_reports_of_serialized_endo_id2(suite, tmp_path, monkeypatch):
+    # on endo-id2 d != 0, so I + d tau != I and tau^{-1} != -tau: the
+    # crossed-module report reads each unit's partial(tau) and tau^{-1}
+    # shared by every pair, and the float conj_m1 and act_exp lines of the
+    # conjugation report share one e^theta, bit for bit.  CI diffs the same
+    # reports from the installed script.
+    (tmp_path / "endo-id2.lie2").write_text(serialize_lie2(make_endo(Mat.identity(2))),
+                                            encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, text = run(["check", "endo-id2.lie2", "--suite", suite, "--samples", "2", "--seed", "1"])
+    assert code == 0
+    assert text == (GOLDEN / f"check-{suite}-endo-id2.txt").read_text(encoding="utf-8")
+
+
 # sha256 of "NAME SEED CODE\n" + report text of `lie2 check NAME --suite
 # conjugation --samples 2 --seed SEED`, for NAME in NAMED and SEED = 1..40 in
 # that order: the sampled pairs of the conjugation suite, and so every line

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import lie2alg.automorphisms as automorphisms
 import lie2alg.integration as integration
 import lie2alg.linalg as linalg
 from lie2alg.automorphisms import (
@@ -14,6 +15,7 @@ from lie2alg.automorphisms import (
     ad_conjugate,
     aut_compose,
     aut_identity,
+    check_crossed_module,
     semidirect_multiply,
     star,
     tau_distance,
@@ -45,6 +47,7 @@ from lie2alg.fixtures import (
     rand_mat,
     random_fixture,
     skeletal_demo,
+    sl2_structure,
     sl_structure,
     strict_sl2,
 )
@@ -77,7 +80,7 @@ from lie2alg.linalg import (
     vadd,
     vsub,
 )
-from lie2alg.core import make_endo, make_string
+from lie2alg.core import make_endo, make_skeletal, make_string
 
 
 SMALL = (8, 16)  # denominators keeping series norms inside the N = 24 budget
@@ -453,15 +456,15 @@ def test_recover_bracket_from_squares_is_at_the_rounding_floor_of_the_direct_ste
         assert der0_distance(squared, direct) <= 4 * floor, label
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, module=integration):
     calls = []
-    original = getattr(integration, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(integration, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -485,6 +488,37 @@ def test_recover_bracket_m1_builds_four_exponentials_and_no_inverse(monkeypatch)
     products = _counting(monkeypatch, "star")
     recover_bracket_m1(L, T1, T2)
     assert (len(exps), len(inverses), len(products)) == (4, 0, 8)
+
+
+def test_crossed_module_check_forms_each_unit_image_and_inverse_once(monkeypatch):
+    # partial(tau) and tau^{-1} once per unit, partial(A |> tau) once per
+    # pair; on endo-id2 I + d tau != I and tau^{-1} != -tau
+    rng = random.Random(92)
+    L = make_endo(Mat.identity(2))
+    auts = [random_aut0(L, rng) for _ in range(2)]
+    taus = [_random_invertible_tau(L, rng) for _ in range(2)]
+    partials = _counting(monkeypatch, "partial", automorphisms)
+    inverses = _counting(monkeypatch, "tau_inverse", automorphisms)
+    assert [r for _, r in check_crossed_module(L, auts, taus)] == [0] * 8
+    assert (len(partials), len(inverses)) == (2 + 2 * 2, 2)
+
+
+def test_conjugation_sample_builds_e_theta_once_for_conj_m1_and_act_exp(monkeypatch):
+    exps = _counting(monkeypatch, "_derM1_exp")
+    modes = {name.split("[")[0]: mode
+             for name, _, mode in check_conjugation_identities(fix_end(), random.Random(93), samples=1)}
+    # e^theta, and the right sides e^{Ad(tau) theta} and e^{A1 theta A0^{-1}}
+    assert len(exps) == 3
+    assert modes["conj_m1"] == modes["act_exp"]
+
+
+def test_theta_from_a2_keeps_the_float_mode_without_degree_m1():
+    # n1 = 0: no entry could tell the mode, so the float algebra decides it
+    L = make_skeletal(sl2_structure().to_float(), [Mat.zero(0, 0, "float")] * 3,
+                      AltTensor.zero(3, 3, 0, "float"))
+    theta = integration._theta_from_a2(L, aut_identity(L), (Fraction(1, 8),) * 3)
+    assert theta.theta.mode == "float"
+    assert dbar(L, theta).X0.mode == "float"
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +657,7 @@ def test_ad_tau_der0_matches_first_order_conjugation():
     # conjugated pair; this is the full content of the conjugation formula
     # for general (non-commuting) draws
     rng = random.Random(95)
-    from lie2alg.core import make_endo, make_string
+    from lie2alg.core import make_endo, make_skeletal, make_string
     for L in (fix_str(), make_endo(Mat.from_rows([[1], [0]]))):
         basis = compute_der0_basis(L)
         for _ in range(3):
