@@ -157,26 +157,22 @@ def _suite_bracket_recovery(L, rng, args, cfg):
     basis = compute_der0_basis(L)
     fd_tol = 1e-4
     for i in range(args.samples):
-        D1 = random_der0(L, rng, basis)
-        D2 = random_der0(L, rng, basis)
-        # the exact bracket, taken once for both steps
-        want = graded_bracket(L, D1, D2).to_float()
-        R1, R2 = recover_bracket(L, D1, D2, cfg)
-        # Richardson: (4 R(h/2) - R(h)) / 3 cancels the h^2 term of the error
-        richardson = (R2.scale(4.0) - R1).scale(1.0 / 3.0)
-        out.append(ReportLine(f"bracket_recover[{i}]", der0_distance(richardson, want),
-                              "float", fd_tol))
-        r1, r2 = der0_distance(R1, want), der0_distance(R2, want)
-        if r2 > 1e-9:
-            # halving h must cut the residual by about 4 (second order)
-            out.append(ReportLine(f"bracket_convergence[{i}]", abs(r1 / r2 - 4.0),
-                                  "float", 0.5))
-        T1 = random_derM1(L, rng)
-        T2 = random_derM1(L, rng)
-        got = recover_bracket_m1(L, T1, T2, cfg)
-        want = graded_bracket(L, T1, T2).to_float()
-        out.append(ReportLine(f"bracket_recover_degM1[{i}]",
-                              mat_distance(got.theta, want.theta), "float", fd_tol))
+        for suffix, recover, distance, x, y in (
+                ("", recover_bracket, der0_distance,
+                 random_der0(L, rng, basis), random_der0(L, rng, basis)),
+                ("_degM1", recover_bracket_m1, lambda a, b: mat_distance(a.theta, b.theta),
+                 random_derM1(L, rng), random_derM1(L, rng))):
+            want = graded_bracket(L, x, y).to_float()
+            R1, R2 = recover(L, x, y, cfg)
+            # Richardson: (4 R(h/2) - R(h)) / 3 cancels the h^2 term of the error
+            richardson = (R2.scale(4.0) - R1).scale(1.0 / 3.0)
+            out.append(ReportLine(f"bracket_recover{suffix}[{i}]", distance(richardson, want),
+                                  "float", fd_tol))
+            r1, r2 = distance(R1, want), distance(R2, want)
+            if r2 > 1e-9:
+                # halving h must cut the residual by about 4 (second order)
+                out.append(ReportLine(f"bracket_convergence{suffix}[{i}]", abs(r1 / r2 - 4.0),
+                                      "float", 0.5))
     return out
 
 
@@ -287,7 +283,7 @@ def _cmd_check(args) -> tuple:
         except ValueError:
             raise ValueError(f"LIE2_SEED must be an integer, got {seed!r}") from None
     L = _load_algebra(args.file)
-    cfg = ExpConfig(order=args.order, tol=args.tol, fd_step=args.fd_step)
+    cfg = ExpConfig(order=args.order, tol=args.tol)
     rng = random.Random(args.seed)
     header = _header("check", args, L)
     header[0] += f" suite={args.suite} samples={args.samples} seed={args.seed}"
@@ -334,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--suite", required=True, choices=SUITES)
     pc.add_argument("--samples", type=int, default=25)
     pc.add_argument("--seed", type=int, default=None)
-    pc.add_argument("--fd-step", type=float, default=DEFAULT.fd_step, dest="fd_step")
     # the exponential options of both commands, with ExpConfig's defaults
     for sp in (pe, pc):
         sp.add_argument("--order", type=int, default=DEFAULT.order,

@@ -23,11 +23,13 @@ the top-right block of exp([[X1, theta], [0, X0 + d theta]]) (one more
 and unit tau, so no pair is sampled for a special property.
 
 Finite-difference probes recover the graded bracket from group
-commutators at second order in the step.  Each group element is built
-once: degree 0 builds e^{+-(h/2)D1}, e^{+-(h/2)D2} and takes their squares
-for the step h, so one call gives the estimates at h and h/2; degree -1
-builds e^{+-h theta}, e^{+-h theta'}, each the star inverse of the other.
-The four commutators of a step come from four shared products.
+commutators, in both degrees by one body (`_recover`) at the fixed step
+h = `_FD_STEP`: it builds e^{+-(h/2)X}, e^{+-(h/2)Y} once and takes their
+squares for the step h, so one call gives the estimates R(h) and R(h/2),
+whose Richardson combination (4 R(h/2) - R(h)) / 3 is within O(h^4) of
+the bracket.  Degree 0 runs it with `compose_hom`, degree -1 with `star`;
+e^{-(h/2) theta} is the star inverse of e^{(h/2) theta}, so no inverse is
+eliminated.  The four commutators of a step come from four shared products.
 
 The scalar mode follows the values, and is decided once per identity:
 `_joint_mode` keeps an identity exact iff the algebra and every operand
@@ -88,38 +90,29 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class ExpConfig:
-    """Truncation, tolerance and finite-difference step of the exponential
-    maps.
+    """Truncation and tolerance of the exponential maps.
 
     The scalar mode is not configured: it follows the values (see
     `_joint_mode`).  `order` caps the degree of a float series, whose
     degree and squarings `linalg.truncated_exp` takes from the norm (a
     smaller cap costs more squarings); a float identity passes within
-    `tol`; `fd_step` is the step of the bracket-recovery finite
-    differences.  `order` is an int from 1 to sys.maxsize, the largest cap a
-    series can be planned for.  `tol` and `fd_step` must be finite and
-    positive, and 1/fd_step^2 a finite positive float too (fd_step from
-    about 7.5e-155 to 1.3e154): the estimate at the half step h/2 divides
-    by 4 (h/2)^2 = h^2.
+    `tol`.  `order` is an int from 1 to sys.maxsize, the largest cap a
+    series can be planned for, and `tol` must be finite and positive.  The
+    bracket-recovery step is no option: it is fixed at `_FD_STEP`.
     """
 
     order: int = 24
     tol: float = 1e-9
-    fd_step: float = 1e-3
 
     def __post_init__(self):
         if not isinstance(self.order, int):
             raise ValueError(f"order must be an int, got order={self.order!r}")
         # written so that NaN fails every comparison and is refused
-        if self.order < 1 or not (0 < self.tol < math.inf and 0 < self.fd_step < math.inf):
-            raise ValueError("order >= 1 and finite tol > 0 and fd_step > 0 required, "
-                             f"got order={self.order} tol={self.tol} fd_step={self.fd_step}")
+        if self.order < 1 or not 0 < self.tol < math.inf:
+            raise ValueError("order >= 1 and finite tol > 0 required, "
+                             f"got order={self.order} tol={self.tol}")
         if self.order > sys.maxsize:
             raise ValueError(f"order <= sys.maxsize = {sys.maxsize} required, got order={self.order}")
-        square = self.fd_step * self.fd_step
-        if not (0 < square and 0 < 1 / square < math.inf):
-            raise ValueError("fd_step with a finite positive 1/fd_step^2 required, "
-                             f"got fd_step={self.fd_step}")
 
 
 DEFAULT = ExpConfig()
@@ -243,6 +236,11 @@ def check_commuting_square(L: Lie2Algebra, T: DerM1, cfg: ExpConfig = DEFAULT):
 # bracket recovery by finite differences
 # ---------------------------------------------------------------------------
 
+# the step h of both bracket-recovery probes; their Richardson combination
+# errs by O(h^4), so no step needs tuning
+_FD_STEP = 1e-3
+
+
 def _bracket_estimate(mul, leg, step, x, xi, y, yi):
     """[F(h,h) - F(h,-h)] - [F(-h,h) - F(-h,-h)], over 4 h^2 for h = step,
     F(s, t) = x_s y_t x_s^{-1} y_t^{-1} the group commutator.
@@ -258,36 +256,35 @@ def _bracket_estimate(mul, leg, step, x, xi, y, yi):
     return ((pp - pm) - (mp - mm)).scale(1.0 / (4.0 * step * step))
 
 
+def _recover(exp, mul, leg, x, y):
+    """(R(h), R(h/2)), h = `_FD_STEP`: `_bracket_estimate` at both steps.
+
+    `exp(z, s)` is the group element e^{sz}.  The h/2 step builds
+    e^{+-(h/2)x} and e^{+-(h/2)y} once, and the h step takes their squares
+    under `mul` as e^{+-hx} and e^{+-hy}.
+    """
+    half = _FD_STEP / 2
+    elems = [exp(z, s) for z in (x, y) for s in (half, -half)]
+    return tuple(_bracket_estimate(mul, leg, step, *gs)
+                 for step, gs in ((_FD_STEP, [mul(g, g) for g in elems]), (half, elems)))
+
+
 def recover_bracket(L: Lie2Algebra, D1: Derivation0, D2: Derivation0,
                     cfg: ExpConfig = DEFAULT) -> tuple:
-    """(R(h), R(h/2)), h = cfg.fd_step: the mixed central finite
-    differences of the group commutator curve at 0, each within O(h^2) of
-    the graded bracket (`_bracket_estimate` on each of A0, A1, A2).
-
-    The h/2 step builds e^{+-(h/2)D1} and e^{+-(h/2)D2} once, and the h
-    step takes their squares as e^{+-hD1} and e^{+-hD2}.
-    """
-    Lf, d1, d2 = L.to_float(), D1.to_float(), D2.to_float()
-    half = cfg.fd_step / 2
-    elems = [_exp_hom(Lf, D, s, cfg.order) for D in (d1, d2) for s in (half, -half)]
-    return tuple(_bracket_estimate(compose_hom, lambda F: Derivation0(F.A0, F.A1, F.A2), step, *gs)
-                 for step, gs in ((cfg.fd_step, [compose_hom(g, g) for g in elems]),
-                                  (half, elems)))
+    """(R(h), R(h/2)) of the commutator of e^{sD1}, e^{tD2} under
+    composition (`_recover`), each within O(h^2) of the graded bracket."""
+    Lf = L.to_float()
+    return _recover(lambda D, s: _exp_hom(Lf, D, s, cfg.order), compose_hom,
+                    lambda F: Derivation0(F.A0, F.A1, F.A2), D1.to_float(), D2.to_float())
 
 
 def recover_bracket_m1(L: Lie2Algebra, T1: DerM1, T2: DerM1,
-                       cfg: ExpConfig = DEFAULT) -> DerM1:
-    """Finite-difference commutator of e^{s theta}, e^{t theta'} under star,
-    at the step h = cfg.fd_step (`_bracket_estimate`).
-
-    The step builds the four star exponentials e^{+-h theta}, e^{+-h theta'}
-    once; e^{-h theta} is the star inverse of e^{h theta}, as they lie on
-    one one-parameter group, so no inverse is eliminated.
-    """
-    Lf, T1, T2 = L.to_float(), T1.to_float(), T2.to_float()
-    h = cfg.fd_step
-    return _bracket_estimate(lambda a, b: star(Lf, a, b), lambda c: DerM1(c.mat), h,
-                             *(_derM1_exp(Lf, T, s, cfg) for T in (T1, T2) for s in (h, -h)))
+                       cfg: ExpConfig = DEFAULT) -> tuple:
+    """(R(h), R(h/2)) of the commutator of e^{s theta}, e^{t theta'} under
+    star (`_recover`), each within O(h^2) of the graded bracket."""
+    Lf = L.to_float()
+    return _recover(lambda T, s: _derM1_exp(Lf, T, s, cfg), lambda a, b: star(Lf, a, b),
+                    lambda c: DerM1(c.mat), T1.to_float(), T2.to_float())
 
 
 # ---------------------------------------------------------------------------

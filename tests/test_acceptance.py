@@ -234,8 +234,7 @@ def test_criterion_8_bracket_recovery():
             D1 = random_der0(L, rng, basis)
             D2 = random_der0(L, rng, basis)
             want = graded_bracket(L, D1, D2).to_float()
-            r1, r2 = (der0_distance(R, want)
-                      for R in recover_bracket(L, D1, D2, ExpConfig(fd_step=1e-3)))
+            r1, r2 = (der0_distance(R, want) for R in recover_bracket(L, D1, D2))
             worst = max(worst, float(r1))
             if r2 > 1e-9:
                 ratios.append(r1 / r2)

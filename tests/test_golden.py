@@ -92,13 +92,15 @@ def test_der_report_of_serialized_endo_id2(tmp_path, monkeypatch):
     assert text == (GOLDEN / "der-endo-id2.txt").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("suite", ["crossed-module", "conjugation"])
+@pytest.mark.parametrize("suite", ["crossed-module", "conjugation", "bracket-recovery"])
 def test_check_reports_of_serialized_endo_id2(suite, tmp_path, monkeypatch):
     # on endo-id2 d != 0, so I + d tau != I and tau^{-1} != -tau: the
     # crossed-module report reads each unit's partial(tau) and tau^{-1}
-    # shared by every pair, and the float conj_m1 and act_exp lines of the
-    # conjugation report share one e^theta, bit for bit.  CI diffs the same
-    # reports from the installed script.
+    # shared by every pair, the float conj_m1 and act_exp lines of the
+    # conjugation report share one e^theta, bit for bit, and the degree -1
+    # brackets are nonzero, so the bracket-recovery report holds
+    # bracket_convergence_degM1 lines.  CI diffs the same reports from the
+    # installed script.
     (tmp_path / "endo-id2.lie2").write_text(serialize_lie2(make_endo(Mat.identity(2))),
                                             encoding="utf-8")
     monkeypatch.chdir(tmp_path)
@@ -130,7 +132,7 @@ def test_conjugation_reports_match_their_pinned_digest():
 # in that order: every float residual of the finite-difference recovery, and
 # so the order of its exponentials, products and differences, stays fixed
 BRACKET_RECOVERY_SEEDS = range(1, 21)
-BRACKET_RECOVERY_DIGEST = "6ff39ae1dc92e06860d54438f99cbbd5cc863d2dfdc333dc102b998d9c579531"
+BRACKET_RECOVERY_DIGEST = "a802b73c5494c36c2aaae88d7398a784636e763eb0d57cf8ee6f99fda38cb323"
 
 
 def test_bracket_recovery_reports_match_their_pinned_digest():

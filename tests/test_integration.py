@@ -101,9 +101,10 @@ def test_exp_zero_is_identity():
 
 
 @pytest.mark.parametrize("value", [0, -1e-9, math.nan, math.inf])
-@pytest.mark.parametrize("field", ["tol", "fd_step"])
+@pytest.mark.parametrize("field", ["tol"])
 def test_exp_config_requires_a_finite_positive_tol_and_step(field, value):
-    with pytest.raises(ValueError, match="finite tol > 0 and fd_step > 0"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"order >= 1 and finite tol > 0 required, got order=24 tol={value}")):
         ExpConfig(**{field: value})
 
 
@@ -121,17 +122,6 @@ def test_exp_config_requires_an_int_order(order):
     # refused where it is given, not later in the float plan's range()
     with pytest.raises(ValueError, match=re.escape(f"order must be an int, got order={order!r}")):
         ExpConfig(order=order)
-
-
-@pytest.mark.parametrize("fd_step", [1e-160, 1e-200, 5e-324, 1e155, 1e300])
-def test_exp_config_requires_a_finite_positive_inverse_square_step(fd_step):
-    # the half-step bracket estimate divides by 4 (h/2)^2 = h^2, which
-    # underflows below about 7.5e-155 and overflows above about 1.3e154
-    with pytest.raises(ValueError, match=re.escape(
-            f"fd_step with a finite positive 1/fd_step^2 required, got fd_step={fd_step}")):
-        ExpConfig(fd_step=fd_step)
-    assert ExpConfig(fd_step=7.5e-155).fd_step == 7.5e-155
-    assert ExpConfig(fd_step=1.3e154).fd_step == 1.3e154
 
 
 def test_exp_rejects_non_derivation():
@@ -363,7 +353,7 @@ def test_recover_bracket_h2_convergence():
     basis = compute_der0_basis(L)
     D1, D2 = small_der0(L, rng, basis), small_der0(L, rng, basis)
     want = graded_bracket(L, D1, D2).to_float()
-    r1, r2 = (der0_distance(R, want) for R in recover_bracket(L, D1, D2, ExpConfig(fd_step=1e-3)))
+    r1, r2 = (der0_distance(R, want) for R in recover_bracket(L, D1, D2))
     assert 3.5 <= r1 / r2 <= 4.5
 
 
@@ -371,9 +361,9 @@ def test_recover_bracket_degree_m1():
     rng = random.Random(83)
     L = fix_end()
     T1, T2 = random_derM1(L, rng, dens=SMALL), random_derM1(L, rng, dens=SMALL)
-    got = recover_bracket_m1(L, T1, T2)
     want = graded_bracket(L, T1, T2).to_float()
-    assert mat_distance(got.theta, want.theta) < 1e-6
+    for got in recover_bracket_m1(L, T1, T2):
+        assert mat_distance(got.theta, want.theta) < 1e-6
 
 
 def ref_recover_bracket(L, D1, D2, cfg=ExpConfig()):
@@ -381,7 +371,8 @@ def ref_recover_bracket(L, D1, D2, cfg=ExpConfig()):
     e^{+-(h/2)D} (squared for the h step), then (x y)(x^{-1} y^{-1}) with
     x = e^{s D1}, y = e^{t D2} at the corner (s, t)."""
     Lf, d1, d2 = L.to_float(), D1.to_float(), D2.to_float()
-    half = cfg.fd_step / 2
+    h = integration._FD_STEP
+    half = h / 2
 
     def element(D, s, squared):
         g = _exp_hom(Lf, D, s, cfg.order)
@@ -393,7 +384,7 @@ def ref_recover_bracket(L, D1, D2, cfg=ExpConfig()):
         return compose_hom(compose_hom(x, y), compose_hom(xi, yi))
 
     out = []
-    for step, squared in ((cfg.fd_step, True), (half, False)):
+    for step, squared in ((h, True), (half, False)):
         pp, pm, mp, mm = (corner(s, t, squared)
                           for s, t in ((half, half), (half, -half), (-half, half), (-half, -half)))
         scale = 1.0 / (4.0 * step * step)
@@ -405,18 +396,28 @@ def ref_recover_bracket(L, D1, D2, cfg=ExpConfig()):
 
 def ref_recover_bracket_m1(L, T1, T2, cfg=ExpConfig()):
     """`recover_bracket_m1` with each corner built on its own: fresh
-    e^{s theta}, e^{t theta'} and, as their star inverses, e^{-s theta},
-    e^{-t theta'}, then (x * y) * (x^{-1} * y^{-1})."""
+    e^{+-(h/2) theta} (squared under star for the h step), then
+    (x * y) * (x^{-1} * y^{-1}) with x = e^{s theta}, y = e^{t theta'} at
+    the corner (s, t), x^{-1} and y^{-1} the star exponentials at -s, -t."""
     Lf, T1, T2 = L.to_float(), T1.to_float(), T2.to_float()
-    h = cfg.fd_step
+    h = integration._FD_STEP
+    half = h / 2
 
-    def corner(s, t):
-        x, y = exp_derM1(Lf, T1, s, cfg), exp_derM1(Lf, T2, t, cfg)
-        xi, yi = exp_derM1(Lf, T1, -s, cfg), exp_derM1(Lf, T2, -t, cfg)
+    def element(T, s, squared):
+        g = exp_derM1(Lf, T, s, cfg)
+        return star(Lf, g, g) if squared else g
+
+    def corner(s, t, squared):
+        x, y = element(T1, s, squared), element(T2, t, squared)
+        xi, yi = element(T1, -s, squared), element(T2, -t, squared)
         return star(Lf, star(Lf, x, y), star(Lf, xi, yi)).mat
 
-    m = (corner(h, h) - corner(h, -h)) - (corner(-h, h) - corner(-h, -h))
-    return DerM1(m.scale(1.0 / (4.0 * h * h)))
+    out = []
+    for step, squared in ((h, True), (half, False)):
+        m = ((corner(half, half, squared) - corner(half, -half, squared))
+             - (corner(-half, half, squared) - corner(-half, -half, squared)))
+        out.append(DerM1(m.scale(1.0 / (4.0 * step * step))))
+    return tuple(out)
 
 
 def _bracket_cases():
@@ -432,28 +433,30 @@ def _bracket_cases():
         yield label, L, D1, D2, random_derM1(L, rng), random_derM1(L, rng)
 
 
-def test_recover_bracket_equals_its_per_corner_reference_bit_for_bit():
+def test_recover_bracket_equals_its_per_corner_reference_bit_for_bit(monkeypatch):
     cases = list(_bracket_cases())
     assert len(cases) == 34
-    for cfg in (ExpConfig(), ExpConfig(fd_step=5e-4)):
+    for step in (1e-3, 5e-4):
+        monkeypatch.setattr(integration, "_FD_STEP", step)
         for label, L, D1, D2, T1, T2 in cases:
-            got, want = recover_bracket(L, D1, D2, cfg), ref_recover_bracket(L, D1, D2, cfg)
+            got, want = recover_bracket(L, D1, D2), ref_recover_bracket(L, D1, D2)
             assert [(R.X0, R.X1, R.lX) for R in got] == [(R.X0, R.X1, R.lX) for R in want], label
-            got_m1 = recover_bracket_m1(L, T1, T2, cfg)
-            assert got_m1.theta == ref_recover_bracket_m1(L, T1, T2, cfg).theta, label
+            got_m1, want_m1 = recover_bracket_m1(L, T1, T2), ref_recover_bracket_m1(L, T1, T2)
+            assert [R.theta for R in got_m1] == [R.theta for R in want_m1], label
 
 
-def test_recover_bracket_from_squares_is_at_the_rounding_floor_of_the_direct_step():
+def test_recover_bracket_from_squares_is_at_the_rounding_floor_of_the_direct_step(monkeypatch):
     # R(h) from the squares of e^{+-(h/2)D} against R(h) from e^{+-hD} built
     # at h, which is the h/2 estimate of the step 2h; they differ only by
     # rounding, whose floor in a quotient by 4 h^2 of corners of norm about
     # 1 is eps / (4 h^2), about 5.6e-11 (the 34 cases read at most 3 units)
-    h = ExpConfig().fd_step
+    h = integration._FD_STEP
     floor = sys.float_info.epsilon / (4.0 * h * h)
-    for label, L, D1, D2, _, _ in _bracket_cases():
-        squared = recover_bracket(L, D1, D2)[0]
-        direct = recover_bracket(L, D1, D2, ExpConfig(fd_step=2 * h))[1]
-        assert der0_distance(squared, direct) <= 4 * floor, label
+    cases = list(_bracket_cases())
+    squared = [recover_bracket(L, D1, D2)[0] for _, L, D1, D2, _, _ in cases]
+    monkeypatch.setattr(integration, "_FD_STEP", 2 * h)
+    for (label, L, D1, D2, _, _), R in zip(cases, squared):
+        assert der0_distance(R, recover_bracket(L, D1, D2)[1]) <= 4 * floor, label
 
 
 def _counting(monkeypatch, name, module=integration):
@@ -487,7 +490,8 @@ def test_recover_bracket_m1_builds_four_exponentials_and_no_inverse(monkeypatch)
     inverses = _counting(monkeypatch, "tau_inverse")
     products = _counting(monkeypatch, "star")
     recover_bracket_m1(L, T1, T2)
-    assert (len(exps), len(inverses), len(products)) == (4, 0, 8)
+    # 4 squares, then 4 products and 4 corners per step
+    assert (len(exps), len(inverses), len(products)) == (4, 0, 20)
 
 
 def test_crossed_module_check_forms_each_unit_image_and_inverse_once(monkeypatch):
