@@ -11,6 +11,12 @@ Spencer 1976): its morphisms are the (Aut0, Tau) pairs, a group under the
 semidirect product `semidirect_multiply`, and `check_crossed_module`
 checks its laws.
 
+Each inverse has one route.  An automorphism's inverse hom comes from
+its cached component inverses (`aut_inverse`).  A unit tau has the
+star-inverse -tau (I + d tau)^{-1}, and the one elimination of I + d tau
+is `_unit_core`, which `tau_inverse`, `tau_is_invertible`, `partial` and
+the Tau cases of `ad_conjugate` call.
+
 Kept as library API: `tau_zero`, the unit of the star monoid, beside
 `core.hom_identity`, the unit of degree 0.
 """
@@ -108,11 +114,6 @@ def aut_inverse(A: Aut0) -> Aut0:
     return Aut0(Lie2Hom(A.hom.target, A.hom.source, A.a0_inv, A.a1_inv, A2), A.hom.A0, A.hom.A1)
 
 
-def conjugate_hom(A: Aut0, B: Lie2Hom) -> Lie2Hom:
-    """The composite A B A^{-1}."""
-    return compose_hom(compose_hom(A.hom, B), aut_inverse(A).hom)
-
-
 # ---------------------------------------------------------------------------
 # degree -1: the star monoid and its unit group
 # ---------------------------------------------------------------------------
@@ -122,26 +123,24 @@ def star(L: Lie2Algebra, t1: Tau, t2: Tau) -> Tau:
     return Tau(t1.mat + t2.mat + (t1.mat @ L.d @ t2.mat))
 
 
-def _star_inverse(t: Tau, a0: Mat):
-    """-tau a0^{-1} for a0 = I + d tau, None when a0 is singular."""
-    core = mat_inverse(a0)
-    return None if core is None else Tau(-(t.mat @ core))
+def _unit_core(L: Lie2Algebra, t: Tau, a0=None, required: bool = True):
+    """(I + d tau)^{-1}, the one elimination of a unit tau; a0 is I + d tau
+    when the caller holds it.  A non-unit raises ValueError, or gives None
+    when a unit is not `required`."""
+    core = mat_inverse(Mat.identity(L.n0, L.mode) + L.d @ t.mat if a0 is None else a0)
+    if core is None and required:
+        raise ValueError("tau is not star-invertible")
+    return core
 
 
 def tau_inverse(L: Lie2Algebra, t: Tau):
     """Star-inverse -tau (I + d tau)^{-1}, present iff I + d tau is invertible."""
-    return _star_inverse(t, Mat.identity(L.n0, L.mode) + L.d @ t.mat)
-
-
-def _required_inverse(ti):
-    """The star-inverse ti of a tau, which must exist."""
-    if ti is None:
-        raise ValueError("tau is not star-invertible")
-    return ti
+    core = _unit_core(L, t, required=False)
+    return None if core is None else Tau(-(t.mat @ core))
 
 
 def tau_is_invertible(L: Lie2Algebra, t: Tau) -> bool:
-    return tau_inverse(L, t) is not None
+    return _unit_core(L, t, required=False) is not None
 
 
 def twist_hom(L: Lie2Algebra, A: Lie2Hom, t: Tau) -> Lie2Hom:
@@ -159,15 +158,16 @@ def twist_hom(L: Lie2Algebra, A: Lie2Hom, t: Tau) -> Lie2Hom:
 def partial(L: Lie2Algebra, t: Tau) -> Aut0:
     """The connecting map: invertible tau |-> (I + d tau, I + tau d, l^id_tau).
 
-    The star-inverse is read off the hom's first component, I + d tau, so
-    d tau is formed once.  The cached inverses come from it:
-    (I + d tau)^{-1} = I + d tau^{-1} and likewise on the other side, so no
-    elimination runs beyond the one that decides invertibility.
+    The star-inverse tau^{-1} = -tau (I + d tau)^{-1} is read off the hom's
+    first component, I + d tau, so d tau is formed once.  The cached
+    inverses come from it: (I + d tau)^{-1} = I + d tau^{-1} and likewise on
+    the other side, so no elimination runs beyond the one that decides
+    invertibility.
     """
     hom = twist_hom(L, hom_identity(L), t)
-    ti = _required_inverse(_star_inverse(t, hom.A0))
-    a0i = Mat.identity(L.n0, L.mode) + L.d @ ti.mat
-    a1i = Mat.identity(L.n1, L.mode) + ti.mat @ L.d
+    ti = -(t.mat @ _unit_core(L, t, hom.A0))
+    a0i = Mat.identity(L.n0, L.mode) + L.d @ ti
+    a1i = Mat.identity(L.n1, L.mode) + ti @ L.d
     return Aut0(hom, a0i, a1i)
 
 
@@ -185,15 +185,19 @@ def check_crossed_module(L: Lie2Algebra, auts, taus) -> list:
 
     Equivariance compares partial(A |> tau) with A partial(tau) A^{-1};
     Peiffer compares partial(tau) |> tau' with tau * tau' * tau^{-1}.
-    Each unit's partial(tau) and star inverse tau^{-1} are formed once,
-    before both loops, and every pair reads them.
+    Each unit's partial(tau) is formed once, before both loops, and its
+    star inverse is read off it as -tau (I + d tau)^{-1}, the cached A0
+    inverse; each automorphism's inverse hom is likewise built once.
     Returns (name, residual) pairs, one per sample.
     """
-    units = [(t, partial(L, t), tau_inverse(L, t)) for t in taus]
+    units = [(t, partial(L, t)) for t in taus]
+    units = [(t, pt, Tau(-(t.mat @ pt.a0_inv))) for t, pt in units]
+    inverses = [aut_inverse(A).hom for A in auts]
     out = []
-    for s, (A, (t, pt, _)) in enumerate(itertools.product(auts, units)):
+    for s, ((A, Ai), (t, pt, _)) in enumerate(itertools.product(zip(auts, inverses), units)):
         lhs = partial(L, act(L, A, t)).hom
-        out.append((f"equivariance[{s}]", hom_distance(lhs, conjugate_hom(A, pt.hom))))
+        rhs = compose_hom(compose_hom(A.hom, pt.hom), Ai)
+        out.append((f"equivariance[{s}]", hom_distance(lhs, rhs)))
     for s, ((t1, pt1, t1i), (t2, _, _)) in enumerate(itertools.product(units, units)):
         rhs = star(L, star(L, t1, t2), t1i)
         out.append((f"peiffer[{s}]", tau_distance(act(L, pt1, t2), rhs)))
@@ -247,8 +251,11 @@ def ad_conjugate(L: Lie2Algebra, conj, target):
       Aut0 on DerM1 -> DerM1: A1 theta A0^{-1}, the natural action `act`;
       Tau on Derivation0 -> (Derivation0, DerM1): the degree-0 part is
           untouched and the degree -1 part is X1 tau^{-1} + tau X0
-          + tau X0 d tau^{-1} (tau^{-1} the star-inverse);
+          + tau X0 d tau^{-1} (tau^{-1} = -tau (I + d tau)^{-1} the
+          star-inverse);
       Tau on DerM1 -> DerM1: (I + tau d) theta (I + d tau)^{-1}.
+    Each Tau case eliminates I + d tau once (`_unit_core`); a non-unit
+    raises ValueError.
     """
     if isinstance(conj, Aut0) and isinstance(target, Derivation0):
         A = conj.hom
@@ -258,15 +265,13 @@ def ad_conjugate(L: Lie2Algebra, conj, target):
     if isinstance(conj, Aut0) and isinstance(target, DerM1):
         return DerM1(act(L, conj, Tau(target.theta)).mat)
     if isinstance(conj, Tau) and isinstance(target, Derivation0):
-        ti = _required_inverse(tau_inverse(L, conj))
-        tm, tim = conj.mat, ti.mat
+        tm = conj.mat
+        tim = -(tm @ _unit_core(L, conj))
         theta = target.X1 @ tim + tm @ target.X0 + tm @ target.X0 @ L.d @ tim
         return (target, DerM1(theta))
     if isinstance(conj, Tau) and isinstance(target, DerM1):
-        ti = _required_inverse(tau_inverse(L, conj))
         left = Mat.identity(L.n1, L.mode) + conj.mat @ L.d
-        right = Mat.identity(L.n0, L.mode) + L.d @ ti.mat  # = (I + d tau)^{-1}
-        return DerM1(left @ target.theta @ right)
+        return DerM1(left @ target.theta @ _unit_core(L, conj))
     raise TypeError("unsupported conjugation pair")
 
 
@@ -274,12 +279,12 @@ def ad_conjugate(L: Lie2Algebra, conj, target):
 # seeded samplers
 # ---------------------------------------------------------------------------
 
-def random_tau(L: Lie2Algebra, rng, dens=(1, 2), invertible: bool = False) -> Tau:
-    """Random rational tau, its entries `ratio_draws` row-major (`rand_mat`);
-    invertible=True takes the first of up to 200 draws that is a unit
-    (`tau_is_invertible`); 200 singular draws raise ValueError."""
-    for _ in range(200 if invertible else 1):
+def random_tau(L: Lie2Algebra, rng, dens=(1, 2)) -> Tau:
+    """Random rational unit tau: the first of up to 200 draws that is a unit
+    (`tau_is_invertible`), each with its entries `ratio_draws` row-major
+    (`rand_mat`); 200 singular draws raise ValueError."""
+    for _ in range(200):
         t = Tau(rand_mat(rng, L.n1, L.n0, dens))
-        if not invertible or tau_is_invertible(L, t):
+        if tau_is_invertible(L, t):
             return t
     raise ValueError("no unit tau in 200 draws: each was singular")

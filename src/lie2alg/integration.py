@@ -20,7 +20,10 @@ also across degrees: conjugating the one-parameter group (e^{tD}, 0) by
 semidirect product, whose degree -1 leg at t = 1 is sigma e^{-X0}, sigma
 the top-right block of exp([[X1, theta], [0, X0 + d theta]]) (one more
 `block_exp`; the derivation is in `_conj_tau_der`).  It holds for every D
-and unit tau, so no pair is sampled for a special property.
+and unit tau, so no pair is sampled for a special property.  A sample
+builds the inverse of its automorphism A once (`aut_inverse`): the conj0,
+conj_dbar and conj_adjoint lines take it as an operand of their mode
+decision, so A^{-1} is converted with A when a line runs in float.
 
 Finite-difference probes recover the graded bracket from group
 commutators, in both degrees by one body (`_recover`) at the fixed step
@@ -58,8 +61,8 @@ from .automorphisms import (
     ad_conjugate,
     aut_compose,
     aut_identity,
+    aut_inverse,
     certify_aut0,
-    conjugate_hom,
     partial,
     random_tau,
     star,
@@ -291,10 +294,12 @@ def recover_bracket_m1(L: Lie2Algebra, T1: DerM1, T2: DerM1,
 # conjugation identities
 # ---------------------------------------------------------------------------
 
-def _conj_der0(L: Lie2Algebra, cfg: ExpConfig, A: Aut0, D: Derivation0, E: Derivation0):
-    """(residual, mode) of A e^D A^{-1} = e^E, in one joint mode."""
-    mode, L, (D, E, A) = _joint_mode(L, (D, E), A)
-    lhs = conjugate_hom(A, _der0_exps(L, D, (1,), cfg)[0].hom)
+def _conj_der0(L: Lie2Algebra, cfg: ExpConfig, A: Aut0, Ai: Aut0, D: Derivation0,
+               E: Derivation0):
+    """(residual, mode) of A e^D A^{-1} = e^E, in one joint mode; Ai is
+    `aut_inverse(A)`, which the caller builds once for all its lines."""
+    mode, L, (D, E, A, Ai) = _joint_mode(L, (D, E), A, Ai)
+    lhs = compose_hom(compose_hom(A.hom, _der0_exps(L, D, (1,), cfg)[0].hom), Ai.hom)
     return hom_distance(lhs, _der0_exps(L, E, (1,), cfg)[0].hom), mode
 
 
@@ -359,12 +364,13 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
     out = []
     for idx in range(samples):
         A = random_aut0(L, rng, nilpotent)
+        Ai = aut_inverse(A)
         D = random_der0(L, rng, der_basis, dens=_DENS)
         T = random_derM1(L, rng, dens=_DENS)
-        tau = _random_invertible_tau(L, rng)
+        tau = random_tau(L, rng, _DENS)
 
         # (i) A e^D A^{-1} = e^{Ad(A) D}
-        out.append((f"conj0[{idx}]", *_conj_der0(L, cfg, A, D, ad_conjugate(L, A, D))))
+        out.append((f"conj0[{idx}]", *_conj_der0(L, cfg, A, Ai, D, ad_conjugate(L, A, D))))
 
         # (ii) tau * e^theta * tau^{-1} = e^{(I + tau d) theta (I + d tau)^{-1}}
         # and (iii) A |> e^theta = e^{A1 theta A0^{-1}}, in one mode and from
@@ -381,16 +387,16 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
         Dc = (_nilpotent_draw(rng, nilpotent) if nilpotent
               else random_der0(L, rng, der_basis, dens=_DENS))
         out.append((f"conj_tau_der[{idx}]",
-                    *_conj_tau_der(L, cfg, Dc, _random_invertible_tau(L, rng))))
+                    *_conj_tau_der(L, cfg, Dc, random_tau(L, rng, _DENS))))
 
         # transport of differentials: A e^{dbar T} A^{-1} = e^{dbar(A1 T A0^{-1})}
-        out.append((f"conj_dbar[{idx}]", *_conj_der0(L, cfg, A, dbar(L, T), dbar(L, actT))))
+        out.append((f"conj_dbar[{idx}]", *_conj_der0(L, cfg, A, Ai, dbar(L, T), dbar(L, actT))))
 
         # transport of adjoint generators:
         # A e^{adbar0(x)} A^{-1} = e^{adbar0(A0 x) + dbar(A2(x, A0^{-1} .))}
         x = tuple(Fraction(rng.randint(-2, 2), 8) for _ in range(L.n0))
         rhs_exp = adbar0_single(L, A.hom.A0.apply(x)) + dbar(L, _theta_from_a2(L, A, x))
-        out.append((f"conj_adjoint[{idx}]", *_conj_der0(L, cfg, A, adbar0_single(L, x), rhs_exp)))
+        out.append((f"conj_adjoint[{idx}]", *_conj_der0(L, cfg, A, Ai, adbar0_single(L, x), rhs_exp)))
 
     return out
 
@@ -398,10 +404,6 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
-
-def _random_invertible_tau(L: Lie2Algebra, rng) -> Tau:
-    return random_tau(L, rng, dens=_DENS, invertible=True)
-
 
 def nilpotent_derivations(L: Lie2Algebra, der_basis) -> list:
     """The basis derivations of L whose exact exponential terminates
@@ -428,5 +430,5 @@ def random_aut0(L: Lie2Algebra, rng, nilpotent=None) -> Aut0:
         if nilpotent and rng.random() < 0.5:
             out = aut_compose(out, exp_der0(L, _nilpotent_draw(rng, nilpotent)))
         else:
-            out = aut_compose(out, partial(L, _random_invertible_tau(L, rng)))
+            out = aut_compose(out, partial(L, random_tau(L, rng, _DENS)))
     return out

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 from lie2alg.automorphisms import (
+    Tau,
     aut_compose,
     certify_aut0,
     check_crossed_module,
@@ -131,7 +132,7 @@ def test_criterion_4_crossed_module():
     for L, n in ((fix_str(), 8), (fix_end(), 8)):
         nilpotent = nilpotent_derivations(L, compute_der0_basis(L))
         auts = [random_aut0(L, rng, nilpotent=nilpotent) for _ in range(n)]
-        taus = [random_tau(L, rng, invertible=True) for _ in range(n)]
+        taus = [random_tau(L, rng) for _ in range(n)]
         for _, resid in check_crossed_module(L, auts, taus):
             worst = max(worst, resid)
             count += 1
@@ -150,7 +151,7 @@ def test_criterion_5_invertibility_lemma():
     fixtures = [fix_end(), make_endo(Mat.from_rows([[1], [0]])), fix_str()]
     while checked < 120:
         L = fixtures[checked % len(fixtures)]
-        t = random_tau(L, rng, dens=(1, 2))
+        t = Tau(rand_mat(rng, L.n1, L.n0))
         left = mat_inverse(Mat.identity(L.n0) + L.d @ t.mat) is not None
         right = mat_inverse(Mat.identity(L.n1) + t.mat @ L.d) is not None
         unit = tau_is_invertible(L, t)
@@ -302,7 +303,7 @@ def test_criterion_10_ideals_and_substructures():
     if not classify_automorphism(L, aut_compose(s1, s2))["strict"]:
         failures.append(("strict-compose", None))
     Le = fix_end()
-    stricts = [t for t in (random_tau(Le, rng, invertible=True) for _ in range(6))
+    stricts = [t for t in (random_tau(Le, rng) for _ in range(6))
                if classify_automorphism(Le, t)["strict"]]
     for t1, t2 in itertools.product(stricts, stricts):
         if not classify_automorphism(Le, star(Le, t1, t2))["strict"]:

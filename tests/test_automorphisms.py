@@ -133,7 +133,7 @@ def test_certify_aut0_rejects_singular_components():
 def test_star_unit():
     rng = random.Random(32)
     for L in (fix_str(), fix_end()):
-        t = random_tau(L, rng)
+        t = Tau(rand_mat(rng, L.n1, L.n0))
         z = tau_zero(L)
         assert star(L, t, z) == t
         assert star(L, z, t) == t
@@ -142,7 +142,7 @@ def test_star_unit():
 def test_star_abelian_is_addition():
     rng = random.Random(33)
     L = fix_ab()
-    t1, t2 = random_tau(L, rng), random_tau(L, rng)
+    t1, t2 = Tau(rand_mat(rng, L.n1, L.n0)), Tau(rand_mat(rng, L.n1, L.n0))
     assert star(L, t1, t2).mat == t1.mat + t2.mat
 
 
@@ -157,7 +157,7 @@ def test_star_endo_scalar_formula():
 def test_star_associative():
     rng = random.Random(34)
     for L in (fix_str(), fix_end()):
-        ts = [random_tau(L, rng) for _ in range(3)]
+        ts = [Tau(rand_mat(rng, L.n1, L.n0)) for _ in range(3)]
         lhs = star(L, star(L, ts[0], ts[1]), ts[2])
         rhs = star(L, ts[0], star(L, ts[1], ts[2]))
         assert lhs == rhs
@@ -179,7 +179,7 @@ def test_tau_inverse_is_two_sided():
     rng = random.Random(35)
     for L in (fix_str(), fix_end()):
         for _ in range(10):
-            t = random_tau(L, rng, invertible=True)
+            t = random_tau(L, rng)
             ti = tau_inverse(L, t)
             assert star(L, t, ti) == tau_zero(L)
             assert star(L, ti, t) == tau_zero(L)
@@ -211,14 +211,14 @@ def test_invertibility_lemma_bigger_complex():
     from lie2alg.core import make_endo
     L = make_endo(rand_mat(rng, 2, 1))
     for _ in range(40):
-        t = random_tau(L, rng)
+        t = Tau(rand_mat(rng, L.n1, L.n0))
         left = mat_inverse(Mat.identity(L.n0) + L.d @ t.mat) is not None
         right = mat_inverse(Mat.identity(L.n1) + t.mat @ L.d) is not None
         assert left == right == tau_is_invertible(L, t)
 
 
 def _ref_random_unit_tau(L, rng, dens):
-    """random_tau(invertible=True) with the Fraction test `tau_is_invertible`."""
+    """random_tau with the Fraction test `tau_is_invertible`."""
     for _ in range(200):
         t = Tau(Mat(L.n1, L.n0, [Fraction(rng.randint(-3, 3), rng.choice(dens))
                                  for _ in range(L.n1 * L.n0)]))
@@ -249,7 +249,7 @@ def test_random_unit_tau_skips_a_singular_draw():
         else:
             pytest.fail("no seed below 1000 draws a singular tau, then a unit")
         rng, ref = random.Random(seed), random.Random(seed)
-        assert random_tau(L, rng, dens, invertible=True) == second == _ref_random_unit_tau(L, ref, dens)
+        assert random_tau(L, rng, dens) == second == _ref_random_unit_tau(L, ref, dens)
         assert rng.getstate() == ref.getstate() == draws.getstate()
 
 
@@ -258,7 +258,7 @@ def test_random_unit_tau_matches_the_fraction_test():
         for dens in ((1, 2), (8, 16)):
             for seed in range(5):
                 rng, ref = random.Random(seed), random.Random(seed)
-                assert random_tau(L, rng, dens, invertible=True) == _ref_random_unit_tau(L, ref, dens)
+                assert random_tau(L, rng, dens) == _ref_random_unit_tau(L, ref, dens)
                 assert rng.getstate() == ref.getstate()
 
 
@@ -273,7 +273,7 @@ def test_random_unit_tau_after_200_singular_draws_raises():
     # 1 + (8/3)(-3/8) = 0: every draw is singular
     L = make_endo(Mat.from_rows([[Fraction(8, 3)]]))
     with pytest.raises(ValueError, match="no unit tau in 200 draws"):
-        random_tau(L, Stuck(0), (8, 16), invertible=True)
+        random_tau(L, Stuck(0), (8, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +292,12 @@ def test_twist_always_homomorphism():
     for L in (fix_str(), fix_end(), skeletal_demo()):
         for _ in range(4):
             A = hom_identity(L)
-            t = random_tau(L, rng)
+            t = Tau(rand_mat(rng, L.n1, L.n0))
             assert validate_hom(twist_hom(L, A, t)).ok
     L = fix_str()
     for _ in range(4):
         A = string_aut_hom(L, rng)
-        t = random_tau(L, rng)
+        t = Tau(rand_mat(rng, L.n1, L.n0))
         assert validate_hom(twist_hom(L, A, t)).ok
 
 
@@ -310,7 +310,7 @@ def test_partial_string_formula():
     # on the string fixture partial(tau) = (I, I, -D tau)
     rng = random.Random(40)
     L = fix_str()
-    t = random_tau(L, rng)
+    t = Tau(rand_mat(rng, L.n1, L.n0))
     P = partial(L, t)
     assert P.hom.A0 == Mat.identity(3)
     assert P.hom.A1 == Mat.identity(1)
@@ -323,8 +323,8 @@ def test_partial_is_group_homomorphism():
     rng = random.Random(41)
     for L in (fix_str(), fix_end()):
         for _ in range(6):
-            t1 = random_tau(L, rng, invertible=True)
-            t2 = random_tau(L, rng, invertible=True)
+            t1 = random_tau(L, rng)
+            t2 = random_tau(L, rng)
             lhs = partial(L, star(L, t1, t2)).hom
             rhs = compose_hom(partial(L, t1).hom, partial(L, t2).hom)
             assert hom_distance(lhs, rhs) == 0
@@ -342,7 +342,7 @@ def _ref_partial(L, t):
 
 def test_partial_forms_d_tau_once(monkeypatch):
     rng = random.Random(44)
-    cases = [(L, random_tau(L, rng, invertible=True)) for L in (fix_str(), fix_end())
+    cases = [(L, random_tau(L, rng)) for L in (fix_str(), fix_end())
              for _ in range(3)]
     cases += [(L.to_float(), t.to_float()) for L, t in cases[3:]]
     real = Mat.__matmul__
@@ -364,7 +364,7 @@ def test_partial_forms_d_tau_once(monkeypatch):
 def test_partial_lands_in_aut0():
     rng = random.Random(42)
     for L in (fix_str(), fix_end(), skeletal_demo()):
-        t = random_tau(L, rng, invertible=True)
+        t = random_tau(L, rng)
         hom = partial(L, t).hom
         assert certify_aut0(L, hom).hom == hom
 
@@ -376,7 +376,7 @@ def test_partial_lands_in_aut0():
 def test_act_identity():
     rng = random.Random(43)
     L = fix_str()
-    t = random_tau(L, rng)
+    t = Tau(rand_mat(rng, L.n1, L.n0))
     assert act(L, aut_identity(L), t) == t
 
 
@@ -384,7 +384,7 @@ def test_act_string_drops_to_composition():
     rng = random.Random(44)
     L = fix_str()
     A = string_aut0(L, rng)
-    t = random_tau(L, rng)
+    t = Tau(rand_mat(rng, L.n1, L.n0))
     assert act(L, A, t).mat == t.mat @ A.a0_inv  # A1 = 1
 
 
@@ -392,7 +392,7 @@ def test_act_is_group_action():
     rng = random.Random(45)
     L = fix_str()
     A, B = string_aut0(L, rng), string_aut0(L, rng)
-    t = random_tau(L, rng)
+    t = Tau(rand_mat(rng, L.n1, L.n0))
     lhs = act(L, aut_compose(A, B), t)
     rhs = act(L, A, act(L, B, t))
     assert lhs == rhs
@@ -404,7 +404,7 @@ def test_act_preserves_invertibility():
     A = certify_aut0(L, Lie2Hom(L, L, Mat.from_rows([[3]]), Mat.from_rows([[3]]),
                                 AltTensor.zero(2, 1, 1)))
     for _ in range(10):
-        t = random_tau(L, rng, invertible=True)
+        t = random_tau(L, rng)
         assert tau_is_invertible(L, act(L, A, t))
 
 
@@ -416,7 +416,7 @@ def test_crossed_module_abelian():
     rng = random.Random(47)
     L = fix_ab()
     auts = [aut_identity(L)]
-    taus = [random_tau(L, rng) for _ in range(3)]
+    taus = [Tau(rand_mat(rng, L.n1, L.n0)) for _ in range(3)]
     for _, resid in check_crossed_module(L, auts, taus):
         assert resid == 0
 
@@ -424,14 +424,14 @@ def test_crossed_module_abelian():
 def test_crossed_module_string_and_endo():
     rng = random.Random(48)
     L = fix_str()
-    auts = [string_aut0(L, rng) for _ in range(3)] + [partial(L, random_tau(L, rng))]
-    taus = [random_tau(L, rng, invertible=True) for _ in range(3)]
+    auts = [string_aut0(L, rng) for _ in range(3)] + [partial(L, Tau(rand_mat(rng, L.n1, L.n0)))]
+    taus = [random_tau(L, rng) for _ in range(3)]
     for _, resid in check_crossed_module(L, auts, taus):
         assert resid == 0
     L = fix_end()
     auts = [certify_aut0(L, Lie2Hom(L, L, Mat.from_rows([[c]]), Mat.from_rows([[c]]),
                                     AltTensor.zero(2, 1, 1))) for c in (1, 2, Fraction(-1, 2))]
-    taus = [random_tau(L, rng, invertible=True) for _ in range(3)]
+    taus = [random_tau(L, rng) for _ in range(3)]
     for _, resid in check_crossed_module(L, auts, taus):
         assert resid == 0
 
@@ -456,7 +456,7 @@ def test_corrupted_action_breaks_peiffer():
 # after c2 are written out in the tests.
 
 def make_cell(L, rng, g=None):
-    return g or string_aut0(L, rng), random_tau(L, rng, invertible=True)
+    return g or string_aut0(L, rng), random_tau(L, rng)
 
 
 def cell_target(L, c):
@@ -535,7 +535,7 @@ def test_semidirect_abelian_splits():
     L = fix_ab()
     A = certify_aut0(L, Lie2Hom(L, L, Mat.from_rows([[2]]), Mat.from_rows([[3]]),
                                 AltTensor.zero(2, 1, 1)))
-    t1, t2 = random_tau(L, rng), random_tau(L, rng)
+    t1, t2 = Tau(rand_mat(rng, L.n1, L.n0)), Tau(rand_mat(rng, L.n1, L.n0))
     got = semidirect_multiply(L, (A, t1), (A, t2))
     # d = 0: star is addition and the action is A1 tau A0^{-1}
     assert got[1].mat == t1.mat + (A.hom.A1 @ t2.mat @ A.a0_inv)
@@ -566,7 +566,7 @@ def test_classify_abelian_taus_strict():
     rng = random.Random(57)
     L = fix_ab()
     for _ in range(5):
-        t = random_tau(L, rng)
+        t = Tau(rand_mat(rng, L.n1, L.n0))
         assert classify_automorphism(L, t) == {"weak": True, "strict": True}
 
 
@@ -582,7 +582,7 @@ def test_strictness_stable_under_composition():
     assert classify_automorphism(L, aut_compose(s1, s2))["strict"]
     # strict taus on the endo fixture stay strict under star
     L = fix_end()
-    taus = [random_tau(L, rng, invertible=True) for _ in range(4)]
+    taus = [random_tau(L, rng) for _ in range(4)]
     stricts = [t for t in taus if classify_automorphism(L, t)["strict"]]
     for t1 in stricts:
         for t2 in stricts:
@@ -640,7 +640,7 @@ def test_ad_identity_fixes_derivations():
 def test_ad_tau_on_theta_abelian_trivial():
     rng = random.Random(60)
     L = fix_ab()
-    t = random_tau(L, rng)
+    t = Tau(rand_mat(rng, L.n1, L.n0))
     T = random_derM1(L, rng)
     assert ad_conjugate(L, t, T) == T
 
@@ -673,18 +673,67 @@ def test_ad_aut_is_action():
 def test_ad_tau_on_theta_is_action():
     rng = random.Random(63)
     L = fix_end()
-    t1 = random_tau(L, rng, invertible=True)
-    t2 = random_tau(L, rng, invertible=True)
+    t1 = random_tau(L, rng)
+    t2 = random_tau(L, rng)
     T = random_derM1(L, rng)
     lhs = ad_conjugate(L, star(L, t1, t2), T)
     rhs = ad_conjugate(L, t1, ad_conjugate(L, t2, T))
     assert lhs == rhs
 
 
+def test_each_unit_route_eliminates_i_plus_d_tau_once(monkeypatch):
+    rng = random.Random(65)
+    L = make_endo(Mat.identity(2))
+    t, T = random_tau(L, rng), random_derM1(L, rng)
+    D = random_der0(L, rng)
+    calls, real = [], linalg.mat_inverse
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(automorphisms, "mat_inverse", counting)
+    for route in (lambda: tau_inverse(L, t), lambda: tau_is_invertible(L, t),
+                  lambda: ad_conjugate(L, t, D), lambda: ad_conjugate(L, t, T)):
+        del calls[:]
+        route()
+        assert calls == [Mat.identity(L.n0) + L.d @ t.mat]
+    # the unit test forms d tau and no star-inverse -tau (I + d tau)^{-1}
+    products, real_mul = [], Mat.__matmul__
+
+    def multiplying(a, b):
+        products.append((a, b))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", multiplying)
+    assert tau_is_invertible(L, t)
+    monkeypatch.setattr(Mat, "__matmul__", real_mul)
+    assert len(products) == 1 and products[0][0] is L.d and products[0][1] is t.mat
+    # d = I, and I + tau has equal rows 0 and 1: no unit
+    singular = Tau(Mat(L.n1, L.n0, [0, 1, 0, 0, 1, 0, 0, 0] + [0] * 8))
+    assert tau_inverse(L, singular) is None and not tau_is_invertible(L, singular)
+    for target in (D, T):
+        with pytest.raises(ValueError, match="not star-invertible"):
+            ad_conjugate(L, singular, target)
+
+
+def test_ad_tau_on_theta_is_the_conjugation_through_the_star_inverse():
+    # (I + tau d) theta (I + d tau^{-1}), with (I + d tau)^{-1} written as
+    # I + d tau^{-1}; on endo-id2 d = I, and the random fixtures mix shapes
+    rng = random.Random(66)
+    algebras = [make_endo(Mat.identity(2))] + [random_fixture(random.Random(seed))
+                                                for seed in range(30)]
+    for L in algebras:
+        t, T = random_tau(L, rng), random_derM1(L, rng)
+        left = Mat.identity(L.n1) + t.mat @ L.d
+        right = Mat.identity(L.n0) + L.d @ tau_inverse(L, t).mat
+        assert ad_conjugate(L, t, T).theta == left @ T.theta @ right
+
+
 def test_ad_tau_on_der0_returns_semidirect_pair():
     rng = random.Random(64)
     L = fix_end()
-    t = random_tau(L, rng, invertible=True)
+    t = random_tau(L, rng)
     D = random_der0(L, rng)
     got = ad_conjugate(L, t, D)
     assert isinstance(got, tuple) and got[0] == D and isinstance(got[1], DerM1)

@@ -79,14 +79,20 @@ def test_golden_report(stem, monkeypatch):
     assert text == (GOLDEN / f"{stem}.txt").read_text(encoding="utf-8")
 
 
+def _serialized_endo_id2(tmp_path, monkeypatch):
+    """Write endo-id2.lie2 into tmp_path and run from there, so each report
+    names the file as CI's reports of the same file do from line 2 on."""
+    (tmp_path / "endo-id2.lie2").write_text(serialize_lie2(make_endo(Mat.identity(2))),
+                                            encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+
 def test_der_report_of_serialized_endo_id2(tmp_path, monkeypatch):
     # endo-id2 (4|4, Der 16|16) is the heaviest derive input, and its Der
     # basis holds Fractions; CI diffs the same report from the installed
     # script.  The golden file was written before the derivation build ran
     # in ints, and stays byte for byte.
-    (tmp_path / "endo-id2.lie2").write_text(serialize_lie2(make_endo(Mat.identity(2))),
-                                            encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
+    _serialized_endo_id2(tmp_path, monkeypatch)
     code, text = run(["der", "endo-id2.lie2", "--basis", "--inner", "--classify"])
     assert code == 0
     assert text == (GOLDEN / "der-endo-id2.txt").read_text(encoding="utf-8")
@@ -101,12 +107,22 @@ def test_check_reports_of_serialized_endo_id2(suite, tmp_path, monkeypatch):
     # brackets are nonzero, so the bracket-recovery report holds
     # bracket_convergence_degM1 lines.  CI diffs the same reports from the
     # installed script.
-    (tmp_path / "endo-id2.lie2").write_text(serialize_lie2(make_endo(Mat.identity(2))),
-                                            encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
+    _serialized_endo_id2(tmp_path, monkeypatch)
     code, text = run(["check", "endo-id2.lie2", "--suite", suite, "--samples", "2", "--seed", "1"])
     assert code == 0
     assert text == (GOLDEN / f"check-{suite}-endo-id2.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("stem, want_code", [("endo-id2-tau", 0), ("endo-id2-tau-singular", 1)])
+def test_aut_reports_of_serialized_endo_id2(stem, want_code, tmp_path, monkeypatch):
+    # on endo-id2 d = I, so the unit test eliminates a 4 x 4 I + d tau (the
+    # endo-1-1 taus give 1 x 1); both taus hold off-diagonal and fractional
+    # entries, and the second makes rows 0 and 1 of I + d tau equal.  CI
+    # diffs the same reports from the installed script.
+    _serialized_endo_id2(tmp_path, monkeypatch)
+    code, text = run(["aut", "endo-id2.lie2", "--element", str(GOLDEN / f"{stem}.tau")])
+    assert code == want_code, text
+    assert text == (GOLDEN / f"aut-{stem}.txt").read_text(encoding="utf-8")
 
 
 # sha256 of "NAME SEED CODE\n" + report text of `lie2 check NAME --suite

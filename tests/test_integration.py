@@ -16,6 +16,7 @@ from lie2alg.automorphisms import (
     aut_compose,
     aut_identity,
     check_crossed_module,
+    random_tau,
     semidirect_multiply,
     star,
     tau_distance,
@@ -56,7 +57,6 @@ from lie2alg.integration import (
     _exp_hom,
     _joint_mode,
     _terminates,
-    _random_invertible_tau,
     check_commuting_square,
     check_conjugation_identities,
     check_one_parameter,
@@ -495,16 +495,33 @@ def test_recover_bracket_m1_builds_four_exponentials_and_no_inverse(monkeypatch)
 
 
 def test_crossed_module_check_forms_each_unit_image_and_inverse_once(monkeypatch):
-    # partial(tau) and tau^{-1} once per unit, partial(A |> tau) once per
-    # pair; on endo-id2 I + d tau != I and tau^{-1} != -tau
+    # partial(tau) once per unit and partial(A |> tau) once per pair, one
+    # elimination each; every tau^{-1} is read off partial(tau)'s cached A0
+    # inverse, so no tau_inverse runs, and each automorphism's inverse hom
+    # is built once.  On endo-id2 I + d tau != I and tau^{-1} != -tau
     rng = random.Random(92)
     L = make_endo(Mat.identity(2))
     auts = [random_aut0(L, rng) for _ in range(2)]
-    taus = [_random_invertible_tau(L, rng) for _ in range(2)]
+    taus = [random_tau(L, rng, SMALL) for _ in range(2)]
     partials = _counting(monkeypatch, "partial", automorphisms)
     inverses = _counting(monkeypatch, "tau_inverse", automorphisms)
+    aut_inverses = _counting(monkeypatch, "aut_inverse", automorphisms)
+    eliminations = _counting(monkeypatch, "mat_inverse", automorphisms)
     assert [r for _, r in check_crossed_module(L, auts, taus)] == [0] * 8
-    assert (len(partials), len(inverses)) == (2 + 2 * 2, 2)
+    assert (len(partials), len(inverses)) == (2 + 2 * 2, 0)
+    assert [A for A, in aut_inverses] == auts
+    assert len(eliminations) == len(partials)
+
+
+def test_conjugation_sample_builds_the_inverse_of_its_automorphism_once(monkeypatch):
+    # conj0, conj_dbar and conj_adjoint share one aut_inverse(A) per sample
+    inverses = _counting(monkeypatch, "aut_inverse")
+    extra = _counting(monkeypatch, "aut_inverse", automorphisms)
+    for L in (skeletal_demo(), make_endo(Mat.identity(2))):
+        del inverses[:], extra[:]
+        lines = check_conjugation_identities(L, random.Random(94), samples=2)
+        assert {name.split("[")[0] for name, _, _ in lines} >= {"conj0", "conj_dbar", "conj_adjoint"}
+        assert (len(inverses), len(extra)) == (2, 0)
 
 
 def test_conjugation_sample_builds_e_theta_once_for_conj_m1_and_act_exp(monkeypatch):
@@ -599,7 +616,7 @@ def test_conj_tau_der_holds_for_every_derivation_and_unit_tau():
         basis = compute_der0_basis(L)
         for _ in range(4 if name.startswith("random") else 2):
             D = small_der0(L, rng, basis)
-            tau = _random_invertible_tau(L, rng)
+            tau = random_tau(L, rng, SMALL)
             resid, mode = integration._conj_tau_der(L, cfg, D, tau)
             modes.add(mode)
             if mode == "exact":
@@ -632,7 +649,7 @@ def test_joint_mode_follows_the_values():
     # series terminates; otherwise the algebra and all values go to float together
     rng = random.Random(91)
     L = fix_end()
-    A, tau = random_aut0(L, rng), _random_invertible_tau(L, rng)
+    A, tau = random_aut0(L, rng), random_tau(L, rng, SMALL)
     D, T = der0_zero(L), derM1_zero(L)
     assert _terminates(L, D) and _terminates(L, T)
     mode, Lm, got = _joint_mode(L, (D, T), A, tau)
@@ -666,7 +683,7 @@ def test_ad_tau_der0_matches_first_order_conjugation():
         basis = compute_der0_basis(L)
         for _ in range(3):
             D = random_der0(L, rng, basis, dens=SMALL)
-            tau = _random_invertible_tau(L, rng)
+            tau = random_tau(L, rng, SMALL)
             _, want = ad_conjugate(L, tau, D)
             Lf = L.to_float()
             tf = tau.to_float()
