@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lie2alg import cli
+from lie2alg import cli, linalg
 from lie2alg.cli import ReportLine, run
 from lie2alg.core import make_endo
 from lie2alg.fileio import serialize_element, serialize_lie2
@@ -15,10 +15,12 @@ from lie2alg.fixtures import fix_str, random_fixture, string_aut_hom
 from lie2alg.linalg import Mat
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = GOLDEN.parent.parent
+NAMED = ("abelian", "string-sl2", "endo-1-1", "skeletal-demo")
 
 
 def test_validate_named_examples_pass():
-    for name in ("abelian", "string-sl2", "endo-1-1", "skeletal-demo"):
+    for name in NAMED:
         code, text = run(["validate", name])
         assert code == 0, text
         assert "RESULT PASS" in text
@@ -106,23 +108,16 @@ def _der_sections(text):
     return sections
 
 
-# goldens of algebra files, not named examples: the report of `lie2 der
-# NAME.lie2` run in the directory that holds the file
-DER_FILES = {"endo-id2": lambda: make_endo(Mat.identity(2))}
-
-
 @pytest.mark.parametrize("golden", sorted(GOLDEN.glob("der-*.txt")), ids=lambda p: p.stem)
-def test_der_with_each_subset_of_flags_keeps_those_blocks_of_the_full_report(golden, tmp_path,
-                                                                              monkeypatch):
+def test_der_with_each_subset_of_flags_keeps_those_blocks_of_the_full_report(golden, monkeypatch):
     sections = _der_sections(golden.read_text(encoding="utf-8"))
     # every block the golden can hold is there, so each subset removes one
     assert sections["basis"] and sections["classify"]
     assert bool(sections["inner"]) == ("dim inn^0 = 0\n" not in sections["head"])
     name = golden.stem.removeprefix("der-")
-    if name in DER_FILES:
-        (tmp_path / f"{name}.lie2").write_text(serialize_lie2(DER_FILES[name]()), encoding="utf-8")
-        monkeypatch.chdir(tmp_path)
-        name += ".lie2"
+    if (GOLDEN / f"{name}.lie2").exists():  # an algebra file, named from the repository root
+        monkeypatch.chdir(ROOT)
+        name = f"tests/golden/{name}.lie2"
     flags = ("basis", "inner", "classify")
     for size in range(len(flags) + 1):
         for subset in itertools.combinations(flags, size):
@@ -285,6 +280,15 @@ def test_check_refuses_a_tolerance_or_step_that_is_not_finite_and_positive():
                                    f"got order=24 tol={value}\n")
 
 
+def test_a_huge_order_computes_only_the_taylor_bounds_its_plan_probes():
+    # the plan bisects over range(1, order + 1), so an order of 10^9 returns
+    # at once and leaves a few dozen cached bounds, not a billion
+    linalg._theta.cache_clear()
+    assert run(["check", "abelian", "--suite", "one-parameter", "--samples", "1", "--seed", "1",
+                "--order", "1000000000"])[0] == 0
+    assert linalg._theta.cache_info().currsize <= 64
+
+
 def test_check_refuses_an_order_above_sys_maxsize():
     # no traceback and no violation (exit 1): an input error, with the bound named
     for order in (10 ** 19, 10 ** 400):
@@ -301,6 +305,18 @@ def test_example_output_parses(tmp_path):
     f.write_text(text)
     code, text = run(["validate", str(f)])
     assert code == 0
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_an_example_file_reads_back_to_its_named_example(name, tmp_path):
+    # the der report of the file differs from the named example's golden
+    # only in line 1, which names the file
+    f = tmp_path / f"{name}.lie2"
+    f.write_text(run(["example", "--name", name])[1], encoding="utf-8")
+    code, text = run(["der", str(f), "--basis", "--inner", "--classify"])
+    assert code == 0
+    want = (GOLDEN / f"der-{name}.txt").read_text(encoding="utf-8")
+    assert text.partition("\n")[2] == want.partition("\n")[2]
 
 
 def test_unknown_example():
