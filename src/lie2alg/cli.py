@@ -236,11 +236,10 @@ def _cmd_aut(args) -> tuple:
             flags = classify_automorphism(L, Aut0(elem, a0i, a1i))
             text += f"classify weak={flags['weak']} strict={flags['strict']}\n"
         return text, passed
-    if isinstance(elem, Tau):
-        invertible = tau_is_invertible(L, elem)
-        lines = [ReportLine("tau_invertible", 0 if invertible else 1, "exact")]
-        text, passed = emit_report(header, lines)
+    if isinstance(elem, Tau):  # weak iff tau is a unit: one elimination of I + d tau
         flags = classify_automorphism(L, elem)
+        text, passed = emit_report(
+            header, [ReportLine("tau_invertible", 0 if flags["weak"] else 1, "exact")])
         text += f"classify weak={flags['weak']} strict={flags['strict']}\n"
         return text, passed
     raise ParseError(args.element, 1, "aut expects a hom or tau block")
@@ -276,12 +275,6 @@ def _cmd_exp(args) -> tuple:
 def _cmd_check(args) -> tuple:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    if args.seed is None:
-        seed = os.environ.get("LIE2_SEED", "0")
-        try:
-            args.seed = int(seed)
-        except ValueError:
-            raise ValueError(f"LIE2_SEED must be an integer, got {seed!r}") from None
     L = _load_algebra(args.file)
     cfg = ExpConfig(order=args.order, tol=args.tol)
     rng = random.Random(args.seed)
@@ -300,7 +293,9 @@ def _cmd_example(args) -> tuple:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The `lie2` parser, built once per process: parsing a command line
-    leaves the parser as it was, so every call can share it."""
+    leaves the parser as it was, so every call can share it.  That saves
+    only callers that run `run` many times in one process; the console
+    script parses once."""
     p = argparse.ArgumentParser(
         prog="lie2",
         description="Validate Lie 2-algebras, compute their derivations and "
@@ -329,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("file")
     pc.add_argument("--suite", required=True, choices=SUITES)
     pc.add_argument("--samples", type=int, default=25)
-    pc.add_argument("--seed", type=int, default=None)
+    pc.add_argument("--seed", type=int, default=0)
     # the exponential options of both commands, with ExpConfig's defaults
     for sp in (pe, pc):
         sp.add_argument("--order", type=int, default=DEFAULT.order,
@@ -358,10 +353,10 @@ def run(argv) -> tuple:
             "check": _cmd_check,
             "example": _cmd_example,
         }[args.command](args)
-    except ParseError as exc:
+    except (OSError, ValueError) as exc:  # a ParseError included
         return 2, f"error: {exc}\n"
-    except (OSError, ValueError) as exc:
-        return 2, f"error: {exc}\n"
+    except MemoryError:  # e.g. dimensions whose tables do not fit
+        return 2, "error: out of memory\n"
     return (0 if passed else 1), text
 
 

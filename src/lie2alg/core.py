@@ -1,18 +1,20 @@
 """Lie 2-algebras and weak homomorphisms.
 
-A Lie 2-algebra is a two-term complex g_{-1} --d--> g_0 with a graded
-skew bracket and an alternating trilinear map l3 measuring the failure
-of Jacobi, subject to coherence laws.  Everything here is represented
-by structure constants; validators return per-axiom residual tables so
-tests can assert exactly which law broke and where.  `validate_lie2` reads
-the constants through `Lie2Algebra.sparse`, a view of the nonzero ones
-computed once per algebra (`Lie2Algebra.view`), and runs the laws on pairs
-of basis vectors rather than on index tuples, so each law costs what its
-nonzero terms cost.  In exact mode it runs the laws on the integer image of
-the constants (`Lie2Algebra.integer_image`, another view), so the sums
-stay in ints.  Each law is homogeneous of degree 2 in them, so
+A Lie 2-algebra is a two-term complex g_{-1} --d--> g_0 with a graded skew
+bracket and an alternating trilinear map l3 measuring the failure of
+Jacobi, subject to coherence laws (Baez and Crans 2004).  Everything here
+is represented by structure constants; validators return per-axiom residual
+tables so tests can assert exactly which law broke and where.
+`validate_lie2` reads the constants through `Lie2Algebra.sparse`, a view of
+the nonzero ones computed once per algebra (`Lie2Algebra.view`), and runs
+the laws on pairs of basis vectors rather than on index tuples, so each law
+costs what its nonzero terms cost.  In exact mode it runs the laws on the
+integer image of the constants (`Lie2Algebra.integer_image`, another view),
+so the sums stay in ints.  Each law is homogeneous of degree 2 in them, so
 scaling every constant by their common denominator D scales every residual
-by D^2 and leaves the worst one and its witness in place.
+by D^2 and leaves the worst one and its witness in place.  A NaN constant,
+or a NaN entry of a homomorphism, gives a NaN residual or distance, never a
+zero.
 
 Vectors of g_0 and g_{-1} are tuples, and the algebra's structure is
 read through its tensors: the bracket on g_0 is `b00.eval`, the

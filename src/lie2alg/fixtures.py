@@ -1,5 +1,8 @@
 """Named example algebras and seeded random fixtures for suites and tests.
 
+Random entries are drawn by `derivations.ratio_draws` and random
+matrices by `derivations.rand_mat`, as in every seeded sampler.
+
 Some builders are test data by design, and no code of the package calls
 them: `abelian_structure`, `aff1_sum_structure`, `strict_sl2` (sl2 with
 g_{-1} = 0) and `string_aut_hom` (a weak automorphism of the string

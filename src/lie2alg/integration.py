@@ -214,7 +214,8 @@ def exp_derM1(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> Tau:
 # ---------------------------------------------------------------------------
 
 def check_one_parameter(L: Lie2Algebra, D: Derivation0, t, s, cfg: ExpConfig = DEFAULT):
-    """(residual, mode) of e^{(t+s)D} against e^{tD} e^{sD}, componentwise."""
+    """(residual, mode) of e^{(t+s)D} against e^{tD} e^{sD}, componentwise;
+    one mode decision and one membership check of D serve all three."""
     mode, L, (D,) = _joint_mode(L, (D,))
     lhs, a, b = _der0_exps(L, D, (Fraction(t) + Fraction(s), t, s), cfg)
     return hom_distance(lhs.hom, compose_hom(a.hom, b.hom)), mode

@@ -29,7 +29,8 @@ rather than testing modes, except `integration._joint_mode`, which
 decides the mode of an identity.  The branches left here are algorithm
 choices: the exact and the scaled-and-squared series of `truncated_exp`,
 the float balancing of `block_exp`, and elimination vs partial pivoting
-in `mat_inverse`.
+in `mat_inverse`; tests/test_scalar_seam.py holds this module to at most
+10 mode-test lines.
 
 Row reduction, kernel bases and exact inverses are only available in
 exact mode, where results are exact by construction; they share one
@@ -38,6 +39,10 @@ each pivot row is an integer row with one denominator, its entry at its
 pivot, and each kernel basis vector a primitive integer vector with one
 scale (`_kernel`), so a `Fraction` is formed only where a reduced row, a
 basis vector or a coordinate is divided out, once per entry.
+`rref`, `kernel`, `kernel_basis`, `rank`, `solve` and exact
+`mat_inverse` all run it.  Nothing in the package calls `rref`,
+`kernel_basis`, `solve` or `rank`: they stay public because the
+benchmark's tracer and workloads (bench/) call them by name.
 `common_denominator` gives the factor that scales rational data to an
 integer image.  All values are immutable and all operations are pure.
 Sparse vectors ({index: value}) serve the law evaluators and
@@ -732,10 +737,11 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     times.  `order` caps the degree: a smaller cap costs more squarings, and
     one that is no int or lies outside 1 to sys.maxsize raises ValueError.  At
     the default 24 the series is summed up to x / 2^s <= theta_24 (about
-    2.14), so a small x costs a few terms and no squaring.  A norm x of
-    2^1023 or more (2x is not finite, a NaN included) raises ValueError,
-    and so do a t too large for a float and a result with an entry that
-    overflows to inf or NaN.
+    2.14), so a small x costs a few terms and no squaring, and no call
+    does more products or squarings than 24 terms at ||tm|| <= 1/2 would.
+    A norm x of 2^1023 or more (2x is not finite, a NaN included) raises
+    ValueError, and so do a t too large for a float and a result with an
+    entry that overflows to inf or NaN.
 
     The series and the squarings run on flat row-major lists through
     `_flat_mul`, with the nonzero rows of m built once: term n is term

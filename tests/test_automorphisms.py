@@ -58,6 +58,8 @@ from lie2alg.fixtures import (
 from lie2alg.cli import run
 from lie2alg.linalg import AltTensor, Mat, mat_inverse
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def string_aut0(L, rng):
     return certify_aut0(L, string_aut_hom(L, rng))
@@ -610,7 +612,8 @@ def test_classify_aut0_agrees_with_the_stripped_hom_without_inverting(monkeypatc
     assert not calls  # the cached inverses of the Aut0 serve
 
 
-def test_aut_report_inverts_each_component_once(monkeypatch):
+def _count_mat_inverse(monkeypatch) -> list:
+    """The matrices every module of the package inverts from now on."""
     calls, real = [], linalg.mat_inverse
 
     def counting(m):
@@ -620,9 +623,31 @@ def test_aut_report_inverts_each_component_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("lie2alg") and hasattr(module, "mat_inverse"):
             monkeypatch.setattr(module, "mat_inverse", counting)
-    element = Path(__file__).parent / "golden" / "string-sl2-aut.hom"
+    return calls
+
+
+def test_aut_report_inverts_each_component_once(monkeypatch):
+    calls = _count_mat_inverse(monkeypatch)
+    element = GOLDEN / "string-sl2-aut.hom"
     code, _ = run(["aut", "string-sl2", "--element", str(element)])
     assert code == 0 and len(calls) == 2  # A0 and A1, by certify_aut0
+
+
+# the tau elements of the aut goldens: (element, algebra, exit code)
+TAU_REPORTS = (
+    ("endo-1-1-tau.tau", "endo-1-1", 0),
+    ("endo-1-1-tau-singular.tau", "endo-1-1", 1),
+    ("endo-id2-tau.tau", GOLDEN / "endo-id2.lie2", 0),
+    ("endo-id2-tau-singular.tau", GOLDEN / "endo-id2.lie2", 1),
+)
+
+
+@pytest.mark.parametrize("element, algebra, want", TAU_REPORTS, ids=[t[0] for t in TAU_REPORTS])
+def test_aut_report_of_a_tau_eliminates_i_plus_d_tau_once(element, algebra, want, monkeypatch):
+    # the tau_invertible line is the weak flag of the classification
+    calls = _count_mat_inverse(monkeypatch)
+    code, _ = run(["aut", str(algebra), "--element", str(GOLDEN / element)])
+    assert code == want and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

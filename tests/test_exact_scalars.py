@@ -4,22 +4,19 @@
 Integral scalars stay ints and a `Fraction` appears only where a division
 makes one, so a stray `/` on two ints would put a float into an exact
 value.  The sweep below runs every exact `linalg` operation on drawn
-input; the golden runs walk every exact value the CLI builds.
+input; the golden runs (`CASES` of tests/test_golden.py) walk every exact
+value the CLI builds.
 """
 
 import itertools
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lie2alg.cli import run
 from lie2alg.linalg import AltTensor, Mat, kernel, mat_inverse, rat, rref, truncated_exp
-
-GOLDEN = Path(__file__).parent / "golden"
-NAMED = ("abelian", "string-sl2", "endo-1-1", "skeletal-demo")
-EXACT_SUITES = ("axioms", "crossed-module", "exp-square", "conjugation")
+from test_golden import CASES, ROOT
 
 
 def _is_exact_scalar(x) -> bool:
@@ -169,15 +166,10 @@ def exact_walk(monkeypatch):
     return seen
 
 
-EXACT_RUNS = [(f"der-{name}", ["der", name, "--basis", "--inner", "--classify"])
-              for name in NAMED]
-EXACT_RUNS += [(f"check-{suite}-{name}",
-                ["check", name, "--suite", suite, "--samples", "2", "--seed", "1"])
-               for suite in EXACT_SUITES for name in NAMED]
-
-
-@pytest.mark.parametrize("stem,argv", EXACT_RUNS, ids=[stem for stem, _ in EXACT_RUNS])
-def test_golden_runs_build_exact_values_only(stem, argv, exact_walk):
-    code, text = run(argv)
-    assert code == 0 and text == (GOLDEN / f"{stem}.txt").read_text(encoding="utf-8")
+@pytest.mark.parametrize("stem", sorted(CASES))
+def test_golden_runs_build_exact_values_only(stem, exact_walk, monkeypatch):
+    # the report text itself is test_golden_report's check
+    monkeypatch.chdir(ROOT)
+    argv, want_code = CASES[stem]
+    assert run(argv)[0] == want_code
     assert exact_walk["values"] > 0 and not exact_walk["bad"], exact_walk["bad"][:5]

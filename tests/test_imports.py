@@ -31,7 +31,7 @@ def _import_faults(path: Path) -> list:
             bad += [f"{where}:{node.lineno}: imports {name}" for name in names
                     if name.split(".")[0] not in ("lie2alg", *sys.stdlib_module_names)]
     if path.name == "__init__.py":
-        return bad  # the package namespace re-exports what it imports
+        return bad  # the package namespace is the submodules it imports
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)) and \

@@ -5,13 +5,17 @@ method of such a class, must appear somewhere other than its own
 definition: in code under `src/lie2alg`, in `bench/*.py` or `tools/*.py`
 (as an identifier, or as a part of a dotted string constant such as the
 tracer's "linalg.rref"), or in backticks in its module's docstring, which
-is where kept library API is named.  Re-exports in `__init__.py` do not
-count as a use, and dunder methods are exempt.  A name that only tests
-reach fails until it is either deleted or documented.
+is where kept library API is named.  Dunder methods are exempt.  A name
+that only tests reach fails until it is either deleted or documented.
+
+The package namespace states no API of its own: its public names are its
+submodules, and `import lie2alg` loads the modules it always has.
 """
 
 import ast
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -95,3 +99,14 @@ def test_the_check_sees_the_package():
     names = {label for tree in TREES.values() for label, _, _ in _definitions(tree)}
     assert {"Lie2Algebra", "Lie2Algebra.sparse", "truncated_exp", "twist_hom"} <= names
     assert "Lie2Algebra.__init__" not in names
+
+
+def test_the_package_namespace_holds_its_submodules_only():
+    # a fresh interpreter, so no other test's imports show
+    probe = ("import sys, lie2alg\n"
+             "print(sorted(n for n in sys.modules if n.startswith('lie2alg.')))\n"
+             "print(sorted(n for n in vars(lie2alg) if not n.startswith('_')))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={"PYTHONPATH": str(PACKAGE.parent)})
+    loaded = ["automorphisms", "core", "derivations", "integration", "linalg"]
+    assert proc.stdout.splitlines() == [str([f"lie2alg.{m}" for m in loaded]), str(loaded)]
