@@ -35,7 +35,8 @@ from .core import (
     validate_hom,
 )
 from .derivations import DerM1, Derivation0, _lower_term, lie_cochain_action, rand_mat
-from .linalg import Mat, mat_distance, mat_inverse, sparse_columns
+from .linalg import (_KINDS, Mat, _flat_mul, _nonzero_rows, _same_mode, mat_distance, mat_inverse,
+                     sparse_columns)
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,21 @@ def aut_inverse(A: Aut0) -> Aut0:
 # ---------------------------------------------------------------------------
 
 def star(L: Lie2Algebra, t1: Tau, t2: Tau) -> Tau:
-    """tau * tau' = tau + tau' + tau d tau'; associative with unit 0."""
-    return Tau(t1.mat + t2.mat + (t1.mat @ L.d @ t2.mat))
+    """tau * tau' = tau + tau' + tau d tau'; associative with unit 0.
+
+    One pass over the flat row-major data: (tau d) tau' by two `_flat_mul`
+    products, then added to tau + tau' by the sum rule of the mode, so the
+    values are those of `t1.mat + t2.mat + t1.mat @ L.d @ t2.mat` (floats
+    bit for bit, signed zeros too) and one Mat is built.  Mixed modes raise
+    ModeError and shapes other than n1 x n0 (for d n0 x n1) ValueError, as
+    those Mat operations do."""
+    a, b, d = t1.mat, t2.mat, L.d
+    kind = _KINDS[_same_mode(a, b, d)]
+    if (a.rows, a.cols) != (b.rows, b.cols) or (d.rows, d.cols) != (a.cols, a.rows):
+        raise ValueError("shape mismatch")
+    ad = _flat_mul(a.data, a.rows, _nonzero_rows(d.data, d.rows, d.cols), d.cols, kind.zero)
+    adb = _flat_mul(ad, a.rows, _nonzero_rows(b.data, b.rows, b.cols), b.cols, kind.zero)
+    return Tau(Mat._result(a.rows, a.cols, kind.add(zip(kind.add(zip(a.data, b.data)), adb)), a.mode))
 
 
 def _unit_core(L: Lie2Algebra, t: Tau, a0=None, required: bool = True):

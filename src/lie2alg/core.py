@@ -36,6 +36,7 @@ from .linalg import (
     _exact,
     _quotient,
     _same_mode,
+    _slot_setters,
     kernel,
     mat_distance,
     scalar_kind,
@@ -420,11 +421,12 @@ class Lie2Hom:
             raise ValueError("A1 shape mismatch")
         if (A2.arity, A2.dim, A2.codim) != (2, source.n0, target.n1):
             raise ValueError("A2 shape mismatch")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "A0", A0)
-        object.__setattr__(self, "A1", A1)
-        object.__setattr__(self, "A2", A2)
+        set_source, set_target, set_a0, set_a1, set_a2 = _HOM_SLOTS
+        set_source(self, source)
+        set_target(self, target)
+        set_a0(self, A0)
+        set_a1(self, A1)
+        set_a2(self, A2)
 
     def __setattr__(self, *a):
         raise AttributeError("Lie2Hom is immutable")
@@ -443,6 +445,9 @@ class Lie2Hom:
 
     def __repr__(self):
         return f"Lie2Hom({self.source!r} -> {self.target!r})"
+
+
+_HOM_SLOTS = _slot_setters(Lie2Hom)
 
 
 def hom_identity(L: Lie2Algebra) -> Lie2Hom:
@@ -505,10 +510,16 @@ def validate_hom(A: Lie2Hom) -> ResidualReport:
 
 
 def compose_hom(B: Lie2Hom, A: Lie2Hom) -> Lie2Hom:
-    """Composite homomorphism B after A; (B.A)_2 = B2(A0 x A0) + B1 A2."""
+    """Composite homomorphism B after A; (B.A)_2 = B2(A0 x A0) + B1 A2.
+
+    When neither 2-component has an entry, the 2-component is the zero
+    tensor, built directly after the mode checks of the pullback,
+    postcompose and sum, which are not formed; any other input is summed as
+    the formula reads."""
     if A.target != B.source:
         raise ValueError("homomorphisms are not composable")
-    A2 = B.A2.pullback(A.A0) + A.A2.postcompose(B.A1)
+    A2 = (B.A2.pullback(A.A0) + A.A2.postcompose(B.A1) if B.A2.entries or A.A2.entries
+          else AltTensor._result(2, A.source.n0, B.target.n1, {}, _same_mode(B.A2, A.A0, A.A2, B.A1)))
     return Lie2Hom(A.source, B.target, B.A0 @ A.A0, B.A1 @ A.A1, A2)
 
 

@@ -238,8 +238,7 @@ def _der0_condition_vectors(L: Lie2Algebra, sp, x0: list, x1: list, lx: dict) ->
 
 def is_derivation0(L: Lie2Algebra, D: Derivation0) -> ResidualReport:
     """Residuals of the degree-0 derivation conditions (chain, a, b, c)."""
-    _same_mode(D.X0, L)
-    _same_mode(L, D.X1)
+    _same_mode(D.X0, L, D.X1)
     families = _der0_condition_vectors(
         L, L.sparse(), sparse_columns(D.X0), sparse_columns(D.X1), sparse_alt(D.lX))
     out = {}
@@ -516,8 +515,7 @@ def lie_cochain_action(X0: Mat, X1: Mat, omega: AltTensor) -> AltTensor:
     basis vectors: exact results are equal and finite float results are the
     dense left-to-right sums bit for bit.
     """
-    _same_mode(X0, omega)
-    _same_mode(X1, omega)
+    _same_mode(X0, omega, X1)
     form = _sparse0(X0, X1, omega)
     zero = scalar_zero(omega.mode)
     entries = {key: sparse_dense(r, omega.codim, zero)

@@ -50,6 +50,17 @@ Sparse vectors ({index: value}) serve the law evaluators and
 vectors" section.  `Mat.max_abs` and `AltTensor.max_abs`, the largest
 entry in absolute value, are kept as library API: the scale of a value,
 against which a float residual can be read.
+
+A value is built in one step: its slots are set through their
+descriptors (`_slot_setters`), one call per slot, and assignment to it
+raises AttributeError.  Literal data goes through `Mat.__init__` and
+`AltTensor.__init__`, which coerce it; a computed value, whose entries
+already share a mode, goes through `Mat._result` or `AltTensor._result`.
+`Mat._result` and `AltTensor._set` (which both `AltTensor` constructors
+run) are the construction seams: every computed Mat and every AltTensor
+passes one of them, so a hook there sees each value built.  `_set` keeps
+the stored keys sorted and drops zero values, and skips both when there
+are no entries.
 """
 
 from __future__ import annotations
@@ -216,9 +227,20 @@ def scalar_zero(mode: str):
     return scalar_kind(mode).zero
 
 
-def _same_mode(a, b):
-    if a.mode != b.mode:
-        raise ModeError(f"mode mismatch: {a.mode} vs {b.mode}")
+def _slot_setters(cls) -> tuple:
+    """The `__set__` of each slot of cls, in `__slots__` order.  An immutable
+    value class sets its slots through these, one call per slot, where
+    `object.__setattr__` would look each slot up by name first."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+def _same_mode(a, *others) -> str:
+    """The mode a shares with each of others; the first that differs
+    raises ModeError."""
+    for b in others:
+        if a.mode != b.mode:
+            raise ModeError(f"mode mismatch: {a.mode} vs {b.mode}")
+    return a.mode
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +302,11 @@ class Mat:
         if len(data) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(data)}")
         kind = kind_of(data)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", kind.entries(data))
-        object.__setattr__(self, "mode", kind.name)
+        set_rows, set_cols, set_data, set_mode = _MAT_SLOTS
+        set_rows(self, rows)
+        set_cols(self, cols)
+        set_data(self, kind.entries(data))
+        set_mode(self, kind.name)
 
     def __setattr__(self, *args):
         raise AttributeError("Mat is immutable")
@@ -293,10 +316,11 @@ class Mat:
         """A computed matrix whose entries already share `mode`: no
         coercion, and empty data keeps `mode` too."""
         out = object.__new__(cls)
-        object.__setattr__(out, "rows", rows)
-        object.__setattr__(out, "cols", cols)
-        object.__setattr__(out, "data", tuple(data))
-        object.__setattr__(out, "mode", mode)
+        set_rows, set_cols, set_data, set_mode = _MAT_SLOTS
+        set_rows(out, rows)
+        set_cols(out, cols)
+        set_data(out, tuple(data))
+        set_mode(out, mode)
         return out
 
     @classmethod
@@ -357,7 +381,7 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         out = _flat_mul(self.data, self.rows, _nonzero_rows(other.data, other.rows, other.cols),
-                        other.cols, scalar_zero(self.mode))
+                        other.cols, _KINDS[self.mode].zero)
         return Mat._result(self.rows, other.cols, out, self.mode)
 
     def apply(self, vec: tuple) -> tuple:
@@ -400,6 +424,9 @@ class Mat:
     def __repr__(self) -> str:
         rows = [" ".join(rat_str(self.at(i, j)) for j in range(self.cols)) for i in range(self.rows)]
         return "Mat[" + "; ".join(rows) + "]"
+
+
+_MAT_SLOTS = _slot_setters(Mat)
 
 
 def _nonzero_rows(data, rows: int, cols: int) -> list:
@@ -863,12 +890,13 @@ class AltTensor:
         self._set(arity, dim, codim, clean, kind.name)
 
     def _set(self, arity, dim, codim, entries: dict, mode: str):
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "codim", codim)
-        object.__setattr__(self, "entries",
-                           dict(sorted((k, v) for k, v in entries.items() if not vec_is_zero(v))))
-        object.__setattr__(self, "mode", mode)
+        set_arity, set_dim, set_codim, set_entries, set_mode = _ALT_SLOTS
+        set_arity(self, arity)
+        set_dim(self, dim)
+        set_codim(self, codim)
+        set_entries(self, dict(sorted((k, v) for k, v in entries.items() if not vec_is_zero(v)))
+                    if entries else {})
+        set_mode(self, mode)
 
     def __setattr__(self, *args):
         raise AttributeError("AltTensor is immutable")
@@ -999,6 +1027,9 @@ class AltTensor:
         return f"AltTensor({self.arity},{self.dim}->{self.codim}; {body})"
 
 
+_ALT_SLOTS = _slot_setters(AltTensor)
+
+
 # ---------------------------------------------------------------------------
 # sparse vectors ({index: value}, nonzero values only)
 # ---------------------------------------------------------------------------
@@ -1058,15 +1089,20 @@ def sparse_eval(t: AltTensor, *vectors: dict) -> dict:
     """t on sparse vectors, the one alternating evaluator: the stored keys
     in increasing order, each key's permutation terms in their fixed order
     (those with a zero factor skipped), then the key's minor times its
-    value."""
-    k = t.arity
+    value.  Only keys inside the support of the vectors can contribute:
+    when its k-subsets are fewer than the stored keys, they are walked in
+    increasing order and looked up, else every stored key is tested
+    against the support; both visit the same keys in the same order."""
+    k, entries = t.arity, t.entries
     support = set().union(*vectors)
     perms = _signed_perms(k)
+    if math.comb(len(support), k) < len(entries):
+        keys = [key for key in itertools.combinations(sorted(support), k) if key in entries]
+    else:
+        keys = [key for key in entries if support.issuperset(key)]
     out = {}
-    for key, vec in t.entries.items():
-        if not support.issuperset(key):
-            continue
-        minor = 0
+    for key in keys:
+        vec, minor = entries[key], 0
         for p, sign in perms:
             factors = [vectors[a].get(key[p[a]]) for a in range(k)]
             if all(factors):

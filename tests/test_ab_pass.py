@@ -23,7 +23,12 @@ def test_ab_pass_of_this_tree_against_itself_prints_both_medians_and_the_ratio()
     assert re.fullmatch(r"this   median [0-9.]+ ms per round", lines[1])
     assert re.fullmatch(r"other  median [0-9.]+ ms per round", lines[2])
     assert re.fullmatch(r"ratio this/other  median [0-9.]+  quartiles [0-9.]+ [0-9.]+", lines[3])
-    assert len(lines) == 4
+    # then one line per (fixture, suite) kind of op, which together hold every op
+    kinds = [re.fullmatch(r"kind (\S+) (\S+)  ops ([0-9]+)  ratio median [0-9]+\.[0-9]{3}", line)
+             for line in lines[4:]]
+    assert kinds and all(kinds), lines[4:]
+    assert {m[2] for m in kinds} == {"derive"} and "string-sl2" in {m[1] for m in kinds}
+    assert len({m[1] for m in kinds}) == len(kinds) and sum(int(m[3]) for m in kinds) == 7
 
 
 def test_ab_pass_exits_1_when_the_outputs_of_the_trees_differ(tmp_path):

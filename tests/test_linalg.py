@@ -28,6 +28,7 @@ from lie2alg.linalg import (
     rref,
     scalar_zero,
     solve,
+    sparse_eval,
     truncated_exp,
     vec_is_zero,
     vzero,
@@ -572,6 +573,57 @@ def test_alt_eval_and_pullback_match_the_permutation_sum_reference():
             for key in itertools.combinations(range(cols), arity):
                 want = ref_alt_eval(t, *(b.col(j) for j in key))
                 assert _bits(got.eval_basis(*key)) == _bits(want)
+
+
+def ref_sparse_eval(t, *vectors):
+    """The earlier loop of `sparse_eval`: every stored key tested against
+    the support of the vectors."""
+    k, support, out = t.arity, set().union(*vectors), {}
+    perms = [(p, -1 if sum(p[i] > p[j] for i, j in itertools.combinations(range(k), 2)) % 2
+              else 1) for p in itertools.permutations(range(k))]
+    for key, vec in t.entries.items():
+        if not support.issuperset(key):
+            continue
+        minor = 0
+        for p, sign in perms:
+            factors = [vectors[a].get(key[p[a]]) for a in range(k)]
+            if all(factors):
+                minor += sign * math.prod(factors)
+        if minor:
+            for c, y in enumerate(vec):
+                if y:
+                    out[c] = out[c] + minor * y if c in out else minor * y
+    return out
+
+
+def test_sparse_eval_walks_the_support_or_the_keys_as_the_key_loop_does():
+    """Both ways of `sparse_eval`, the k-subsets of a small support and the
+    stored keys of a sparse tensor, give the key loop's sums: the same
+    components in the same order, exact values of the same type, floats
+    bit for bit (a NaN and a -0.0 value included)."""
+    def typed(out):
+        return [(c, x.hex() if type(x) is float else (type(x), x)) for c, x in out.items()]
+
+    rng = random.Random(37)
+    ways = set()
+    for mode, arity in itertools.product(("exact", "float"), range(4)):
+        for _ in range(60):
+            dim, codim = rng.randint(max(arity, 1), 7), rng.randint(1, 3)
+            density = rng.choice((0.2, 0.6, 1.0))
+            keys = [k for k in itertools.combinations(range(dim), arity) if rng.random() < density]
+            entries = {k: _signed_draw(rng, codim, mode) for k in keys}
+            if mode == "float" and entries:
+                entries[rng.choice(keys)] = [math.nan, -0.0, 1.0][:codim]
+            t = AltTensor(arity, dim, codim, entries, mode)
+            for _ in range(3):
+                size = rng.randint(0, dim)
+                draws = [zip(rng.sample(range(dim), size), _signed_draw(rng, size, mode))
+                         for _ in range(arity)]
+                vectors = [{i: x for i, x in pairs if x} for pairs in draws]
+                support = set().union(*vectors)
+                ways.add(math.comb(len(support), arity) < len(t.entries))
+                assert typed(sparse_eval(t, *vectors)) == typed(ref_sparse_eval(t, *vectors))
+    assert ways == {True, False}
 
 
 @given(_tensor_and_args())

@@ -23,9 +23,12 @@ op to op and from round to round, so a drift of the host's speed falls on
 both alike.  The outputs of the two trees are compared op by op (the
 residual tables and dimensions of derive, the exit code and report text of
 a check); a difference exits 1.  Printed: each tree's median time of a
-round, and the median and quartiles of the per-round ratio this/other
-(above 1 means this checkout is slower).  Only the standard library is
-needed.
+round, the median and quartiles of the per-round ratio this/other (above 1
+means this checkout is slower), and then, for each kind of op (its fixture
+and suite, in the order of the cycle), how many ops of the round are of it
+and the median over the rounds of its ratio this/other.  A whole-round
+ratio can hide the kind of op that holds the benchmark's median.  Only the
+standard library is needed.
 """
 
 from __future__ import annotations
@@ -75,33 +78,43 @@ def check(tree: dict, op) -> tuple:
 
 
 def run_rounds(trees: list, ops: list, body, output, rounds: int) -> list:
-    """[(this seconds, other seconds)] per timed round, after one untimed
-    round; exits 1 when the two trees' outputs of an op differ."""
+    """Per timed round, after one untimed round, the list of (this seconds,
+    other seconds) of each op; exits 1 when the two trees' outputs of an op
+    differ."""
     times = []
     for r in range(rounds + 1):
-        spent = [0.0, 0.0]
+        spent = []
         for k, op in enumerate(ops):
-            outs = [None, None]
+            pair, outs = [0.0, 0.0], [None, None]
             for t in ((0, 1) if (r + k) % 2 == 0 else (1, 0)):
                 start = perf_counter()
                 result = body(trees[t], op)
-                spent[t] += perf_counter() - start
+                pair[t] = perf_counter() - start
                 outs[t] = output(result)
             if outs[0] != outs[1]:
                 raise SystemExit(f"error: the two trees differ on {op.label} ({op.suite})")
+            spent.append(tuple(pair))
         if r:
-            times.append(tuple(spent))
+            times.append(spent)
     return times
 
 
-def summary(times: list) -> list:
-    this = [a for a, _ in times]
-    other = [b for _, b in times]
-    ratios = [a / b for a, b in times]
-    q1, q2, q3 = statistics.quantiles(ratios, n=4)
-    return [f"this   median {1000 * statistics.median(this):.2f} ms per round",
-            f"other  median {1000 * statistics.median(other):.2f} ms per round",
-            f"ratio this/other  median {q2:.3f}  quartiles {q1:.3f} {q3:.3f}"]
+def summary(times: list, ops: list) -> list:
+    totals = [[sum(pairs) for pairs in zip(*spent)] for spent in times]
+    this = [a for a, _ in totals]
+    other = [b for _, b in totals]
+    q1, q2, q3 = statistics.quantiles([a / b for a, b in totals], n=4)
+    lines = [f"this   median {1000 * statistics.median(this):.2f} ms per round",
+             f"other  median {1000 * statistics.median(other):.2f} ms per round",
+             f"ratio this/other  median {q2:.3f}  quartiles {q1:.3f} {q3:.3f}"]
+    kinds = {}  # (fixture, suite) -> the positions of its ops in the round
+    for k, op in enumerate(ops):
+        kinds.setdefault((op.label, op.suite), []).append(k)
+    for (label, suite), ks in kinds.items():
+        ratio = statistics.median(sum(spent[k][0] for k in ks) / sum(spent[k][1] for k in ks)
+                                  for spent in times)
+        lines.append(f"kind {label} {suite}  ops {len(ks)}  ratio median {ratio:.3f}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -127,7 +140,7 @@ def main(argv=None) -> int:
             ops, body, output = plan.ops(0), check, tuple
         times = run_rounds(trees, ops, body, output, args.rounds)
     print(f"workload {args.workload}  seed {args.seed}  rounds {args.rounds}  ops per round {len(ops)}")
-    print("\n".join(summary(times)))
+    print("\n".join(summary(times, ops)))
     return 0
 
 
