@@ -20,6 +20,18 @@ from .derivations import DerM1, Derivation0
 from .linalg import AltTensor, Mat, rat, rat_str
 
 
+MAX_DENSE_ENTRIES = 10 ** 7
+"""The most dense table entries an algebra file may ask for: n0 n1 for d
+and n0 n1^2 for the n0 matrices of b01, which `parse_lie2` allocates from
+the header before it reads an entry (b00 and l3 store their entries
+only).  The algebras that the tests, tools and benchmark build stay far
+below it: the derive workload parses algebras up to 16|16 (4,352
+entries), and Der(endo-id3), 81|81 (`tools/scale_table.py endo-id:3`),
+would need 538,002.  At the limit the tables take about 80 MB of list
+slots; a header such as dim0 3000, dim1 300 (2.7e8 entries) would
+allocate for tens of seconds and then run out of memory."""
+
+
 class ParseError(ValueError):
     def __init__(self, filename: str, line: int, message: str):
         super().__init__(f"{filename}:{line}: {message}")
@@ -161,6 +173,10 @@ def parse_lie2(text: str, filename: str = "<string>") -> Lie2Algebra:
         if dims[-1] < 0:
             raise ParseError(filename, no, f"{key} must be nonnegative")
     n0, n1 = dims
+    if n0 * n1 + n0 * n1 * n1 > MAX_DENSE_ENTRIES:
+        raise ParseError(filename, lines[2][0],
+                         f"dim0 {n0} and dim1 {n1} need {n0 * n1 + n0 * n1 * n1} dense entries, "
+                         f"more than the limit of {MAX_DENSE_ENTRIES}")
     data = _read_entries(lines[3:], _ALGEBRA_TAGS, dims, filename, "unknown entry tag {!r}")
     d, b00, l3 = (_build(data[tag], _ALGEBRA_TAGS[tag], dims) for tag in ("d", "b00", "l3"))
     # file entry (i, a, b): coefficient of f_b in [e_i, f_a] -> matrix i, entry (b, a)

@@ -2,16 +2,20 @@
 that the automorphism 2-group integrates the derivation Lie 2-algebra.
 
 Every exponential is a block of one matrix exponential, computed by
-`linalg.truncated_exp`; `linalg.block_exp` gives the upper blocks (Van
-Loan 1978).  For a degree-0 derivation D = (X0, X1, lX), A0 = e^{tX0},
-and A1, A2 are the top-left and top-right blocks of e^{tM},
-M = [[X1, LX], [0, Lam]] on g_{-1} + Lam^2 g_0, where LX is lX on
-increasing basis pairs and Lam is X0 acting as a derivation on Lam^2 g_0.
-The star exponential of theta is the top-right block of
-e^{tN}, N = [[theta d, theta], [0, 0]].  Series terminate (and everything
+`linalg.truncated_exps`; `linalg.block_exps` gives the upper blocks (Van
+Loan 1978) and sums only the top block-row of the series.  For a degree-0
+derivation D = (X0, X1, lX), A0 = e^{tX0}, and A1, A2 are the top-left
+and top-right blocks of e^{tM}, M = [[X1, LX], [0, Lam]] on
+g_{-1} + Lam^2 g_0, where LX is lX on increasing basis pairs and Lam is
+X0 acting as a derivation on Lam^2 g_0.  The star exponential of theta is
+the top-right block of e^{tN}, N = [[theta d, theta], [0, 0]].  An
+identity that needs a generator at several t ((t + s, t, s) in the
+one-parameter checks, +-h/2 in the bracket probes) runs one series of it
+for all of them, anchored at the t of largest |t|: ts = (t,) is the
+series of one t, bit for bit, and so is -t.  Series terminate (and everything
 stays exact) when M or N is nilpotent, which holds exactly when X0 and X1,
 or theta d, are; otherwise the computation converts to float and scales
-and squares a series whose degree and squarings `truncated_exp` takes
+and squares a series whose degree and squarings `truncated_exps` takes
 from the norm, with the degree capped at a configurable order.
 
 The conjugation suite checks that the 2-group integrates the derivations
@@ -19,7 +23,7 @@ also across degrees: conjugating the one-parameter group (e^{tD}, 0) by
 (id, tau) gives the one-parameter group of Ad(tau) D = (D, theta) in the
 semidirect product, whose degree -1 leg at t = 1 is sigma e^{-X0}, sigma
 the top-right block of exp([[X1, theta], [0, X0 + d theta]]) (one more
-`block_exp`; the derivation is in `_conj_tau_der`).  It holds for every D
+`block_exps`; the derivation is in `_conj_tau_der`).  It holds for every D
 and unit tau, so no pair is sampled for a special property.  A sample
 builds the inverse of its automorphism A once (`aut_inverse`): the conj0,
 conj_dbar and conj_adjoint lines take it as an operand of their mode
@@ -27,8 +31,9 @@ decision, so A^{-1} is converted with A when a line runs in float.
 
 Finite-difference probes recover the graded bracket from group
 commutators, in both degrees by one body (`_recover`) at the fixed step
-h = `_FD_STEP`: it builds e^{+-(h/2)X}, e^{+-(h/2)Y} once and takes their
-squares for the step h, so one call gives the estimates R(h) and R(h/2),
+h = `_FD_STEP`: it builds e^{+-(h/2)X}, e^{+-(h/2)Y} once, each sign
+pair from one series, and takes their squares for the step h, so one
+call gives the estimates R(h) and R(h/2),
 whose Richardson combination (4 R(h/2) - R(h)) / 3 is within O(h^4) of
 the bracket.  Degree 0 runs it with `compose_hom`, degree -1 with `star`;
 e^{-(h/2) theta} is the star inverse of e^{(h/2) theta}, so no inverse is
@@ -40,8 +45,8 @@ are exact and every series the identity exponentiates terminates;
 otherwise it converts the algebra and all operands to float together, so
 both sides of an identity, and every exponential within it, share one
 mode.  `exp_der0` and `exp_derM1` are `_joint_mode` plus a body in the
-decided mode (`_der0_exps`, `_derM1_exp`); an identity decides once and
-calls the bodies, and `truncated_exp` simply follows the mode of its
+decided mode (`_der0_exps`, `_derM1_exps`); an identity decides once and
+calls the bodies, and `truncated_exps` simply follows the mode of its
 input.  The checks return (residual, mode) pairs: the mode label of each
 report line is the mode that computed it.
 """
@@ -83,10 +88,10 @@ from .derivations import (
 from .linalg import (
     AltTensor,
     Mat,
-    block_exp,
+    block_exps,
     nilpotency_index,
     scalar_kind,
-    truncated_exp,
+    truncated_exps,
     vzero,
 )
 
@@ -97,7 +102,7 @@ class ExpConfig:
 
     The scalar mode is not configured: it follows the values (see
     `_joint_mode`).  `order` caps the degree of a float series, whose
-    degree and squarings `linalg.truncated_exp` takes from the norm (a
+    degree and squarings `linalg.truncated_exps` takes from the norm (a
     smaller cap costs more squarings); a float identity passes within
     `tol`.  `order` is an int from 1 to sys.maxsize, the largest cap a
     series can be planned for, and `tol` must be finite and positive.  The
@@ -121,12 +126,13 @@ class ExpConfig:
 DEFAULT = ExpConfig()
 
 
-def _exp_hom(L: Lie2Algebra, D: Derivation0, t, order: int) -> Lie2Hom:
-    """e^{tD} = (e^{tX0}, A1, A2), with A1 and A2 the blocks of e^{tM},
-    M = [[X1, LX], [0, Lam]].  Lam(e_p^e_q) = X0e_p^e_q + e_p^X0e_q, written
-    in the increasing-pair basis with the sign of the swap.  The top-right
-    block is sum_{n>=1} t^n/n! sum_{i+j+k=n-1} binom(i+j, i)
-    X1^k lX(X0^i ., X0^j .) on the pairs."""
+def _exp_homs(L: Lie2Algebra, D: Derivation0, ts, order: int) -> list:
+    """[e^{tD} for t in ts], e^{tD} = (e^{tX0}, A1, A2), with A1 and A2 the
+    blocks of e^{tM}, M = [[X1, LX], [0, Lam]].  Lam(e_p^e_q) = X0e_p^e_q +
+    e_p^X0e_q, written in the increasing-pair basis with the sign of the
+    swap.  The top-right block is sum_{n>=1} t^n/n! sum_{i+j+k=n-1}
+    binom(i+j, i) X1^k lX(X0^i ., X0^j .) on the pairs.  Lam, LX and M are
+    built once, and one series of M and one of X0 serve every t."""
     n0, n1, mode = D.X0.rows, D.X1.rows, L.mode
     pairs = list(itertools.combinations(range(n0), 2))
     index = {pq: j for j, pq in enumerate(pairs)}
@@ -142,9 +148,10 @@ def _exp_hom(L: Lie2Algebra, D: Derivation0, t, order: int) -> Lie2Hom:
                         lam[index[(v, u)] * npairs + j] -= x
     cols = [D.lX.eval_basis(p, q) for p, q in pairs]
     LX = Mat._result(n1, npairs, [v[i] for i in range(n1) for v in cols], mode)
-    A1, top = block_exp(D.X1, LX, Mat._result(npairs, npairs, lam, mode), t, order)
-    A2 = AltTensor._result(2, n0, n1, {pq: top.col(j) for j, pq in enumerate(pairs)}, mode)
-    return Lie2Hom(L, L, truncated_exp(D.X0, t, order), A1, A2)
+    blocks = block_exps(D.X1, LX, Mat._result(npairs, npairs, lam, mode), ts, order)
+    return [Lie2Hom(L, L, A0, A1,
+                    AltTensor._result(2, n0, n1, {pq: top.col(j) for j, pq in enumerate(pairs)}, mode))
+            for A0, (A1, top) in zip(truncated_exps(D.X0, ts, order), blocks)]
 
 
 def _terminates(L: Lie2Algebra, X) -> bool:
@@ -175,18 +182,21 @@ def _joint_mode(L: Lie2Algebra, exps, *operands):
 
 def _der0_exps(L: Lie2Algebra, D: Derivation0, ts, cfg: ExpConfig) -> list:
     """[e^{tD} for t in ts] in the decided mode of L (`_joint_mode`): one
-    membership check for D, then one certified exponential per t."""
+    membership check for D, then one certified exponential per t, all from
+    the two series of `_exp_homs`."""
     tol = scalar_kind(L.mode).tolerance(cfg.tol)
     rep = is_derivation0(L, D)
     if not rep.within(tol):
         raise ValueError(f"not a derivation within tol {tol}: {rep!r}")
-    return [certify_aut0(L, _exp_hom(L, D, t, cfg.order), tol=tol) for t in ts]
+    return [certify_aut0(L, h, tol=tol) for h in _exp_homs(L, D, ts, cfg.order)]
 
 
-def _derM1_exp(L: Lie2Algebra, T: DerM1, t, cfg: ExpConfig) -> Tau:
-    """e^{t theta} in the decided mode of L (`_joint_mode`), the top-right
-    block of e^{tN}, N = [[theta d, theta], [0, 0]]."""
-    return Tau(block_exp(T.theta @ L.d, T.theta, Mat.zero(L.n0, L.n0, L.mode), t, cfg.order)[1])
+def _derM1_exps(L: Lie2Algebra, T: DerM1, ts, cfg: ExpConfig) -> list:
+    """[e^{t theta} for t in ts] in the decided mode of L (`_joint_mode`),
+    the top-right blocks of e^{tN}, N = [[theta d, theta], [0, 0]], from
+    one series of N."""
+    zero = Mat.zero(L.n0, L.n0, L.mode)
+    return [Tau(top) for _, top in block_exps(T.theta @ L.d, T.theta, zero, ts, cfg.order)]
 
 
 def exp_der0(L: Lie2Algebra, D: Derivation0, t=1, cfg: ExpConfig = DEFAULT) -> Aut0:
@@ -206,7 +216,7 @@ def exp_derM1(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> Tau:
     the top-right block of e^{tN} for N = [[theta d, theta], [0, 0]].
     Exact when theta d is nilpotent."""
     _, L, (T,) = _joint_mode(L, (T,))
-    return _derM1_exp(L, T, t, cfg)
+    return _derM1_exps(L, T, (t,), cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +225,18 @@ def exp_derM1(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> Tau:
 
 def check_one_parameter(L: Lie2Algebra, D: Derivation0, t, s, cfg: ExpConfig = DEFAULT):
     """(residual, mode) of e^{(t+s)D} against e^{tD} e^{sD}, componentwise;
-    one mode decision and one membership check of D serve all three."""
+    one mode decision, one membership check of D and one series of each
+    generator serve all three."""
     mode, L, (D,) = _joint_mode(L, (D,))
     lhs, a, b = _der0_exps(L, D, (Fraction(t) + Fraction(s), t, s), cfg)
     return hom_distance(lhs.hom, compose_hom(a.hom, b.hom)), mode
 
 
 def one_parameter_derM1(L: Lie2Algebra, T: DerM1, t, s, cfg: ExpConfig = DEFAULT):
-    """(residual, mode) of e^{(t+s)theta} against e^{t theta} * e^{s theta}."""
+    """(residual, mode) of e^{(t+s)theta} against e^{t theta} * e^{s theta},
+    all three from one series."""
     mode, L, (T,) = _joint_mode(L, (T,))
-    lhs, a, b = (_derM1_exp(L, T, x, cfg) for x in (Fraction(t) + Fraction(s), t, s))
+    lhs, a, b = _derM1_exps(L, T, (Fraction(t) + Fraction(s), t, s), cfg)
     return tau_distance(lhs, star(L, a, b)), mode
 
 
@@ -232,7 +244,7 @@ def check_commuting_square(L: Lie2Algebra, T: DerM1, cfg: ExpConfig = DEFAULT):
     """(residual, mode) of partial(e^theta) against e^{dbar(theta)}; theta
     decides the mode of both, as d theta is nilpotent iff theta d is."""
     mode, L, (T,) = _joint_mode(L, (T,))
-    lhs = partial(L, _derM1_exp(L, T, 1, cfg)).hom
+    lhs = partial(L, _derM1_exps(L, T, (1,), cfg)[0]).hom
     return hom_distance(lhs, _der0_exps(L, dbar(L, T), (1,), cfg)[0].hom), mode
 
 
@@ -263,12 +275,15 @@ def _bracket_estimate(mul, leg, step, x, xi, y, yi):
 def _recover(exp, mul, leg, x, y):
     """(R(h), R(h/2)), h = `_FD_STEP`: `_bracket_estimate` at both steps.
 
-    `exp(z, s)` is the group element e^{sz}.  The h/2 step builds
-    e^{+-(h/2)x} and e^{+-(h/2)y} once, and the h step takes their squares
-    under `mul` as e^{+-hx} and e^{+-hy}.
+    `exp(z, ts)` is the list of group elements e^{sz}, s in ts, from one
+    series of z.  The h/2 step builds e^{+(h/2)x} and e^{-(h/2)x} from one
+    series, and e^{+-(h/2)y} from another; -h/2 reads the terms of h/2
+    times (-1)^n, so both are bit for bit what a series of each alone would
+    give.  The h step takes their squares under `mul` as e^{+-hx} and
+    e^{+-hy}.
     """
     half = _FD_STEP / 2
-    elems = [exp(z, s) for z in (x, y) for s in (half, -half)]
+    elems = [g for z in (x, y) for g in exp(z, (half, -half))]
     return tuple(_bracket_estimate(mul, leg, step, *gs)
                  for step, gs in ((_FD_STEP, [mul(g, g) for g in elems]), (half, elems)))
 
@@ -278,7 +293,7 @@ def recover_bracket(L: Lie2Algebra, D1: Derivation0, D2: Derivation0,
     """(R(h), R(h/2)) of the commutator of e^{sD1}, e^{tD2} under
     composition (`_recover`), each within O(h^2) of the graded bracket."""
     Lf = L.to_float()
-    return _recover(lambda D, s: _exp_hom(Lf, D, s, cfg.order), compose_hom,
+    return _recover(lambda D, ts: _exp_homs(Lf, D, ts, cfg.order), compose_hom,
                     lambda F: Derivation0(F.A0, F.A1, F.A2), D1.to_float(), D2.to_float())
 
 
@@ -287,7 +302,7 @@ def recover_bracket_m1(L: Lie2Algebra, T1: DerM1, T2: DerM1,
     """(R(h), R(h/2)) of the commutator of e^{s theta}, e^{t theta'} under
     star (`_recover`), each within O(h^2) of the graded bracket."""
     Lf = L.to_float()
-    return _recover(lambda T, s: _derM1_exp(Lf, T, s, cfg), lambda a, b: star(Lf, a, b),
+    return _recover(lambda T, ts: _derM1_exps(Lf, T, ts, cfg), lambda a, b: star(Lf, a, b),
                     lambda c: DerM1(c.mat), T1.to_float(), T2.to_float())
 
 
@@ -314,7 +329,7 @@ def _theta_from_a2(L: Lie2Algebra, A: Aut0, x: tuple) -> DerM1:
 def _conj_tau_der(L: Lie2Algebra, cfg: ExpConfig, D: Derivation0, tau: Tau):
     """(residual, mode) of tau * (e^D |> tau^{-1}) = sigma e^{-X0}, with
     sigma the top-right block of exp([[X1, theta], [0, X0 + d theta]]) and
-    theta the degree -1 part of Ad(tau) D; one `block_exp` (Van Loan 1978)
+    theta the degree -1 part of Ad(tau) D; one `block_exps` (Van Loan 1978)
     gives sigma, and e^{-X0} is the cached inverse of e^D's A0.
 
     Conjugating the one-parameter group (e^{tD}, 0) by (id, tau) gives the
@@ -334,7 +349,7 @@ def _conj_tau_der(L: Lie2Algebra, cfg: ExpConfig, D: Derivation0, tau: Tau):
     mode, L, (D, c, theta, tau) = _joint_mode(L, (D, D.X0 + L.d @ theta), theta, tau)
     eD = _der0_exps(L, D, (1,), cfg)[0]
     lhs = star(L, tau, act(L, eD, tau_inverse(L, tau)))
-    sigma = block_exp(D.X1, theta, c, 1, cfg.order)[1]
+    sigma = block_exps(D.X1, theta, c, (1,), cfg.order)[0][1]
     return tau_distance(lhs, Tau(sigma @ eD.a0_inv)), mode
 
 
@@ -379,10 +394,11 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
         # and tau are exact, so T alone decides the mode
         actT = ad_conjugate(L, A, T)
         mode, Lm, (Tm, adT, taum, actTm, Am) = _joint_mode(L, (T,), ad_conjugate(L, tau, T), tau, actT, A)
-        eT = _derM1_exp(Lm, Tm, 1, cfg)
+        eT = _derM1_exps(Lm, Tm, (1,), cfg)[0]
         lhs_t = star(Lm, star(Lm, taum, eT), tau_inverse(Lm, taum))
-        out.append((f"conj_m1[{idx}]", tau_distance(lhs_t, _derM1_exp(Lm, adT, 1, cfg)), mode))
-        out.append((f"act_exp[{idx}]", tau_distance(act(Lm, Am, eT), _derM1_exp(Lm, actTm, 1, cfg)), mode))
+        rhs_t, rhs_a = (_derM1_exps(Lm, X, (1,), cfg)[0] for X in (adT, actTm))
+        out.append((f"conj_m1[{idx}]", tau_distance(lhs_t, rhs_t), mode))
+        out.append((f"act_exp[{idx}]", tau_distance(act(Lm, Am, eT), rhs_a), mode))
 
         # (iv) tau * (e^D |> tau^{-1}) = sigma e^{-X0}
         Dc = (_nilpotent_draw(rng, nilpotent) if nilpotent

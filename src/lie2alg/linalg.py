@@ -13,7 +13,7 @@ values included: literal data is float iff an entry is (for a tensor,
 an entry of any of its values), a zero or identity takes its mode as an
 argument, and a computed result has the mode of its operands.  Mixing
 the two modes in one expression raises `ModeError`; so does a float t on
-an exact `truncated_exp`, or a t that is no number on a float one, as a
+an exact `truncated_exps`, or a t that is no number on a float one, as a
 bad scalar does in `Mat.scale`.  A mode name other than "exact" or "float"
 raises ValueError where a value is built from it.
 
@@ -27,10 +27,22 @@ its mode name and `kind_of(values)` reads it off literal values; values
 carry the name, as `.mode`.  Elsewhere the package calls the kinds
 rather than testing modes, except `integration._joint_mode`, which
 decides the mode of an identity.  The branches left here are algorithm
-choices: the exact and the scaled-and-squared series of `truncated_exp`,
-the float balancing of `block_exp`, and elimination vs partial pivoting
+choices: the exact and the scaled-and-squared series of `truncated_exps`,
+the float balancing of `block_exps`, and elimination vs partial pivoting
 in `mat_inverse`; tests/test_scalar_seam.py holds this module to at most
 10 mode-test lines.
+
+`truncated_exps` holds the one Taylor loop of the package, for every t a
+caller needs of one generator: the terms are computed once, at the t of
+largest |t|, and each other t reads them times (t / anchor)^n up to its
+own degree, with the anchor's squarings.  `truncated_exp` is its one-t
+case, which sums what it summed before the sharing.  -t, and t 2^-k when
+the series does not square, give in float the bits of their own one-t
+calls (multiplying by -1 or 2^-k is exact); exact results are equal in
+value.  `block_exps` gives the top
+blocks of e^{tM}, M = [[a, b], [0, c]], and sums only the top rows of the
+series when it does not square: row i of a product depends on row i of
+the left factor alone, so those rows are the whole sum's bit for bit.
 
 Row reduction, kernel bases and exact inverses are only available in
 exact mode, where results are exact by construction; they share one
@@ -440,7 +452,7 @@ def _flat_mul(a, n: int, brows: list, m: int, zero) -> list:
     entries `a` with the matrix of m columns whose nonzero rows are `brows`
     (`_nonzero_rows`); the one dense matrix product loop of the package:
     `Mat.__matmul__`, `Mat.apply` (a one-column right factor), `Mat.trace`,
-    `row_sum_norm`, `nilpotency_index` and `truncated_exp` sum through it.
+    `row_sum_norm`, `nilpotency_index` and `truncated_exps` sum through it.
     The sparse-basis products of the derivation build, whose factors are
     {col: value} rows, run through `derivations._product` instead: there the
     dense row-major form costs more (Python 3.11 on a shared 2-vCPU host:
@@ -696,7 +708,7 @@ def nilpotency_index(m: Mat):
 
 def row_sum_norm(m: Mat) -> float:
     """The max row sum of |entries| as a float, the norm that sets the
-    degree and the number of squarings in float `truncated_exp`; the row
+    degree and the number of squarings in float `truncated_exps`; the row
     sums are |m| times ones, through `_flat_mul`."""
     kind = _KINDS[m.mode]
     sums = _flat_mul([abs(x) for x in m.data], m.rows, [[(0, kind.one)]] * m.cols, 1, kind.zero)
@@ -743,24 +755,35 @@ def _taylor_plan(x: float, order: int) -> tuple:
     s = 0
     while math.ldexp(x, -s) > _theta(order):
         s += 1
-    return bisect.bisect_left(range(1, order + 1), math.ldexp(x, -s), key=_theta) + 1, s
+    return _degree(math.ldexp(x, -s), order), s
+
+
+def _degree(y: float, order: int) -> int:
+    """The least m >= 1 with tail_m(y) <= 2^-53, for 0 <= y <= theta_order."""
+    return bisect.bisect_left(range(1, order + 1), y, key=_theta) + 1
 
 
 def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
-    """The exponential e^{tm} by its Taylor series, in the mode of m; the
-    only series in the package.
+    """The exponential e^{tm}: `truncated_exps` at the one t."""
+    return truncated_exps(m, (t,), order)[0]
+
+
+def truncated_exps(m: Mat, ts, order: int = 24, rows=None) -> list:
+    """[e^{tm} for t in ts] by one Taylor series, in the mode of m; the only
+    series in the package.  With `rows` given, each result is the top
+    `rows` rows of e^{tm}, and only those rows are summed.
 
     An exact series stops at its first zero term, so the result is the true
     exponential, exactly, and `order` plays no part.  When no term vanishes
-    by term m.rows + 1 (m is not nilpotent and t != 0) it raises ValueError
-    rather than return a truncated sum as exact.  Its t is an exact scalar:
-    a float t raises ModeError, as a float scalar does in `Mat.scale`.  A
-    float m takes an int, float or Fraction t; any other t raises
-    ModeError.  It is scaled and squared (Higham 2005) with the degree and
-    the squarings taken from the norm: with x = |t| ||m||, ||.|| the max row
-    sum, `_taylor_plan` picks the least s and then the least degree
-    m <= `order` whose truncation bound at x / 2^s is at most 2^-53; m
-    terms of the series are summed at t / 2^s and the result is squared s
+    by term m.rows + 1 (m is not nilpotent and some t != 0) it raises
+    ValueError rather than return a truncated sum as exact.  Its ts are
+    exact scalars: a float t raises ModeError, as a float scalar does in
+    `Mat.scale`.  A float m takes int, float or Fraction ts; any other t
+    raises ModeError.  It is scaled and squared (Higham 2005) with the
+    degree and the squarings taken from the norm: with x = |t| ||m||, ||.||
+    the max row sum, `_taylor_plan` picks the least s and then the least
+    degree m <= `order` whose truncation bound at x / 2^s is at most 2^-53;
+    m terms of the series are summed at t / 2^s and the result is squared s
     times.  `order` caps the degree: a smaller cap costs more squarings, and
     one that is no int or lies outside 1 to sys.maxsize raises ValueError.  At
     the default 24 the series is summed up to x / 2^s <= theta_24 (about
@@ -770,11 +793,29 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     ValueError, and so do a t too large for a float and a result with an
     entry that overflows to inf or NaN.
 
+    The series is anchored at the t of largest |t|, the first among equals:
+    its terms are computed as a call with that t alone computes them, and
+    its plan sets s for every t.  Each other t reads its terms as those
+    terms times (t / anchor)^n, up to its own degree (the least whose bound
+    at |t| ||m|| / 2^s is at most 2^-53), and squares its own sum s times.
+    A call with one t sums the series that call did before the sharing, bit
+    for bit.  Multiplying by -1 or by 2^-k is exact, so in float -anchor,
+    and anchor 2^-k when s = 0, come out bit for bit as their own one-t
+    calls, and any other t agrees with its own call to rounding.  An exact
+    result equals its own call's in value, and for -anchor in the type of
+    each entry too; elsewhere an integral entry may be a Fraction of
+    denominator 1 where its own call holds an int.
+
     The series and the squarings run on flat row-major lists through
     `_flat_mul`, with the nonzero rows of m built once: term n is term
     n - 1 times m, scaled by t / n, and is added as `Mat.__add__` adds, so
     results are those of the same `Mat` operations (in float bit for bit,
-    signed zeros included); only the result is built as a `Mat`.
+    signed zeros included); only the results are built as `Mat`s.  Row i of
+    a product depends on row i of its left factor alone, so the top rows,
+    summed alone, are those of the whole sum bit for bit.  When s > 0 the
+    squarings need every row, and every row is summed.  An exact sum of the
+    top rows stops at the first term whose top rows vanish, as every later
+    term's do, so it is exact.
     """
     if m.rows != m.cols:
         raise ValueError("square matrix required")
@@ -784,39 +825,56 @@ def truncated_exp(m: Mat, t=1, order: int = 24) -> Mat:
     kind, exact = _KINDS[mode], mode == "exact"
     if not exact:
         try:
-            t = float(kind_of((t,)).scalar(t))
+            ts = [float(kind_of((t,)).scalar(t)) for t in ts]
         except OverflowError:
             raise ValueError("exponential overflows: t is too large for a float") from None
-        x = abs(t) * row_sum_norm(m)
-        if not math.isfinite(2 * x):
-            raise ValueError(f"exponential overflows: ||t m|| = {x} is not below 2^1023")
-        top, s = _taylor_plan(x, order)
-        t = math.ldexp(t, -s)
+        norm = row_sum_norm(m)
+        for t in ts:
+            if not math.isfinite(2 * (abs(t) * norm)):
+                raise ValueError(f"exponential overflows: ||t m|| = {abs(t) * norm} is not below 2^1023")
+        anchor = max(ts, key=abs, default=0.0)
+        top, s = _taylor_plan(abs(anchor) * norm, order)
+        degrees = [_degree(math.ldexp(abs(t) * norm, -s), order) for t in ts]
+        ratios = [t / anchor if anchor else 0.0 for t in ts]
+        anchor = math.ldexp(anchor, -s)
     else:
         # an exact m is nilpotent iff a term vanishes, by term m.rows at the latest
-        t, top = kind.scalar(t), size + 1
+        ts = [kind.scalar(t) for t in ts]
+        anchor, top = max(ts, key=abs, default=0), size + 1
+        degrees, ratios = [top] * len(ts), [_quotient(t, anchor) if anchor else 0 for t in ts]
+    k = size if rows is None else rows
+    summed = k if s == 0 else size
     zero, brows = kind.zero, _nonzero_rows(m.data, size, size)
-    result = term = Mat.identity(size, mode).data
+    term = Mat.identity(size, mode).data[:summed * size]
+    sums = [term] * len(ts)
     for n in range(1, top + 1):
-        term = _flat_mul(term, size, brows, size, zero)
+        term = _flat_mul(term, summed, brows, size, zero)
         if exact and not any(term):
             break
-        c = _quotient(t, n) if exact else t / n
+        c = _quotient(anchor, n) if exact else anchor / n
         term = [c * a for a in term]
-        result = kind.add(zip(result, term))
+        for i, (r, d) in enumerate(zip(ratios, degrees)):
+            if n <= d:
+                q = r ** n
+                sums[i] = kind.add(zip(sums[i], term if q == 1 else [q * a for a in term]))
     else:
         if exact:
             raise ValueError("exact exponential of a matrix that is not nilpotent")
-    for _ in range(s):
-        result = _flat_mul(result, size, _nonzero_rows(result, size, size), size, zero)
-    if not exact and not all(map(math.isfinite, result)):
-        raise ValueError(f"exponential overflows: e^(t m) is not finite at ||t m|| = {x}")
-    return Mat._result(size, size, result, mode)
+    out = []
+    for t, result in zip(ts, sums):
+        for _ in range(s):
+            result = _flat_mul(result, size, _nonzero_rows(result, size, size), size, zero)
+        result = result[:k * size]
+        if not exact and not all(map(math.isfinite, result)):
+            raise ValueError(f"exponential overflows: e^(t m) is not finite at ||t m|| = {abs(t) * norm}")
+        out.append(Mat._result(k, size, result, mode))
+    return out
 
 
-def block_exp(a: Mat, b: Mat, c: Mat, t=1, order: int = 24):
-    """The top-left and top-right blocks of e^{tM} for M = [[a, b], [0, c]],
-    in the mode of a, b and c, by one `truncated_exp`.
+def block_exps(a: Mat, b: Mat, c: Mat, ts, order: int = 24) -> list:
+    """[(top-left, top-right) blocks of e^{tM} for t in ts], M = [[a, b], [0, c]],
+    in the mode of a, b and c, by one `truncated_exps` over the top a.rows
+    rows of M, which sums only those rows unless it squares.
 
     The top-right block is the integral of e^{(t-s)a} b e^{sc} over
     [0, t] (Van Loan 1978).  M is nilpotent exactly when a and c are.  That
@@ -824,7 +882,7 @@ def block_exp(a: Mat, b: Mat, c: Mat, t=1, order: int = 24):
     two 2^-k to a norm of at most max(||a||, ||c||, 1/2) and the block by
     2^k afterwards: a large b then adds no squarings, which would cost the
     top-left block e^{ta} accuracy.  A block that overflows to inf or NaN
-    when scaled back raises ValueError, as `truncated_exp` does."""
+    when scaled back raises ValueError, as `truncated_exps` does."""
     n, m, mode, k = a.rows, c.rows, a.mode, 0
     if mode == "float":
         nb, cap = row_sum_norm(b), max(row_sum_norm(a), row_sum_norm(c), 0.5)
@@ -833,13 +891,15 @@ def block_exp(a: Mat, b: Mat, c: Mat, t=1, order: int = 24):
             k = min(1023, math.ceil(math.log2(nb) - math.log2(cap)))
             b = b.scale(2.0 ** -k)
     rows = [a.row(i) + b.row(i) for i in range(n)] + [vzero(n, mode) + c.row(i) for i in range(m)]
-    E = truncated_exp(Mat._result(n + m, n + m, [x for r in rows for x in r], mode), t, order)
-    top = Mat._result(n, m, [E.at(i, j) for i in range(n) for j in range(n, n + m)], mode)
-    if k:
-        top = top.scale(2.0 ** k)
-        if not all(map(math.isfinite, top.data)):
-            raise ValueError(f"exponential overflows: the top-right block is not finite at ||b|| = {nb}")
-    return Mat._result(n, n, [E.at(i, j) for i in range(n) for j in range(n)], mode), top
+    out = []
+    for E in truncated_exps(Mat._result(n + m, n + m, [x for r in rows for x in r], mode), ts, order, n):
+        top = Mat._result(n, m, [E.at(i, j) for i in range(n) for j in range(n, n + m)], mode)
+        if k:
+            top = top.scale(2.0 ** k)
+            if not all(map(math.isfinite, top.data)):
+                raise ValueError(f"exponential overflows: the top-right block is not finite at ||b|| = {nb}")
+        out.append((Mat._result(n, n, [E.at(i, j) for i in range(n) for j in range(n)], mode), top))
+    return out
 
 
 # ---------------------------------------------------------------------------

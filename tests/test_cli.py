@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import random
+import resource
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -75,6 +78,29 @@ def test_an_algebra_too_large_for_memory_is_input_error(monkeypatch):
     monkeypatch.setattr(cli, "parse_lie2", parse_lie2)
     code, text = run(["validate", str(GOLDEN / "broken-c.lie2")])
     assert (code, text) == (2, "error: out of memory\n")
+
+
+def test_an_oversized_header_is_refused_before_any_table_is_built(tmp_path):
+    # dim0 3000, dim1 300 asks for 2.7e8 dense entries: refused from the
+    # header alone, in milliseconds.  The call runs in a child process under
+    # a 1 GiB address-space cap, so a parser that allocated first fails on
+    # memory there instead of taking the host's
+    f = tmp_path / "big.lie2"
+    f.write_text("lie2 v1\ndim0 3000\ndim1 300\n")
+    probe = ("import sys, time\nfrom lie2alg.cli import run\nstart = time.perf_counter()\n"
+             "code, text = run(['validate', sys.argv[1]])\n"
+             "print(code, time.perf_counter() - start)\nprint(text, end='')\n")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    proc = subprocess.run([sys.executable, "-c", probe, str(f)], capture_output=True, text=True,
+                          timeout=120, preexec_fn=cap, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    head, text = proc.stdout.split("\n", 1)
+    code, seconds = head.split()
+    assert (int(code), text) == (2, f"error: {f}:3: dim0 3000 and dim1 300 need 270900000 dense "
+                                    "entries, more than the limit of 10000000\n")
+    assert float(seconds) < 0.5
 
 
 def test_parse_error_is_input_error(tmp_path):

@@ -1,4 +1,4 @@
-"""Float `truncated_exp` against mpmath.
+"""Float `truncated_exp` and `truncated_exps` against mpmath.
 
 The rule (`linalg._taylor_plan`): with x = |t| ||m|| (max row sum), s is
 the least s >= 0 with tail_order(x / 2^s) <= 2^-53, and m the least degree
@@ -154,6 +154,36 @@ def test_float_exp_is_within_its_bound_of_mpmath():
                             assert err < 1e-14 * (1 + norm)
 
 
+def test_shared_series_ts_are_within_their_bound_of_mpmath():
+    """Each t that `truncated_exps` reads off the series of the anchor t = 1
+    (its terms times t^n) errs, against mpmath, by at most the bound above
+    at its own degree and the anchor's s squarings, with two more roundings
+    per term for the scaling: (m + n + 2) u e^{2y}, y = |t| ||m|| / 2^s.
+    The norms run from below theta_24, where nothing squares, to 30."""
+    rng = random.Random(13)
+    ts = (1.0, 0.7, -0.3, 1 / 3, -0.9, 1e-3, 0.0)
+    squared = 0
+    for size in range(1, 6):
+        for norm in (1e-2, 0.5, 2, 3, 8, 30):
+            for dense in (True, False):
+                m = _random_mat(rng, size, norm, dense)
+                for order in (5, 24):
+                    got = linalg.truncated_exps(m, ts, order)
+                    s = _taylor_plan(row_sum_norm(m), order)[1]
+                    squared += s > 0
+                    for t, g in zip(ts[1:], got[1:]):
+                        with mpmath.workdps(40):
+                            e = mpmath.expm(mpmath.matrix([[t * x for x in m.row(i)] for i in range(size)]))
+                            want = [[e[i, j] for j in range(size)] for i in range(size)]
+                            err = _mp_norm([[g.at(i, j) - want[i][j] for j in range(size)]
+                                            for i in range(size)]) / _mp_norm(want)
+                        y = math.ldexp(abs(t) * row_sum_norm(m), -s)
+                        deg = linalg._degree(y, order)
+                        bound = 2 ** s * (_tail(deg, y) + (deg + size + 2) * U * math.exp(2 * y))
+                        assert err <= bound, (size, norm, dense, order, t, float(err), float(bound))
+    assert squared >= 20
+
+
 def test_order_one_still_converges():
     got = truncated_exp(Mat.from_rows([[1.0]]), 1, order=1).at(0, 0)
     assert abs(got - math.e) < 1e-7 * math.e
@@ -195,32 +225,37 @@ def test_conjugation_exponentials_of_the_found_case_match_the_plain_series(monke
     """`lie2 check skeletal-demo --suite conjugation --samples 2 --seed
     746966549`: the A0 and A2 of every float e^D it forms err, against
     mpmath, by at most twice the unsquared order-24 series."""
-    calls, exp_hom = [], integration._exp_hom
+    calls, exp_homs = [], integration._exp_homs
 
-    def record(L, D, t, order):
+    def record(L, D, ts, order):
         if L.mode == "float":
-            calls.append((L, D, t, order))
-        return exp_hom(L, D, t, order)
+            calls.append((L, D, ts, order))
+        return exp_homs(L, D, ts, order)
 
-    monkeypatch.setattr(integration, "_exp_hom", record)
+    monkeypatch.setattr(integration, "_exp_homs", record)
     code, _ = cli.run(["check", "skeletal-demo", "--suite", "conjugation", "--samples", "2",
                        "--seed", "746966549"])
     monkeypatch.undo()
     assert code == 0 and len(calls) >= 4
 
     def with_series(series, args):
-        monkeypatch.setattr(linalg, "truncated_exp", series)
-        monkeypatch.setattr(integration, "truncated_exp", series)
+        def exps(m, ts, order=24, rows=None):
+            # each t by its own series, cut to the rows asked for
+            k = m.rows if rows is None else rows
+            return [Mat._result(k, m.cols, series(m, t, order).data[:k * m.cols], "float") for t in ts]
+
+        monkeypatch.setattr(linalg, "truncated_exps", exps)
+        monkeypatch.setattr(integration, "truncated_exps", exps)
         try:
-            return exp_hom(*args)
+            return exp_homs(*args)
         finally:
             monkeypatch.undo()
 
     for args in calls:
-        want = with_series(_mp_series, args)
-        new = _rel_errors(exp_hom(*args), want)
-        plain = _rel_errors(with_series(_plain_series, args), want)
-        assert new[0] <= 2 * plain[0] and new[1] <= 2 * plain[1], (new, plain)
+        for got, want, plain in zip(exp_homs(*args), with_series(_mp_series, args),
+                                    with_series(_plain_series, args)):
+            new, plain = _rel_errors(got, want), _rel_errors(plain, want)
+            assert new[0] <= 2 * plain[0] and new[1] <= 2 * plain[1], (new, plain)
 
 
 @pytest.mark.parametrize("order", [0, -1])

@@ -6,6 +6,7 @@ import pytest
 from lie2alg.automorphisms import Tau
 from lie2alg.core import hom_identity
 from lie2alg.derivations import compute_der0_basis, random_der0, random_derM1
+from lie2alg import fileio
 from lie2alg.fileio import ParseError, parse_element, parse_lie2, serialize_element, serialize_lie2
 from lie2alg.fixtures import (
     NAMED_EXAMPLES,
@@ -211,3 +212,13 @@ def test_element_diagnostic_text(text, message):
     with pytest.raises(ParseError) as exc:
         parse_element(text, fix_str(), "e.el")
     assert str(exc.value) == message
+
+
+def test_the_dense_entry_limit_counts_d_and_b01(monkeypatch):
+    # n0 n1 + n0 n1^2 entries: 2|3 needs 6 + 18 = 24; b00 and l3 count none
+    monkeypatch.setattr(fileio, "MAX_DENSE_ENTRIES", 24)
+    assert parse_lie2("lie2 v1\ndim0 2\ndim1 3\n").n0 == 2
+    assert parse_lie2("lie2 v1\ndim0 9\ndim1 0\n").n0 == 9
+    with pytest.raises(ParseError) as exc:
+        parse_lie2("lie2 v1\ndim0 1\ndim1 5\n", "f.lie2")
+    assert str(exc.value) == "f.lie2:3: dim0 1 and dim1 5 need 30 dense entries, more than the limit of 24"

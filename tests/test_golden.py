@@ -115,7 +115,7 @@ def test_endo_id2_file_is_the_serializer_output():
 # seeds, in that order): the sampled pairs of the conjugation suite, every
 # float residual of the finite-difference bracket recovery, and every term,
 # sum and squaring of the scaled and squared series of the one-parameter and
-# exp-square suites, whose degree and squarings `truncated_exp` takes from
+# exp-square suites, whose degree and squarings `truncated_exps` takes from
 # the norm, stay fixed over many more seeds than the golden files hold
 DIGESTS = (
     ("conjugation", range(1, 41),
@@ -123,7 +123,7 @@ DIGESTS = (
     ("bracket-recovery", range(1, 21),
      "a802b73c5494c36c2aaae88d7398a784636e763eb0d57cf8ee6f99fda38cb323"),
     ("one-parameter", range(1, 21),
-     "b77ee42045bc330753d683e74d9be4891065cb358ffe94e422ac4a0c50779083"),
+     "d593fa6341d487498dbdc2117d4dddd94c79f5de9631cf568d4453efa08f8c5c"),
     ("exp-square", range(1, 21),
      "53eef47f1ae16c47ad6f5567e2ada3a217b7b4e9a1d32f6d375ef728ac4292ca"),
 )

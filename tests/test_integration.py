@@ -54,7 +54,7 @@ from lie2alg.fixtures import (
 )
 from lie2alg.integration import (
     ExpConfig,
-    _exp_hom,
+    _exp_homs,
     _joint_mode,
     _terminates,
     check_commuting_square,
@@ -253,14 +253,29 @@ def test_one_parameter_degree_m1():
 
 
 def test_one_parameter_checks_membership_once(monkeypatch):
+    # one membership check, and one series of X0 and one of M for all three t
     L = fix_str()
     checks = _counting(monkeypatch, "is_derivation0")
-    exps = _counting(monkeypatch, "_exp_hom")
+    series = _counting_series(monkeypatch)
     ad_h, ad_e = (adbar0_single(L, basis_vec(L.n0, i, L.mode)) for i in (0, 1))
     for D, mode in ((ad_e, "exact"), (ad_h, "float")):
-        del checks[:], exps[:]
+        del checks[:], series[:]
         assert check_one_parameter(L, D, Fraction(1, 2), Fraction(1, 4))[1] == mode
-        assert (len(checks), len(exps)) == (1, 3)
+        assert (len(checks), len(series)) == (1, 2)
+        assert all(len(ts) == 3 for _, ts, *_ in series)
+
+
+def test_one_parameter_derM1_runs_one_series(monkeypatch):
+    # one star series serves the three t, in either mode
+    rng = random.Random(76)
+    series = _counting_series(monkeypatch)
+    modes = set()
+    for L in (fix_str(), fix_end(), fix_end(), fix_end()):
+        del series[:]
+        T = random_derM1(L, rng, dens=SMALL)
+        modes.add(one_parameter_derM1(L, T, Fraction(1, 2), Fraction(1, 4))[1])
+        assert [len(ts) for _, ts, *_ in series] == [3]
+    assert modes == {"exact", "float"}
 
 
 def test_degree_m1_identities_decide_termination_once(monkeypatch):
@@ -375,7 +390,7 @@ def ref_recover_bracket(L, D1, D2, cfg=ExpConfig()):
     half = h / 2
 
     def element(D, s, squared):
-        g = _exp_hom(Lf, D, s, cfg.order)
+        g = _exp_homs(Lf, D, (s,), cfg.order)[0]
         return compose_hom(g, g) if squared else g
 
     def corner(s, t, squared):
@@ -459,8 +474,8 @@ def test_recover_bracket_from_squares_is_at_the_rounding_floor_of_the_direct_ste
         assert der0_distance(R, recover_bracket(L, D1, D2)[1]) <= 4 * floor, label
 
 
-def _counting(monkeypatch, name, module=integration):
-    calls = []
+def _counting(monkeypatch, name, module=integration, calls=None):
+    calls = [] if calls is None else calls
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
@@ -471,27 +486,37 @@ def _counting(monkeypatch, name, module=integration):
     return calls
 
 
+def _counting_series(monkeypatch):
+    """The calls of the one Taylor loop, `truncated_exps`, whether
+    `integration` or `linalg.block_exps` makes them: (m, ts, ...) each."""
+    calls = _counting(monkeypatch, "truncated_exps")
+    return _counting(monkeypatch, "truncated_exps", linalg, calls)
+
+
 def test_recover_bracket_builds_four_exponentials_for_both_steps(monkeypatch):
     L = fix_str()
     D1 = adbar0_single(L, basis_vec(L.n0, 0, L.mode))
     D2 = adbar0_single(L, basis_vec(L.n0, 1, L.mode))
-    exps = _counting(monkeypatch, "_exp_hom")
+    series = _counting_series(monkeypatch)
     products = _counting(monkeypatch, "compose_hom")
     recover_bracket(L, D1, D2)
-    # 4 squares, then 4 products and 4 corners per step
-    assert (len(exps), len(products)) == (4, 20)
+    # one series of X0 and one of M per generator, each for +-h/2; then 4
+    # squares, and 4 products and 4 corners per step
+    assert (len(series), len(products)) == (4, 20)
+    assert all(ts == (integration._FD_STEP / 2, -integration._FD_STEP / 2) for _, ts, *_ in series)
 
 
 def test_recover_bracket_m1_builds_four_exponentials_and_no_inverse(monkeypatch):
     rng = random.Random(87)
     L = fix_end()
     T1, T2 = random_derM1(L, rng), random_derM1(L, rng)
-    exps = _counting(monkeypatch, "_derM1_exp")
+    series = _counting_series(monkeypatch)
     inverses = _counting(monkeypatch, "tau_inverse")
     products = _counting(monkeypatch, "star")
     recover_bracket_m1(L, T1, T2)
-    # 4 squares, then 4 products and 4 corners per step
-    assert (len(exps), len(inverses), len(products)) == (4, 0, 20)
+    # one series per generator for +-h/2; then 4 squares, and 4 products
+    # and 4 corners per step
+    assert (len(series), len(inverses), len(products)) == (2, 0, 20)
 
 
 def test_crossed_module_check_forms_each_unit_image_and_inverse_once(monkeypatch):
@@ -525,7 +550,7 @@ def test_conjugation_sample_builds_the_inverse_of_its_automorphism_once(monkeypa
 
 
 def test_conjugation_sample_builds_e_theta_once_for_conj_m1_and_act_exp(monkeypatch):
-    exps = _counting(monkeypatch, "_derM1_exp")
+    exps = _counting(monkeypatch, "_derM1_exps")
     modes = {name.split("[")[0]: mode
              for name, _, mode in check_conjugation_identities(fix_end(), random.Random(93), samples=1)}
     # e^theta, and the right sides e^{Ad(tau) theta} and e^{A1 theta A0^{-1}}
@@ -634,7 +659,7 @@ def test_one_non_terminating_leg_puts_every_operand_in_float():
     assert not _terminates(L, T) and _terminates(L, der0_zero(L))
     mode, Lm, (Df, Tf) = _joint_mode(L, (der0_zero(L), T))
     A = integration._der0_exps(Lm, Df, (1,), ExpConfig())[0]
-    t = integration._derM1_exp(Lm, Tf, 1, ExpConfig())
+    t = integration._derM1_exps(Lm, Tf, (1,), ExpConfig())[0]
     assert (mode, A.hom.A0.mode, A.a0_inv.mode, t.mat.mode) == ("float",) * 4
     resid, mode = check_commuting_square(L, T)
     assert resid < 1e-9 and mode == "float"
@@ -886,7 +911,7 @@ def test_block_exp_equals_series_on_random_nilpotent_triples():
                             rand_cochain(rng, 2, n0, n1))
             nmax = 2 * nilpotency_index(D.X0) + nilpotency_index(D.X1)
             t = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            assert _exp_hom(_abelian(n0, n1), D, t, 24).A2 == _ref_exp_a2(D, t, nmax)
+            assert _exp_homs(_abelian(n0, n1), D, (t,), 24)[0].A2 == _ref_exp_a2(D, t, nmax)
 
 
 def test_block_exp_float_matches_series():
@@ -897,7 +922,7 @@ def test_block_exp_float_matches_series():
         for _ in range(2):
             D = small_der0(L, rng, basis).to_float()
             t = rng.uniform(-1.0, 1.0)
-            got = _exp_hom(Lf, D, t, 24)
+            got = _exp_homs(Lf, D, (t,), 24)[0]
             assert got.A2.mode == "float" or got.A2.is_zero()
             assert _relative_close(got.A2, _ref_exp_a2(D, t, 24), tensor_distance)
             assert _relative_close(got.A1, truncated_exp(D.X1.to_float(), t, 24), mat_distance)
@@ -962,7 +987,7 @@ def test_block_exp_large_off_diagonal_block_keeps_accuracy(scale):
                                for pq in itertools.combinations(range(n0), 2)})
     D = Derivation0(Mat(n0, n0, [rng.uniform(-1, 1) for _ in range(n0 * n0)]),
                     Mat(n1, n1, [rng.uniform(-3, 3) for _ in range(n1 * n1)]), lx)
-    got = _exp_hom(_abelian(n0, n1).to_float(), D, t, 24)
+    got = _exp_homs(_abelian(n0, n1).to_float(), D, (t,), 24)[0]
     want = truncated_exp(D.X1.to_float(), t, 24)
     assert mat_distance(got.A1, want) <= 1e-14 * float(want.max_abs())
     assert _relative_close(got.A2, _ref_exp_a2(D, t, 24), tensor_distance)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lie2alg import fixtures
+from lie2alg import fixtures, linalg
 from lie2alg.derivations import _der0_flat_len, compute_der0_basis, der0_constraints, flatten_der0
 from lie2alg.linalg import (
     AltTensor,
@@ -14,7 +14,7 @@ from lie2alg.linalg import (
     ModeError,
     _taylor_plan,
     basis_vec,
-    block_exp,
+    block_exps,
     common_denominator,
     kernel,
     kernel_basis,
@@ -30,6 +30,7 @@ from lie2alg.linalg import (
     solve,
     sparse_eval,
     truncated_exp,
+    truncated_exps,
     vec_is_zero,
     vzero,
 )
@@ -227,11 +228,11 @@ def test_truncated_exp_float_overflowing_result_raises():
 
 def test_block_exp_float_overflowing_top_right_block_raises():
     # b is scaled down by 2^-1023 for the series; the block 10 b overflows
-    # only when scaled back, after truncated_exp has checked its result
+    # only when scaled back, after truncated_exps has checked its result
     a = c = Mat.from_rows([[0.0]])
-    assert block_exp(a, Mat.from_rows([[1e308]]), c, 1)[1] == Mat.from_rows([[1e308]])
+    assert block_exps(a, Mat.from_rows([[1e308]]), c, (1,))[0][1] == Mat.from_rows([[1e308]])
     with pytest.raises(ValueError, match="exponential overflows"):
-        block_exp(a, Mat.from_rows([[1e308]]), c, 10)
+        block_exps(a, Mat.from_rows([[1e308]]), c, (10,))
 
 
 def test_truncated_exp_float_below_theta_is_the_plain_series_of_the_least_degree():
@@ -328,6 +329,88 @@ def test_truncated_exp_builds_no_intermediate_mat(monkeypatch):
     monkeypatch.undo()
     assert [_typed(g.data) for g in got] == [_typed(w.data) for w in want]
     assert indices == [None, 3, None]
+
+
+def test_one_series_gives_minus_t_and_halvings_as_their_own_calls():
+    """`truncated_exps` anchors its series at the largest |t|: -t reads the
+    anchor's terms times (-1)^n and t 2^-k times 2^-kn, both exact, so each
+    equals its own one-t call.  In float that is bit for bit, signed zeros
+    included, for -t also when the series squares, and for t 2^-k when it
+    does not.  In exact mode the values are equal, and for -t the type of
+    every entry too (elsewhere an int may come out as a Fraction of
+    denominator 1)."""
+    rng = random.Random(2025)
+    squared = halved = 0
+    for m in _exp_cases(rng):
+        exact = m.mode == "exact"
+        if exact and nilpotency_index(m) is None:
+            continue
+        for t in ((Fraction(3, 2), 1, 4, Fraction(-1, 3)) if exact else (0.3, 1.0, -2.5, 30.0)):
+            halvings = [Fraction(t, 2 ** k) if exact else math.ldexp(t, -k) for k in (1, 2, 5)]
+            ts = (halvings[0], t, -t, *halvings[1:])
+            got = dict(zip(ts, truncated_exps(m, ts)))
+            s = 0 if exact else _taylor_plan(abs(t) * row_sum_norm(m), 24)[1]
+            for x in (t, -t):
+                assert _typed(got[x].data) == _typed(truncated_exp(m, x).data), (m, t, x)
+            for x in halvings:
+                if exact:
+                    assert got[x] == truncated_exp(m, x), (m, t, x)
+                elif s == 0:
+                    assert _typed(got[x].data) == _typed(truncated_exp(m, x).data), (m, t, x)
+            squared += s > 0
+            halved += s == 0 and not exact and m.rows > 0
+    assert squared >= 10 and halved >= 10
+
+
+def _block_cases():
+    """(a, b, c, t) with ||b|| <= max(||a||, ||c||, 1/2), so that `block_exps`
+    balances nothing: float at t = 1/2 (no squaring) and t = 40 (squarings),
+    and exact, where M's top row vanishes from its second power on, before
+    M^2 does."""
+    a = Mat.from_rows([[0.25, -0.5], [0.0, 0.125]])
+    b = Mat.from_rows([[0.5, 0.0, -0.25], [0.0, -0.0, 0.5]])
+    c = Mat.from_rows([[0.0, 0.5, 0.0], [-0.25, 0.0, 0.125], [0.0, 0.0, 0.5]])
+    shift = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    return [(a, b, c, 0.5), (a, b, c, 40.0), (Mat.zero(1, 1), Mat.from_rows([[0, 0, 2]]), shift, 3)]
+
+
+def test_block_exps_sums_the_top_rows_alone_unless_it_squares(monkeypatch):
+    """Row i of a product depends on row i of its left factor alone, so
+    `block_exps` sums only the top a.rows rows of M's series when it does not
+    square, and every row when it does; either way its blocks are those of
+    the whole series (`truncated_exp` of M), bit for bit and typed."""
+    products, flat_mul = [], linalg._flat_mul
+
+    def counting(a, n, brows, m, zero):
+        if m > 1:  # not a row-sum norm, whose right factor is one column
+            products.append(n)
+        return flat_mul(a, n, brows, m, zero)
+
+    for a, b, c, t in _block_cases():
+        n, size = a.rows, a.rows + c.rows
+        rows = [a.row(i) + b.row(i) for i in range(n)] + [vzero(n, a.mode) + c.row(i) for i in range(c.rows)]
+        E = truncated_exp(Mat.from_rows(rows), t)
+        want = ([E.at(i, j) for i in range(n) for j in range(n)],
+                [E.at(i, j) for i in range(n) for j in range(n, size)])
+        monkeypatch.setattr(linalg, "_flat_mul", counting)
+        del products[:]
+        got = block_exps(a, b, c, (t,))[0]
+        monkeypatch.undo()
+        assert [_typed(g.data) for g in got] == [_typed(w) for w in want], (a, t)
+        squares = a.mode == "float" and _taylor_plan(t * row_sum_norm(Mat.from_rows(rows)), 24)[1] > 0
+        assert products and set(products) == {size if squares else n}, (t, products)
+    # the exact top row stops at its first zero, its second term: two
+    # one-row products, where the whole M stops at its third
+    assert products == [1, 1]
+
+
+def test_block_exps_exact_top_rows_are_exact_without_a_nilpotent_corner():
+    # M = [[0, 0], [0, 1]] is not nilpotent, but its top row is zero: the
+    # top blocks are e^{t 0} = 1 and the integral of 0, exactly
+    zero, one = Mat.zero(1, 1), Mat.identity(1)
+    assert block_exps(zero, zero, one, (1, Fraction(-1, 2))) == [(one, zero)] * 2
+    with pytest.raises(ValueError, match="not nilpotent"):
+        truncated_exp(Mat.from_rows([[0, 0], [0, 1]]), 1)
 
 def test_rank_nullity():
     rng = random.Random(11)
