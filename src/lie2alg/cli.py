@@ -1,66 +1,46 @@
-"""Command-line surface: validation, derivation reports, automorphism
-checks, exponentials and the randomized verification suites.
+"""Command-line surface: parses the `lie2` commands, loads their algebra
+and element files, and prints their reports.
+
+The randomized suites of `lie2 check` live in `integration.SUITES`, which
+draws every sample; this module turns their lines into report lines.  The
+`validate` command and the `axioms` suite print the `validate_lie2` report
+of the algebra.  Every other command that reads an algebra runs that report
+once, at load, and refuses an algebra that fails a law: the file is not a
+Lie 2-algebra, so nothing computed on it would certify anything.
 
 Every report line is machine-greppable:
     IDENTITY <name> RESIDUAL <value> MODE <exact|float>
 Exact-mode lines must be literally zero; float-mode lines pass within the
 line's tolerance.  Exit codes: 0 all within policy, 1 violation, 2 input
-error.  The same seed always produces byte-identical reports.
+error, an algebra that fails a law included.  The same seed always
+produces byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
-from .automorphisms import (
-    Aut0,
-    Tau,
-    check_crossed_module,
-    classify_automorphism,
-    random_tau,
-    tau_is_invertible,
-)
+from .automorphisms import Aut0, Tau, classify_automorphism
 from .core import Lie2Algebra, Lie2Hom, validate_hom, validate_lie2
 from .derivations import (
     DerM1,
     Derivation0,
     classify_derivation,
     compute_der0_basis,
-    der0_distance,
     derM1_basis,
-    graded_bracket,
     inn0_basis,
     is_derivation0,
-    random_der0,
-    random_derM1,
 )
 from .fileio import ParseError, parse_element, parse_lie2, serialize_element, serialize_lie2
 from .fixtures import NAMED_EXAMPLES
-from .integration import (
-    DEFAULT,
-    ExpConfig,
-    _DENS,
-    _joint_mode,
-    check_commuting_square,
-    check_conjugation_identities,
-    check_one_parameter,
-    exp_der0,
-    exp_derM1,
-    nilpotent_derivations,
-    one_parameter_derM1,
-    random_aut0,
-    recover_bracket,
-    recover_bracket_m1,
-)
-from .linalg import mat_distance, mat_inverse, rat, rat_str, scalar_kind
+from .integration import DEFAULT, SUITES, ExpConfig, exp_der0, exp_derM1_unit
+from .linalg import mat_inverse, rat, rat_str, scalar_kind
 
 @dataclass(frozen=True)
 class ReportLine:
@@ -91,13 +71,27 @@ def emit_report(header, lines) -> tuple:
     return "\n".join(out) + "\n", ok
 
 
-def _load_algebra(spec: str) -> Lie2Algebra:
+def _load_algebra(spec: str) -> tuple:
+    """(algebra, `validate_lie2` report of its laws) of a file or named example."""
     if spec in NAMED_EXAMPLES and not os.path.exists(spec):
-        return NAMED_EXAMPLES[spec]()
-    path = Path(spec)
-    if not path.exists():
-        raise ParseError(spec, 1, "no such file or named example")
-    return parse_lie2(path.read_text(encoding="utf-8"), str(path))
+        L = NAMED_EXAMPLES[spec]()
+    else:
+        path = Path(spec)
+        if not path.exists():
+            raise ParseError(spec, 1, "no such file or named example")
+        L = parse_lie2(path.read_text(encoding="utf-8"), str(path))
+    return L, validate_lie2(L)
+
+
+def _require_laws(spec: str, laws) -> None:
+    """Refuse the algebra of spec, whose laws `_load_algebra` reported, with
+    a ValueError (exit 2) naming its first violated law and the witness.
+    Files and named examples are exact, so a law holds iff its residual is 0."""
+    violated = laws.violated()
+    if violated:
+        law = laws[violated[0]]
+        raise ValueError(f"{spec} is not a Lie 2-algebra: law {violated[0]} has residual "
+                         f"{rat_str(law.value)} at {law.witness}")
 
 
 def _header(cmd: str, args, L: Lie2Algebra) -> list:
@@ -111,100 +105,18 @@ def _report_lines(prefix: str, report, mode: str, tol: float = 0.0) -> list:
 
 
 # ---------------------------------------------------------------------------
-# suites
-# ---------------------------------------------------------------------------
-
-def _suite_axioms(L, rng, args, cfg):
-    return _report_lines("axiom_", validate_lie2(L), L.mode, cfg.tol)
-
-
-def _suite_crossed_module(L, rng, args, cfg):
-    n = max(2, math.isqrt(max(args.samples - 1, 0)) + 1)
-    nilpotent = nilpotent_derivations(L, compute_der0_basis(L))
-    auts = [random_aut0(L, rng, nilpotent) for _ in range(n)]
-    taus = [random_tau(L, rng) for _ in range(n)]
-    return [ReportLine(name, resid, "exact", cfg.tol)
-            for name, resid in check_crossed_module(L, auts, taus)]
-
-
-def _suite_exp_square(L, rng, args, cfg):
-    out = []
-    for i in range(args.samples):
-        T = random_derM1(L, rng, dens=_DENS)
-        out.append(ReportLine(f"exp_square[{i}]", *check_commuting_square(L, T, cfg), cfg.tol))
-    return out
-
-
-def _suite_one_parameter(L, rng, args, cfg):
-    out = []
-    basis = compute_der0_basis(L)
-    for i in range(args.samples):
-        D = random_der0(L, rng, basis, dens=_DENS)
-        t = Fraction(rng.randint(-8, 8), 8)
-        s = Fraction(rng.randint(-8, 8), 8)
-        out.append(ReportLine(f"one_param_deg0[{i}]", *check_one_parameter(L, D, t, s, cfg),
-                              cfg.tol))
-        T = random_derM1(L, rng, dens=_DENS)
-        out.append(ReportLine(f"one_param_degM1[{i}]", *one_parameter_derM1(L, T, t, s, cfg),
-                              cfg.tol))
-    return out
-
-
-def _suite_bracket_recovery(L, rng, args, cfg):
-    # full-size draws: the finite-difference arguments are h-scaled anyway,
-    # and the h^2 convergence signal must stay above the rounding floor
-    out = []
-    basis = compute_der0_basis(L)
-    fd_tol = 1e-4
-    for i in range(args.samples):
-        for suffix, recover, distance, x, y in (
-                ("", recover_bracket, der0_distance,
-                 random_der0(L, rng, basis), random_der0(L, rng, basis)),
-                ("_degM1", recover_bracket_m1, lambda a, b: mat_distance(a.theta, b.theta),
-                 random_derM1(L, rng), random_derM1(L, rng))):
-            want = graded_bracket(L, x, y).to_float()
-            R1, R2 = recover(L, x, y, cfg)
-            # Richardson: (4 R(h/2) - R(h)) / 3 cancels the h^2 term of the error
-            richardson = (R2.scale(4.0) - R1).scale(1.0 / 3.0)
-            out.append(ReportLine(f"bracket_recover{suffix}[{i}]", distance(richardson, want),
-                                  "float", fd_tol))
-            r1, r2 = distance(R1, want), distance(R2, want)
-            if r2 > 1e-9:
-                # halving h must cut the residual by about 4 (second order)
-                out.append(ReportLine(f"bracket_convergence{suffix}[{i}]", abs(r1 / r2 - 4.0),
-                                      "float", 0.5))
-    return out
-
-
-def _suite_conjugation(L, rng, args, cfg):
-    return [ReportLine(name, resid, mode, cfg.tol)
-            for name, resid, mode in
-            check_conjugation_identities(L, rng, cfg, samples=args.samples)]
-
-
-_SUITE_FNS = {
-    "axioms": _suite_axioms,
-    "crossed-module": _suite_crossed_module,
-    "exp-square": _suite_exp_square,
-    "one-parameter": _suite_one_parameter,
-    "bracket-recovery": _suite_bracket_recovery,
-    "conjugation": _suite_conjugation,
-}
-SUITES = tuple(_SUITE_FNS)
-
-
-# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args) -> tuple:
-    L = _load_algebra(args.file)
-    lines = _suite_axioms(L, None, args, ExpConfig())
+    L, laws = _load_algebra(args.file)
+    lines = _report_lines("axiom_", laws, L.mode, DEFAULT.tol)
     return emit_report(_header("validate", args, L), lines)
 
 
 def _cmd_der(args) -> tuple:
-    L = _load_algebra(args.file)
+    L, laws = _load_algebra(args.file)
+    _require_laws(args.file, laws)
     basis = compute_der0_basis(L)
     inner = inn0_basis(L)
     out = _header("der", args, L)
@@ -224,7 +136,8 @@ def _cmd_der(args) -> tuple:
 
 
 def _cmd_aut(args) -> tuple:
-    L = _load_algebra(args.file)
+    L, laws = _load_algebra(args.file)
+    _require_laws(args.file, laws)
     elem = parse_element(Path(args.element).read_text(encoding="utf-8"), L, args.element)
     header = _header("aut", args, L)
     if isinstance(elem, Lie2Hom):
@@ -246,7 +159,8 @@ def _cmd_aut(args) -> tuple:
 
 
 def _cmd_exp(args) -> tuple:
-    L = _load_algebra(args.file)
+    L, laws = _load_algebra(args.file)
+    _require_laws(args.file, laws)
     elem = parse_element(Path(args.element).read_text(encoding="utf-8"), L, args.element)
     cfg = ExpConfig(order=args.order, tol=args.tol)
     t = rat(args.t)
@@ -262,9 +176,7 @@ def _cmd_exp(args) -> tuple:
         text += serialize_element(A.hom, L)
         return text, passed
     if isinstance(elem, DerM1):
-        tau = exp_derM1(L, elem, t, cfg)
-        # the invertibility identity runs in the mode of tau: L converted with it
-        invertible = tau_is_invertible(_joint_mode(L, (), tau)[1], tau)
+        tau, invertible = exp_derM1_unit(L, elem, t, cfg)
         text, passed = emit_report(
             header, [ReportLine("exp_tau_invertible", 0 if invertible else 1, "exact")])
         text += serialize_element(tau, L)
@@ -275,12 +187,16 @@ def _cmd_exp(args) -> tuple:
 def _cmd_check(args) -> tuple:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    L = _load_algebra(args.file)
+    L, laws = _load_algebra(args.file)
     cfg = ExpConfig(order=args.order, tol=args.tol)
-    rng = random.Random(args.seed)
+    if args.suite == "axioms":
+        lines = _report_lines("axiom_", laws, L.mode, cfg.tol)
+    else:
+        _require_laws(args.file, laws)
+        suite = SUITES[args.suite](L, random.Random(args.seed), cfg, args.samples)
+        lines = [ReportLine(*line) for line in suite]
     header = _header("check", args, L)
     header[0] += f" suite={args.suite} samples={args.samples} seed={args.seed}"
-    lines = _SUITE_FNS[args.suite](L, rng, args, cfg)
     return emit_report(header, lines)
 
 
@@ -322,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check", help="run a randomized verification suite")
     pc.add_argument("file")
-    pc.add_argument("--suite", required=True, choices=SUITES)
+    pc.add_argument("--suite", required=True, choices=("axioms", *SUITES))
     pc.add_argument("--samples", type=int, default=25)
     pc.add_argument("--seed", type=int, default=0)
     # the exponential options of both commands, with ExpConfig's defaults

@@ -48,7 +48,16 @@ mode.  `exp_der0` and `exp_derM1` are `_joint_mode` plus a body in the
 decided mode (`_der0_exps`, `_derM1_exps`); an identity decides once and
 calls the bodies, and `truncated_exps` simply follows the mode of its
 input.  The checks return (residual, mode) pairs: the mode label of each
-report line is the mode that computed it.
+report line is the mode that computed it.  `exp_derM1_unit` tests the unit
+property of e^theta in the mode that computed it.
+
+The randomized suites of `lie2 check` live here: `SUITES` maps each name
+to a function (L, rng, cfg, samples) that draws every sample from rng and
+returns the report lines (name, residual, mode, tolerance).  The
+conjugation, exp-square and one-parameter suites draw with the
+denominators `_DENS`.  Bracket-recovery draws full-size, and
+`_bracket_lines` holds its Richardson combination to 1e-4 and its
+convergence ratio to 0.5; every other line is held to cfg.tol.
 """
 
 from __future__ import annotations
@@ -68,11 +77,13 @@ from .automorphisms import (
     aut_identity,
     aut_inverse,
     certify_aut0,
+    check_crossed_module,
     partial,
     random_tau,
     star,
     tau_distance,
     tau_inverse,
+    tau_is_invertible,
 )
 from .core import Lie2Algebra, Lie2Hom, compose_hom, hom_distance
 from .derivations import (
@@ -81,6 +92,8 @@ from .derivations import (
     adbar0_single,
     compute_der0_basis,
     dbar,
+    der0_distance,
+    graded_bracket,
     is_derivation0,
     random_der0,
     random_derM1,
@@ -89,6 +102,7 @@ from .linalg import (
     AltTensor,
     Mat,
     block_exps,
+    mat_distance,
     nilpotency_index,
     scalar_kind,
     truncated_exps,
@@ -219,6 +233,15 @@ def exp_derM1(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> Tau:
     return _derM1_exps(L, T, (t,), cfg)[0]
 
 
+def exp_derM1_unit(L: Lie2Algebra, T: DerM1, t=1, cfg: ExpConfig = DEFAULT) -> tuple:
+    """(e^{t theta}, whether it is a unit of the star group), as `exp_derM1`
+    gives it; the unit test runs in the mode of e^{t theta}, on L converted
+    with it."""
+    _, L, (T,) = _joint_mode(L, (T,))
+    tau = _derM1_exps(L, T, (t,), cfg)[0]
+    return tau, tau_is_invertible(L, tau)
+
+
 # ---------------------------------------------------------------------------
 # one-parameter and commuting-square checks
 # ---------------------------------------------------------------------------
@@ -306,6 +329,25 @@ def recover_bracket_m1(L: Lie2Algebra, T1: DerM1, T2: DerM1,
                     lambda c: DerM1(c.mat), T1.to_float(), T2.to_float())
 
 
+def _bracket_lines(L: Lie2Algebra, name: str, recover, distance, x, y, cfg: ExpConfig) -> list:
+    """The report lines of one bracket-recovery probe of [x, y].
+
+    bracket_recover<name> is the distance of the Richardson combination
+    (4 R(h/2) - R(h)) / 3, which cancels the h^2 term of the error, to the
+    bracket, within 1e-4; bracket_convergence<name> checks that halving h
+    cuts the error of R by about 4 (second order), within 0.5, wherever
+    R(h/2) is off by more than 1e-9, above the rounding floor.
+    """
+    want = graded_bracket(L, x, y).to_float()
+    R1, R2 = recover(L, x, y, cfg)
+    richardson = (R2.scale(4.0) - R1).scale(1.0 / 3.0)
+    out = [(f"bracket_recover{name}", distance(richardson, want), "float", 1e-4)]
+    r1, r2 = distance(R1, want), distance(R2, want)
+    if r2 > 1e-9:
+        out.append((f"bracket_convergence{name}", abs(r1 / r2 - 4.0), "float", 0.5))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # conjugation identities
 # ---------------------------------------------------------------------------
@@ -354,7 +396,7 @@ def _conj_tau_der(L: Lie2Algebra, cfg: ExpConfig, D: Derivation0, tau: Tau):
 
 
 # the denominators of the suites' random draws (the conjugation, exp-square
-# and one-parameter suites)
+# and one-parameter suites, and the units of `random_aut0`)
 _DENS = (8, 16)
 
 
@@ -449,3 +491,63 @@ def random_aut0(L: Lie2Algebra, rng, nilpotent=None) -> Aut0:
         else:
             out = aut_compose(out, partial(L, random_tau(L, rng, _DENS)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the randomized suites of `lie2 check`
+# ---------------------------------------------------------------------------
+
+def _crossed_module_suite(L: Lie2Algebra, rng, cfg: ExpConfig, samples: int) -> list:
+    # n automorphisms and n units: n^2 >= samples (and >= 4) pairs for each law
+    n = max(2, math.isqrt(max(samples - 1, 0)) + 1)
+    nilpotent = nilpotent_derivations(L, compute_der0_basis(L))
+    auts = [random_aut0(L, rng, nilpotent) for _ in range(n)]
+    taus = [random_tau(L, rng) for _ in range(n)]
+    return [(name, resid, "exact", cfg.tol) for name, resid in check_crossed_module(L, auts, taus)]
+
+
+def _exp_square_suite(L: Lie2Algebra, rng, cfg: ExpConfig, samples: int) -> list:
+    return [(f"exp_square[{i}]", *check_commuting_square(L, random_derM1(L, rng, dens=_DENS), cfg),
+             cfg.tol) for i in range(samples)]
+
+
+def _one_parameter_suite(L: Lie2Algebra, rng, cfg: ExpConfig, samples: int) -> list:
+    out = []
+    basis = compute_der0_basis(L)
+    for i in range(samples):
+        D = random_der0(L, rng, basis, dens=_DENS)
+        t = Fraction(rng.randint(-8, 8), 8)
+        s = Fraction(rng.randint(-8, 8), 8)
+        out.append((f"one_param_deg0[{i}]", *check_one_parameter(L, D, t, s, cfg), cfg.tol))
+        T = random_derM1(L, rng, dens=_DENS)
+        out.append((f"one_param_degM1[{i}]", *one_parameter_derM1(L, T, t, s, cfg), cfg.tol))
+    return out
+
+
+def _bracket_recovery_suite(L: Lie2Algebra, rng, cfg: ExpConfig, samples: int) -> list:
+    # full-size draws: the finite-difference arguments are h-scaled anyway,
+    # and the h^2 convergence signal must stay above the rounding floor
+    out = []
+    basis = compute_der0_basis(L)
+    for i in range(samples):
+        D1, D2 = random_der0(L, rng, basis), random_der0(L, rng, basis)
+        T1, T2 = random_derM1(L, rng), random_derM1(L, rng)
+        out += _bracket_lines(L, f"[{i}]", recover_bracket, der0_distance, D1, D2, cfg)
+        out += _bracket_lines(L, f"_degM1[{i}]", recover_bracket_m1,
+                              lambda a, b: mat_distance(a.theta, b.theta), T1, T2, cfg)
+    return out
+
+
+def _conjugation_suite(L: Lie2Algebra, rng, cfg: ExpConfig, samples: int) -> list:
+    return [(*line, cfg.tol) for line in check_conjugation_identities(L, rng, cfg, samples)]
+
+
+# name -> suite: each maps (L, rng, cfg, samples) to its report lines
+# (name, residual, mode, tolerance), drawing from rng in a fixed order
+SUITES = {
+    "crossed-module": _crossed_module_suite,
+    "exp-square": _exp_square_suite,
+    "one-parameter": _one_parameter_suite,
+    "bracket-recovery": _bracket_recovery_suite,
+    "conjugation": _conjugation_suite,
+}

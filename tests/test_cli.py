@@ -15,6 +15,7 @@ from lie2alg.cli import ReportLine, run
 from lie2alg.core import make_endo
 from lie2alg.fileio import serialize_element, serialize_lie2
 from lie2alg.fixtures import fix_str, random_fixture, string_aut_hom
+from lie2alg.integration import SUITES
 from lie2alg.linalg import Mat
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -61,6 +62,53 @@ def test_validate_broken_file_fails(tmp_path):
     assert code == 1
     assert "RESULT FAIL" in text
     assert "WITNESS" in text
+
+
+# the broken golden files, their dimensions and the refusal naming their
+# first violated law
+BROKEN = {
+    "broken-c": ((4, 4), "law c has residual 4/7 at (0, 1, 2, 3)"),
+    "broken-b1-b2": ((3, 2), "law b1 has residual 2/7 at (0, 1, 2)"),
+}
+
+
+def _computing_commands(path, tmp_path) -> list:
+    """Every command that computes on the algebra of path: der, aut on a
+    tau, exp on both degrees and each randomized suite of check, with
+    zero elements, which every algebra accepts."""
+    argvs = [["der", str(path)]]
+    for cmd, block in (("aut", "tau"), ("exp", "der0"), ("exp", "derM1")):
+        elem = tmp_path / f"zero.{block}"
+        elem.write_text(f"{block}\n", encoding="utf-8")
+        argvs.append([cmd, str(path), "--element", str(elem)])
+    return argvs + [["check", str(path), "--suite", suite, "--samples", "1"] for suite in SUITES]
+
+
+@pytest.mark.parametrize("stem", BROKEN)
+def test_every_command_that_computes_on_an_algebra_refuses_one_that_fails_a_law(stem, tmp_path):
+    (n0, n1), law = BROKEN[stem]
+    path = GOLDEN / f"{stem}.lie2"
+    for argv in _computing_commands(path, tmp_path):
+        assert run(argv) == (2, f"error: {path} is not a Lie 2-algebra: {law}\n"), argv
+    # the same commands run on the abelian algebra of the same dimensions
+    lawful = tmp_path / "abelian.lie2"
+    lawful.write_text(f"lie2 v1\ndim0 {n0}\ndim1 {n1}\n", encoding="utf-8")
+    for argv in _computing_commands(lawful, tmp_path):
+        assert run(argv)[0] == 0, argv
+    # validate and the axioms suite report the laws
+    assert run(["validate", str(path)])[0] == 1
+    assert run(["check", str(path), "--suite", "axioms"])[0] == 1
+
+
+@pytest.mark.parametrize("argv", [["validate", "endo-1-1"], ["der", "endo-1-1"],
+                                  ["check", "endo-1-1", "--suite", "axioms"],
+                                  ["check", "endo-1-1", "--suite", "exp-square", "--samples", "2"]])
+def test_a_command_checks_the_laws_once(argv, monkeypatch):
+    calls = []
+    validate = cli.validate_lie2
+    monkeypatch.setattr(cli, "validate_lie2", lambda L: calls.append(L) or validate(L))
+    assert run(argv)[0] == 0
+    assert len(calls) == 1
 
 
 def test_validate_missing_file_is_input_error():
@@ -144,7 +192,12 @@ def _der_sections(text):
     return sections
 
 
-@pytest.mark.parametrize("golden", sorted(GOLDEN.glob("der-*.txt")), ids=lambda p: p.stem)
+# the der reports of the golden table, the refusals of the broken files left out
+DER_REPORTS = [p for p in sorted(GOLDEN.glob("der-*.txt"))
+               if p.read_text(encoding="utf-8").startswith("lie2 der")]
+
+
+@pytest.mark.parametrize("golden", DER_REPORTS, ids=lambda p: p.stem)
 def test_der_with_each_subset_of_flags_keeps_those_blocks_of_the_full_report(golden, monkeypatch):
     sections = _der_sections(golden.read_text(encoding="utf-8"))
     # every block the golden can hold is there, so each subset removes one

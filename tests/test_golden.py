@@ -75,11 +75,20 @@ def _cases() -> dict:
         ["exp", "skeletal-demo", "--element", "tests/golden/skeletal-demo-nonder.der0"], 1)
     for stem, name, element, code in AUT_CASES:
         cases[stem] = (["aut", name, "--element", f"tests/golden/{element}"], code)
-    # an exact algebra file with denominators 3 and 7 that breaks b1 and b2
-    cases["validate-broken-b1-b2"] = (["validate", "tests/golden/broken-b1-b2.lie2"], 1)
-    # the aff1 sum under its adjoint action with an l3 of denominators 3 and 7
-    # that is not a cocycle: only law c fails, on the integer image
-    cases["validate-broken-c"] = (["validate", "tests/golden/broken-c.lie2"], 1)
+    # broken-b1-b2 is an exact algebra file with denominators 3 and 7 that
+    # breaks b1 and b2; broken-c is the aff1 sum under its adjoint action with
+    # an l3 of denominators 3 and 7 that is not a cocycle: only law c fails,
+    # on the integer image.  validate and the axioms suite print the laws and
+    # exit 1; der and every other suite refuse the file with its first
+    # violated law and exit 2
+    for stem in ("broken-b1-b2", "broken-c"):
+        path = f"tests/golden/{stem}.lie2"
+        cases[f"validate-{stem}"] = (["validate", path], 1)
+        cases[f"der-{stem}"] = (["der", path, "--basis", "--inner", "--classify"], 2)
+        for suite in SUITES:
+            cases[f"check-{suite}-{stem}"] = (
+                ["check", path, "--suite", suite, "--samples", "2", "--seed", "1"],
+                1 if suite == "axioms" else 2)
     return cases
 
 
