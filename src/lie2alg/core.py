@@ -20,7 +20,8 @@ Vectors of g_0 and g_{-1} are tuples, and the algebra's structure is
 read through its tensors: the bracket on g_0 is `b00.eval`, the
 differential `d.apply`, [e_i, a] the matrix `b01[i]`, and a basis vector
 `linalg.basis_vec`.  `ResidualReport.violated`, the names of the laws
-with a nonzero residual, is kept as library API beside `ok` and `within`.
+with a nonzero residual, names the first violated law when a command
+refuses an algebra (`cli._require_laws`).
 """
 
 from __future__ import annotations
@@ -168,9 +169,11 @@ class Lie2Algebra:
 
     def view(self, build):
         """build(self), computed on first use and kept on this object: the
-        views `sparse` and `integer_image`, the float copy `to_float`, and
-        the unit images of `derivations`.  An algebra is immutable, so a view
-        never goes stale; an equal algebra built apart computes its own."""
+        views `sparse` and `integer_image`, the float copy `to_float`, the
+        unit images and the degree-0 kernel and basis of `derivations`, and
+        the nilpotent basis members of `integration`.  An algebra is immutable,
+        so a view never goes stale; an equal algebra built apart computes
+        its own."""
         views = self._views
         return views[build] if build in views else views.setdefault(build, build(self))
 

@@ -26,7 +26,12 @@ sparse vector; `dbar` and `adbar0_single` wrap them.  The unit images of
 the Hom basis and of g_0, on the integer image, are one sweep per algebra
 object (`_unit_images`, a `Lie2Algebra.view`): the Der build, the inner
 derivations and `adbar` all read it and feed it straight to the
-elimination, with no Derivation0 formed.
+elimination, with no Derivation0 formed.  The degree-0 kernel, with the
+basis read off it (`_der0_kernel`, `compute_der0_basis`), is a view too,
+so an algebra object eliminates its constraint rows once: the Der build,
+`random_der0` and the nilpotent members of the basis
+(`integration.nilpotent_derivations`) all read that one basis, and no
+caller passes it along.
 
 The derivation Lie 2-algebra (`build_der_lie2`) reads each basis derivation
 once into a sparse form (`_Sparse0`: the columns and rows of X0 and X1, lX
@@ -327,14 +332,16 @@ def _constraint_rows(L: Lie2Algebra, sp) -> list:
 
 
 def _der0_kernel(L: Lie2Algebra):
-    """(vecs, coords) of the degree-0 derivation space, from one elimination
-    (`linalg._kernel`) of the constraint rows of the integer image of L: D
-    times those of `der0_constraints`, with the same kernel.  vecs holds
-    each basis vector as a primitive integer vector of `flatten_der0`
-    coordinates with its scale (see `_kernel`).  coords(v, scale=1) is the
+    """(vecs, coords, basis) of the degree-0 derivation space, from one
+    elimination (`linalg._kernel`) of the constraint rows of the integer
+    image of L: D times those of `der0_constraints`, with the same kernel.
+    vecs holds each basis vector as a primitive integer vector of
+    `flatten_der0` coordinates with its scale (see `_kernel`), and basis
+    the triple of each (`compute_der0_basis`).  coords(v, scale=1) is the
     coordinate tuple in the basis of v / scale, v a vector of
     `flatten_der0` coordinates, dense or sparse, and raises ValueError when
-    v is off the span."""
+    v is off the span.  A view (`Lie2Algebra.view`): the basis and
+    `build_der_lie2` read the one elimination."""
     vecs, span = _kernel(_constraint_rows(L, L.integer_image()[1]), _der0_flat_len(L))
 
     def coords(v, scale=1) -> tuple:
@@ -343,7 +350,7 @@ def _der0_kernel(L: Lie2Algebra):
             raise ValueError("not in the degree-0 derivation span")
         return c
 
-    return vecs, coords
+    return vecs, coords, tuple(_derivation(L, v, s) for v, s in vecs)
 
 
 def _derivation(L: Lie2Algebra, v: dict, s: int) -> Derivation0:
@@ -351,10 +358,12 @@ def _derivation(L: Lie2Algebra, v: dict, s: int) -> Derivation0:
     return unflatten_der0(L, _vector(v, s, _der0_flat_len(L)))
 
 
-def compute_der0_basis(L: Lie2Algebra) -> list:
+def compute_der0_basis(L: Lie2Algebra) -> tuple:
     """Basis of the degree-0 derivation space: the kernel of
-    `der0_constraints`, in kernel order (deterministic)."""
-    return [_derivation(L, v, s) for v, s in _der0_kernel(L)[0]]
+    `der0_constraints`, in kernel order (deterministic).  A view
+    (`Lie2Algebra.view`), built once per algebra: `DerLie2.basis0`, the
+    samplers and `integration.nilpotent_derivations` read this tuple."""
+    return L.view(_der0_kernel)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +604,9 @@ class DerLie2:
     """The derivation Lie 2-algebra in computed bases.
 
     `algebra` is the strict Lie 2-algebra realization (l3 = 0) whose
-    degree-0 coordinates refer to `basis0` and degree -1 coordinates to
-    the standard Hom basis `basisM1`.
+    degree-0 coordinates refer to `basis0`, the basis of the algebra itself
+    (`compute_der0_basis`), and degree -1 coordinates to the standard Hom
+    basis `basisM1`.
     """
 
     algebra: Lie2Algebra
@@ -616,7 +626,8 @@ def build_der_lie2(L: Lie2Algebra) -> DerLie2:
     """Assemble the strict derivation Lie 2-algebra of L in explicit bases.
 
     The work runs in ints.  The basis comes from the kernel of the integer
-    image of L (`_der0_kernel`), as primitive integer vectors v with scales
+    image of L (`_der0_kernel`, a view that also holds `basis0`, the tuple
+    of `compute_der0_basis`), as primitive integer vectors v with scales
     s (basis vector v / s), and each is read once into its sparse form (the
     columns and rows of X0 and X1, and lX on every ordering of its keys)
     straight off v (`_form`).  b00 is the bracket of two basis derivations,
@@ -634,7 +645,7 @@ def build_der_lie2(L: Lie2Algebra) -> DerLie2:
     matrix and tensor is built from computed exact values, with no
     coercion.
     """
-    vecs, coords = _der0_kernel(L)
+    vecs, coords, basis0 = L.view(_der0_kernel)
     basisM1 = derM1_basis(L)
     D, _, dbar_units = L.view(_unit_images)
     r, m, n0, n1 = len(vecs), len(basisM1), L.n0, L.n1
@@ -651,7 +662,7 @@ def build_der_lie2(L: Lie2Algebra) -> DerLie2:
 
     b01 = [_hom_action(f.x1_rows, f.x0, n0, n1, s) for f, (_, s) in zip(forms, vecs)]
     algebra = Lie2Algebra(r, m, dmat, b00, b01, AltTensor.zero(3, r, m))
-    return DerLie2(algebra, tuple(_derivation(L, v, s) for v, s in vecs), tuple(basisM1), coords, L)
+    return DerLie2(algebra, basis0, tuple(basisM1), coords, L)
 
 
 # ---------------------------------------------------------------------------
@@ -790,11 +801,11 @@ def rand_mat(rng, rows: int, cols: int, dens=(1, 2)) -> Mat:
     return Mat(rows, cols, [Fraction(p, q) for p, q in ratio_draws(rng, rows * cols, dens)])
 
 
-def random_der0(L: Lie2Algebra, rng, basis=None, dens=(1, 2)) -> Derivation0:
-    """Random rational combination of a degree-0 derivation basis; the
-    coefficients are `ratio_draws`, in basis order."""
-    if basis is None:
-        basis = compute_der0_basis(L)
+def random_der0(L: Lie2Algebra, rng, *, dens=(1, 2)) -> Derivation0:
+    """Random rational combination of the degree-0 derivation basis of L
+    (`compute_der0_basis`, a view); the coefficients are `ratio_draws`, in
+    basis order."""
+    basis = compute_der0_basis(L)
     pairs = ratio_draws(rng, len(basis), dens)
     return _der0_combination(L, ((Fraction(p, q), D) for (p, q), D in zip(pairs, basis)))
 

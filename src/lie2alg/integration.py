@@ -57,7 +57,11 @@ returns the report lines (name, residual, mode, tolerance).  The
 conjugation, exp-square and one-parameter suites draw with the
 denominators `_DENS`.  Bracket-recovery draws full-size, and
 `_bracket_lines` holds its Richardson combination to 1e-4 and its
-convergence ratio to 0.5; every other line is held to cfg.tol.
+convergence ratio to 0.5; every other line is held to cfg.tol.  Every
+draw from the degree-0 basis reads it off the algebra object, as do the
+draws from its nilpotent members (`nilpotent_derivations`): both are views
+(`Lie2Algebra.view`), so no suite holds or passes a basis, and an algebra
+object eliminates and scans its basis once however many draws it serves.
 """
 
 from __future__ import annotations
@@ -411,19 +415,17 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
     for every D and unit tau: see `_conj_tau_der`), conj_dbar (transport of
     differentials) and conj_adjoint (transport of adjoint generators).
     conj_tau_der draws D as `random_aut0` draws its exact factors, a
-    nilpotent basis derivation times p/2, or a `random_der0` combination
-    when the basis has no nilpotent element.
+    nilpotent basis derivation times p/2 (`_nilpotent_draw`), or a
+    `random_der0` combination when the basis has no nilpotent element.
     Returns (name, residual, mode) triples, one mode decision per identity:
     exact where the values are exact and every series of both sides
     terminates.
     """
-    der_basis = compute_der0_basis(L)
-    nilpotent = nilpotent_derivations(L, der_basis)
     out = []
     for idx in range(samples):
-        A = random_aut0(L, rng, nilpotent)
+        A = random_aut0(L, rng)
         Ai = aut_inverse(A)
-        D = random_der0(L, rng, der_basis, dens=_DENS)
+        D = random_der0(L, rng, dens=_DENS)
         T = random_derM1(L, rng, dens=_DENS)
         tau = random_tau(L, rng, _DENS)
 
@@ -443,8 +445,8 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
         out.append((f"act_exp[{idx}]", tau_distance(act(Lm, Am, eT), rhs_a), mode))
 
         # (iv) tau * (e^D |> tau^{-1}) = sigma e^{-X0}
-        Dc = (_nilpotent_draw(rng, nilpotent) if nilpotent
-              else random_der0(L, rng, der_basis, dens=_DENS))
+        Dc = (_nilpotent_draw(L, rng) if nilpotent_derivations(L)
+              else random_der0(L, rng, dens=_DENS))
         out.append((f"conj_tau_der[{idx}]",
                     *_conj_tau_der(L, cfg, Dc, random_tau(L, rng, _DENS))))
 
@@ -464,30 +466,33 @@ def check_conjugation_identities(L: Lie2Algebra, rng, cfg: ExpConfig = DEFAULT,
 # samplers
 # ---------------------------------------------------------------------------
 
-def nilpotent_derivations(L: Lie2Algebra, der_basis) -> list:
-    """The basis derivations of L whose exact exponential terminates
-    (`_terminates`): the factors `random_aut0` and the conjugation suite
-    draw from."""
-    return [D for D in der_basis if _terminates(L, D)]
+def nilpotent_derivations(L: Lie2Algebra) -> tuple:
+    """The members of the degree-0 basis of L (`compute_der0_basis`) whose
+    exact exponential terminates (`_terminates`), in basis order: the
+    factors `random_aut0` and the conjugation suite draw from.  A view
+    (`Lie2Algebra.view`), so each algebra object scans its basis once."""
+    return L.view(_nilpotent_members)
 
 
-def _nilpotent_draw(rng, nilpotent) -> Derivation0:
-    """One of the `nilpotent` basis derivations, times p/2 with p in -2..2."""
-    return rng.choice(nilpotent).scale(Fraction(rng.randint(-2, 2), 2))
+def _nilpotent_members(L: Lie2Algebra) -> tuple:
+    return tuple(D for D in compute_der0_basis(L) if _terminates(L, D))
 
 
-def random_aut0(L: Lie2Algebra, rng, nilpotent=None) -> Aut0:
+def _nilpotent_draw(L: Lie2Algebra, rng) -> Derivation0:
+    """One of `nilpotent_derivations(L)`, times p/2 with p in -2..2."""
+    return rng.choice(nilpotent_derivations(L)).scale(Fraction(rng.randint(-2, 2), 2))
+
+
+def random_aut0(L: Lie2Algebra, rng) -> Aut0:
     """Exact random automorphism: a product of connecting-map images and
     terminating exponentials of basis derivations (`_nilpotent_draw`).
-    `nilpotent` is `nilpotent_derivations` of the degree-0 basis of L; a
-    caller that draws several holds it once, and None computes it.  Every
-    exponential terminates and is summed exactly, so no `ExpConfig` applies."""
-    if nilpotent is None:
-        nilpotent = nilpotent_derivations(L, compute_der0_basis(L))
+    The factors come from `nilpotent_derivations(L)`, a view, so repeated
+    draws on one algebra object scan its basis once.  Every exponential
+    terminates and is summed exactly, so no `ExpConfig` applies."""
     out = aut_identity(L)
     for _ in range(rng.randint(1, 3)):
-        if nilpotent and rng.random() < 0.5:
-            out = aut_compose(out, exp_der0(L, _nilpotent_draw(rng, nilpotent)))
+        if nilpotent_derivations(L) and rng.random() < 0.5:
+            out = aut_compose(out, exp_der0(L, _nilpotent_draw(L, rng)))
         else:
             out = aut_compose(out, partial(L, random_tau(L, rng, _DENS)))
     return out
@@ -500,8 +505,7 @@ def random_aut0(L: Lie2Algebra, rng, nilpotent=None) -> Aut0:
 def _crossed_module_suite(L: Lie2Algebra, rng, cfg: ExpConfig, samples: int) -> list:
     # n automorphisms and n units: n^2 >= samples (and >= 4) pairs for each law
     n = max(2, math.isqrt(max(samples - 1, 0)) + 1)
-    nilpotent = nilpotent_derivations(L, compute_der0_basis(L))
-    auts = [random_aut0(L, rng, nilpotent) for _ in range(n)]
+    auts = [random_aut0(L, rng) for _ in range(n)]
     taus = [random_tau(L, rng) for _ in range(n)]
     return [(name, resid, "exact", cfg.tol) for name, resid in check_crossed_module(L, auts, taus)]
 
@@ -513,9 +517,8 @@ def _exp_square_suite(L: Lie2Algebra, rng, cfg: ExpConfig, samples: int) -> list
 
 def _one_parameter_suite(L: Lie2Algebra, rng, cfg: ExpConfig, samples: int) -> list:
     out = []
-    basis = compute_der0_basis(L)
     for i in range(samples):
-        D = random_der0(L, rng, basis, dens=_DENS)
+        D = random_der0(L, rng, dens=_DENS)
         t = Fraction(rng.randint(-8, 8), 8)
         s = Fraction(rng.randint(-8, 8), 8)
         out.append((f"one_param_deg0[{i}]", *check_one_parameter(L, D, t, s, cfg), cfg.tol))
@@ -528,9 +531,8 @@ def _bracket_recovery_suite(L: Lie2Algebra, rng, cfg: ExpConfig, samples: int) -
     # full-size draws: the finite-difference arguments are h-scaled anyway,
     # and the h^2 convergence signal must stay above the rounding floor
     out = []
-    basis = compute_der0_basis(L)
     for i in range(samples):
-        D1, D2 = random_der0(L, rng, basis), random_der0(L, rng, basis)
+        D1, D2 = random_der0(L, rng), random_der0(L, rng)
         T1, T2 = random_derM1(L, rng), random_derM1(L, rng)
         out += _bracket_lines(L, f"[{i}]", recover_bracket, der0_distance, D1, D2, cfg)
         out += _bracket_lines(L, f"_degM1[{i}]", recover_bracket_m1,

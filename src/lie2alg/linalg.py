@@ -1003,16 +1003,19 @@ class AltTensor:
 
     def eval(self, *vectors) -> tuple:
         """Multilinear alternating evaluation on length-`dim` vectors:
-        `sparse_eval` on their supports.  A vector of another length raises
-        ValueError, as in `Mat.apply`."""
+        `sparse_eval` on their supports.  As in `Mat.apply`, the coordinates
+        are literal values of the mode of the tensor (`entries` of its
+        kind), so one of the other mode raises ModeError, and a vector of
+        another length raises ValueError."""
         if len(vectors) != self.arity:
             raise ValueError("arity mismatch")
         if any(len(v) != self.dim for v in vectors):
             raise ValueError("vector length mismatch")
         if not vectors:
             return self.entries.get((), self._zero_vec())
-        r = sparse_eval(self, *({i: x for i, x in enumerate(v) if x} for v in vectors))
-        return sparse_dense(r, self.codim, scalar_zero(self.mode))
+        kind = _KINDS[self.mode]
+        r = sparse_eval(self, *({i: x for i, x in enumerate(kind.entries(v)) if x} for v in vectors))
+        return sparse_dense(r, self.codim, kind.zero)
 
     def __add__(self, other: "AltTensor") -> "AltTensor":
         """The values of the two tensors added key by key."""
@@ -1046,16 +1049,19 @@ class AltTensor:
                                  {k: m.apply(v) for k, v in self.entries.items()}, self.mode)
 
     def pullback(self, b: Mat) -> "AltTensor":
-        """Precompose every argument with b: omega(b ., ..., b .)."""
+        """Precompose every argument with b: omega(b ., ..., b .), by
+        `sparse_eval` on the columns of b, read once (`sparse_columns`).  b
+        has the mode of the tensor (`_same_mode`), so its entries are not
+        read again.  A tensor with no entries, or of arity 0, takes no
+        argument to precompose: its entries stay as they are."""
         if b.rows != self.dim:
             raise ValueError("shape mismatch")
         _same_mode(self, b)
-        if not self.entries:
-            return AltTensor._result(self.arity, b.cols, self.codim, {}, self.mode)
-        cols = [b.col(j) for j in range(b.cols)]
-        entries = {}
-        for key in itertools.combinations(range(b.cols), self.arity):
-            entries[key] = self.eval(*(cols[j] for j in key))
+        if not (self.entries and self.arity):
+            return AltTensor._result(self.arity, b.cols, self.codim, self.entries, self.mode)
+        cols, zero = sparse_columns(b), _KINDS[self.mode].zero
+        entries = {key: sparse_dense(sparse_eval(self, *(cols[j] for j in key)), self.codim, zero)
+                   for key in itertools.combinations(range(b.cols), self.arity)}
         return AltTensor._result(self.arity, b.cols, self.codim, entries, self.mode)
 
     def is_zero(self) -> bool:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lie2alg import automorphisms, linalg
+from lie2alg import automorphisms, fixtures, linalg
 
 from lie2alg.automorphisms import (
     Aut0,
@@ -39,7 +39,6 @@ from lie2alg.core import (
 )
 from lie2alg.derivations import (
     DerM1,
-    compute_der0_basis,
     is_derivation0,
     random_der0,
     random_derM1,
@@ -276,6 +275,16 @@ def test_random_unit_tau_after_200_singular_draws_raises():
     L = make_endo(Mat.from_rows([[Fraction(8, 3)]]))
     with pytest.raises(ValueError, match="no unit tau in 200 draws"):
         random_tau(L, Stuck(0), (8, 16))
+
+
+def test_random_fixture_after_20_oversized_endomorphism_draws_raises(monkeypatch):
+    # seed 5 draws the endomorphism algebra of a complex Q -> Q^2; with a
+    # zero differential its degree 0 is (5 | 2), past the (3 | 2) bound, so
+    # no fixed algebra may stand in for the random one
+    monkeypatch.setattr(fixtures, "rand_mat", lambda rng, rows, cols, dens=(1, 2): Mat.zero(rows, cols))
+    with pytest.raises(ValueError, match="no endomorphism algebra of dimensions at most "
+                                         r"\(3 \| 2\) in 20 draws"):
+        random_fixture(random.Random(5))
 
 
 # ---------------------------------------------------------------------------
@@ -673,10 +682,9 @@ def test_ad_tau_on_theta_abelian_trivial():
 def test_ad_aut_preserves_membership():
     rng = random.Random(61)
     L = fix_str()
-    basis = compute_der0_basis(L)
     for _ in range(4):
         A = string_aut0(L, rng)
-        D = random_der0(L, rng, basis)
+        D = random_der0(L, rng)
         got = ad_conjugate(L, A, D)
         assert is_derivation0(L, got).ok
 
@@ -684,9 +692,8 @@ def test_ad_aut_preserves_membership():
 def test_ad_aut_is_action():
     rng = random.Random(62)
     L = fix_str()
-    basis = compute_der0_basis(L)
     A, B = string_aut0(L, rng), string_aut0(L, rng)
-    D = random_der0(L, rng, basis)
+    D = random_der0(L, rng)
     from lie2alg.derivations import der0_distance
     lhs = ad_conjugate(L, aut_compose(A, B), D)
     rhs = ad_conjugate(L, A, ad_conjugate(L, B, D))

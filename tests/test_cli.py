@@ -295,6 +295,16 @@ def test_exp_derM1(tmp_path):
     assert "tau 0 0 1" in text  # d = 0: e^theta = theta
 
 
+@pytest.mark.parametrize("command, algebra, element, want", [
+    ("aut", "skeletal-demo", "skeletal-demo-nonder.der0", "aut expects a hom or tau block"),
+    ("exp", "string-sl2", "string-sl2-aut.hom", "exp expects a der0 or derM1 block"),
+])
+def test_aut_and_exp_refuse_an_element_of_the_other_command(command, algebra, element, want):
+    path = GOLDEN / element
+    code, text = run([command, algebra, "--element", str(path)])
+    assert (code, text) == (2, f"error: {path}:1: {want}\n")
+
+
 def test_check_suites_pass_on_string():
     for suite, samples in (("axioms", 1), ("crossed-module", 9),
                            ("exp-square", 4), ("one-parameter", 3),

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -343,6 +344,44 @@ def test_algebra_rejects_zero_tensors_of_the_other_mode():
     with pytest.raises(ValueError, match="mixed scalar modes"):
         Lie2Algebra(1, 1, Mat.from_rows([[0.5]]), AltTensor.zero(2, 1, 1), [Mat.zero(1, 1, "float")],
                     AltTensor.zero(3, 1, 1, "float"))
+
+
+@pytest.mark.parametrize("part, value, message", [
+    ("d", Mat.zero(1, 2), "d must be 2x1"),
+    ("b00", AltTensor.zero(2, 2, 1), "b00 must be an alternating 2-tensor on g0"),
+    ("b00", AltTensor.zero(3, 2, 2), "b00 must be an alternating 2-tensor on g0"),
+    ("b01", [Mat.zero(1, 1)], "b01 must hold n0 matrices of shape n1 x n1"),
+    ("b01", [Mat.zero(1, 1), Mat.zero(2, 2)], "b01 must hold n0 matrices of shape n1 x n1"),
+    ("l3", AltTensor.zero(3, 2, 2), "l3 must be an alternating 3-tensor g0 -> g-1"),
+    ("l3", AltTensor.zero(2, 2, 1), "l3 must be an alternating 3-tensor g0 -> g-1"),
+])
+def test_algebra_refuses_a_part_of_the_wrong_shape(part, value, message):
+    parts = {"d": Mat.zero(2, 1), "b00": AltTensor.zero(2, 2, 2), "b01": [Mat.zero(1, 1)] * 2,
+             "l3": AltTensor.zero(3, 2, 1)}
+    Lie2Algebra(2, 1, **parts)  # the (2 | 1) abelian algebra
+    parts[part] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Lie2Algebra(2, 1, **parts)
+
+
+@pytest.mark.parametrize("part, value", [
+    ("A0", Mat.zero(3, 1)), ("A1", Mat.zero(1, 2)),
+    ("A2", AltTensor.zero(2, 1, 1)), ("A2", AltTensor.zero(2, 3, 2)), ("A2", AltTensor.zero(3, 3, 1)),
+])
+def test_hom_refuses_a_component_of_the_wrong_shape(part, value):
+    # from string-sl2 (3 | 1) to abelian (1 | 1): A0 is 1 x 3, A1 is 1 x 1
+    S, T = fix_str(), fix_ab()
+    parts = {"A0": Mat.zero(1, 3), "A1": Mat.zero(1, 1), "A2": AltTensor.zero(2, 3, 1)}
+    Lie2Hom(S, T, **parts)
+    parts[part] = value
+    with pytest.raises(ValueError, match=f"^{part} shape mismatch$"):
+        Lie2Hom(S, T, **parts)
+
+
+def test_compose_hom_refuses_homomorphisms_that_do_not_meet():
+    A, B = hom_identity(fix_str()), hom_identity(fix_ab())
+    with pytest.raises(ValueError, match="^homomorphisms are not composable$"):
+        compose_hom(B, A)
 
 
 # ---------------------------------------------------------------------------

@@ -177,9 +177,20 @@ def test_dbar_lands_in_der0():
 def test_bracket_skew():
     rng = random.Random(12)
     L = fix_str()
-    basis = compute_der0_basis(L)
-    D = random_der0(L, rng, basis)
+    D = random_der0(L, rng)
     assert graded_bracket(L, D, D).is_zero()
+
+
+def test_bracket_of_theta_with_d_is_minus_that_of_d_with_theta():
+    rng = random.Random(16)
+    nonzero = 0
+    for name, make in NAMED_EXAMPLES.items():
+        L = make()
+        D, T = random_der0(L, rng), random_derM1(L, rng)
+        got = graded_bracket(L, T, D)
+        assert isinstance(got, DerM1) and got == -graded_bracket(L, D, T), name
+        nonzero += not got.is_zero()
+    assert nonzero
 
 
 def test_bracket_string_coadjoint_formula():
@@ -219,8 +230,7 @@ def test_bracket_deg_m1_abelian_vanishes():
 def test_bracket_closure_and_jacobi():
     rng = random.Random(15)
     for L in (fix_str(), fix_end()):
-        basis = compute_der0_basis(L)
-        D1, D2, D3 = (random_der0(L, rng, basis) for _ in range(3))
+        D1, D2, D3 = (random_der0(L, rng) for _ in range(3))
         B = graded_bracket(L, D1, D2)
         assert is_derivation0(L, B).ok
         jac = graded_bracket(L, graded_bracket(L, D1, D2), D3) \
@@ -466,9 +476,8 @@ def test_homotopy_closed_under_bracket():
     ads = lie_ad_matrices(sl2_structure())
     theta = DerM1(ads[0] + ads[1].scale(Fraction(1, 2)))
     assert classify_derivation(L, theta)["homotopy"]
-    basis = compute_der0_basis(L)
     for _ in range(4):
-        D = random_der0(L, rng, basis)
+        D = random_der0(L, rng)
         B = graded_bracket(L, D, theta)
         # stays homotopy as long as D is (degree-0 homotopy = weak)
         flags = classify_derivation(L, B)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import lie2alg.automorphisms as automorphisms
+import lie2alg.derivations as derivations
 import lie2alg.integration as integration
 import lie2alg.linalg as linalg
 from lie2alg.automorphisms import (
@@ -27,7 +28,9 @@ from lie2alg.core import Lie2Algebra, compose_hom, hom_distance, validate_hom, v
 from lie2alg.derivations import (
     DerM1,
     Derivation0,
+    adbar,
     adbar0_single,
+    build_der_lie2,
     compute_der0_basis,
     dbar,
     der0_distance,
@@ -86,8 +89,8 @@ from lie2alg.core import make_endo, make_skeletal, make_string
 SMALL = (8, 16)  # denominators keeping series norms inside the N = 24 budget
 
 
-def small_der0(L, rng, basis=None):
-    return random_der0(L, rng, basis, dens=SMALL)
+def small_der0(L, rng):
+    return random_der0(L, rng, dens=SMALL)
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +162,8 @@ def test_exp_adbar_h_matches_diagonal_oracle():
 def test_exp_der0_float_certifies_within_tol():
     rng = random.Random(71)
     L = fix_str()
-    basis = compute_der0_basis(L)
     for _ in range(4):
-        D = small_der0(L, rng, basis)
+        D = small_der0(L, rng)
         A = exp_der0(L, D, 1)
         assert validate_hom(A.hom).max_value() < 1e-9
 
@@ -231,9 +233,8 @@ def test_one_parameter_adbar_e_exact():
 def test_one_parameter_float_residual():
     rng = random.Random(75)
     L = fix_str()
-    basis = compute_der0_basis(L)
     for _ in range(5):
-        D = small_der0(L, rng, basis)
+        D = small_der0(L, rng)
         t = Fraction(rng.randint(-4, 4), 8)
         s = Fraction(rng.randint(-4, 4), 8)
         resid, mode = check_one_parameter(L, D, t, s)
@@ -338,8 +339,7 @@ def test_commuting_square_endo_float():
 def test_recover_bracket_self_is_zero():
     rng = random.Random(80)
     L = fix_str()
-    basis = compute_der0_basis(L)
-    D = small_der0(L, rng, basis)
+    D = small_der0(L, rng)
     for got in recover_bracket(L, D, D):
         assert der0_distance(got, der0_zero(L).to_float()) < 1e-6
 
@@ -365,8 +365,7 @@ def test_recover_bracket_string_adjoint():
 def test_recover_bracket_h2_convergence():
     rng = random.Random(82)
     L = fix_str()
-    basis = compute_der0_basis(L)
-    D1, D2 = small_der0(L, rng, basis), small_der0(L, rng, basis)
+    D1, D2 = small_der0(L, rng), small_der0(L, rng)
     want = graded_bracket(L, D1, D2).to_float()
     r1, r2 = (der0_distance(R, want) for R in recover_bracket(L, D1, D2))
     assert 3.5 <= r1 / r2 <= 4.5
@@ -443,8 +442,7 @@ def _bracket_cases():
                 + [(f"random-{seed}", random_fixture(random.Random(seed))) for seed in range(30)])
     rng = random.Random(86)
     for label, L in algebras:
-        basis = compute_der0_basis(L)
-        D1, D2 = random_der0(L, rng, basis), random_der0(L, rng, basis)
+        D1, D2 = random_der0(L, rng), random_der0(L, rng)
         yield label, L, D1, D2, random_derM1(L, rng), random_derM1(L, rng)
 
 
@@ -559,10 +557,11 @@ def test_conjugation_sample_builds_e_theta_once_for_conj_m1_and_act_exp(monkeypa
 
 
 def test_theta_from_a2_keeps_the_float_mode_without_degree_m1():
-    # n1 = 0: no entry could tell the mode, so the float algebra decides it
+    # n1 = 0: no entry could tell the mode, so the float algebra decides it;
+    # x is float too, as A2.eval reads it in the mode of A
     L = make_skeletal(sl2_structure().to_float(), [Mat.zero(0, 0, "float")] * 3,
                       AltTensor.zero(3, 3, 0, "float"))
-    theta = integration._theta_from_a2(L, aut_identity(L), (Fraction(1, 8),) * 3)
+    theta = integration._theta_from_a2(L, aut_identity(L), (0.125,) * 3)
     assert theta.theta.mode == "float"
     assert dbar(L, theta).X0.mode == "float"
 
@@ -638,9 +637,8 @@ def test_conj_tau_der_holds_for_every_derivation_and_unit_tau():
     cfg = ExpConfig()
     modes = set()
     for name, L in _conj_tau_der_algebras():
-        basis = compute_der0_basis(L)
         for _ in range(4 if name.startswith("random") else 2):
-            D = small_der0(L, rng, basis)
+            D = small_der0(L, rng)
             tau = random_tau(L, rng, SMALL)
             resid, mode = integration._conj_tau_der(L, cfg, D, tau)
             modes.add(mode)
@@ -705,9 +703,8 @@ def test_ad_tau_der0_matches_first_order_conjugation():
     rng = random.Random(95)
     from lie2alg.core import make_endo, make_skeletal, make_string
     for L in (fix_str(), make_endo(Mat.from_rows([[1], [0]]))):
-        basis = compute_der0_basis(L)
         for _ in range(3):
-            D = random_der0(L, rng, basis, dens=SMALL)
+            D = random_der0(L, rng, dens=SMALL)
             tau = random_tau(L, rng, SMALL)
             _, want = ad_conjugate(L, tau, D)
             Lf = L.to_float()
@@ -795,19 +792,36 @@ def test_random_aut0_sampler_is_exact():
 
 
 def test_the_conjugation_suite_finds_the_nilpotent_derivations_once(monkeypatch):
-    # random_aut0 draws from the caller's list, with the same draws as the
-    # list it would compute
-    for L in (fix_str(), skeletal_demo()):
-        rng, ref = random.Random(4), random.Random(4)
-        nilpotent = nilpotent_derivations(L, compute_der0_basis(L))
-        assert random_aut0(L, rng, nilpotent=nilpotent) == random_aut0(L, ref)
-        assert rng.getstate() == ref.getstate()
+    # every draw of the suite reads the one scan of the basis kept on L
     calls = []
-    find = integration.nilpotent_derivations
-    monkeypatch.setattr(integration, "nilpotent_derivations",
-                        lambda L, basis: calls.append(1) or find(L, basis))
+    scan = integration._nilpotent_members
+    monkeypatch.setattr(integration, "_nilpotent_members",
+                        lambda L: calls.append(1) or scan(L))
     check_conjugation_identities(fix_str(), random.Random(1), samples=2)
     assert len(calls) == 1
+
+
+def test_one_algebra_eliminates_and_scans_its_der0_basis_once(monkeypatch):
+    # the Der^0 kernel, its basis and its nilpotent members are views of L:
+    # the Der build, adbar and every draw read them, and none is rebuilt
+    eliminations, tested = [], []
+    kernel, terminates = derivations._kernel, integration._terminates
+    monkeypatch.setattr(derivations, "_kernel", lambda *a: eliminations.append(1) or kernel(*a))
+    monkeypatch.setattr(integration, "_terminates",
+                        lambda L, X: tested.append(X) or terminates(L, X))
+    L, rng = fix_str(), random.Random(5)
+    basis = compute_der0_basis(L)
+    assert build_der_lie2(L).basis0 is basis
+    adbar(L)
+    for _ in range(3):
+        random_der0(L, rng)
+        random_aut0(L, rng)
+    nilpotent = nilpotent_derivations(L)
+    assert nilpotent and nilpotent_derivations(L) is nilpotent
+    assert compute_der0_basis(L) is basis
+    assert len(eliminations) == 1
+    # the scan tests each basis derivation once; the draws test their own
+    assert [X for X in tested if any(X is D for D in basis)] == list(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +876,7 @@ def _differential_fixtures():
 def _nilpotent_derivations(L, rng):
     """Terminating basis derivations at random scales, and sums of pairs
     of them that still terminate."""
-    basis = [D for D in compute_der0_basis(L) if _terminates(L, D)]
+    basis = nilpotent_derivations(L)
     out = [D.scale(Fraction(rng.randint(1, 5), rng.randint(1, 3))) for D in basis]
     for D1, D2 in itertools.combinations(basis, 2):
         D = D1 + D2.scale(Fraction(rng.randint(-3, 3), 2))
@@ -918,9 +932,8 @@ def test_block_exp_float_matches_series():
     rng = random.Random(98)
     for L in _differential_fixtures():
         Lf = L.to_float()
-        basis = compute_der0_basis(L)
         for _ in range(2):
-            D = small_der0(L, rng, basis).to_float()
+            D = small_der0(L, rng).to_float()
             t = rng.uniform(-1.0, 1.0)
             got = _exp_homs(Lf, D, (t,), 24)[0]
             assert got.A2.mode == "float" or got.A2.is_zero()
@@ -1058,10 +1071,9 @@ def test_ad_conjugate_lx_is_the_cochain_action_formula():
     for seed, L in enumerate(algebras):
         rng = random.Random(seed)
         basis = compute_der0_basis(L)
-        nilpotent = nilpotent_derivations(L, basis)
         for _ in range(3):
-            A = random_aut0(L, rng, nilpotent=nilpotent)
-            D = random_der0(L, rng, basis)
+            A = random_aut0(L, rng)
+            D = random_der0(L, rng)
             assert ad_conjugate(L, A, D).lX == _conjugated_lx_by_formula(A, D)
 
 
@@ -1077,7 +1089,7 @@ def test_a_float_t_on_an_exact_series_raises_as_scale_does():
     assert truncated_exp(m, 3).data == (1, 3, 0, 1)
     assert truncated_exp(m.to_float(), Fraction(1, 10)).data == (1.0, 0.1, 0.0, 1.0)
     L = skeletal_demo()
-    D = next(D for D in compute_der0_basis(L) if _terminates(L, D))
+    D = nilpotent_derivations(L)[0]
     with pytest.raises(ModeError):
         exp_der0(L, D, t=0.1)
     assert exp_der0(L, D, t=Fraction(1, 10)).mode == exp_der0(L, D, t=2).mode == "exact"

@@ -144,6 +144,9 @@ def test_mat_inverse_float():
     m = Mat.from_rows([[2.0, 1.0], [1.0, 1.0]])
     inv = mat_inverse(m)
     assert mat_distance(m @ inv, Mat.identity(2, "float")) < 1e-12
+    # a pivot column that eliminates to exact zeros: singular, as in exact mode
+    assert mat_inverse(Mat.from_rows([[1.0, 2.0], [2.0, 4.0]])) is None
+    assert mat_inverse(Mat.zero(2, 2, "float")) is None
 
 
 def test_solve_consistent_and_not():
@@ -794,6 +797,17 @@ def test_mat_apply_rejects_a_vector_of_the_other_mode():
     out = m.apply((0, Fraction(1, 2)))
     assert out == (1, 2) and all(type(x) in (int, Fraction) for x in out)
     assert _bits(m.to_float().apply((1, 0))) == _bits((1.0, 3.0))
+
+
+def test_alt_tensor_eval_rejects_a_vector_of_the_other_mode():
+    # as `Mat.apply` does: an exact tensor read a float vector into (1.5, 3.0)
+    t = AltTensor(2, 3, 2, {(0, 1): (1, 2), (1, 2): (3, 0)})
+    with pytest.raises(ModeError):
+        t.eval((1.5, 0, 0), (0, 1, 0))
+    with pytest.raises(ModeError):
+        t.to_float().eval((Fraction(3, 2), 0, 0), (0, 1, 0))
+    assert t.eval((Fraction(3, 2), 0, 0), (0, 1, 0)) == (Fraction(3, 2), 3)
+    assert t.to_float().eval((1.5, 0, 0), (0, 1, 0)) == (1.5, 3.0)
 
 
 # ---------------------------------------------------------------------------
